@@ -1,4 +1,4 @@
-"""Large target clock offset: why the linear stage solves by pivoted QR.
+"""Large target clock offset: why the linear stage solves by QR.
 
 An unsynchronized target (offset up to 1 ms, i.e. 3e5 m range-equivalent)
 makes every pseudorange nearly equal, so the squared-pseudorange design
@@ -6,7 +6,7 @@ matrix becomes badly ill-conditioned.  This demo sweeps the offset and
 shows three things per level:
 
 * the condition number of the whitened design,
-* the position error of the pivoted-QR solve vs an explicit
+* the position error of the QR solve vs an explicit
   normal-equations solve of the same weighted system,
 * whether the classic static solver (normal equations only) survives.
 """

@@ -5,7 +5,8 @@ The package is organized as:
 
 * :mod:`seqtoa.model` - domain types, forward TOA model, frame simulation;
 * :mod:`seqtoa.estimator` - the two-step weighted least-squares estimator
-  (pivoted-QR linear stage, Gauss-Newton retraction);
+  (column-equilibrated QR linear stage, Gauss-Newton retraction), run over
+  stacks of frames;
 * :mod:`seqtoa.analysis` - CRLB under anchor uncertainty, predicted
   estimator covariance;
 * :mod:`seqtoa.baselines` - Gauss-Newton MLE and the static two-step solver;
@@ -27,10 +28,12 @@ from .estimator import (
     DesignSystem,
     ErrorModel,
     EstimateReport,
+    FrameStack,
     WlsSolution,
     build_design,
     build_error_model,
     estimate,
+    estimate_batch,
     estimate_degraded,
     gauss_newton_refine,
     solve_wls_qr,
@@ -81,6 +84,7 @@ __all__ = [
     "EstimationError",
     "ExperimentSpec",
     "FimBlocks",
+    "FrameStack",
     "MleConfig",
     "NoiseSpec",
     "NotPositiveDefiniteError",
@@ -99,6 +103,7 @@ __all__ = [
     "crlb_target",
     "db_to_variance",
     "estimate",
+    "estimate_batch",
     "estimate_degraded",
     "exact_frame",
     "fim_blocks",

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=int(os.environ.get(_THREADS_ENV, "1")),
+            default=None,
             help=f"worker threads for trials (default ${_THREADS_ENV} or 1)",
         )
         p.add_argument(
@@ -159,6 +159,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.threads is None:
+        raw = os.environ.get(_THREADS_ENV, "1")
+        try:
+            args.threads = int(raw)
+        except ValueError:
+            print(f"error: ${_THREADS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
+            return 1
     try:
         return _COMMANDS[args.command](args)
     except (OSError, json.JSONDecodeError, serialize.SchemaError) as exc:

@@ -1,40 +1,63 @@
-"""Two-step weighted least-squares estimator for one observed frame.
+"""Two-step weighted least-squares estimator, run over stacks of frames.
 
 Step I squares the pseudorange equations into a linear system in the
 9-parameter vector ``theta = [p, v, T, omega, theta1, theta2, theta3]`` with
 
     theta1 = T^2 - ||p||^2,  theta2 = omega^2 - ||v||^2,  theta3 = T*omega - p.v
 
-and solves it by whitened, column-pivoted QR.  The pivoted QR keeps the solve
-stable when a large target clock offset makes all pseudoranges nearly equal
-and the design matrix ill-conditioned; an explicit normal-equations solve
-breaks down there.
+and solves it by whitened, column-equilibrated QR: every column of the
+whitened design ``W A`` is scaled to unit norm, then the scaled matrix is
+factored ``Q R`` by unpivoted Householder QR and ``theta`` follows by back
+substitution.  A large target clock offset makes all pseudoranges nearly
+equal, so the clock columns of ``A`` dwarf the others and ``W A`` is badly
+conditioned (``cond(W A)`` beyond 1e9 at a 1 ms offset).  QR works on ``W A``
+itself, so its error grows with that condition number and not with its
+square, as an explicit normal-equations solve does.  The equilibration
+removes the part of the conditioning that is mere column scale; without
+column pivoting the solve still stays within 1e3 of a 60-digit reference
+residual on 1 ms offset frames, so no pivoting is done.  ``cond_estimate``
+of a solve is the ratio of the largest to the smallest ``|R_jj|`` of the
+equilibrated whitened design, a cheap indicator of its conditioning.
 
 Step II retracts the physical 6-state out of ``theta`` by Gauss-Newton on the
-nonlinear consistency constraints, weighted by the Step-I covariance.
+nonlinear consistency constraints, weighted by the Step-I square-root
+information ``R`` (rescaled to the original columns).
 
 Because the Step-I error statistics depend on the unknown state, the full
-pipeline (:func:`estimate`) runs two passes: identity weights to get a crude
-state, then properly weighted using error statistics evaluated at that state.
+pipeline runs two passes: identity weights to get a crude state, then
+properly weighted using error statistics evaluated at that state.
+
+Batch API: :class:`FrameStack` holds N frames of M broadcasts as stacked
+arrays and :func:`estimate_batch` runs the pipeline on all of them at once.
+Every frame keeps its own iteration count and its own failure record, so one
+bad frame does not fail the others.  :func:`estimate` is a batch of one;
+:func:`build_design`, :func:`build_error_model`, :func:`solve_wls_qr` and
+:func:`gauss_newton_refine` are single-frame wrappers over the same kernels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConditioningError,
     DegenerateGeometryError,
+    EstimationError,
     RankDeficiencyError,
     UnderdeterminedError,
 )
-from .model import ObservedFrame, TargetState
+from .model import NoiseSpec, ObservedFrame, TargetState
 
 N_THETA = 9
 MAX_REFINE_ITERATIONS = 5
+_EPS = np.finfo(float).eps
+_SINGULAR_CE = (
+    "equation-error covariance C_e is numerically singular; "
+    "check for near-zero d_m together with near-zero agent variances"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +95,16 @@ class ErrorModel:
 class WlsSolution:
     """Step-I output.
 
-    ``sqrt_info`` is the square-root information factor ``R @ P^T`` of the
-    whitened design, satisfying ``sqrt_info.T @ sqrt_info = inv(C_wls)``;
-    Step II weights with it directly instead of inverting ``C_wls``.
+    ``sqrt_info`` is the square-root information factor of the whitened
+    design, ``R`` with its columns rescaled by the equilibration, satisfying
+    ``sqrt_info.T @ sqrt_info = inv(C_wls)``; Step II weights with it directly
+    instead of inverting ``C_wls``.
     """
 
     theta_hat: np.ndarray  # (9,)
     C_wls: np.ndarray  # (9, 9)
+    sqrt_info: np.ndarray  # (9, 9)
     cond_estimate: float = float("nan")
-    permutation: np.ndarray | None = None  # (9,) pivot order: column permutation[j] factored j-th
-    sqrt_info: np.ndarray | None = None  # (9, 9); derived from C_wls when absent
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,23 +120,334 @@ class EstimateReport:
     diverged: bool = False
 
 
-def _design_arrays(frame: ObservedFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = frame.slot_times()
-    p_hat = frame.broadcast_positions()
-    alpha = frame.toas() + frame.broadcast_offsets()
-    A = np.column_stack(
-        [
-            2.0 * p_hat,
-            2.0 * t[:, None] * p_hat,
-            -2.0 * alpha,
-            -2.0 * t * alpha,
-            np.ones_like(t),
-            t**2,
-            2.0 * t,
-        ]
+@dataclass(frozen=True, eq=False)
+class FrameStack:
+    """N observed frames of M broadcasts each, as stacked arrays.
+
+    The noise of frame n is carried as the diagonal ``c_tau[n]`` of its
+    ``C_tau`` and the per-agent 3x3 blocks ``blocks[n]`` of its ``C_beta``.
+    A frame whose ``C_tau`` has off-diagonal entries, or whose ``C_beta`` has
+    entries outside those blocks, also keeps its :class:`NoiseSpec` in
+    ``dense[n]`` (``None`` for every other frame); only such frames take the
+    dense whitening branch.
+    """
+
+    t: np.ndarray  # (N, M) slot times
+    p_hat: np.ndarray  # (N, M, 2) broadcast positions
+    alpha: np.ndarray  # (N, M) pseudoranges tau_tilde + T_hat
+    c_tau: np.ndarray  # (N, M) TOA noise variances
+    blocks: np.ndarray  # (N, M, 3, 3) per-agent broadcast-error covariances
+    dense: tuple[NoiseSpec | None, ...]  # (N,)
+
+    @classmethod
+    def of(cls, frames: Sequence[ObservedFrame]) -> "FrameStack":
+        """Stack frames that all carry the same number of broadcasts."""
+        if not frames:
+            raise ValueError("a frame stack needs at least one frame")
+        M = frames[0].n_agents
+        if any(f.n_agents != M for f in frames):
+            raise ValueError("all frames of a stack need the same number of broadcasts")
+        N = len(frames)
+        records = [r for f in frames for r in f.records]
+        idx = np.arange(M)
+        c_tau = np.empty((N, M))
+        blocks = np.empty((N, M, 3, 3))
+        dense = []
+        for n, f in enumerate(frames):
+            C_tau, C_beta = f.noise.C_tau, f.noise.C_beta
+            c_tau[n] = np.diagonal(C_tau)
+            blocks[n] = C_beta.reshape(M, 3, M, 3)[idx, :, idx, :]
+            correlated = (
+                np.count_nonzero(C_tau) != np.count_nonzero(c_tau[n])
+                or np.count_nonzero(C_beta) != np.count_nonzero(blocks[n])
+            )
+            dense.append(f.noise if correlated else None)
+        tau = np.array([r.tau_tilde_m for r in records])
+        T_hat = np.array([r.broadcast.T_hat_m for r in records])
+        return cls(
+            t=np.array([r.t_m for r in records]).reshape(N, M),
+            p_hat=np.array([r.broadcast.p_hat_m for r in records]).reshape(N, M, 2),
+            alpha=(tau + T_hat).reshape(N, M),
+            c_tau=c_tau,
+            blocks=blocks,
+            dense=tuple(dense),
+        )
+
+
+# --- kernels over stacks ----------------------------------------------------
+#
+# Every kernel takes arrays with a leading frame axis and treats each frame
+# independently; per-frame failures come back as masks, never as exceptions.
+
+
+def _design(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked design matrices ``(N, M, 9)`` and right-hand sides ``(N, M)``."""
+    A = np.empty(t.shape + (N_THETA,))
+    A[..., 0:2] = 2.0 * p_hat
+    A[..., 2:4] = 2.0 * t[..., None] * p_hat
+    A[..., 4] = -2.0 * alpha
+    A[..., 5] = -2.0 * t * alpha
+    A[..., 6] = 1.0
+    A[..., 7] = t**2
+    A[..., 8] = 2.0 * t
+    y = (p_hat**2).sum(axis=-1) - alpha**2
+    return A, y
+
+
+def _error_terms(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray, x: np.ndarray):
+    """Row sensitivities at the states ``x (N, 6)``.
+
+    Returns ``b (N, M, 3)``, row m's sensitivity to agent m's broadcast error
+    ``[dpx, dpy, dT]``, and ``d (N, M)``, its sensitivity to the TOA noise.
+    """
+    p, v = x[:, None, 0:2], x[:, None, 2:4]
+    T, omega = x[:, 4:5], x[:, 5:6]
+    d = -2.0 * (T + omega * t - alpha)
+    b_pos = 2.0 * (p + t[..., None] * v - p_hat)
+    return np.concatenate([b_pos, d[..., None]], axis=-1), d
+
+
+def _row_variances(b: np.ndarray, d: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Diagonal ``(N, M)`` of ``C_e`` when ``C_tau`` is diagonal and ``C_beta`` block diagonal
+    (``C_e`` is then diagonal itself)."""
+    return ((blocks @ b[..., None])[..., 0] * b).sum(axis=-1) + d * c_tau * d
+
+
+def _dense_error_cov(b: np.ndarray, d: np.ndarray, C_tau: np.ndarray, C_beta: np.ndarray) -> np.ndarray:
+    """Full ``C_e = B C_beta B^T + D C_tau D^T``, stacked ``(N, M, M)``."""
+    N, M = d.shape
+    B = np.zeros((N, M, M, 3))
+    rows = np.arange(M)
+    B[:, rows, rows, :] = b
+    B = B.reshape(N, M, 3 * M)
+    C_e = B @ C_beta @ B.swapaxes(-1, -2) + d[..., :, None] * C_tau * d[..., None, :]
+    return 0.5 * (C_e + C_e.swapaxes(-1, -2))
+
+
+def _inv_sqrt(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric inverse square roots ``W`` (``W.T @ W = inv(C)``) of a stack of
+    covariances, and a mask of the ones that are positive definite."""
+    w, V = np.linalg.eigh(C)
+    ok = (w[..., 0] > 0) & (w[..., 0] > 1e-15 * w[..., -1])
+    w = np.where(ok[..., None], w, 1.0)
+    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ V.swapaxes(-1, -2), ok
+
+
+def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
+    """Column-equilibrated QR of stacked systems ``WA @ theta ~ Wy``.
+
+    The columns of ``WA`` are scaled to unit norm, ``WA = Q R S``.  ``Wy``
+    rides along as an extra column of the factored matrix, so the last
+    column of the triangular factor carries ``z = Q^T Wy`` and ``Q`` is never
+    formed.  Returns ``(ok, rank, R, z, scale, r)``: ``ok (N,)`` marks the
+    full-rank systems and ``rank (N,)`` is each system's numerical rank;
+    ``R (9, 9)``, ``z (9, 1)``, the column norms ``scale (9,)`` and
+    ``r = |diag R|`` hold the ``ok`` systems only, in order.
+    """
+    M, n = WA.shape[-2:]
+    scale = np.sqrt((WA * WA).sum(axis=-2))
+    scale[scale == 0.0] = 1.0
+    R = np.linalg.qr(np.concatenate([WA / scale[:, None, :], Wy[..., None]], axis=-1), mode="r")
+    r = np.abs(R[:, :n, :n].diagonal(axis1=-2, axis2=-1))
+    tol = max(M, n) * _EPS * r.max(axis=-1, initial=0.0)
+    ok = r.min(axis=-1, initial=np.inf) > tol
+    rank = np.full(ok.shape, n)
+    if not ok.all():
+        rank[~ok] = np.count_nonzero(r[~ok] > tol[~ok, None], axis=-1)
+        R, r, scale = R[ok], r[ok], scale[ok]
+    return ok, rank, R[:, :n, :n], R[:, :n, n:], scale, r
+
+
+def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r: np.ndarray):
+    """``(theta, C_wls, sqrt_info, cond)`` of full-rank factored systems."""
+    rhs = np.empty(z.shape[:-1] + (N_THETA + 1,))
+    rhs[..., :1] = z
+    rhs[..., 1:] = _EYE9
+    X = np.linalg.solve(R, rhs)
+    theta = X[..., 0] / scale
+    R_inv = X[..., 1:]
+    C_wls = (R_inv @ R_inv.swapaxes(-1, -2)) / (scale[:, :, None] * scale[:, None, :])
+    cond = r.max(axis=-1, initial=0.0) / r.min(axis=-1, initial=np.inf)
+    return theta, C_wls, R * scale[:, None, :], cond
+
+
+def _underdetermined_error(M: int) -> UnderdeterminedError:
+    return UnderdeterminedError(f"linear solve needs M >= 9 broadcasts for the 9 unknowns, got M = {M}")
+
+
+def _rank_error(rank: int) -> RankDeficiencyError:
+    return RankDeficiencyError(
+        f"whitened design matrix is rank deficient (numerical rank {rank} < {N_THETA})",
+        numerical_rank=int(rank),
     )
-    y = np.sum(p_hat**2, axis=1) - alpha**2
-    return A, y, alpha
+
+
+# theta1..theta3 are the quadratic forms x^T Q_k x; row 6k+j of _QUAD holds
+# column j of Q_k, so x @ _QUAD stacks the rows x^T Q_k = (Q_k x)^T.
+_QUAD = np.zeros((3, 6, 6))
+_QUAD[0, [0, 1, 4], [0, 1, 4]] = [-1.0, -1.0, 1.0]
+_QUAD[1, [2, 3, 5], [2, 3, 5]] = [-1.0, -1.0, 1.0]
+_QUAD[2, [0, 1, 2, 3, 4, 5], [2, 3, 0, 1, 5, 4]] = [-0.5, -0.5, -0.5, -0.5, 0.5, 0.5]
+_QUAD = _QUAD.transpose(1, 0, 2).reshape(6, 18)
+_EYE6 = np.eye(6)
+_EYE9 = np.eye(N_THETA)
+
+
+def _theta_models(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`theta_model` over a stack of 6-states ``(N, 6)``, and the rows
+    ``(Q_k x)^T`` ``(N, 3, 6)``, half the lower block of :func:`theta_jacobian`."""
+    G = (x @ _QUAD).reshape(-1, 3, 6)
+    return np.concatenate([x, (G * x[:, None, :]).sum(axis=-1)], axis=-1), G
+
+
+def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray, max_iterations: int):
+    """Stacked weighted Gauss-Newton retraction of ``theta (N, 9)`` onto the 6-state.
+
+    Each step solves ``min ||K (theta - f(x) - J dx)||`` by SVD, with the rank
+    rule of ``numpy.linalg.lstsq``.  A frame leaves the loop once the squared
+    norm of its position step is at most its ``threshold``, so every frame
+    runs exactly as many iterations as it would alone.  Returns
+    ``(x, iterations, converged, rank)``; a frame whose weighted Jacobian lost
+    rank has ``rank < 6`` and a meaningless ``x``.
+    """
+    N = theta.shape[0]
+    x = theta[:, :6].copy()
+    iterations = np.full(N, max_iterations)
+    converged = np.zeros(N, dtype=bool)
+    rank = np.full(N, 6)
+    # the frames still iterating, and their slices of the inputs
+    idx, xr, Kr, th, thr = np.arange(N), x, K, theta, threshold
+    for it in range(1, max_iterations + 1):
+        f, G = _theta_models(xr)
+        KJ = Kr[..., :6] + Kr[..., 6:] @ (2.0 * G)
+        Kres = (Kr @ (th - f)[..., None])[..., 0]
+        if not (np.isfinite(KJ).all() and np.isfinite(Kres).all()):
+            finite = np.isfinite(KJ).all(axis=(-2, -1)) & np.isfinite(Kres).all(axis=-1)
+            KJ = np.where(finite[:, None, None], KJ, 0.0)  # rank 0: the frame fails
+            Kres = np.where(finite[:, None], Kres, 0.0)
+        U, s, Vt = np.linalg.svd(KJ, full_matrices=False)
+        full = s[:, -1] > 9 * _EPS * s[:, 0]  # singular values come sorted
+        if not full.all():
+            rank[idx[~full]] = np.count_nonzero(s[~full] > 9 * _EPS * s[~full, :1], axis=-1)
+            idx, xr, Kr, th, thr = idx[full], xr[full], Kr[full], th[full], thr[full]
+            U, s, Vt, Kres = U[full], s[full], Vt[full], Kres[full]
+        dx = (Vt.swapaxes(-1, -2) @ ((U.swapaxes(-1, -2) @ Kres[..., None]) / s[..., None]))[..., 0]
+        xr = xr + dx
+        done = (dx[:, :2] ** 2).sum(axis=-1) <= thr
+        if done.any():
+            x[idx[done]] = xr[done]
+            iterations[idx[done]] = it
+            converged[idx[done]] = True
+            keep = ~done
+            idx, xr, Kr, th, thr = idx[keep], xr[keep], Kr[keep], th[keep], thr[keep]
+        if idx.size == 0:
+            break
+    x[idx] = xr
+    return x, iterations, converged, rank
+
+
+def _retraction_error(rank: int) -> DegenerateGeometryError:
+    return DegenerateGeometryError(f"weighted retraction Jacobian is rank deficient (rank {rank} < 6)")
+
+
+def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.ndarray, x: np.ndarray):
+    """Whiten the designs of frames ``live`` with ``C_e`` evaluated at the states ``x``.
+
+    Diagonal ``C_e`` scales rows; frames with correlated noise go through
+    the dense branch (batched ``eigh``).  Returns ``(WA, Wy, ok)``, where
+    ``ok`` marks frames whose ``C_e`` is positive definite.
+    """
+    b, d = _error_terms(stack.t[live], stack.p_hat[live], stack.alpha[live], x)
+    var = _row_variances(b, d, stack.c_tau[live], stack.blocks[live])
+    ok = (var > 0.0).all(axis=-1)
+    w = 1.0 / np.sqrt(np.where(ok[:, None], var, 1.0))
+    WA, Wy = A * w[..., None], y * w
+    dense = [j for j, i in enumerate(live) if stack.dense[i] is not None]
+    if dense:
+        noises = [stack.dense[live[j]] for j in dense]
+        C_e = _dense_error_cov(
+            b[dense], d[dense], np.stack([nz.C_tau for nz in noises]), np.stack([nz.C_beta for nz in noises])
+        )
+        W, ok[dense] = _inv_sqrt(C_e)
+        WA[dense] = W @ A[dense]
+        Wy[dense] = (W @ y[dense][..., None])[..., 0]
+    return WA, Wy, ok
+
+
+def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
+    """Full two-pass pipeline for every frame of a stack.
+
+    Pass 1 solves with identity weights to get a crude state; pass 2
+    evaluates the error statistics there, re-solves, and runs the
+    Gauss-Newton retraction.  Returns one entry per frame, in order: its
+    :class:`EstimateReport`, carrying the pass-2 conditioning diagnostics, or
+    the :class:`EstimationError` that stopped it.
+    """
+    N, M = stack.t.shape
+    if M < N_THETA:
+        return [_underdetermined_error(M) for _ in range(N)]
+    out: list = [None] * N
+    A, y = _design(stack.t, stack.p_hat, stack.alpha)
+
+    # pass 1: identity weights
+    ok, rank, R, z, scale, _ = _qr_factor(A, y)
+    for i in np.flatnonzero(~ok):
+        out[i] = _rank_error(rank[i])
+    live = np.flatnonzero(ok)
+    x1 = np.linalg.solve(R, z)[..., :6, 0] / scale[:, :6]
+
+    # pass 2: weights from the error statistics at the pass-1 state
+    WA, Wy, ok = _pass2_whitened(stack, live, A[live], y[live], x1)
+    for i in live[~ok]:
+        out[i] = ConditioningError(_SINGULAR_CE)
+    live, WA, Wy = live[ok], WA[ok], Wy[ok]
+
+    ok, rank, R, z, scale, r = _qr_factor(WA, Wy)
+    for i, rk in zip(live[~ok], rank[~ok]):
+        out[i] = _rank_error(rk)
+    live = live[ok]
+    theta, C_wls, K, cond = _wls_solutions(R, z, scale, r)
+
+    traces = stack.blocks[live, :, 0, 0] + stack.blocks[live, :, 1, 1]
+    x, iterations, converged, gn_rank = _retract(theta, K, traces.sum(axis=-1) / M, MAX_REFINE_ITERATIONS)
+    for j, i in enumerate(live):
+        if gn_rank[j] < 6:
+            out[i] = _retraction_error(gn_rank[j])
+            continue
+        out[i] = EstimateReport(
+            x_hat=TargetState.from_vector(x[j]),
+            iterations=int(iterations[j]),
+            converged=bool(converged[j]),
+            cond_estimate=float(cond[j]),
+            C_wls=C_wls[j],
+        )
+    return out
+
+
+def estimate(frame: ObservedFrame) -> EstimateReport:
+    """Full two-pass pipeline for one frame: :func:`estimate_batch` on a batch of one.
+
+    Raises
+    ------
+    EstimationError
+        The frame's failure record: :class:`UnderdeterminedError` for fewer
+        than 9 broadcasts, :class:`RankDeficiencyError` from either QR solve,
+        :class:`ConditioningError` for a singular ``C_e``, or
+        :class:`DegenerateGeometryError` from the retraction.
+    """
+    result = estimate_batch(FrameStack.of([frame]))[0]
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
+# --- single-frame stages ----------------------------------------------------
+
+
+def _design_arrays(frame: ObservedFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    stack = FrameStack.of([frame])
+    A, y = _design(stack.t, stack.p_hat, stack.alpha)
+    return A[0], y[0], stack.alpha[0]
 
 
 def build_design(frame: ObservedFrame) -> DesignSystem:
@@ -125,9 +459,7 @@ def build_design(frame: ObservedFrame) -> DesignSystem:
         If the frame has fewer than 9 records (9 unknowns in ``theta``).
     """
     if frame.n_agents < N_THETA:
-        raise UnderdeterminedError(
-            f"linear solve needs M >= 9 broadcasts for the 9 unknowns, got M = {frame.n_agents}"
-        )
+        raise _underdetermined_error(frame.n_agents)
     A, y, alpha = _design_arrays(frame)
     return DesignSystem(A=A, y=y, alpha_hat=alpha)
 
@@ -136,7 +468,8 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
     """Evaluate the equation-error statistics at a reference state.
 
     Second-order error terms are dropped; ``C_e`` is exact to first order in
-    the TOA noise and broadcast errors.
+    the TOA noise and broadcast errors.  It is diagonal unless the frame's
+    noise is correlated across agents.
 
     Raises
     ------
@@ -144,32 +477,23 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
         If ``C_e`` is numerically singular (happens when some ``d_m`` and the
         corresponding agent variances are simultaneously ~0).
     """
-    t = frame.slot_times()
-    p_hat = frame.broadcast_positions()
-    alpha = frame.toas() + frame.broadcast_offsets()
+    stack = FrameStack.of([frame])
     M = frame.n_agents
-
-    d = -2.0 * (x_ref.T + x_ref.omega * t - alpha)
-    b_pos = 2.0 * (x_ref.p + t[:, None] * x_ref.v - p_hat)
-
-    B = np.zeros((M, 3 * M))
+    b, d = _error_terms(stack.t, stack.p_hat, stack.alpha, x_ref.as_vector()[None])
+    B = np.zeros((M, M, 3))
     rows = np.arange(M)
-    B[rows, 3 * rows] = b_pos[:, 0]
-    B[rows, 3 * rows + 1] = b_pos[:, 1]
-    B[rows, 3 * rows + 2] = d
-
-    D = np.diag(d)
-    C_e = B @ frame.noise.C_beta @ B.T + D @ frame.noise.C_tau @ D.T
-    C_e = 0.5 * (C_e + C_e.T)
+    B[rows, rows, :] = b[0]
+    noise = stack.dense[0]
+    if noise is None:
+        C_e = np.diag(_row_variances(b, d, stack.c_tau, stack.blocks)[0])
+    else:
+        C_e = _dense_error_cov(b, d, noise.C_tau, noise.C_beta)[0]
 
     try:
         np.linalg.cholesky(C_e)
     except np.linalg.LinAlgError:
-        raise ConditioningError(
-            "equation-error covariance C_e is numerically singular; "
-            "check for near-zero d_m together with near-zero agent variances"
-        ) from None
-    return ErrorModel(B=B, D=D, C_e=C_e)
+        raise ConditioningError(_SINGULAR_CE) from None
+    return ErrorModel(B=B.reshape(M, 3 * M), D=np.diag(d[0]), C_e=C_e)
 
 
 def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
@@ -185,21 +509,21 @@ def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
         if np.any(diag <= 0):
             raise ConditioningError("C_e diagonal must be strictly positive for whitening")
         return np.diag(1.0 / np.sqrt(diag))
-    w, V = np.linalg.eigh(C_e)
-    if w[0] <= 1e-15 * max(w[-1], 0.0) or w[0] <= 0:
-        raise ConditioningError(f"C_e is not positive definite (min eig {w[0]:.3e})")
-    return (V * (1.0 / np.sqrt(w))) @ V.T
+    W, ok = _inv_sqrt(C_e[None])
+    if not ok[0]:
+        raise ConditioningError("C_e is not positive definite")
+    return W[0]
 
 
 def solve_wls_qr(design: DesignSystem, C_e: np.ndarray) -> WlsSolution:
-    """Weighted least-squares solve of the Step-I system by pivoted QR.
+    """Weighted least-squares solve of the Step-I system by column-equilibrated QR.
 
-    The system is whitened with ``W = C_e^(-1/2)``, then ``W A`` is factored
-    as ``Q R P^T`` with column pivoting and ``R P^T theta = Q^T W y`` is
+    The system is whitened with ``W = C_e^(-1/2)``, the columns of ``W A``
+    are scaled to unit norm (``W A = Q R S``), and ``R S theta = Q^T W y`` is
     solved by back substitution.  The solution covariance is
-    ``C_wls = (P R^T R P^T)^(-1)``, formed from the triangular factor without
-    ever building normal equations, which is what keeps large-clock-offset
-    frames solvable.
+    ``C_wls = S^-1 (R^T R)^-1 S^-1``, formed from the triangular factor
+    without ever building normal equations, which is what keeps
+    large-clock-offset frames solvable.
 
     Raises
     ------
@@ -211,38 +535,11 @@ def solve_wls_qr(design: DesignSystem, C_e: np.ndarray) -> WlsSolution:
     if M < n:
         raise UnderdeterminedError(f"need at least {n} rows, got {M}")
     W = whitening_matrix(C_e)
-    WA = W @ design.A
-    Wy = W @ design.y
-
-    Q, R, piv = scipy.linalg.qr(WA, mode="economic", pivoting=True)
-    r_diag = np.abs(np.diag(R))
-    tol = max(M, n) * np.finfo(float).eps * (r_diag[0] if r_diag[0] > 0 else 1.0)
-    rank = int(np.count_nonzero(r_diag > tol))
-    if rank < n:
-        raise RankDeficiencyError(
-            f"whitened design matrix is rank deficient (numerical rank {rank} < {n})",
-            numerical_rank=rank,
-        )
-
-    z = scipy.linalg.solve_triangular(R, Q.T @ Wy)
-    theta = np.empty(n)
-    theta[piv] = z
-
-    R_inv = scipy.linalg.solve_triangular(R, np.eye(n))
-    C_pivoted = R_inv @ R_inv.T
-    C_wls = np.empty((n, n))
-    C_wls[np.ix_(piv, piv)] = C_pivoted
-
-    sqrt_info = np.zeros((n, n))
-    sqrt_info[:, piv] = R
-
-    return WlsSolution(
-        theta_hat=theta,
-        C_wls=C_wls,
-        cond_estimate=float(abs(R[0, 0] / R[n - 1, n - 1])),
-        permutation=piv.copy(),
-        sqrt_info=sqrt_info,
-    )
+    ok, rank, *factors = _qr_factor((W @ design.A)[None], (W @ design.y)[None])
+    if not ok[0]:
+        raise _rank_error(rank[0])
+    theta, C_wls, sqrt_info, cond = _wls_solutions(*factors)
+    return WlsSolution(theta_hat=theta[0], C_wls=C_wls[0], sqrt_info=sqrt_info[0], cond_estimate=float(cond[0]))
 
 
 def _state_vector(x) -> np.ndarray:
@@ -259,37 +556,14 @@ def theta_model(x) -> np.ndarray:
 
     Accepts a :class:`TargetState` or a length-6 array.
     """
-    s = _state_vector(x)
-    p, v, T, omega = s[0:2], s[2:4], s[4], s[5]
-    return np.concatenate(
-        [s, [T * T - p @ p, omega * omega - v @ v, T * omega - p @ v]]
-    )
+    return _theta_models(_state_vector(x)[None])[0][0]
 
 
 def theta_jacobian(x) -> np.ndarray:
     """9x6 Jacobian of :func:`theta_model`: identity on top of the
     derivatives of the three quadratic constraints."""
-    s = _state_vector(x)
-    px, py, vx, vy, T, omega = s
-    J1 = np.array(
-        [
-            [-2 * px, -2 * py, 0.0, 0.0, 2 * T, 0.0],
-            [0.0, 0.0, -2 * vx, -2 * vy, 0.0, 2 * omega],
-            [-vx, -vy, -px, -py, omega, T],
-        ]
-    )
-    return np.vstack([np.eye(6), J1])
-
-
-def _sqrt_info_of(wls: WlsSolution) -> np.ndarray:
-    if wls.sqrt_info is not None:
-        return wls.sqrt_info
-    # Fall back to a Cholesky factor of C_wls: inv(C) = L^-T L^-1.
-    try:
-        L = np.linalg.cholesky(wls.C_wls)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("C_wls is not positive definite") from None
-    return scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    G = _theta_models(_state_vector(x)[None])[1][0]
+    return np.vstack([_EYE6, 2.0 * G])
 
 
 def gauss_newton_refine(
@@ -314,53 +588,18 @@ def gauss_newton_refine(
     traces = np.asarray(agent_pos_cov_traces, dtype=float).reshape(-1)
     if traces.size == 0:
         raise ValueError("agent_pos_cov_traces must be non-empty")
-    threshold = float(np.sum(traces) / traces.size)
+    threshold = np.array([np.sum(traces) / traces.size])
 
-    K = _sqrt_info_of(wls)
-    x = wls.theta_hat[:6].copy()
-    converged = False
-    iterations = 0
-    for _ in range(max_iterations):
-        r = wls.theta_hat - theta_model(x)
-        J = theta_jacobian(x)
-        dx, _, rank, _ = np.linalg.lstsq(K @ J, K @ r, rcond=None)
-        if rank < 6:
-            raise DegenerateGeometryError(
-                f"weighted retraction Jacobian is rank deficient (rank {rank} < 6)"
-            )
-        x = x + dx
-        iterations += 1
-        if float(dx[:2] @ dx[:2]) <= threshold:
-            converged = True
-            break
-
+    x, iterations, converged, rank = _retract(wls.theta_hat[None], wls.sqrt_info[None], threshold, max_iterations)
+    if rank[0] < 6:
+        raise _retraction_error(rank[0])
     return EstimateReport(
-        x_hat=TargetState.from_vector(x),
-        iterations=iterations,
-        converged=converged,
+        x_hat=TargetState.from_vector(x[0]),
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
         cond_estimate=wls.cond_estimate,
         C_wls=wls.C_wls,
     )
-
-
-def estimate(frame: ObservedFrame) -> EstimateReport:
-    """Full two-pass pipeline for one frame.
-
-    Pass 1 solves with identity weights to get a crude state; pass 2 evaluates
-    the error statistics there, re-solves, and runs the Gauss-Newton
-    retraction.  Both passes use the pivoted-QR path, so stability under large
-    target clock offsets is unconditional.  The report carries the pass-2
-    conditioning diagnostics.
-    """
-    design = build_design(frame)
-    M = frame.n_agents
-
-    pass1 = solve_wls_qr(design, np.eye(M))
-    x_ls = TargetState.from_vector(pass1.theta_hat[:6])
-
-    error_model = build_error_model(frame, x_ls)
-    wls = solve_wls_qr(design, error_model.C_e)
-    return gauss_newton_refine(wls, frame.noise.position_cov_traces())
 
 
 # --- degraded static mode -------------------------------------------------
@@ -378,7 +617,7 @@ def estimate_degraded(frame: ObservedFrame) -> tuple[np.ndarray, float, np.ndarr
 
     Velocity and skew are forced to zero, the design matrix collapses to the
     columns ``[2*p_hat, -2*alpha_hat, 1]`` with unknowns ``[p, T, theta1]``,
-    both passes solve explicit normal equations (no pivoted QR), and exactly
+    both passes solve explicit normal equations (no QR), and exactly
     one retraction iteration runs.  With all slot times equal this is the
     classic static two-step solver; it is kept as a cross-check against the
     standalone baseline implementation.

@@ -19,6 +19,7 @@ results within one package version.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -144,8 +145,13 @@ class TrialStats:
         return float(np.linalg.norm(self.bias[_BLOCK_SLICES[block]]))
 
 
+@functools.cache
 def fixed_topology() -> Scenario:
-    """The versioned fixed scenario shipped with the package (M = 10)."""
+    """The versioned fixed scenario shipped with the package (M = 10).
+
+    The file is parsed once per process.  The scenario is frozen and its
+    arrays are read-only, so every caller shares the same object.
+    """
     from .serialize import scenario_from_dict
 
     text = resources.files("seqtoa.data").joinpath("fixed_topology_m10.json").read_text()

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import StaticTswlsResult
 from .estimator import EstimateReport
 from .model import (
     AgentBroadcast,
@@ -101,11 +100,26 @@ def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | Non
     return NoiseSpec.from_db(sigma_tau_sq_db, agent_db)
 
 
-def _noise_to_dict(noise: NoiseSpec) -> dict:
-    agent_db = [variance_to_db(noise.agent_block(m)[0, 0]) for m in range(noise.n_agents)]
+def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
+    """The schema's form of ``noise``: one TOA variance and one variance per agent.
+
+    Raises ``SchemaError`` for a spec that form cannot hold: a ``C_tau`` that
+    is not ``sigma_tau^2 * I``, or a ``C_beta`` that is not block diagonal
+    with blocks ``sigma_m^2 * I_3``.
+    """
+    M = noise.n_agents
+    sigma_tau_sq = noise.C_tau[0, 0]
+    if not np.array_equal(noise.C_tau, sigma_tau_sq * np.eye(M)):
+        raise SchemaError(f"{path}.sigma_tau_sq_db", "C_tau must be sigma_tau^2 * I to be written in this schema")
+    agent = np.diag(noise.C_beta)[::3]
+    if not np.array_equal(noise.C_beta, np.diag(np.repeat(agent, 3))):
+        raise SchemaError(
+            f"{path}.agent_sigma_sq_db",
+            "C_beta must be block diagonal with blocks sigma_m^2 * I_3 to be written in this schema",
+        )
     return {
-        "sigma_tau_sq_db": variance_to_db(noise.C_tau[0, 0]),
-        "agent_sigma_sq_db": agent_db,
+        "sigma_tau_sq_db": variance_to_db(sigma_tau_sq),
+        "agent_sigma_sq_db": [variance_to_db(v) for v in agent],
     }
 
 
@@ -147,7 +161,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             "T": s.target.T,
             "omega": s.target.omega,
         },
-        "noise": _noise_to_dict(s.noise),
+        "noise": _noise_to_dict(s.noise, "scenario.noise"),
     }
 
 
@@ -186,7 +200,7 @@ def frame_to_dict(f: ObservedFrame) -> dict:
             }
             for r in f.records
         ],
-        "noise": _noise_to_dict(f.noise),
+        "noise": _noise_to_dict(f.noise, "frame.noise"),
     }
 
 
@@ -208,15 +222,6 @@ def report_to_dict(report: EstimateReport) -> dict:
         "diverged": report.diverged,
         "cond_estimate": report.cond_estimate,
     }
-
-
-def static_result_to_dict(res: StaticTswlsResult) -> dict:
-    out = {"estimator": res.estimator_id, "success": res.success}
-    if res.success:
-        out.update({"px": res.position[0], "py": res.position[1], "T": res.offset})
-    else:
-        out["message"] = res.message
-    return out
 
 
 # --- experiment specs ----------------------------------------------------------

@@ -283,7 +283,7 @@ def test_criterion_9_qr_vs_normal_equations():
         theta_ne = np.linalg.solve(design.A.T @ Ci @ design.A, design.A.T @ Ci @ design.y)
         worst = max(worst, np.linalg.norm(sol.theta_hat - theta_ne) / np.linalg.norm(theta_ne))
         checked += 1
-    check(9, "pivoted-QR solution matches normal equations on well-conditioned systems",
+    check(9, "QR solution matches normal equations on well-conditioned systems",
           worst <= 1e-8 and checked >= 25, f"worst rel {worst:.2e} over {checked} systems")
 
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtoa import (
     AgentBroadcast,
     DesignSystem,
+    EstimateReport,
+    EstimationError,
+    FrameStack,
     NoiseSpec,
     ObservedFrame,
     RankDeficiencyError,
@@ -15,8 +20,10 @@ from seqtoa import (
     build_design,
     build_error_model,
     estimate,
+    estimate_batch,
     estimate_degraded,
     exact_frame,
+    fixed_topology,
     gauss_newton_refine,
     simulate_frame,
     solve_wls_qr,
@@ -297,7 +304,7 @@ class TestGaussNewtonRefine:
     def test_consistent_fixed_point(self):
         rng = np.random.default_rng(7)
         x_true = random_state(rng)
-        wls = WlsSolution(theta_hat=theta_model(x_true), C_wls=np.eye(9))
+        wls = WlsSolution(theta_hat=theta_model(x_true), C_wls=np.eye(9), sqrt_info=np.eye(9))
         report = gauss_newton_refine(wls, [0.0])
         assert report.iterations == 1
         assert report.converged
@@ -309,7 +316,7 @@ class TestGaussNewtonRefine:
         for _ in range(5):
             x0 = random_state(rng)
             theta_hat = theta_model(x0) + 1e-3
-            wls = WlsSolution(theta_hat=theta_hat, C_wls=np.eye(9))
+            wls = WlsSolution(theta_hat=theta_hat, C_wls=np.eye(9), sqrt_info=np.eye(9))
             report = gauss_newton_refine(wls, [1e-30])
             oracle = scipy.optimize.least_squares(
                 lambda z: theta_hat - theta_model(z),
@@ -326,7 +333,7 @@ class TestGaussNewtonRefine:
         rng = np.random.default_rng(9)
         x0 = random_state(rng)
         theta_hat = theta_model(x0) + 1e-3
-        wls = WlsSolution(theta_hat=theta_hat, C_wls=np.eye(9))
+        wls = WlsSolution(theta_hat=theta_hat, C_wls=np.eye(9), sqrt_info=np.eye(9))
         report = gauss_newton_refine(wls, [0.0])
         assert report.iterations == 5
         assert not report.converged
@@ -381,3 +388,112 @@ class TestEstimate:
         assert report.C_wls is not None and report.C_wls.shape == (9, 9)
         assert np.isfinite(report.cond_estimate) and report.cond_estimate >= 1.0
         assert 1 <= report.iterations <= 5
+
+
+LTCO_OFFSETS = tuple(s * C_LIGHT for s in (1e-8, 1e-6, 1e-4, 1e-3))
+SWEEP_POINTS = st.one_of(
+    st.tuples(st.just("noise"), st.sampled_from(range(-50, -5, 5))),
+    st.tuples(st.just("ltco"), st.sampled_from(LTCO_OFFSETS)),
+    st.tuples(st.just("static"), st.just(0.0)),
+)
+
+
+def sweep_frame(kind, value, seed):
+    """A fixed-topology frame drawn as the noise sweep (``value``: sigma_s^2 in dB)
+    or the clock-offset sweep (``value``: target offset in m) draws its trials;
+    ``"static"`` gives a noise-sweep frame with every slot time zeroed, which
+    the rank test rejects."""
+    base = fixed_topology()
+    rng = np.random.default_rng(seed)
+    if kind == "ltco":
+        sigma_db, offset = -20.5, value
+    else:
+        sigma_db = value if kind == "noise" else -30.0
+        offset = rng.uniform(-10.0, 10.0) * 1e-9 * C_LIGHT
+    target = TargetState(p=base.target.p, v=base.target.v, T=offset, omega=rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT)
+    noise = NoiseSpec.from_db(-30.0, rng.uniform(sigma_db - 5.0, sigma_db + 5.0, size=base.n_agents))
+    frame = simulate_frame(Scenario(agents=base.agents, target=target, noise=noise), seed)
+    if kind == "static":
+        records = tuple(FrameRecord(t_m=0.0, tau_tilde_m=r.tau_tilde_m, broadcast=r.broadcast) for r in frame.records)
+        frame = ObservedFrame(records=records, noise=noise)
+    return frame
+
+
+def normal_equations_estimate(frame):
+    """Reference pipeline: pass 2 by explicit normal equations with ``C_e`` built
+    entry by entry from its definition, then the same retraction."""
+    design = build_design(frame)
+    A, y, alpha = design.A, design.y, design.alpha_hat
+    x1 = np.linalg.lstsq(A, y, rcond=None)[0][:6]
+    t, p_hat = frame.slot_times(), frame.broadcast_positions()
+    M = frame.n_agents
+    d = -2.0 * (x1[4] + x1[5] * t - alpha)
+    B = np.zeros((M, 3 * M))
+    for m in range(M):
+        B[m, 3 * m : 3 * m + 2] = 2.0 * (x1[0:2] + t[m] * x1[2:4] - p_hat[m])
+        B[m, 3 * m + 2] = d[m]
+    C_e = B @ frame.noise.C_beta @ B.T + np.diag(d) @ frame.noise.C_tau @ np.diag(d)
+    Ci = np.linalg.inv(C_e)
+    N = A.T @ Ci @ A
+    theta = np.linalg.solve(N, A.T @ Ci @ y)
+    wls = WlsSolution(theta_hat=theta, C_wls=np.linalg.inv(N), sqrt_info=np.linalg.cholesky(N).T)
+    return gauss_newton_refine(wls, frame.noise.position_cov_traces())
+
+
+class TestEstimateBatch:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(SWEEP_POINTS, st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
+    def test_each_frame_matches_its_batch_of_one(self, draws):
+        frames = [sweep_frame(kind, value, seed) for (kind, value), seed in draws]
+        for frame, got in zip(frames, estimate_batch(FrameStack.of(frames))):
+            try:
+                want = estimate(frame)
+            except EstimationError as exc:
+                assert type(got) is type(exc)
+                assert getattr(got, "numerical_rank", None) == getattr(exc, "numerical_rank", None)
+                continue
+            assert isinstance(got, EstimateReport)
+            x_got, x_want = got.x_hat.as_vector(), want.x_hat.as_vector()
+            assert np.linalg.norm(x_got - x_want) <= 1e-12 * np.linalg.norm(x_want)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_bad_frame_fails_alone(self, fixed_scenario):
+        good = [simulate_frame(fixed_scenario, k) for k in range(3)]
+        # all slot times equal: the velocity and skew columns vanish
+        bad = frame_from_rows([(0.0, 30.0 + m, (float(3 * m), float(m**2 % 7)), 0.1) for m in range(10)])
+        results = estimate_batch(FrameStack.of([good[0], bad, good[1], good[2]]))
+        assert isinstance(results[1], RankDeficiencyError)
+        assert results[1].numerical_rank < 9
+        for got, want in zip([results[0], *results[2:]], estimate_batch(FrameStack.of(good))):
+            assert np.array_equal(got.x_hat.as_vector(), want.x_hat.as_vector())
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_underdetermined_stack(self):
+        frame = frame_from_rows([(0.05 * m, 10.0, (1.0, 2.0), 0.0) for m in range(8)])
+        results = estimate_batch(FrameStack.of([frame, frame]))
+        assert all(isinstance(r, UnderdeterminedError) for r in results)
+        with pytest.raises(UnderdeterminedError, match="9"):
+            estimate(frame)
+
+    def test_correlated_noise_takes_dense_branch(self, fixed_scenario):
+        rng = np.random.default_rng(21)
+        M = fixed_scenario.n_agents
+        G = rng.normal(size=(3 * M, 3 * M))
+        noise = NoiseSpec(C_tau=np.eye(M) * 1e-3, C_beta=1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
+        target = TargetState(p=fixed_scenario.target.p, v=fixed_scenario.target.v,
+                             T=fixed_scenario.target.T, omega=0.3e-6 * C_LIGHT)
+        scenario = Scenario(agents=fixed_scenario.agents, target=target, noise=noise)
+        frames = [simulate_frame(scenario, 40 + k) for k in range(4)]
+        stack = FrameStack.of([frames[0], simulate_frame(fixed_scenario, 1), *frames[1:]])
+        assert stack.dense[0] is noise and stack.dense[1] is None
+        results = estimate_batch(stack)
+        for frame, got in zip(frames, [results[0], *results[2:]]):
+            want = normal_equations_estimate(frame)
+            x_got, x_want = got.x_hat.as_vector(), want.x_hat.as_vector()
+            assert np.linalg.norm(x_got - x_want) <= 1e-8 * np.linalg.norm(x_want)
+            assert got.iterations == want.iterations
+
+    def test_mixed_agent_counts_rejected(self, fixed_scenario):
+        short = frame_from_rows([(0.05 * m, 10.0, (1.0, 2.0), 0.0) for m in range(9)])
+        with pytest.raises(ValueError, match="same number"):
+            FrameStack.of([simulate_frame(fixed_scenario, 1), short])

@@ -170,3 +170,10 @@ class TestFixedTopology:
         t = s.slot_times()
         assert t[0] == 0.0
         assert np.allclose(np.diff(t), 0.05)
+
+    def test_parsed_once_and_shared_read_only(self):
+        s = fixed_topology()
+        assert fixed_topology() is s
+        for arr in (s.agents[0].p_m, s.target.p, s.target.v, s.noise.C_tau, s.noise.C_beta):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqtoa import fixed_topology, simulate_frame
+from seqtoa import NoiseSpec, ObservedFrame, fixed_topology, simulate_frame
 from seqtoa.serialize import (
     SchemaError,
     experiment_spec_from_dict,
@@ -55,6 +55,31 @@ class TestFrameRoundTrip:
         d1 = frame_to_dict(frame)
         d2 = frame_to_dict(frame_from_dict(d1))
         assert d1 == d2
+
+    def test_isotropic_noise_round_trips(self):
+        noise = NoiseSpec.from_db(-27.0, np.linspace(-35.0, -15.0, 10))
+        frame = ObservedFrame(records=simulate_frame(fixed_topology(), 2).records, noise=noise)
+        back = frame_from_dict(json.loads(json.dumps(frame_to_dict(frame)))).noise
+        assert np.allclose(back.C_tau, noise.C_tau, rtol=1e-12, atol=0)
+        assert np.allclose(back.C_beta, noise.C_beta, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["per_agent_toa_variance", "toa_correlation", "cross_agent_correlation",
+                                      "anisotropic_agent_block"])
+    def test_unrepresentable_noise_rejected(self, case):
+        base = NoiseSpec.from_db(-30.0, np.full(10, -20.0))
+        C_tau, C_beta = base.C_tau.copy(), base.C_beta.copy()
+        if case == "per_agent_toa_variance":
+            C_tau[3, 3] *= 2.0
+        elif case == "toa_correlation":
+            C_tau[0, 1] = C_tau[1, 0] = 1e-4
+        elif case == "cross_agent_correlation":
+            C_beta[0, 3] = C_beta[3, 0] = 1e-3
+        else:
+            C_beta[1, 1] *= 2.0
+        frame = ObservedFrame(records=simulate_frame(fixed_topology(), 2).records,
+                              noise=NoiseSpec(C_tau=C_tau, C_beta=C_beta))
+        with pytest.raises(SchemaError, match="frame.noise"):
+            frame_to_dict(frame)
 
     def test_report_is_flat_json(self):
         scenario = fixed_topology()
