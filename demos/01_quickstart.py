@@ -2,7 +2,7 @@
 
 A moving target passively receives one broadcast per agent per frame.  Each
 broadcast carries the agent's self-reported position and clock offset (both
-uncertain); the target timestamps the arrival.  From the ten records of a
+uncertain); the target timestamps the arrival.  From the ten broadcasts of a
 single frame the estimator recovers position, velocity, clock offset and
 clock skew jointly.
 """
@@ -18,7 +18,7 @@ print("truth:", scenario.target.as_vector())
 
 frame = simulate_frame(scenario, seed=7)
 print("\nobserved TOAs (range-equivalent meters):")
-print(np.round(frame.toas(), 3))
+print(np.round(frame.tau, 3))
 
 report = estimate(frame)
 x = report.x_hat

@@ -43,7 +43,6 @@ from .estimator import (
 )
 from .model import (
     C_LIGHT,
-    AgentBroadcast,
     AgentTruth,
     Diagnostic,
     NoiseSpec,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "C_LIGHT",
-    "AgentBroadcast",
     "AgentTruth",
     "ConditioningError",
     "CrlbResult",

@@ -59,17 +59,14 @@ def mle_estimate(frame: ObservedFrame, cfg: MleConfig) -> EstimateReport:
     Raises
     ------
     UnderdeterminedError
-        If the frame has fewer than 6 records.
+        If the frame has fewer than 6 broadcasts.
     DegenerateGeometryError
         If the Gauss-Newton system loses rank.
     """
     M = frame.n_agents
     if M < 6:
         raise UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}")
-    t = frame.slot_times()
-    p_hat = frame.broadcast_positions()
-    T_hat = frame.broadcast_offsets()
-    tau = frame.toas()
+    t, tau, p_hat, T_hat = frame.t, frame.tau, frame.p_hat, frame.T_hat
     w = 1.0 / np.sqrt(np.diag(frame.noise.C_tau))
 
     x = cfg.init.as_vector().copy()
@@ -155,9 +152,8 @@ def tswls_static_estimate(frame: ObservedFrame) -> StaticTswlsResult:
     M = frame.n_agents
     if M < 4:
         raise UnderdeterminedError(f"static solver needs M >= 4 broadcasts, got M = {M}")
-    t = frame.slot_times()
-    p_hat = frame.broadcast_positions()
-    alpha = frame.toas() + frame.broadcast_offsets()
+    p_hat = frame.p_hat
+    alpha = frame.tau + frame.T_hat
 
     G = np.column_stack([2.0 * p_hat, -2.0 * alpha, np.ones(M)])
     h = np.sum(p_hat**2, axis=1) - alpha**2

@@ -148,7 +148,6 @@ class FrameStack:
         if any(f.n_agents != M for f in frames):
             raise ValueError("all frames of a stack need the same number of broadcasts")
         N = len(frames)
-        records = [r for f in frames for r in f.records]
         idx = np.arange(M)
         c_tau = np.empty((N, M))
         blocks = np.empty((N, M, 3, 3))
@@ -162,12 +161,10 @@ class FrameStack:
                 or np.count_nonzero(C_beta) != np.count_nonzero(blocks[n])
             )
             dense.append(f.noise if correlated else None)
-        tau = np.array([r.tau_tilde_m for r in records])
-        T_hat = np.array([r.broadcast.T_hat_m for r in records])
         return cls(
-            t=np.array([r.t_m for r in records]).reshape(N, M),
-            p_hat=np.array([r.broadcast.p_hat_m for r in records]).reshape(N, M, 2),
-            alpha=(tau + T_hat).reshape(N, M),
+            t=np.array([f.t for f in frames]),
+            p_hat=np.array([f.p_hat for f in frames]),
+            alpha=np.array([f.tau + f.T_hat for f in frames]),
             c_tau=c_tau,
             blocks=blocks,
             dense=tuple(dense),
@@ -445,9 +442,9 @@ def estimate(frame: ObservedFrame) -> EstimateReport:
 
 
 def _design_arrays(frame: ObservedFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    stack = FrameStack.of([frame])
-    A, y = _design(stack.t, stack.p_hat, stack.alpha)
-    return A[0], y[0], stack.alpha[0]
+    alpha = frame.tau + frame.T_hat
+    A, y = _design(frame.t[None], frame.p_hat[None], alpha[None])
+    return A[0], y[0], alpha
 
 
 def build_design(frame: ObservedFrame) -> DesignSystem:
@@ -456,7 +453,7 @@ def build_design(frame: ObservedFrame) -> DesignSystem:
     Raises
     ------
     UnderdeterminedError
-        If the frame has fewer than 9 records (9 unknowns in ``theta``).
+        If the frame has fewer than 9 broadcasts (9 unknowns in ``theta``).
     """
     if frame.n_agents < N_THETA:
         raise _underdetermined_error(frame.n_agents)

@@ -1,5 +1,10 @@
 """Physical and stochastic model of one TDMA broadcast frame.
 
+A frame is M sequential one-way broadcasts.  Broadcast m carries four
+numbers: its slot time ``t_m``, the TOA ``tau_m`` the target measures, and
+the position ``p_hat_m`` and clock offset ``T_hat_m`` the agent reports.
+:class:`ObservedFrame` holds them as four columns over the M broadcasts.
+
 Unit conventions used throughout the package:
 
 * all clock quantities (offsets, skews, TOAs, their noise variances) are
@@ -122,18 +127,6 @@ class AgentTruth:
 
 
 @dataclass(frozen=True, eq=False)
-class AgentBroadcast:
-    """Self-reported position/offset an agent broadcasts (truth plus error)."""
-
-    p_hat_m: np.ndarray
-    T_hat_m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_hat_m", _vec(self.p_hat_m, 2, "p_hat_m"))
-        object.__setattr__(self, "T_hat_m", float(self.T_hat_m))
-
-
-@dataclass(frozen=True, eq=False)
 class NoiseSpec:
     """Second-order statistics of one frame's measurement and broadcast errors.
 
@@ -223,47 +216,53 @@ class Scenario:
 
 
 @dataclass(frozen=True, eq=False)
-class FrameRecord:
-    """One received broadcast: slot time, measured TOA, reported agent info."""
-
-    t_m: float
-    tau_tilde_m: float
-    broadcast: AgentBroadcast
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_m", float(self.t_m))
-        object.__setattr__(self, "tau_tilde_m", float(self.tau_tilde_m))
-
-
-@dataclass(frozen=True, eq=False)
 class ObservedFrame:
-    """Everything the target observes in one TDMA frame."""
+    """Everything the target observes in one TDMA frame, as columns.
 
-    records: tuple[FrameRecord, ...]
+    Row m of every column belongs to the m-th broadcast of the frame.
+
+    Attributes
+    ----------
+    t : ndarray, shape (M,)
+        Slot times in seconds.
+    tau : ndarray, shape (M,)
+        Measured TOAs, range-equivalent meters.
+    p_hat : ndarray, shape (M, 2)
+        Broadcast (self-reported) agent positions, meters.
+    T_hat : ndarray, shape (M,)
+        Broadcast agent clock offsets, range-equivalent meters.
+    noise : NoiseSpec
+        Error statistics of the TOAs and of the broadcasts.
+    """
+
+    t: np.ndarray
+    tau: np.ndarray
+    p_hat: np.ndarray
+    T_hat: np.ndarray
     noise: NoiseSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if len(self.records) < 1:
-            raise ValueError("frame needs at least one record")
-        if self.noise.n_agents != len(self.records):
-            raise ValueError("noise spec size does not match record count")
+        M = np.size(self.t)
+        if M < 1:
+            raise ValueError("frame needs at least one broadcast")
+        if self.noise.n_agents != M:
+            raise ValueError("noise spec size does not match broadcast count")
+        object.__setattr__(self, "t", _vec(self.t, M, "t"))
+        object.__setattr__(self, "tau", _vec(self.tau, M, "tau"))
+        object.__setattr__(self, "p_hat", _mat(self.p_hat, (M, 2), "p_hat"))
+        object.__setattr__(self, "T_hat", _vec(self.T_hat, M, "T_hat"))
 
     @property
     def n_agents(self) -> int:
-        return len(self.records)
+        return self.t.size
 
-    def slot_times(self) -> np.ndarray:
-        return np.array([r.t_m for r in self.records])
 
-    def toas(self) -> np.ndarray:
-        return np.array([r.tau_tilde_m for r in self.records])
-
-    def broadcast_positions(self) -> np.ndarray:
-        return np.array([r.broadcast.p_hat_m for r in self.records])
-
-    def broadcast_offsets(self) -> np.ndarray:
-        return np.array([r.broadcast.T_hat_m for r in self.records])
+def _toas(target: TargetState, t: np.ndarray, p_m: np.ndarray, T_m: np.ndarray) -> np.ndarray:
+    """Noise-free TOAs of agents at slot times ``t (M,)``, positions
+    ``p_m (M, 2)`` and offsets ``T_m (M,)``; see :func:`forward_toa`."""
+    u = target.p + target.v * t[:, None] - p_m
+    # vecdot takes the same dot product per row as np.linalg.norm of one vector
+    return np.sqrt(np.vecdot(u, u)) + target.T + target.omega * t - T_m
 
 
 def forward_toa(target: TargetState, agent: AgentTruth) -> float:
@@ -274,8 +273,13 @@ def forward_toa(target: TargetState, agent: AgentTruth) -> float:
 
         tau_m = ||p + v*t_m - p_m|| + T + omega*t_m - T_m
     """
-    rng = float(np.linalg.norm(target.p + target.v * agent.t_m - agent.p_m))
-    return rng + target.T + target.omega * agent.t_m - agent.T_m
+    return float(_toas(target, np.array([agent.t_m]), agent.p_m[None], np.array([agent.T_m]))[0])
+
+
+def _agent_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """True slot times ``(M,)``, positions ``(M, 2)`` and offsets ``(M,)``."""
+    agents = scenario.agents
+    return scenario.slot_times(), np.array([a.p_m for a in agents]), np.array([a.T_m for a in agents])
 
 
 def _psd_factor(C: np.ndarray, name: str) -> np.ndarray:
@@ -310,17 +314,16 @@ def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
 
     d_tau = rng.standard_normal(M) * np.sqrt(np.diag(noise.C_tau))
     S = _psd_factor(noise.C_beta, "C_beta")
-    d_beta = S @ rng.standard_normal(3 * M)
+    d_beta = (S @ rng.standard_normal(3 * M)).reshape(M, 3)
 
-    records = []
-    for m, agent in enumerate(scenario.agents):
-        tau = forward_toa(scenario.target, agent) + d_tau[m]
-        bc = AgentBroadcast(
-            p_hat_m=agent.p_m + d_beta[3 * m : 3 * m + 2],
-            T_hat_m=agent.T_m + d_beta[3 * m + 2],
-        )
-        records.append(FrameRecord(t_m=agent.t_m, tau_tilde_m=tau, broadcast=bc))
-    return ObservedFrame(records=tuple(records), noise=noise)
+    t, p_m, T_m = _agent_columns(scenario)
+    return ObservedFrame(
+        t=t,
+        tau=_toas(scenario.target, t, p_m, T_m) + d_tau,
+        p_hat=p_m + d_beta[:, :2],
+        T_hat=T_m + d_beta[:, 2],
+        noise=noise,
+    )
 
 
 def exact_frame(scenario: Scenario) -> ObservedFrame:
@@ -329,15 +332,8 @@ def exact_frame(scenario: Scenario) -> ObservedFrame:
     The frame still carries the scenario's noise spec, which downstream
     weighting uses; the observations themselves are exact.
     """
-    records = [
-        FrameRecord(
-            t_m=a.t_m,
-            tau_tilde_m=forward_toa(scenario.target, a),
-            broadcast=AgentBroadcast(p_hat_m=a.p_m, T_hat_m=a.T_m),
-        )
-        for a in scenario.agents
-    ]
-    return ObservedFrame(records=tuple(records), noise=scenario.noise)
+    t, p_m, T_m = _agent_columns(scenario)
+    return ObservedFrame(t=t, tau=_toas(scenario.target, t, p_m, T_m), p_hat=p_m, T_hat=T_m, noise=scenario.noise)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ results within one package version.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -199,15 +200,8 @@ def _materialize_scenario(spec: ExperimentSpec, sweep_value: float, rng: np.rand
     """
     if spec.scheme == "random_topology":
         bounds = spec.topology if isinstance(spec.topology, TopologyBounds) else TopologyBounds()
-        bounds = TopologyBounds(
-            agent_xy=bounds.agent_xy,
-            target_xy=bounds.target_xy,
-            velocity=bounds.velocity,
-            agent_offset_ns=bounds.agent_offset_ns,
-            target_offset_ns=bounds.target_offset_ns,
-            skew_ppm=bounds.skew_ppm,
-            n_agents=bounds.n_agents,
-            slot_interval=bounds.slot_interval,
+        bounds = dataclasses.replace(
+            bounds,
             sigma_tau_sq_db=spec.sigma_tau_sq_db,
             sigma_s_sq_db=sweep_value,
             agent_sigma_halfwidth_db=spec.agent_sigma_halfwidth_db,

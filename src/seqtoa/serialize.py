@@ -1,7 +1,8 @@
 """JSON (de)serialization of the public file formats.
 
 Schemas (all floats in SI units per the package conventions; variances in dB
-re 1 m^2 where the key says so):
+re 1 m^2 where the key says so; every number finite, so ``NaN`` and
+``Infinity`` are schema errors):
 
 Scenario::
 
@@ -30,13 +31,13 @@ Experiment spec: see :func:`experiment_spec_from_dict`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .estimator import EstimateReport
 from .model import (
-    AgentBroadcast,
     AgentTruth,
-    FrameRecord,
     NoiseSpec,
     ObservedFrame,
     Scenario,
@@ -65,7 +66,13 @@ def _get(d: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _pair(value, path: str) -> list[float]:
@@ -104,8 +111,8 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
     """The schema's form of ``noise``: one TOA variance and one variance per agent.
 
     Raises ``SchemaError`` for a spec that form cannot hold: a ``C_tau`` that
-    is not ``sigma_tau^2 * I``, or a ``C_beta`` that is not block diagonal
-    with blocks ``sigma_m^2 * I_3``.
+    is not ``sigma_tau^2 * I``, a ``C_beta`` that is not block diagonal
+    with blocks ``sigma_m^2 * I_3``, or a variance that is not positive.
     """
     M = noise.n_agents
     sigma_tau_sq = noise.C_tau[0, 0]
@@ -117,6 +124,8 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
             f"{path}.agent_sigma_sq_db",
             "C_beta must be block diagonal with blocks sigma_m^2 * I_3 to be written in this schema",
         )
+    if not (sigma_tau_sq > 0 and np.all(agent > 0)):
+        raise SchemaError(path, "variances must be positive to be written in dB")
     return {
         "sigma_tau_sq_db": variance_to_db(sigma_tau_sq),
         "agent_sigma_sq_db": [variance_to_db(v) for v in agent],
@@ -172,34 +181,22 @@ def frame_from_dict(d: dict) -> ObservedFrame:
     recs_raw = _get(d, "records", "frame")
     if not isinstance(recs_raw, list) or not recs_raw:
         raise SchemaError("frame.records", "expected a non-empty array")
-    records = []
+    M = len(recs_raw)
+    t, tau, p_hat, T_hat = np.empty(M), np.empty(M), np.empty((M, 2)), np.empty(M)
     for i, r in enumerate(recs_raw):
         path = f"frame.records[{i}]"
-        records.append(
-            FrameRecord(
-                t_m=_number(_get(r, "t", path), f"{path}.t"),
-                tau_tilde_m=_number(_get(r, "tau_tilde", path), f"{path}.tau_tilde"),
-                broadcast=AgentBroadcast(
-                    p_hat_m=_pair(_get(r, "p_hat", path), f"{path}.p_hat"),
-                    T_hat_m=_number(_get(r, "T_hat", path), f"{path}.T_hat"),
-                ),
-            )
-        )
-    noise = _noise_from_dict(_get(d, "noise", "frame"), len(records), "frame.noise")
-    return ObservedFrame(records=tuple(records), noise=noise)
+        t[i] = _number(_get(r, "t", path), f"{path}.t")
+        tau[i] = _number(_get(r, "tau_tilde", path), f"{path}.tau_tilde")
+        p_hat[i] = _pair(_get(r, "p_hat", path), f"{path}.p_hat")
+        T_hat[i] = _number(_get(r, "T_hat", path), f"{path}.T_hat")
+    noise = _noise_from_dict(_get(d, "noise", "frame"), M, "frame.noise")
+    return ObservedFrame(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
 
 
 def frame_to_dict(f: ObservedFrame) -> dict:
+    columns = zip(f.t.tolist(), f.tau.tolist(), f.p_hat.tolist(), f.T_hat.tolist())
     return {
-        "records": [
-            {
-                "t": r.t_m,
-                "tau_tilde": r.tau_tilde_m,
-                "p_hat": list(r.broadcast.p_hat_m),
-                "T_hat": r.broadcast.T_hat_m,
-            }
-            for r in f.records
-        ],
+        "records": [{"t": t, "tau_tilde": tau, "p_hat": p, "T_hat": T} for t, tau, p, T in columns],
         "noise": _noise_to_dict(f.noise, "frame.noise"),
     }
 

@@ -77,12 +77,13 @@ class TestEstimateCommand:
         assert err.startswith("error:") and "SEQTOA_THREADS" in err
 
     def test_schema_violation_names_field(self, tmp_path, capsys):
-        doc = {"records": [{"t": 0.0, "tau_tilde": "oops", "p_hat": [0, 0], "T_hat": 0.0}]}
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code = main(["estimate", "--input", str(bad), "--output", str(tmp_path / "r.json")])
-        assert code == 1
-        assert "records[0].tau_tilde" in capsys.readouterr().err
+        for tau in ("oops", float("nan"), float("inf"), float("-inf"), 10**400):
+            doc = {"records": [{"t": 0.0, "tau_tilde": tau, "p_hat": [0, 0], "T_hat": 0.0}]}
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            code = main(["estimate", "--input", str(bad), "--output", str(tmp_path / "r.json")])
+            assert code == 1, tau
+            assert "records[0].tau_tilde" in capsys.readouterr().err, tau
 
 
 class TestSimulateAndCrlb:

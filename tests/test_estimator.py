@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtoa import (
-    AgentBroadcast,
     DesignSystem,
     EstimateReport,
     EstimationError,
@@ -32,20 +33,17 @@ from seqtoa import (
     tswls_static_estimate,
     whitening_matrix,
 )
-from seqtoa.model import C_LIGHT, FrameRecord
+from seqtoa.model import C_LIGHT
 
 from conftest import random_scenario, random_state
 
 
 def frame_from_rows(rows, noise=None):
     """rows: list of (t, tau_tilde, p_hat, T_hat)."""
-    records = tuple(
-        FrameRecord(t_m=t, tau_tilde_m=tau, broadcast=AgentBroadcast(p_hat_m=p, T_hat_m=T))
-        for t, tau, p, T in rows
-    )
+    t, tau, p_hat, T_hat = zip(*rows)
     if noise is None:
-        noise = NoiseSpec.isotropic(1e-3, 1e-3, n_agents=len(records))
-    return ObservedFrame(records=records, noise=noise)
+        noise = NoiseSpec.isotropic(1e-3, 1e-3, n_agents=len(rows))
+    return ObservedFrame(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
 
 
 class TestBuildDesign:
@@ -95,8 +93,8 @@ class TestBuildErrorModel:
         M = scenario.n_agents
         sigma_sq = 2.5e-3
         frame0 = simulate_frame(scenario, 1)
-        frame = ObservedFrame(
-            records=frame0.records,
+        frame = dataclasses.replace(
+            frame0,
             noise=NoiseSpec(C_tau=np.eye(M) * sigma_sq, C_beta=np.zeros((3 * M, 3 * M))),
         )
         em = build_error_model(frame, scenario.target)
@@ -118,14 +116,14 @@ class TestBuildErrorModel:
         frame = simulate_frame(scenario, 3)
         x_ref = scenario.target
         em = build_error_model(frame, x_ref)
-        t = frame.slot_times()
-        for m, rec in enumerate(frame.records):
-            alpha = rec.tau_tilde_m + rec.broadcast.T_hat_m
+        t = frame.t
+        for m in range(frame.n_agents):
+            alpha = frame.tau[m] + frame.T_hat[m]
             d = -2.0 * (x_ref.T + x_ref.omega * t[m] - alpha)
             b = np.array(
                 [
-                    2.0 * (x_ref.p[0] + x_ref.v[0] * t[m] - rec.broadcast.p_hat_m[0]),
-                    2.0 * (x_ref.p[1] + x_ref.v[1] * t[m] - rec.broadcast.p_hat_m[1]),
+                    2.0 * (x_ref.p[0] + x_ref.v[0] * t[m] - frame.p_hat[m, 0]),
+                    2.0 * (x_ref.p[1] + x_ref.v[1] * t[m] - frame.p_hat[m, 1]),
                     d,
                 ]
             )
@@ -414,8 +412,7 @@ def sweep_frame(kind, value, seed):
     noise = NoiseSpec.from_db(-30.0, rng.uniform(sigma_db - 5.0, sigma_db + 5.0, size=base.n_agents))
     frame = simulate_frame(Scenario(agents=base.agents, target=target, noise=noise), seed)
     if kind == "static":
-        records = tuple(FrameRecord(t_m=0.0, tau_tilde_m=r.tau_tilde_m, broadcast=r.broadcast) for r in frame.records)
-        frame = ObservedFrame(records=records, noise=noise)
+        frame = dataclasses.replace(frame, t=np.zeros(frame.n_agents))
     return frame
 
 
@@ -425,7 +422,7 @@ def normal_equations_estimate(frame):
     design = build_design(frame)
     A, y, alpha = design.A, design.y, design.alpha_hat
     x1 = np.linalg.lstsq(A, y, rcond=None)[0][:6]
-    t, p_hat = frame.slot_times(), frame.broadcast_positions()
+    t, p_hat = frame.t, frame.p_hat
     M = frame.n_agents
     d = -2.0 * (x1[4] + x1[5] * t - alpha)
     B = np.zeros((M, 3 * M))

@@ -72,21 +72,20 @@ class TestSimulateFrame:
             noise=NoiseSpec(C_tau=np.zeros((5, 5)), C_beta=np.zeros((15, 15))),
         )
         frame = simulate_frame(scenario, seed=7)
-        for rec, agent in zip(frame.records, scenario.agents):
-            assert rec.tau_tilde_m == forward_toa(scenario.target, agent)
-            assert np.array_equal(rec.broadcast.p_hat_m, agent.p_m)
-            assert rec.broadcast.T_hat_m == agent.T_m
+        for m, agent in enumerate(scenario.agents):
+            assert frame.tau[m] == forward_toa(scenario.target, agent)
+            assert np.array_equal(frame.p_hat[m], agent.p_m)
+            assert frame.T_hat[m] == agent.T_m
 
     def test_determinism(self):
         scenario = random_scenario(np.random.default_rng(5))
         f1 = simulate_frame(scenario, seed=123)
         f2 = simulate_frame(scenario, seed=123)
-        for r1, r2 in zip(f1.records, f2.records):
-            assert r1.tau_tilde_m == r2.tau_tilde_m
-            assert np.array_equal(r1.broadcast.p_hat_m, r2.broadcast.p_hat_m)
-            assert r1.broadcast.T_hat_m == r2.broadcast.T_hat_m
+        assert np.array_equal(f1.tau, f2.tau)
+        assert np.array_equal(f1.p_hat, f2.p_hat)
+        assert np.array_equal(f1.T_hat, f2.T_hat)
         f3 = simulate_frame(scenario, seed=124)
-        assert f3.records[0].tau_tilde_m != f1.records[0].tau_tilde_m
+        assert f3.tau[0] != f1.tau[0]
 
     def test_noise_variance_and_mean(self):
         # one-agent scenario, 1e5 seeded frames: sample variance of the TOA
@@ -102,7 +101,7 @@ class TestSimulateFrame:
         n = 100_000
         deltas = np.empty(n)
         for seed in range(n):
-            deltas[seed] = simulate_frame(scenario, seed).records[0].tau_tilde_m - truth
+            deltas[seed] = simulate_frame(scenario, seed).tau[0] - truth
         var = deltas.var(ddof=1)
         assert 0.95e-3 <= var <= 1.05e-3
         se = np.sqrt(var / n)
@@ -137,9 +136,9 @@ class TestSimulateFrame:
         draws = np.empty((n, 3 * M))
         for seed in range(n):
             f = simulate_frame(scenario, seed)
-            for m, (rec, agent) in enumerate(zip(f.records, scenario.agents)):
-                draws[seed, 3 * m : 3 * m + 2] = rec.broadcast.p_hat_m - agent.p_m
-                draws[seed, 3 * m + 2] = rec.broadcast.T_hat_m - agent.T_m
+            for m, agent in enumerate(scenario.agents):
+                draws[seed, 3 * m : 3 * m + 2] = f.p_hat[m] - agent.p_m
+                draws[seed, 3 * m + 2] = f.T_hat[m] - agent.T_m
         emp = np.cov(draws.T)
         assert np.abs(emp - C_beta).max() < 0.15 * np.abs(C_beta).max()
 
@@ -147,9 +146,9 @@ class TestSimulateFrame:
 class TestExactFrame:
     def test_matches_forward_model(self, fixed_scenario):
         frame = exact_frame(fixed_scenario)
-        for rec, agent in zip(frame.records, fixed_scenario.agents):
-            assert rec.tau_tilde_m == forward_toa(fixed_scenario.target, agent)
-            assert np.array_equal(rec.broadcast.p_hat_m, agent.p_m)
+        for m, agent in enumerate(fixed_scenario.agents):
+            assert frame.tau[m] == forward_toa(fixed_scenario.target, agent)
+            assert np.array_equal(frame.p_hat[m], agent.p_m)
 
 
 class TestValidateScenario:

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqtoa import NoiseSpec, ObservedFrame, fixed_topology, simulate_frame
 from seqtoa.serialize import (
@@ -49,22 +53,43 @@ class TestScenarioRoundTrip:
             scenario_from_dict(d)
 
 
+@st.composite
+def isotropic_frames(draw):
+    """Frames of 1-12 broadcasts with arbitrary finite columns and isotropic noise."""
+    M = draw(st.integers(1, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    db = st.floats(-100.0, 100.0)
+    noise = NoiseSpec.from_db(draw(db), draw(hnp.arrays(float, M, elements=db)))
+    return ObservedFrame(
+        t=draw(hnp.arrays(float, M, elements=finite)),
+        tau=draw(hnp.arrays(float, M, elements=finite)),
+        p_hat=draw(hnp.arrays(float, (M, 2), elements=finite)),
+        T_hat=draw(hnp.arrays(float, M, elements=finite)),
+        noise=noise,
+    )
+
+
 class TestFrameRoundTrip:
-    def test_simulated_frame_round_trips(self):
-        frame = simulate_frame(fixed_topology(), 11)
+    @settings(max_examples=200, deadline=None)
+    @given(isotropic_frames())
+    def test_simulated_frame_round_trips(self, frame):
         d1 = frame_to_dict(frame)
-        d2 = frame_to_dict(frame_from_dict(d1))
-        assert d1 == d2
+        back = frame_from_dict(json.loads(json.dumps(d1)))
+        for name in ("t", "tau", "p_hat", "T_hat"):
+            assert getattr(back, name).tobytes() == getattr(frame, name).tobytes(), name
+        assert np.allclose(back.noise.C_tau, frame.noise.C_tau, rtol=1e-12, atol=0)
+        assert np.allclose(back.noise.C_beta, frame.noise.C_beta, rtol=1e-12, atol=0)
+        assert frame_to_dict(frame_from_dict(d1)) == d1
 
     def test_isotropic_noise_round_trips(self):
         noise = NoiseSpec.from_db(-27.0, np.linspace(-35.0, -15.0, 10))
-        frame = ObservedFrame(records=simulate_frame(fixed_topology(), 2).records, noise=noise)
+        frame = dataclasses.replace(simulate_frame(fixed_topology(), 2), noise=noise)
         back = frame_from_dict(json.loads(json.dumps(frame_to_dict(frame)))).noise
         assert np.allclose(back.C_tau, noise.C_tau, rtol=1e-12, atol=0)
         assert np.allclose(back.C_beta, noise.C_beta, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("case", ["per_agent_toa_variance", "toa_correlation", "cross_agent_correlation",
-                                      "anisotropic_agent_block"])
+                                      "anisotropic_agent_block", "zero_toa_variance"])
     def test_unrepresentable_noise_rejected(self, case):
         base = NoiseSpec.from_db(-30.0, np.full(10, -20.0))
         C_tau, C_beta = base.C_tau.copy(), base.C_beta.copy()
@@ -74,10 +99,11 @@ class TestFrameRoundTrip:
             C_tau[0, 1] = C_tau[1, 0] = 1e-4
         elif case == "cross_agent_correlation":
             C_beta[0, 3] = C_beta[3, 0] = 1e-3
+        elif case == "zero_toa_variance":
+            C_tau[:] = 0.0
         else:
             C_beta[1, 1] *= 2.0
-        frame = ObservedFrame(records=simulate_frame(fixed_topology(), 2).records,
-                              noise=NoiseSpec(C_tau=C_tau, C_beta=C_beta))
+        frame = dataclasses.replace(simulate_frame(fixed_topology(), 2), noise=NoiseSpec(C_tau=C_tau, C_beta=C_beta))
         with pytest.raises(SchemaError, match="frame.noise"):
             frame_to_dict(frame)
 
