@@ -51,7 +51,8 @@ def _vec(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _mat(value, shape: tuple[int, int], name: str) -> np.ndarray:
+def _mat(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Copy ``value`` into a read-only float array of exactly ``shape``."""
     arr = np.array(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -247,10 +248,10 @@ class ObservedFrame:
             raise ValueError("frame needs at least one broadcast")
         if self.noise.n_agents != M:
             raise ValueError("noise spec size does not match broadcast count")
-        object.__setattr__(self, "t", _vec(self.t, M, "t"))
-        object.__setattr__(self, "tau", _vec(self.tau, M, "tau"))
+        object.__setattr__(self, "t", _mat(self.t, (M,), "t"))
+        object.__setattr__(self, "tau", _mat(self.tau, (M,), "tau"))
         object.__setattr__(self, "p_hat", _mat(self.p_hat, (M, 2), "p_hat"))
-        object.__setattr__(self, "T_hat", _vec(self.T_hat, M, "T_hat"))
+        object.__setattr__(self, "T_hat", _mat(self.T_hat, (M,), "T_hat"))
 
     @property
     def n_agents(self) -> int:

@@ -126,23 +126,10 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
         )
     if not (sigma_tau_sq > 0 and np.all(agent > 0)):
         raise SchemaError(path, "variances must be positive to be written in dB")
-    # 10 log10 and 10 ** (x / 10) are not exact inverses, so a dB value can
-    # read back to a variance that writes one ulp away. Both maps are
-    # monotone, so re-reading through from_db settles on dB values that write
-    # themselves again within a step or two; a written noise spec then
-    # rewrites to the same dict.
-    db = _variances_to_db(sigma_tau_sq, agent)
-    for _ in range(8):
-        back = NoiseSpec.from_db(*db)
-        again = _variances_to_db(back.C_tau[0, 0], np.diag(back.C_beta)[::3])
-        if again == db:
-            break
-        db = again
-    return {"sigma_tau_sq_db": db[0], "agent_sigma_sq_db": db[1]}
-
-
-def _variances_to_db(sigma_tau_sq: float, agent: np.ndarray) -> tuple[float, list[float]]:
-    return variance_to_db(sigma_tau_sq), [variance_to_db(v) for v in agent]
+    return {
+        "sigma_tau_sq_db": variance_to_db(sigma_tau_sq),
+        "agent_sigma_sq_db": [variance_to_db(v) for v in agent],
+    }
 
 
 # --- scenario ----------------------------------------------------------------

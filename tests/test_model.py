@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,10 +198,14 @@ class TestNoiseSpec:
         spec = NoiseSpec.isotropic(1e-3, [1e-2, 4e-2], n_agents=2)
         assert np.allclose(spec.position_cov_traces(), [2e-2, 8e-2])
 
-    def test_size_mismatch_rejected(self):
+    def test_size_mismatch_rejected(self, fixed_scenario):
         with pytest.raises(ValueError):
             Scenario(
                 agents=(make_agent(),),
                 target=TargetState(p=[0, 0], v=[0, 0], T=0, omega=0),
                 noise=NoiseSpec.isotropic(1e-3, 1e-3, n_agents=2),
             )
+        frame = exact_frame(fixed_scenario)
+        for name, bad in (("t", frame.t[:, None]), ("tau", frame.tau[None]), ("T_hat", frame.T_hat.reshape(2, 5))):
+            with pytest.raises(ValueError, match=f"{name} must have shape"):
+                dataclasses.replace(frame, **{name: bad})

@@ -79,7 +79,6 @@ class TestFrameRoundTrip:
             assert getattr(back, name).tobytes() == getattr(frame, name).tobytes(), name
         assert np.allclose(back.noise.C_tau, frame.noise.C_tau, rtol=1e-12, atol=0)
         assert np.allclose(back.noise.C_beta, frame.noise.C_beta, rtol=1e-12, atol=0)
-        assert frame_to_dict(frame_from_dict(d1)) == d1
 
     def test_isotropic_noise_round_trips(self):
         noise = NoiseSpec.from_db(-27.0, np.linspace(-35.0, -15.0, 10))
@@ -87,6 +86,8 @@ class TestFrameRoundTrip:
         back = frame_from_dict(json.loads(json.dumps(frame_to_dict(frame)))).noise
         assert np.allclose(back.C_tau, noise.C_tau, rtol=1e-12, atol=0)
         assert np.allclose(back.C_beta, noise.C_beta, rtol=1e-12, atol=0)
+        d1 = frame_to_dict(simulate_frame(fixed_topology(), 11))
+        assert frame_to_dict(frame_from_dict(d1)) == d1
 
     @pytest.mark.parametrize("case", ["per_agent_toa_variance", "toa_correlation", "cross_agent_correlation",
                                       "anisotropic_agent_block", "zero_toa_variance"])
