@@ -14,8 +14,8 @@ The package is organized as:
 * :mod:`seqtoa.cli` - command-line front end (``seqtoa``).
 """
 
-from .analysis import CrlbResult, FimBlocks, analytic_cov, crlb_target, fim_blocks, toa_gradients
-from .baselines import MleConfig, StaticTswlsResult, mle_estimate, tswls_static_estimate
+from .analysis import CrlbResult, FimBlocks, analytic_cov, crlb_batch, crlb_target, fim_blocks, toa_gradients
+from .baselines import MleConfig, StaticTswlsResult, mle_estimate, tswls_static_batch, tswls_static_estimate
 from .errors import (
     ConditioningError,
     DegenerateGeometryError,
@@ -98,6 +98,7 @@ __all__ = [
     "analytic_cov",
     "build_design",
     "build_error_model",
+    "crlb_batch",
     "crlb_target",
     "db_to_variance",
     "estimate",
@@ -116,6 +117,7 @@ __all__ = [
     "theta_jacobian",
     "theta_model",
     "toa_gradients",
+    "tswls_static_batch",
     "tswls_static_estimate",
     "validate_scenario",
     "variance_to_db",

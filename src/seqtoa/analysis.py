@@ -10,17 +10,31 @@ nuisance parameters.  The Fisher information splits into blocks
 
 where ``Hx`` and ``Hb`` stack the TOA gradients with respect to the target
 state and the agent parameters.  Marginalizing the agents by Schur complement
-gives the target bound ``CRLB(x) = (R1 - R2 R3^-1 R2^T)^-1``.
+gives the target bound ``CRLB(x) = S^-1`` with ``S = R1 - R2 R3^-1 R2^T``.
+
+Row m of ``Hb`` is ``g_m = [-rho_m, -1]`` in agent m's columns only.  When
+``C_tau`` is diagonal and ``C_beta`` block diagonal with per-agent 3x3 blocks
+``C_m``, ``R3`` is block diagonal too, and the Woodbury identity collapses
+the Schur complement to the closed form
+
+    S = Hx^T diag(1 / (c_tau,m + g_m^T C_m g_m)) Hx,
+
+which costs O(M).  :func:`crlb_batch` evaluates it over a stack of scenarios
+at once, with a failure record per scenario; scenarios whose noise is
+correlated across agents take the dense Schur path through
+:func:`fim_blocks` instead.  :func:`crlb_target` is a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DegenerateGeometryError, NotPositiveDefiniteError
-from .estimator import _design_arrays, build_error_model, theta_jacobian
+from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
+from .estimator import FrameStack, _design_arrays, build_error_model, theta_jacobian
 from .model import AgentTruth, ObservedFrame, Scenario, TargetState, exact_frame
 
 _COINCIDENT_TOL = 1e-12
@@ -37,10 +51,22 @@ class FimBlocks:
 
 @dataclass(frozen=True, eq=False)
 class CrlbResult:
-    """Target-state lower bound plus the full joint FIM for diagnostics."""
+    """Target-state lower bound of one scenario.
+
+    ``information`` is the Schur complement ``S``, the target-state Fisher
+    information with the agents marginalized, and ``crlb_x`` its inverse.
+    ``full_fim``, the joint ``(6+3M, 6+3M)`` FIM for diagnostics and
+    cross-checks, is assembled from :func:`fim_blocks` when first read.
+    """
 
     crlb_x: np.ndarray  # (6, 6)
-    full_fim: np.ndarray  # (6+3M, 6+3M)
+    information: np.ndarray  # (6, 6)
+    scenario: Scenario
+
+    @functools.cached_property
+    def full_fim(self) -> np.ndarray:
+        blocks = fim_blocks(self.scenario)
+        return np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]])
 
 
 def toa_gradients(x: TargetState, agent: AgentTruth) -> tuple[np.ndarray, np.ndarray]:
@@ -95,30 +121,112 @@ def fim_blocks(scenario: Scenario) -> FimBlocks:
     return FimBlocks(R1=R1, R2=R2, R3=0.5 * (R3 + R3.T))
 
 
-def crlb_target(scenario: Scenario) -> CrlbResult:
-    """Cramer-Rao lower bound of the 6-dimensional target state.
+def _dense_information(scenario: Scenario) -> np.ndarray:
+    """Schur complement ``R1 - R2 R3^-1 R2^T`` of the dense joint FIM blocks."""
+    blocks = fim_blocks(scenario)
+    return blocks.R1 - blocks.R2 @ np.linalg.solve(blocks.R3, blocks.R2.T)
 
-    The agent block is marginalized out by Schur complement; the full joint
-    FIM is returned alongside for diagnostics and cross-checks.
+
+def _closed_form_information(rho: np.ndarray, t: np.ndarray, c_tau: np.ndarray, C_m: np.ndarray) -> np.ndarray:
+    """Closed-form Schur complements ``S (N, 6, 6)`` from the unit vectors
+    ``rho (N, M, 2)`` from each agent to its target at slot times
+    ``t (N, M)``, TOA variances ``c_tau (N, M)`` and agent blocks
+    ``C_m (N, M, 3, 3)``."""
+    Hx = np.empty(t.shape + (6,))  # row m: [rho, t_m*rho, 1, t_m]
+    Hx[..., 0:2] = rho
+    Hx[..., 2:4] = t[..., None] * rho
+    Hx[..., 4] = 1.0
+    Hx[..., 5] = t
+    g = -Hx[..., [0, 1, 4]]  # [-rho, -1]
+    w = 1.0 / (c_tau + ((C_m @ g[..., None])[..., 0] * g).sum(axis=-1))
+    return (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
+
+
+def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationError]:
+    """Cramer-Rao lower bound of the 6-dimensional target state of every scenario.
+
+    The agent block is marginalized out by the closed-form Schur complement
+    (see the module docstring), evaluated for all scenarios at once.
+    Scenarios whose noise :class:`~seqtoa.estimator.FrameStack` packs as
+    correlated across agents take the dense Schur path through
+    :func:`fim_blocks` instead.  Every scenario must have the same number of
+    agents.
+
+    Returns one entry per scenario, in order: its :class:`CrlbResult`, or the
+    :class:`EstimationError` that stopped it alone.  The checks run in this
+    order, and the first that fails is the record:
+    :class:`DegenerateGeometryError` if the target coincides with an agent at
+    its slot time, :class:`ConditioningError` for a non-positive TOA
+    variance, :class:`NotPositiveDefiniteError` for an agent block of
+    ``C_beta`` that is not positive definite, and
+    :class:`DegenerateGeometryError` if the Schur complement is singular
+    (unobservable geometry, e.g. collinear agents).
+    """
+    stack = FrameStack.of([exact_frame(s) for s in scenarios])
+    N = len(scenarios)
+    out: list = [None] * N
+    S = np.empty((N, 6, 6))
+    has_S = np.zeros(N, dtype=bool)
+    for i, noise in enumerate(stack.dense):
+        if noise is not None:
+            try:
+                S[i], has_S[i] = _dense_information(scenarios[i]), True
+            except EstimationError as exc:
+                out[i] = exc
+
+    live = np.array([noise is None for noise in stack.dense])
+    x = np.array([s.target.as_vector() for s in scenarios])
+    t, p_m, c_tau, C_m = stack.t, stack.p_hat, stack.c_tau, stack.blocks
+    u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
+    r = np.sqrt((u * u).sum(axis=-1))
+    coincident = r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1)))
+    for i in np.flatnonzero(live & coincident.any(axis=-1)):
+        m = np.flatnonzero(coincident[i])[0]
+        out[i] = DegenerateGeometryError(f"target coincides with agent at slot time {t[i, m]}: range {r[i, m]:.3e}")
+    live &= ~coincident.any(axis=-1)
+    for i in np.flatnonzero(live & (c_tau <= 0).any(axis=-1)):
+        out[i] = ConditioningError("C_tau must be strictly positive for the information matrix")
+    live &= (c_tau > 0).all(axis=-1)
+    try:
+        np.linalg.cholesky(C_m[live])
+    except np.linalg.LinAlgError:  # find the scenarios at fault
+        for i in np.flatnonzero(live):
+            try:
+                np.linalg.cholesky(C_m[i])
+            except np.linalg.LinAlgError:
+                out[i] = NotPositiveDefiniteError("C_beta must be positive definite for the information matrix")
+                live[i] = False
+    S[live] = _closed_form_information(u[live] / r[live][..., None], t[live], c_tau[live], C_m[live])
+    has_S |= live
+
+    idx = np.flatnonzero(has_S)
+    S = 0.5 * (S[idx] + S[idx].swapaxes(-1, -2))
+    eigs = np.linalg.eigvalsh(S)
+    singular = eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1.0)
+    for i, e in zip(idx[singular], eigs[singular, 0]):
+        out[i] = DegenerateGeometryError(f"target information is singular (min eig {e:.3e}); geometry unobservable")
+    crlb_x = np.linalg.inv(S[~singular])
+    crlb_x = 0.5 * (crlb_x + crlb_x.swapaxes(-1, -2))
+    for i, c, info in zip(idx[~singular], crlb_x, S[~singular]):
+        out[i] = CrlbResult(crlb_x=c, information=info, scenario=scenarios[i])
+    return out
+
+
+def crlb_target(scenario: Scenario) -> CrlbResult:
+    """Cramer-Rao lower bound of the 6-dimensional target state:
+    :func:`crlb_batch` on a batch of one.
 
     Raises
     ------
-    DegenerateGeometryError
-        If the Schur complement is singular (unobservable geometry, e.g.
-        collinear agents).
+    EstimationError
+        The scenario's failure record (see :func:`crlb_batch`), e.g.
+        :class:`DegenerateGeometryError` if the Schur complement is singular
+        (unobservable geometry, e.g. collinear agents).
     """
-    blocks = fim_blocks(scenario)
-    S = blocks.R1 - blocks.R2 @ np.linalg.solve(blocks.R3, blocks.R2.T)
-    S = 0.5 * (S + S.T)
-    eigs = np.linalg.eigvalsh(S)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
-        raise DegenerateGeometryError(
-            f"target information is singular (min eig {eigs[0]:.3e}); geometry unobservable"
-        )
-    crlb_x = np.linalg.inv(S)
-    crlb_x = 0.5 * (crlb_x + crlb_x.T)
-    full = np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]])
-    return CrlbResult(crlb_x=crlb_x, full_fim=full)
+    result = crlb_batch([scenario])[0]
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 def analytic_cov(

@@ -2,10 +2,12 @@
 
 * :func:`mle_estimate` - Gauss-Newton maximum likelihood that trusts the
   broadcast agent information (ignores its uncertainty).
-* :func:`tswls_static_estimate` - the classic static two-step solver
+* :func:`tswls_static_batch` - the classic static two-step solver
   (position and offset only, explicit normal equations, one refinement
-  iteration), implemented standalone so the pipeline's degraded mode can be
-  cross-checked against it.
+  iteration) over a :class:`~seqtoa.estimator.FrameStack`, with a failure
+  record per frame; :func:`tswls_static_estimate` is a batch of one.  It is
+  implemented standalone, error statistics included, so the pipeline's
+  degraded mode can be cross-checked against it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, UnderdeterminedError
-from .estimator import EstimateReport
+from .estimator import EstimateReport, FrameStack
 from .model import ObservedFrame, TargetState
 
 _DIVERGENCE_STREAK = 3
@@ -139,67 +141,128 @@ class StaticTswlsResult:
     estimator_id: str = "tswls_static"
 
 
-def tswls_static_estimate(frame: ObservedFrame) -> StaticTswlsResult:
-    """Static two-step solver: unknowns ``[p, T, theta1]``.
+def _normal_solve(N: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stacked normal equations ``N (K, n, n) @ x = rhs (K, n)``.
+
+    Only systems whose matrix is finite with ``cond <= 1e12`` are solved.
+    Returns ``(ok, x)``; ``x`` holds the ``ok`` systems only.
+    """
+    ok = np.isfinite(N).all(axis=(-2, -1))
+    ok[ok] = np.linalg.cond(N[ok]) <= 1e12
+    return ok, np.linalg.solve(N[ok], rhs[ok, :, None])[..., 0]
+
+
+def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, stack: FrameStack, frames: np.ndarray):
+    """``C_e^-1 G`` and ``C_e^-1 h`` of ``frames`` of the stack.
+
+    The static error covariance is ``C_e = B C_beta B^T + D C_tau D^T``, where
+    agent m's row sensitivity ``b[:, m] = [b_pos, d_m]`` fills its block of
+    ``B`` and ``d_m`` the diagonal of ``D``.  ``C_e`` is diagonal unless the
+    frame's noise is correlated across agents.  Returns ``(WG, Wh, ok)``;
+    ``ok`` is False where ``C_e`` is singular.
+    """
+    d = b[..., 2]
+    var = np.einsum("kmi,kmij,kmj->km", b, stack.blocks[frames], b) + d * stack.c_tau[frames] * d
+    ok = (var != 0.0).all(axis=-1)
+    var[~ok] = 1.0
+    WG, Wh = G / var[..., None], h / var
+    M = d.shape[1]
+    for j, i in enumerate(frames):
+        noise = stack.dense[i]
+        if noise is None:
+            continue
+        B = np.zeros((M, M, 3))
+        B[np.arange(M), np.arange(M)] = b[j]
+        B = B.reshape(M, 3 * M)
+        C_e = B @ noise.C_beta @ B.T + d[j][:, None] * noise.C_tau * d[j][None, :]
+        try:
+            W = np.linalg.inv(C_e)
+        except np.linalg.LinAlgError:
+            ok[j] = False
+            continue
+        ok[j] = True
+        WG[j], Wh[j] = W @ G[j], W @ h[j]
+    return WG, Wh, ok
+
+
+def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult]:
+    """Static two-step solver on every frame of a stack: unknowns ``[p, T, theta1]``.
 
     Row m of the linear stage is ``[2*p_hat_m, -2*alpha_hat_m, 1]`` against
     ``||p_hat_m||^2 - alpha_hat_m^2``; the second pass weights with the
     static error statistics and exactly one refinement iteration retracts
     ``[p, T]``.  Solves use explicit normal equations on purpose - under a
     large target clock offset those become numerically unusable, and that
-    condition is returned as a failure record rather than raised.
+    condition is returned as a failure record rather than raised.  Returns
+    one result or failure record per frame, in order; one bad frame does not
+    fail the others.
+
+    Raises
+    ------
+    UnderdeterminedError
+        If the frames have fewer than 4 broadcasts.
     """
-    M = frame.n_agents
+    N, M = stack.t.shape
     if M < 4:
         raise UnderdeterminedError(f"static solver needs M >= 4 broadcasts, got M = {M}")
-    p_hat = frame.p_hat
-    alpha = frame.tau + frame.T_hat
+    out: list = [None] * N
 
-    G = np.column_stack([2.0 * p_hat, -2.0 * alpha, np.ones(M)])
-    h = np.sum(p_hat**2, axis=1) - alpha**2
+    def fail(frames, message: str):
+        for i in frames:
+            out[i] = StaticTswlsResult(None, None, None, False, message)
 
-    def solve_normal(weight):
-        N = G.T @ weight @ G
-        if not np.all(np.isfinite(N)) or np.linalg.cond(N) > 1e12:
-            return None, None
-        return np.linalg.solve(N, G.T @ weight @ h), np.linalg.inv(N)
+    p_hat, alpha = stack.p_hat, stack.alpha
+    G = np.empty((N, M, 4))
+    G[..., 0:2] = 2.0 * p_hat
+    G[..., 2] = -2.0 * alpha
+    G[..., 3] = 1.0
+    h = (p_hat**2).sum(axis=-1) - alpha**2
+    Gt = G.swapaxes(-1, -2)
 
-    q, _ = solve_normal(np.eye(M))
-    if q is None:
-        return StaticTswlsResult(None, None, None, False, "first-pass normal matrix ill-conditioned")
+    # pass 1: identity weights
+    ok, q = _normal_solve(Gt @ G, (Gt @ h[..., None])[..., 0])
+    fail(np.flatnonzero(~ok), "first-pass normal matrix ill-conditioned")
+    live = np.flatnonzero(ok)
 
-    # static error statistics at the first-pass solution
-    d = -2.0 * (q[2] - alpha)
-    b_pos = 2.0 * (q[0:2] - p_hat)
-    B = np.zeros((M, 3 * M))
-    rows = np.arange(M)
-    B[rows, 3 * rows] = b_pos[:, 0]
-    B[rows, 3 * rows + 1] = b_pos[:, 1]
-    B[rows, 3 * rows + 2] = d
-    C_e = B @ frame.noise.C_beta @ B.T + np.diag(d) @ frame.noise.C_tau @ np.diag(d)
-
-    try:
-        W = np.linalg.inv(C_e)
-    except np.linalg.LinAlgError:
-        return StaticTswlsResult(None, None, None, False, "static error covariance singular")
-
-    theta_s, C4 = solve_normal(W)
-    if theta_s is None:
-        return StaticTswlsResult(None, None, None, False, "weighted normal matrix ill-conditioned")
+    # pass 2: weights from the static error statistics at the first-pass solution
+    b = np.empty((len(live), M, 3))
+    b[..., 0:2] = 2.0 * (q[:, None, 0:2] - p_hat[live])
+    b[..., 2] = -2.0 * (q[:, 2:3] - alpha[live])
+    WG, Wh, ok = _error_weighted(G[live], h[live], b, stack, live)
+    fail(live[~ok], "static error covariance singular")
+    live, WG, Wh = live[ok], WG[ok], Wh[ok]
+    N4 = Gt[live] @ WG
+    ok, theta_s = _normal_solve(N4, (Gt[live] @ Wh[..., None])[..., 0])
+    fail(live[~ok], "weighted normal matrix ill-conditioned")
+    live, C4 = live[ok], np.linalg.inv(N4[ok])
 
     # one refinement iteration on [p, T] through theta1 = T^2 - ||p||^2
-    z = theta_s[:3].copy()
-    f_s = np.concatenate([z, [z[2] ** 2 - z[0:2] @ z[0:2]]])
-    J_s = np.vstack([np.eye(3), [-2.0 * z[0], -2.0 * z[1], 2.0 * z[2]]])
-    C4_inv = np.linalg.inv(C4)
-    N_s = J_s.T @ C4_inv @ J_s
-    if not np.all(np.isfinite(N_s)) or np.linalg.cond(N_s) > 1e12:
-        return StaticTswlsResult(None, None, None, False, "refinement normal matrix ill-conditioned")
-    z = z + np.linalg.solve(N_s, J_s.T @ C4_inv @ (theta_s - f_s))
-    cov = np.linalg.inv(N_s)
+    z = theta_s[:, :3]
+    f_s = np.concatenate([z, (z[:, 2] ** 2 - (z[:, 0:2] ** 2).sum(axis=-1))[:, None]], axis=-1)
+    J_s = np.zeros((len(live), 4, 3))
+    J_s[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    J_s[:, 3] = 2.0 * z * [-1.0, -1.0, 1.0]
+    JtW = J_s.swapaxes(-1, -2) @ np.linalg.inv(C4)
+    N_s = JtW @ J_s
+    ok, step = _normal_solve(N_s, (JtW @ (theta_s - f_s)[..., None])[..., 0])
+    fail(live[~ok], "refinement normal matrix ill-conditioned")
+    live, z, cov = live[ok], z[ok] + step, np.linalg.inv(N_s[ok])
 
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(cov))):
-        return StaticTswlsResult(None, None, None, False, "non-finite solution")
-    pos = z[0:2].copy()
-    pos.setflags(write=False)
-    return StaticTswlsResult(position=pos, offset=float(z[2]), covariance=cov, success=True)
+    finite = np.isfinite(z).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
+    fail(live[~finite], "non-finite solution")
+    for i, zi, ci in zip(live[finite], z[finite], cov[finite]):
+        pos = zi[0:2].copy()
+        pos.setflags(write=False)
+        out[i] = StaticTswlsResult(position=pos, offset=float(zi[2]), covariance=ci, success=True)
+    return out
+
+
+def tswls_static_estimate(frame: ObservedFrame) -> StaticTswlsResult:
+    """Static two-step solver on one frame: :func:`tswls_static_batch` on a batch of one.
+
+    Raises
+    ------
+    UnderdeterminedError
+        If the frame has fewer than 4 broadcasts.
+    """
+    return tswls_static_batch(FrameStack.of([frame]))[0]

@@ -3,6 +3,9 @@
 Subcommands: ``estimate``, ``simulate``, ``crlb``, ``experiment``.  All read
 one JSON input (``--input``) and write JSON/CSV artifacts (``--output``).
 
+``--set KEY=VALUE`` overrides a field of the input document before it is
+parsed; a key that the subcommand's schema does not read is a schema error.
+
 Exit codes: 0 success, 1 I/O or schema problem, 2 numerical/estimation
 failure.
 """
@@ -57,15 +60,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
+def _apply_overrides(doc: dict, overrides: list[str], document: str) -> dict:
     for item in overrides:
         if "=" not in item:
             raise serialize.SchemaError("--set", f"expected KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
+        serialize.check_field(document, key)
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:  # e.g. an integer literal too long to convert
+            raise serialize.SchemaError("--set", f"{key}: {exc}") from None
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:
@@ -78,7 +84,10 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, "r") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
+            raise serialize.SchemaError(path, str(exc)) from None
 
 
 def _dump_json(doc: dict, path: str) -> None:
@@ -88,14 +97,14 @@ def _dump_json(doc: dict, path: str) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    frame = serialize.frame_from_dict(_apply_overrides(_load_json(args.input), args.set))
+    frame = serialize.frame_from_dict(_apply_overrides(_load_json(args.input), args.set, "frame"))
     report = estimate(frame)
     _dump_json(serialize.report_to_dict(report), args.output)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    doc = _apply_overrides(_load_json(args.input), args.set)
+    doc = _apply_overrides(_load_json(args.input), args.set, "scenario")
     rng = np.random.default_rng(args.seed)
     scenario = serialize.scenario_from_dict(doc, rng)
     frame = simulate_frame(scenario, args.seed)
@@ -104,7 +113,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    doc = _apply_overrides(_load_json(args.input), args.set)
+    doc = _apply_overrides(_load_json(args.input), args.set, "scenario")
     scenario = serialize.scenario_from_dict(doc, np.random.default_rng(args.seed))
     result = analysis.crlb_target(scenario)
     _dump_json(
@@ -125,7 +134,7 @@ def _csv_paths(output: str) -> tuple[Path, Path]:
 
 
 def _cmd_experiment(args) -> int:
-    doc = _apply_overrides(_load_json(args.input), args.set)
+    doc = _apply_overrides(_load_json(args.input), args.set, "experiment")
     spec = serialize.experiment_spec_from_dict(doc, np.random.default_rng(args.seed))
     results = montecarlo.run_trials(spec, threads=max(1, args.threads))
 
@@ -168,7 +177,7 @@ def main(argv=None) -> int:
             return 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError, serialize.SchemaError) as exc:
+    except (OSError, serialize.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

@@ -14,10 +14,17 @@ Reproducibility contract: trial ``i`` uses ``seed_i = base_seed XOR i``; a
 streams used, in order, for scenario materialization, frame noise, and
 estimator-init perturbation.  Identical specs therefore produce bit-identical
 results within one package version.
+
+Each sweep cell runs in chunks of at most 256 consecutive trials.  Seeding,
+the scenario, the frame, the proposed estimator and the MLE run one trial at
+a time; the static solver (:func:`~seqtoa.baselines.tswls_static_batch`) and
+the CRLB (:func:`~seqtoa.analysis.crlb_batch`) then run once per chunk,
+stacked over its trials.  The chunks are the same for every thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -42,6 +49,7 @@ from .model import (
 SCHEMES = ("noise_sweep", "ltco_sweep", "random_topology")
 ESTIMATOR_IDS = ("proposed", "tswls_static", "mle")
 
+_CHUNK = 256  # most trials of one sweep cell whose static solves and CRLBs run stacked
 _BLOCKS = ("position", "velocity", "offset", "skew")
 _BLOCK_SLICES = {
     "position": slice(0, 2),
@@ -230,7 +238,8 @@ def _materialize_scenario(spec: ExperimentSpec, sweep_value: float, rng: np.rand
 
 
 def _run_one_estimator(est_id: str, frame, scenario: Scenario, rng: np.random.Generator, spec: ExperimentSpec):
-    """Run one estimator on one frame; return its 6-state or None on failure.
+    """Run one per-frame estimator (``proposed`` or ``mle``) on one frame;
+    return its 6-state or None on failure.
 
     The MLE consumes its init draw from ``rng`` even on failure so the stream
     stays aligned across estimator outcomes.
@@ -239,11 +248,6 @@ def _run_one_estimator(est_id: str, frame, scenario: Scenario, rng: np.random.Ge
         if est_id == "proposed":
             report = estimator.estimate(frame)
             x = report.x_hat.as_vector()
-        elif est_id == "tswls_static":
-            res = baselines.tswls_static_estimate(frame)
-            if not res.success:
-                return None
-            x = np.array([res.position[0], res.position[1], 0.0, 0.0, res.offset, 0.0])
         elif est_id == "mle":
             perturb = rng.normal(0.0, spec.mle_init_sigma, size=6)
             cfg = baselines.MleConfig(
@@ -265,7 +269,11 @@ def _run_one_estimator(est_id: str, frame, scenario: Scenario, rng: np.random.Ge
 
 
 def _run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
-    """One trial: returns (per-estimator error 6-vectors or None, CRLB traces or None)."""
+    """The per-trial part of one trial.
+
+    Returns its scenario, its frame, and the error 6-vectors (None on
+    failure) of the estimators that run one frame at a time.
+    """
     seed_i = spec.base_seed ^ trial
     streams = np.random.SeedSequence(seed_i).spawn(3)
     rng_scenario = np.random.default_rng(streams[0])
@@ -278,16 +286,53 @@ def _run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
 
     errors = {}
     for est_id in spec.estimators:
-        x = _run_one_estimator(est_id, frame, scenario, rng_est, spec)
-        errors[est_id] = None if x is None else x - truth
+        if est_id != "tswls_static":
+            x = _run_one_estimator(est_id, frame, scenario, rng_est, spec)
+            errors[est_id] = None if x is None else x - truth
+    return scenario, frame, errors
 
+
+def _static_errors(frames, scenarios) -> list:
+    """Error 6-vectors (None on failure) of the static solver, stacked over ``frames``."""
     try:
-        crlb = analysis.crlb_target(scenario).crlb_x
-        diag = np.diag(crlb)
-        traces = (diag[0] + diag[1], diag[2] + diag[3], diag[4], diag[5])
+        results = baselines.tswls_static_batch(estimator.FrameStack.of(frames))
     except EstimationError:
-        traces = None
-    return errors, traces
+        return [None] * len(frames)
+    return [
+        np.array([r.position[0], r.position[1], 0.0, 0.0, r.offset, 0.0]) - s.target.as_vector() if r.success else None
+        for r, s in zip(results, scenarios)
+    ]
+
+
+def _crlb_traces(scenarios) -> list:
+    """Per-block CRLB traces (None on failure), stacked over ``scenarios``."""
+    traces = []
+    for res in analysis.crlb_batch(scenarios):
+        if isinstance(res, EstimationError):
+            traces.append(None)
+        else:
+            diag = np.diag(res.crlb_x)
+            traces.append((diag[0] + diag[1], diag[2] + diag[3], diag[4], diag[5]))
+    return traces
+
+
+def _run_chunk(spec: ExperimentSpec, sweep_value: float, chunk: range, pool: ThreadPoolExecutor | None):
+    """Trials ``chunk`` of one sweep cell: per-trial work (on ``pool`` if given),
+    then the static solver and the CRLB stacked over the chunk.
+
+    Returns one ``(errors by estimator id, CRLB traces or None)`` per trial, in
+    trial order.
+    """
+    if pool is None:
+        trials = [_run_trial(spec, sweep_value, i) for i in chunk]
+    else:
+        trials = list(pool.map(lambda i: _run_trial(spec, sweep_value, i), chunk))
+    scenarios = [scenario for scenario, _, _ in trials]
+    if "tswls_static" in spec.estimators:
+        static = _static_errors([frame for _, frame, _ in trials], scenarios)
+        for (_, _, errors), e in zip(trials, static):
+            errors["tswls_static"] = e
+    return [(errors, traces) for (_, _, errors), traces in zip(trials, _crlb_traces(scenarios))]
 
 
 def run_trials(spec: ExperimentSpec, threads: int = 1) -> dict[tuple[float, str], TrialStats]:
@@ -295,17 +340,22 @@ def run_trials(spec: ExperimentSpec, threads: int = 1) -> dict[tuple[float, str]
     (sweep value, estimator id).
 
     Per-trial estimator failures are recorded and excluded from the averages;
-    they never abort the sweep.  Trials are independent and may run on a
-    thread pool; results are reduced in trial order, so the aggregation is
-    deterministic regardless of ``threads``.
+    they never abort the sweep.  Each sweep cell runs in chunks of at most
+    256 consecutive trials.  Within a chunk the trials are independent and
+    may run on a thread pool: seeding, scenario, frame, ``proposed`` and
+    ``mle`` run per trial; the static solver and the CRLB then run once,
+    stacked over the chunk.  The chunks do not depend on ``threads`` and the
+    results are reduced in trial order, so the aggregation is deterministic
+    regardless of ``threads``.
     """
     results: dict[tuple[float, str], TrialStats] = {}
     for sweep_value in spec.sweep_values:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trials = list(pool.map(lambda i: _run_trial(spec, sweep_value, i), range(spec.n_trials)))
-        else:
-            trials = [_run_trial(spec, sweep_value, i) for i in range(spec.n_trials)]
+        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+            trials = [
+                trial
+                for start in range(0, spec.n_trials, _CHUNK)
+                for trial in _run_chunk(spec, sweep_value, range(start, min(start + _CHUNK, spec.n_trials)), pool)
+            ]
 
         crlb_rows = np.array([t for _, t in trials if t is not None], dtype=float)
         crlb_mean = crlb_rows.mean(axis=0) if crlb_rows.size else np.full(4, np.nan)

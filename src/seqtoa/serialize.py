@@ -2,7 +2,8 @@
 
 Schemas (all floats in SI units per the package conventions; variances in dB
 re 1 m^2 where the key says so; every number finite, so ``NaN`` and
-``Infinity`` are schema errors):
+``Infinity`` are schema errors, and every dB value, sampled ranges included,
+must give a variance that neither overflows nor underflows):
 
 Scenario::
 
@@ -27,6 +28,9 @@ Estimate report (flat)::
      "cond_estimate": f}
 
 Experiment spec: see :func:`experiment_spec_from_dict`.
+
+:func:`check_field` tells whether a dotted key names a field that a
+document's reader reads (``seqtoa --set`` accepts no other keys).
 """
 
 from __future__ import annotations
@@ -90,20 +94,44 @@ def _number_list(value, path: str) -> list[float]:
 # --- noise ------------------------------------------------------------------
 
 
+def _db_ok(db: float) -> bool:
+    """Whether a dB value converts to a finite, positive variance."""
+    try:
+        return 10.0 ** (db / 10.0) > 0.0
+    except OverflowError:
+        return False
+
+
+_DB_RANGE = "beyond the range of a finite positive variance"
+
+
 def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | None = None) -> NoiseSpec:
+    """The noise spec of a document; every dB value, and every value a sampled
+    range can draw, must convert to a finite, positive variance."""
     sigma_tau_sq_db = _number(_get(d, "sigma_tau_sq_db", path), f"{path}.sigma_tau_sq_db")
+    if not _db_ok(sigma_tau_sq_db):
+        raise SchemaError(f"{path}.sigma_tau_sq_db", f"{sigma_tau_sq_db!r} dB is {_DB_RANGE}")
     agent = _get(d, "agent_sigma_sq_db", path)
     apath = f"{path}.agent_sigma_sq_db"
     if isinstance(agent, dict):
         center = _number(_get(agent, "center_db", apath), f"{apath}.center_db")
         halfwidth = _number(_get(agent, "halfwidth_db", apath), f"{apath}.halfwidth_db")
+        if not _db_ok(center):
+            raise SchemaError(f"{apath}.center_db", f"{center!r} dB is {_DB_RANGE}")
+        lo, hi = center - halfwidth, center + halfwidth
+        if not (_db_ok(lo) and _db_ok(hi)):
+            raise SchemaError(f"{apath}.halfwidth_db", f"center_db +- halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}")
         if rng is None:
             raise SchemaError(apath, "sampled agent variances need an RNG/seed to materialize")
-        agent_db = rng.uniform(center - halfwidth, center + halfwidth, size=n_agents)
+        agent_db = rng.uniform(lo, hi, size=n_agents)
     else:
-        agent_db = np.asarray(_number_list(agent, apath))
-        if agent_db.size != n_agents:
-            raise SchemaError(apath, f"expected {n_agents} entries, got {agent_db.size}")
+        values = _number_list(agent, apath)
+        if len(values) != n_agents:
+            raise SchemaError(apath, f"expected {n_agents} entries, got {len(values)}")
+        if not (_db_ok(min(values)) and _db_ok(max(values))):  # the conversion is monotone
+            i = next(i for i, v in enumerate(values) if not _db_ok(v))
+            raise SchemaError(f"{apath}[{i}]", f"{values[i]!r} dB is {_DB_RANGE}")
+        agent_db = np.asarray(values)
     return NoiseSpec.from_db(sigma_tau_sq_db, agent_db)
 
 
@@ -223,6 +251,9 @@ def report_to_dict(report: EstimateReport) -> dict:
 
 # --- experiment specs ----------------------------------------------------------
 
+_BOUNDS_PAIRS = ("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm")
+_SPEC_NUMBERS = ("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma")
+
 
 def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -> ExperimentSpec:
     """Parse an experiment document.
@@ -254,7 +285,7 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
             if not isinstance(braw, dict):
                 raise SchemaError("experiment.topology.random", "expected an object of bounds")
             kwargs = {}
-            for key in ("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm"):
+            for key in _BOUNDS_PAIRS:
                 if key in braw:
                     kwargs[key] = tuple(_pair(braw[key], f"experiment.topology.random.{key}"))
             for key in ("n_agents",):
@@ -270,7 +301,7 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
             raise SchemaError("experiment.topology", f"expected 'fixed', a scenario, or {{'random': ...}}; got {traw!r}")
 
     kwargs = {}
-    for key in ("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma"):
+    for key in _SPEC_NUMBERS:
         if key in d:
             kwargs[key] = _number(d[key], f"experiment.{key}")
     if "mle_max_iters" in d:
@@ -323,3 +354,32 @@ def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:
     else:
         out["topology"] = scenario_to_dict(spec.topology)
     return out
+
+
+# --- fields the readers read ---------------------------------------------------
+#
+# Per document kind, the nested field names its reader reads; ``None`` marks
+# a leaf (a number, string or array).
+
+_NOISE_FIELDS = {"sigma_tau_sq_db": None, "agent_sigma_sq_db": {"center_db": None, "halfwidth_db": None}}
+_SCENARIO_FIELDS = {"agents": None, "target": dict.fromkeys(("p", "v", "T", "omega")), "noise": _NOISE_FIELDS}
+_FIELDS = {
+    "frame": {"records": None, "noise": _NOISE_FIELDS},
+    "scenario": _SCENARIO_FIELDS,
+    "experiment": {
+        **dict.fromkeys(("scheme", "n_trials", "base_seed", "sweep_values", "estimators", "mle_max_iters")),
+        **dict.fromkeys(_SPEC_NUMBERS),
+        "topology": {"random": dict.fromkeys((*_BOUNDS_PAIRS, "n_agents", "slot_interval")), **_SCENARIO_FIELDS},
+    },
+}
+
+
+def check_field(document: str, key: str) -> None:
+    """Raise ``SchemaError`` unless the dotted ``key`` names a field that the
+    reader of ``document`` (``"frame"``, ``"scenario"`` or ``"experiment"``)
+    reads.  Array elements have no dotted name."""
+    node = _FIELDS[document]
+    for part in key.split("."):
+        if node is None or part not in node:
+            raise SchemaError("--set", f"{key!r} is not a field of the {document} schema")
+        node = node[part]

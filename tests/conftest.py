@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from seqtoa import (
     AgentTruth,
     NoiseSpec,
     Scenario,
     TargetState,
+    TopologyBounds,
     fixed_topology,
+    sample_random_topology,
 )
 
 C = 299_792_458.0
@@ -54,3 +57,34 @@ def random_state(rng: np.random.Generator) -> TargetState:
         T=rng.uniform(-10.0, 10.0) * 1e-9 * C,
         omega=rng.uniform(-20.0, 20.0) * 1e-6 * C,
     )
+
+
+LTCO_OFFSETS = tuple(float(v) * C for v in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3))
+
+
+def sweep_scenario(kind: str, value: float, seed: int) -> Scenario:
+    """A scenario drawn as the Monte-Carlo schemes draw their trials.
+
+    ``"noise"``: fixed topology, agent variances around ``value`` dB;
+    ``"ltco"``: fixed topology at target clock offset ``value`` (m) and
+    -20.5 dB; ``"random"``: a random topology around ``value`` dB.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return sample_random_topology(TopologyBounds(sigma_s_sq_db=value), rng)
+    base = fixed_topology()
+    if kind == "ltco":
+        sigma_db, offset = -20.5, value
+    else:
+        sigma_db, offset = value, rng.uniform(-10.0, 10.0) * 1e-9 * C
+    target = TargetState(p=base.target.p, v=base.target.v, T=offset, omega=rng.uniform(-20.0, 20.0) * 1e-6 * C)
+    noise = NoiseSpec.from_db(-30.0, rng.uniform(sigma_db - 5.0, sigma_db + 5.0, size=base.n_agents))
+    return Scenario(agents=base.agents, target=target, noise=noise)
+
+
+#: (kind, value) pairs of :func:`sweep_scenario`, as the three schemes sweep them
+SWEEP_POINTS = st.one_of(
+    st.tuples(st.just("noise"), st.sampled_from(range(-50, -5, 5))),
+    st.tuples(st.just("ltco"), st.sampled_from(LTCO_OFFSETS)),
+    st.tuples(st.just("random"), st.sampled_from((-30.0, -20.5, -10.0))),
+)

@@ -1,13 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtoa import (
     AgentTruth,
+    ConditioningError,
+    CrlbResult,
     DegenerateGeometryError,
+    EstimationError,
     NoiseSpec,
+    NotPositiveDefiniteError,
     Scenario,
     TargetState,
     analytic_cov,
+    crlb_batch,
     crlb_target,
     estimate,
     fim_blocks,
@@ -16,7 +25,7 @@ from seqtoa import (
     toa_gradients,
 )
 
-from conftest import C, random_scenario, random_state
+from conftest import C, SWEEP_POINTS, random_scenario, random_state, sweep_scenario
 
 
 class TestToaGradients:
@@ -156,6 +165,111 @@ class TestCrlbTarget:
         )
         with pytest.raises(DegenerateGeometryError):
             crlb_target(scenario)
+
+
+def coincident_scenario(seed: int) -> Scenario:
+    """A noise-sweep scenario whose target sits, at rest, on agent 0 at its slot."""
+    base = sweep_scenario("noise", -30.0, seed)
+    target = TargetState(p=base.agents[0].p_m, v=[0.0, 0.0], T=base.target.T, omega=base.target.omega)
+    return Scenario(agents=base.agents, target=target, noise=base.noise)
+
+
+def schur_information(scenario: Scenario) -> np.ndarray:
+    blocks = fim_blocks(scenario)
+    return blocks.R1 - blocks.R2 @ np.linalg.solve(blocks.R3, blocks.R2.T)
+
+
+def with_noise(scenario: Scenario, C_tau=None, C_beta=None) -> Scenario:
+    noise = NoiseSpec(
+        C_tau=scenario.noise.C_tau if C_tau is None else C_tau,
+        C_beta=scenario.noise.C_beta if C_beta is None else C_beta,
+    )
+    return dataclasses.replace(scenario, noise=noise)
+
+
+def rel(a, b) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestCrlbBatch:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.one_of(SWEEP_POINTS, st.just(("coincident", 0.0))), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_each_scenario_matches_its_batch_of_one(self, draws):
+        scenarios = [
+            coincident_scenario(seed) if kind == "coincident" else sweep_scenario(kind, value, seed)
+            for (kind, value), seed in draws
+        ]
+        for scenario, got in zip(scenarios, crlb_batch(scenarios)):
+            try:
+                want = crlb_target(scenario)
+            except EstimationError as exc:
+                assert type(got) is type(exc)
+                continue
+            assert isinstance(got, CrlbResult) and got.scenario is scenario
+            assert rel(got.crlb_x, want.crlb_x) <= 1e-12
+            assert rel(got.information, want.information) <= 1e-12
+
+    def test_closed_form_matches_schur_complement(self):
+        for kind, value in [("noise", -50.0), ("noise", -10.0), ("ltco", 1e-3 * C), ("random", -20.5)]:
+            for seed in range(10):
+                scenario = sweep_scenario(kind, value, seed)
+                assert rel(crlb_target(scenario).information, schur_information(scenario)) <= 1e-10, (kind, seed)
+
+    def test_bad_scenario_fails_alone(self):
+        good = [sweep_scenario("random", -20.5, k) for k in range(4)]
+        collinear = Scenario(
+            agents=tuple(AgentTruth(p_m=[float(5 * m), 0.0], T_m=0.0, t_m=0.05 * m) for m in range(10)),
+            target=TargetState(p=[75.0, 0.0], v=[0, 0], T=0.0, omega=0.0),
+            noise=NoiseSpec.isotropic(1e-3, 1e-3, n_agents=10),
+        )
+        C_tau = good[0].noise.C_tau.copy()
+        C_tau[3, 3] = 0.0
+        C_beta = good[0].noise.C_beta.copy()
+        C_beta[5, 5] = -1e-3
+        bad = {
+            DegenerateGeometryError: coincident_scenario(7),
+            ConditioningError: with_noise(good[0], C_tau=C_tau),
+            NotPositiveDefiniteError: with_noise(good[0], C_beta=C_beta),
+        }
+        alone = crlb_batch(good)
+        for error, scenario in [*bad.items(), (DegenerateGeometryError, collinear)]:
+            results = crlb_batch([good[0], good[1], scenario, good[2], good[3]])
+            assert type(results[2]) is error
+            for got, want in zip([*results[:2], *results[3:]], alone):
+                assert np.array_equal(got.crlb_x, want.crlb_x)
+        assert "singular" in str(crlb_batch([collinear])[0])
+
+    def test_correlated_noise_takes_dense_branch(self):
+        rng = np.random.default_rng(22)
+        base = sweep_scenario("noise", -30.0, 3)
+        M = base.n_agents
+        G = rng.normal(size=(3 * M, 3 * M))
+        dense = with_noise(base, C_beta=1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
+        results = crlb_batch([base, dense, sweep_scenario("noise", -20.0, 4)])
+        want = np.linalg.inv(schur_information(dense))
+        assert rel(results[1].crlb_x, want) <= 1e-10
+        assert rel(results[1].crlb_x, np.linalg.inv(results[1].full_fim)[:6, :6]) <= 1e-8
+        assert np.array_equal(results[0].crlb_x, crlb_target(base).crlb_x)
+        # a correlated spec that is not positive definite keeps its error class
+        with pytest.raises(NotPositiveDefiniteError):
+            crlb_target(with_noise(base, C_beta=dense.noise.C_beta - np.eye(3 * M)))
+
+    def test_full_fim_built_on_first_read(self):
+        res = crlb_target(sweep_scenario("noise", -20.5, 0))
+        assert "full_fim" not in vars(res)
+        blocks = fim_blocks(res.scenario)
+        assert np.array_equal(res.full_fim, np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]]))
+        assert res.full_fim is res.full_fim
+
+    def test_mixed_agent_counts_rejected(self):
+        with pytest.raises(ValueError, match="same number"):
+            crlb_batch([random_scenario(np.random.default_rng(0), M=10), random_scenario(np.random.default_rng(0), M=9)])
 
 
 class TestAnalyticCov:

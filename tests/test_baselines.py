@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtoa import (
     AgentTruth,
+    FrameStack,
     MleConfig,
     NoiseSpec,
     Scenario,
@@ -13,11 +18,12 @@ from seqtoa import (
     exact_frame,
     mle_estimate,
     simulate_frame,
+    tswls_static_batch,
     tswls_static_estimate,
 )
 from seqtoa.model import C_LIGHT
 
-from conftest import random_scenario
+from conftest import SWEEP_POINTS, random_scenario, sweep_scenario
 
 
 def static_scenario(rng, M=10, sigma_tau_sq=1e-3, sigma_s_sq_db=-30.0):
@@ -159,3 +165,121 @@ class TestTswlsStatic:
         res = tswls_static_estimate(exact_frame(scenario))
         assert not res.success
         assert res.message
+
+
+def static_reference(frame):
+    """The static solver one frame at a time, with the dense ``C_e`` built from
+    its definition and inverted: the reference for the stacked solver."""
+    M = frame.n_agents
+    p_hat, alpha = frame.p_hat, frame.tau + frame.T_hat
+    G = np.column_stack([2.0 * p_hat, -2.0 * alpha, np.ones(M)])
+    h = np.sum(p_hat**2, axis=1) - alpha**2
+
+    def solve_normal(W):
+        N = G.T @ W @ G
+        if not np.all(np.isfinite(N)) or np.linalg.cond(N) > 1e12:
+            return None, None
+        return np.linalg.solve(N, G.T @ W @ h), np.linalg.inv(N)
+
+    q, _ = solve_normal(np.eye(M))
+    if q is None:
+        return "first-pass normal matrix ill-conditioned"
+    d = -2.0 * (q[2] - alpha)
+    B = np.zeros((M, 3 * M))
+    for m in range(M):
+        B[m, 3 * m : 3 * m + 2] = 2.0 * (q[0:2] - p_hat[m])
+        B[m, 3 * m + 2] = d[m]
+    C_e = B @ frame.noise.C_beta @ B.T + np.diag(d) @ frame.noise.C_tau @ np.diag(d)
+    try:
+        W = np.linalg.inv(C_e)
+    except np.linalg.LinAlgError:
+        return "static error covariance singular"
+    theta_s, C4 = solve_normal(W)
+    if theta_s is None:
+        return "weighted normal matrix ill-conditioned"
+    z = theta_s[:3].copy()
+    f_s = np.concatenate([z, [z[2] ** 2 - z[0:2] @ z[0:2]]])
+    J_s = np.vstack([np.eye(3), [-2.0 * z[0], -2.0 * z[1], 2.0 * z[2]]])
+    C4_inv = np.linalg.inv(C4)
+    N_s = J_s.T @ C4_inv @ J_s
+    if not np.all(np.isfinite(N_s)) or np.linalg.cond(N_s) > 1e12:
+        return "refinement normal matrix ill-conditioned"
+    z = z + np.linalg.solve(N_s, J_s.T @ C4_inv @ (theta_s - f_s))
+    return z, np.linalg.inv(N_s)
+
+
+def static_state(res):
+    return np.array([*res.position, res.offset])
+
+
+def assert_same_result(got, want, rtol):
+    assert (got.success, got.message) == (want.success, want.message)
+    if want.success:
+        assert np.abs(static_state(got) - static_state(want)).max() <= rtol * np.abs(static_state(want)).max()
+        assert np.abs(got.covariance - want.covariance).max() <= rtol * np.abs(want.covariance).max()
+
+
+def singular_error_frame(seed):
+    """A noise-sweep frame whose agent 0 has zero TOA variance and a zero
+    broadcast-error block, so its static ``C_e`` is singular."""
+    scenario = sweep_scenario("noise", -30.0, seed)
+    C_tau, C_beta = scenario.noise.C_tau.copy(), scenario.noise.C_beta.copy()
+    C_tau[0, 0] = 0.0
+    C_beta[0:3, 0:3] = 0.0
+    return simulate_frame(dataclasses.replace(scenario, noise=NoiseSpec(C_tau=C_tau, C_beta=C_beta)), seed)
+
+
+class TestTswlsStaticBatch:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(SWEEP_POINTS, st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
+    def test_each_frame_matches_its_batch_of_one(self, draws):
+        frames = [simulate_frame(sweep_scenario(kind, value, seed), seed) for (kind, value), seed in draws]
+        for frame, got in zip(frames, tswls_static_batch(FrameStack.of(frames))):
+            assert_same_result(got, tswls_static_estimate(frame), 1e-12)
+
+    def test_matches_reference(self):
+        for kind, value in [("noise", -40.0), ("noise", -15.0), ("random", -20.5), ("ltco", 1e-3 * C_LIGHT)]:
+            frames = [simulate_frame(sweep_scenario(kind, value, seed), seed) for seed in range(20)]
+            for frame, got in zip(frames, tswls_static_batch(FrameStack.of(frames))):
+                want = static_reference(frame)
+                if isinstance(want, str):
+                    assert (got.success, got.message) == (False, want)
+                    continue
+                assert got.success
+                assert np.abs(static_state(got) - want[0]).max() <= 1e-8 * np.abs(want[0]).max()
+                assert np.abs(got.covariance - want[1]).max() <= 1e-8 * np.abs(want[1]).max()
+
+    def test_bad_frame_fails_alone(self):
+        good = [simulate_frame(sweep_scenario("noise", -20.0, k), k) for k in range(4)]
+        ltco = simulate_frame(sweep_scenario("ltco", 1e-3 * C_LIGHT, 9), 9)
+        alone = tswls_static_batch(FrameStack.of(good))
+        for bad, message in [
+            (singular_error_frame(5), "static error covariance singular"),
+            (ltco, "first-pass normal matrix ill-conditioned"),
+        ]:
+            assert static_reference(bad) == message
+            results = tswls_static_batch(FrameStack.of([good[0], bad, *good[1:]]))
+            assert (results[1].success, results[1].message) == (False, message)
+            for got, want in zip([results[0], *results[2:]], alone):
+                assert_same_result(got, want, 0.0)
+
+    def test_correlated_noise_takes_dense_branch(self):
+        rng = np.random.default_rng(23)
+        base = static_scenario(np.random.default_rng(4))
+        M = base.n_agents
+        G = rng.normal(size=(3 * M, 3 * M))
+        noise = NoiseSpec(C_tau=base.noise.C_tau, C_beta=1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
+        frames = [simulate_frame(dataclasses.replace(base, noise=noise), 60 + k) for k in range(3)]
+        stack = FrameStack.of([frames[0], simulate_frame(base, 1), *frames[1:]])
+        assert stack.dense[0] is noise and stack.dense[1] is None
+        results = tswls_static_batch(stack)
+        for frame, got in zip(frames, [results[0], *results[2:]]):
+            z, cov = static_reference(frame)
+            assert got.success
+            assert np.abs(static_state(got) - z).max() <= 1e-8 * np.abs(z).max()
+            assert np.abs(got.covariance - cov).max() <= 1e-8 * np.abs(cov).max()
+
+    def test_underdetermined_stack_raises(self):
+        frame = exact_frame(random_scenario(np.random.default_rng(0), M=3))
+        with pytest.raises(UnderdeterminedError, match="4"):
+            tswls_static_batch(FrameStack.of([frame, frame]))

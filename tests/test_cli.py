@@ -12,6 +12,12 @@ from seqtoa.cli import main
 from seqtoa.serialize import frame_to_dict, scenario_to_dict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+#: the shipped experiment specs and the benchmark's sweep workloads
+EXPERIMENT_SPECS = [
+    path
+    for path in sorted([*CONFIG_DIR.glob("*.json"), *(CONFIG_DIR.parent / "perfbench" / "workloads").glob("*.json")])
+    if "n_trials" in json.loads(path.read_text())
+]
 
 
 @pytest.fixture()
@@ -84,6 +90,25 @@ class TestEstimateCommand:
             code = main(["estimate", "--input", str(bad), "--output", str(tmp_path / "r.json")])
             assert code == 1, tau
             assert "records[0].tau_tilde" in capsys.readouterr().err, tau
+
+
+    def test_overlong_integer_exits_1(self, exact_frame_file, tmp_path, capsys):
+        # json refuses integer literals over 4300 digits with a plain ValueError
+        frame_path, _ = exact_frame_file
+        bad = tmp_path / "big.json"
+        bad.write_text(frame_path.read_text().replace('"t": 0.0', '"t": ' + "1" * 5000, 1))
+        out = str(tmp_path / "r.json")
+        assert main(["estimate", "--input", str(bad), "--output", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["estimate", "--input", str(frame_path), "--output", out, "--set", "noise.sigma_tau_sq_db=" + "1" * 5000]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_db_exits_1(self, exact_frame_file, tmp_path, capsys):
+        frame_path, _ = exact_frame_file
+        code = main(["estimate", "--input", str(frame_path), "--output", str(tmp_path / "r.json"),
+                     "--set", "noise.sigma_tau_sq_db=4000"])
+        assert code == 1
+        assert "frame.noise.sigma_tau_sq_db" in capsys.readouterr().err
 
 
 class TestSimulateAndCrlb:
@@ -194,6 +219,22 @@ class TestExperimentCommand:
         ]) == 0
         _, rows = read_csv_rows(out)
         assert {r["sweep_value"] for r in rows} == {"-25"}
+
+
+    def test_mistyped_set_key_exits_1(self, tmp_path, scenario_file, capsys):
+        spec = mini_experiment(tmp_path)
+        out = str(tmp_path / "o.csv")
+        assert main(["experiment", "--input", str(spec), "--output", out, "--set", "n_trails=1"]) == 1
+        assert "n_trails" in capsys.readouterr().err
+        assert main(["crlb", "--input", str(scenario_file), "--output", out, "--set", "target.omgea=0"]) == 1
+        assert "target.omgea" in capsys.readouterr().err
+        assert main(["crlb", "--input", str(scenario_file), "--output", out, "--set", "target.omega=0"]) == 0
+
+    @pytest.mark.parametrize("path", EXPERIMENT_SPECS, ids=lambda p: p.name)
+    def test_shipped_specs_take_trial_and_seed_overrides(self, path, tmp_path):
+        code = main(["experiment", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+                     "--set", "n_trials=1", "--set", "base_seed=4097"])
+        assert code == 0
 
 
 class TestConsoleEntryPoint:

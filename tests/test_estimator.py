@@ -24,7 +24,6 @@ from seqtoa import (
     estimate_batch,
     estimate_degraded,
     exact_frame,
-    fixed_topology,
     gauss_newton_refine,
     simulate_frame,
     solve_wls_qr,
@@ -35,7 +34,7 @@ from seqtoa import (
 )
 from seqtoa.model import C_LIGHT
 
-from conftest import random_scenario, random_state
+from conftest import random_scenario, random_state, sweep_scenario
 
 
 def frame_from_rows(rows, noise=None):
@@ -399,21 +398,12 @@ SWEEP_POINTS = st.one_of(
 def sweep_frame(kind, value, seed):
     """A fixed-topology frame drawn as the noise sweep (``value``: sigma_s^2 in dB)
     or the clock-offset sweep (``value``: target offset in m) draws its trials;
-    ``"static"`` gives a noise-sweep frame with every slot time zeroed, which
-    the rank test rejects."""
-    base = fixed_topology()
-    rng = np.random.default_rng(seed)
-    if kind == "ltco":
-        sigma_db, offset = -20.5, value
-    else:
-        sigma_db = value if kind == "noise" else -30.0
-        offset = rng.uniform(-10.0, 10.0) * 1e-9 * C_LIGHT
-    target = TargetState(p=base.target.p, v=base.target.v, T=offset, omega=rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT)
-    noise = NoiseSpec.from_db(-30.0, rng.uniform(sigma_db - 5.0, sigma_db + 5.0, size=base.n_agents))
-    frame = simulate_frame(Scenario(agents=base.agents, target=target, noise=noise), seed)
+    ``"static"`` gives a -30 dB noise-sweep frame with every slot time zeroed,
+    which the rank test rejects."""
     if kind == "static":
-        frame = dataclasses.replace(frame, t=np.zeros(frame.n_agents))
-    return frame
+        frame = simulate_frame(sweep_scenario("noise", -30.0, seed), seed)
+        return dataclasses.replace(frame, t=np.zeros(frame.n_agents))
+    return simulate_frame(sweep_scenario(kind, value, seed), seed)
 
 
 def normal_equations_estimate(frame):

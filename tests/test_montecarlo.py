@@ -4,11 +4,14 @@ import pytest
 from seqtoa import (
     ExperimentSpec,
     TopologyBounds,
+    crlb_target,
     fixed_topology,
     run_trials,
     sample_random_topology,
+    tswls_static_estimate,
     validate_scenario,
 )
+from seqtoa.montecarlo import _run_trial
 from seqtoa.model import C_LIGHT
 
 
@@ -143,6 +146,31 @@ class TestRunTrials:
         assert stats.n_success + stats.divergence_count == 50
         assert stats.cdf_samples.size == stats.n_success
         assert np.isfinite(stats.crlb_trace_position)
+
+    def test_stacked_work_matches_per_trial_calls(self):
+        # 260 trials make two chunks, the second of 4 trials; one random
+        # topology per trial gives each stacked CRLB different geometry
+        spec = small_spec(
+            scheme="random_topology",
+            n_trials=260,
+            sweep_values=(-20.5,),
+            estimators=("tswls_static",),
+            topology=TopologyBounds(),
+        )
+        stats = run_trials(spec)[(-20.5, "tswls_static")]
+        sq_errors, traces = [], []
+        for i in range(spec.n_trials):
+            scenario, frame, _ = _run_trial(spec, -20.5, i)
+            res = tswls_static_estimate(frame)
+            if res.success:
+                sq_errors.append(float(np.sum((res.position - scenario.target.p) ** 2)))
+            traces.append(np.trace(crlb_target(scenario).crlb_x[:2, :2]))
+        assert stats.n_success == len(sq_errors) > 200
+        assert np.allclose(stats.cdf_samples, sq_errors, rtol=1e-12, atol=0.0)
+        assert stats.crlb_trace_position == pytest.approx(np.mean(traces), rel=1e-12)
+        threaded = run_trials(spec, threads=2)[(-20.5, "tswls_static")]
+        assert np.array_equal(threaded.cdf_samples, stats.cdf_samples)
+        assert threaded.crlb_trace_position == stats.crlb_trace_position
 
     def test_mle_estimator_runs(self):
         spec = small_spec(n_trials=12, sweep_values=(-30.0,), estimators=("mle",))

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from seqtoa import NoiseSpec, ObservedFrame, fixed_topology, simulate_frame
 from seqtoa.serialize import (
     SchemaError,
+    check_field,
     experiment_spec_from_dict,
     experiment_spec_to_dict,
     frame_from_dict,
@@ -45,6 +46,25 @@ class TestScenarioRoundTrip:
         del d["target"]
         with pytest.raises(SchemaError, match="scenario.target"):
             scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "noise, field",
+        [
+            ({"sigma_tau_sq_db": 4000.0}, "scenario.noise.sigma_tau_sq_db"),
+            ({"sigma_tau_sq_db": -4000.0}, "scenario.noise.sigma_tau_sq_db"),
+            ({"agent_sigma_sq_db": [-30.0] * 4 + [3100.0] + [-30.0] * 5}, "scenario.noise.agent_sigma_sq_db[4]"),
+            ({"agent_sigma_sq_db": [-30.0] * 9 + [-3300.0]}, "scenario.noise.agent_sigma_sq_db[9]"),
+            ({"agent_sigma_sq_db": {"center_db": 4000.0, "halfwidth_db": 5.0}}, "agent_sigma_sq_db.center_db"),
+            ({"agent_sigma_sq_db": {"center_db": -30.0, "halfwidth_db": 3300.0}}, "agent_sigma_sq_db.halfwidth_db"),
+            ({"agent_sigma_sq_db": {"center_db": 1e308, "halfwidth_db": 1e308}}, "agent_sigma_sq_db.center_db"),
+        ],
+    )
+    def test_db_beyond_float_range_names_field(self, noise, field):
+        # finite dB values whose variance overflows to inf or underflows to 0
+        d = scenario_to_dict(fixed_topology())
+        d["noise"].update(noise)
+        with pytest.raises(SchemaError, match=field.replace("[", r"\[").replace("]", r"\]")):
+            scenario_from_dict(d, np.random.default_rng(0))
 
     def test_wrong_agent_sigma_length(self):
         d = scenario_to_dict(fixed_topology())
@@ -151,3 +171,42 @@ class TestExperimentSpecs:
         spec = experiment_spec_from_dict(doc)
         assert spec.topology is not None
         assert spec.topology.n_agents == 10
+
+
+def dotted_keys(doc, prefix=""):
+    """Dotted names of every field of a JSON document, objects walked recursively."""
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from dotted_keys(value, prefix + key + ".")
+
+
+class TestCheckField:
+    def test_written_and_shipped_documents_name_read_fields(self):
+        scenario = scenario_to_dict(fixed_topology())
+        del scenario["version"]  # written for the reader of the file, never read back
+        documents = [
+            ("scenario", scenario),
+            ("frame", frame_to_dict(simulate_frame(fixed_topology(), 1))),
+            ("experiment", experiment_spec_to_dict(experiment_spec_from_dict({
+                "scheme": "random_topology", "n_trials": 1, "base_seed": 0,
+                "sweep_values": [-20.5], "estimators": ["proposed"], "topology": {"random": {}},
+            }))),
+            ("experiment", {"topology": scenario}),
+        ]
+        for path in [*CONFIG_DIR.glob("*.json"), *(CONFIG_DIR.parent / "perfbench" / "workloads").glob("*.json")]:
+            doc = json.loads(path.read_text())
+            if "n_trials" in doc:
+                documents.append(("experiment", doc))
+        for kind, doc in documents:
+            for key in dotted_keys(doc):
+                check_field(kind, key)
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("experiment", "n_trails"), ("experiment", "topology.random.n_agent"), ("scenario", "target.x"),
+         ("scenario", "target.T.x"), ("scenario", "version"), ("frame", "noise.sigma_tau_sq"), ("frame", "n_trials")],
+    )
+    def test_unread_field_rejected(self, kind, key):
+        with pytest.raises(SchemaError, match="--set"):
+            check_field(kind, key)
