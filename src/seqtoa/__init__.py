@@ -15,7 +15,7 @@ The package is organized as:
 """
 
 from .analysis import CrlbResult, FimBlocks, analytic_cov, crlb_batch, crlb_target, fim_blocks, toa_gradients
-from .baselines import MleConfig, StaticTswlsResult, mle_estimate, tswls_static_batch, tswls_static_estimate
+from .baselines import MleConfig, StaticTswlsResult, mle_batch, mle_estimate, tswls_static_batch, tswls_static_estimate
 from .errors import (
     ConditioningError,
     DegenerateGeometryError,
@@ -109,6 +109,7 @@ __all__ = [
     "fixed_topology",
     "forward_toa",
     "gauss_newton_refine",
+    "mle_batch",
     "mle_estimate",
     "run_trials",
     "sample_random_topology",

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
-from .estimator import FrameStack, _design_arrays, build_error_model, theta_jacobian
+from .estimator import _design_arrays, _pack_noise, build_error_model, theta_jacobian
 from .model import AgentTruth, ObservedFrame, Scenario, TargetState, exact_frame
 
 _COINCIDENT_TOL = 1e-12
@@ -147,10 +147,10 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
 
     The agent block is marginalized out by the closed-form Schur complement
     (see the module docstring), evaluated for all scenarios at once.
-    Scenarios whose noise :class:`~seqtoa.estimator.FrameStack` packs as
-    correlated across agents take the dense Schur path through
-    :func:`fim_blocks` instead.  Every scenario must have the same number of
-    agents.
+    Scenarios whose noise is correlated across agents (off-diagonal
+    ``C_tau`` entries, or ``C_beta`` entries outside the per-agent blocks)
+    take the dense Schur path through :func:`fim_blocks` instead.  Every
+    scenario must have the same number of agents.
 
     Returns one entry per scenario, in order: its :class:`CrlbResult`, or the
     :class:`EstimationError` that stopped it alone.  The checks run in this
@@ -162,21 +162,23 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
     :class:`DegenerateGeometryError` if the Schur complement is singular
     (unobservable geometry, e.g. collinear agents).
     """
-    stack = FrameStack.of([exact_frame(s) for s in scenarios])
+    c_tau, C_m, dense = _pack_noise([s.noise for s in scenarios])
     N = len(scenarios)
     out: list = [None] * N
     S = np.empty((N, 6, 6))
     has_S = np.zeros(N, dtype=bool)
-    for i, noise in enumerate(stack.dense):
+    for i, noise in enumerate(dense):
         if noise is not None:
             try:
                 S[i], has_S[i] = _dense_information(scenarios[i]), True
             except EstimationError as exc:
                 out[i] = exc
 
-    live = np.array([noise is None for noise in stack.dense])
+    live = np.array([noise is None for noise in dense])
     x = np.array([s.target.as_vector() for s in scenarios])
-    t, p_m, c_tau, C_m = stack.t, stack.p_hat, stack.c_tau, stack.blocks
+    M = c_tau.shape[1]
+    t = np.array([a.t_m for s in scenarios for a in s.agents]).reshape(N, M)
+    p_m = np.array([a.p_m for s in scenarios for a in s.agents]).reshape(N, M, 2)
     u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
     r = np.sqrt((u * u).sum(axis=-1))
     coincident = r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1)))

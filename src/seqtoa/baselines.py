@@ -1,7 +1,9 @@
 """Reference estimators used for comparison.
 
-* :func:`mle_estimate` - Gauss-Newton maximum likelihood that trusts the
-  broadcast agent information (ignores its uncertainty).
+* :func:`mle_batch` - Gauss-Newton maximum likelihood that trusts the
+  broadcast agent information (ignores its uncertainty), over a batch of
+  frames with per-frame iteration counts, flags and failure records;
+  :func:`mle_estimate` is a batch of one.
 * :func:`tswls_static_batch` - the classic static two-step solver
   (position and offset only, explicit normal equations, one refinement
   iteration) over a :class:`~seqtoa.estimator.FrameStack`, with a failure
@@ -12,11 +14,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, UnderdeterminedError
+from .errors import DegenerateGeometryError, EstimationError, UnderdeterminedError
 from .estimator import EstimateReport, FrameStack
 from .model import ObservedFrame, TargetState
 
@@ -25,108 +28,156 @@ _DIVERGENCE_STREAK = 3
 
 @dataclass(frozen=True)
 class MleConfig:
-    """Gauss-Newton MLE settings.
-
-    ``init_perturbation_sigma`` is the per-component standard deviation used
-    by experiment harnesses that initialize at truth plus Gaussian noise.
-    """
+    """Gauss-Newton MLE settings."""
 
     init: TargetState
     max_iters: int = 50
     step_tol: float = 1e-9
-    init_perturbation_sigma: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_tol <= 0 or self.init_perturbation_sigma <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.step_tol <= 0:
+            raise ValueError("step_tol must be > 0")
 
 
-def _predict(x: np.ndarray, t: np.ndarray, p_hat: np.ndarray, T_hat: np.ndarray):
-    u = x[0:2] + t[:, None] * x[2:4] - p_hat
-    r = np.linalg.norm(u, axis=1)
-    pred = r + x[4] + x[5] * t - T_hat
-    return pred, u, r
+def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray, T_hat: np.ndarray):
+    """Agent-to-target vectors ``u (N, M, 2)``, ranges ``r (N, M)`` and TOA
+    residuals ``tau - (r + T + omega t - T_hat)`` at the states ``x (N, 6)``."""
+    u = x[:, None, 0:2] + t[..., None] * x[:, None, 2:4] - p_hat
+    r = np.linalg.norm(u, axis=-1)
+    return u, r, tau - (r + x[:, 4:5] + x[:, 5:6] * t - T_hat)
+
+
+def mle_batch(
+    frames: Sequence[ObservedFrame], inits, max_iters: int = 50, step_tol: float = 1e-9
+) -> list[EstimateReport | EstimationError]:
+    """Weighted Gauss-Newton on the raw TOA residuals of every frame of a batch.
+
+    Frame n starts from the 6-state ``inits[n]``.  Broadcast positions and
+    offsets are treated as exact; residuals are weighted by the inverse TOA
+    variances only.  Each frame runs its own iterations: it leaves the loop
+    once its step norm is at most ``step_tol`` (converged), after three
+    consecutive step-norm increases or at a non-finite iterate (diverged),
+    or after ``max_iters`` steps, and reports the best iterate it has seen.
+    Divergence is reported through the ``diverged`` flag, never raised.
+    Every frame solves its own step with ``numpy.linalg.lstsq``, so each
+    result is the one the frame gets alone.  All frames must have the same
+    number of broadcasts.
+
+    Returns one entry per frame, in order: its :class:`EstimateReport`, or
+    the :class:`EstimationError` that stopped it alone -
+    :class:`UnderdeterminedError` for every frame if there are fewer than 6
+    broadcasts, :class:`DegenerateGeometryError` for an iterate on an agent
+    or a Gauss-Newton system of rank below 6.
+    """
+    if not frames:
+        raise ValueError("an MLE batch needs at least one frame")
+    if max_iters < 1 or not step_tol > 0:
+        raise ValueError("need max_iters >= 1 and step_tol > 0")
+    N, M = len(frames), frames[0].n_agents
+    if any(f.n_agents != M for f in frames):
+        raise ValueError("all frames of a batch need the same number of broadcasts")
+    if M < 6:
+        return [UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}") for _ in range(N)]
+    t = np.array([f.t for f in frames])
+    tau = np.array([f.tau for f in frames])
+    p_hat = np.array([f.p_hat for f in frames])
+    T_hat = np.array([f.T_hat for f in frames])
+    w = 1.0 / np.sqrt(np.array([np.diagonal(f.noise.C_tau) for f in frames]))
+    x = np.array(inits, dtype=float).reshape(N, 6)
+
+    out: list = [None] * N
+    best_x = x.copy()
+    u, r, resid = _residuals(x, t, tau, p_hat, T_hat)
+    best_cost = ((w * resid) ** 2).sum(axis=-1)
+    prev_step = np.full(N, np.inf)
+    streak = np.zeros(N, dtype=int)
+    iterations = np.zeros(N, dtype=int)
+    converged = np.zeros(N, dtype=bool)
+    diverged = np.zeros(N, dtype=bool)
+    # the frames still iterating; u, r and resid hold their rows at x[live]
+    live = np.arange(N)
+    for _ in range(max_iters):
+        on_agent = (r == 0).any(axis=-1)
+        if on_agent.any():
+            for i in live[on_agent]:
+                out[i] = DegenerateGeometryError("iterate coincides with an agent position")
+            live, u, r, resid = live[~on_agent], u[~on_agent], r[~on_agent], resid[~on_agent]
+        tl = t[live]
+        rho = u / r[..., None]
+        H = np.empty(r.shape + (6,))
+        H[..., 0:2] = rho
+        H[..., 2:4] = tl[..., None] * rho
+        H[..., 4] = 1.0
+        H[..., 5] = tl
+        WH = w[live][..., None] * H
+        wres = w[live] * resid
+        # One lstsq per frame, and the step norm by the BLAS dot that
+        # np.linalg.norm uses: frames near the step_tol round-off floor decide
+        # convergence or divergence on the last bits of the step, so a stacked
+        # factorization or a plain sum of squares would change outcomes.
+        dx = np.empty((live.size, 6))
+        ok = np.ones(live.size, dtype=bool)
+        for j in range(live.size):
+            dx[j], _, rank, _ = np.linalg.lstsq(WH[j], wres[j], rcond=None)
+            if rank < 6:
+                out[live[j]] = DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank} < 6)")
+                ok[j] = False
+        live, dx = live[ok], dx[ok]
+        x[live] += dx
+        iterations[live] += 1
+
+        finite = np.isfinite(x[live]).all(axis=-1)
+        diverged[live[~finite]] = True
+        live, dx = live[finite], dx[finite]
+        u, r, resid = _residuals(x[live], t[live], tau[live], p_hat[live], T_hat[live])
+        cost = ((w[live] * resid) ** 2).sum(axis=-1)
+        better = cost < best_cost[live]
+        best_cost[live[better]] = cost[better]
+        best_x[live[better]] = x[live[better]]
+        step = np.sqrt(np.vecdot(dx, dx))
+        grew = step > prev_step[live]
+        streak[live] = np.where(grew, streak[live] + 1, 0)
+        blew_up = streak[live] >= _DIVERGENCE_STREAK
+        diverged[live[blew_up]] = True
+        prev_step[live] = step
+        done = ~blew_up & (step <= step_tol)
+        converged[live[done]] = True
+        stay = ~(blew_up | done)
+        live, u, r, resid = live[stay], u[stay], r[stay], resid[stay]
+        if live.size == 0:
+            break
+
+    for i in range(N):
+        if out[i] is None:
+            out[i] = EstimateReport(
+                x_hat=TargetState.from_vector(best_x[i]),
+                iterations=int(iterations[i]),
+                converged=bool(converged[i]),
+                cond_estimate=float("nan"),
+                C_wls=None,
+                estimator_id="mle",
+                diverged=bool(diverged[i]),
+            )
+    return out
 
 
 def mle_estimate(frame: ObservedFrame, cfg: MleConfig) -> EstimateReport:
-    """Weighted Gauss-Newton on the raw TOA residuals.
-
-    Broadcast positions/offsets are treated as exact; residuals are weighted
-    by the inverse TOA covariance only.  Divergence (three consecutive step
-    norm increases, or a non-finite iterate) is reported through the
-    ``diverged`` flag, never raised; the best iterate seen is returned.
+    """Weighted Gauss-Newton MLE of one frame from ``cfg.init``:
+    :func:`mle_batch` on a batch of one.
 
     Raises
     ------
     UnderdeterminedError
         If the frame has fewer than 6 broadcasts.
     DegenerateGeometryError
-        If the Gauss-Newton system loses rank.
+        If an iterate lands on an agent or the Gauss-Newton system loses rank.
     """
-    M = frame.n_agents
-    if M < 6:
-        raise UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}")
-    t, tau, p_hat, T_hat = frame.t, frame.tau, frame.p_hat, frame.T_hat
-    w = 1.0 / np.sqrt(np.diag(frame.noise.C_tau))
-
-    x = cfg.init.as_vector().copy()
-
-    def cost(state):
-        pred, _, _ = _predict(state, t, p_hat, T_hat)
-        return float(np.sum((w * (tau - pred)) ** 2))
-
-    best_x = x.copy()
-    best_cost = cost(x)
-    prev_step = np.inf
-    growth_streak = 0
-    converged = False
-    diverged = False
-    iterations = 0
-
-    for _ in range(cfg.max_iters):
-        pred, u, r = _predict(x, t, p_hat, T_hat)
-        if np.any(r == 0):
-            raise DegenerateGeometryError("iterate coincides with an agent position")
-        rho = u / r[:, None]
-        H = np.column_stack([rho, t[:, None] * rho, np.ones(M), t])
-        resid = tau - pred
-        dx, _, rank, _ = np.linalg.lstsq(w[:, None] * H, w * resid, rcond=None)
-        if rank < 6:
-            raise DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank} < 6)")
-        x = x + dx
-        iterations += 1
-
-        if not np.all(np.isfinite(x)):
-            diverged = True
-            break
-        c = cost(x)
-        if c < best_cost:
-            best_cost = c
-            best_x = x.copy()
-        step = float(np.linalg.norm(dx))
-        if step > prev_step:
-            growth_streak += 1
-            if growth_streak >= _DIVERGENCE_STREAK:
-                diverged = True
-                break
-        else:
-            growth_streak = 0
-        prev_step = step
-        if step <= cfg.step_tol:
-            converged = True
-            break
-
-    return EstimateReport(
-        x_hat=TargetState.from_vector(best_x),
-        iterations=iterations,
-        converged=converged,
-        cond_estimate=float("nan"),
-        C_wls=None,
-        estimator_id="mle",
-        diverged=diverged,
-    )
+    result = mle_batch([frame], [cfg.init.as_vector()], cfg.max_iters, cfg.step_tol)[0]
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,33 +142,40 @@ class FrameStack:
     @classmethod
     def of(cls, frames: Sequence[ObservedFrame]) -> "FrameStack":
         """Stack frames that all carry the same number of broadcasts."""
-        if not frames:
-            raise ValueError("a frame stack needs at least one frame")
-        M = frames[0].n_agents
-        if any(f.n_agents != M for f in frames):
-            raise ValueError("all frames of a stack need the same number of broadcasts")
-        N = len(frames)
-        idx = np.arange(M)
-        c_tau = np.empty((N, M))
-        blocks = np.empty((N, M, 3, 3))
-        dense = []
-        for n, f in enumerate(frames):
-            C_tau, C_beta = f.noise.C_tau, f.noise.C_beta
-            c_tau[n] = np.diagonal(C_tau)
-            blocks[n] = C_beta.reshape(M, 3, M, 3)[idx, :, idx, :]
-            correlated = (
-                np.count_nonzero(C_tau) != np.count_nonzero(c_tau[n])
-                or np.count_nonzero(C_beta) != np.count_nonzero(blocks[n])
-            )
-            dense.append(f.noise if correlated else None)
+        c_tau, blocks, dense = _pack_noise([f.noise for f in frames])
         return cls(
             t=np.array([f.t for f in frames]),
             p_hat=np.array([f.p_hat for f in frames]),
             alpha=np.array([f.tau + f.T_hat for f in frames]),
             c_tau=c_tau,
             blocks=blocks,
-            dense=tuple(dense),
+            dense=dense,
         )
+
+
+def _pack_noise(noises: Sequence[NoiseSpec]) -> tuple[np.ndarray, np.ndarray, tuple[NoiseSpec | None, ...]]:
+    """The noise columns of a :class:`FrameStack`: ``c_tau (N, M)``,
+    ``blocks (N, M, 3, 3)`` and ``dense (N,)``, from N specs of M agents each."""
+    if not noises:
+        raise ValueError("a frame stack needs at least one frame")
+    M = noises[0].n_agents
+    if any(nz.n_agents != M for nz in noises):
+        raise ValueError("all frames of a stack need the same number of broadcasts")
+    N = len(noises)
+    idx = np.arange(M)
+    c_tau = np.empty((N, M))
+    blocks = np.empty((N, M, 3, 3))
+    dense = []
+    for n, noise in enumerate(noises):
+        C_tau, C_beta = noise.C_tau, noise.C_beta
+        c_tau[n] = np.diagonal(C_tau)
+        blocks[n] = C_beta.reshape(M, 3, M, 3)[idx, :, idx, :]
+        correlated = (
+            np.count_nonzero(C_tau) != np.count_nonzero(c_tau[n])
+            or np.count_nonzero(C_beta) != np.count_nonzero(blocks[n])
+        )
+        dense.append(noise if correlated else None)
+    return c_tau, blocks, tuple(dense)
 
 
 # --- kernels over stacks ----------------------------------------------------

@@ -16,10 +16,12 @@ estimator-init perturbation.  Identical specs therefore produce bit-identical
 results within one package version.
 
 Each sweep cell runs in chunks of at most 256 consecutive trials.  Seeding,
-the scenario, the frame, the proposed estimator and the MLE run one trial at
-a time; the static solver (:func:`~seqtoa.baselines.tswls_static_batch`) and
-the CRLB (:func:`~seqtoa.analysis.crlb_batch`) then run once per chunk,
-stacked over its trials.  The chunks are the same for every thread count.
+the scenario, the frame, the MLE's initial state and the proposed estimator
+run one trial at a time; the static solver
+(:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
+(:func:`~seqtoa.baselines.mle_batch`) and the CRLB
+(:func:`~seqtoa.analysis.crlb_batch`) then run once per chunk, stacked over
+its trials.  The chunks are the same for every thread count.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .model import (
 SCHEMES = ("noise_sweep", "ltco_sweep", "random_topology")
 ESTIMATOR_IDS = ("proposed", "tswls_static", "mle")
 
-_CHUNK = 256  # most trials of one sweep cell whose static solves and CRLBs run stacked
+_CHUNK = 256  # most trials of one sweep cell whose static solves, MLEs and CRLBs run stacked
 _BLOCKS = ("position", "velocity", "offset", "skew")
 _BLOCK_SLICES = {
     "position": slice(0, 2),
@@ -113,6 +115,8 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 1")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must be non-empty")
+        if self.mle_max_iters < 1 or not self.mle_init_sigma > 0:
+            raise ValueError("need mle_max_iters >= 1 and mle_init_sigma > 0")
         for e in self.estimators:
             if e not in ESTIMATOR_IDS:
                 raise ValueError(f"unknown estimator id {e!r}; known: {ESTIMATOR_IDS}")
@@ -237,42 +241,13 @@ def _materialize_scenario(spec: ExperimentSpec, sweep_value: float, rng: np.rand
     return Scenario(agents=base.agents, target=target, noise=noise)
 
 
-def _run_one_estimator(est_id: str, frame, scenario: Scenario, rng: np.random.Generator, spec: ExperimentSpec):
-    """Run one per-frame estimator (``proposed`` or ``mle``) on one frame;
-    return its 6-state or None on failure.
-
-    The MLE consumes its init draw from ``rng`` even on failure so the stream
-    stays aligned across estimator outcomes.
-    """
-    try:
-        if est_id == "proposed":
-            report = estimator.estimate(frame)
-            x = report.x_hat.as_vector()
-        elif est_id == "mle":
-            perturb = rng.normal(0.0, spec.mle_init_sigma, size=6)
-            cfg = baselines.MleConfig(
-                init=TargetState.from_vector(scenario.target.as_vector() + perturb),
-                max_iters=spec.mle_max_iters,
-                init_perturbation_sigma=spec.mle_init_sigma,
-            )
-            report = baselines.mle_estimate(frame, cfg)
-            if report.diverged:
-                return None
-            x = report.x_hat.as_vector()
-        else:  # pragma: no cover - spec validation rejects unknown ids
-            raise ValueError(est_id)
-    except EstimationError:
-        return None
-    if not np.all(np.isfinite(x)):
-        return None
-    return x
-
-
 def _run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
     """The per-trial part of one trial.
 
-    Returns its scenario, its frame, and the error 6-vectors (None on
-    failure) of the estimators that run one frame at a time.
+    Returns its scenario, its frame, the MLE's initial state (None unless
+    ``mle`` runs) and the error 6-vectors (None on failure) of the estimators
+    that run one frame at a time.  The MLE init is drawn from the trial's
+    estimator stream; the MLE itself runs stacked over the chunk.
     """
     seed_i = spec.base_seed ^ trial
     streams = np.random.SeedSequence(seed_i).spawn(3)
@@ -285,11 +260,26 @@ def _run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
     truth = scenario.target.as_vector()
 
     errors = {}
-    for est_id in spec.estimators:
-        if est_id != "tswls_static":
-            x = _run_one_estimator(est_id, frame, scenario, rng_est, spec)
-            errors[est_id] = None if x is None else x - truth
-    return scenario, frame, errors
+    if "proposed" in spec.estimators:
+        try:
+            errors["proposed"] = _error(estimator.estimate(frame).x_hat.as_vector(), truth)
+        except EstimationError:
+            errors["proposed"] = None
+    mle_init = truth + rng_est.normal(0.0, spec.mle_init_sigma, size=6) if "mle" in spec.estimators else None
+    return scenario, frame, mle_init, errors
+
+
+def _error(x: np.ndarray, truth: np.ndarray):
+    """Error 6-vector of an estimate, or None if it is not finite."""
+    return x - truth if np.all(np.isfinite(x)) else None
+
+
+def _mle_errors(frames, inits, scenarios, max_iters: int) -> list:
+    """Error 6-vectors (None on failure or divergence) of the MLE, stacked over ``frames``."""
+    return [
+        None if isinstance(r, EstimationError) or r.diverged else _error(r.x_hat.as_vector(), s.target.as_vector())
+        for r, s in zip(baselines.mle_batch(frames, inits, max_iters), scenarios)
+    ]
 
 
 def _static_errors(frames, scenarios) -> list:
@@ -318,7 +308,7 @@ def _crlb_traces(scenarios) -> list:
 
 def _run_chunk(spec: ExperimentSpec, sweep_value: float, chunk: range, pool: ThreadPoolExecutor | None):
     """Trials ``chunk`` of one sweep cell: per-trial work (on ``pool`` if given),
-    then the static solver and the CRLB stacked over the chunk.
+    then the static solver, the MLE and the CRLB stacked over the chunk.
 
     Returns one ``(errors by estimator id, CRLB traces or None)`` per trial, in
     trial order.
@@ -327,12 +317,14 @@ def _run_chunk(spec: ExperimentSpec, sweep_value: float, chunk: range, pool: Thr
         trials = [_run_trial(spec, sweep_value, i) for i in chunk]
     else:
         trials = list(pool.map(lambda i: _run_trial(spec, sweep_value, i), chunk))
-    scenarios = [scenario for scenario, _, _ in trials]
+    scenarios, frames, inits, errors = zip(*trials)
     if "tswls_static" in spec.estimators:
-        static = _static_errors([frame for _, frame, _ in trials], scenarios)
-        for (_, _, errors), e in zip(trials, static):
-            errors["tswls_static"] = e
-    return [(errors, traces) for (_, _, errors), traces in zip(trials, _crlb_traces(scenarios))]
+        for e, static in zip(errors, _static_errors(frames, scenarios)):
+            e["tswls_static"] = static
+    if "mle" in spec.estimators:
+        for e, mle in zip(errors, _mle_errors(frames, inits, scenarios, spec.mle_max_iters)):
+            e["mle"] = mle
+    return list(zip(errors, _crlb_traces(scenarios)))
 
 
 def run_trials(spec: ExperimentSpec, threads: int = 1) -> dict[tuple[float, str], TrialStats]:
@@ -342,11 +334,11 @@ def run_trials(spec: ExperimentSpec, threads: int = 1) -> dict[tuple[float, str]
     Per-trial estimator failures are recorded and excluded from the averages;
     they never abort the sweep.  Each sweep cell runs in chunks of at most
     256 consecutive trials.  Within a chunk the trials are independent and
-    may run on a thread pool: seeding, scenario, frame, ``proposed`` and
-    ``mle`` run per trial; the static solver and the CRLB then run once,
-    stacked over the chunk.  The chunks do not depend on ``threads`` and the
-    results are reduced in trial order, so the aggregation is deterministic
-    regardless of ``threads``.
+    may run on a thread pool: seeding, scenario, frame, the MLE's initial
+    state and ``proposed`` run per trial; the static solver, the MLE and the
+    CRLB then run once, stacked over the chunk.  The chunks do not depend on
+    ``threads`` and the results are reduced in trial order, so the
+    aggregation is deterministic regardless of ``threads``.
     """
     results: dict[tuple[float, str], TrialStats] = {}
     for sweep_value in spec.sweep_values:

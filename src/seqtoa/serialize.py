@@ -79,6 +79,19 @@ def _number(value, path: str) -> float:
     return number
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _integer(value, path: str, lo: int) -> int:
+    """An integer field: a JSON integer from ``lo`` to the largest signed 64-bit
+    integer (a bool, a float such as ``2.0`` or ``2.5``, or a string is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, f"expected an integer, got {value!r}")
+    if not lo <= value <= _INT64_MAX:
+        raise SchemaError(path, f"expected an integer from {lo} to {_INT64_MAX}, got {value!r}")
+    return value
+
+
 def _pair(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SchemaError(path, f"expected a 2-element array, got {value!r}")
@@ -97,7 +110,7 @@ def _number_list(value, path: str) -> list[float]:
 def _db_ok(db: float) -> bool:
     """Whether a dB value converts to a finite, positive variance."""
     try:
-        return 10.0 ** (db / 10.0) > 0.0
+        return 0.0 < 10.0 ** (db / 10.0) < math.inf
     except OverflowError:
         return False
 
@@ -260,16 +273,16 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
 
     ``topology`` may be the string ``"fixed"`` (packaged fixed scenario, the
     default), an inline scenario object, or ``{"random": {...bounds...}}``.
+    The integer fields ``n_trials``, ``base_seed``, ``mle_max_iters`` and
+    ``topology.random.n_agents`` must be JSON integers that fit a signed
+    64-bit integer, and every dB value must give a finite, positive variance
+    (see :func:`_check_spec_db`).
     """
-    scheme = _get(d, "scheme", "experiment")
+    scheme =_get(d, "scheme", "experiment")
     if not isinstance(scheme, str):
         raise SchemaError("experiment.scheme", "expected a string")
-    n_trials = _get(d, "n_trials", "experiment")
-    if isinstance(n_trials, bool) or not isinstance(n_trials, int):
-        raise SchemaError("experiment.n_trials", "expected an integer")
-    base_seed = _get(d, "base_seed", "experiment")
-    if isinstance(base_seed, bool) or not isinstance(base_seed, int):
-        raise SchemaError("experiment.base_seed", "expected an integer")
+    n_trials = _integer(_get(d, "n_trials", "experiment"), "experiment.n_trials", 1)
+    base_seed = _integer(_get(d, "base_seed", "experiment"), "experiment.base_seed", 0)
     sweep_values = _number_list(_get(d, "sweep_values", "experiment"), "experiment.sweep_values")
     estimators = _get(d, "estimators", "experiment")
     if not isinstance(estimators, list) or not all(isinstance(e, str) for e in estimators):
@@ -288,13 +301,14 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
             for key in _BOUNDS_PAIRS:
                 if key in braw:
                     kwargs[key] = tuple(_pair(braw[key], f"experiment.topology.random.{key}"))
-            for key in ("n_agents",):
-                if key in braw:
-                    kwargs[key] = int(braw[key])
-            for key in ("slot_interval",):
-                if key in braw:
-                    kwargs[key] = _number(braw[key], f"experiment.topology.random.{key}")
-            topology = TopologyBounds(**kwargs)
+            if "n_agents" in braw:
+                kwargs["n_agents"] = _integer(braw["n_agents"], "experiment.topology.random.n_agents", 1)
+            if "slot_interval" in braw:
+                kwargs["slot_interval"] = _number(braw["slot_interval"], "experiment.topology.random.slot_interval")
+            try:
+                topology = TopologyBounds(**kwargs)
+            except ValueError as exc:
+                raise SchemaError("experiment.topology.random", str(exc)) from None
         elif isinstance(traw, dict):
             topology = scenario_from_dict(traw, rng)
         else:
@@ -305,10 +319,10 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
         if key in d:
             kwargs[key] = _number(d[key], f"experiment.{key}")
     if "mle_max_iters" in d:
-        kwargs["mle_max_iters"] = int(d["mle_max_iters"])
+        kwargs["mle_max_iters"] = _integer(d["mle_max_iters"], "experiment.mle_max_iters", 1)
 
     try:
-        return ExperimentSpec(
+        spec = ExperimentSpec(
             scheme=scheme,
             n_trials=n_trials,
             base_seed=base_seed,
@@ -319,6 +333,31 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
         )
     except ValueError as exc:
         raise SchemaError("experiment", str(exc)) from None
+    _check_spec_db(spec)
+    return spec
+
+
+def _check_spec_db(spec: ExperimentSpec) -> None:
+    """Raise ``SchemaError`` unless every dB value the experiment turns into a
+    variance gives a finite, positive one: the TOA variance, and each agent
+    variance range, ``center +- agent_sigma_halfwidth_db`` around
+    ``sigma_s_sq_db`` and around every sweep value of the schemes that sweep
+    it (``ltco_sweep`` sweeps offsets in meters)."""
+    if not _db_ok(spec.sigma_tau_sq_db):
+        raise SchemaError("experiment.sigma_tau_sq_db", f"{spec.sigma_tau_sq_db!r} dB is {_DB_RANGE}")
+    centers = [("experiment.sigma_s_sq_db", spec.sigma_s_sq_db)]
+    if spec.scheme != "ltco_sweep":
+        centers += [(f"experiment.sweep_values[{i}]", v) for i, v in enumerate(spec.sweep_values)]
+    halfwidth = spec.agent_sigma_halfwidth_db
+    for path, center in centers:
+        if not _db_ok(center):
+            raise SchemaError(path, f"{center!r} dB is {_DB_RANGE}")
+        lo, hi = center - halfwidth, center + halfwidth
+        if not (_db_ok(lo) and _db_ok(hi)):
+            raise SchemaError(
+                "experiment.agent_sigma_halfwidth_db",
+                f"{path} +- agent_sigma_halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}",
+            )
 
 
 def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:

@@ -12,10 +12,13 @@ from seqtoa import (
     NoiseSpec,
     Scenario,
     TargetState,
+    DegenerateGeometryError,
+    EstimationError,
     UnderdeterminedError,
     crlb_target,
     estimate,
     exact_frame,
+    mle_batch,
     mle_estimate,
     simulate_frame,
     tswls_static_batch,
@@ -24,6 +27,8 @@ from seqtoa import (
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS, random_scenario, sweep_scenario
+
+ROUGH_INIT_SCALE = np.array([100.0, 100.0, 20.0, 20.0, 500.0, 100.0])
 
 
 def static_scenario(rng, M=10, sigma_tau_sq=1e-3, sigma_s_sq_db=-30.0):
@@ -283,3 +288,126 @@ class TestTswlsStaticBatch:
         frame = exact_frame(random_scenario(np.random.default_rng(0), M=3))
         with pytest.raises(UnderdeterminedError, match="4"):
             tswls_static_batch(FrameStack.of([frame, frame]))
+
+
+def mle_reference(frame, init, max_iters=50, step_tol=1e-9):
+    """The MLE one frame at a time, as it ran before it was stacked: the
+    reference for :func:`mle_batch`.  Returns ``(x, iterations, converged,
+    diverged)`` or the :class:`EstimationError` that stopped the frame."""
+    M = frame.n_agents
+    if M < 6:
+        return UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}")
+    t, tau, p_hat, T_hat = frame.t, frame.tau, frame.p_hat, frame.T_hat
+    w = 1.0 / np.sqrt(np.diag(frame.noise.C_tau))
+
+    def predict(x):
+        u = x[0:2] + t[:, None] * x[2:4] - p_hat
+        r = np.linalg.norm(u, axis=1)
+        return r + x[4] + x[5] * t - T_hat, u, r
+
+    def cost(x):
+        return float(np.sum((w * (tau - predict(x)[0])) ** 2))
+
+    x = np.array(init, dtype=float)
+    best_x, best_cost = x.copy(), cost(x)
+    prev_step, streak, converged, diverged, iterations = np.inf, 0, False, False, 0
+    for _ in range(max_iters):
+        pred, u, r = predict(x)
+        if np.any(r == 0):
+            return DegenerateGeometryError("iterate coincides with an agent position")
+        rho = u / r[:, None]
+        H = np.column_stack([rho, t[:, None] * rho, np.ones(M), t])
+        dx, _, rank, _ = np.linalg.lstsq(w[:, None] * H, w * (tau - pred), rcond=None)
+        if rank < 6:
+            return DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank} < 6)")
+        x = x + dx
+        iterations += 1
+        if not np.all(np.isfinite(x)):
+            diverged = True
+            break
+        c = cost(x)
+        if c < best_cost:
+            best_cost, best_x = c, x.copy()
+        step = float(np.linalg.norm(dx))
+        if step > prev_step:
+            streak += 1
+            if streak >= 3:
+                diverged = True
+                break
+        else:
+            streak = 0
+        prev_step = step
+        if step <= step_tol:
+            converged = True
+            break
+    return best_x, iterations, converged, diverged
+
+
+def assert_mle_equal(got, want):
+    """``got`` (a :func:`mle_batch` entry) is ``want`` (a :func:`mle_reference`
+    result) bit for bit, or has its failure class."""
+    if isinstance(want, EstimationError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    x, iterations, converged, diverged = want
+    assert np.array_equal(got.x_hat.as_vector(), x)
+    assert (got.iterations, got.converged, got.diverged) == (iterations, converged, diverged)
+    assert got.estimator_id == "mle"
+
+
+def mle_case(kind, value, seed, rough):
+    """A frame drawn as the schemes draw them and an init at truth plus
+    unit (or, ``rough``, very large) Gaussian noise."""
+    scenario = sweep_scenario(kind, value, seed)
+    rng = np.random.default_rng(seed + 1)
+    scale = ROUGH_INIT_SCALE if rough else 1.0
+    return simulate_frame(scenario, seed), scenario.target.as_vector() + scale * rng.normal(size=6)
+
+
+class TestMleBatch:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(SWEEP_POINTS, st.integers(0, 2**32 - 2), st.booleans()), min_size=1, max_size=12),
+        st.sampled_from((4, 50)),
+    )
+    def test_each_frame_matches_the_per_frame_algorithm(self, draws, max_iters):
+        cases = [mle_case(kind, value, seed, rough) for (kind, value), seed, rough in draws]
+        frames, inits = zip(*cases)
+        for (frame, init), got in zip(cases, mle_batch(frames, inits, max_iters)):
+            assert_mle_equal(got, mle_reference(frame, init, max_iters))
+
+    def test_matches_reference_on_every_outcome(self):
+        cases = [mle_case("noise", -10.0, k, k % 2 == 1) for k in range(40)]
+        cases += [mle_case("random", -20.5, k, k % 3 == 0) for k in range(40)]
+        frames, inits = zip(*cases)
+        want = [mle_reference(f, x, 20) for f, x in cases]
+        outcomes = {(w[2], w[3]) for w in want}
+        assert {(True, False), (False, True), (False, False)} <= outcomes  # converged, diverged, at the cap
+        for got, w in zip(mle_batch(frames, inits, 20), want):
+            assert_mle_equal(got, w)
+
+    def test_bad_frame_fails_alone(self, fixed_scenario):
+        cases = [mle_case("noise", -20.0, k, False) for k in range(4)]
+        frames, inits = zip(*cases)
+        alone = mle_batch(frames, inits)
+        on_agent = simulate_frame(fixed_scenario, 3)
+        init = fixed_scenario.target.as_vector()
+        init[0:2] = on_agent.p_hat[0]  # agent 0 broadcasts at slot time 0
+        flat = static_scenario(np.random.default_rng(5))  # every slot at t = 0: the t columns vanish
+        for frame, x0, message in [
+            (on_agent, init, "coincides with an agent"),
+            (exact_frame(flat), flat.target.as_vector(), "rank deficient"),
+        ]:
+            results = mle_batch([frames[0], frame, *frames[1:]], [inits[0], x0, *inits[1:]])
+            assert isinstance(results[1], DegenerateGeometryError) and message in str(results[1])
+            assert_mle_equal(results[1], mle_reference(frame, x0))
+            for got, want in zip([results[0], *results[2:]], alone):
+                assert np.array_equal(got.x_hat.as_vector(), want.x_hat.as_vector())
+                assert (got.iterations, got.converged, got.diverged) == (want.iterations, want.converged, want.diverged)
+
+    def test_underdetermined_frames_get_records(self):
+        scenario = random_scenario(np.random.default_rng(0), M=5)
+        frame = simulate_frame(scenario, 0)
+        results = mle_batch([frame, frame, frame], [scenario.target.as_vector()] * 3)
+        assert len(results) == 3
+        assert all(isinstance(r, UnderdeterminedError) and "M = 5" in str(r) for r in results)

@@ -9,7 +9,7 @@ import pytest
 
 from seqtoa import NoiseSpec, Scenario, crlb_target, exact_frame, fixed_topology
 from seqtoa.cli import main
-from seqtoa.serialize import frame_to_dict, scenario_to_dict
+from seqtoa.serialize import experiment_spec_from_dict, frame_to_dict, scenario_to_dict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 #: the shipped experiment specs and the benchmark's sweep workloads
@@ -90,6 +90,32 @@ class TestEstimateCommand:
             code = main(["estimate", "--input", str(bad), "--output", str(tmp_path / "r.json")])
             assert code == 1, tau
             assert "records[0].tau_tilde" in capsys.readouterr().err, tau
+        # integer and dB fields of an experiment; ltco_sweep sweeps meters, not dB
+        random = {"scheme": "random_topology", "n_trials": 1, "base_seed": 0, "sweep_values": [-20.5],
+                  "estimators": ["mle"], "topology": {"random": {}}}
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps(random))
+        for setting, field in [
+            ("topology.random.n_agents=abc", "topology.random.n_agents"),
+            ("topology.random.n_agents=true", "topology.random.n_agents"),
+            ("topology.random.n_agents=0", "topology.random.n_agents"),
+            ("topology.random.n_agents=1e400", "topology.random.n_agents"),
+            ("mle_max_iters=2.5e400", "mle_max_iters"),
+            ("mle_max_iters=2.5", "mle_max_iters"),
+            ("mle_max_iters=0", "mle_max_iters"),
+            ("n_trials=2.0", "n_trials"),
+            ("n_trials=" + str(2**63), "n_trials"),
+            ("base_seed=-1", "base_seed"),
+            ("sigma_tau_sq_db=4000", "sigma_tau_sq_db"),
+            ("sigma_s_sq_db=-4000", "sigma_s_sq_db"),
+            ("agent_sigma_halfwidth_db=4000", "agent_sigma_halfwidth_db"),
+            ("sweep_values=[-20.5,4000]", "sweep_values[1]"),
+        ]:
+            code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
+            assert code == 1, setting
+            assert f"experiment.{field}:" in capsys.readouterr().err, setting
+        ltco = {**random, "scheme": "ltco_sweep", "sweep_values": [4000.0], "topology": "fixed"}
+        assert experiment_spec_from_dict(ltco).sweep_values == (4000.0,)
 
 
     def test_overlong_integer_exits_1(self, exact_frame_file, tmp_path, capsys):

@@ -1,16 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
 from seqtoa import (
+    EstimationError,
     ExperimentSpec,
+    MleConfig,
+    TargetState,
     TopologyBounds,
     crlb_target,
     fixed_topology,
+    mle_estimate,
     run_trials,
     sample_random_topology,
     tswls_static_estimate,
     validate_scenario,
 )
+from seqtoa.cli import main
 from seqtoa.montecarlo import _run_trial
 from seqtoa.model import C_LIGHT
 
@@ -160,7 +167,7 @@ class TestRunTrials:
         stats = run_trials(spec)[(-20.5, "tswls_static")]
         sq_errors, traces = [], []
         for i in range(spec.n_trials):
-            scenario, frame, _ = _run_trial(spec, -20.5, i)
+            scenario, frame, _, _ = _run_trial(spec, -20.5, i)
             res = tswls_static_estimate(frame)
             if res.success:
                 sq_errors.append(float(np.sum((res.position - scenario.target.p) ** 2)))
@@ -171,6 +178,47 @@ class TestRunTrials:
         threaded = run_trials(spec, threads=2)[(-20.5, "tswls_static")]
         assert np.array_equal(threaded.cdf_samples, stats.cdf_samples)
         assert threaded.crlb_trace_position == stats.crlb_trace_position
+
+    def test_stacked_mle_matches_per_trial_calls(self):
+        # 260 random-topology trials make two chunks, the second of 4 trials
+        spec = small_spec(
+            scheme="random_topology",
+            n_trials=260,
+            sweep_values=(-20.5,),
+            estimators=("mle",),
+            topology=TopologyBounds(),
+        )
+        stats = run_trials(spec)[(-20.5, "mle")]
+        sq_errors = []
+        for i in range(spec.n_trials):
+            scenario, frame, init, _ = _run_trial(spec, -20.5, i)
+            try:
+                cfg = MleConfig(init=TargetState.from_vector(init), max_iters=spec.mle_max_iters)
+                report = mle_estimate(frame, cfg)
+            except EstimationError:
+                continue
+            if not report.diverged:
+                sq_errors.append(float(np.sum((report.x_hat.p - scenario.target.p) ** 2)))
+        assert 0 < stats.divergence_count == spec.n_trials - len(sq_errors)
+        assert np.array_equal(stats.cdf_samples, sq_errors)
+        threaded = run_trials(spec, threads=2)[(-20.5, "mle")]
+        assert np.array_equal(threaded.cdf_samples, stats.cdf_samples)
+        assert np.array_equal(threaded.bias, stats.bias)
+
+    def test_mle_with_five_agents_fails_every_trial(self, tmp_path):
+        doc = {
+            "scheme": "random_topology",
+            "n_trials": 6,
+            "base_seed": 3,
+            "sweep_values": [-20.5],
+            "estimators": ["mle"],
+            "topology": {"random": {"n_agents": 5}},
+        }
+        path, out = tmp_path / "exp.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(doc))
+        assert main(["experiment", "--input", str(path), "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and all(row[1] == "mle" and row[6:] == ["0", "6"] for row in rows)
 
     def test_mle_estimator_runs(self):
         spec = small_spec(n_trials=12, sweep_values=(-30.0,), estimators=("mle",))
