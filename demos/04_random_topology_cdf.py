@@ -4,7 +4,8 @@ Every trial draws a fresh network (agents uniform on [0,50]^2, target on
 [-50,100]^2 with random velocity and clocks), simulates one frame, and runs
 both estimators.  The per-trial position squared errors form an empirical
 CDF; a steeper/left-shifted curve is better.  The demo prints deciles and
-writes the CDF table next to this script (same format the CLI emits).
+writes the CDF table to ``random_topology_cdf.csv`` in the working directory
+(same format the CLI emits).
 """
 
 from pathlib import Path
@@ -34,6 +35,6 @@ for est in spec.estimators:
     st = results[(-20.5, est)]
     print(f"{est}: {st.n_success}/{st.n_trials} trials succeeded")
 
-out = Path(__file__).with_name("random_topology_cdf.csv")
+out = Path("random_topology_cdf.csv")
 write_cdf_csv(results, spec, out)
 print(f"\nwrote {out}")

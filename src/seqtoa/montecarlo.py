@@ -15,13 +15,17 @@ streams used, in order, for scenario materialization, frame noise, and
 estimator-init perturbation.  Identical specs therefore produce bit-identical
 results within one package version.
 
-Each sweep cell runs in chunks of at most 256 consecutive trials.  Seeding,
-the scenario, the frame, the MLE's initial state and the proposed estimator
-run one trial at a time; the static solver
-(:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
+An experiment is one stream of ``(sweep value, trial)`` units, cell by cell
+in sweep order and in trial order within a cell, cut into chunks of at most
+256 units; a chunk may span cells.  Seeding, the scenario, the frame, the
+MLE's initial state and the proposed estimator run one trial at a time; the
+static solver (:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
 (:func:`~seqtoa.baselines.mle_batch`) and the CRLB
 (:func:`~seqtoa.analysis.crlb_batch`) then run once per chunk, stacked over
-its trials.  The chunks are the same for every thread count.
+its trials.  Each cell is reduced to :class:`TrialStats`, in trial order, as
+soon as its last trial is done, so a run holds about one cell and one chunk
+of trials.  The chunks are the same for every thread count, and one thread
+pool serves the whole run.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .model import (
 SCHEMES = ("noise_sweep", "ltco_sweep", "random_topology")
 ESTIMATOR_IDS = ("proposed", "tswls_static", "mle")
 
-_CHUNK = 256  # most trials of one sweep cell whose static solves, MLEs and CRLBs run stacked
+_CHUNK = 256  # most (sweep value, trial) units whose static solves, MLEs and CRLBs run stacked
 _BLOCKS = ("position", "velocity", "offset", "skew")
 _BLOCK_SLICES = {
     "position": slice(0, 2),
@@ -117,9 +121,13 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be non-empty")
         if self.mle_max_iters < 1 or not self.mle_init_sigma > 0:
             raise ValueError("need mle_max_iters >= 1 and mle_init_sigma > 0")
+        if len(self.estimators) == 0:
+            raise ValueError("estimators must be non-empty")
         for e in self.estimators:
             if e not in ESTIMATOR_IDS:
                 raise ValueError(f"unknown estimator id {e!r}; known: {ESTIMATOR_IDS}")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError(f"estimators must not repeat an id, got {tuple(self.estimators)}")
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
@@ -306,17 +314,18 @@ def _crlb_traces(scenarios) -> list:
     return traces
 
 
-def _run_chunk(spec: ExperimentSpec, sweep_value: float, chunk: range, pool: ThreadPoolExecutor | None):
-    """Trials ``chunk`` of one sweep cell: per-trial work (on ``pool`` if given),
-    then the static solver, the MLE and the CRLB stacked over the chunk.
+def _run_chunk(spec: ExperimentSpec, units, pool: ThreadPoolExecutor | None):
+    """Trials ``units`` (``(sweep value, trial)`` pairs, which may span cells):
+    per-trial work (on ``pool`` if given), then the static solver, the MLE
+    and the CRLB stacked over the chunk.
 
-    Returns one ``(errors by estimator id, CRLB traces or None)`` per trial, in
-    trial order.
+    Returns one ``(errors by estimator id, CRLB traces or None)`` per unit, in
+    unit order.
     """
     if pool is None:
-        trials = [_run_trial(spec, sweep_value, i) for i in chunk]
+        trials = [_run_trial(spec, v, i) for v, i in units]
     else:
-        trials = list(pool.map(lambda i: _run_trial(spec, sweep_value, i), chunk))
+        trials = list(pool.map(lambda unit: _run_trial(spec, *unit), units))
     scenarios, frames, inits, errors = zip(*trials)
     if "tswls_static" in spec.estimators:
         for e, static in zip(errors, _static_errors(frames, scenarios)):
@@ -327,64 +336,78 @@ def _run_chunk(spec: ExperimentSpec, sweep_value: float, chunk: range, pool: Thr
     return list(zip(errors, _crlb_traces(scenarios)))
 
 
+def _cell_stats(spec: ExperimentSpec, trials) -> dict[str, TrialStats]:
+    """:class:`TrialStats` per estimator id of one sweep cell, from its
+    ``(errors by estimator id, CRLB traces or None)`` in trial order."""
+    crlb_rows = np.array([t for _, t in trials if t is not None], dtype=float)
+    crlb_mean = crlb_rows.mean(axis=0) if crlb_rows.size else np.full(4, np.nan)
+
+    stats = {}
+    for est_id in spec.estimators:
+        errs = [e[est_id] for e, _ in trials]
+        ok = np.array([e for e in errs if e is not None], dtype=float).reshape(-1, 6)
+        n_success = ok.shape[0]
+        if n_success:
+            sq = ok**2
+            mse = (
+                float(sq[:, 0:2].sum(axis=1).mean()),
+                float(sq[:, 2:4].sum(axis=1).mean()),
+                float(sq[:, 4].mean()),
+                float(sq[:, 5].mean()),
+            )
+            bias = ok.mean(axis=0)
+            cdf = sq[:, 0:2].sum(axis=1)
+        else:
+            mse = (np.nan,) * 4
+            bias = np.full(6, np.nan)
+            cdf = np.empty(0)
+        stats[est_id] = TrialStats(
+            mse_position=mse[0],
+            mse_velocity=mse[1],
+            mse_offset=mse[2],
+            mse_skew=mse[3],
+            bias=bias,
+            crlb_trace_position=float(crlb_mean[0]),
+            crlb_trace_velocity=float(crlb_mean[1]),
+            crlb_trace_offset=float(crlb_mean[2]),
+            crlb_trace_skew=float(crlb_mean[3]),
+            cdf_samples=cdf,
+            divergence_count=spec.n_trials - n_success,
+            n_success=n_success,
+            n_trials=spec.n_trials,
+        )
+    return stats
+
+
 def run_trials(spec: ExperimentSpec, threads: int = 1) -> dict[tuple[float, str], TrialStats]:
     """Run the experiment, one cell of :class:`TrialStats` per
     (sweep value, estimator id).
 
     Per-trial estimator failures are recorded and excluded from the averages;
-    they never abort the sweep.  Each sweep cell runs in chunks of at most
-    256 consecutive trials.  Within a chunk the trials are independent and
-    may run on a thread pool: seeding, scenario, frame, the MLE's initial
-    state and ``proposed`` run per trial; the static solver, the MLE and the
-    CRLB then run once, stacked over the chunk.  The chunks do not depend on
-    ``threads`` and the results are reduced in trial order, so the
-    aggregation is deterministic regardless of ``threads``.
+    they never abort the sweep.  The experiment's ``(sweep value, trial)``
+    units, cell by cell in sweep order and in trial order within a cell, are
+    cut into chunks of at most 256 units; a chunk may span cells.  Within a
+    chunk the trials are independent and may run on one thread pool shared
+    by the whole run: seeding, scenario, frame, the MLE's initial state and
+    ``proposed`` run per trial; the static solver, the MLE and the CRLB then
+    run once, stacked over the chunk.  Each cell is reduced, in trial order,
+    as soon as its last trial is done.  The chunks do not depend on
+    ``threads``, so the aggregation is deterministic regardless of
+    ``threads``.
     """
+    n_trials = spec.n_trials
+    n_units = len(spec.sweep_values) * n_trials
     results: dict[tuple[float, str], TrialStats] = {}
-    for sweep_value in spec.sweep_values:
-        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
-            trials = [
-                trial
-                for start in range(0, spec.n_trials, _CHUNK)
-                for trial in _run_chunk(spec, sweep_value, range(start, min(start + _CHUNK, spec.n_trials)), pool)
-            ]
-
-        crlb_rows = np.array([t for _, t in trials if t is not None], dtype=float)
-        crlb_mean = crlb_rows.mean(axis=0) if crlb_rows.size else np.full(4, np.nan)
-
-        for est_id in spec.estimators:
-            errs = [e[est_id] for e, _ in trials]
-            ok = np.array([e for e in errs if e is not None], dtype=float).reshape(-1, 6)
-            n_success = ok.shape[0]
-            if n_success:
-                sq = ok**2
-                mse = (
-                    float(sq[:, 0:2].sum(axis=1).mean()),
-                    float(sq[:, 2:4].sum(axis=1).mean()),
-                    float(sq[:, 4].mean()),
-                    float(sq[:, 5].mean()),
-                )
-                bias = ok.mean(axis=0)
-                cdf = sq[:, 0:2].sum(axis=1)
-            else:
-                mse = (np.nan,) * 4
-                bias = np.full(6, np.nan)
-                cdf = np.empty(0)
-            results[(sweep_value, est_id)] = TrialStats(
-                mse_position=mse[0],
-                mse_velocity=mse[1],
-                mse_offset=mse[2],
-                mse_skew=mse[3],
-                bias=bias,
-                crlb_trace_position=float(crlb_mean[0]),
-                crlb_trace_velocity=float(crlb_mean[1]),
-                crlb_trace_offset=float(crlb_mean[2]),
-                crlb_trace_skew=float(crlb_mean[3]),
-                cdf_samples=cdf,
-                divergence_count=spec.n_trials - n_success,
-                n_success=n_success,
-                n_trials=spec.n_trials,
-            )
+    cell: list = []  # finished trials of the cell in progress
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for start in range(0, n_units, _CHUNK):
+            stop = min(start + _CHUNK, n_units)
+            units = [(spec.sweep_values[k // n_trials], k % n_trials) for k in range(start, stop)]
+            for (sweep_value, trial), outcome in zip(units, _run_chunk(spec, units, pool)):
+                cell.append(outcome)
+                if trial == n_trials - 1:
+                    results.update({(sweep_value, e): st for e, st in _cell_stats(spec, cell).items()})
+                    cell = []
     return results
 
 

@@ -114,6 +114,10 @@ class TestEstimateCommand:
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
             assert code == 1, setting
             assert f"experiment.{field}:" in capsys.readouterr().err, setting
+        for setting in ("estimators=[]", 'estimators=["mle","mle"]'):
+            code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
+            assert code == 1, setting
+            assert "experiment: estimators must" in capsys.readouterr().err, setting
         ltco = {**random, "scheme": "ltco_sweep", "sweep_values": [4000.0], "topology": "fixed"}
         assert experiment_spec_from_dict(ltco).sweep_values == (4000.0,)
 

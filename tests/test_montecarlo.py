@@ -16,7 +16,9 @@ from seqtoa import (
     sample_random_topology,
     tswls_static_estimate,
     validate_scenario,
+    write_sweep_csv,
 )
+from seqtoa import baselines, montecarlo
 from seqtoa.cli import main
 from seqtoa.montecarlo import _run_trial
 from seqtoa.model import C_LIGHT
@@ -205,6 +207,28 @@ class TestRunTrials:
         assert np.array_equal(threaded.cdf_samples, stats.cdf_samples)
         assert np.array_equal(threaded.bias, stats.bias)
 
+    def test_chunks_span_cells_without_changing_results(self, tmp_path, monkeypatch):
+        # 3 cells of 10 trials: chunks of 7 cross every cell boundary, one
+        # chunk of 256 holds the whole run
+        spec = small_spec(n_trials=10, sweep_values=(-40.0, -30.0, -20.0), estimators=montecarlo.ESTIMATOR_IDS)
+        mle_batch, stack_sizes = baselines.mle_batch, []
+
+        def spy(frames, *args, **kwargs):
+            stack_sizes.append(len(frames))
+            return mle_batch(frames, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "mle_batch", spy)
+        csvs = set()
+        for chunk, sizes in [(1, [1] * 30), (7, [7, 7, 7, 7, 2]), (256, [30])]:
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            for threads in (1, 3):
+                stack_sizes.clear()
+                path = tmp_path / f"sweep_{chunk}_{threads}.csv"
+                write_sweep_csv(run_trials(spec, threads=threads), spec, path)
+                csvs.add(path.read_bytes())
+                assert stack_sizes == sizes, (chunk, threads)
+        assert len(csvs) == 1
+
     def test_mle_with_five_agents_fails_every_trial(self, tmp_path):
         doc = {
             "scheme": "random_topology",
@@ -235,6 +259,10 @@ class TestRunTrials:
             small_spec(sweep_values=())
         with pytest.raises(ValueError):
             small_spec(estimators=("nope",))
+        with pytest.raises(ValueError, match="non-empty"):
+            small_spec(estimators=())
+        with pytest.raises(ValueError, match="repeat"):
+            small_spec(estimators=("mle", "proposed", "mle"))
 
 
 class TestFixedTopology:
