@@ -19,10 +19,11 @@ the Schur complement to the closed form
 
     S = Hx^T diag(1 / (c_tau,m + g_m^T C_m g_m)) Hx,
 
-which costs O(M).  :func:`crlb_batch` evaluates it over a stack of scenarios
-at once, with a failure record per scenario; scenarios whose noise is
-correlated across agents take the dense Schur path through
-:func:`fim_blocks` instead.  :func:`crlb_target` is a batch of one.
+which costs O(M).  :func:`crlb_columns` evaluates it over N scenarios given
+as columns, with a failure record per scenario.  :func:`crlb_batch` runs it
+on a list of scenarios, except those whose noise is correlated across
+agents, which take the dense Schur path through :func:`fim_blocks`.
+:func:`crlb_target` is a batch of one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
-from .estimator import _design_arrays, _pack_noise, build_error_model, theta_jacobian
+from .estimator import _design_arrays, build_error_model, theta_jacobian
 from .model import AgentTruth, ObservedFrame, Scenario, TargetState, exact_frame
 
 _COINCIDENT_TOL = 1e-12
@@ -104,7 +105,7 @@ def fim_blocks(scenario: Scenario) -> FimBlocks:
         Hx[m] = gx
         Hb[m, 3 * m : 3 * m + 3] = gb
 
-    ct_diag = np.diag(scenario.noise.C_tau)
+    ct_diag = scenario.noise.c_tau
     if np.any(ct_diag <= 0):
         raise ConditioningError("C_tau must be strictly positive for the information matrix")
     ct_inv = 1.0 / ct_diag
@@ -142,47 +143,16 @@ def _closed_form_information(rho: np.ndarray, t: np.ndarray, c_tau: np.ndarray, 
     return (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
 
 
-def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationError]:
-    """Cramer-Rao lower bound of the 6-dimensional target state of every scenario.
-
-    The agent block is marginalized out by the closed-form Schur complement
-    (see the module docstring), evaluated for all scenarios at once.
-    Scenarios whose noise is correlated across agents (off-diagonal
-    ``C_tau`` entries, or ``C_beta`` entries outside the per-agent blocks)
-    take the dense Schur path through :func:`fim_blocks` instead.  Every
-    scenario must have the same number of agents.
-
-    Returns one entry per scenario, in order: its :class:`CrlbResult`, or the
-    :class:`EstimationError` that stopped it alone.  The checks run in this
-    order, and the first that fails is the record:
-    :class:`DegenerateGeometryError` if the target coincides with an agent at
-    its slot time, :class:`ConditioningError` for a non-positive TOA
-    variance, :class:`NotPositiveDefiniteError` for an agent block of
-    ``C_beta`` that is not positive definite, and
-    :class:`DegenerateGeometryError` if the Schur complement is singular
-    (unobservable geometry, e.g. collinear agents).
-    """
-    c_tau, C_m, dense = _pack_noise([s.noise for s in scenarios])
-    N = len(scenarios)
-    out: list = [None] * N
-    S = np.empty((N, 6, 6))
-    has_S = np.zeros(N, dtype=bool)
-    for i, noise in enumerate(dense):
-        if noise is not None:
-            try:
-                S[i], has_S[i] = _dense_information(scenarios[i]), True
-            except EstimationError as exc:
-                out[i] = exc
-
-    live = np.array([noise is None for noise in dense])
-    x = np.array([s.target.as_vector() for s in scenarios])
-    M = c_tau.shape[1]
-    t = np.array([a.t_m for s in scenarios for a in s.agents]).reshape(N, M)
-    p_m = np.array([a.p_m for s in scenarios for a in s.agents]).reshape(N, M, 2)
+def _closed_form_rows(x, t, p_m, c_tau, C_m, out: list) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form Schur complements of N scenarios given as columns (see
+    :func:`crlb_columns`).  A scenario that fails a check gets its record in
+    ``out``.  Returns ``(idx, S)``: the scenarios that have a Schur
+    complement, and it."""
+    live = np.ones(x.shape[0], dtype=bool)
     u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
     r = np.sqrt((u * u).sum(axis=-1))
     coincident = r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1)))
-    for i in np.flatnonzero(live & coincident.any(axis=-1)):
+    for i in np.flatnonzero(coincident.any(axis=-1)):
         m = np.flatnonzero(coincident[i])[0]
         out[i] = DegenerateGeometryError(f"target coincides with agent at slot time {t[i, m]}: range {r[i, m]:.3e}")
     live &= ~coincident.any(axis=-1)
@@ -198,20 +168,88 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
             except np.linalg.LinAlgError:
                 out[i] = NotPositiveDefiniteError("C_beta must be positive definite for the information matrix")
                 live[i] = False
-    S[live] = _closed_form_information(u[live] / r[live][..., None], t[live], c_tau[live], C_m[live])
-    has_S |= live
+    return np.flatnonzero(live), _closed_form_information(u[live] / r[live][..., None], t[live], c_tau[live], C_m[live])
 
-    idx = np.flatnonzero(has_S)
-    S = 0.5 * (S[idx] + S[idx].swapaxes(-1, -2))
+
+def _bounds(S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | EstimationError]:
+    """``(crlb_x, information)`` of each Schur complement ``S (K, 6, 6)``, or
+    the record of a singular one."""
+    S = 0.5 * (S + S.swapaxes(-1, -2))
     eigs = np.linalg.eigvalsh(S)
     singular = eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1.0)
-    for i, e in zip(idx[singular], eigs[singular, 0]):
-        out[i] = DegenerateGeometryError(f"target information is singular (min eig {e:.3e}); geometry unobservable")
-    crlb_x = np.linalg.inv(S[~singular])
+    crlb_x = np.full_like(S, np.nan)
+    crlb_x[~singular] = np.linalg.inv(S[~singular])
     crlb_x = 0.5 * (crlb_x + crlb_x.swapaxes(-1, -2))
-    for i, c, info in zip(idx[~singular], crlb_x, S[~singular]):
-        out[i] = CrlbResult(crlb_x=c, information=info, scenario=scenarios[i])
+    return [
+        DegenerateGeometryError(f"target information is singular (min eig {e[0]:.3e}); geometry unobservable")
+        if bad
+        else (c, info)
+        for bad, e, c, info in zip(singular, eigs, crlb_x, S)
+    ]
+
+
+def crlb_columns(x, t, p_m, c_tau, blocks) -> list[tuple[np.ndarray, np.ndarray] | EstimationError]:
+    """Target-state CRLB of N scenarios given as columns, with noise
+    independent across agents: target states ``x (N, 6)``, slot times
+    ``t (N, M)``, agent positions ``p_m (N, M, 2)``, TOA variances
+    ``c_tau (N, M)`` and agent blocks ``blocks (N, M, 3, 3)``.
+
+    Returns one entry per scenario, in order: ``(crlb_x, information)``, or
+    the :class:`EstimationError` that stopped it (see :func:`crlb_batch`).
+    """
+    out: list = [None] * x.shape[0]
+    idx, S = _closed_form_rows(x, t, p_m, c_tau, blocks, out)
+    for i, res in zip(idx, _bounds(S)):
+        out[i] = res
     return out
+
+
+def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationError]:
+    """Cramer-Rao lower bound of the 6-dimensional target state of every scenario.
+
+    The agent block is marginalized out by the closed-form Schur complement
+    (see the module docstring), evaluated by :func:`crlb_columns` for all
+    scenarios at once.  Scenarios whose noise is correlated across agents (a
+    :class:`~seqtoa.model.NoiseSpec` with ``dense`` set) take the dense Schur
+    path through :func:`fim_blocks` instead.  Every scenario must have the
+    same number of agents.
+
+    Returns one entry per scenario, in order: its :class:`CrlbResult`, or the
+    :class:`EstimationError` that stopped it alone.  The checks run in this
+    order, and the first that fails is the record:
+    :class:`DegenerateGeometryError` if the target coincides with an agent at
+    its slot time, :class:`ConditioningError` for a non-positive TOA
+    variance, :class:`NotPositiveDefiniteError` for an agent block of
+    ``C_beta`` that is not positive definite, and
+    :class:`DegenerateGeometryError` if the Schur complement is singular
+    (unobservable geometry, e.g. collinear agents).
+    """
+    if not scenarios:
+        raise ValueError("a CRLB batch needs at least one scenario")
+    M = scenarios[0].n_agents
+    if any(s.n_agents != M for s in scenarios):
+        raise ValueError("all scenarios of a batch need the same number of agents")
+    out: list = [None] * len(scenarios)
+    compact = [i for i, s in enumerate(scenarios) if s.noise.dense is None]
+    if compact:
+        sub = [scenarios[i] for i in compact]
+        x = np.array([s.target.as_vector() for s in sub])
+        t = np.array([a.t_m for s in sub for a in s.agents]).reshape(len(sub), M)
+        p_m = np.array([a.p_m for s in sub for a in s.agents]).reshape(len(sub), M, 2)
+        c_tau = np.array([s.noise.c_tau for s in sub])
+        blocks = np.array([s.noise.blocks for s in sub])
+        for i, res in zip(compact, crlb_columns(x, t, p_m, c_tau, blocks)):
+            out[i] = res
+    for i, s in enumerate(scenarios):
+        if s.noise.dense is not None:
+            try:
+                out[i] = _bounds(_dense_information(s)[None])[0]
+            except EstimationError as exc:
+                out[i] = exc
+    return [
+        r if isinstance(r, EstimationError) else CrlbResult(crlb_x=r[0], information=r[1], scenario=s)
+        for r, s in zip(out, scenarios)
+    ]
 
 
 def crlb_target(scenario: Scenario) -> CrlbResult:

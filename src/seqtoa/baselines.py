@@ -50,11 +50,12 @@ def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray,
 
 
 def mle_batch(
-    frames: Sequence[ObservedFrame], inits, max_iters: int = 50, step_tol: float = 1e-9
+    frames: Sequence[ObservedFrame] | FrameStack, inits, max_iters: int = 50, step_tol: float = 1e-9
 ) -> list[EstimateReport | EstimationError]:
     """Weighted Gauss-Newton on the raw TOA residuals of every frame of a batch.
 
-    Frame n starts from the 6-state ``inits[n]``.  Broadcast positions and
+    ``frames`` is a sequence of frames or their :class:`FrameStack`.  Frame
+    n starts from the 6-state ``inits[n]``.  Broadcast positions and
     offsets are treated as exact; residuals are weighted by the inverse TOA
     variances only.  Each frame runs its own iterations: it leaves the loop
     once its step norm is at most ``step_tol`` (converged), after three
@@ -71,20 +72,14 @@ def mle_batch(
     broadcasts, :class:`DegenerateGeometryError` for an iterate on an agent
     or a Gauss-Newton system of rank below 6.
     """
-    if not frames:
-        raise ValueError("an MLE batch needs at least one frame")
     if max_iters < 1 or not step_tol > 0:
         raise ValueError("need max_iters >= 1 and step_tol > 0")
-    N, M = len(frames), frames[0].n_agents
-    if any(f.n_agents != M for f in frames):
-        raise ValueError("all frames of a batch need the same number of broadcasts")
+    stack = frames if isinstance(frames, FrameStack) else FrameStack.of(frames)
+    N, M = stack.t.shape
     if M < 6:
         return [UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}") for _ in range(N)]
-    t = np.array([f.t for f in frames])
-    tau = np.array([f.tau for f in frames])
-    p_hat = np.array([f.p_hat for f in frames])
-    T_hat = np.array([f.T_hat for f in frames])
-    w = 1.0 / np.sqrt(np.array([np.diagonal(f.noise.C_tau) for f in frames]))
+    t, tau, p_hat, T_hat = stack.t, stack.tau, stack.p_hat, stack.T_hat
+    w = 1.0 / np.sqrt(stack.c_tau)
     x = np.array(inits, dtype=float).reshape(N, 6)
 
     out: list = [None] * N

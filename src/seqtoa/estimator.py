@@ -37,6 +37,7 @@ bad frame does not fail the others.  :func:`estimate` is a batch of one;
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -124,17 +125,17 @@ class EstimateReport:
 class FrameStack:
     """N observed frames of M broadcasts each, as stacked arrays.
 
-    The noise of frame n is carried as the diagonal ``c_tau[n]`` of its
-    ``C_tau`` and the per-agent 3x3 blocks ``blocks[n]`` of its ``C_beta``.
-    A frame whose ``C_tau`` has off-diagonal entries, or whose ``C_beta`` has
-    entries outside those blocks, also keeps its :class:`NoiseSpec` in
+    Row n of every array belongs to frame n: its four observed columns and
+    its compact noise (see :class:`~seqtoa.model.NoiseSpec`).  A frame whose
+    noise is correlated across agents also keeps its :class:`NoiseSpec` in
     ``dense[n]`` (``None`` for every other frame); only such frames take the
     dense whitening branch.
     """
 
     t: np.ndarray  # (N, M) slot times
+    tau: np.ndarray  # (N, M) measured TOAs
     p_hat: np.ndarray  # (N, M, 2) broadcast positions
-    alpha: np.ndarray  # (N, M) pseudoranges tau_tilde + T_hat
+    T_hat: np.ndarray  # (N, M) broadcast offsets
     c_tau: np.ndarray  # (N, M) TOA noise variances
     blocks: np.ndarray  # (N, M, 3, 3) per-agent broadcast-error covariances
     dense: tuple[NoiseSpec | None, ...]  # (N,)
@@ -142,40 +143,28 @@ class FrameStack:
     @classmethod
     def of(cls, frames: Sequence[ObservedFrame]) -> "FrameStack":
         """Stack frames that all carry the same number of broadcasts."""
-        c_tau, blocks, dense = _pack_noise([f.noise for f in frames])
+        if not frames:
+            raise ValueError("a frame stack needs at least one frame")
+        M = frames[0].n_agents
+        if any(f.n_agents != M for f in frames):
+            raise ValueError("all frames of a stack need the same number of broadcasts")
         return cls(
             t=np.array([f.t for f in frames]),
+            tau=np.array([f.tau for f in frames]),
             p_hat=np.array([f.p_hat for f in frames]),
-            alpha=np.array([f.tau + f.T_hat for f in frames]),
-            c_tau=c_tau,
-            blocks=blocks,
-            dense=dense,
+            T_hat=np.array([f.T_hat for f in frames]),
+            c_tau=np.array([f.noise.c_tau for f in frames]),
+            blocks=np.array([f.noise.blocks for f in frames]),
+            dense=tuple(f.noise if f.noise.dense is not None else None for f in frames),
         )
 
+    def __len__(self) -> int:
+        return self.t.shape[0]
 
-def _pack_noise(noises: Sequence[NoiseSpec]) -> tuple[np.ndarray, np.ndarray, tuple[NoiseSpec | None, ...]]:
-    """The noise columns of a :class:`FrameStack`: ``c_tau (N, M)``,
-    ``blocks (N, M, 3, 3)`` and ``dense (N,)``, from N specs of M agents each."""
-    if not noises:
-        raise ValueError("a frame stack needs at least one frame")
-    M = noises[0].n_agents
-    if any(nz.n_agents != M for nz in noises):
-        raise ValueError("all frames of a stack need the same number of broadcasts")
-    N = len(noises)
-    idx = np.arange(M)
-    c_tau = np.empty((N, M))
-    blocks = np.empty((N, M, 3, 3))
-    dense = []
-    for n, noise in enumerate(noises):
-        C_tau, C_beta = noise.C_tau, noise.C_beta
-        c_tau[n] = np.diagonal(C_tau)
-        blocks[n] = C_beta.reshape(M, 3, M, 3)[idx, :, idx, :]
-        correlated = (
-            np.count_nonzero(C_tau) != np.count_nonzero(c_tau[n])
-            or np.count_nonzero(C_beta) != np.count_nonzero(blocks[n])
-        )
-        dense.append(noise if correlated else None)
-    return c_tau, blocks, tuple(dense)
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        """Pseudoranges ``tau + T_hat``, ``(N, M)``."""
+        return self.tau + self.T_hat
 
 
 # --- kernels over stacks ----------------------------------------------------

@@ -13,10 +13,22 @@ Unit conventions used throughout the package:
 * slot times ``t_m`` stay in seconds, so products like ``v * t_m`` and
   ``omega * t_m`` carry meters;
 * a variance quoted as ``x`` dB means ``10**(x/10)`` m^2 (reference 1 m^2).
+
+Noise is compact: a :class:`NoiseSpec` holds one TOA variance and one 3x3
+broadcast-error block per agent, so a frame of M agents costs O(M) memory
+and time to build and to simulate.  The full ``(M, M)`` ``C_tau`` and
+``(3M, 3M)`` ``C_beta`` are kept only for noise correlated across agents
+(:meth:`NoiseSpec.from_dense`); for other noise they are built on first
+read, which only the dense cross-checks do.
+
+The simulation kernels work on N frames at once, as columns with a leading
+frame axis: :func:`simulate_frame` runs them on a batch of one, and the
+Monte-Carlo sweeps on a whole chunk of trials.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +57,7 @@ def _vec(value, n: int, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float).reshape(-1)
     if arr.size != n:
         raise ValueError(f"{name} must have {n} entries, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr}")
     arr.setflags(write=False)
     return arr
@@ -56,7 +68,7 @@ def _mat(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -131,28 +143,58 @@ class AgentTruth:
 class NoiseSpec:
     """Second-order statistics of one frame's measurement and broadcast errors.
 
+    The noise is stored compactly, as one TOA variance and one 3x3 block per
+    agent, which is all that noise independent across agents needs.  Noise
+    correlated across agents also keeps its full matrices in ``dense``; only
+    :meth:`from_dense` sets it.
+
     Attributes
     ----------
-    C_tau : ndarray, shape (M, M)
-        Diagonal covariance of the TOA noise, m^2.
-    C_beta : ndarray, shape (3M, 3M)
-        Covariance of the stacked per-agent broadcast errors
-        ``[dpx, dpy, dT]`` per agent, m^2.  Block diagonal in the default
-        construction; a full matrix is permitted.
+    c_tau : ndarray, shape (M,)
+        TOA noise variances, m^2: the diagonal of ``C_tau``.
+    blocks : ndarray, shape (M, 3, 3)
+        Covariance of agent m's broadcast errors ``[dpx, dpy, dT]``, m^2: the
+        diagonal blocks of ``C_beta``.
+    dense : (ndarray (M, M), ndarray (3M, 3M)) or None
+        ``(C_tau, C_beta)`` when ``C_tau`` has off-diagonal entries or
+        ``C_beta`` has entries outside the per-agent blocks; ``c_tau`` and
+        ``blocks`` are then its diagonal and its diagonal blocks.
     """
 
-    C_tau: np.ndarray
-    C_beta: np.ndarray
+    c_tau: np.ndarray
+    blocks: np.ndarray
+    dense: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        C_tau = np.array(self.C_tau, dtype=float)
-        M = C_tau.shape[0]
-        object.__setattr__(self, "C_tau", _mat(C_tau, (M, M), "C_tau"))
-        object.__setattr__(self, "C_beta", _mat(self.C_beta, (3 * M, 3 * M), "C_beta"))
+        M = np.size(self.c_tau)
+        object.__setattr__(self, "c_tau", _mat(self.c_tau, (M,), "c_tau"))
+        object.__setattr__(self, "blocks", _mat(self.blocks, (M, 3, 3), "blocks"))
+        if self.dense is not None:
+            C_tau, C_beta = self.dense
+            object.__setattr__(self, "dense", (_mat(C_tau, (M, M), "C_tau"), _mat(C_beta, (3 * M, 3 * M), "C_beta")))
 
     @property
     def n_agents(self) -> int:
-        return self.C_tau.shape[0]
+        return self.c_tau.size
+
+    @classmethod
+    def from_dense(cls, C_tau, C_beta) -> "NoiseSpec":
+        """Noise from full matrices: ``C_tau (M, M)`` and ``C_beta (3M, 3M)``.
+
+        This is the one place that infers structure: the dense pair is kept
+        only if ``C_tau`` has nonzero entries off its diagonal or ``C_beta``
+        outside its per-agent 3x3 blocks.
+        """
+        C_tau = np.array(C_tau, dtype=float)
+        M = C_tau.shape[0] if C_tau.ndim else -1
+        C_tau, C_beta = _mat(C_tau, (M, M), "C_tau"), _mat(C_beta, (3 * M, 3 * M), "C_beta")
+        c_tau = np.diagonal(C_tau)
+        idx = np.arange(M)
+        blocks = C_beta.reshape(M, 3, M, 3)[idx, :, idx, :]
+        correlated = np.count_nonzero(C_tau) != np.count_nonzero(c_tau) or np.count_nonzero(C_beta) != np.count_nonzero(
+            blocks
+        )
+        return cls(c_tau=c_tau, blocks=blocks, dense=(C_tau, C_beta) if correlated else None)
 
     @classmethod
     def isotropic(cls, sigma_tau_sq: float, agent_sigma_sq, n_agents: int | None = None) -> "NoiseSpec":
@@ -165,25 +207,60 @@ class NoiseSpec:
         agent_sigma_sq = np.atleast_1d(np.asarray(agent_sigma_sq, dtype=float))
         if agent_sigma_sq.size == 1 and n_agents is not None:
             agent_sigma_sq = np.full(n_agents, agent_sigma_sq[0])
-        M = agent_sigma_sq.size
-        C_tau = np.eye(M) * float(sigma_tau_sq)
-        C_beta = np.diag(np.repeat(agent_sigma_sq, 3))
-        return cls(C_tau=C_tau, C_beta=C_beta)
+        c_tau, blocks = _isotropic_columns(sigma_tau_sq, agent_sigma_sq)
+        return cls(c_tau=c_tau, blocks=blocks)
 
     @classmethod
     def from_db(cls, sigma_tau_sq_db: float, agent_sigma_sq_db) -> "NoiseSpec":
         """Same as :meth:`isotropic` with both variances given in dB."""
-        agent_db = np.atleast_1d(np.asarray(agent_sigma_sq_db, dtype=float))
-        return cls.isotropic(db_to_variance(sigma_tau_sq_db), 10.0 ** (agent_db / 10.0))
+        c_tau, blocks = _db_columns(sigma_tau_sq_db, np.atleast_1d(np.asarray(agent_sigma_sq_db, dtype=float)))
+        return cls(c_tau=c_tau, blocks=blocks)
+
+    @functools.cached_property
+    def C_tau(self) -> np.ndarray:
+        """Covariance ``(M, M)`` of the TOA noise, built on first read unless stored."""
+        if self.dense is not None:
+            return self.dense[0]
+        return _read_only(np.diag(self.c_tau))
+
+    @functools.cached_property
+    def C_beta(self) -> np.ndarray:
+        """Covariance ``(3M, 3M)`` of the stacked broadcast errors, built on
+        first read unless stored."""
+        if self.dense is not None:
+            return self.dense[1]
+        M = self.n_agents
+        C_beta = np.zeros((M, 3, M, 3))
+        idx = np.arange(M)
+        C_beta[idx, :, idx, :] = self.blocks
+        return _read_only(C_beta.reshape(3 * M, 3 * M))
 
     def agent_block(self, m: int) -> np.ndarray:
         """3x3 covariance block of agent ``m`` (0-based)."""
-        return self.C_beta[3 * m : 3 * m + 3, 3 * m : 3 * m + 3]
+        return self.blocks[m]
 
     def position_cov_traces(self) -> np.ndarray:
         """Traces of the 2x2 position blocks of each agent, m^2."""
-        idx = np.arange(self.n_agents)
-        return self.C_beta[3 * idx, 3 * idx] + self.C_beta[3 * idx + 1, 3 * idx + 1]
+        return self.blocks[:, 0, 0] + self.blocks[:, 1, 1]
+
+
+_EYE3 = np.eye(3)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _isotropic_columns(sigma_tau_sq: float, agent_sigma_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noise columns ``c_tau (..., M)`` and ``blocks (..., M, 3, 3)`` of
+    isotropic noise, from one TOA variance and agent variances ``(..., M)``."""
+    return np.full(agent_sigma_sq.shape, float(sigma_tau_sq)), agent_sigma_sq[..., None, None] * _EYE3
+
+
+def _db_columns(sigma_tau_sq_db: float, agent_sigma_sq_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_isotropic_columns` with both variances given in dB."""
+    return _isotropic_columns(db_to_variance(sigma_tau_sq_db), 10.0 ** (agent_sigma_sq_db / 10.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +335,13 @@ class ObservedFrame:
         return self.t.size
 
 
-def _toas(target: TargetState, t: np.ndarray, p_m: np.ndarray, T_m: np.ndarray) -> np.ndarray:
-    """Noise-free TOAs of agents at slot times ``t (M,)``, positions
-    ``p_m (M, 2)`` and offsets ``T_m (M,)``; see :func:`forward_toa`."""
-    u = target.p + target.v * t[:, None] - p_m
+def _toas(x: np.ndarray, t: np.ndarray, p_m: np.ndarray, T_m: np.ndarray) -> np.ndarray:
+    """Noise-free TOAs ``(N, M)`` of N scenarios: target states ``x (N, 6)``,
+    slot times ``t (N, M)``, agent positions ``p_m (N, M, 2)`` and offsets
+    ``T_m (N, M)``; see :func:`forward_toa`."""
+    u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
     # vecdot takes the same dot product per row as np.linalg.norm of one vector
-    return np.sqrt(np.vecdot(u, u)) + target.T + target.omega * t - T_m
+    return np.sqrt(np.vecdot(u, u)) + x[:, 4:5] + x[:, 5:6] * t - T_m
 
 
 def forward_toa(target: TargetState, agent: AgentTruth) -> float:
@@ -274,7 +352,8 @@ def forward_toa(target: TargetState, agent: AgentTruth) -> float:
 
         tau_m = ||p + v*t_m - p_m|| + T + omega*t_m - T_m
     """
-    return float(_toas(target, np.array([agent.t_m]), agent.p_m[None], np.array([agent.T_m]))[0])
+    x = target.as_vector()[None]
+    return float(_toas(x, np.array([[agent.t_m]]), agent.p_m[None, None], np.array([[agent.T_m]]))[0, 0])
 
 
 def _agent_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,47 +363,62 @@ def _agent_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _psd_factor(C: np.ndarray, name: str) -> np.ndarray:
-    """Square root ``S`` with ``S @ S.T == C`` for a PSD matrix.
+    """Square roots ``S`` with ``S @ S.T == C`` of a stack of PSD matrices.
 
-    Cholesky when the matrix is strictly PD; otherwise a symmetric eigenvalue
-    factorization with tiny negative eigenvalues clipped to zero.  Raises
-    :class:`NotPositiveDefiniteError` for genuinely indefinite input.
+    Cholesky when every matrix is strictly PD; otherwise a symmetric
+    eigenvalue factorization of each, with tiny negative eigenvalues (down to
+    ``-1e-12`` times the matrix's largest, or ``-1e-12`` if that is below 1)
+    clipped to zero.  Raises :class:`NotPositiveDefiniteError` for genuinely
+    indefinite input.
     """
     try:
         return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         pass
-    w, V = np.linalg.eigh(np.asarray(C, dtype=float))
-    tol = 1e-12 * max(w[-1], 1.0) if w.size else 0.0
+    w, V = np.linalg.eigh(C)
+    tol = 1e-12 * np.maximum(w[..., -1:], 1.0)
     if np.any(w < -tol):
-        raise NotPositiveDefiniteError(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
-    return V * np.sqrt(np.clip(w, 0.0, None))
+        raise NotPositiveDefiniteError(f"{name} is not positive semidefinite (min eig {w.min():.3e})")
+    return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def _broadcast_errors(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Broadcast errors ``(N, M, 3)`` of noise independent across agents:
+    standard normals ``z (N, 3M)`` through a square-root factor of each
+    agent's block of ``blocks (N, M, 3, 3)``."""
+    return (_psd_factor(blocks, "C_beta") @ z.reshape(blocks.shape[:-1] + (1,)))[..., 0]
+
+
+def _observe(x, t, p_m, T_m, d_tau, d_beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observed columns ``tau (N, M)``, ``p_hat (N, M, 2)`` and ``T_hat (N, M)``
+    of N scenarios (see :func:`_toas`), from their TOA noise ``d_tau (N, M)``
+    and broadcast errors ``d_beta (N, M, 3)``."""
+    return _toas(x, t, p_m, T_m) + d_tau, p_m + d_beta[..., :2], T_m + d_beta[..., 2]
 
 
 def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
     """Synthesize one noisy observed frame from ground truth.
 
-    TOA noise is drawn first (M standard normals scaled by the diagonal of
-    ``C_tau``), then the stacked broadcast error (3M standard normals through
-    a square-root factor of ``C_beta``); the two are independent.  The same
-    seed always reproduces the same frame bit for bit.
+    TOA noise is drawn first (M standard normals scaled by the square roots
+    of ``c_tau``), then the broadcast errors (3M standard normals, three per
+    agent, through a square-root factor of each agent's block, or of the
+    whole ``C_beta`` for noise correlated across agents); the two are
+    independent.  The same seed always reproduces the same frame bit for bit.
     """
     rng = np.random.default_rng(seed)
     M = scenario.n_agents
     noise = scenario.noise
-
-    d_tau = rng.standard_normal(M) * np.sqrt(np.diag(noise.C_tau))
-    S = _psd_factor(noise.C_beta, "C_beta")
-    d_beta = (S @ rng.standard_normal(3 * M)).reshape(M, 3)
+    z_tau = rng.standard_normal(M)
+    z_beta = rng.standard_normal(3 * M)
+    if noise.dense is None:
+        d_beta = _broadcast_errors(noise.blocks[None], z_beta[None])
+    else:
+        d_beta = (_psd_factor(noise.C_beta, "C_beta") @ z_beta).reshape(1, M, 3)
 
     t, p_m, T_m = _agent_columns(scenario)
-    return ObservedFrame(
-        t=t,
-        tau=_toas(scenario.target, t, p_m, T_m) + d_tau,
-        p_hat=p_m + d_beta[:, :2],
-        T_hat=T_m + d_beta[:, 2],
-        noise=noise,
-    )
+    x = scenario.target.as_vector()[None]
+    tau, p_hat, T_hat = _observe(x, t[None], p_m[None], T_m[None], z_tau * np.sqrt(noise.c_tau), d_beta)
+    return ObservedFrame(t=t, tau=tau[0], p_hat=p_hat[0], T_hat=T_hat[0], noise=noise)
 
 
 def exact_frame(scenario: Scenario) -> ObservedFrame:
@@ -334,7 +428,8 @@ def exact_frame(scenario: Scenario) -> ObservedFrame:
     weighting uses; the observations themselves are exact.
     """
     t, p_m, T_m = _agent_columns(scenario)
-    return ObservedFrame(t=t, tau=_toas(scenario.target, t, p_m, T_m), p_hat=p_m, T_hat=T_m, noise=scenario.noise)
+    tau = _toas(scenario.target.as_vector()[None], t[None], p_m[None], T_m[None])[0]
+    return ObservedFrame(t=t, tau=tau, p_hat=p_m, T_hat=T_m, noise=scenario.noise)
 
 
 @dataclass(frozen=True)
@@ -377,23 +472,26 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             )
         )
 
-    C_tau = scenario.noise.C_tau
-    if np.any(C_tau != np.diag(np.diag(C_tau))):
+    noise = scenario.noise
+    if noise.dense is not None and np.count_nonzero(noise.C_tau) != np.count_nonzero(noise.c_tau):
         out.append(Diagnostic("ctau-not-diagonal", "error", "C_tau must be diagonal"))
-    if np.any(np.diag(C_tau) <= 0):
+    if np.any(noise.c_tau <= 0):
         out.append(Diagnostic("ctau-nonpositive", "error", "C_tau diagonal entries must be strictly positive"))
 
-    C_beta = scenario.noise.C_beta
-    if not np.allclose(C_beta, C_beta.T, rtol=0.0, atol=0.0):
+    if noise.dense is None:
+        symmetric = np.array_equal(noise.blocks, noise.blocks.swapaxes(-1, -2))
+    else:
+        symmetric = np.array_equal(noise.C_beta, noise.C_beta.T)
+    if not symmetric:
         out.append(Diagnostic("cbeta-asymmetric", "error", "C_beta must be symmetric"))
     else:
-        eigs = np.linalg.eigvalsh(C_beta)
-        if eigs[0] <= 0:
+        min_eig = np.linalg.eigvalsh(noise.blocks if noise.dense is None else noise.C_beta).min()
+        if min_eig <= 0:
             out.append(
                 Diagnostic(
                     "cbeta-not-pd",
                     "error",
-                    f"C_beta must be positive definite (min eig {eigs[0]:.3e})",
+                    f"C_beta must be positive definite (min eig {min_eig:.3e})",
                 )
             )
     return out

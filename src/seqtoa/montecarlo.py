@@ -17,22 +17,29 @@ results within one package version.
 
 An experiment is one stream of ``(sweep value, trial)`` units, cell by cell
 in sweep order and in trial order within a cell, cut into chunks of at most
-256 units; a chunk may span cells.  Seeding, the scenario, the frame, the
-MLE's initial state and the proposed estimator run one trial at a time; the
-static solver (:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
+256 units; a chunk may span cells.  A chunk is built from columns: each
+trial is seeded and draws its scenario, its frame's standard normals and
+the MLE's initial state on its own, as the contract above says, into its
+row of the chunk's arrays (target states, agent columns, noise columns).
+The noise, TOAs and broadcasts of all its frames, the static solver
+(:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
 (:func:`~seqtoa.baselines.mle_batch`) and the CRLB
-(:func:`~seqtoa.analysis.crlb_batch`) then run once per chunk, stacked over
-its trials.  Each cell is reduced to :class:`TrialStats`, in trial order, as
-soon as its last trial is done, so a run holds about one cell and one chunk
-of trials.  The chunks are the same for every thread count, and one thread
-pool serves the whole run.
+(:func:`~seqtoa.analysis.crlb_columns`) then run once per chunk, stacked
+over its trials; no per-trial :class:`Scenario` is built.  The proposed
+estimator runs one frame at a time, through
+:func:`~seqtoa.estimator.estimate` on an :class:`ObservedFrame` built for
+it: the benchmark checks that a sweep notices a dropped second pass by
+replacing that function, so a stacked call would escape the check until
+the check moves.  Each cell is reduced to :class:`TrialStats`, in trial
+order, as soon as its last trial is done, so a run holds about one cell and
+one chunk of trials.  The chunks are the same for every thread count, and
+one thread pool serves the whole run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -47,15 +54,20 @@ from .model import (
     C_LIGHT,
     AgentTruth,
     NoiseSpec,
+    ObservedFrame,
     Scenario,
     TargetState,
-    simulate_frame,
+    _agent_columns,
+    _broadcast_errors,
+    _db_columns,
+    _observe,
+    simulate_frame,  # noqa: F401  (re-exported; perfbench's tracer patches this binding)
 )
 
 SCHEMES = ("noise_sweep", "ltco_sweep", "random_topology")
 ESTIMATOR_IDS = ("proposed", "tswls_static", "mle")
 
-_CHUNK = 256  # most (sweep value, trial) units whose static solves, MLEs and CRLBs run stacked
+_CHUNK = 256  # most (sweep value, trial) units whose frames, static solves, MLEs and CRLBs run stacked
 _BLOCKS = ("position", "velocity", "offset", "skew")
 _BLOCK_SLICES = {
     "position": slice(0, 2),
@@ -128,7 +140,10 @@ class ExperimentSpec:
                 raise ValueError(f"unknown estimator id {e!r}; known: {ESTIMATOR_IDS}")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError(f"estimators must not repeat an id, got {tuple(self.estimators)}")
-        object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
+        sweep_values = tuple(float(v) for v in self.sweep_values)
+        if len(set(sweep_values)) != len(sweep_values):
+            raise ValueError(f"sweep_values must not repeat a value, got {sweep_values}")
+        object.__setattr__(self, "sweep_values", sweep_values)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 
@@ -179,102 +194,125 @@ def fixed_topology() -> Scenario:
     return scenario_from_dict(json.loads(text))
 
 
-def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> Scenario:
-    """Draw one random scenario.
+def _draw_random(bounds: TopologyBounds, rng, p_m, T_m, x, sigma_db, center_db: float, halfwidth_db: float) -> None:
+    """Draw one random scenario into its rows: agent positions ``p_m (M, 2)``,
+    agent offsets ``T_m (M,)``, target state ``x (6,)`` and per-agent
+    variances ``sigma_db (M,)``, uniform within ``halfwidth_db`` of
+    ``center_db``.
 
     Draw order (fixed for reproducibility): agent positions, agent clock
     offsets, target position, target velocity, target offset, target skew,
     per-agent variances.
     """
     M = bounds.n_agents
-    t = bounds.slot_interval * np.arange(M)
+    p_m[...] = rng.uniform(bounds.agent_xy[0], bounds.agent_xy[1], size=(M, 2))
+    T_m[...] = rng.uniform(bounds.agent_offset_ns[0], bounds.agent_offset_ns[1], size=M) * 1e-9 * C_LIGHT
+    x[0:2] = rng.uniform(bounds.target_xy[0], bounds.target_xy[1], size=2)
+    x[2:4] = rng.uniform(bounds.velocity[0], bounds.velocity[1], size=2)
+    x[4] = rng.uniform(bounds.target_offset_ns[0], bounds.target_offset_ns[1]) * 1e-9 * C_LIGHT
+    x[5] = rng.uniform(bounds.skew_ppm[0], bounds.skew_ppm[1]) * 1e-6 * C_LIGHT
+    sigma_db[...] = rng.uniform(center_db - halfwidth_db, center_db + halfwidth_db, size=M)
 
-    pos = rng.uniform(bounds.agent_xy[0], bounds.agent_xy[1], size=(M, 2))
-    T_m = rng.uniform(bounds.agent_offset_ns[0], bounds.agent_offset_ns[1], size=M) * 1e-9 * C_LIGHT
-    target_p = rng.uniform(bounds.target_xy[0], bounds.target_xy[1], size=2)
-    target_v = rng.uniform(bounds.velocity[0], bounds.velocity[1], size=2)
-    target_T = rng.uniform(bounds.target_offset_ns[0], bounds.target_offset_ns[1]) * 1e-9 * C_LIGHT
-    target_omega = rng.uniform(bounds.skew_ppm[0], bounds.skew_ppm[1]) * 1e-6 * C_LIGHT
-    sigma_db = rng.uniform(
-        bounds.sigma_s_sq_db - bounds.agent_sigma_halfwidth_db,
-        bounds.sigma_s_sq_db + bounds.agent_sigma_halfwidth_db,
-        size=M,
-    )
 
-    agents = tuple(AgentTruth(p_m=pos[m], T_m=T_m[m], t_m=t[m]) for m in range(M))
+def _scenario(t, p_m, T_m, x, noise: NoiseSpec) -> Scenario:
+    """The :class:`Scenario` of one row of columns."""
+    agents = tuple(AgentTruth(p_m=p_m[m], T_m=T_m[m], t_m=t[m]) for m in range(t.size))
+    return Scenario(agents=agents, target=TargetState.from_vector(x), noise=noise)
+
+
+def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> Scenario:
+    """Draw one random scenario (see :func:`_draw_random` for the draw order)."""
+    M = bounds.n_agents
+    p_m, T_m, x, sigma_db = np.empty((M, 2)), np.empty(M), np.empty(6), np.empty(M)
+    _draw_random(bounds, rng, p_m, T_m, x, sigma_db, bounds.sigma_s_sq_db, bounds.agent_sigma_halfwidth_db)
     noise = NoiseSpec.from_db(bounds.sigma_tau_sq_db, sigma_db)
-    return Scenario(
-        agents=agents,
-        target=TargetState(p=target_p, v=target_v, T=target_T, omega=target_omega),
-        noise=noise,
-    )
+    return _scenario(bounds.slot_interval * np.arange(M), p_m, T_m, x, noise)
 
 
-def _materialize_scenario(spec: ExperimentSpec, sweep_value: float, rng: np.random.Generator) -> Scenario:
-    """Per-trial scenario for one sweep point.
+def _map(pool: ThreadPoolExecutor | None, fn, n: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, on ``pool`` if given."""
+    return list(map(fn, range(n)) if pool is None else pool.map(fn, range(n)))
 
-    Fixed-topology schemes keep agent geometry/offsets and the target's
-    position/velocity from the base scenario but redraw the target clock
-    offset (uniform for non-LTCO; the sweep value itself for the LTCO sweep),
-    the target skew, and the per-agent variances.
+
+@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """The trials of one chunk as columns; row k belongs to its k-th unit."""
+
+    x: np.ndarray  # (N, 6) true target states
+    p_m: np.ndarray  # (N, M, 2) true agent positions
+    T_m: np.ndarray  # (N, M) true agent offsets
+    stack: estimator.FrameStack  # slot times, observations and noise columns
+    inits: np.ndarray | None  # (N, 6) the MLE's initial states, if it runs
+
+    def noise(self, k: int) -> NoiseSpec:
+        return NoiseSpec(c_tau=self.stack.c_tau[k], blocks=self.stack.blocks[k])
+
+    def frame(self, k: int) -> ObservedFrame:
+        s = self.stack
+        return ObservedFrame(t=s.t[k], tau=s.tau[k], p_hat=s.p_hat[k], T_hat=s.T_hat[k], noise=self.noise(k))
+
+    def scenario(self, k: int) -> Scenario:
+        return _scenario(self.stack.t[k], self.p_m[k], self.T_m[k], self.x[k], self.noise(k))
+
+
+def _draw_chunk(spec: ExperimentSpec, units, pool: ThreadPoolExecutor | None = None) -> _Chunk:
+    """Draw and simulate the trials ``units`` (``(sweep value, trial)`` pairs).
+
+    Each trial is seeded and drawn on its own (on ``pool`` if given), as the
+    reproducibility contract says, into its row of the chunk's columns.
+    Fixed-topology schemes keep the base scenario's agents and target
+    position/velocity and draw the target clock offset (uniform on the noise
+    sweep; the sweep value itself on the LTCO sweep), the target skew and the
+    per-agent variances; the random-topology scheme draws a whole scenario.
+    The frame stream then gives M TOA and 3M broadcast standard normals.  The
+    noise columns, the TOAs and the broadcasts follow for the whole chunk at
+    once, as :func:`~seqtoa.model.simulate_frame` computes them for one frame.
     """
+    N = len(units)
+    x = np.empty((N, 6))
     if spec.scheme == "random_topology":
         bounds = spec.topology if isinstance(spec.topology, TopologyBounds) else TopologyBounds()
-        bounds = dataclasses.replace(
-            bounds,
-            sigma_tau_sq_db=spec.sigma_tau_sq_db,
-            sigma_s_sq_db=sweep_value,
-            agent_sigma_halfwidth_db=spec.agent_sigma_halfwidth_db,
-        )
-        return sample_random_topology(bounds, rng)
+        M = bounds.n_agents
+        t = np.broadcast_to(bounds.slot_interval * np.arange(M), (N, M))
+        p_m, T_m = np.empty((N, M, 2)), np.empty((N, M))
+    else:
+        base = spec.topology if isinstance(spec.topology, Scenario) else fixed_topology()
+        M = base.n_agents
+        t, p_m, T_m = (np.broadcast_to(col, (N, *col.shape)) for col in _agent_columns(base))
+        x[:, 0:2], x[:, 2:4] = base.target.p, base.target.v
+    sigma_db, z_tau, z_beta = np.empty((N, M)), np.empty((N, M)), np.empty((N, 3 * M))
+    inits = np.empty((N, 6)) if "mle" in spec.estimators else None
+    halfwidth = spec.agent_sigma_halfwidth_db
 
-    base = spec.topology if isinstance(spec.topology, Scenario) else fixed_topology()
-    M = base.n_agents
+    def draw(k: int) -> None:
+        value, trial = units[k]
+        streams = np.random.SeedSequence(spec.base_seed ^ trial).spawn(3)
+        rng = np.random.default_rng(streams[0])
+        if spec.scheme == "random_topology":
+            _draw_random(bounds, rng, p_m[k], T_m[k], x[k], sigma_db[k], value, halfwidth)
+        else:
+            if spec.scheme == "noise_sweep":
+                center = value
+                x[k, 4] = rng.uniform(-spec.target_offset_ns, spec.target_offset_ns) * 1e-9 * C_LIGHT
+            else:  # ltco_sweep: sweep value is the offset in range-equivalent meters
+                center = spec.sigma_s_sq_db
+                x[k, 4] = value
+            x[k, 5] = rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT
+            sigma_db[k] = rng.uniform(center - halfwidth, center + halfwidth, size=M)
+        frame_rng = np.random.default_rng(int(streams[1].generate_state(1, np.uint64)[0]))
+        frame_rng.standard_normal(out=z_tau[k])
+        frame_rng.standard_normal(out=z_beta[k])
+        if inits is not None:
+            inits[k] = np.random.default_rng(streams[2]).normal(0.0, spec.mle_init_sigma, size=6)
 
-    if spec.scheme == "noise_sweep":
-        sigma_s_sq_db = sweep_value
-        target_T = rng.uniform(-spec.target_offset_ns, spec.target_offset_ns) * 1e-9 * C_LIGHT
-    else:  # ltco_sweep: sweep value is the offset in range-equivalent meters
-        sigma_s_sq_db = spec.sigma_s_sq_db
-        target_T = float(sweep_value)
+    _map(pool, draw, N)
 
-    target_omega = rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT
-    sigma_db = rng.uniform(
-        sigma_s_sq_db - spec.agent_sigma_halfwidth_db,
-        sigma_s_sq_db + spec.agent_sigma_halfwidth_db,
-        size=M,
-    )
-    target = TargetState(p=base.target.p, v=base.target.v, T=target_T, omega=target_omega)
-    noise = NoiseSpec.from_db(spec.sigma_tau_sq_db, sigma_db)
-    return Scenario(agents=base.agents, target=target, noise=noise)
-
-
-def _run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
-    """The per-trial part of one trial.
-
-    Returns its scenario, its frame, the MLE's initial state (None unless
-    ``mle`` runs) and the error 6-vectors (None on failure) of the estimators
-    that run one frame at a time.  The MLE init is drawn from the trial's
-    estimator stream; the MLE itself runs stacked over the chunk.
-    """
-    seed_i = spec.base_seed ^ trial
-    streams = np.random.SeedSequence(seed_i).spawn(3)
-    rng_scenario = np.random.default_rng(streams[0])
-    frame_seed = int(streams[1].generate_state(1, np.uint64)[0])
-    rng_est = np.random.default_rng(streams[2])
-
-    scenario = _materialize_scenario(spec, sweep_value, rng_scenario)
-    frame = simulate_frame(scenario, frame_seed)
-    truth = scenario.target.as_vector()
-
-    errors = {}
-    if "proposed" in spec.estimators:
-        try:
-            errors["proposed"] = _error(estimator.estimate(frame).x_hat.as_vector(), truth)
-        except EstimationError:
-            errors["proposed"] = None
-    mle_init = truth + rng_est.normal(0.0, spec.mle_init_sigma, size=6) if "mle" in spec.estimators else None
-    return scenario, frame, mle_init, errors
+    c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
+    tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z_tau * np.sqrt(c_tau), _broadcast_errors(blocks, z_beta))
+    stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks, dense=(None,) * N)
+    if inits is not None:
+        inits += x
+    return _Chunk(x=x, p_m=p_m, T_m=T_m, stack=stack, inits=inits)
 
 
 def _error(x: np.ndarray, truth: np.ndarray):
@@ -282,58 +320,82 @@ def _error(x: np.ndarray, truth: np.ndarray):
     return x - truth if np.all(np.isfinite(x)) else None
 
 
-def _mle_errors(frames, inits, scenarios, max_iters: int) -> list:
-    """Error 6-vectors (None on failure or divergence) of the MLE, stacked over ``frames``."""
-    return [
-        None if isinstance(r, EstimationError) or r.diverged else _error(r.x_hat.as_vector(), s.target.as_vector())
-        for r, s in zip(baselines.mle_batch(frames, inits, max_iters), scenarios)
-    ]
-
-
-def _static_errors(frames, scenarios) -> list:
-    """Error 6-vectors (None on failure) of the static solver, stacked over ``frames``."""
+def _proposed_error(frame: ObservedFrame, truth: np.ndarray):
+    """Error 6-vector (None on failure) of the proposed estimator on one frame."""
     try:
-        results = baselines.tswls_static_batch(estimator.FrameStack.of(frames))
+        return _error(estimator.estimate(frame).x_hat.as_vector(), truth)
     except EstimationError:
-        return [None] * len(frames)
+        return None
+
+
+def _run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
+    """One trial as a chunk of one.
+
+    Returns its scenario, its frame, the MLE's initial state (None unless
+    ``mle`` runs) and the error 6-vectors (None on failure) of the estimators
+    that run one frame at a time.
+    """
+    chunk = _draw_chunk(spec, [(sweep_value, trial)])
+    frame = chunk.frame(0)
+    errors = {"proposed": _proposed_error(frame, chunk.x[0])} if "proposed" in spec.estimators else {}
+    return chunk.scenario(0), frame, None if chunk.inits is None else chunk.inits[0], errors
+
+
+def _mle_errors(chunk: _Chunk, max_iters: int) -> list:
+    """Error 6-vectors (None on failure or divergence) of the MLE, stacked over the chunk."""
     return [
-        np.array([r.position[0], r.position[1], 0.0, 0.0, r.offset, 0.0]) - s.target.as_vector() if r.success else None
-        for r, s in zip(results, scenarios)
+        None if isinstance(r, EstimationError) or r.diverged else _error(r.x_hat.as_vector(), truth)
+        for r, truth in zip(baselines.mle_batch(chunk.stack, chunk.inits, max_iters), chunk.x)
     ]
 
 
-def _crlb_traces(scenarios) -> list:
-    """Per-block CRLB traces (None on failure), stacked over ``scenarios``."""
+def _static_errors(chunk: _Chunk) -> list:
+    """Error 6-vectors (None on failure) of the static solver, stacked over the chunk."""
+    try:
+        results = baselines.tswls_static_batch(chunk.stack)
+    except EstimationError:
+        return [None] * len(chunk.stack)
+    return [
+        np.array([r.position[0], r.position[1], 0.0, 0.0, r.offset, 0.0]) - truth if r.success else None
+        for r, truth in zip(results, chunk.x)
+    ]
+
+
+def _crlb_traces(chunk: _Chunk) -> list:
+    """Per-block CRLB traces (None on failure), stacked over the chunk."""
+    s = chunk.stack
     traces = []
-    for res in analysis.crlb_batch(scenarios):
+    for res in analysis.crlb_columns(chunk.x, s.t, chunk.p_m, s.c_tau, s.blocks):
         if isinstance(res, EstimationError):
             traces.append(None)
         else:
-            diag = np.diag(res.crlb_x)
+            diag = np.diag(res[0])
             traces.append((diag[0] + diag[1], diag[2] + diag[3], diag[4], diag[5]))
     return traces
 
 
 def _run_chunk(spec: ExperimentSpec, units, pool: ThreadPoolExecutor | None):
     """Trials ``units`` (``(sweep value, trial)`` pairs, which may span cells):
-    per-trial work (on ``pool`` if given), then the static solver, the MLE
-    and the CRLB stacked over the chunk.
+    the chunk's columns (:func:`_draw_chunk`), ``proposed`` one frame at a
+    time (on ``pool`` if given), then the static solver, the MLE and the CRLB
+    stacked over the chunk.
 
     Returns one ``(errors by estimator id, CRLB traces or None)`` per unit, in
     unit order.
     """
-    if pool is None:
-        trials = [_run_trial(spec, v, i) for v, i in units]
-    else:
-        trials = list(pool.map(lambda unit: _run_trial(spec, *unit), units))
-    scenarios, frames, inits, errors = zip(*trials)
+    chunk = _draw_chunk(spec, units, pool)
+    errors = [{} for _ in units]
+    if "proposed" in spec.estimators:
+        proposed = _map(pool, lambda k: _proposed_error(chunk.frame(k), chunk.x[k]), len(units))
+        for e, err in zip(errors, proposed):
+            e["proposed"] = err
     if "tswls_static" in spec.estimators:
-        for e, static in zip(errors, _static_errors(frames, scenarios)):
+        for e, static in zip(errors, _static_errors(chunk)):
             e["tswls_static"] = static
     if "mle" in spec.estimators:
-        for e, mle in zip(errors, _mle_errors(frames, inits, scenarios, spec.mle_max_iters)):
+        for e, mle in zip(errors, _mle_errors(chunk, spec.mle_max_iters)):
             e["mle"] = mle
-    return list(zip(errors, _crlb_traces(scenarios)))
+    return list(zip(errors, _crlb_traces(chunk)))
 
 
 def _cell_stats(spec: ExperimentSpec, trials) -> dict[str, TrialStats]:
@@ -388,12 +450,11 @@ def run_trials(spec: ExperimentSpec, threads: int = 1) -> dict[tuple[float, str]
     units, cell by cell in sweep order and in trial order within a cell, are
     cut into chunks of at most 256 units; a chunk may span cells.  Within a
     chunk the trials are independent and may run on one thread pool shared
-    by the whole run: seeding, scenario, frame, the MLE's initial state and
-    ``proposed`` run per trial; the static solver, the MLE and the CRLB then
-    run once, stacked over the chunk.  Each cell is reduced, in trial order,
-    as soon as its last trial is done.  The chunks do not depend on
-    ``threads``, so the aggregation is deterministic regardless of
-    ``threads``.
+    by the whole run: seeding, the draws and ``proposed`` run per trial; the
+    frames, the static solver, the MLE and the CRLB run once, stacked over
+    the chunk.  Each cell is reduced, in trial order, as soon as its last
+    trial is done.  The chunks do not depend on ``threads``, so the
+    aggregation is deterministic regardless of ``threads``.
     """
     n_trials = spec.n_trials
     n_units = len(spec.sweep_values) * n_trials

@@ -155,12 +155,13 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
     is not ``sigma_tau^2 * I``, a ``C_beta`` that is not block diagonal
     with blocks ``sigma_m^2 * I_3``, or a variance that is not positive.
     """
-    M = noise.n_agents
-    sigma_tau_sq = noise.C_tau[0, 0]
-    if not np.array_equal(noise.C_tau, sigma_tau_sq * np.eye(M)):
+    sigma_tau_sq = noise.c_tau[0]
+    correlated = noise.dense is not None
+    if np.any(noise.c_tau != sigma_tau_sq) or correlated and np.count_nonzero(noise.C_tau) != np.count_nonzero(noise.c_tau):
         raise SchemaError(f"{path}.sigma_tau_sq_db", "C_tau must be sigma_tau^2 * I to be written in this schema")
-    agent = np.diag(noise.C_beta)[::3]
-    if not np.array_equal(noise.C_beta, np.diag(np.repeat(agent, 3))):
+    agent = noise.blocks[:, 0, 0]
+    # noise correlated across agents whose C_tau passed has C_beta entries outside the blocks
+    if correlated or not np.array_equal(noise.blocks, agent[:, None, None] * np.eye(3)):
         raise SchemaError(
             f"{path}.agent_sigma_sq_db",
             "C_beta must be block diagonal with blocks sigma_m^2 * I_3 to be written in this schema",

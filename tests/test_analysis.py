@@ -94,7 +94,7 @@ class TestCrlbTarget:
         scenario = Scenario(
             agents=base.agents,
             target=base.target,
-            noise=NoiseSpec(C_tau=base.noise.C_tau, C_beta=np.eye(3 * M) * 1e-12),
+            noise=NoiseSpec.from_dense(base.noise.C_tau, np.eye(3 * M) * 1e-12),
         )
         res = crlb_target(scenario)
         R1_inv = np.linalg.inv(fim_blocks(scenario).R1)
@@ -112,7 +112,7 @@ class TestCrlbTarget:
         doubled = Scenario(
             agents=scenario.agents,
             target=scenario.target,
-            noise=NoiseSpec(C_tau=2 * scenario.noise.C_tau, C_beta=2 * scenario.noise.C_beta),
+            noise=NoiseSpec.from_dense(2 * scenario.noise.C_tau, 2 * scenario.noise.C_beta),
         )
         c1 = crlb_target(scenario).crlb_x
         c2 = crlb_target(doubled).crlb_x
@@ -130,7 +130,7 @@ class TestCrlbTarget:
         idx = np.concatenate([[3 * i, 3 * i + 1, 3 * i + 2] for i in perm])
         C_beta = scenario.noise.C_beta[np.ix_(idx, idx)]
         permuted = Scenario(
-            agents=agents, target=scenario.target, noise=NoiseSpec(C_tau=C_tau, C_beta=C_beta)
+            agents=agents, target=scenario.target, noise=NoiseSpec.from_dense(C_tau, C_beta)
         )
         c1 = crlb_target(scenario).crlb_x
         c2 = crlb_target(permuted).crlb_x
@@ -180,9 +180,9 @@ def schur_information(scenario: Scenario) -> np.ndarray:
 
 
 def with_noise(scenario: Scenario, C_tau=None, C_beta=None) -> Scenario:
-    noise = NoiseSpec(
-        C_tau=scenario.noise.C_tau if C_tau is None else C_tau,
-        C_beta=scenario.noise.C_beta if C_beta is None else C_beta,
+    noise = NoiseSpec.from_dense(
+        scenario.noise.C_tau if C_tau is None else C_tau,
+        scenario.noise.C_beta if C_beta is None else C_beta,
     )
     return dataclasses.replace(scenario, noise=noise)
 

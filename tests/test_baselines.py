@@ -231,7 +231,7 @@ def singular_error_frame(seed):
     C_tau, C_beta = scenario.noise.C_tau.copy(), scenario.noise.C_beta.copy()
     C_tau[0, 0] = 0.0
     C_beta[0:3, 0:3] = 0.0
-    return simulate_frame(dataclasses.replace(scenario, noise=NoiseSpec(C_tau=C_tau, C_beta=C_beta)), seed)
+    return simulate_frame(dataclasses.replace(scenario, noise=NoiseSpec.from_dense(C_tau, C_beta)), seed)
 
 
 class TestTswlsStaticBatch:
@@ -273,7 +273,7 @@ class TestTswlsStaticBatch:
         base = static_scenario(np.random.default_rng(4))
         M = base.n_agents
         G = rng.normal(size=(3 * M, 3 * M))
-        noise = NoiseSpec(C_tau=base.noise.C_tau, C_beta=1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
+        noise = NoiseSpec.from_dense(base.noise.C_tau, 1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
         frames = [simulate_frame(dataclasses.replace(base, noise=noise), 60 + k) for k in range(3)]
         stack = FrameStack.of([frames[0], simulate_frame(base, 1), *frames[1:]])
         assert stack.dense[0] is noise and stack.dense[1] is None

@@ -114,10 +114,14 @@ class TestEstimateCommand:
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
             assert code == 1, setting
             assert f"experiment.{field}:" in capsys.readouterr().err, setting
-        for setting in ("estimators=[]", 'estimators=["mle","mle"]'):
+        for setting, message in [
+            ("estimators=[]", "estimators must"),
+            ('estimators=["mle","mle"]', "estimators must"),
+            ("sweep_values=[-20.5,-20.5]", "sweep_values must"),
+        ]:
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
             assert code == 1, setting
-            assert "experiment: estimators must" in capsys.readouterr().err, setting
+            assert f"experiment: {message}" in capsys.readouterr().err, setting
         ltco = {**random, "scheme": "ltco_sweep", "sweep_values": [4000.0], "topology": "fixed"}
         assert experiment_spec_from_dict(ltco).sweep_values == (4000.0,)
 

@@ -95,7 +95,7 @@ class TestBuildErrorModel:
         frame0 = simulate_frame(scenario, 1)
         frame = dataclasses.replace(
             frame0,
-            noise=NoiseSpec(C_tau=np.eye(M) * sigma_sq, C_beta=np.zeros((3 * M, 3 * M))),
+            noise=NoiseSpec.from_dense(np.eye(M) * sigma_sq, np.zeros((3 * M, 3 * M))),
         )
         em = build_error_model(frame, scenario.target)
         d = np.diag(em.D)
@@ -491,7 +491,7 @@ class TestEstimateBatch:
         rng = np.random.default_rng(21)
         M = fixed_scenario.n_agents
         G = rng.normal(size=(3 * M, 3 * M))
-        noise = NoiseSpec(C_tau=np.eye(M) * 1e-3, C_beta=1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
+        noise = NoiseSpec.from_dense(np.eye(M) * 1e-3, 1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
         target = TargetState(p=fixed_scenario.target.p, v=fixed_scenario.target.v,
                              T=fixed_scenario.target.T, omega=0.3e-6 * C_LIGHT)
         scenario = Scenario(agents=fixed_scenario.agents, target=target, noise=noise)

@@ -71,7 +71,7 @@ class TestSimulateFrame:
         scenario = Scenario(
             agents=base.agents,
             target=base.target,
-            noise=NoiseSpec(C_tau=np.zeros((5, 5)), C_beta=np.zeros((15, 15))),
+            noise=NoiseSpec.from_dense(np.zeros((5, 5)), np.zeros((15, 15))),
         )
         frame = simulate_frame(scenario, seed=7)
         for m, agent in enumerate(scenario.agents):
@@ -117,7 +117,7 @@ class TestSimulateFrame:
         bad = Scenario(
             agents=base.agents,
             target=base.target,
-            noise=NoiseSpec(C_tau=np.eye(3) * 1e-3, C_beta=C_beta),
+            noise=NoiseSpec.from_dense(np.eye(3) * 1e-3, C_beta),
         )
         with pytest.raises(NotPositiveDefiniteError):
             simulate_frame(bad, seed=0)
@@ -132,7 +132,7 @@ class TestSimulateFrame:
         scenario = Scenario(
             agents=base.agents,
             target=base.target,
-            noise=NoiseSpec(C_tau=np.eye(M) * 1e-6, C_beta=C_beta),
+            noise=NoiseSpec.from_dense(np.eye(M) * 1e-6, C_beta),
         )
         n = 4000
         draws = np.empty((n, 3 * M))
@@ -142,6 +142,27 @@ class TestSimulateFrame:
                 draws[seed, 3 * m : 3 * m + 2] = f.p_hat[m] - agent.p_m
                 draws[seed, 3 * m + 2] = f.T_hat[m] - agent.T_m
         emp = np.cov(draws.T)
+        assert np.abs(emp - C_beta).max() < 0.15 * np.abs(C_beta).max()
+
+
+    def test_singular_blocks_sampling_matches_covariance(self):
+        # per-agent blocks of rank 2 and 0: the block factors reproduce them,
+        # and an agent with a zero block broadcasts its truth exactly
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(3, 2))
+        C_beta = np.zeros((6, 6))
+        C_beta[0:3, 0:3] = A @ A.T / 10
+        base = random_scenario(rng, M=2)
+        scenario = dataclasses.replace(base, noise=NoiseSpec.from_dense(np.eye(2) * 1e-6, C_beta))
+        assert scenario.noise.dense is None
+        n = 4000
+        draws = np.empty((n, 6))
+        for seed in range(n):
+            f = simulate_frame(scenario, seed)
+            draws[seed] = np.column_stack([f.p_hat, f.T_hat]).reshape(-1)
+        truth = np.column_stack([[a.p_m for a in base.agents], [a.T_m for a in base.agents]]).reshape(-1)
+        assert np.array_equal(draws[:, 3:], np.broadcast_to(truth[3:], (n, 3)))
+        emp = np.cov((draws - truth).T)
         assert np.abs(emp - C_beta).max() < 0.15 * np.abs(C_beta).max()
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from seqtoa import (
     TargetState,
     TopologyBounds,
     crlb_target,
+    estimate,
     fixed_topology,
     mle_estimate,
     run_trials,
     sample_random_topology,
+    simulate_frame,
     tswls_static_estimate,
     validate_scenario,
     write_sweep_csv,
@@ -263,6 +266,113 @@ class TestRunTrials:
             small_spec(estimators=())
         with pytest.raises(ValueError, match="repeat"):
             small_spec(estimators=("mle", "proposed", "mle"))
+        with pytest.raises(ValueError, match="sweep_values must not repeat"):
+            small_spec(sweep_values=(-40.0, -30.0, -40.0))
+        with pytest.raises(ValueError, match="sweep_values must not repeat"):
+            small_spec(sweep_values=(0.0, -0.0))  # one key of the results
+
+
+def per_object_trial(spec, sweep_value, trial):
+    """One trial as the sweeps generated it one object at a time, with a
+    dense noise spec and a Cholesky factor of the whole ``C_beta``: the
+    reference for the chunk generator.  Returns the target state, the noise
+    columns, the observed columns and the MLE's initial state."""
+    streams = np.random.SeedSequence(spec.base_seed ^ trial).spawn(3)
+    rng = np.random.default_rng(streams[0])
+    frame_rng = np.random.default_rng(int(streams[1].generate_state(1, np.uint64)[0]))
+    rng_est = np.random.default_rng(streams[2])
+    hw = spec.agent_sigma_halfwidth_db
+    if spec.scheme == "random_topology":
+        b = spec.topology
+        M = b.n_agents
+        t = b.slot_interval * np.arange(M)
+        p_m = rng.uniform(b.agent_xy[0], b.agent_xy[1], size=(M, 2))
+        T_m = rng.uniform(b.agent_offset_ns[0], b.agent_offset_ns[1], size=M) * 1e-9 * C_LIGHT
+        target = TargetState(
+            p=rng.uniform(b.target_xy[0], b.target_xy[1], size=2),
+            v=rng.uniform(b.velocity[0], b.velocity[1], size=2),
+            T=rng.uniform(b.target_offset_ns[0], b.target_offset_ns[1]) * 1e-9 * C_LIGHT,
+            omega=rng.uniform(b.skew_ppm[0], b.skew_ppm[1]) * 1e-6 * C_LIGHT,
+        )
+        center = sweep_value
+    else:
+        base = fixed_topology()
+        M = base.n_agents
+        t = np.array([a.t_m for a in base.agents])
+        p_m = np.array([a.p_m for a in base.agents])
+        T_m = np.array([a.T_m for a in base.agents])
+        if spec.scheme == "noise_sweep":
+            center, T = sweep_value, rng.uniform(-spec.target_offset_ns, spec.target_offset_ns) * 1e-9 * C_LIGHT
+        else:
+            center, T = spec.sigma_s_sq_db, float(sweep_value)
+        target = TargetState(p=base.target.p, v=base.target.v, T=T, omega=rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT)
+    sigma_db = rng.uniform(center - hw, center + hw, size=M)
+    C_tau = np.eye(M) * float(10.0 ** (np.asarray(spec.sigma_tau_sq_db) / 10.0))
+    C_beta = np.diag(np.repeat(10.0 ** (sigma_db / 10.0), 3))
+
+    d_tau = frame_rng.standard_normal(M) * np.sqrt(np.diag(C_tau))
+    d_beta = (np.linalg.cholesky(C_beta) @ frame_rng.standard_normal(3 * M)).reshape(M, 3)
+    u = target.p + target.v * t[:, None] - p_m
+    tau = np.sqrt(np.vecdot(u, u)) + target.T + target.omega * t - T_m + d_tau
+    truth = target.as_vector()
+    init = truth + rng_est.normal(0.0, spec.mle_init_sigma, size=6)
+    blocks = C_beta.reshape(M, 3, M, 3)[np.arange(M), :, np.arange(M), :]
+    return truth, np.diag(C_tau), blocks, tau, p_m + d_beta[:, :2], T_m + d_beta[:, 2], init
+
+
+class TestChunkGenerator:
+    @pytest.mark.parametrize(
+        "scheme, sweep",
+        [
+            ("noise_sweep", (-50.0, -30.0, -10.0)),
+            ("ltco_sweep", (1e-8 * C_LIGHT, 1e-5 * C_LIGHT, 1e-3 * C_LIGHT)),
+            ("random_topology", (-30.0, -20.5, -10.0)),
+        ],
+    )
+    def test_matches_per_object_generation_bit_for_bit(self, scheme, sweep):
+        # 3 sweep values x 55 trials: every target, noise column, frame and
+        # MLE init of a chunk that spans cells equals the per-object one
+        topology = TopologyBounds() if scheme == "random_topology" else None
+        spec = small_spec(scheme=scheme, n_trials=55, base_seed=5, sweep_values=sweep, estimators=("proposed", "mle"),
+                          topology=topology)
+        units = [(v, i) for v in sweep for i in range(spec.n_trials)]
+        chunk = montecarlo._draw_chunk(spec, units)
+        s = chunk.stack
+        for k, (v, i) in enumerate(units):
+            truth, c_tau, blocks, tau, p_hat, T_hat, init = per_object_trial(spec, v, i)
+            got = (chunk.x[k], s.c_tau[k], s.blocks[k], s.tau[k], s.p_hat[k], s.T_hat[k], chunk.inits[k])
+            for name, a, b in zip(("x", "c_tau", "blocks", "tau", "p_hat", "T_hat", "init"), got,
+                                  (truth, c_tau, blocks, tau, p_hat, T_hat, init)):
+                assert a.tobytes() == b.tobytes(), (name, v, i)
+
+    def test_run_trial_is_a_chunk_of_one(self):
+        spec = small_spec(scheme="random_topology", n_trials=20, sweep_values=(-20.5,), estimators=("proposed", "mle"),
+                          topology=TopologyBounds())
+        chunk = montecarlo._draw_chunk(spec, [(-20.5, i) for i in range(spec.n_trials)])
+        for i in range(spec.n_trials):
+            scenario, frame, init, errors = _run_trial(spec, -20.5, i)
+            assert scenario.target.as_vector().tobytes() == chunk.x[i].tobytes()
+            assert np.array_equal([a.p_m for a in scenario.agents], chunk.p_m[i])
+            assert frame.tau.tobytes() == chunk.stack.tau[i].tobytes()
+            assert frame.noise.blocks.tobytes() == chunk.stack.blocks[i].tobytes()
+            assert init.tobytes() == chunk.inits[i].tobytes()
+            assert set(errors) == {"proposed"}
+
+
+class TestLargeFrames:
+    def test_memory_stays_linear_in_agents(self):
+        # M = 1000: a dense (3M, 3M) C_beta alone is 72 MB, its factor as much again
+        tracemalloc.start()
+        try:
+            scenario = sample_random_topology(TopologyBounds(n_agents=1000), np.random.default_rng(3))
+            frame = simulate_frame(scenario, 4)
+            report = estimate(frame)
+            bound = crlb_target(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(report.x_hat.as_vector())) and np.all(np.isfinite(bound.crlb_x))
+        assert peak <= 20e6, peak
 
 
 class TestFixedTopology:

@@ -4,13 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seqtoa import NoiseSpec, ObservedFrame, fixed_topology, simulate_frame
 from seqtoa.serialize import (
     SchemaError,
+    _db_ok,
+    _noise_from_dict,
+    _noise_to_dict,
     check_field,
     experiment_spec_from_dict,
     experiment_spec_to_dict,
@@ -89,6 +92,27 @@ def isotropic_frames(draw):
     )
 
 
+@st.composite
+def accepted_noise(draw):
+    """Isotropic noise of 1-12 agents at any dB values the schema accepts."""
+    M = draw(st.integers(1, 12))
+    db = st.floats(-3237.0, 3083.0).filter(_db_ok)
+    return NoiseSpec.from_db(draw(db), draw(hnp.arrays(float, M, elements=db)))
+
+
+class TestNoiseRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(accepted_noise())
+    @example(NoiseSpec.from_db(3082.547155599167, [-3236.072453387798, 3082.547155599167]))  # the range's ends
+    def test_columns_round_trip(self, noise):
+        d = json.loads(json.dumps(_noise_to_dict(noise, "noise")))
+        back = _noise_from_dict(d, noise.n_agents, "noise")
+        assert back.dense is None
+        for name in ("c_tau", "blocks"):
+            got, want = getattr(back, name), getattr(noise, name)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+
+
 class TestFrameRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(isotropic_frames())
@@ -124,9 +148,12 @@ class TestFrameRoundTrip:
             C_tau[:] = 0.0
         else:
             C_beta[1, 1] *= 2.0
-        frame = dataclasses.replace(simulate_frame(fixed_topology(), 2), noise=NoiseSpec(C_tau=C_tau, C_beta=C_beta))
-        with pytest.raises(SchemaError, match="frame.noise"):
+        frame = dataclasses.replace(simulate_frame(fixed_topology(), 2), noise=NoiseSpec.from_dense(C_tau, C_beta))
+        with pytest.raises(SchemaError, match="frame.noise") as exc:
             frame_to_dict(frame)
+        field = {"zero_toa_variance": "", "per_agent_toa_variance": ".sigma_tau_sq_db",
+                 "toa_correlation": ".sigma_tau_sq_db"}.get(case, ".agent_sigma_sq_db")
+        assert exc.value.path == "frame.noise" + field
 
     def test_report_is_flat_json(self):
         scenario = fixed_topology()
