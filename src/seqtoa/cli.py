@@ -42,8 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help=f"worker threads for trials (default ${_THREADS_ENV} or 1)",
+            help=f"accepted for compatibility (as is ${_THREADS_ENV}); sweeps run on the calling thread",
         )
         p.add_argument(
             "--set",
@@ -136,7 +135,7 @@ def _csv_paths(output: str) -> tuple[Path, Path]:
 def _cmd_experiment(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "experiment")
     spec = serialize.experiment_spec_from_dict(doc, np.random.default_rng(args.seed))
-    results = montecarlo.run_trials(spec, threads=max(1, args.threads))
+    results = montecarlo.run_trials(spec)
 
     sweep_path, cdf_path = _csv_paths(args.output)
     montecarlo.write_sweep_csv(results, spec, sweep_path)
@@ -168,14 +167,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is None:
+    if args.threads is None:  # --threads and $SEQTOA_THREADS have no effect, but stay validated
         raw = os.environ.get(_THREADS_ENV, "1")
         try:
-            args.threads = int(raw)
+            int(raw)
         except ValueError:
             print(f"error: ${_THREADS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
             return 1
     try:
+        if args.seed < 0:
+            raise serialize.SchemaError("--seed", f"must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (OSError, serialize.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,10 +114,6 @@ class TargetState:
             raise ValueError(f"state vector must have 6 entries, got {x.size}")
         return cls(p=x[0:2], v=x[2:4], T=x[4], omega=x[5])
 
-    def position_at(self, t: float) -> np.ndarray:
-        """Position at slot time ``t`` seconds under the linear motion model."""
-        return self.p + self.v * t
-
 
 @dataclass(frozen=True, eq=False)
 class AgentTruth:

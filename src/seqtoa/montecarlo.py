@@ -32,17 +32,14 @@ it: the benchmark checks that a sweep notices a dropped second pass by
 replacing that function, so a stacked call would escape the check until
 the check moves.  Each cell is reduced to :class:`TrialStats`, in trial
 order, as soon as its last trial is done, so a run holds about one cell and
-one chunk of trials.  The chunks are the same for every thread count, and
-one thread pool serves the whole run.
+one chunk of trials.  The whole run is on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -108,7 +105,7 @@ class ExperimentSpec:
 
     ``topology`` is a fixed :class:`Scenario` for the sweep schemes (defaults
     to the packaged fixed topology) or :class:`TopologyBounds` for the
-    random-topology scheme.
+    random-topology scheme (defaults to ``TopologyBounds()``), nothing else.
     """
 
     scheme: str
@@ -140,6 +137,9 @@ class ExperimentSpec:
                 raise ValueError(f"unknown estimator id {e!r}; known: {ESTIMATOR_IDS}")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError(f"estimators must not repeat an id, got {tuple(self.estimators)}")
+        kind = TopologyBounds if self.scheme == "random_topology" else Scenario
+        if not (self.topology is None or isinstance(self.topology, kind)):
+            raise ValueError(f"topology of a {self.scheme} experiment must be a {kind.__name__} or None")
         sweep_values = tuple(float(v) for v in self.sweep_values)
         if len(set(sweep_values)) != len(sweep_values):
             raise ValueError(f"sweep_values must not repeat a value, got {sweep_values}")
@@ -229,11 +229,6 @@ def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> 
     return _scenario(bounds.slot_interval * np.arange(M), p_m, T_m, x, noise)
 
 
-def _map(pool: ThreadPoolExecutor | None, fn, n: int) -> list:
-    """``[fn(0), ..., fn(n - 1)]``, on ``pool`` if given."""
-    return list(map(fn, range(n)) if pool is None else pool.map(fn, range(n)))
-
-
 @dataclass(frozen=True, eq=False)
 class _Chunk:
     """The trials of one chunk as columns; row k belongs to its k-th unit."""
@@ -255,11 +250,11 @@ class _Chunk:
         return _scenario(self.stack.t[k], self.p_m[k], self.T_m[k], self.x[k], self.noise(k))
 
 
-def _draw_chunk(spec: ExperimentSpec, units, pool: ThreadPoolExecutor | None = None) -> _Chunk:
+def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     """Draw and simulate the trials ``units`` (``(sweep value, trial)`` pairs).
 
-    Each trial is seeded and drawn on its own (on ``pool`` if given), as the
-    reproducibility contract says, into its row of the chunk's columns.
+    Each trial is seeded and drawn on its own, as the reproducibility
+    contract says, into its row of the chunk's columns.
     Fixed-topology schemes keep the base scenario's agents and target
     position/velocity and draw the target clock offset (uniform on the noise
     sweep; the sweep value itself on the LTCO sweep), the target skew and the
@@ -271,21 +266,19 @@ def _draw_chunk(spec: ExperimentSpec, units, pool: ThreadPoolExecutor | None = N
     N = len(units)
     x = np.empty((N, 6))
     if spec.scheme == "random_topology":
-        bounds = spec.topology if isinstance(spec.topology, TopologyBounds) else TopologyBounds()
+        bounds = spec.topology or TopologyBounds()
         M = bounds.n_agents
         t = np.broadcast_to(bounds.slot_interval * np.arange(M), (N, M))
         p_m, T_m = np.empty((N, M, 2)), np.empty((N, M))
     else:
-        base = spec.topology if isinstance(spec.topology, Scenario) else fixed_topology()
+        base = spec.topology or fixed_topology()
         M = base.n_agents
         t, p_m, T_m = (np.broadcast_to(col, (N, *col.shape)) for col in _agent_columns(base))
         x[:, 0:2], x[:, 2:4] = base.target.p, base.target.v
     sigma_db, z_tau, z_beta = np.empty((N, M)), np.empty((N, M)), np.empty((N, 3 * M))
     inits = np.empty((N, 6)) if "mle" in spec.estimators else None
     halfwidth = spec.agent_sigma_halfwidth_db
-
-    def draw(k: int) -> None:
-        value, trial = units[k]
+    for k, (value, trial) in enumerate(units):
         streams = np.random.SeedSequence(spec.base_seed ^ trial).spawn(3)
         rng = np.random.default_rng(streams[0])
         if spec.scheme == "random_topology":
@@ -304,8 +297,6 @@ def _draw_chunk(spec: ExperimentSpec, units, pool: ThreadPoolExecutor | None = N
         frame_rng.standard_normal(out=z_beta[k])
         if inits is not None:
             inits[k] = np.random.default_rng(streams[2]).normal(0.0, spec.mle_init_sigma, size=6)
-
-    _map(pool, draw, N)
 
     c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
     tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z_tau * np.sqrt(c_tau), _broadcast_errors(blocks, z_beta))
@@ -374,21 +365,20 @@ def _crlb_traces(chunk: _Chunk) -> list:
     return traces
 
 
-def _run_chunk(spec: ExperimentSpec, units, pool: ThreadPoolExecutor | None):
+def _run_chunk(spec: ExperimentSpec, units):
     """Trials ``units`` (``(sweep value, trial)`` pairs, which may span cells):
     the chunk's columns (:func:`_draw_chunk`), ``proposed`` one frame at a
-    time (on ``pool`` if given), then the static solver, the MLE and the CRLB
-    stacked over the chunk.
+    time, then the static solver, the MLE and the CRLB stacked over the
+    chunk.
 
     Returns one ``(errors by estimator id, CRLB traces or None)`` per unit, in
     unit order.
     """
-    chunk = _draw_chunk(spec, units, pool)
+    chunk = _draw_chunk(spec, units)
     errors = [{} for _ in units]
     if "proposed" in spec.estimators:
-        proposed = _map(pool, lambda k: _proposed_error(chunk.frame(k), chunk.x[k]), len(units))
-        for e, err in zip(errors, proposed):
-            e["proposed"] = err
+        for k, e in enumerate(errors):
+            e["proposed"] = _proposed_error(chunk.frame(k), chunk.x[k])
     if "tswls_static" in spec.estimators:
         for e, static in zip(errors, _static_errors(chunk)):
             e["tswls_static"] = static
@@ -441,34 +431,31 @@ def _cell_stats(spec: ExperimentSpec, trials) -> dict[str, TrialStats]:
     return stats
 
 
-def run_trials(spec: ExperimentSpec, threads: int = 1) -> dict[tuple[float, str], TrialStats]:
+def run_trials(spec: ExperimentSpec) -> dict[tuple[float, str], TrialStats]:
     """Run the experiment, one cell of :class:`TrialStats` per
     (sweep value, estimator id).
 
     Per-trial estimator failures are recorded and excluded from the averages;
     they never abort the sweep.  The experiment's ``(sweep value, trial)``
     units, cell by cell in sweep order and in trial order within a cell, are
-    cut into chunks of at most 256 units; a chunk may span cells.  Within a
-    chunk the trials are independent and may run on one thread pool shared
-    by the whole run: seeding, the draws and ``proposed`` run per trial; the
-    frames, the static solver, the MLE and the CRLB run once, stacked over
-    the chunk.  Each cell is reduced, in trial order, as soon as its last
-    trial is done.  The chunks do not depend on ``threads``, so the
-    aggregation is deterministic regardless of ``threads``.
+    cut into chunks of at most 256 units that may span cells.  Per chunk,
+    seeding, the draws and ``proposed`` run per trial, and the frames, the
+    static solver, the MLE and the CRLB run once, stacked.  Each cell is
+    reduced, in trial order, once its last trial is done.  All of it runs on
+    the calling thread.
     """
     n_trials = spec.n_trials
     n_units = len(spec.sweep_values) * n_trials
     results: dict[tuple[float, str], TrialStats] = {}
     cell: list = []  # finished trials of the cell in progress
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
-        for start in range(0, n_units, _CHUNK):
-            stop = min(start + _CHUNK, n_units)
-            units = [(spec.sweep_values[k // n_trials], k % n_trials) for k in range(start, stop)]
-            for (sweep_value, trial), outcome in zip(units, _run_chunk(spec, units, pool)):
-                cell.append(outcome)
-                if trial == n_trials - 1:
-                    results.update({(sweep_value, e): st for e, st in _cell_stats(spec, cell).items()})
-                    cell = []
+    for start in range(0, n_units, _CHUNK):
+        stop = min(start + _CHUNK, n_units)
+        units = [(spec.sweep_values[k // n_trials], k % n_trials) for k in range(start, stop)]
+        for (sweep_value, trial), outcome in zip(units, _run_chunk(spec, units)):
+            cell.append(outcome)
+            if trial == n_trials - 1:
+                results.update({(sweep_value, e): st for e, st in _cell_stats(spec, cell).items()})
+                cell = []
     return results
 
 

@@ -46,7 +46,7 @@ from .model import (
     ObservedFrame,
     Scenario,
     TargetState,
-    variance_to_db,
+    _db_columns,
 )
 from .montecarlo import ExperimentSpec, TopologyBounds
 
@@ -148,6 +148,22 @@ def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | Non
     return NoiseSpec.from_db(sigma_tau_sq_db, agent_db)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step past the largest float reads back as inf: no match
+def _exact_db(variances: np.ndarray) -> np.ndarray:
+    """Per variance ``v`` (the TOA variance, then the agents'), the float nearest
+    ``10 log10(v)``, within 4 ulps, that the reader's conversion (``_db_columns``)
+    turns back into exactly ``v``, else ``10 log10(v)``.  The conversion is
+    monotone, so each value steps one ulp at a time toward its variance."""
+    db = out = 10.0 * np.log10(variances)
+    for _ in range(5):  # 10 log10(v) and up to 4 steps from it
+        c_tau, blocks = _db_columns(out[0], out[1:])
+        back = np.concatenate((c_tau[:1], blocks[:, 0, 0]))
+        if (back == variances).all():  # 10 log10(v) itself, for most frames
+            return out
+        out = np.where(back == variances, out, np.nextafter(out, np.where(back > variances, -np.inf, np.inf)))
+    return np.where(back == variances, out, db)  # the last step is never read
+
+
 def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
     """The schema's form of ``noise``: one TOA variance and one variance per agent.
 
@@ -168,10 +184,8 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
         )
     if not (sigma_tau_sq > 0 and np.all(agent > 0)):
         raise SchemaError(path, "variances must be positive to be written in dB")
-    return {
-        "sigma_tau_sq_db": variance_to_db(sigma_tau_sq),
-        "agent_sigma_sq_db": [variance_to_db(v) for v in agent],
-    }
+    db = _exact_db(np.concatenate(([sigma_tau_sq], agent))).tolist()
+    return {"sigma_tau_sq_db": db[0], "agent_sigma_sq_db": db[1:]}
 
 
 # --- scenario ----------------------------------------------------------------
@@ -272,8 +286,8 @@ _SPEC_NUMBERS = ("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db",
 def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -> ExperimentSpec:
     """Parse an experiment document.
 
-    ``topology`` may be the string ``"fixed"`` (packaged fixed scenario, the
-    default), an inline scenario object, or ``{"random": {...bounds...}}``.
+    ``topology`` may be ``"fixed"`` (the scheme's default), an inline scenario
+    for a sweep, or ``{"random": {...bounds...}}`` for ``random_topology``.
     The integer fields ``n_trials``, ``base_seed``, ``mle_max_iters`` and
     ``topology.random.n_agents`` must be JSON integers that fit a signed
     64-bit integer, and every dB value must give a finite, positive variance

@@ -2,12 +2,13 @@ import json
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqtoa import NoiseSpec, Scenario, crlb_target, exact_frame, fixed_topology
+from seqtoa import NoiseSpec, Scenario, crlb_target, estimator, exact_frame, fixed_topology
 from seqtoa.cli import main
 from seqtoa.serialize import experiment_spec_from_dict, frame_to_dict, scenario_to_dict
 
@@ -124,6 +125,15 @@ class TestEstimateCommand:
             assert f"experiment: {message}" in capsys.readouterr().err, setting
         ltco = {**random, "scheme": "ltco_sweep", "sweep_values": [4000.0], "topology": "fixed"}
         assert experiment_spec_from_dict(ltco).sweep_values == (4000.0,)
+        # a topology of the wrong kind for the scheme
+        for doc, message in [
+            ({**random, "scheme": "noise_sweep", "topology": {"random": {"n_agents": 20}}}, "topology of a noise_sweep"),
+            ({**random, "topology": scenario_to_dict(fixed_topology())}, "topology of a random_topology"),
+        ]:
+            exp.write_text(json.dumps(doc))
+            code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv")])
+            assert code == 1, message
+            assert f"experiment: {message}" in capsys.readouterr().err, message
 
 
     def test_overlong_integer_exits_1(self, exact_frame_file, tmp_path, capsys):
@@ -264,6 +274,27 @@ class TestExperimentCommand:
         assert "target.omgea" in capsys.readouterr().err
         assert main(["crlb", "--input", str(scenario_file), "--output", out, "--set", "target.omega=0"]) == 0
 
+    def test_thread_count_does_not_change_csvs(self, tmp_path):
+        spec = mini_experiment(tmp_path, sweep_values=[-30.0], n_trials=24, estimators=["proposed", "tswls_static"])
+        written = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}.csv"
+            assert main(["experiment", "--input", str(spec), "--output", str(out), "--threads", threads]) == 0
+            written.append((out.read_bytes(), (tmp_path / f"t{threads}_cdf.csv").read_bytes()))
+        assert written[0] == written[1]
+
+    def test_sweep_estimates_on_the_calling_thread(self, tmp_path, monkeypatch):
+        estimate, callers = estimator.estimate, []
+
+        def spy(frame):
+            callers.append(threading.get_ident())
+            return estimate(frame)
+
+        monkeypatch.setattr(estimator, "estimate", spy)
+        spec = mini_experiment(tmp_path, n_trials=12)
+        assert main(["experiment", "--input", str(spec), "--output", str(tmp_path / "o.csv"), "--threads", "3"]) == 0
+        assert callers == [threading.get_ident()] * 24
+
     @pytest.mark.parametrize("path", EXPERIMENT_SPECS, ids=lambda p: p.name)
     def test_shipped_specs_take_trial_and_seed_overrides(self, path, tmp_path):
         code = main(["experiment", "--input", str(path), "--output", str(tmp_path / "o.csv"),
@@ -284,6 +315,15 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "crlb", "experiment"])
+    def test_negative_seed_exits_1(self, command, exact_frame_file, scenario_file, tmp_path, capsys):
+        inputs = {"estimate": exact_frame_file[0], "simulate": scenario_file, "crlb": scenario_file,
+                  "experiment": mini_experiment(tmp_path)}
+        code = main([command, "--input", str(inputs[command]), "--output", str(tmp_path / "o.json"), "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
 
     def test_help_documents_flags(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -110,14 +110,6 @@ class TestRunTrials:
             assert s1.divergence_count == s2.divergence_count
             assert s1.crlb_trace_position == s2.crlb_trace_position
 
-    def test_thread_count_does_not_change_results(self):
-        spec = small_spec(n_trials=24, sweep_values=(-30.0,))
-        r1 = run_trials(spec, threads=1)
-        r2 = run_trials(spec, threads=3)
-        for key in r1:
-            assert r1[key].mse_position == r2[key].mse_position
-            assert np.array_equal(r1[key].cdf_samples, r2[key].cdf_samples)
-
     def test_mse_monotone_in_agent_uncertainty(self):
         sweep = (-50.0, -40.0, -30.0, -20.0)
         spec = small_spec(n_trials=250, sweep_values=sweep, estimators=("proposed",))
@@ -180,9 +172,6 @@ class TestRunTrials:
         assert stats.n_success == len(sq_errors) > 200
         assert np.allclose(stats.cdf_samples, sq_errors, rtol=1e-12, atol=0.0)
         assert stats.crlb_trace_position == pytest.approx(np.mean(traces), rel=1e-12)
-        threaded = run_trials(spec, threads=2)[(-20.5, "tswls_static")]
-        assert np.array_equal(threaded.cdf_samples, stats.cdf_samples)
-        assert threaded.crlb_trace_position == stats.crlb_trace_position
 
     def test_stacked_mle_matches_per_trial_calls(self):
         # 260 random-topology trials make two chunks, the second of 4 trials
@@ -206,9 +195,6 @@ class TestRunTrials:
                 sq_errors.append(float(np.sum((report.x_hat.p - scenario.target.p) ** 2)))
         assert 0 < stats.divergence_count == spec.n_trials - len(sq_errors)
         assert np.array_equal(stats.cdf_samples, sq_errors)
-        threaded = run_trials(spec, threads=2)[(-20.5, "mle")]
-        assert np.array_equal(threaded.cdf_samples, stats.cdf_samples)
-        assert np.array_equal(threaded.bias, stats.bias)
 
     def test_chunks_span_cells_without_changing_results(self, tmp_path, monkeypatch):
         # 3 cells of 10 trials: chunks of 7 cross every cell boundary, one
@@ -224,12 +210,11 @@ class TestRunTrials:
         csvs = set()
         for chunk, sizes in [(1, [1] * 30), (7, [7, 7, 7, 7, 2]), (256, [30])]:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            for threads in (1, 3):
-                stack_sizes.clear()
-                path = tmp_path / f"sweep_{chunk}_{threads}.csv"
-                write_sweep_csv(run_trials(spec, threads=threads), spec, path)
-                csvs.add(path.read_bytes())
-                assert stack_sizes == sizes, (chunk, threads)
+            stack_sizes.clear()
+            path = tmp_path / f"sweep_{chunk}.csv"
+            write_sweep_csv(run_trials(spec), spec, path)
+            csvs.add(path.read_bytes())
+            assert stack_sizes == sizes, chunk
         assert len(csvs) == 1
 
     def test_mle_with_five_agents_fails_every_trial(self, tmp_path):
@@ -270,6 +255,10 @@ class TestRunTrials:
             small_spec(sweep_values=(-40.0, -30.0, -40.0))
         with pytest.raises(ValueError, match="sweep_values must not repeat"):
             small_spec(sweep_values=(0.0, -0.0))  # one key of the results
+        with pytest.raises(ValueError, match="topology of a noise_sweep"):
+            small_spec(topology=TopologyBounds(n_agents=20))
+        with pytest.raises(ValueError, match="topology of a random_topology"):
+            small_spec(scheme="random_topology", topology=fixed_topology())
 
 
 def per_object_trial(spec, sweep_value, trial):
