@@ -13,7 +13,7 @@ from seqtoa import estimate, fixed_topology, simulate_frame, validate_scenario
 
 scenario = fixed_topology()
 print("scenario check:", validate_scenario(scenario) or "OK")
-print(f"{scenario.n_agents} agents; slot times {scenario.slot_times()} s")
+print(f"{scenario.n_agents} agents; slot times {scenario.agents.t} s")
 print("truth:", scenario.target.as_vector())
 
 frame = simulate_frame(scenario, seed=7)

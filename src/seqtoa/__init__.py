@@ -43,7 +43,7 @@ from .estimator import (
 )
 from .model import (
     C_LIGHT,
-    AgentTruth,
+    Agents,
     Diagnostic,
     NoiseSpec,
     ObservedFrame,
@@ -71,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "C_LIGHT",
-    "AgentTruth",
+    "Agents",
     "ConditioningError",
     "CrlbResult",
     "DegenerateGeometryError",

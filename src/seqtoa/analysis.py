@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
 from .estimator import _design_arrays, build_error_model, theta_jacobian
-from .model import AgentTruth, ObservedFrame, Scenario, TargetState, exact_frame
+from .model import Agents, ObservedFrame, Scenario, TargetState, exact_frame
 
 _COINCIDENT_TOL = 1e-12
 
@@ -70,40 +70,61 @@ class CrlbResult:
         return np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]])
 
 
-def toa_gradients(x: TargetState, agent: AgentTruth) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of one noise-free TOA.
+def _ranges(x: np.ndarray, t: np.ndarray, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectors ``u (N, M, 2)`` from each agent to its target's slot-time
+    position, their lengths ``r (N, M)``, and whether each agent coincides
+    with that position, for target states ``x (N, 6)``, slot times
+    ``t (N, M)`` and agent positions ``p_m (N, M, 2)``."""
+    u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
+    r = np.sqrt((u * u).sum(axis=-1))
+    return u, r, r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1)))
 
-    Returns the row 6-vector ``[rho, t_m*rho, 1, t_m]`` (derivative with
-    respect to the target state) and the row 3-vector ``[-rho, -1]``
-    (derivative with respect to the agent's position/offset), where ``rho``
-    is the unit vector from the agent to the target's slot-time position.
+
+def _coincident_error(t: float, r: float) -> DegenerateGeometryError:
+    return DegenerateGeometryError(f"target coincides with agent at slot time {t}: range {r:.3e}")
+
+
+def _gradient_rows(rho: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TOA gradients ``Hx (..., M, 6)`` (rows ``[rho, t_m*rho, 1, t_m]``) and
+    ``g (..., M, 3)`` (rows ``[-rho, -1]``) from the unit vectors
+    ``rho (..., M, 2)`` and slot times ``t (..., M)``."""
+    Hx = np.empty(t.shape + (6,))
+    Hx[..., 0:2] = rho
+    Hx[..., 2:4] = t[..., None] * rho
+    Hx[..., 4] = 1.0
+    Hx[..., 5] = t
+    return Hx, -Hx[..., [0, 1, 4]]
+
+
+def toa_gradients(x: TargetState, agents: Agents) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the M noise-free TOAs.
+
+    Returns ``Hx (M, 6)``, whose row m ``[rho_m, t_m*rho_m, 1, t_m]`` is the
+    derivative of TOA m with respect to the target state, and ``g (M, 3)``,
+    whose row m ``[-rho_m, -1]`` is its derivative with respect to agent m's
+    position/offset, where ``rho_m`` is the unit vector from agent m to the
+    target's slot-time position.
 
     Raises
     ------
     DegenerateGeometryError
-        If target and agent coincide at the slot time (unit vector undefined).
+        If the target coincides with an agent at its slot time (unit vector
+        undefined); the first such agent is named.
     """
-    u = x.p + x.v * agent.t_m - agent.p_m
-    r = float(np.linalg.norm(u))
-    if r <= _COINCIDENT_TOL * (1.0 + float(np.linalg.norm(agent.p_m))):
-        raise DegenerateGeometryError(
-            f"target coincides with agent at slot time {agent.t_m}: range {r:.3e}"
-        )
-    rho = u / r
-    grad_x = np.concatenate([rho, agent.t_m * rho, [1.0, agent.t_m]])
-    grad_beta = np.concatenate([-rho, [-1.0]])
-    return grad_x, grad_beta
+    u, r, coincident = _ranges(x.as_vector()[None], agents.t[None], agents.p_m[None])
+    if coincident.any():
+        m = np.flatnonzero(coincident[0])[0]
+        raise _coincident_error(agents.t[m], r[0, m])
+    return _gradient_rows(u[0] / r[0][:, None], agents.t)
 
 
 def fim_blocks(scenario: Scenario) -> FimBlocks:
     """Assemble the joint Fisher information blocks at the scenario truth."""
     M = scenario.n_agents
-    Hx = np.zeros((M, 6))
-    Hb = np.zeros((M, 3 * M))
-    for m, agent in enumerate(scenario.agents):
-        gx, gb = toa_gradients(scenario.target, agent)
-        Hx[m] = gx
-        Hb[m, 3 * m : 3 * m + 3] = gb
+    Hx, g = toa_gradients(scenario.target, scenario.agents)
+    Hb = np.zeros((M, M, 3))  # row m holds g_m in agent m's three columns
+    Hb[np.arange(M), np.arange(M)] = g
+    Hb = Hb.reshape(M, 3 * M)
 
     ct_diag = scenario.noise.c_tau
     if np.any(ct_diag <= 0):
@@ -133,12 +154,7 @@ def _closed_form_information(rho: np.ndarray, t: np.ndarray, c_tau: np.ndarray, 
     ``rho (N, M, 2)`` from each agent to its target at slot times
     ``t (N, M)``, TOA variances ``c_tau (N, M)`` and agent blocks
     ``C_m (N, M, 3, 3)``."""
-    Hx = np.empty(t.shape + (6,))  # row m: [rho, t_m*rho, 1, t_m]
-    Hx[..., 0:2] = rho
-    Hx[..., 2:4] = t[..., None] * rho
-    Hx[..., 4] = 1.0
-    Hx[..., 5] = t
-    g = -Hx[..., [0, 1, 4]]  # [-rho, -1]
+    Hx, g = _gradient_rows(rho, t)
     w = 1.0 / (c_tau + ((C_m @ g[..., None])[..., 0] * g).sum(axis=-1))
     return (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
 
@@ -148,14 +164,11 @@ def _closed_form_rows(x, t, p_m, c_tau, C_m, out: list) -> tuple[np.ndarray, np.
     :func:`crlb_columns`).  A scenario that fails a check gets its record in
     ``out``.  Returns ``(idx, S)``: the scenarios that have a Schur
     complement, and it."""
-    live = np.ones(x.shape[0], dtype=bool)
-    u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
-    r = np.sqrt((u * u).sum(axis=-1))
-    coincident = r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1)))
+    u, r, coincident = _ranges(x, t, p_m)
     for i in np.flatnonzero(coincident.any(axis=-1)):
         m = np.flatnonzero(coincident[i])[0]
-        out[i] = DegenerateGeometryError(f"target coincides with agent at slot time {t[i, m]}: range {r[i, m]:.3e}")
-    live &= ~coincident.any(axis=-1)
+        out[i] = _coincident_error(t[i, m], r[i, m])
+    live = ~coincident.any(axis=-1)
     for i in np.flatnonzero(live & (c_tau <= 0).any(axis=-1)):
         out[i] = ConditioningError("C_tau must be strictly positive for the information matrix")
     live &= (c_tau > 0).all(axis=-1)
@@ -234,8 +247,8 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
     if compact:
         sub = [scenarios[i] for i in compact]
         x = np.array([s.target.as_vector() for s in sub])
-        t = np.array([a.t_m for s in sub for a in s.agents]).reshape(len(sub), M)
-        p_m = np.array([a.p_m for s in sub for a in s.agents]).reshape(len(sub), M, 2)
+        t = np.array([s.agents.t for s in sub])
+        p_m = np.array([s.agents.p_m for s in sub])
         c_tau = np.array([s.noise.c_tau for s in sub])
         blocks = np.array([s.noise.blocks for s in sub])
         for i, res in zip(compact, crlb_columns(x, t, p_m, c_tau, blocks)):

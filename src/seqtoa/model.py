@@ -4,6 +4,10 @@ A frame is M sequential one-way broadcasts.  Broadcast m carries four
 numbers: its slot time ``t_m``, the TOA ``tau_m`` the target measures, and
 the position ``p_hat_m`` and clock offset ``T_hat_m`` the agent reports.
 :class:`ObservedFrame` holds them as four columns over the M broadcasts.
+The ground truth is a :class:`Scenario`: the target's state, the noise, and
+:class:`Agents`, three columns over the M agents (slot times ``t``, true
+positions ``p_m`` and true clock offsets ``T_m``).  :func:`forward_toa`
+maps a target and its agents to the M noise-free TOAs.
 
 Unit conventions used throughout the package:
 
@@ -52,17 +56,6 @@ def variance_to_db(var: float) -> float:
     return float(10.0 * np.log10(var))
 
 
-def _vec(value, n: int, name: str) -> np.ndarray:
-    """Copy ``value`` into a read-only float vector of length ``n``."""
-    arr = np.array(value, dtype=float).reshape(-1)
-    if arr.size != n:
-        raise ValueError(f"{name} must have {n} entries, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {arr}")
-    arr.setflags(write=False)
-    return arr
-
-
 def _mat(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Copy ``value`` into a read-only float array of exactly ``shape``."""
     arr = np.array(value, dtype=float)
@@ -96,8 +89,8 @@ class TargetState:
     omega: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _vec(self.p, 2, "p"))
-        object.__setattr__(self, "v", _vec(self.v, 2, "v"))
+        object.__setattr__(self, "p", _mat(self.p, (2,), "p"))
+        object.__setattr__(self, "v", _mat(self.v, (2,), "v"))
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "omega", float(self.omega))
         if not (np.isfinite(self.T) and np.isfinite(self.omega)):
@@ -113,26 +106,6 @@ class TargetState:
         if x.size != 6:
             raise ValueError(f"state vector must have 6 entries, got {x.size}")
         return cls(p=x[0:2], v=x[2:4], T=x[4], omega=x[5])
-
-
-@dataclass(frozen=True, eq=False)
-class AgentTruth:
-    """True per-slot snapshot of one broadcasting agent.
-
-    ``t_m`` is the slot time offset from the frame start in seconds; the first
-    agent of a frame defines the origin (``t_1 = 0``).  ``p_m`` is the agent's
-    position at its own slot, ``T_m`` its clock offset in range-equivalent
-    meters.
-    """
-
-    p_m: np.ndarray
-    T_m: float
-    t_m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_m", _vec(self.p_m, 2, "p_m"))
-        object.__setattr__(self, "T_m", float(self.T_m))
-        object.__setattr__(self, "t_m", float(self.t_m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,10 +204,6 @@ class NoiseSpec:
         C_beta[idx, :, idx, :] = self.blocks
         return _read_only(C_beta.reshape(3 * M, 3 * M))
 
-    def agent_block(self, m: int) -> np.ndarray:
-        """3x3 covariance block of agent ``m`` (0-based)."""
-        return self.blocks[m]
-
     def position_cov_traces(self) -> np.ndarray:
         """Traces of the 2x2 position blocks of each agent, m^2."""
         return self.blocks[:, 0, 0] + self.blocks[:, 1, 1]
@@ -260,6 +229,36 @@ def _db_columns(sigma_tau_sq_db: float, agent_sigma_sq_db: np.ndarray) -> tuple[
 
 
 @dataclass(frozen=True, eq=False)
+class Agents:
+    """Ground truth of the M broadcasting agents of one frame, as columns.
+
+    Row m of every column belongs to the m-th broadcast of the frame.
+
+    Attributes
+    ----------
+    t : ndarray, shape (M,)
+        Slot times in seconds, offset from the frame start; the first agent
+        of a frame defines the origin (``t[0] = 0``).
+    p_m : ndarray, shape (M, 2)
+        Agent positions at their own slots, meters.
+    T_m : ndarray, shape (M,)
+        Agent clock offsets, range-equivalent meters.
+    """
+
+    t: np.ndarray
+    p_m: np.ndarray
+    T_m: np.ndarray
+
+    def __post_init__(self):
+        M = np.size(self.t)
+        if M < 1:
+            raise ValueError("scenario needs at least one agent")
+        object.__setattr__(self, "t", _mat(self.t, (M,), "t"))
+        object.__setattr__(self, "p_m", _mat(self.p_m, (M, 2), "p_m"))
+        object.__setattr__(self, "T_m", _mat(self.T_m, (M,), "T_m"))
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Ground truth of one frame: agents, target, and error statistics.
 
@@ -268,25 +267,17 @@ class Scenario:
     constructor refusing them.
     """
 
-    agents: tuple[AgentTruth, ...]
+    agents: Agents
     target: TargetState
     noise: NoiseSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if len(self.agents) < 1:
-            raise ValueError("scenario needs at least one agent")
-        if self.noise.n_agents != len(self.agents):
-            raise ValueError(
-                f"noise spec sized for {self.noise.n_agents} agents, scenario has {len(self.agents)}"
-            )
+        if self.noise.n_agents != self.n_agents:
+            raise ValueError(f"noise spec sized for {self.noise.n_agents} agents, scenario has {self.n_agents}")
 
     @property
     def n_agents(self) -> int:
-        return len(self.agents)
-
-    def slot_times(self) -> np.ndarray:
-        return np.array([a.t_m for a in self.agents])
+        return self.agents.t.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,22 +331,15 @@ def _toas(x: np.ndarray, t: np.ndarray, p_m: np.ndarray, T_m: np.ndarray) -> np.
     return np.sqrt(np.vecdot(u, u)) + x[:, 4:5] + x[:, 5:6] * t - T_m
 
 
-def forward_toa(target: TargetState, agent: AgentTruth) -> float:
-    """Noise-free one-way TOA of agent ``agent`` at the target, in meters.
+def forward_toa(target: TargetState, agents: Agents) -> np.ndarray:
+    """Noise-free one-way TOAs ``(M,)`` of the agents at the target, in meters.
 
-    The measurement is the geometric range at the slot time plus the clock
+    Each measurement is the geometric range at the slot time plus the clock
     mismatch between target and agent::
 
         tau_m = ||p + v*t_m - p_m|| + T + omega*t_m - T_m
     """
-    x = target.as_vector()[None]
-    return float(_toas(x, np.array([[agent.t_m]]), agent.p_m[None, None], np.array([[agent.T_m]]))[0, 0])
-
-
-def _agent_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """True slot times ``(M,)``, positions ``(M, 2)`` and offsets ``(M,)``."""
-    agents = scenario.agents
-    return scenario.slot_times(), np.array([a.p_m for a in agents]), np.array([a.T_m for a in agents])
+    return _toas(target.as_vector()[None], agents.t[None], agents.p_m[None], agents.T_m[None])[0]
 
 
 def _psd_factor(C: np.ndarray, name: str) -> np.ndarray:
@@ -411,10 +395,10 @@ def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
     else:
         d_beta = (_psd_factor(noise.C_beta, "C_beta") @ z_beta).reshape(1, M, 3)
 
-    t, p_m, T_m = _agent_columns(scenario)
+    a = scenario.agents
     x = scenario.target.as_vector()[None]
-    tau, p_hat, T_hat = _observe(x, t[None], p_m[None], T_m[None], z_tau * np.sqrt(noise.c_tau), d_beta)
-    return ObservedFrame(t=t, tau=tau[0], p_hat=p_hat[0], T_hat=T_hat[0], noise=noise)
+    tau, p_hat, T_hat = _observe(x, a.t[None], a.p_m[None], a.T_m[None], z_tau * np.sqrt(noise.c_tau), d_beta)
+    return ObservedFrame(t=a.t, tau=tau[0], p_hat=p_hat[0], T_hat=T_hat[0], noise=noise)
 
 
 def exact_frame(scenario: Scenario) -> ObservedFrame:
@@ -423,9 +407,8 @@ def exact_frame(scenario: Scenario) -> ObservedFrame:
     The frame still carries the scenario's noise spec, which downstream
     weighting uses; the observations themselves are exact.
     """
-    t, p_m, T_m = _agent_columns(scenario)
-    tau = _toas(scenario.target.as_vector()[None], t[None], p_m[None], T_m[None])[0]
-    return ObservedFrame(t=t, tau=tau, p_hat=p_m, T_hat=T_m, noise=scenario.noise)
+    a = scenario.agents
+    return ObservedFrame(t=a.t, tau=forward_toa(scenario.target, a), p_hat=a.p_m, T_hat=a.T_m, noise=scenario.noise)
 
 
 @dataclass(frozen=True)
@@ -443,7 +426,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     Never raises; every violation becomes a :class:`Diagnostic`.
     """
     out: list[Diagnostic] = []
-    t = scenario.slot_times()
+    t = scenario.agents.t
 
     if t[0] != 0.0:
         out.append(Diagnostic("slot-origin", "error", f"first slot time must be 0, got {t[0]!r}"))

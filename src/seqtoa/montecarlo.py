@@ -49,12 +49,11 @@ from . import analysis, baselines, estimator
 from .errors import EstimationError
 from .model import (
     C_LIGHT,
-    AgentTruth,
+    Agents,
     NoiseSpec,
     ObservedFrame,
     Scenario,
     TargetState,
-    _agent_columns,
     _broadcast_errors,
     _db_columns,
     _observe,
@@ -93,10 +92,10 @@ class TopologyBounds:
     def __post_init__(self):
         for name in ("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm"):
             lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} bounds must be well-ordered, got {(lo, hi)}")
-        if self.n_agents < 1 or self.slot_interval <= 0:
-            raise ValueError("need n_agents >= 1 and slot_interval > 0")
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise ValueError(f"{name} bounds must be finite and well-ordered, got {(lo, hi)}")
+        if self.n_agents < 1 or not 0 < self.slot_interval < np.inf:
+            raise ValueError("need n_agents >= 1 and a finite slot_interval > 0")
 
 
 @dataclass(frozen=True)
@@ -214,19 +213,14 @@ def _draw_random(bounds: TopologyBounds, rng, p_m, T_m, x, sigma_db, center_db: 
     sigma_db[...] = rng.uniform(center_db - halfwidth_db, center_db + halfwidth_db, size=M)
 
 
-def _scenario(t, p_m, T_m, x, noise: NoiseSpec) -> Scenario:
-    """The :class:`Scenario` of one row of columns."""
-    agents = tuple(AgentTruth(p_m=p_m[m], T_m=T_m[m], t_m=t[m]) for m in range(t.size))
-    return Scenario(agents=agents, target=TargetState.from_vector(x), noise=noise)
-
-
 def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> Scenario:
     """Draw one random scenario (see :func:`_draw_random` for the draw order)."""
     M = bounds.n_agents
     p_m, T_m, x, sigma_db = np.empty((M, 2)), np.empty(M), np.empty(6), np.empty(M)
     _draw_random(bounds, rng, p_m, T_m, x, sigma_db, bounds.sigma_s_sq_db, bounds.agent_sigma_halfwidth_db)
     noise = NoiseSpec.from_db(bounds.sigma_tau_sq_db, sigma_db)
-    return _scenario(bounds.slot_interval * np.arange(M), p_m, T_m, x, noise)
+    agents = Agents(t=bounds.slot_interval * np.arange(M), p_m=p_m, T_m=T_m)
+    return Scenario(agents=agents, target=TargetState.from_vector(x), noise=noise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +241,8 @@ class _Chunk:
         return ObservedFrame(t=s.t[k], tau=s.tau[k], p_hat=s.p_hat[k], T_hat=s.T_hat[k], noise=self.noise(k))
 
     def scenario(self, k: int) -> Scenario:
-        return _scenario(self.stack.t[k], self.p_m[k], self.T_m[k], self.x[k], self.noise(k))
+        agents = Agents(t=self.stack.t[k], p_m=self.p_m[k], T_m=self.T_m[k])
+        return Scenario(agents=agents, target=TargetState.from_vector(self.x[k]), noise=self.noise(k))
 
 
 def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
@@ -273,7 +268,8 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     else:
         base = spec.topology or fixed_topology()
         M = base.n_agents
-        t, p_m, T_m = (np.broadcast_to(col, (N, *col.shape)) for col in _agent_columns(base))
+        a = base.agents
+        t, p_m, T_m = (np.broadcast_to(col, (N, *col.shape)) for col in (a.t, a.p_m, a.T_m))
         x[:, 0:2], x[:, 2:4] = base.target.p, base.target.v
     sigma_db, z_tau, z_beta = np.empty((N, M)), np.empty((N, M)), np.empty((N, 3 * M))
     inits = np.empty((N, 6)) if "mle" in spec.estimators else None

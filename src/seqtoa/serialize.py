@@ -41,7 +41,7 @@ import numpy as np
 
 from .estimator import EstimateReport
 from .model import (
-    AgentTruth,
+    Agents,
     NoiseSpec,
     ObservedFrame,
     Scenario,
@@ -195,16 +195,13 @@ def scenario_from_dict(d: dict, rng: np.random.Generator | None = None) -> Scena
     agents_raw = _get(d, "agents", "scenario")
     if not isinstance(agents_raw, list) or not agents_raw:
         raise SchemaError("scenario.agents", "expected a non-empty array")
-    agents = []
+    M = len(agents_raw)
+    t, p_m, T_m = np.empty(M), np.empty((M, 2)), np.empty(M)
     for i, a in enumerate(agents_raw):
         path = f"scenario.agents[{i}]"
-        agents.append(
-            AgentTruth(
-                p_m=_pair(_get(a, "p", path), f"{path}.p"),
-                T_m=_number(_get(a, "T", path), f"{path}.T"),
-                t_m=_number(_get(a, "t", path), f"{path}.t"),
-            )
-        )
+        p_m[i] = _pair(_get(a, "p", path), f"{path}.p")
+        T_m[i] = _number(_get(a, "T", path), f"{path}.T")
+        t[i] = _number(_get(a, "t", path), f"{path}.t")
     traw = _get(d, "target", "scenario")
     target = TargetState(
         p=_pair(_get(traw, "p", "scenario.target"), "scenario.target.p"),
@@ -212,14 +209,15 @@ def scenario_from_dict(d: dict, rng: np.random.Generator | None = None) -> Scena
         T=_number(_get(traw, "T", "scenario.target"), "scenario.target.T"),
         omega=_number(_get(traw, "omega", "scenario.target"), "scenario.target.omega"),
     )
-    noise = _noise_from_dict(_get(d, "noise", "scenario"), len(agents), "scenario.noise", rng)
-    return Scenario(agents=tuple(agents), target=target, noise=noise)
+    noise = _noise_from_dict(_get(d, "noise", "scenario"), M, "scenario.noise", rng)
+    return Scenario(agents=Agents(t=t, p_m=p_m, T_m=T_m), target=target, noise=noise)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    columns = zip(s.agents.p_m.tolist(), s.agents.T_m.tolist(), s.agents.t.tolist())
     return {
         "version": 1,
-        "agents": [{"p": list(a.p_m), "T": a.T_m, "t": a.t_m} for a in s.agents],
+        "agents": [{"p": p, "T": T, "t": t} for p, T, t in columns],
         "target": {
             "p": list(s.target.p),
             "v": list(s.target.v),

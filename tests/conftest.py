@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from seqtoa import (
-    AgentTruth,
+    Agents,
     NoiseSpec,
     Scenario,
     TargetState,
@@ -30,15 +30,11 @@ def random_scenario(
     moving: bool = True,
 ) -> Scenario:
     """Well-posed random scenario: agents on [0,50]^2, target inside the hull."""
-    t = slot_interval * np.arange(M)
-    agents = tuple(
-        AgentTruth(
-            p_m=rng.uniform(0.0, 50.0, size=2),
-            T_m=rng.uniform(-10.0, 10.0) * 1e-9 * C,
-            t_m=t[m],
-        )
-        for m in range(M)
-    )
+    p_m, T_m = np.empty((M, 2)), np.empty(M)
+    for m in range(M):  # per agent: its position pair, then its offset
+        p_m[m] = rng.uniform(0.0, 50.0, size=2)
+        T_m[m] = rng.uniform(-10.0, 10.0) * 1e-9 * C
+    agents = Agents(t=slot_interval * np.arange(M), p_m=p_m, T_m=T_m)
     target = TargetState(
         p=rng.uniform(*target_box, size=2),
         v=rng.uniform(-5.0, 5.0, size=2) if moving else np.zeros(2),

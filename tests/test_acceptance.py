@@ -5,6 +5,7 @@ The heavy criteria reuse the Monte-Carlo harness with pinned seeds, so every
 number asserted here is reproducible bit for bit.
 """
 
+import dataclasses
 import json
 import time
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from seqtoa import (
-    AgentTruth,
+    Agents,
     ExperimentSpec,
     NoiseSpec,
     Scenario,
@@ -146,8 +147,9 @@ def test_criterion_5_gradient_checks():
             J_fd[:, i] = (theta_model(xp) - theta_model(xm)) / (2 * h)
         worst_j = max(worst_j, np.abs(J - J_fd).max() / max(1.0, np.abs(J).max()))
 
-        agent = AgentTruth(p_m=rng.uniform(0, 50, 2), T_m=rng.uniform(-3, 3), t_m=rng.uniform(0, 0.5))
-        gx, gb = toa_gradients(x, agent)
+        p_m, T_m, t_m = rng.uniform(0, 50, 2), rng.uniform(-3, 3), rng.uniform(0, 0.5)
+        agent = Agents(t=[t_m], p_m=[p_m], T_m=[T_m])
+        gx = toa_gradients(x, agent)[0][0]
         fd = np.empty(6)
         for i in range(6):
             h = 1e-6 * max(1.0, abs(xv[i]))
@@ -155,8 +157,8 @@ def test_criterion_5_gradient_checks():
             xp[i] += h
             xm[i] -= h
             fd[i] = (
-                forward_toa(TargetState.from_vector(xp), agent)
-                - forward_toa(TargetState.from_vector(xm), agent)
+                forward_toa(TargetState.from_vector(xp), agent)[0]
+                - forward_toa(TargetState.from_vector(xm), agent)[0]
             ) / (2 * h)
         worst_g = max(worst_g, np.abs(gx - fd).max() / max(1.0, np.abs(gx).max()))
     check(5, "TOA gradients and retraction Jacobian match finite differences (rel 1e-5)",
@@ -235,7 +237,7 @@ def test_criterion_8_degraded_mode_equivalence():
     worst = 0.0
     for k in range(100):
         base = random_scenario(rng, moving=False)
-        agents = tuple(AgentTruth(p_m=a.p_m, T_m=a.T_m, t_m=0.0) for a in base.agents)
+        agents = dataclasses.replace(base.agents, t=np.zeros(base.n_agents))
         scenario = Scenario(agents=agents, target=base.target, noise=base.noise)
         frame = simulate_frame(scenario, 17100 + k)
         pos, offset, cov = estimate_degraded(frame)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtoa import (
-    AgentTruth,
+    Agents,
     ConditioningError,
     CrlbResult,
     DegenerateGeometryError,
@@ -28,29 +28,33 @@ from seqtoa import (
 from conftest import C, SWEEP_POINTS, random_scenario, random_state, sweep_scenario
 
 
+def collinear_agents(M: int) -> Agents:
+    """M agents 5 m apart on the x axis, slots 50 ms apart."""
+    return Agents(t=0.05 * np.arange(M), p_m=np.column_stack([5.0 * np.arange(M), np.zeros(M)]), T_m=np.zeros(M))
+
+
 class TestToaGradients:
     def test_axis_aligned(self):
         x = TargetState(p=[0, 0], v=[0, 0], T=0.0, omega=0.0)
-        agent = AgentTruth(p_m=[10.0, 0.0], T_m=0.0, t_m=0.0)
+        agent = Agents(t=[0.0], p_m=[[10.0, 0.0]], T_m=[0.0])
         gx, gb = toa_gradients(x, agent)
-        assert np.allclose(gx, [-1, 0, 0, 0, 1, 0], atol=0)
-        assert np.allclose(gb, [1, 0, -1], atol=0)
+        assert np.allclose(gx, [[-1, 0, 0, 0, 1, 0]], atol=0)
+        assert np.allclose(gb, [[1, 0, -1]], atol=0)
 
     def test_moving_along_axis(self):
         x = TargetState(p=[0, 0], v=[-5, 0], T=0.0, omega=0.0)
-        agent = AgentTruth(p_m=[10.0, 0.0], T_m=0.0, t_m=0.05)
+        agent = Agents(t=[0.05], p_m=[[10.0, 0.0]], T_m=[0.0])
         gx, _ = toa_gradients(x, agent)
-        assert np.allclose(gx, [-1, 0, -0.05, 0, 1, 0.05], rtol=1e-14)
+        assert np.allclose(gx, [[-1, 0, -0.05, 0, 1, 0.05]], rtol=1e-14)
 
     def test_finite_difference_agreement(self):
         # central differences of forward_toa in both the state and the agent
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = random_state(rng)
-            agent = AgentTruth(
-                p_m=rng.uniform(0, 50, 2), T_m=rng.uniform(-3, 3), t_m=rng.uniform(0, 0.5)
-            )
-            gx, gb = toa_gradients(x, agent)
+            p_m, T_m, t_m = rng.uniform(0, 50, 2), rng.uniform(-3, 3), rng.uniform(0, 0.5)
+            agent = Agents(t=[t_m], p_m=[p_m], T_m=[T_m])
+            gx, gb = (g[0] for g in toa_gradients(x, agent))
 
             xv = x.as_vector()
             fd_x = np.empty(6)
@@ -60,12 +64,12 @@ class TestToaGradients:
                 xp[i] += h
                 xm[i] -= h
                 fd_x[i] = (
-                    forward_toa(TargetState.from_vector(xp), agent)
-                    - forward_toa(TargetState.from_vector(xm), agent)
+                    forward_toa(TargetState.from_vector(xp), agent)[0]
+                    - forward_toa(TargetState.from_vector(xm), agent)[0]
                 ) / (2 * h)
             assert np.abs(gx - fd_x).max() <= 1e-5 * max(1.0, np.abs(gx).max())
 
-            beta = np.array([agent.p_m[0], agent.p_m[1], agent.T_m])
+            beta = np.array([p_m[0], p_m[1], T_m])
             fd_b = np.empty(3)
             for i in range(3):
                 h = 1e-6 * max(1.0, abs(beta[i]))
@@ -73,16 +77,16 @@ class TestToaGradients:
                 bp[i] += h
                 bm[i] -= h
                 fd_b[i] = (
-                    forward_toa(x, AgentTruth(p_m=bp[:2], T_m=bp[2], t_m=agent.t_m))
-                    - forward_toa(x, AgentTruth(p_m=bm[:2], T_m=bm[2], t_m=agent.t_m))
+                    forward_toa(x, Agents(t=[t_m], p_m=[bp[:2]], T_m=[bp[2]]))[0]
+                    - forward_toa(x, Agents(t=[t_m], p_m=[bm[:2]], T_m=[bm[2]]))[0]
                 ) / (2 * h)
             assert np.abs(gb - fd_b).max() <= 1e-5 * max(1.0, np.abs(gb).max())
 
     def test_coincident_geometry_raises(self):
         x = TargetState(p=[10, 0], v=[0, 0], T=0.0, omega=0.0)
-        agent = AgentTruth(p_m=[10.0, 0.0], T_m=0.0, t_m=0.0)
-        with pytest.raises(DegenerateGeometryError):
-            toa_gradients(x, agent)
+        agents = Agents(t=[0.0, 0.05, 0.1], p_m=[[0.0, 5.0], [10.0, 0.0], [10.0, 0.0]], T_m=[0.0, 0.0, 0.0])
+        with pytest.raises(DegenerateGeometryError, match=r"^target coincides with agent at slot time 0.05: range 0.000e\+00$"):
+            toa_gradients(x, agents)
 
 
 class TestCrlbTarget:
@@ -125,7 +129,8 @@ class TestCrlbTarget:
         scenario = random_scenario(rng)
         M = scenario.n_agents
         perm = rng.permutation(M)
-        agents = tuple(scenario.agents[i] for i in perm)
+        a = scenario.agents
+        agents = Agents(t=a.t[perm], p_m=a.p_m[perm], T_m=a.T_m[perm])
         C_tau = scenario.noise.C_tau[np.ix_(perm, perm)]
         idx = np.concatenate([[3 * i, 3 * i + 1, 3 * i + 2] for i in perm])
         C_beta = scenario.noise.C_beta[np.ix_(idx, idx)]
@@ -139,9 +144,7 @@ class TestCrlbTarget:
     def test_rigid_translation_invariance(self):
         scenario = random_scenario(np.random.default_rng(4))
         shift = np.array([13.7, -8.2])
-        agents = tuple(
-            AgentTruth(p_m=a.p_m + shift, T_m=a.T_m, t_m=a.t_m) for a in scenario.agents
-        )
+        agents = dataclasses.replace(scenario.agents, p_m=scenario.agents.p_m + shift)
         t = scenario.target
         moved = Scenario(
             agents=agents,
@@ -155,11 +158,8 @@ class TestCrlbTarget:
     def test_collinear_agents_unobservable(self):
         # all agents on one line, target on the same line, at rest
         M = 10
-        agents = tuple(
-            AgentTruth(p_m=[float(5 * m), 0.0], T_m=0.0, t_m=0.05 * m) for m in range(M)
-        )
         scenario = Scenario(
-            agents=agents,
+            agents=collinear_agents(M),
             target=TargetState(p=[75.0, 0.0], v=[0, 0], T=0.0, omega=0.0),
             noise=NoiseSpec.isotropic(1e-3, 1e-3, n_agents=M),
         )
@@ -170,7 +170,7 @@ class TestCrlbTarget:
 def coincident_scenario(seed: int) -> Scenario:
     """A noise-sweep scenario whose target sits, at rest, on agent 0 at its slot."""
     base = sweep_scenario("noise", -30.0, seed)
-    target = TargetState(p=base.agents[0].p_m, v=[0.0, 0.0], T=base.target.T, omega=base.target.omega)
+    target = TargetState(p=base.agents.p_m[0], v=[0.0, 0.0], T=base.target.T, omega=base.target.omega)
     return Scenario(agents=base.agents, target=target, noise=base.noise)
 
 
@@ -224,7 +224,7 @@ class TestCrlbBatch:
     def test_bad_scenario_fails_alone(self):
         good = [sweep_scenario("random", -20.5, k) for k in range(4)]
         collinear = Scenario(
-            agents=tuple(AgentTruth(p_m=[float(5 * m), 0.0], T_m=0.0, t_m=0.05 * m) for m in range(10)),
+            agents=collinear_agents(10),
             target=TargetState(p=[75.0, 0.0], v=[0, 0], T=0.0, omega=0.0),
             noise=NoiseSpec.isotropic(1e-3, 1e-3, n_agents=10),
         )
@@ -306,9 +306,7 @@ class TestAnalyticCov:
     def test_translation_invariance(self):
         scenario = random_scenario(np.random.default_rng(8))
         shift = np.array([-21.0, 9.5])
-        agents = tuple(
-            AgentTruth(p_m=a.p_m + shift, T_m=a.T_m, t_m=a.t_m) for a in scenario.agents
-        )
+        agents = dataclasses.replace(scenario.agents, p_m=scenario.agents.p_m + shift)
         t = scenario.target
         moved = Scenario(
             agents=agents,

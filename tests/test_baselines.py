@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtoa import (
-    AgentTruth,
+    Agents,
     FrameStack,
     MleConfig,
     NoiseSpec,
@@ -34,7 +34,7 @@ ROUGH_INIT_SCALE = np.array([100.0, 100.0, 20.0, 20.0, 500.0, 100.0])
 def static_scenario(rng, M=10, sigma_tau_sq=1e-3, sigma_s_sq_db=-30.0):
     """Target at rest with zero skew, all broadcasts in one slot."""
     base = random_scenario(rng, M=M, sigma_tau_sq=sigma_tau_sq, sigma_s_sq_db=sigma_s_sq_db, moving=False)
-    agents = tuple(AgentTruth(p_m=a.p_m, T_m=a.T_m, t_m=0.0) for a in base.agents)
+    agents = dataclasses.replace(base.agents, t=np.zeros(M))
     return Scenario(agents=agents, target=base.target, noise=base.noise)
 
 
@@ -161,7 +161,7 @@ class TestTswlsStatic:
         # rank-deficient static geometry: agents exactly on the x-axis leave
         # the y column of the design identically zero
         M = 6
-        agents = tuple(AgentTruth(p_m=[float(m), 0.0], T_m=0.0, t_m=0.0) for m in range(M))
+        agents = Agents(t=np.zeros(M), p_m=np.column_stack([np.arange(M, dtype=float), np.zeros(M)]), T_m=np.zeros(M))
         scenario = Scenario(
             agents=agents,
             target=TargetState(p=[2.0, 5.0], v=[0, 0], T=0.0, omega=0.0),

@@ -127,7 +127,7 @@ class TestBuildErrorModel:
                     d,
                 ]
             )
-            block = frame.noise.agent_block(m)
+            block = frame.noise.blocks[m]
             expected = b @ block @ b + d * d * frame.noise.C_tau[m, m]
             assert em.C_e[m, m] == pytest.approx(expected, rel=1e-12)
 
@@ -356,9 +356,7 @@ class TestEstimate:
         rng = np.random.default_rng(11)
         for k in range(10):
             base = random_scenario(rng, moving=False)
-            agents = tuple(
-                type(a)(p_m=a.p_m, T_m=a.T_m, t_m=0.0) for a in base.agents
-            )
+            agents = dataclasses.replace(base.agents, t=np.zeros(base.n_agents))
             scenario = Scenario(agents=agents, target=base.target, noise=base.noise)
             frame = simulate_frame(scenario, 500 + k)
             pos, offset, cov = estimate_degraded(frame)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqtoa import (
-    AgentTruth,
+    Agents,
     NoiseSpec,
     NotPositiveDefiniteError,
     Scenario,
@@ -19,19 +19,19 @@ from seqtoa.model import db_to_variance, variance_to_db
 from conftest import C, random_scenario
 
 
-def make_agent(p=(10.0, 0.0), T=0.0, t=0.0):
-    return AgentTruth(p_m=np.asarray(p), T_m=T, t_m=t)
+def one_agent(p=(10.0, 0.0), T=0.0, t=0.0):
+    return Agents(t=[t], p_m=[p], T_m=[T])
 
 
 class TestForwardToa:
     def test_pure_geometric_range(self):
         x = TargetState(p=[0, 0], v=[0, 0], T=0.0, omega=0.0)
-        assert forward_toa(x, make_agent()) == 10.0
+        assert forward_toa(x, one_agent())[0] == 10.0
 
     def test_moving_skewed_target(self):
         # independent hand evaluation: ||(-0.25,0)-(10,0)|| + 3 + 6000*0.05 = 313.25
         x = TargetState(p=[0, 0], v=[-5, 0], T=3.0, omega=6000.0)
-        assert forward_toa(x, make_agent(t=0.05)) == pytest.approx(313.25, abs=1e-12)
+        assert forward_toa(x, one_agent(t=0.05))[0] == pytest.approx(313.25, abs=1e-12)
 
     def test_offset_cancellation(self):
         rng = np.random.default_rng(1)
@@ -40,28 +40,28 @@ class TestForwardToa:
             pm = rng.uniform(-50, 50, 2)
             T = rng.uniform(-100, 100)
             x = TargetState(p=p, v=[0, 0], T=T, omega=0.0)
-            agent = make_agent(pm, T=T, t=rng.uniform(0, 0.5))
-            assert forward_toa(x, agent) == pytest.approx(np.linalg.norm(p - pm), rel=1e-12)
+            agent = one_agent(pm, T=T, t=rng.uniform(0, 0.5))
+            assert forward_toa(x, agent)[0] == pytest.approx(np.linalg.norm(p - pm), rel=1e-12)
 
     def test_common_offset_shift_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = TargetState(p=rng.uniform(-50, 50, 2), v=rng.uniform(-5, 5, 2),
                             T=rng.uniform(-10, 10), omega=rng.uniform(-100, 100))
-            agent = make_agent(rng.uniform(-50, 50, 2), T=rng.uniform(-10, 10), t=0.3)
+            agent = one_agent(rng.uniform(-50, 50, 2), T=rng.uniform(-10, 10), t=0.3)
             shift = rng.uniform(-1e5, 1e5)
             x2 = TargetState(p=x.p, v=x.v, T=x.T + shift, omega=x.omega)
-            agent2 = make_agent(agent.p_m, T=agent.T_m + shift, t=agent.t_m)
-            assert forward_toa(x2, agent2) == pytest.approx(forward_toa(x, agent), rel=1e-12)
+            agent2 = dataclasses.replace(agent, T_m=agent.T_m + shift)
+            assert forward_toa(x2, agent2)[0] == pytest.approx(forward_toa(x, agent)[0], rel=1e-12)
 
     def test_zero_slot_time_reduction(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = TargetState(p=rng.uniform(-50, 50, 2), v=rng.uniform(-5, 5, 2),
                             T=rng.uniform(-10, 10), omega=rng.uniform(-100, 100))
-            agent = make_agent(rng.uniform(-50, 50, 2), T=rng.uniform(-10, 10), t=0.0)
-            expected = np.linalg.norm(x.p - agent.p_m) + x.T - agent.T_m
-            assert forward_toa(x, agent) == pytest.approx(expected, rel=1e-14)
+            agent = one_agent(rng.uniform(-50, 50, 2), T=rng.uniform(-10, 10), t=0.0)
+            expected = np.linalg.norm(x.p - agent.p_m[0]) + x.T - agent.T_m[0]
+            assert forward_toa(x, agent)[0] == pytest.approx(expected, rel=1e-14)
 
 
 class TestSimulateFrame:
@@ -74,10 +74,9 @@ class TestSimulateFrame:
             noise=NoiseSpec.from_dense(np.zeros((5, 5)), np.zeros((15, 15))),
         )
         frame = simulate_frame(scenario, seed=7)
-        for m, agent in enumerate(scenario.agents):
-            assert frame.tau[m] == forward_toa(scenario.target, agent)
-            assert np.array_equal(frame.p_hat[m], agent.p_m)
-            assert frame.T_hat[m] == agent.T_m
+        assert np.array_equal(frame.tau, forward_toa(scenario.target, scenario.agents))
+        assert np.array_equal(frame.p_hat, scenario.agents.p_m)
+        assert np.array_equal(frame.T_hat, scenario.agents.T_m)
 
     def test_determinism(self):
         scenario = random_scenario(np.random.default_rng(5))
@@ -92,14 +91,14 @@ class TestSimulateFrame:
     def test_noise_variance_and_mean(self):
         # one-agent scenario, 1e5 seeded frames: sample variance of the TOA
         # noise must sit in [0.95, 1.05] * 1e-3 and the mean within 3 SE of 0
-        agent = make_agent((30.0, 20.0), T=1.0, t=0.0)
+        agent = one_agent((30.0, 20.0), T=1.0, t=0.0)
         target = TargetState(p=[5, 5], v=[1, 0], T=2.0, omega=0.0)
         scenario = Scenario(
-            agents=(agent,),
+            agents=agent,
             target=target,
             noise=NoiseSpec.isotropic(1e-3, 1e-4, n_agents=1),
         )
-        truth = forward_toa(target, agent)
+        truth = forward_toa(target, agent)[0]
         n = 100_000
         deltas = np.empty(n)
         for seed in range(n):
@@ -138,9 +137,8 @@ class TestSimulateFrame:
         draws = np.empty((n, 3 * M))
         for seed in range(n):
             f = simulate_frame(scenario, seed)
-            for m, agent in enumerate(scenario.agents):
-                draws[seed, 3 * m : 3 * m + 2] = f.p_hat[m] - agent.p_m
-                draws[seed, 3 * m + 2] = f.T_hat[m] - agent.T_m
+            a = scenario.agents
+            draws[seed] = np.column_stack([f.p_hat - a.p_m, f.T_hat - a.T_m]).reshape(-1)
         emp = np.cov(draws.T)
         assert np.abs(emp - C_beta).max() < 0.15 * np.abs(C_beta).max()
 
@@ -160,7 +158,7 @@ class TestSimulateFrame:
         for seed in range(n):
             f = simulate_frame(scenario, seed)
             draws[seed] = np.column_stack([f.p_hat, f.T_hat]).reshape(-1)
-        truth = np.column_stack([[a.p_m for a in base.agents], [a.T_m for a in base.agents]]).reshape(-1)
+        truth = np.column_stack([base.agents.p_m, base.agents.T_m]).reshape(-1)
         assert np.array_equal(draws[:, 3:], np.broadcast_to(truth[3:], (n, 3)))
         emp = np.cov((draws - truth).T)
         assert np.abs(emp - C_beta).max() < 0.15 * np.abs(C_beta).max()
@@ -169,9 +167,8 @@ class TestSimulateFrame:
 class TestExactFrame:
     def test_matches_forward_model(self, fixed_scenario):
         frame = exact_frame(fixed_scenario)
-        for m, agent in enumerate(fixed_scenario.agents):
-            assert frame.tau[m] == forward_toa(fixed_scenario.target, agent)
-            assert np.array_equal(frame.p_hat[m], agent.p_m)
+        assert np.array_equal(frame.tau, forward_toa(fixed_scenario.target, fixed_scenario.agents))
+        assert np.array_equal(frame.p_hat, fixed_scenario.agents.p_m)
 
 
 class TestValidateScenario:
@@ -181,9 +178,7 @@ class TestValidateScenario:
     def test_slot_origin_violation(self):
         rng = np.random.default_rng(8)
         base = random_scenario(rng, M=3)
-        agents = tuple(
-            AgentTruth(p_m=a.p_m, T_m=a.T_m, t_m=a.t_m + 0.05) for a in base.agents
-        )
+        agents = dataclasses.replace(base.agents, t=base.agents.t + 0.05)
         bad = Scenario(agents=agents, target=base.target, noise=base.noise)
         codes = [d.code for d in validate_scenario(bad)]
         assert "slot-origin" in codes
@@ -204,9 +199,9 @@ class TestValidateScenario:
     def test_slot_order_violation(self):
         rng = np.random.default_rng(11)
         base = random_scenario(rng, M=3)
-        a = list(base.agents)
-        a[2] = AgentTruth(p_m=a[2].p_m, T_m=a[2].T_m, t_m=a[1].t_m)
-        bad = Scenario(agents=tuple(a), target=base.target, noise=base.noise)
+        t = base.agents.t.copy()
+        t[2] = t[1]
+        bad = Scenario(agents=dataclasses.replace(base.agents, t=t), target=base.target, noise=base.noise)
         assert "slot-order" in [d.code for d in validate_scenario(bad)]
 
 
@@ -222,7 +217,7 @@ class TestNoiseSpec:
     def test_size_mismatch_rejected(self, fixed_scenario):
         with pytest.raises(ValueError):
             Scenario(
-                agents=(make_agent(),),
+                agents=one_agent(),
                 target=TargetState(p=[0, 0], v=[0, 0], T=0, omega=0),
                 noise=NoiseSpec.isotropic(1e-3, 1e-3, n_agents=2),
             )
@@ -230,3 +225,18 @@ class TestNoiseSpec:
         for name, bad in (("t", frame.t[:, None]), ("tau", frame.tau[None]), ("T_hat", frame.T_hat.reshape(2, 5))):
             with pytest.raises(ValueError, match=f"{name} must have shape"):
                 dataclasses.replace(frame, **{name: bad})
+        agents = fixed_scenario.agents
+        one_nan = np.where(np.arange(10) == 3, np.nan, 0.0)
+        for name, bad, message in (
+            ("t", agents.t[:, None], "t must have shape"),
+            ("t", agents.t[:9], "p_m must have shape"),
+            ("p_m", agents.p_m.T, "p_m must have shape"),
+            ("T_m", agents.T_m[1:], "T_m must have shape"),
+            ("t", agents.t + one_nan, "t must be finite"),
+            ("T_m", agents.T_m + one_nan, "T_m must be finite"),
+            ("p_m", agents.p_m + np.inf, "p_m must be finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(agents, **{name: bad})
+        with pytest.raises(ValueError, match="at least one agent"):
+            Agents(t=[], p_m=np.empty((0, 2)), T_m=[])

@@ -33,8 +33,7 @@ class TestSampleRandomTopology:
         s1 = sample_random_topology(bounds, np.random.default_rng(42))
         s2 = sample_random_topology(bounds, np.random.default_rng(42))
         assert np.array_equal(s1.target.as_vector(), s2.target.as_vector())
-        for a1, a2 in zip(s1.agents, s2.agents):
-            assert np.array_equal(a1.p_m, a2.p_m) and a1.T_m == a2.T_m
+        assert np.array_equal(s1.agents.p_m, s2.agents.p_m) and np.array_equal(s1.agents.T_m, s2.agents.T_m)
         assert np.array_equal(s1.noise.C_beta, s2.noise.C_beta)
 
     def test_is_valid_scenario(self):
@@ -53,9 +52,8 @@ class TestSampleRandomTopology:
         skews = np.empty(n)
         for i in range(n):
             s = sample_random_topology(bounds, rng)
-            for m, a in enumerate(s.agents):
-                agent_xy[i, m] = a.p_m
-                offsets[i, m] = a.T_m
+            agent_xy[i] = s.agents.p_m
+            offsets[i] = s.agents.T_m
             target_x[i] = s.target.p[0]
             skews[i] = s.target.omega
 
@@ -259,6 +257,12 @@ class TestRunTrials:
             small_spec(topology=TopologyBounds(n_agents=20))
         with pytest.raises(ValueError, match="topology of a random_topology"):
             small_spec(scheme="random_topology", topology=fixed_topology())
+        for bad in (np.nan, np.inf, 0.0, -0.05):
+            with pytest.raises(ValueError, match="finite slot_interval > 0"):
+                TopologyBounds(slot_interval=bad)
+        for name, bad in (("agent_xy", (0.0, np.inf)), ("velocity", (-np.inf, 5.0)), ("skew_ppm", (np.nan, 20.0))):
+            with pytest.raises(ValueError, match=f"{name} bounds must be finite"):
+                TopologyBounds(**{name: bad})
 
 
 def per_object_trial(spec, sweep_value, trial):
@@ -287,9 +291,7 @@ def per_object_trial(spec, sweep_value, trial):
     else:
         base = fixed_topology()
         M = base.n_agents
-        t = np.array([a.t_m for a in base.agents])
-        p_m = np.array([a.p_m for a in base.agents])
-        T_m = np.array([a.T_m for a in base.agents])
+        t, p_m, T_m = base.agents.t, base.agents.p_m, base.agents.T_m
         if spec.scheme == "noise_sweep":
             center, T = sweep_value, rng.uniform(-spec.target_offset_ns, spec.target_offset_ns) * 1e-9 * C_LIGHT
         else:
@@ -341,7 +343,7 @@ class TestChunkGenerator:
         for i in range(spec.n_trials):
             scenario, frame, init, errors = _run_trial(spec, -20.5, i)
             assert scenario.target.as_vector().tobytes() == chunk.x[i].tobytes()
-            assert np.array_equal([a.p_m for a in scenario.agents], chunk.p_m[i])
+            assert np.array_equal(scenario.agents.p_m, chunk.p_m[i])
             assert frame.tau.tobytes() == chunk.stack.tau[i].tobytes()
             assert frame.noise.blocks.tobytes() == chunk.stack.blocks[i].tobytes()
             assert init.tobytes() == chunk.inits[i].tobytes()
@@ -370,13 +372,13 @@ class TestFixedTopology:
         assert s.n_agents == 10
         assert validate_scenario(s) == []
         assert np.array_equal(s.target.v, [-5.0, 0.0])
-        t = s.slot_times()
+        t = s.agents.t
         assert t[0] == 0.0
         assert np.allclose(np.diff(t), 0.05)
 
     def test_parsed_once_and_shared_read_only(self):
         s = fixed_topology()
         assert fixed_topology() is s
-        for arr in (s.agents[0].p_m, s.target.p, s.target.v, s.noise.C_tau, s.noise.C_beta):
+        for arr in (s.agents.t, s.agents.p_m, s.agents.T_m, s.target.p, s.target.v, s.noise.C_tau, s.noise.C_beta):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from seqtoa import NoiseSpec, ObservedFrame, fixed_topology, simulate_frame
+from seqtoa import NoiseSpec, ObservedFrame, TopologyBounds, fixed_topology, sample_random_topology, simulate_frame
 from seqtoa.serialize import (
     SchemaError,
     _db_ok,
@@ -30,9 +30,13 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 class TestScenarioRoundTrip:
     def test_fixed_topology_round_trips(self):
-        d1 = scenario_to_dict(fixed_topology())
-        d2 = scenario_to_dict(scenario_from_dict(d1))
-        assert d1 == d2
+        # the shipped topology, then sampled random ones of several sizes
+        rng = np.random.default_rng(9)
+        sampled = [sample_random_topology(TopologyBounds(n_agents=M), rng) for M in (1, 2, 10, 10, 10, 57)]
+        for scenario in (fixed_topology(), *sampled):
+            d = scenario_to_dict(scenario)
+            assert scenario_to_dict(scenario_from_dict(d)) == d
+            assert json.loads(json.dumps(d)) == d
 
     def test_sampled_noise_requires_rng(self):
         d = scenario_to_dict(fixed_topology())
@@ -40,7 +44,7 @@ class TestScenarioRoundTrip:
         with pytest.raises(SchemaError, match="agent_sigma_sq_db"):
             scenario_from_dict(d)
         s = scenario_from_dict(d, np.random.default_rng(1))
-        sig = np.array([s.noise.agent_block(m)[0, 0] for m in range(s.n_agents)])
+        sig = s.noise.blocks[:, 0, 0]
         db = 10 * np.log10(sig)
         assert np.all((db >= -35.0) & (db <= -25.0))
 
