@@ -1,0 +1,76 @@
+"""Stage costs: what one frame costs in each public single-frame stage.
+
+Simulates one frame of the packaged fixed topology (M = 10) and times, one
+call at a time, the stages a frame passes through on its own: parsing its
+JSON document (``frame_from_dict``), the squared-pseudorange design
+(``build_design``), the equation-error model at the pass-1 state
+(``build_error_model``), the weighted QR solve (``solve_wls_qr``), the
+Gauss-Newton retraction (``gauss_newton_refine``), the whole two-pass
+``estimate`` and the flat report (``report_to_dict``).  Each stage is
+called ``CALLS`` times in a row, ``REPEATS`` times over; the table gives
+the best and the median of the repeats in microseconds per call.
+
+``estimate`` is not the sum of the stage rows: it runs both passes on the
+stacked kernels directly, while the stage functions are the single-frame
+wrappers over the same kernels.
+"""
+
+import json
+import statistics
+import time
+
+import numpy as np
+
+from seqtoa import (
+    TargetState,
+    build_design,
+    build_error_model,
+    estimate,
+    fixed_topology,
+    gauss_newton_refine,
+    simulate_frame,
+    solve_wls_qr,
+)
+from seqtoa.serialize import frame_from_dict, frame_to_dict, report_to_dict
+
+CALLS = 200
+REPEATS = 5
+
+
+def per_call_us(fn) -> tuple[float, float]:
+    """(best, median) over REPEATS runs of CALLS calls, in microseconds per call."""
+    fn()  # warm up
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(CALLS):
+            fn()
+        runs.append((time.perf_counter() - t0) / CALLS * 1e6)
+    return min(runs), statistics.median(runs)
+
+
+frame = simulate_frame(fixed_topology(), 7)
+doc = json.loads(json.dumps(frame_to_dict(frame)))
+design = build_design(frame)
+pass1 = solve_wls_qr(design, np.eye(frame.n_agents))
+x_ref = TargetState.from_vector(pass1.theta_hat[:6])
+error_model = build_error_model(frame, x_ref)
+wls = solve_wls_qr(design, error_model.C_e)
+traces = frame.noise.position_cov_traces()
+report = estimate(frame)
+
+stages = {
+    "frame_from_dict": lambda: frame_from_dict(doc),
+    "build_design": lambda: build_design(frame),
+    "build_error_model": lambda: build_error_model(frame, x_ref),
+    "solve_wls_qr": lambda: solve_wls_qr(design, error_model.C_e),
+    "gauss_newton_refine": lambda: gauss_newton_refine(wls, traces),
+    "estimate": lambda: estimate(frame),
+    "report_to_dict": lambda: report_to_dict(report),
+}
+print(f"one fixed-topology frame, M = {frame.n_agents}; {REPEATS} x {CALLS} calls per stage")
+print(f"{'stage':<22} {'best (us)':>10} {'median (us)':>12}")
+for name, fn in stages.items():
+    best, median = per_call_us(fn)
+    print(f"{name:<22} {best:>10.1f} {median:>12.1f}")
+print(f"estimate: {report.iterations} retraction iterations, cond_estimate {report.cond_estimate:.3g}")

@@ -30,7 +30,10 @@ properly weighted using error statistics evaluated at that state.
 Batch API: :class:`FrameStack` holds N frames of M broadcasts as stacked
 arrays and :func:`estimate_batch` runs the pipeline on all of them at once.
 Every frame keeps its own iteration count and its own failure record, so one
-bad frame does not fail the others.  :func:`estimate` is a batch of one;
+bad frame does not fail the others; the kernels gather the frames still in
+play only after one has dropped out.  There is one code path:
+:func:`estimate` is :func:`estimate_batch` on a batch of one, whose stack
+views the frame's own read-only arrays instead of copying them.
 :func:`build_design`, :func:`build_error_model`, :func:`solve_wls_qr` and
 :func:`gauss_newton_refine` are single-frame wrappers over the same kernels.
 """
@@ -38,6 +41,7 @@ bad frame does not fail the others.  :func:`estimate` is a batch of one;
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,6 +59,7 @@ from .model import NoiseSpec, ObservedFrame, TargetState
 N_THETA = 9
 MAX_REFINE_ITERATIONS = 5
 _EPS = np.finfo(float).eps
+_SVD_RANK_TOL = 9 * _EPS  # numpy.linalg.lstsq's rcond for the retraction's 9x6 systems
 _SINGULAR_CE = (
     "equation-error covariance C_e is numerically singular; "
     "check for near-zero d_m together with near-zero agent variances"
@@ -158,6 +163,20 @@ class FrameStack:
             dense=tuple(f.noise if f.noise.dense is not None else None for f in frames),
         )
 
+    @classmethod
+    def one(cls, frame: ObservedFrame) -> "FrameStack":
+        """A stack of one frame, as read-only views of the frame's own arrays."""
+        noise = frame.noise
+        return cls(
+            t=frame.t[None],
+            tau=frame.tau[None],
+            p_hat=frame.p_hat[None],
+            T_hat=frame.T_hat[None],
+            c_tau=noise.c_tau[None],
+            blocks=noise.blocks[None],
+            dense=(noise if noise.dense is not None else None,),
+        )
+
     def __len__(self) -> int:
         return self.t.shape[0]
 
@@ -226,29 +245,37 @@ def _inv_sqrt(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (V * (1.0 / np.sqrt(w))[..., None, :]) @ V.swapaxes(-1, -2), ok
 
 
+_LOWER9 = np.tri(N_THETA, N_THETA, -1, dtype=bool)
+
+
 def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     """Column-equilibrated QR of stacked systems ``WA @ theta ~ Wy``.
 
     The columns of ``WA`` are scaled to unit norm, ``WA = Q R S``.  ``Wy``
     rides along as an extra column of the factored matrix, so the last
     column of the triangular factor carries ``z = Q^T Wy`` and ``Q`` is never
-    formed.  Returns ``(ok, rank, R, z, scale, r)``: ``ok (N,)`` marks the
-    full-rank systems and ``rank (N,)`` is each system's numerical rank;
-    ``R (9, 9)``, ``z (9, 1)``, the column norms ``scale (9,)`` and
-    ``r = |diag R|`` hold the ``ok`` systems only, in order.
+    formed.  Returns ``(ok, ranks, R, z, scale, r)``: ``ok (N,)`` marks the
+    full-rank systems and ``ranks`` holds the numerical ranks of the others,
+    in order; ``R (9, 9)``, ``z (9, 1)``, the column norms ``scale (9,)``
+    and ``r = |diag R|`` hold the ``ok`` systems only, in order.
     """
     M, n = WA.shape[-2:]
     scale = np.sqrt((WA * WA).sum(axis=-2))
     scale[scale == 0.0] = 1.0
-    R = np.linalg.qr(np.concatenate([WA / scale[:, None, :], Wy[..., None]], axis=-1), mode="r")
-    r = np.abs(R[:, :n, :n].diagonal(axis1=-2, axis2=-1))
+    aug = np.empty(WA.shape[:-1] + (n + 1,))
+    np.divide(WA, scale[:, None, :], out=aug[..., :n])
+    aug[..., n] = Wy
+    # R is the upper triangle of the raw factorization; mode="r" would zero
+    # everything below it with triu, of which only the 9x9 block is read here
+    QR = np.linalg.qr(aug, mode="raw")[0].swapaxes(-1, -2)
+    R = np.where(_LOWER9, 0.0, QR[:, :n, :n])
+    r = np.abs(R.diagonal(axis1=-2, axis2=-1))
     tol = max(M, n) * _EPS * r.max(axis=-1, initial=0.0)
     ok = r.min(axis=-1, initial=np.inf) > tol
-    rank = np.full(ok.shape, n)
-    if not ok.all():
-        rank[~ok] = np.count_nonzero(r[~ok] > tol[~ok, None], axis=-1)
-        R, r, scale = R[ok], r[ok], scale[ok]
-    return ok, rank, R[:, :n, :n], R[:, :n, n:], scale, r
+    if ok.all():
+        return ok, (), R, QR[:, :n, n:], scale, r
+    ranks = np.count_nonzero(r[~ok] > tol[~ok, None], axis=-1)
+    return ok, ranks, R[ok], QR[ok, :n, n:], scale[ok], r[ok]
 
 
 def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r: np.ndarray):
@@ -314,27 +341,29 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray, max_iterat
         f, G = _theta_models(xr)
         KJ = Kr[..., :6] + Kr[..., 6:] @ (2.0 * G)
         Kres = (Kr @ (th - f)[..., None])[..., 0]
-        if not (np.isfinite(KJ).all() and np.isfinite(Kres).all()):
+        # one finiteness test for the common case: a sum is finite only if every term is
+        if not math.isfinite(KJ.sum() + Kres.sum()):
             finite = np.isfinite(KJ).all(axis=(-2, -1)) & np.isfinite(Kres).all(axis=-1)
             KJ = np.where(finite[:, None, None], KJ, 0.0)  # rank 0: the frame fails
             Kres = np.where(finite[:, None], Kres, 0.0)
         U, s, Vt = np.linalg.svd(KJ, full_matrices=False)
-        full = s[:, -1] > 9 * _EPS * s[:, 0]  # singular values come sorted
+        full = s[:, -1] > _SVD_RANK_TOL * s[:, 0]  # singular values come sorted
         if not full.all():
-            rank[idx[~full]] = np.count_nonzero(s[~full] > 9 * _EPS * s[~full, :1], axis=-1)
+            rank[idx[~full]] = np.count_nonzero(s[~full] > _SVD_RANK_TOL * s[~full, :1], axis=-1)
             idx, xr, Kr, th, thr = idx[full], xr[full], Kr[full], th[full], thr[full]
             U, s, Vt, Kres = U[full], s[full], Vt[full], Kres[full]
         dx = (Vt.swapaxes(-1, -2) @ ((U.swapaxes(-1, -2) @ Kres[..., None]) / s[..., None]))[..., 0]
         xr = xr + dx
         done = (dx[:, :2] ** 2).sum(axis=-1) <= thr
+        if done.all():  # also when no frame is left
+            x[idx], iterations[idx], converged[idx] = xr, it, True
+            return x, iterations, converged, rank
         if done.any():
             x[idx[done]] = xr[done]
             iterations[idx[done]] = it
             converged[idx[done]] = True
             keep = ~done
             idx, xr, Kr, th, thr = idx[keep], xr[keep], Kr[keep], th[keep], thr[keep]
-        if idx.size == 0:
-            break
     x[idx] = xr
     return x, iterations, converged, rank
 
@@ -350,8 +379,11 @@ def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.nd
     the dense branch (batched ``eigh``).  Returns ``(WA, Wy, ok)``, where
     ``ok`` marks frames whose ``C_e`` is positive definite.
     """
-    b, d = _error_terms(stack.t[live], stack.p_hat[live], stack.alpha[live], x)
-    var = _row_variances(b, d, stack.c_tau[live], stack.blocks[live])
+    t, p_hat, alpha, c_tau, blocks = stack.t, stack.p_hat, stack.alpha, stack.c_tau, stack.blocks
+    if live.size < len(stack):
+        t, p_hat, alpha, c_tau, blocks = t[live], p_hat[live], alpha[live], c_tau[live], blocks[live]
+    b, d = _error_terms(t, p_hat, alpha, x)
+    var = _row_variances(b, d, c_tau, blocks)
     ok = (var > 0.0).all(axis=-1)
     w = 1.0 / np.sqrt(np.where(ok[:, None], var, 1.0))
     WA, Wy = A * w[..., None], y * w
@@ -380,28 +412,33 @@ def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
     if M < N_THETA:
         return [_underdetermined_error(M) for _ in range(N)]
     out: list = [None] * N
+    live = np.arange(N)  # the frames still in play; arrays are gathered only once one drops out
     A, y = _design(stack.t, stack.p_hat, stack.alpha)
 
     # pass 1: identity weights
-    ok, rank, R, z, scale, _ = _qr_factor(A, y)
-    for i in np.flatnonzero(~ok):
-        out[i] = _rank_error(rank[i])
-    live = np.flatnonzero(ok)
+    ok, ranks, R, z, scale, _ = _qr_factor(A, y)
+    if not ok.all():
+        for i, rk in zip(live[~ok], ranks):
+            out[i] = _rank_error(rk)
+        live, A, y = live[ok], A[ok], y[ok]
     x1 = np.linalg.solve(R, z)[..., :6, 0] / scale[:, :6]
 
     # pass 2: weights from the error statistics at the pass-1 state
-    WA, Wy, ok = _pass2_whitened(stack, live, A[live], y[live], x1)
-    for i in live[~ok]:
-        out[i] = ConditioningError(_SINGULAR_CE)
-    live, WA, Wy = live[ok], WA[ok], Wy[ok]
+    WA, Wy, ok = _pass2_whitened(stack, live, A, y, x1)
+    if not ok.all():
+        for i in live[~ok]:
+            out[i] = ConditioningError(_SINGULAR_CE)
+        live, WA, Wy = live[ok], WA[ok], Wy[ok]
 
-    ok, rank, R, z, scale, r = _qr_factor(WA, Wy)
-    for i, rk in zip(live[~ok], rank[~ok]):
-        out[i] = _rank_error(rk)
-    live = live[ok]
+    ok, ranks, R, z, scale, r = _qr_factor(WA, Wy)
+    if not ok.all():
+        for i, rk in zip(live[~ok], ranks):
+            out[i] = _rank_error(rk)
+        live = live[ok]
     theta, C_wls, K, cond = _wls_solutions(R, z, scale, r)
 
-    traces = stack.blocks[live, :, 0, 0] + stack.blocks[live, :, 1, 1]
+    blocks = stack.blocks if live.size == N else stack.blocks[live]
+    traces = blocks[:, :, 0, 0] + blocks[:, :, 1, 1]
     x, iterations, converged, gn_rank = _retract(theta, K, traces.sum(axis=-1) / M, MAX_REFINE_ITERATIONS)
     for j, i in enumerate(live):
         if gn_rank[j] < 6:
@@ -428,7 +465,7 @@ def estimate(frame: ObservedFrame) -> EstimateReport:
         :class:`ConditioningError` for a singular ``C_e``, or
         :class:`DegenerateGeometryError` from the retraction.
     """
-    result = estimate_batch(FrameStack.of([frame]))[0]
+    result = estimate_batch(FrameStack.one(frame))[0]
     if isinstance(result, EstimationError):
         raise result
     return result
@@ -470,7 +507,7 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
         If ``C_e`` is numerically singular (happens when some ``d_m`` and the
         corresponding agent variances are simultaneously ~0).
     """
-    stack = FrameStack.of([frame])
+    stack = FrameStack.one(frame)
     M = frame.n_agents
     b, d = _error_terms(stack.t, stack.p_hat, stack.alpha, x_ref.as_vector()[None])
     B = np.zeros((M, M, 3))
@@ -528,9 +565,9 @@ def solve_wls_qr(design: DesignSystem, C_e: np.ndarray) -> WlsSolution:
     if M < n:
         raise UnderdeterminedError(f"need at least {n} rows, got {M}")
     W = whitening_matrix(C_e)
-    ok, rank, *factors = _qr_factor((W @ design.A)[None], (W @ design.y)[None])
+    ok, ranks, *factors = _qr_factor((W @ design.A)[None], (W @ design.y)[None])
     if not ok[0]:
-        raise _rank_error(rank[0])
+        raise _rank_error(ranks[0])
     theta, C_wls, sqrt_info, cond = _wls_solutions(*factors)
     return WlsSolution(theta_hat=theta[0], C_wls=C_wls[0], sqrt_info=sqrt_info[0], cond_estimate=float(cond[0]))
 

@@ -33,6 +33,7 @@ Monte-Carlo sweeps on a whole chunk of trials.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,14 @@ def db_to_variance(db: float) -> float:
 def variance_to_db(var: float) -> float:
     """Convert a variance in m^2 to dB (re 1 m^2)."""
     return float(10.0 * np.log10(var))
+
+
+def _db_ok(db: float) -> bool:
+    """Whether a dB value converts to a finite, positive variance."""
+    try:
+        return 0.0 < 10.0 ** (float(db) / 10.0) < math.inf
+    except OverflowError:
+        return False
 
 
 def _mat(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -102,10 +111,22 @@ class TargetState:
 
     @classmethod
     def from_vector(cls, x) -> "TargetState":
-        x = np.asarray(x, dtype=float).reshape(-1)
+        """State from the 6-vector [px, py, vx, vy, T, omega].
+
+        A finite vector is copied and checked once, and ``p`` and ``v`` are
+        read-only views of the copy; any other goes through the constructor's
+        checks, which name the field that is not finite.
+        """
+        x = np.array(x, dtype=float).reshape(-1)
         if x.size != 6:
             raise ValueError(f"state vector must have 6 entries, got {x.size}")
-        return cls(p=x[0:2], v=x[2:4], T=x[4], omega=x[5])
+        if not np.isfinite(x).all():
+            return cls(p=x[0:2], v=x[2:4], T=x[4], omega=x[5])
+        x.setflags(write=False)
+        state = object.__new__(cls)
+        for name, value in (("p", x[0:2]), ("v", x[2:4]), ("T", float(x[4])), ("omega", float(x[5]))):
+            object.__setattr__(state, name, value)
+        return state
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,6 +56,7 @@ from .model import (
     TargetState,
     _broadcast_errors,
     _db_columns,
+    _db_ok,
     _observe,
     simulate_frame,  # noqa: F401  (re-exported; perfbench's tracer patches this binding)
 )
@@ -92,10 +93,21 @@ class TopologyBounds:
     def __post_init__(self):
         for name in ("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm"):
             lo, hi = getattr(self, name)
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"{name} bounds must be finite and well-ordered, got {(lo, hi)}")
-        if self.n_agents < 1 or not 0 < self.slot_interval < np.inf:
-            raise ValueError("need n_agents >= 1 and a finite slot_interval > 0")
+            if not (lo < hi and np.isfinite(hi - lo)):  # a uniform draw needs a finite width
+                raise ValueError(f"{name} bounds must be finite and well-ordered, with a finite width, got {(lo, hi)}")
+        if isinstance(self.n_agents, bool) or not isinstance(self.n_agents, (int, np.integer)) or self.n_agents < 1:
+            raise ValueError(f"n_agents must be an integer >= 1, got {self.n_agents!r}")
+        if not 0 < self.slot_interval < np.inf:
+            raise ValueError(f"need a finite slot_interval > 0, got {self.slot_interval!r}")
+        if not _db_ok(self.sigma_tau_sq_db):
+            raise ValueError(f"sigma_tau_sq_db must give a finite, positive variance, got {self.sigma_tau_sq_db!r} dB")
+        center, halfwidth = self.sigma_s_sq_db, self.agent_sigma_halfwidth_db
+        if not 0.0 <= halfwidth < np.inf:
+            raise ValueError(f"agent_sigma_halfwidth_db must be finite and >= 0, got {halfwidth!r}")
+        if not (_db_ok(center - halfwidth) and _db_ok(center + halfwidth)):
+            raise ValueError(
+                f"sigma_s_sq_db +- agent_sigma_halfwidth_db must give finite, positive variances, got {center!r} +- {halfwidth!r} dB"
+            )
 
 
 @dataclass(frozen=True)
@@ -139,6 +151,11 @@ class ExperimentSpec:
         kind = TopologyBounds if self.scheme == "random_topology" else Scenario
         if not (self.topology is None or isinstance(self.topology, kind)):
             raise ValueError(f"topology of a {self.scheme} experiment must be a {kind.__name__} or None")
+        if not 0.0 <= self.agent_sigma_halfwidth_db < np.inf:
+            raise ValueError(f"agent_sigma_halfwidth_db must be finite and >= 0, got {self.agent_sigma_halfwidth_db!r}")
+        # the noise sweep draws offsets uniformly on [-target_offset_ns, target_offset_ns]
+        if not (self.target_offset_ns >= 0.0 and np.isfinite(2.0 * self.target_offset_ns)):
+            raise ValueError(f"target_offset_ns must be >= 0 and give a finite draw range, got {self.target_offset_ns!r}")
         sweep_values = tuple(float(v) for v in self.sweep_values)
         if len(set(sweep_values)) != len(sweep_values):
             raise ValueError(f"sweep_values must not repeat a value, got {sweep_values}")
@@ -240,10 +257,6 @@ class _Chunk:
         s = self.stack
         return ObservedFrame(t=s.t[k], tau=s.tau[k], p_hat=s.p_hat[k], T_hat=s.T_hat[k], noise=self.noise(k))
 
-    def scenario(self, k: int) -> Scenario:
-        agents = Agents(t=self.stack.t[k], p_m=self.p_m[k], T_m=self.T_m[k])
-        return Scenario(agents=agents, target=TargetState.from_vector(self.x[k]), noise=self.noise(k))
-
 
 def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     """Draw and simulate the trials ``units`` (``(sweep value, trial)`` pairs).
@@ -313,19 +326,6 @@ def _proposed_error(frame: ObservedFrame, truth: np.ndarray):
         return _error(estimator.estimate(frame).x_hat.as_vector(), truth)
     except EstimationError:
         return None
-
-
-def _run_trial(spec: ExperimentSpec, sweep_value: float, trial: int):
-    """One trial as a chunk of one.
-
-    Returns its scenario, its frame, the MLE's initial state (None unless
-    ``mle`` runs) and the error 6-vectors (None on failure) of the estimators
-    that run one frame at a time.
-    """
-    chunk = _draw_chunk(spec, [(sweep_value, trial)])
-    frame = chunk.frame(0)
-    errors = {"proposed": _proposed_error(frame, chunk.x[0])} if "proposed" in spec.estimators else {}
-    return chunk.scenario(0), frame, None if chunk.inits is None else chunk.inits[0], errors
 
 
 def _mle_errors(chunk: _Chunk, max_iters: int) -> list:

@@ -47,6 +47,7 @@ from .model import (
     Scenario,
     TargetState,
     _db_columns,
+    _db_ok,
 )
 from .montecarlo import ExperimentSpec, TopologyBounds
 
@@ -98,21 +99,33 @@ def _pair(value, path: str) -> list[float]:
     return [_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")]
 
 
+def _finite_floats(values) -> list[float] | None:
+    """``values`` as floats when every one is a JSON number (an ``int`` or a
+    ``float``, never a bool) whose float is finite, else ``None``.
+
+    This is the check :func:`_number` makes, without a path for each value;
+    on ``None`` a caller walks the values with :func:`_number` to name the
+    first bad one.
+    """
+    if not {type(v) for v in values} <= {int, float}:
+        return None
+    try:
+        floats = list(map(float, values))
+    except OverflowError:
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
 def _number_list(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise SchemaError(path, "expected a non-empty array of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    floats = _finite_floats(value)
+    if floats is None:
+        floats = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return floats
 
 
 # --- noise ------------------------------------------------------------------
-
-
-def _db_ok(db: float) -> bool:
-    """Whether a dB value converts to a finite, positive variance."""
-    try:
-        return 0.0 < 10.0 ** (db / 10.0) < math.inf
-    except OverflowError:
-        return False
 
 
 _DB_RANGE = "beyond the range of a finite positive variance"
@@ -131,6 +144,8 @@ def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | Non
         halfwidth = _number(_get(agent, "halfwidth_db", apath), f"{apath}.halfwidth_db")
         if not _db_ok(center):
             raise SchemaError(f"{apath}.center_db", f"{center!r} dB is {_DB_RANGE}")
+        if halfwidth < 0.0:
+            raise SchemaError(f"{apath}.halfwidth_db", f"expected a number >= 0, got {halfwidth!r}")
         lo, hi = center - halfwidth, center + halfwidth
         if not (_db_ok(lo) and _db_ok(hi)):
             raise SchemaError(f"{apath}.halfwidth_db", f"center_db +- halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}")
@@ -231,20 +246,35 @@ def scenario_to_dict(s: Scenario) -> dict:
 # --- frame -------------------------------------------------------------------
 
 
+def _record_table(records: list) -> np.ndarray | None:
+    """``(M, 5)`` table of each record's ``t``, ``tau_tilde``, ``p_hat`` and
+    ``T_hat`` when every record is an object with these fields, finite
+    numbers and a 2-element ``p_hat`` array, else ``None``."""
+    rows = [
+        (r.get("t"), r.get("tau_tilde"), *p, r.get("T_hat"))
+        for r in records
+        if type(r) is dict and type(p := r.get("p_hat")) is list and len(p) == 2
+    ]
+    floats = _finite_floats([v for row in rows for v in row]) if len(rows) == len(records) else None
+    return None if floats is None else np.array(floats).reshape(-1, 5)
+
+
 def frame_from_dict(d: dict) -> ObservedFrame:
     recs_raw = _get(d, "records", "frame")
     if not isinstance(recs_raw, list) or not recs_raw:
         raise SchemaError("frame.records", "expected a non-empty array")
     M = len(recs_raw)
-    t, tau, p_hat, T_hat = np.empty(M), np.empty(M), np.empty((M, 2)), np.empty(M)
-    for i, r in enumerate(recs_raw):
-        path = f"frame.records[{i}]"
-        t[i] = _number(_get(r, "t", path), f"{path}.t")
-        tau[i] = _number(_get(r, "tau_tilde", path), f"{path}.tau_tilde")
-        p_hat[i] = _pair(_get(r, "p_hat", path), f"{path}.p_hat")
-        T_hat[i] = _number(_get(r, "T_hat", path), f"{path}.T_hat")
+    table = _record_table(recs_raw)
+    if table is None:  # name the first bad field, record by record (or take values _record_table does not)
+        table = np.empty((M, 5))
+        for i, r in enumerate(recs_raw):
+            path = f"frame.records[{i}]"
+            table[i, 0] = _number(_get(r, "t", path), f"{path}.t")
+            table[i, 1] = _number(_get(r, "tau_tilde", path), f"{path}.tau_tilde")
+            table[i, 2:4] = _pair(_get(r, "p_hat", path), f"{path}.p_hat")
+            table[i, 4] = _number(_get(r, "T_hat", path), f"{path}.T_hat")
     noise = _noise_from_dict(_get(d, "noise", "frame"), M, "frame.noise")
-    return ObservedFrame(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
+    return ObservedFrame(t=table[:, 0], tau=table[:, 1], p_hat=table[:, 2:4], T_hat=table[:, 4], noise=noise)
 
 
 def frame_to_dict(f: ObservedFrame) -> dict:

@@ -123,6 +123,16 @@ class TestEstimateCommand:
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
             assert code == 1, setting
             assert f"experiment: {message}" in capsys.readouterr().err, setting
+        # draw ranges the noise sweep cannot draw from
+        exp.write_text(json.dumps({**random, "scheme": "noise_sweep", "topology": "fixed"}))
+        for setting, message in [
+            ("agent_sigma_halfwidth_db=-3", "agent_sigma_halfwidth_db must be finite and >= 0, got -3.0"),
+            ("target_offset_ns=-1", "target_offset_ns must be >= 0"),
+            ("target_offset_ns=1e308", "target_offset_ns must be >= 0"),
+        ]:
+            code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
+            assert code == 1, setting
+            assert f"experiment: {message}" in capsys.readouterr().err, setting
         ltco = {**random, "scheme": "ltco_sweep", "sweep_values": [4000.0], "topology": "fixed"}
         assert experiment_spec_from_dict(ltco).sweep_values == (4000.0,)
         # a topology of the wrong kind for the scheme

@@ -503,6 +503,45 @@ class TestEstimateBatch:
             assert np.linalg.norm(x_got - x_want) <= 1e-8 * np.linalg.norm(x_want)
             assert got.iterations == want.iterations
 
+    @staticmethod
+    def correlated_frame(fixed_scenario, seed):
+        rng = np.random.default_rng(21)
+        M = fixed_scenario.n_agents
+        G = rng.normal(size=(3 * M, 3 * M))
+        noise = NoiseSpec.from_dense(np.eye(M) * 1e-3, 1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
+        return simulate_frame(dataclasses.replace(fixed_scenario, noise=noise), seed)
+
+    @pytest.mark.parametrize(
+        "case",
+        [*(("noise", v, s) for v in (-50.0, -20.5, -10.0) for s in (1, 2)),
+         *(("ltco", v, s) for v in LTCO_OFFSETS for s in (3, 4)),
+         *(("random", v, s) for v in (-30.0, -20.5, -10.0) for s in (5, 6)),
+         ("correlated", 0.0, 7), ("correlated", 0.0, 8), ("static", 0.0, 9), ("m8", 0.0, 10)],
+    )
+    def test_estimate_is_bitwise_its_batch_of_one(self, case, fixed_scenario):
+        kind, value, seed = case
+        if kind == "random":
+            frame = simulate_frame(sweep_scenario(kind, value, seed), seed)
+        elif kind == "correlated":
+            frame = self.correlated_frame(fixed_scenario, seed)
+        elif kind == "m8":
+            frame = frame_from_rows([(0.05 * m, 10.0 + m, (1.0 + m, 2.0 * m), 0.0) for m in range(8)])
+        else:
+            frame = sweep_frame(kind, value, seed)
+        want = estimate_batch(FrameStack.of([frame]))[0]
+        try:
+            got = estimate(frame)
+        except EstimationError as exc:
+            assert isinstance(want, EstimationError)
+            assert (type(exc), str(exc)) == (type(want), str(want))
+            assert getattr(exc, "numerical_rank", None) == getattr(want, "numerical_rank", None)
+            assert kind in ("static", "m8")
+            return
+        assert kind not in ("static", "m8")
+        assert got.x_hat.as_vector().tobytes() == want.x_hat.as_vector().tobytes()
+        assert got.C_wls.tobytes() == want.C_wls.tobytes()
+        assert (got.cond_estimate, got.iterations, got.converged) == (want.cond_estimate, want.iterations, want.converged)
+
     def test_mixed_agent_counts_rejected(self, fixed_scenario):
         short = frame_from_rows([(0.05 * m, 10.0, (1.0, 2.0), 0.0) for m in range(9)])
         with pytest.raises(ValueError, match="same number"):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from seqtoa import (
+    Agents,
     EstimationError,
     ExperimentSpec,
     MleConfig,
+    Scenario,
     TargetState,
     TopologyBounds,
     crlb_target,
@@ -23,8 +25,16 @@ from seqtoa import (
 )
 from seqtoa import baselines, montecarlo
 from seqtoa.cli import main
-from seqtoa.montecarlo import _run_trial
 from seqtoa.model import C_LIGHT
+
+
+def one_trial(spec, sweep_value, trial):
+    """One trial as a chunk of one: its scenario, its frame and the MLE's
+    initial state (None unless ``mle`` runs)."""
+    chunk = montecarlo._draw_chunk(spec, [(sweep_value, trial)])
+    agents = Agents(t=chunk.stack.t[0], p_m=chunk.p_m[0], T_m=chunk.T_m[0])
+    scenario = Scenario(agents=agents, target=TargetState.from_vector(chunk.x[0]), noise=chunk.noise(0))
+    return scenario, chunk.frame(0), None if chunk.inits is None else chunk.inits[0]
 
 
 class TestSampleRandomTopology:
@@ -162,7 +172,7 @@ class TestRunTrials:
         stats = run_trials(spec)[(-20.5, "tswls_static")]
         sq_errors, traces = [], []
         for i in range(spec.n_trials):
-            scenario, frame, _, _ = _run_trial(spec, -20.5, i)
+            scenario, frame, _ = one_trial(spec, -20.5, i)
             res = tswls_static_estimate(frame)
             if res.success:
                 sq_errors.append(float(np.sum((res.position - scenario.target.p) ** 2)))
@@ -183,7 +193,7 @@ class TestRunTrials:
         stats = run_trials(spec)[(-20.5, "mle")]
         sq_errors = []
         for i in range(spec.n_trials):
-            scenario, frame, init, _ = _run_trial(spec, -20.5, i)
+            scenario, frame, init = one_trial(spec, -20.5, i)
             try:
                 cfg = MleConfig(init=TargetState.from_vector(init), max_iters=spec.mle_max_iters)
                 report = mle_estimate(frame, cfg)
@@ -260,9 +270,40 @@ class TestRunTrials:
         for bad in (np.nan, np.inf, 0.0, -0.05):
             with pytest.raises(ValueError, match="finite slot_interval > 0"):
                 TopologyBounds(slot_interval=bad)
-        for name, bad in (("agent_xy", (0.0, np.inf)), ("velocity", (-np.inf, 5.0)), ("skew_ppm", (np.nan, 20.0))):
+        for name, bad in (("agent_xy", (0.0, np.inf)), ("velocity", (-np.inf, 5.0)), ("skew_ppm", (np.nan, 20.0)),
+                          ("target_offset_ns", (-1e308, 1e308))):
             with pytest.raises(ValueError, match=f"{name} bounds must be finite"):
                 TopologyBounds(**{name: bad})
+        # every bad value below made sample_random_topology raise mid-draw
+        for kwargs, message in [
+            ({"sigma_s_sq_db": np.nan}, "sigma_s_sq_db"),
+            ({"sigma_s_sq_db": np.inf}, "sigma_s_sq_db"),
+            ({"agent_sigma_halfwidth_db": np.nan}, "agent_sigma_halfwidth_db must be finite"),
+            ({"agent_sigma_halfwidth_db": np.inf}, "agent_sigma_halfwidth_db must be finite"),
+            ({"agent_sigma_halfwidth_db": -3.0}, "agent_sigma_halfwidth_db must be finite and >= 0"),
+            ({"sigma_tau_sq_db": 4000.0}, "sigma_tau_sq_db must give a finite, positive variance"),
+            ({"sigma_s_sq_db": -20.5, "agent_sigma_halfwidth_db": 3300.0}, "sigma_s_sq_db"),
+            ({"n_agents": 2.5}, "n_agents must be an integer"),
+            ({"n_agents": True}, "n_agents must be an integer"),
+            ({"n_agents": 0}, "n_agents must be an integer >= 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                TopologyBounds(**kwargs)
+        assert TopologyBounds(agent_sigma_halfwidth_db=0.0, n_agents=np.int64(12)).n_agents == 12
+        # the draw ranges of a sweep: a negative, non-finite or overflowing
+        # halfwidth or offset made run_trials raise mid-run
+        for kwargs, message in [
+            ({"agent_sigma_halfwidth_db": -3.0}, "agent_sigma_halfwidth_db must be finite and >= 0"),
+            ({"agent_sigma_halfwidth_db": np.nan}, "agent_sigma_halfwidth_db must be finite"),
+            ({"agent_sigma_halfwidth_db": np.inf}, "agent_sigma_halfwidth_db must be finite"),
+            ({"target_offset_ns": -1.0}, "target_offset_ns must be >= 0"),
+            ({"target_offset_ns": np.nan}, "target_offset_ns must be >= 0"),
+            ({"target_offset_ns": np.inf}, "target_offset_ns must be >= 0"),
+            ({"target_offset_ns": 1e308}, "target_offset_ns must be >= 0 and give a finite draw range"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                small_spec(**kwargs)
+        assert small_spec(agent_sigma_halfwidth_db=0.0, target_offset_ns=0.0).target_offset_ns == 0.0
 
 
 def per_object_trial(spec, sweep_value, trial):
@@ -336,18 +377,24 @@ class TestChunkGenerator:
                                   (truth, c_tau, blocks, tau, p_hat, T_hat, init)):
                 assert a.tobytes() == b.tobytes(), (name, v, i)
 
-    def test_run_trial_is_a_chunk_of_one(self):
+    def test_chunk_of_one_is_a_row_of_a_larger_chunk(self):
         spec = small_spec(scheme="random_topology", n_trials=20, sweep_values=(-20.5,), estimators=("proposed", "mle"),
                           topology=TopologyBounds())
-        chunk = montecarlo._draw_chunk(spec, [(-20.5, i) for i in range(spec.n_trials)])
-        for i in range(spec.n_trials):
-            scenario, frame, init, errors = _run_trial(spec, -20.5, i)
+        units = [(-20.5, i) for i in range(spec.n_trials)]
+        chunk = montecarlo._draw_chunk(spec, units)
+        outcomes = montecarlo._run_chunk(spec, units)
+        for i, unit in enumerate(units):
+            scenario, frame, init = one_trial(spec, *unit)
             assert scenario.target.as_vector().tobytes() == chunk.x[i].tobytes()
             assert np.array_equal(scenario.agents.p_m, chunk.p_m[i])
             assert frame.tau.tobytes() == chunk.stack.tau[i].tobytes()
             assert frame.noise.blocks.tobytes() == chunk.stack.blocks[i].tobytes()
             assert init.tobytes() == chunk.inits[i].tobytes()
-            assert set(errors) == {"proposed"}
+            (errors, _), = montecarlo._run_chunk(spec, [unit])
+            assert set(errors) == {"proposed", "mle"}
+            want = outcomes[i][0]["proposed"]
+            assert (errors["proposed"] is None) == (want is None)
+            assert want is None or errors["proposed"].tobytes() == want.tobytes()
 
 
 class TestLargeFrames:

@@ -64,6 +64,8 @@ class TestScenarioRoundTrip:
             ({"agent_sigma_sq_db": {"center_db": 4000.0, "halfwidth_db": 5.0}}, "agent_sigma_sq_db.center_db"),
             ({"agent_sigma_sq_db": {"center_db": -30.0, "halfwidth_db": 3300.0}}, "agent_sigma_sq_db.halfwidth_db"),
             ({"agent_sigma_sq_db": {"center_db": 1e308, "halfwidth_db": 1e308}}, "agent_sigma_sq_db.center_db"),
+            # not beyond the range, but a draw range of negative width
+            ({"agent_sigma_sq_db": {"center_db": -30.0, "halfwidth_db": -3.0}}, "agent_sigma_sq_db.halfwidth_db"),
         ],
     )
     def test_db_beyond_float_range_names_field(self, noise, field):
@@ -170,6 +172,38 @@ class TestFrameRoundTrip:
             "iterations", "converged", "diverged", "cond_estimate",
         }
         assert d["estimator"] == "proposed"
+
+
+def _set(index, key, value):
+    return lambda d: d["records"][index].__setitem__(key, value)
+
+
+class TestMalformedFrame:
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            (lambda d: d["records"].__setitem__(2, [1.0, 2.0]), "frame.records[2]", "expected an object, got list"),
+            (lambda d: d["records"][3].pop("tau_tilde"), "frame.records[3].tau_tilde", "missing required field"),
+            (_set(4, "t", True), "frame.records[4].t", "expected a number, got True"),
+            (_set(5, "T_hat", "0.5"), "frame.records[5].T_hat", "expected a number, got '0.5'"),
+            (_set(6, "tau_tilde", 10**400), "frame.records[6].tau_tilde", f"expected a finite number, got {10**400!r}"),
+            (_set(7, "p_hat", [1.0, 2.0, 3.0]), "frame.records[7].p_hat", "expected a 2-element array, got [1.0, 2.0, 3.0]"),
+            (_set(8, "p_hat", 1.0), "frame.records[8].p_hat", "expected a 2-element array, got 1.0"),
+            (_set(1, "p_hat", [1.0, "x"]), "frame.records[1].p_hat[1]", "expected a number, got 'x'"),
+            (lambda d: d.__setitem__("records", []), "frame.records", "expected a non-empty array"),
+            (lambda d: d.pop("records"), "frame.records", "missing required field"),
+            # the first bad field in record order, fields in schema order, is the one named
+            (lambda d: (_set(6, "t", "a")(d), _set(2, "T_hat", "b")(d), _set(2, "tau_tilde", "c")(d)),
+             "frame.records[2].tau_tilde", "expected a number, got 'c'"),
+        ],
+    )
+    def test_error_names_the_field(self, edit, path, message):
+        d = json.loads(json.dumps(frame_to_dict(simulate_frame(fixed_topology(), 3))))
+        edit(d)
+        with pytest.raises(SchemaError) as exc:
+            frame_from_dict(d)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
 
 
 class TestExperimentSpecs:
