@@ -2,7 +2,9 @@
 
 * :func:`mle_batch` - Gauss-Newton maximum likelihood that trusts the
   broadcast agent information (ignores its uncertainty), over a batch of
-  frames with per-frame iteration counts, flags and failure records;
+  frames with per-frame iteration counts, flags and failure records.  Each
+  iteration solves the Gauss-Newton steps of all its frames in one stacked
+  ``dgelsd`` call, bit for bit the per-frame ``numpy.linalg.lstsq`` steps;
   :func:`mle_estimate` is a batch of one.
 * :func:`tswls_static_batch` - the classic static two-step solver
   (position and offset only, explicit normal equations, one refinement
@@ -18,6 +20,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+# np.linalg.lstsq solves one matrix per call: only its 2-D check refuses a
+# stack.  The gufunc beneath it runs the same LAPACK dgelsd on every matrix of
+# a stack, so one call gives each matrix np.linalg.lstsq's solution, rank and
+# singular values bit for bit.  It is private numpy API; TestLstsqStack in
+# tests/test_baselines.py pins it to np.linalg.lstsq.
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateGeometryError, EstimationError, UnderdeterminedError
 from .estimator import EstimateReport, FrameStack
@@ -41,6 +50,20 @@ class MleConfig:
             raise ValueError("step_tol must be > 0")
 
 
+def _lstsq_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.lstsq(A[k], b[k], rcond=None)``'s solution ``(K, n)`` and
+    rank ``(K,)`` for every system of the stack ``A (K, m, n)``, ``b (K, m)``.
+
+    A system whose dgelsd fails, which makes ``np.linalg.lstsq`` raise
+    ``LinAlgError``, gets rank -1 and a NaN solution instead; the others are
+    unaffected.
+    """
+    m, n = A.shape[-2:]
+    with np.errstate(all="ignore"):  # failures come back as rank -1
+        x, _, rank, _ = _umath_linalg.lstsq(A, b[..., None], np.finfo(float).eps * max(m, n), signature="ddd->ddid")
+    return x[..., 0], rank
+
+
 def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray, T_hat: np.ndarray):
     """Agent-to-target vectors ``u (N, M, 2)``, ranges ``r (N, M)`` and TOA
     residuals ``tau - (r + T + omega t - T_hat)`` at the states ``x (N, 6)``."""
@@ -62,15 +85,19 @@ def mle_batch(
     consecutive step-norm increases or at a non-finite iterate (diverged),
     or after ``max_iters`` steps, and reports the best iterate it has seen.
     Divergence is reported through the ``diverged`` flag, never raised.
-    Every frame solves its own step with ``numpy.linalg.lstsq``, so each
-    result is the one the frame gets alone.  All frames must have the same
-    number of broadcasts.
+    Each iteration solves the steps of all frames still iterating in one
+    stacked call of the LAPACK ``dgelsd`` that ``numpy.linalg.lstsq`` runs,
+    with its ``rcond``, so each frame's step, and so its result, is bit for
+    bit the one it gets alone.  All frames must have the same number of
+    broadcasts.
 
     Returns one entry per frame, in order: its :class:`EstimateReport`, or
     the :class:`EstimationError` that stopped it alone -
     :class:`UnderdeterminedError` for every frame if there are fewer than 6
     broadcasts, :class:`DegenerateGeometryError` for an iterate on an agent
-    or a Gauss-Newton system of rank below 6.
+    or a Gauss-Newton system of rank below 6, and a plain
+    :class:`EstimationError` for a least-squares solve that failed (where
+    ``numpy.linalg.lstsq`` would raise ``LinAlgError``).
     """
     if max_iters < 1 or not step_tol > 0:
         raise ValueError("need max_iters >= 1 and step_tol > 0")
@@ -106,19 +133,23 @@ def mle_batch(
         H[..., 2:4] = tl[..., None] * rho
         H[..., 4] = 1.0
         H[..., 5] = tl
-        WH = w[live][..., None] * H
-        wres = w[live] * resid
-        # One lstsq per frame, and the step norm by the BLAS dot that
-        # np.linalg.norm uses: frames near the step_tol round-off floor decide
-        # convergence or divergence on the last bits of the step, so a stacked
-        # factorization or a plain sum of squares would change outcomes.
-        dx = np.empty((live.size, 6))
-        ok = np.ones(live.size, dtype=bool)
-        for j in range(live.size):
-            dx[j], _, rank, _ = np.linalg.lstsq(WH[j], wres[j], rcond=None)
-            if rank < 6:
-                out[live[j]] = DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank} < 6)")
-                ok[j] = False
+        wl = w[live]
+        WH = wl[..., None] * H
+        # Each step from the dgelsd, with the rcond, that np.linalg.lstsq runs
+        # on the frame alone, and its norm by the BLAS dot that np.linalg.norm
+        # uses: frames near the step_tol round-off floor decide convergence or
+        # divergence on the last bits of the step, so another factorization or
+        # a plain sum of squares would change outcomes.  One stacked call of
+        # the same dgelsd does not.
+        dx, rank = _lstsq_stack(WH, wl * resid)
+        ok = rank == 6
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                out[live[j]] = (
+                    EstimationError("Gauss-Newton least-squares solve failed (LAPACK dgelsd did not converge)")
+                    if rank[j] < 0
+                    else DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank[j]} < 6)")
+                )
         live, dx = live[ok], dx[ok]
         x[live] += dx
         iterations[live] += 1
@@ -168,6 +199,8 @@ def mle_estimate(frame: ObservedFrame, cfg: MleConfig) -> EstimateReport:
         If the frame has fewer than 6 broadcasts.
     DegenerateGeometryError
         If an iterate lands on an agent or the Gauss-Newton system loses rank.
+    EstimationError
+        If a Gauss-Newton least-squares solve fails.
     """
     result = mle_batch([frame], [cfg.init.as_vector()], cfg.max_iters, cfg.step_tol)[0]
     if isinstance(result, EstimationError):

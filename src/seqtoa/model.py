@@ -57,6 +57,9 @@ def variance_to_db(var: float) -> float:
     return float(10.0 * np.log10(var))
 
 
+_DB_RANGE = "beyond the range of a finite positive variance"
+
+
 def _db_ok(db: float) -> bool:
     """Whether a dB value converts to a finite, positive variance."""
     try:

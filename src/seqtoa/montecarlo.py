@@ -54,6 +54,7 @@ from .model import (
     ObservedFrame,
     Scenario,
     TargetState,
+    _DB_RANGE,
     _broadcast_errors,
     _db_columns,
     _db_ok,
@@ -110,6 +111,16 @@ class TopologyBounds:
             )
 
 
+class _SpecFieldError(ValueError):
+    """An :class:`ExperimentSpec` value the experiment cannot use; ``field``
+    names it (``sweep_values[i]`` for one sweep value)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: scheme, trial count, seed, sweep axis, estimators.
@@ -117,6 +128,12 @@ class ExperimentSpec:
     ``topology`` is a fixed :class:`Scenario` for the sweep schemes (defaults
     to the packaged fixed topology) or :class:`TopologyBounds` for the
     random-topology scheme (defaults to ``TopologyBounds()``), nothing else.
+    Construction raises ``ValueError`` for any value a run could not use:
+    among others a non-finite sweep value, or a dB value (``sigma_tau_sq_db``,
+    and ``agent_sigma_halfwidth_db`` around ``sigma_s_sq_db`` and around the
+    sweep values of the schemes that sweep it) that gives no finite, positive
+    variance.  Where one field is at fault, the error is a ``ValueError``
+    whose ``field`` names it.
     """
 
     scheme: str
@@ -157,10 +174,32 @@ class ExperimentSpec:
         if not (self.target_offset_ns >= 0.0 and np.isfinite(2.0 * self.target_offset_ns)):
             raise ValueError(f"target_offset_ns must be >= 0 and give a finite draw range, got {self.target_offset_ns!r}")
         sweep_values = tuple(float(v) for v in self.sweep_values)
+        for i, v in enumerate(sweep_values):
+            if not np.isfinite(v):
+                raise _SpecFieldError(f"sweep_values[{i}]", f"expected a finite number, got {v!r}")
         if len(set(sweep_values)) != len(sweep_values):
             raise ValueError(f"sweep_values must not repeat a value, got {sweep_values}")
         object.__setattr__(self, "sweep_values", sweep_values)
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        # every dB value the experiment turns into a variance must give a
+        # finite, positive one: the TOA variance, and each agent variance range
+        # center +- agent_sigma_halfwidth_db around sigma_s_sq_db and around
+        # every sweep value of the schemes that sweep it (ltco_sweep sweeps
+        # offsets in meters)
+        if not _db_ok(self.sigma_tau_sq_db):
+            raise _SpecFieldError("sigma_tau_sq_db", f"{self.sigma_tau_sq_db!r} dB is {_DB_RANGE}")
+        centers = [("sigma_s_sq_db", self.sigma_s_sq_db)]
+        if self.scheme != "ltco_sweep":
+            centers += [(f"sweep_values[{i}]", v) for i, v in enumerate(sweep_values)]
+        halfwidth = self.agent_sigma_halfwidth_db
+        for field, center in centers:
+            if not _db_ok(center):
+                raise _SpecFieldError(field, f"{center!r} dB is {_DB_RANGE}")
+            lo, hi = center - halfwidth, center + halfwidth
+            if not (_db_ok(lo) and _db_ok(hi)):
+                raise _SpecFieldError(
+                    "agent_sigma_halfwidth_db", f"{field} +- agent_sigma_halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}"
+                )
 
 
 @dataclass(frozen=True, eq=False)

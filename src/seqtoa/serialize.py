@@ -46,10 +46,11 @@ from .model import (
     ObservedFrame,
     Scenario,
     TargetState,
+    _DB_RANGE,
     _db_columns,
     _db_ok,
 )
-from .montecarlo import ExperimentSpec, TopologyBounds
+from .montecarlo import ExperimentSpec, TopologyBounds, _SpecFieldError
 
 
 class SchemaError(Exception):
@@ -126,9 +127,6 @@ def _number_list(value, path: str) -> list[float]:
 
 
 # --- noise ------------------------------------------------------------------
-
-
-_DB_RANGE = "beyond the range of a finite positive variance"
 
 
 def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | None = None) -> NoiseSpec:
@@ -319,7 +317,9 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
     The integer fields ``n_trials``, ``base_seed``, ``mle_max_iters`` and
     ``topology.random.n_agents`` must be JSON integers that fit a signed
     64-bit integer, and every dB value must give a finite, positive variance
-    (see :func:`_check_spec_db`).
+    (see :class:`ExperimentSpec`).  A value that :class:`ExperimentSpec`
+    rejects is reported under its field's path where it names one
+    (``experiment.sweep_values[1]``), else under ``experiment``.
     """
     scheme =_get(d, "scheme", "experiment")
     if not isinstance(scheme, str):
@@ -365,7 +365,7 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
         kwargs["mle_max_iters"] = _integer(d["mle_max_iters"], "experiment.mle_max_iters", 1)
 
     try:
-        spec = ExperimentSpec(
+        return ExperimentSpec(
             scheme=scheme,
             n_trials=n_trials,
             base_seed=base_seed,
@@ -374,33 +374,10 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
             topology=topology,
             **kwargs,
         )
+    except _SpecFieldError as exc:
+        raise SchemaError(f"experiment.{exc.field}", exc.message) from None
     except ValueError as exc:
         raise SchemaError("experiment", str(exc)) from None
-    _check_spec_db(spec)
-    return spec
-
-
-def _check_spec_db(spec: ExperimentSpec) -> None:
-    """Raise ``SchemaError`` unless every dB value the experiment turns into a
-    variance gives a finite, positive one: the TOA variance, and each agent
-    variance range, ``center +- agent_sigma_halfwidth_db`` around
-    ``sigma_s_sq_db`` and around every sweep value of the schemes that sweep
-    it (``ltco_sweep`` sweeps offsets in meters)."""
-    if not _db_ok(spec.sigma_tau_sq_db):
-        raise SchemaError("experiment.sigma_tau_sq_db", f"{spec.sigma_tau_sq_db!r} dB is {_DB_RANGE}")
-    centers = [("experiment.sigma_s_sq_db", spec.sigma_s_sq_db)]
-    if spec.scheme != "ltco_sweep":
-        centers += [(f"experiment.sweep_values[{i}]", v) for i, v in enumerate(spec.sweep_values)]
-    halfwidth = spec.agent_sigma_halfwidth_db
-    for path, center in centers:
-        if not _db_ok(center):
-            raise SchemaError(path, f"{center!r} dB is {_DB_RANGE}")
-        lo, hi = center - halfwidth, center + halfwidth
-        if not (_db_ok(lo) and _db_ok(hi)):
-            raise SchemaError(
-                "experiment.agent_sigma_halfwidth_db",
-                f"{path} +- agent_sigma_halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}",
-            )
 
 
 def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqtoa import (
     Agents,
+    ExperimentSpec,
     FrameStack,
     MleConfig,
     NoiseSpec,
@@ -24,6 +25,7 @@ from seqtoa import (
     tswls_static_batch,
     tswls_static_estimate,
 )
+from seqtoa import baselines, montecarlo
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS, random_scenario, sweep_scenario
@@ -411,3 +413,75 @@ class TestMleBatch:
         results = mle_batch([frame, frame, frame], [scenario.target.as_vector()] * 3)
         assert len(results) == 3
         assert all(isinstance(r, UnderdeterminedError) and "M = 5" in str(r) for r in results)
+
+
+class TestMleFailedSolve:
+    def test_failed_solve_fails_alone(self):
+        # a zero TOA variance gives frame 1 an infinite weight, so its dgelsd
+        # fails: np.linalg.lstsq raises LinAlgError on that system
+        spec = ExperimentSpec(scheme="random_topology", n_trials=8, base_seed=3, sweep_values=(-20.5,),
+                              estimators=("mle",))
+        chunk = montecarlo._draw_chunk(spec, [(-20.5, k) for k in range(8)])
+        c_tau = chunk.stack.c_tau.copy()
+        c_tau[1, 0] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            results = mle_batch(dataclasses.replace(chunk.stack, c_tau=c_tau), chunk.inits)
+        assert type(results[1]) is EstimationError and "least-squares solve failed" in str(results[1])
+        for k in (0, *range(2, 8)):
+            alone = mle_batch([chunk.frame(k)], chunk.inits[k : k + 1])[0]
+            got = results[k]
+            assert np.array_equal(got.x_hat.as_vector(), alone.x_hat.as_vector())
+            assert (got.iterations, got.converged, got.diverged) == (alone.iterations, alone.converged, alone.diverged)
+
+
+def weighted_system(frame, x):
+    """The MLE's weighted Gauss-Newton system ``(w H, w r)`` of ``frame`` at the state ``x``."""
+    t = frame.t
+    u = x[0:2] + t[:, None] * x[2:4] - frame.p_hat
+    r = np.linalg.norm(u, axis=1)
+    rho = u / r[:, None]
+    w = 1.0 / np.sqrt(frame.noise.c_tau)
+    H = np.column_stack([rho, t[:, None] * rho, np.ones_like(t), t])
+    return w[:, None] * H, w * (frame.tau - (r + x[4] + x[5] * t - frame.T_hat))
+
+
+def augmented_systems():
+    """``[w H | w r]`` stacked ``(K, 10, 7)``: full-rank systems of every
+    sweep scheme, then systems of rank 3 and 5 (the latter only at
+    np.linalg.lstsq's rcond), and one with a NaN, whose dgelsd fails."""
+    cases = [mle_case(kind, value, seed, seed % 2 == 1)
+             for seed, (kind, value) in enumerate([("noise", -50.0), ("noise", -10.0), ("ltco", 2997.9),
+                                                   ("ltco", 299792.458), ("random", -20.5), ("random", -30.0)])]
+    flat = static_scenario(np.random.default_rng(5))  # every slot at t = 0: rank 3
+    cases.append((exact_frame(flat), flat.target.as_vector()))
+    systems = [np.column_stack(weighted_system(f, x)) for f, x in cases]
+    U, sv, Vt = np.linalg.svd(systems[0][:, :6], full_matrices=False)
+    sv[5] = 1e-15 * sv[0]  # above eps, below np.linalg.lstsq's rcond = 10 eps: rank 5
+    rank5 = np.column_stack([(U * sv) @ Vt, systems[0][:, 6]])
+    failed = systems[1].copy()
+    failed[3, 2] = np.nan
+    return np.stack([*systems, rank5, failed])
+
+
+class TestLstsqStack:
+    """mle_batch solves all its steps through the private gufunc under
+    np.linalg.lstsq; each system must get np.linalg.lstsq's solution and rank
+    bit for bit, or rank -1 and NaN where np.linalg.lstsq raises."""
+
+    @pytest.mark.parametrize("frames", [[3, 0, 8, 6, 1, 7, 5, 2, 4], [4], []],
+                             ids=["mixed_rank", "one_frame", "no_frames"])
+    def test_matches_np_linalg_lstsq(self, frames):
+        gathered = augmented_systems()[np.array(frames, dtype=int)]
+        A, b = gathered[..., :6], gathered[..., 6]
+        assert not frames or not (A.flags.c_contiguous or b.flags.c_contiguous)
+        x, rank = baselines._lstsq_stack(A, b)
+        assert x.shape == (len(frames), 6) and rank.shape == (len(frames),)
+        ranks = set()
+        for k in range(len(frames)):
+            try:
+                want_x, _, want_rank, _ = np.linalg.lstsq(A[k], b[k], rcond=None)
+            except np.linalg.LinAlgError:
+                want_x, want_rank = np.full(6, np.nan), -1
+            assert np.array_equal(x[k], want_x, equal_nan=True) and rank[k] == want_rank, k
+            ranks.add(int(rank[k]))
+        assert len(frames) < 2 or ranks == {6, 5, 3, -1}

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,20 @@ class TestRunTrials:
         stats = run_trials(spec)[(-30.0, "mle")]
         assert stats.n_success >= 10
         assert stats.mse_position < 1.0
+
+    def test_spec_rejects_values_that_crashed_a_run(self):
+        # each of these used to construct, then raise inside run_trials
+        for kwargs, field in [
+            ({"sigma_tau_sq_db": 4000.0}, "sigma_tau_sq_db"),  # c_tau must be finite
+            ({"scheme": "ltco_sweep", "sweep_values": (29.9, np.nan)}, "sweep_values[1]"),  # tau must be finite
+            ({"sweep_values": (-40.0, 4000.0)}, "sweep_values[1]"),  # blocks must be finite
+            ({"agent_sigma_halfwidth_db": 1e308}, "agent_sigma_halfwidth_db"),  # the uniform draw overflowed
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"{field}: ")) as info:
+                small_spec(**kwargs)
+            assert info.value.field == field
+        # ltco_sweep sweeps offsets in meters, not dB
+        assert small_spec(scheme="ltco_sweep", sweep_values=(4000.0,)).sweep_values == (4000.0,)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
