@@ -16,20 +16,19 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateGeometryError, EstimationError, UnderdeterminedError
+
 # np.linalg.lstsq solves one matrix per call: only its 2-D check refuses a
 # stack.  The gufunc beneath it runs the same LAPACK dgelsd on every matrix of
 # a stack, so one call gives each matrix np.linalg.lstsq's solution, rank and
-# singular values bit for bit.  It is private numpy API; TestLstsqStack in
-# tests/test_baselines.py pins it to np.linalg.lstsq.
-from numpy.linalg import _umath_linalg
-
-from .errors import DegenerateGeometryError, EstimationError, UnderdeterminedError
-from .estimator import EstimateReport, FrameStack
+# singular values bit for bit (see estimator's import of it for why).
+from .estimator import EstimateReport, FrameStack, _umath_linalg
 from .model import ObservedFrame, TargetState
 
 _DIVERGENCE_STREAK = 3
@@ -97,7 +96,8 @@ def mle_batch(
     broadcasts, :class:`DegenerateGeometryError` for an iterate on an agent
     or a Gauss-Newton system of rank below 6, and a plain
     :class:`EstimationError` for a least-squares solve that failed (where
-    ``numpy.linalg.lstsq`` would raise ``LinAlgError``).
+    ``numpy.linalg.lstsq`` would raise ``LinAlgError``) or whose weighted
+    system is not finite, which is never handed to LAPACK.
     """
     if max_iters < 1 or not step_tol > 0:
         raise ValueError("need max_iters >= 1 and step_tol > 0")
@@ -134,14 +134,22 @@ def mle_batch(
         H[..., 4] = 1.0
         H[..., 5] = tl
         wl = w[live]
-        WH = wl[..., None] * H
+        WH, Wr = wl[..., None] * H, wl * resid
+        # dgelsd rejects a non-finite system as an illegal argument and says so
+        # on stdout; such a system fails without the call.  A sum is finite
+        # only if every term is.
+        if not math.isfinite(WH.sum() + Wr.sum()):
+            finite = np.isfinite(WH).all(axis=(-2, -1)) & np.isfinite(Wr).all(axis=-1)
+            for i in live[~finite]:
+                out[i] = EstimationError("Gauss-Newton least-squares solve failed (the weighted system is not finite)")
+            live, WH, Wr = live[finite], WH[finite], Wr[finite]
         # Each step from the dgelsd, with the rcond, that np.linalg.lstsq runs
         # on the frame alone, and its norm by the BLAS dot that np.linalg.norm
         # uses: frames near the step_tol round-off floor decide convergence or
         # divergence on the last bits of the step, so another factorization or
         # a plain sum of squares would change outcomes.  One stacked call of
         # the same dgelsd does not.
-        dx, rank = _lstsq_stack(WH, wl * resid)
+        dx, rank = _lstsq_stack(WH, Wr)
         ok = rank == 6
         if not ok.all():
             for j in np.flatnonzero(~ok):

@@ -31,9 +31,17 @@ Batch API: :class:`FrameStack` holds N frames of M broadcasts as stacked
 arrays and :func:`estimate_batch` runs the pipeline on all of them at once.
 Every frame keeps its own iteration count and its own failure record, so one
 bad frame does not fail the others; the kernels gather the frames still in
-play only after one has dropped out.  There is one code path:
-:func:`estimate` is :func:`estimate_batch` on a batch of one, whose stack
-views the frame's own read-only arrays instead of copying them.
+play only after one has dropped out.  The kernels call numpy's LAPACK gufuncs
+(``qr_r_raw``, ``solve``, ``svd_s``, ``eigh_lo``) directly, without the
+``np.linalg`` wrappers: each member gets the wrapper's result bit for bit,
+and a member whose factorization fails comes back NaN instead of raising
+``LinAlgError`` for the whole stack.  That NaN fails the frame's own rank,
+conditioning or finiteness check, so a LAPACK failure becomes that frame's
+:class:`RankDeficiencyError`, :class:`ConditioningError` or
+:class:`DegenerateGeometryError` (rank 0), and no ``RuntimeWarning`` escapes.
+There is one code path: :func:`estimate` is :func:`estimate_batch` on a
+batch of one, whose stack views the frame's own read-only arrays instead of
+copying them.
 :func:`build_design`, :func:`build_error_model`, :func:`solve_wls_qr` and
 :func:`gauss_newton_refine` are single-frame wrappers over the same kernels.
 """
@@ -46,6 +54,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+# The stacked kernels here and the MLE in baselines call the LAPACK gufuncs
+# beneath np.linalg.qr, solve, svd, eigh and lstsq directly.  Each wrapper only
+# checks types, copies, sets an errstate that turns one failed member into
+# LinAlgError for the whole stack, and calls the same gufunc; on a batch of one
+# that overhead is a third of the call.  Called directly, every member gets
+# the wrapper's result bit for bit.  It is private numpy API: TestLapackKernels
+# in tests/test_estimator.py and TestLstsqStack in tests/test_baselines.py pin
+# it to the wrappers.
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ConditioningError,
@@ -190,6 +208,12 @@ class FrameStack:
 #
 # Every kernel takes arrays with a leading frame axis and treats each frame
 # independently; per-frame failures come back as masks, never as exceptions.
+# A LAPACK gufunc that fails on one member fills that member's outputs with
+# NaN and raises the FP-invalid flag.  The NaN fails the frame's own rank or
+# finiteness check; the flag is silenced by one errstate per public call
+# (about 1 us), not per kernel call.
+
+_LAPACK_ERRSTATE = np.errstate(all="ignore")
 
 
 def _design(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +263,7 @@ def _dense_error_cov(b: np.ndarray, d: np.ndarray, C_tau: np.ndarray, C_beta: np
 def _inv_sqrt(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric inverse square roots ``W`` (``W.T @ W = inv(C)``) of a stack of
     covariances, and a mask of the ones that are positive definite."""
-    w, V = np.linalg.eigh(C)
+    w, V = _umath_linalg.eigh_lo(C, signature="d->dd")
     ok = (w[..., 0] > 0) & (w[..., 0] > 1e-15 * w[..., -1])
     w = np.where(ok[..., None], w, 1.0)
     return (V * (1.0 / np.sqrt(w))[..., None, :]) @ V.swapaxes(-1, -2), ok
@@ -265,17 +289,16 @@ def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     aug = np.empty(WA.shape[:-1] + (n + 1,))
     np.divide(WA, scale[:, None, :], out=aug[..., :n])
     aug[..., n] = Wy
-    # R is the upper triangle of the raw factorization; mode="r" would zero
-    # everything below it with triu, of which only the 9x9 block is read here
-    QR = np.linalg.qr(aug, mode="raw")[0].swapaxes(-1, -2)
-    R = np.where(_LOWER9, 0.0, QR[:, :n, :n])
+    # factors aug in place; R is the upper triangle of its 9x9 block
+    _umath_linalg.qr_r_raw(aug, signature="d->d")
+    R = np.where(_LOWER9, 0.0, aug[:, :n, :n])
     r = np.abs(R.diagonal(axis1=-2, axis2=-1))
     tol = max(M, n) * _EPS * r.max(axis=-1, initial=0.0)
     ok = r.min(axis=-1, initial=np.inf) > tol
     if ok.all():
-        return ok, (), R, QR[:, :n, n:], scale, r
+        return ok, (), R, aug[:, :n, n:], scale, r
     ranks = np.count_nonzero(r[~ok] > tol[~ok, None], axis=-1)
-    return ok, ranks, R[ok], QR[ok, :n, n:], scale[ok], r[ok]
+    return ok, ranks, R[ok], aug[ok, :n, n:], scale[ok], r[ok]
 
 
 def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r: np.ndarray):
@@ -283,7 +306,7 @@ def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r: np.ndarra
     rhs = np.empty(z.shape[:-1] + (N_THETA + 1,))
     rhs[..., :1] = z
     rhs[..., 1:] = _EYE9
-    X = np.linalg.solve(R, rhs)
+    X = _umath_linalg.solve(R, rhs, signature="dd->d")
     theta = X[..., 0] / scale
     R_inv = X[..., 1:]
     C_wls = (R_inv @ R_inv.swapaxes(-1, -2)) / (scale[:, :, None] * scale[:, None, :])
@@ -323,10 +346,14 @@ def _theta_models(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray, max_iterations: int):
     """Stacked weighted Gauss-Newton retraction of ``theta (N, 9)`` onto the 6-state.
 
-    Each step solves ``min ||K (theta - f(x) - J dx)||`` by SVD, with the rank
-    rule of ``numpy.linalg.lstsq``.  A frame leaves the loop once the squared
-    norm of its position step is at most its ``threshold``, so every frame
-    runs exactly as many iterations as it would alone.  Returns
+    Each step solves ``min ||K (theta - f(x) - J dx)||`` by SVD (the ``svd_s``
+    gufunc beneath ``np.linalg.svd(full_matrices=False)``), with the rank
+    rule of ``numpy.linalg.lstsq``.  A non-finite system, or an SVD that
+    fails and comes back NaN, has no singular value above the rank
+    tolerance, so its frame drops out with rank 0 alone.  A frame leaves the
+    loop once the squared norm of its position step is at most its
+    ``threshold``, so every frame runs exactly as many iterations as it would
+    alone.  Returns
     ``(x, iterations, converged, rank)``; a frame whose weighted Jacobian lost
     rank has ``rank < 6`` and a meaningless ``x``.
     """
@@ -346,7 +373,7 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray, max_iterat
             finite = np.isfinite(KJ).all(axis=(-2, -1)) & np.isfinite(Kres).all(axis=-1)
             KJ = np.where(finite[:, None, None], KJ, 0.0)  # rank 0: the frame fails
             Kres = np.where(finite[:, None], Kres, 0.0)
-        U, s, Vt = np.linalg.svd(KJ, full_matrices=False)
+        U, s, Vt = _umath_linalg.svd_s(KJ, signature="d->ddd")
         full = s[:, -1] > _SVD_RANK_TOL * s[:, 0]  # singular values come sorted
         if not full.all():
             rank[idx[~full]] = np.count_nonzero(s[~full] > _SVD_RANK_TOL * s[~full, :1], axis=-1)
@@ -399,6 +426,7 @@ def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.nd
     return WA, Wy, ok
 
 
+@_LAPACK_ERRSTATE
 def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
     """Full two-pass pipeline for every frame of a stack.
 
@@ -406,7 +434,9 @@ def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
     evaluates the error statistics there, re-solves, and runs the
     Gauss-Newton retraction.  Returns one entry per frame, in order: its
     :class:`EstimateReport`, carrying the pass-2 conditioning diagnostics, or
-    the :class:`EstimationError` that stopped it.
+    the :class:`EstimationError` that stopped it.  A LAPACK factorization
+    that fails on one frame becomes that frame's error; no ``LinAlgError``
+    or ``RuntimeWarning`` escapes.
     """
     N, M = stack.t.shape
     if M < N_THETA:
@@ -421,7 +451,7 @@ def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
         for i, rk in zip(live[~ok], ranks):
             out[i] = _rank_error(rk)
         live, A, y = live[ok], A[ok], y[ok]
-    x1 = np.linalg.solve(R, z)[..., :6, 0] / scale[:, :6]
+    x1 = _umath_linalg.solve(R, z, signature="dd->d")[..., :6, 0] / scale[:, :6]
 
     # pass 2: weights from the error statistics at the pass-1 state
     WA, Wy, ok = _pass2_whitened(stack, live, A, y, x1)
@@ -526,6 +556,7 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
     return ErrorModel(B=B.reshape(M, 3 * M), D=np.diag(d[0]), C_e=C_e)
 
 
+@_LAPACK_ERRSTATE
 def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root ``W`` with ``W.T @ W = inv(C_e)``.
 
@@ -545,6 +576,7 @@ def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
     return W[0]
 
 
+@_LAPACK_ERRSTATE
 def solve_wls_qr(design: DesignSystem, C_e: np.ndarray) -> WlsSolution:
     """Weighted least-squares solve of the Step-I system by column-equilibrated QR.
 
@@ -596,6 +628,7 @@ def theta_jacobian(x) -> np.ndarray:
     return np.vstack([_EYE6, 2.0 * G])
 
 
+@_LAPACK_ERRSTATE
 def gauss_newton_refine(
     wls: WlsSolution,
     agent_pos_cov_traces,

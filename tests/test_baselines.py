@@ -433,6 +433,25 @@ class TestMleFailedSolve:
             assert np.array_equal(got.x_hat.as_vector(), alone.x_hat.as_vector())
             assert (got.iterations, got.converged, got.diverged) == (alone.iterations, alone.converged, alone.diverged)
 
+    def test_non_finite_system_skips_lapack(self, capfd):
+        # handed to dgelsd, an infinite weight or a NaN TOA is an illegal
+        # argument that LAPACK reports on stdout; the frame must fail without it
+        spec = ExperimentSpec(scheme="random_topology", n_trials=6, base_seed=3, sweep_values=(-20.5,),
+                              estimators=("mle",))
+        chunk = montecarlo._draw_chunk(spec, [(-20.5, k) for k in range(6)])
+        c_tau, tau = chunk.stack.c_tau.copy(), chunk.stack.tau.copy()
+        c_tau[1, 0] = 0.0
+        tau[4, 2] = np.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            results = mle_batch(dataclasses.replace(chunk.stack, c_tau=c_tau, tau=tau), chunk.inits)
+        assert capfd.readouterr() == ("", "")
+        for k in (1, 4):
+            assert type(results[k]) is EstimationError and "not finite" in str(results[k])
+        for k in (0, 2, 3, 5):
+            alone = mle_batch([chunk.frame(k)], chunk.inits[k : k + 1])[0]
+            assert results[k].x_hat.as_vector().tobytes() == alone.x_hat.as_vector().tobytes()
+            assert (results[k].iterations, results[k].converged) == (alone.iterations, alone.converged)
+
 
 def weighted_system(frame, x):
     """The MLE's weighted Gauss-Newton system ``(w H, w r)`` of ``frame`` at the state ``x``."""

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import json
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtoa import (
+    ConditioningError,
+    DegenerateGeometryError,
     DesignSystem,
     EstimateReport,
     EstimationError,
@@ -32,10 +37,14 @@ from seqtoa import (
     tswls_static_estimate,
     whitening_matrix,
 )
+from seqtoa import cli, estimator, fixed_topology, serialize
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS as SCHEME_POINTS
 from conftest import random_scenario, random_state, sweep_scenario
+
+# every estimator path, failures included, must run without a RuntimeWarning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def frame_from_rows(rows, noise=None):
@@ -546,3 +555,137 @@ class TestEstimateBatch:
         short = frame_from_rows([(0.05 * m, 10.0, (1.0, 2.0), 0.0) for m in range(9)])
         with pytest.raises(ValueError, match="same number"):
             FrameStack.of([simulate_frame(fixed_scenario, 1), short])
+
+
+def kernel_inputs():
+    """Per LAPACK gufunc of the estimator, its arguments stacked over frames of
+    every sweep scheme (1 ms LTCO included) and a correlated-noise frame, as
+    the estimator builds them; member 2 is bad: a singular ``R`` for
+    ``solve`` and a NaN entry for the others."""
+    frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
+        [("noise", -50.0), ("noise", -10.0), ("ltco", LTCO_OFFSETS[-1]), ("ltco", LTCO_OFFSETS[1]),
+         ("random", -20.5), ("random", -30.0)])]
+    frames.append(TestEstimateBatch.correlated_frame(fixed_topology(), 7))
+    args = {"qr_r_raw": [[]], "solve": [[], []], "svd_s": [[]], "eigh_lo": [[]]}
+    for frame in frames:
+        design, x = build_design(frame), estimate(frame).x_hat
+        aug = np.column_stack([design.A / np.linalg.norm(design.A, axis=0), design.y])
+        R = np.linalg.qr(aug, mode="r")
+        args["qr_r_raw"][0].append(aug)
+        args["solve"][0].append(R[:9, :9])
+        args["solve"][1].append(np.column_stack([R[:9, 9], np.eye(9)]))
+        args["svd_s"][0].append(R[:9, :9] @ theta_jacobian(x))
+        args["eigh_lo"][0].append(build_error_model(frame, x).C_e)
+    stacks = {name: [np.array(a) for a in arrays] for name, arrays in args.items()}
+    for name, bad in [("qr_r_raw", np.s_[2, 3, 2]), ("solve", np.s_[2, 4, 4]), ("svd_s", np.s_[2, 5, 1]),
+                      ("eigh_lo", np.s_[2, 6, 6])]:
+        stacks[name][0][bad] = 0.0 if name == "solve" else np.nan
+    return stacks
+
+
+SIGNATURES = {"qr_r_raw": "d->d", "solve": "dd->d", "svd_s": "d->ddd", "eigh_lo": "d->dd"}
+WRAPPERS = {
+    "qr_r_raw": lambda a: (lambda h, tau: (h.T, tau))(*np.linalg.qr(a, mode="raw")),
+    "solve": lambda a, b: (np.linalg.solve(a, b),),
+    "svd_s": lambda a: tuple(np.linalg.svd(a, full_matrices=False)),
+    "eigh_lo": lambda a: tuple(np.linalg.eigh(a)),
+}
+
+
+class TestLapackKernels:
+    """The estimator calls the LAPACK gufuncs beneath np.linalg directly; each
+    member of a stack must get the wrapper's result bit for bit, and a member
+    the wrapper fails on (or returns NaN for) must come back non-finite alone."""
+
+    @pytest.mark.parametrize("frames", [[3, 0, 6, 2, 5, 1, 4], [4], []], ids=["mixed", "one_frame", "no_frames"])
+    @pytest.mark.parametrize("name", SIGNATURES)
+    def test_matches_np_linalg(self, name, frames):
+        sel = np.array(frames, dtype=int)
+        args = []
+        for a in kernel_inputs()[name]:  # gathered views that skip a trailing column
+            wide = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+            wide[..., :-1] = a
+            args.append(wide[sel][..., :-1])
+        assert not frames or not any(a.flags.c_contiguous for a in args)
+        wants = []
+        for k in range(len(frames)):
+            try:
+                wants.append(WRAPPERS[name](*(a[k] for a in args)))
+            except np.linalg.LinAlgError:
+                wants.append(None)
+        with np.errstate(invalid="ignore"):  # a failed member raises the FP-invalid flag
+            got = getattr(estimator._umath_linalg, name)(*args, signature=SIGNATURES[name])
+        got = (args[0], got) if name == "qr_r_raw" else got if isinstance(got, tuple) else (got,)
+        assert all(g.shape[0] == len(frames) for g in got)
+        bad = set()
+        for k, want in enumerate(wants):
+            if not all(np.isfinite(g[k]).all() for g in got):
+                assert want is None or not all(np.isfinite(w).all() for w in want)
+                bad.add(frames[k])
+                continue
+            assert all(g[k].tobytes() == w.tobytes() for g, w in zip(got, want)), (name, frames[k])
+        assert bad == ({2} & set(frames))
+
+
+_GUFUNCS = estimator._umath_linalg
+
+
+def fail_member(monkeypatch, name, call, member):
+    """Make the estimator's gufunc ``name`` fail on ``member`` of its
+    ``call``-th call as LAPACK fails: NaN outputs and the FP-invalid flag."""
+    count = itertools.count()
+
+    def gufunc(*args, **kwargs):
+        out = getattr(_GUFUNCS, name)(*args, **kwargs)
+        if next(count) == call:
+            # qr_r_raw factors its argument in place
+            for a in (args[0],) if name == "qr_r_raw" else out if isinstance(out, tuple) else (out,):
+                a[member] = np.nan
+            np.subtract(np.inf, np.inf)
+        return out
+
+    fake = types.SimpleNamespace(**{n: getattr(_GUFUNCS, n) for n in SIGNATURES})
+    setattr(fake, name, gufunc)
+    monkeypatch.setattr(estimator, "_umath_linalg", fake)
+
+
+class TestLapackFailure:
+    """A frame whose LAPACK call fails gets its own EstimationError; no
+    LinAlgError or RuntimeWarning escapes and the other frames do not move."""
+
+    @pytest.mark.parametrize(
+        "name, call, error, message",
+        [("qr_r_raw", 0, RankDeficiencyError, "numerical rank 0"), ("qr_r_raw", 1, RankDeficiencyError, "numerical rank 0"),
+         ("solve", 0, ConditioningError, "C_e"), ("solve", 1, DegenerateGeometryError, "rank 0"),
+         ("svd_s", 0, DegenerateGeometryError, "rank 0"), ("eigh_lo", 0, ConditioningError, "C_e")],
+        ids=["qr_pass1", "qr_pass2", "solve_pass1", "solve_pass2", "svd", "eigh"],
+    )
+    def test_failure_stays_with_its_frame(self, name, call, error, message, monkeypatch, tmp_path, capsys):
+        if name == "eigh_lo":  # only correlated noise takes the dense whitening branch
+            frames = [TestEstimateBatch.correlated_frame(fixed_topology(), 40 + k) for k in range(4)]
+        else:
+            frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
+                [("noise", -20.5), ("ltco", LTCO_OFFSETS[-1]), ("random", -20.5), ("noise", -50.0)])]
+        alone = [estimate_batch(FrameStack.one(f))[0] for f in frames]
+
+        fail_member(monkeypatch, name, call, member=1)
+        results = estimate_batch(FrameStack.of(frames))
+        assert type(results[1]) is error and message in str(results[1])
+        for k in (0, 2, 3):
+            got, want = results[k], alone[k]
+            assert got.x_hat.as_vector().tobytes() == want.x_hat.as_vector().tobytes()
+            assert got.C_wls.tobytes() == want.C_wls.tobytes()
+            assert (got.cond_estimate, got.iterations, got.converged) == (want.cond_estimate, want.iterations, want.converged)
+
+        fail_member(monkeypatch, name, call, member=0)
+        with pytest.raises(error, match=message):
+            estimate(frames[1])
+
+        if name == "eigh_lo":  # the frame schema cannot hold correlated noise
+            return
+        fail_member(monkeypatch, name, call, member=0)
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(serialize.frame_to_dict(frames[1])))
+        assert cli.main(["estimate", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("estimation error:") and "Traceback" not in err
