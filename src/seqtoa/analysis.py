@@ -12,18 +12,18 @@ where ``Hx`` and ``Hb`` stack the TOA gradients with respect to the target
 state and the agent parameters.  Marginalizing the agents by Schur complement
 gives the target bound ``CRLB(x) = S^-1`` with ``S = R1 - R2 R3^-1 R2^T``.
 
-Row m of ``Hb`` is ``g_m = [-rho_m, -1]`` in agent m's columns only.  When
-``C_tau`` is diagonal and ``C_beta`` block diagonal with per-agent 3x3 blocks
-``C_m``, ``R3`` is block diagonal too, and the Woodbury identity collapses
-the Schur complement to the closed form
+Row m of ``Hb`` is ``g_m = [-rho_m, -1]`` in agent m's columns only.  The
+noise is independent across agents: ``C_tau`` is diagonal and ``C_beta``
+block diagonal with per-agent 3x3 blocks ``C_m``.  So ``R3`` is block
+diagonal too, and the Woodbury identity collapses the Schur complement to
+the closed form
 
     S = Hx^T diag(1 / (c_tau,m + g_m^T C_m g_m)) Hx,
 
 which costs O(M).  :func:`crlb_columns` evaluates it over N scenarios given
 as columns, with a failure record per scenario.  :func:`crlb_batch` runs it
-on a list of scenarios, except those whose noise is correlated across
-agents, which take the dense Schur path through :func:`fim_blocks`.
-:func:`crlb_target` is a batch of one.
+on a list of scenarios, and :func:`crlb_target` is a batch of one.  The
+dense blocks of :func:`fim_blocks` are kept for cross-checks only.
 """
 
 from __future__ import annotations
@@ -143,12 +143,6 @@ def fim_blocks(scenario: Scenario) -> FimBlocks:
     return FimBlocks(R1=R1, R2=R2, R3=0.5 * (R3 + R3.T))
 
 
-def _dense_information(scenario: Scenario) -> np.ndarray:
-    """Schur complement ``R1 - R2 R3^-1 R2^T`` of the dense joint FIM blocks."""
-    blocks = fim_blocks(scenario)
-    return blocks.R1 - blocks.R2 @ np.linalg.solve(blocks.R3, blocks.R2.T)
-
-
 def _closed_form_information(rho: np.ndarray, t: np.ndarray, c_tau: np.ndarray, C_m: np.ndarray) -> np.ndarray:
     """Closed-form Schur complements ``S (N, 6, 6)`` from the unit vectors
     ``rho (N, M, 2)`` from each agent to its target at slot times
@@ -202,8 +196,8 @@ def _bounds(S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | EstimationErr
 
 
 def crlb_columns(x, t, p_m, c_tau, blocks) -> list[tuple[np.ndarray, np.ndarray] | EstimationError]:
-    """Target-state CRLB of N scenarios given as columns, with noise
-    independent across agents: target states ``x (N, 6)``, slot times
+    """Target-state CRLB of N scenarios given as columns: target states
+    ``x (N, 6)``, slot times
     ``t (N, M)``, agent positions ``p_m (N, M, 2)``, TOA variances
     ``c_tau (N, M)`` and agent blocks ``blocks (N, M, 3, 3)``.
 
@@ -222,10 +216,7 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
 
     The agent block is marginalized out by the closed-form Schur complement
     (see the module docstring), evaluated by :func:`crlb_columns` for all
-    scenarios at once.  Scenarios whose noise is correlated across agents (a
-    :class:`~seqtoa.model.NoiseSpec` with ``dense`` set) take the dense Schur
-    path through :func:`fim_blocks` instead.  Every scenario must have the
-    same number of agents.
+    scenarios at once.  Every scenario must have the same number of agents.
 
     Returns one entry per scenario, in order: its :class:`CrlbResult`, or the
     :class:`EstimationError` that stopped it alone.  The checks run in this
@@ -242,23 +233,13 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
     M = scenarios[0].n_agents
     if any(s.n_agents != M for s in scenarios):
         raise ValueError("all scenarios of a batch need the same number of agents")
-    out: list = [None] * len(scenarios)
-    compact = [i for i, s in enumerate(scenarios) if s.noise.dense is None]
-    if compact:
-        sub = [scenarios[i] for i in compact]
-        x = np.array([s.target.as_vector() for s in sub])
-        t = np.array([s.agents.t for s in sub])
-        p_m = np.array([s.agents.p_m for s in sub])
-        c_tau = np.array([s.noise.c_tau for s in sub])
-        blocks = np.array([s.noise.blocks for s in sub])
-        for i, res in zip(compact, crlb_columns(x, t, p_m, c_tau, blocks)):
-            out[i] = res
-    for i, s in enumerate(scenarios):
-        if s.noise.dense is not None:
-            try:
-                out[i] = _bounds(_dense_information(s)[None])[0]
-            except EstimationError as exc:
-                out[i] = exc
+    out = crlb_columns(
+        np.array([s.target.as_vector() for s in scenarios]),
+        np.array([s.agents.t for s in scenarios]),
+        np.array([s.agents.p_m for s in scenarios]),
+        np.array([s.noise.c_tau for s in scenarios]),
+        np.array([s.noise.blocks for s in scenarios]),
+    )
     return [
         r if isinstance(r, EstimationError) else CrlbResult(crlb_x=r[0], information=r[1], scenario=s)
         for r, s in zip(out, scenarios)

@@ -11,7 +11,9 @@
   iteration) over a :class:`~seqtoa.estimator.FrameStack`, with a failure
   record per frame; :func:`tswls_static_estimate` is a batch of one.  It is
   implemented standalone, error statistics included, so the pipeline's
-  degraded mode can be cross-checked against it.
+  degraded mode can be cross-checked against it.  Its error covariance is
+  diagonal, as the noise is independent across agents, so weighting divides
+  each row by its variance.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import DegenerateGeometryError, EstimationError, UnderdeterminedErr
 # stack.  The gufunc beneath it runs the same LAPACK dgelsd on every matrix of
 # a stack, so one call gives each matrix np.linalg.lstsq's solution, rank and
 # singular values bit for bit (see estimator's import of it for why).
-from .estimator import EstimateReport, FrameStack, _umath_linalg
+from .estimator import _LAPACK_ERRSTATE, EstimateReport, FrameStack, _umath_linalg
 from .model import ObservedFrame, TargetState
 
 _DIVERGENCE_STREAK = 3
@@ -71,6 +73,7 @@ def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray,
     return u, r, tau - (r + x[:, 4:5] + x[:, 5:6] * t - T_hat)
 
 
+@_LAPACK_ERRSTATE
 def mle_batch(
     frames: Sequence[ObservedFrame] | FrameStack, inits, max_iters: int = 50, step_tol: float = 1e-9
 ) -> list[EstimateReport | EstimationError]:
@@ -97,7 +100,8 @@ def mle_batch(
     or a Gauss-Newton system of rank below 6, and a plain
     :class:`EstimationError` for a least-squares solve that failed (where
     ``numpy.linalg.lstsq`` would raise ``LinAlgError``) or whose weighted
-    system is not finite, which is never handed to LAPACK.
+    system is not finite, which is never handed to LAPACK (a zero TOA
+    variance, for one).  No ``RuntimeWarning`` escapes.
     """
     if max_iters < 1 or not step_tol > 0:
         raise ValueError("need max_iters >= 1 and step_tol > 0")
@@ -239,37 +243,20 @@ def _normal_solve(N: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ok, np.linalg.solve(N[ok], rhs[ok, :, None])[..., 0]
 
 
-def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, stack: FrameStack, frames: np.ndarray):
-    """``C_e^-1 G`` and ``C_e^-1 h`` of ``frames`` of the stack.
+def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray):
+    """``C_e^-1 G`` and ``C_e^-1 h`` of stacked systems with TOA variances
+    ``c_tau (K, M)`` and agent blocks ``blocks (K, M, 3, 3)``.
 
     The static error covariance is ``C_e = B C_beta B^T + D C_tau D^T``, where
     agent m's row sensitivity ``b[:, m] = [b_pos, d_m]`` fills its block of
-    ``B`` and ``d_m`` the diagonal of ``D``.  ``C_e`` is diagonal unless the
-    frame's noise is correlated across agents.  Returns ``(WG, Wh, ok)``;
-    ``ok`` is False where ``C_e`` is singular.
+    ``B`` and ``d_m`` the diagonal of ``D``; ``C_e`` is diagonal.  Returns
+    ``(WG, Wh, ok)``; ``ok`` is False where ``C_e`` is singular.
     """
     d = b[..., 2]
-    var = np.einsum("kmi,kmij,kmj->km", b, stack.blocks[frames], b) + d * stack.c_tau[frames] * d
+    var = np.einsum("kmi,kmij,kmj->km", b, blocks, b) + d * c_tau * d
     ok = (var != 0.0).all(axis=-1)
     var[~ok] = 1.0
-    WG, Wh = G / var[..., None], h / var
-    M = d.shape[1]
-    for j, i in enumerate(frames):
-        noise = stack.dense[i]
-        if noise is None:
-            continue
-        B = np.zeros((M, M, 3))
-        B[np.arange(M), np.arange(M)] = b[j]
-        B = B.reshape(M, 3 * M)
-        C_e = B @ noise.C_beta @ B.T + d[j][:, None] * noise.C_tau * d[j][None, :]
-        try:
-            W = np.linalg.inv(C_e)
-        except np.linalg.LinAlgError:
-            ok[j] = False
-            continue
-        ok[j] = True
-        WG[j], Wh[j] = W @ G[j], W @ h[j]
-    return WG, Wh, ok
+    return G / var[..., None], h / var, ok
 
 
 def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult]:
@@ -315,7 +302,7 @@ def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult]:
     b = np.empty((len(live), M, 3))
     b[..., 0:2] = 2.0 * (q[:, None, 0:2] - p_hat[live])
     b[..., 2] = -2.0 * (q[:, 2:3] - alpha[live])
-    WG, Wh, ok = _error_weighted(G[live], h[live], b, stack, live)
+    WG, Wh, ok = _error_weighted(G[live], h[live], b, stack.c_tau[live], stack.blocks[live])
     fail(live[~ok], "static error covariance singular")
     live, WG, Wh = live[ok], WG[ok], Wh[ok]
     N4 = Gt[live] @ WG

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,8 +23,6 @@ from . import analysis, montecarlo, serialize
 from .errors import EstimationError
 from .estimator import estimate
 from .model import simulate_frame
-
-_THREADS_ENV = "SEQTOA_THREADS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help=f"accepted for compatibility (as is ${_THREADS_ENV}); sweeps run on the calling thread",
+            help="accepted for compatibility; sweeps run on the calling thread",
         )
         p.add_argument(
             "--set",
@@ -167,13 +164,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is None:  # --threads and $SEQTOA_THREADS have no effect, but stay validated
-        raw = os.environ.get(_THREADS_ENV, "1")
-        try:
-            int(raw)
-        except ValueError:
-            print(f"error: ${_THREADS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
-            return 1
     try:
         if args.seed < 0:
             raise serialize.SchemaError("--seed", f"must be a non-negative integer, got {args.seed}")

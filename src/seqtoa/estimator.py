@@ -32,10 +32,10 @@ arrays and :func:`estimate_batch` runs the pipeline on all of them at once.
 Every frame keeps its own iteration count and its own failure record, so one
 bad frame does not fail the others; the kernels gather the frames still in
 play only after one has dropped out.  The kernels call numpy's LAPACK gufuncs
-(``qr_r_raw``, ``solve``, ``svd_s``, ``eigh_lo``) directly, without the
-``np.linalg`` wrappers: each member gets the wrapper's result bit for bit,
-and a member whose factorization fails comes back NaN instead of raising
-``LinAlgError`` for the whole stack.  That NaN fails the frame's own rank,
+(``qr_r_raw``, ``solve``, ``svd_s``) directly, without the ``np.linalg``
+wrappers: each member gets the wrapper's result bit for bit, and a member
+whose factorization fails comes back NaN instead of raising ``LinAlgError``
+for the whole stack.  That NaN fails the frame's own rank,
 conditioning or finiteness check, so a LAPACK failure becomes that frame's
 :class:`RankDeficiencyError`, :class:`ConditioningError` or
 :class:`DegenerateGeometryError` (rank 0), and no ``RuntimeWarning`` escapes.
@@ -44,6 +44,8 @@ batch of one, whose stack views the frame's own read-only arrays instead of
 copying them.
 :func:`build_design`, :func:`build_error_model`, :func:`solve_wls_qr` and
 :func:`gauss_newton_refine` are single-frame wrappers over the same kernels.
+:func:`solve_wls_qr` accepts any ``C_e``; :func:`whitening_matrix` whitens a
+non-diagonal one through the ``eigh_lo`` gufunc.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .errors import (
     RankDeficiencyError,
     UnderdeterminedError,
 )
-from .model import NoiseSpec, ObservedFrame, TargetState
+from .model import ObservedFrame, TargetState
 
 N_THETA = 9
 MAX_REFINE_ITERATIONS = 5
@@ -149,10 +151,7 @@ class FrameStack:
     """N observed frames of M broadcasts each, as stacked arrays.
 
     Row n of every array belongs to frame n: its four observed columns and
-    its compact noise (see :class:`~seqtoa.model.NoiseSpec`).  A frame whose
-    noise is correlated across agents also keeps its :class:`NoiseSpec` in
-    ``dense[n]`` (``None`` for every other frame); only such frames take the
-    dense whitening branch.
+    its noise columns (see :class:`~seqtoa.model.NoiseSpec`).
     """
 
     t: np.ndarray  # (N, M) slot times
@@ -161,7 +160,6 @@ class FrameStack:
     T_hat: np.ndarray  # (N, M) broadcast offsets
     c_tau: np.ndarray  # (N, M) TOA noise variances
     blocks: np.ndarray  # (N, M, 3, 3) per-agent broadcast-error covariances
-    dense: tuple[NoiseSpec | None, ...]  # (N,)
 
     @classmethod
     def of(cls, frames: Sequence[ObservedFrame]) -> "FrameStack":
@@ -178,7 +176,6 @@ class FrameStack:
             T_hat=np.array([f.T_hat for f in frames]),
             c_tau=np.array([f.noise.c_tau for f in frames]),
             blocks=np.array([f.noise.blocks for f in frames]),
-            dense=tuple(f.noise if f.noise.dense is not None else None for f in frames),
         )
 
     @classmethod
@@ -192,7 +189,6 @@ class FrameStack:
             T_hat=frame.T_hat[None],
             c_tau=noise.c_tau[None],
             blocks=noise.blocks[None],
-            dense=(noise if noise.dense is not None else None,),
         )
 
     def __len__(self) -> int:
@@ -244,29 +240,9 @@ def _error_terms(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray, x: np.ndar
 
 
 def _row_variances(b: np.ndarray, d: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Diagonal ``(N, M)`` of ``C_e`` when ``C_tau`` is diagonal and ``C_beta`` block diagonal
-    (``C_e`` is then diagonal itself)."""
+    """Diagonal ``(N, M)`` of ``C_e``, which is diagonal because ``C_tau`` is
+    diagonal and ``C_beta`` block diagonal."""
     return ((blocks @ b[..., None])[..., 0] * b).sum(axis=-1) + d * c_tau * d
-
-
-def _dense_error_cov(b: np.ndarray, d: np.ndarray, C_tau: np.ndarray, C_beta: np.ndarray) -> np.ndarray:
-    """Full ``C_e = B C_beta B^T + D C_tau D^T``, stacked ``(N, M, M)``."""
-    N, M = d.shape
-    B = np.zeros((N, M, M, 3))
-    rows = np.arange(M)
-    B[:, rows, rows, :] = b
-    B = B.reshape(N, M, 3 * M)
-    C_e = B @ C_beta @ B.swapaxes(-1, -2) + d[..., :, None] * C_tau * d[..., None, :]
-    return 0.5 * (C_e + C_e.swapaxes(-1, -2))
-
-
-def _inv_sqrt(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric inverse square roots ``W`` (``W.T @ W = inv(C)``) of a stack of
-    covariances, and a mask of the ones that are positive definite."""
-    w, V = _umath_linalg.eigh_lo(C, signature="d->dd")
-    ok = (w[..., 0] > 0) & (w[..., 0] > 1e-15 * w[..., -1])
-    w = np.where(ok[..., None], w, 1.0)
-    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ V.swapaxes(-1, -2), ok
 
 
 _LOWER9 = np.tri(N_THETA, N_THETA, -1, dtype=bool)
@@ -402,9 +378,8 @@ def _retraction_error(rank: int) -> DegenerateGeometryError:
 def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.ndarray, x: np.ndarray):
     """Whiten the designs of frames ``live`` with ``C_e`` evaluated at the states ``x``.
 
-    Diagonal ``C_e`` scales rows; frames with correlated noise go through
-    the dense branch (batched ``eigh``).  Returns ``(WA, Wy, ok)``, where
-    ``ok`` marks frames whose ``C_e`` is positive definite.
+    ``C_e`` is diagonal, so whitening scales rows.  Returns ``(WA, Wy, ok)``,
+    where ``ok`` marks frames whose ``C_e`` is positive definite.
     """
     t, p_hat, alpha, c_tau, blocks = stack.t, stack.p_hat, stack.alpha, stack.c_tau, stack.blocks
     if live.size < len(stack):
@@ -413,17 +388,7 @@ def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.nd
     var = _row_variances(b, d, c_tau, blocks)
     ok = (var > 0.0).all(axis=-1)
     w = 1.0 / np.sqrt(np.where(ok[:, None], var, 1.0))
-    WA, Wy = A * w[..., None], y * w
-    dense = [j for j, i in enumerate(live) if stack.dense[i] is not None]
-    if dense:
-        noises = [stack.dense[live[j]] for j in dense]
-        C_e = _dense_error_cov(
-            b[dense], d[dense], np.stack([nz.C_tau for nz in noises]), np.stack([nz.C_beta for nz in noises])
-        )
-        W, ok[dense] = _inv_sqrt(C_e)
-        WA[dense] = W @ A[dense]
-        Wy[dense] = (W @ y[dense][..., None])[..., 0]
-    return WA, Wy, ok
+    return A * w[..., None], y * w, ok
 
 
 @_LAPACK_ERRSTATE
@@ -528,8 +493,7 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
     """Evaluate the equation-error statistics at a reference state.
 
     Second-order error terms are dropped; ``C_e`` is exact to first order in
-    the TOA noise and broadcast errors.  It is diagonal unless the frame's
-    noise is correlated across agents.
+    the TOA noise and broadcast errors, and diagonal.
 
     Raises
     ------
@@ -540,20 +504,13 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
     stack = FrameStack.one(frame)
     M = frame.n_agents
     b, d = _error_terms(stack.t, stack.p_hat, stack.alpha, x_ref.as_vector()[None])
+    var = _row_variances(b, d, stack.c_tau, stack.blocks)[0]
+    if not (var > 0.0).all():
+        raise ConditioningError(_SINGULAR_CE)
     B = np.zeros((M, M, 3))
     rows = np.arange(M)
     B[rows, rows, :] = b[0]
-    noise = stack.dense[0]
-    if noise is None:
-        C_e = np.diag(_row_variances(b, d, stack.c_tau, stack.blocks)[0])
-    else:
-        C_e = _dense_error_cov(b, d, noise.C_tau, noise.C_beta)[0]
-
-    try:
-        np.linalg.cholesky(C_e)
-    except np.linalg.LinAlgError:
-        raise ConditioningError(_SINGULAR_CE) from None
-    return ErrorModel(B=B.reshape(M, 3 * M), D=np.diag(d[0]), C_e=C_e)
+    return ErrorModel(B=B.reshape(M, 3 * M), D=np.diag(d[0]), C_e=np.diag(var))
 
 
 @_LAPACK_ERRSTATE
@@ -570,10 +527,11 @@ def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
         if np.any(diag <= 0):
             raise ConditioningError("C_e diagonal must be strictly positive for whitening")
         return np.diag(1.0 / np.sqrt(diag))
-    W, ok = _inv_sqrt(C_e[None])
-    if not ok[0]:
+    # a failed factorization comes back NaN, which fails the test too
+    w, V = _umath_linalg.eigh_lo(C_e, signature="d->dd")
+    if not (w[0] > 0 and w[0] > 1e-15 * w[-1]):
         raise ConditioningError("C_e is not positive definite")
-    return W[0]
+    return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
 @_LAPACK_ERRSTATE

@@ -18,12 +18,12 @@ Unit conventions used throughout the package:
   ``omega * t_m`` carry meters;
 * a variance quoted as ``x`` dB means ``10**(x/10)`` m^2 (reference 1 m^2).
 
-Noise is compact: a :class:`NoiseSpec` holds one TOA variance and one 3x3
-broadcast-error block per agent, so a frame of M agents costs O(M) memory
-and time to build and to simulate.  The full ``(M, M)`` ``C_tau`` and
-``(3M, 3M)`` ``C_beta`` are kept only for noise correlated across agents
-(:meth:`NoiseSpec.from_dense`); for other noise they are built on first
-read, which only the dense cross-checks do.
+Each agent's errors are independent of the other agents', so a
+:class:`NoiseSpec` holds one TOA variance and one 3x3 broadcast-error block
+per agent, and a frame of M agents costs O(M) memory and time to build and
+to simulate.  The full ``(M, M)`` ``C_tau`` and ``(3M, 3M)`` ``C_beta`` are
+built on first read, which only the cross-checks do: the joint Fisher
+information (``CrlbResult.full_fim``) and ``analytic_cov(form="factored")``.
 
 The simulation kernels work on N frames at once, as columns with a leading
 frame axis: :func:`simulate_frame` runs them on a batch of one, and the
@@ -136,10 +136,8 @@ class TargetState:
 class NoiseSpec:
     """Second-order statistics of one frame's measurement and broadcast errors.
 
-    The noise is stored compactly, as one TOA variance and one 3x3 block per
-    agent, which is all that noise independent across agents needs.  Noise
-    correlated across agents also keeps its full matrices in ``dense``; only
-    :meth:`from_dense` sets it.
+    The errors are independent across agents, so the noise is stored
+    compactly, as one TOA variance and one 3x3 block per agent.
 
     Attributes
     ----------
@@ -148,23 +146,15 @@ class NoiseSpec:
     blocks : ndarray, shape (M, 3, 3)
         Covariance of agent m's broadcast errors ``[dpx, dpy, dT]``, m^2: the
         diagonal blocks of ``C_beta``.
-    dense : (ndarray (M, M), ndarray (3M, 3M)) or None
-        ``(C_tau, C_beta)`` when ``C_tau`` has off-diagonal entries or
-        ``C_beta`` has entries outside the per-agent blocks; ``c_tau`` and
-        ``blocks`` are then its diagonal and its diagonal blocks.
     """
 
     c_tau: np.ndarray
     blocks: np.ndarray
-    dense: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         M = np.size(self.c_tau)
         object.__setattr__(self, "c_tau", _mat(self.c_tau, (M,), "c_tau"))
         object.__setattr__(self, "blocks", _mat(self.blocks, (M, 3, 3), "blocks"))
-        if self.dense is not None:
-            C_tau, C_beta = self.dense
-            object.__setattr__(self, "dense", (_mat(C_tau, (M, M), "C_tau"), _mat(C_beta, (3 * M, 3 * M), "C_beta")))
 
     @property
     def n_agents(self) -> int:
@@ -174,9 +164,9 @@ class NoiseSpec:
     def from_dense(cls, C_tau, C_beta) -> "NoiseSpec":
         """Noise from full matrices: ``C_tau (M, M)`` and ``C_beta (3M, 3M)``.
 
-        This is the one place that infers structure: the dense pair is kept
-        only if ``C_tau`` has nonzero entries off its diagonal or ``C_beta``
-        outside its per-agent 3x3 blocks.
+        Keeps the diagonal of ``C_tau`` and the per-agent 3x3 blocks of
+        ``C_beta``.  Raises ``ValueError`` if either matrix has a nonzero entry
+        outside them: noise correlated across agents is not modeled.
         """
         C_tau = np.array(C_tau, dtype=float)
         M = C_tau.shape[0] if C_tau.ndim else -1
@@ -184,10 +174,14 @@ class NoiseSpec:
         c_tau = np.diagonal(C_tau)
         idx = np.arange(M)
         blocks = C_beta.reshape(M, 3, M, 3)[idx, :, idx, :]
-        correlated = np.count_nonzero(C_tau) != np.count_nonzero(c_tau) or np.count_nonzero(C_beta) != np.count_nonzero(
-            blocks
-        )
-        return cls(c_tau=c_tau, blocks=blocks, dense=(C_tau, C_beta) if correlated else None)
+        if np.count_nonzero(C_tau) != np.count_nonzero(c_tau):
+            raise ValueError("C_tau must be diagonal: TOA noise correlated across agents is not modeled")
+        if np.count_nonzero(C_beta) != np.count_nonzero(blocks):
+            raise ValueError(
+                "C_beta must be block diagonal with 3x3 agent blocks: "
+                "broadcast errors correlated across agents are not modeled"
+            )
+        return cls(c_tau=c_tau, blocks=blocks)
 
     @classmethod
     def isotropic(cls, sigma_tau_sq: float, agent_sigma_sq, n_agents: int | None = None) -> "NoiseSpec":
@@ -211,17 +205,13 @@ class NoiseSpec:
 
     @functools.cached_property
     def C_tau(self) -> np.ndarray:
-        """Covariance ``(M, M)`` of the TOA noise, built on first read unless stored."""
-        if self.dense is not None:
-            return self.dense[0]
+        """Covariance ``(M, M)`` of the TOA noise, built on first read."""
         return _read_only(np.diag(self.c_tau))
 
     @functools.cached_property
     def C_beta(self) -> np.ndarray:
         """Covariance ``(3M, 3M)`` of the stacked broadcast errors, built on
-        first read unless stored."""
-        if self.dense is not None:
-            return self.dense[1]
+        first read."""
         M = self.n_agents
         C_beta = np.zeros((M, 3, M, 3))
         idx = np.arange(M)
@@ -387,9 +377,8 @@ def _psd_factor(C: np.ndarray, name: str) -> np.ndarray:
 
 
 def _broadcast_errors(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Broadcast errors ``(N, M, 3)`` of noise independent across agents:
-    standard normals ``z (N, 3M)`` through a square-root factor of each
-    agent's block of ``blocks (N, M, 3, 3)``."""
+    """Broadcast errors ``(N, M, 3)``: standard normals ``z (N, 3M)`` through
+    a square-root factor of each agent's block of ``blocks (N, M, 3, 3)``."""
     return (_psd_factor(blocks, "C_beta") @ z.reshape(blocks.shape[:-1] + (1,)))[..., 0]
 
 
@@ -405,20 +394,14 @@ def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
 
     TOA noise is drawn first (M standard normals scaled by the square roots
     of ``c_tau``), then the broadcast errors (3M standard normals, three per
-    agent, through a square-root factor of each agent's block, or of the
-    whole ``C_beta`` for noise correlated across agents); the two are
+    agent, through a square-root factor of each agent's block); the two are
     independent.  The same seed always reproduces the same frame bit for bit.
     """
     rng = np.random.default_rng(seed)
     M = scenario.n_agents
     noise = scenario.noise
     z_tau = rng.standard_normal(M)
-    z_beta = rng.standard_normal(3 * M)
-    if noise.dense is None:
-        d_beta = _broadcast_errors(noise.blocks[None], z_beta[None])
-    else:
-        d_beta = (_psd_factor(noise.C_beta, "C_beta") @ z_beta).reshape(1, M, 3)
-
+    d_beta = _broadcast_errors(noise.blocks[None], rng.standard_normal(3 * M)[None])
     a = scenario.agents
     x = scenario.target.as_vector()[None]
     tau, p_hat, T_hat = _observe(x, a.t[None], a.p_m[None], a.T_m[None], z_tau * np.sqrt(noise.c_tau), d_beta)
@@ -475,20 +458,13 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
             )
         )
 
-    noise = scenario.noise
-    if noise.dense is not None and np.count_nonzero(noise.C_tau) != np.count_nonzero(noise.c_tau):
-        out.append(Diagnostic("ctau-not-diagonal", "error", "C_tau must be diagonal"))
-    if np.any(noise.c_tau <= 0):
+    blocks = scenario.noise.blocks
+    if np.any(scenario.noise.c_tau <= 0):
         out.append(Diagnostic("ctau-nonpositive", "error", "C_tau diagonal entries must be strictly positive"))
-
-    if noise.dense is None:
-        symmetric = np.array_equal(noise.blocks, noise.blocks.swapaxes(-1, -2))
-    else:
-        symmetric = np.array_equal(noise.C_beta, noise.C_beta.T)
-    if not symmetric:
+    if not np.array_equal(blocks, blocks.swapaxes(-1, -2)):
         out.append(Diagnostic("cbeta-asymmetric", "error", "C_beta must be symmetric"))
     else:
-        min_eig = np.linalg.eigvalsh(noise.blocks if noise.dense is None else noise.C_beta).min()
+        min_eig = np.linalg.eigvalsh(blocks).min()
         if min_eig <= 0:
             out.append(
                 Diagnostic(

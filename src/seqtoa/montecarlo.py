@@ -348,7 +348,7 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
 
     c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
     tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z_tau * np.sqrt(c_tau), _broadcast_errors(blocks, z_beta))
-    stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks, dense=(None,) * N)
+    stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks)
     if inits is not None:
         inits += x
     return _Chunk(x=x, p_m=p_m, T_m=T_m, stack=stack, inits=inits)

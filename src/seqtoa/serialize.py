@@ -180,17 +180,15 @@ def _exact_db(variances: np.ndarray) -> np.ndarray:
 def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
     """The schema's form of ``noise``: one TOA variance and one variance per agent.
 
-    Raises ``SchemaError`` for a spec that form cannot hold: a ``C_tau`` that
-    is not ``sigma_tau^2 * I``, a ``C_beta`` that is not block diagonal
-    with blocks ``sigma_m^2 * I_3``, or a variance that is not positive.
+    Raises ``SchemaError`` for a spec that form cannot hold: TOA variances
+    that differ, an agent block that is not ``sigma_m^2 * I_3``, or a
+    variance that is not positive.
     """
     sigma_tau_sq = noise.c_tau[0]
-    correlated = noise.dense is not None
-    if np.any(noise.c_tau != sigma_tau_sq) or correlated and np.count_nonzero(noise.C_tau) != np.count_nonzero(noise.c_tau):
+    if np.any(noise.c_tau != sigma_tau_sq):
         raise SchemaError(f"{path}.sigma_tau_sq_db", "C_tau must be sigma_tau^2 * I to be written in this schema")
     agent = noise.blocks[:, 0, 0]
-    # noise correlated across agents whose C_tau passed has C_beta entries outside the blocks
-    if correlated or not np.array_equal(noise.blocks, agent[:, None, None] * np.eye(3)):
+    if not np.array_equal(noise.blocks, agent[:, None, None] * np.eye(3)):
         raise SchemaError(
             f"{path}.agent_sigma_sq_db",
             "C_beta must be block diagonal with blocks sigma_m^2 * I_3 to be written in this schema",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -76,6 +78,19 @@ def sweep_scenario(kind: str, value: float, seed: int) -> Scenario:
     target = TargetState(p=base.target.p, v=base.target.v, T=offset, omega=rng.uniform(-20.0, 20.0) * 1e-6 * C)
     noise = NoiseSpec.from_db(-30.0, rng.uniform(sigma_db - 5.0, sigma_db + 5.0, size=base.n_agents))
     return Scenario(agents=base.agents, target=target, noise=noise)
+
+
+def anisotropic_scenario(seed: int) -> Scenario:
+    """A noise-sweep scenario at -20.5 dB whose noise takes the model's most
+    general form, which no scheme draws: a TOA variance per agent around
+    -30 dB and full 3x3 broadcast-error blocks, correlated within each agent."""
+    base = sweep_scenario("noise", -20.5, seed)
+    rng = np.random.default_rng([seed, 1])
+    M = base.n_agents
+    G = rng.normal(size=(M, 3, 3))
+    blocks = 10.0 ** (-20.5 / 10.0) * (G @ G.swapaxes(-1, -2) / 3.0 + 0.2 * np.eye(3))
+    c_tau = 10.0 ** (rng.uniform(-35.0, -25.0, size=M) / 10.0)
+    return dataclasses.replace(base, noise=NoiseSpec(c_tau=c_tau, blocks=blocks))
 
 
 #: (kind, value) pairs of :func:`sweep_scenario`, as the three schemes sweep them

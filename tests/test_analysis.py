@@ -25,7 +25,7 @@ from seqtoa import (
     toa_gradients,
 )
 
-from conftest import C, SWEEP_POINTS, random_scenario, random_state, sweep_scenario
+from conftest import C, SWEEP_POINTS, anisotropic_scenario, random_scenario, random_state, sweep_scenario
 
 
 def collinear_agents(M: int) -> Agents:
@@ -216,9 +216,10 @@ class TestCrlbBatch:
             assert rel(got.information, want.information) <= 1e-12
 
     def test_closed_form_matches_schur_complement(self):
-        for kind, value in [("noise", -50.0), ("noise", -10.0), ("ltco", 1e-3 * C), ("random", -20.5)]:
+        for kind, value in [("noise", -50.0), ("noise", -10.0), ("ltco", 1e-3 * C), ("random", -20.5),
+                            ("anisotropic", -20.5)]:
             for seed in range(10):
-                scenario = sweep_scenario(kind, value, seed)
+                scenario = anisotropic_scenario(seed) if kind == "anisotropic" else sweep_scenario(kind, value, seed)
                 assert rel(crlb_target(scenario).information, schur_information(scenario)) <= 1e-10, (kind, seed)
 
     def test_bad_scenario_fails_alone(self):
@@ -244,21 +245,6 @@ class TestCrlbBatch:
             for got, want in zip([*results[:2], *results[3:]], alone):
                 assert np.array_equal(got.crlb_x, want.crlb_x)
         assert "singular" in str(crlb_batch([collinear])[0])
-
-    def test_correlated_noise_takes_dense_branch(self):
-        rng = np.random.default_rng(22)
-        base = sweep_scenario("noise", -30.0, 3)
-        M = base.n_agents
-        G = rng.normal(size=(3 * M, 3 * M))
-        dense = with_noise(base, C_beta=1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
-        results = crlb_batch([base, dense, sweep_scenario("noise", -20.0, 4)])
-        want = np.linalg.inv(schur_information(dense))
-        assert rel(results[1].crlb_x, want) <= 1e-10
-        assert rel(results[1].crlb_x, np.linalg.inv(results[1].full_fim)[:6, :6]) <= 1e-8
-        assert np.array_equal(results[0].crlb_x, crlb_target(base).crlb_x)
-        # a correlated spec that is not positive definite keeps its error class
-        with pytest.raises(NotPositiveDefiniteError):
-            crlb_target(with_noise(base, C_beta=dense.noise.C_beta - np.eye(3 * M)))
 
     def test_full_fim_built_on_first_read(self):
         res = crlb_target(sweep_scenario("noise", -20.5, 0))

@@ -75,14 +75,6 @@ class TestEstimateCommand:
         code = main(["estimate", "--input", str(tmp_path / "nope.json"), "--output", str(tmp_path / "r.json")])
         assert code == 1
 
-    def test_bad_thread_env_exits_1(self, exact_frame_file, tmp_path, capsys, monkeypatch):
-        frame_path, _ = exact_frame_file
-        monkeypatch.setenv("SEQTOA_THREADS", "abc")
-        code = main(["estimate", "--input", str(frame_path), "--output", str(tmp_path / "r.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "SEQTOA_THREADS" in err
-
     def test_schema_violation_names_field(self, tmp_path, capsys):
         for tau in ("oops", float("nan"), float("inf"), float("-inf"), 10**400):
             doc = {"records": [{"t": 0.0, "tau_tilde": tau, "p_hat": [0, 0], "T_hat": 0.0}]}

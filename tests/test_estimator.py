@@ -37,11 +37,11 @@ from seqtoa import (
     tswls_static_estimate,
     whitening_matrix,
 )
-from seqtoa import cli, estimator, fixed_topology, serialize
+from seqtoa import cli, estimator, serialize
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS as SCHEME_POINTS
-from conftest import random_scenario, random_state, sweep_scenario
+from conftest import anisotropic_scenario, random_scenario, random_state, sweep_scenario
 
 # every estimator path, failures included, must run without a RuntimeWarning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -414,27 +414,6 @@ def sweep_frame(kind, value, seed):
     return simulate_frame(sweep_scenario(kind, value, seed), seed)
 
 
-def normal_equations_estimate(frame):
-    """Reference pipeline: pass 2 by explicit normal equations with ``C_e`` built
-    entry by entry from its definition, then the same retraction."""
-    design = build_design(frame)
-    A, y, alpha = design.A, design.y, design.alpha_hat
-    x1 = np.linalg.lstsq(A, y, rcond=None)[0][:6]
-    t, p_hat = frame.t, frame.p_hat
-    M = frame.n_agents
-    d = -2.0 * (x1[4] + x1[5] * t - alpha)
-    B = np.zeros((M, 3 * M))
-    for m in range(M):
-        B[m, 3 * m : 3 * m + 2] = 2.0 * (x1[0:2] + t[m] * x1[2:4] - p_hat[m])
-        B[m, 3 * m + 2] = d[m]
-    C_e = B @ frame.noise.C_beta @ B.T + np.diag(d) @ frame.noise.C_tau @ np.diag(d)
-    Ci = np.linalg.inv(C_e)
-    N = A.T @ Ci @ A
-    theta = np.linalg.solve(N, A.T @ Ci @ y)
-    wls = WlsSolution(theta_hat=theta, C_wls=np.linalg.inv(N), sqrt_info=np.linalg.cholesky(N).T)
-    return gauss_newton_refine(wls, frame.noise.position_cov_traces())
-
-
 class TestTranslationEquivariance:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -494,45 +473,19 @@ class TestEstimateBatch:
         with pytest.raises(UnderdeterminedError, match="9"):
             estimate(frame)
 
-    def test_correlated_noise_takes_dense_branch(self, fixed_scenario):
-        rng = np.random.default_rng(21)
-        M = fixed_scenario.n_agents
-        G = rng.normal(size=(3 * M, 3 * M))
-        noise = NoiseSpec.from_dense(np.eye(M) * 1e-3, 1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
-        target = TargetState(p=fixed_scenario.target.p, v=fixed_scenario.target.v,
-                             T=fixed_scenario.target.T, omega=0.3e-6 * C_LIGHT)
-        scenario = Scenario(agents=fixed_scenario.agents, target=target, noise=noise)
-        frames = [simulate_frame(scenario, 40 + k) for k in range(4)]
-        stack = FrameStack.of([frames[0], simulate_frame(fixed_scenario, 1), *frames[1:]])
-        assert stack.dense[0] is noise and stack.dense[1] is None
-        results = estimate_batch(stack)
-        for frame, got in zip(frames, [results[0], *results[2:]]):
-            want = normal_equations_estimate(frame)
-            x_got, x_want = got.x_hat.as_vector(), want.x_hat.as_vector()
-            assert np.linalg.norm(x_got - x_want) <= 1e-8 * np.linalg.norm(x_want)
-            assert got.iterations == want.iterations
-
-    @staticmethod
-    def correlated_frame(fixed_scenario, seed):
-        rng = np.random.default_rng(21)
-        M = fixed_scenario.n_agents
-        G = rng.normal(size=(3 * M, 3 * M))
-        noise = NoiseSpec.from_dense(np.eye(M) * 1e-3, 1e-3 * (G @ G.T / (3 * M) + 0.5 * np.eye(3 * M)))
-        return simulate_frame(dataclasses.replace(fixed_scenario, noise=noise), seed)
-
     @pytest.mark.parametrize(
         "case",
         [*(("noise", v, s) for v in (-50.0, -20.5, -10.0) for s in (1, 2)),
          *(("ltco", v, s) for v in LTCO_OFFSETS for s in (3, 4)),
          *(("random", v, s) for v in (-30.0, -20.5, -10.0) for s in (5, 6)),
-         ("correlated", 0.0, 7), ("correlated", 0.0, 8), ("static", 0.0, 9), ("m8", 0.0, 10)],
+         ("anisotropic", 0.0, 7), ("anisotropic", 0.0, 8), ("static", 0.0, 9), ("m8", 0.0, 10)],
     )
-    def test_estimate_is_bitwise_its_batch_of_one(self, case, fixed_scenario):
+    def test_estimate_is_bitwise_its_batch_of_one(self, case):
         kind, value, seed = case
         if kind == "random":
             frame = simulate_frame(sweep_scenario(kind, value, seed), seed)
-        elif kind == "correlated":
-            frame = self.correlated_frame(fixed_scenario, seed)
+        elif kind == "anisotropic":
+            frame = simulate_frame(anisotropic_scenario(seed), seed)
         elif kind == "m8":
             frame = frame_from_rows([(0.05 * m, 10.0 + m, (1.0 + m, 2.0 * m), 0.0) for m in range(8)])
         else:
@@ -559,13 +512,15 @@ class TestEstimateBatch:
 
 def kernel_inputs():
     """Per LAPACK gufunc of the estimator, its arguments stacked over frames of
-    every sweep scheme (1 ms LTCO included) and a correlated-noise frame, as
-    the estimator builds them; member 2 is bad: a singular ``R`` for
-    ``solve`` and a NaN entry for the others."""
+    every sweep scheme (1 ms LTCO included), as the estimator builds them;
+    ``eigh_lo`` gets each frame's ``C_e`` turned by a random rotation, a
+    non-diagonal SPD matrix of the kind :func:`whitening_matrix` factors.
+    Member 2 is bad: a singular ``R`` for ``solve`` and a NaN entry for the
+    others."""
     frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
         [("noise", -50.0), ("noise", -10.0), ("ltco", LTCO_OFFSETS[-1]), ("ltco", LTCO_OFFSETS[1]),
-         ("random", -20.5), ("random", -30.0)])]
-    frames.append(TestEstimateBatch.correlated_frame(fixed_topology(), 7))
+         ("random", -20.5), ("random", -30.0), ("noise", -20.5)])]
+    rng = np.random.default_rng(7)
     args = {"qr_r_raw": [[]], "solve": [[], []], "svd_s": [[]], "eigh_lo": [[]]}
     for frame in frames:
         design, x = build_design(frame), estimate(frame).x_hat
@@ -575,7 +530,8 @@ def kernel_inputs():
         args["solve"][0].append(R[:9, :9])
         args["solve"][1].append(np.column_stack([R[:9, 9], np.eye(9)]))
         args["svd_s"][0].append(R[:9, :9] @ theta_jacobian(x))
-        args["eigh_lo"][0].append(build_error_model(frame, x).C_e)
+        Q, _ = np.linalg.qr(rng.normal(size=(frame.n_agents, frame.n_agents)))
+        args["eigh_lo"][0].append(Q @ build_error_model(frame, x).C_e @ Q.T)
     stacks = {name: [np.array(a) for a in arrays] for name, arrays in args.items()}
     for name, bad in [("qr_r_raw", np.s_[2, 3, 2]), ("solve", np.s_[2, 4, 4]), ("svd_s", np.s_[2, 5, 1]),
                       ("eigh_lo", np.s_[2, 6, 6])]:
@@ -657,15 +613,12 @@ class TestLapackFailure:
         "name, call, error, message",
         [("qr_r_raw", 0, RankDeficiencyError, "numerical rank 0"), ("qr_r_raw", 1, RankDeficiencyError, "numerical rank 0"),
          ("solve", 0, ConditioningError, "C_e"), ("solve", 1, DegenerateGeometryError, "rank 0"),
-         ("svd_s", 0, DegenerateGeometryError, "rank 0"), ("eigh_lo", 0, ConditioningError, "C_e")],
-        ids=["qr_pass1", "qr_pass2", "solve_pass1", "solve_pass2", "svd", "eigh"],
+         ("svd_s", 0, DegenerateGeometryError, "rank 0")],
+        ids=["qr_pass1", "qr_pass2", "solve_pass1", "solve_pass2", "svd"],
     )
     def test_failure_stays_with_its_frame(self, name, call, error, message, monkeypatch, tmp_path, capsys):
-        if name == "eigh_lo":  # only correlated noise takes the dense whitening branch
-            frames = [TestEstimateBatch.correlated_frame(fixed_topology(), 40 + k) for k in range(4)]
-        else:
-            frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
-                [("noise", -20.5), ("ltco", LTCO_OFFSETS[-1]), ("random", -20.5), ("noise", -50.0)])]
+        frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
+            [("noise", -20.5), ("ltco", LTCO_OFFSETS[-1]), ("random", -20.5), ("noise", -50.0)])]
         alone = [estimate_batch(FrameStack.one(f))[0] for f in frames]
 
         fail_member(monkeypatch, name, call, member=1)
@@ -681,11 +634,17 @@ class TestLapackFailure:
         with pytest.raises(error, match=message):
             estimate(frames[1])
 
-        if name == "eigh_lo":  # the frame schema cannot hold correlated noise
-            return
         fail_member(monkeypatch, name, call, member=0)
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(serialize.frame_to_dict(frames[1])))
         assert cli.main(["estimate", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("estimation error:") and "Traceback" not in err
+
+    def test_failed_eigh_raises_from_whitening_matrix(self, monkeypatch):
+        # a non-diagonal C_e takes whitening_matrix's eigh_lo path
+        C_e = kernel_inputs()["eigh_lo"][0][0]
+        assert np.isfinite(whitening_matrix(C_e)).all()
+        fail_member(monkeypatch, "eigh_lo", 0, member=0)
+        with pytest.raises(ConditioningError, match="not positive definite"):
+            whitening_matrix(C_e)

@@ -122,11 +122,14 @@ class TestSimulateFrame:
             simulate_frame(bad, seed=0)
 
     def test_full_cbeta_sampling_matches_covariance(self):
-        # correlated broadcast errors: empirical covariance ~ C_beta
+        # a C_beta with full 3x3 agent blocks (errors correlated within each
+        # agent, not across agents): empirical covariance ~ C_beta
         rng = np.random.default_rng(7)
         M = 2
-        A = rng.normal(size=(3 * M, 3 * M))
-        C_beta = A @ A.T / 10 + np.eye(3 * M) * 0.05
+        A = rng.normal(size=(M, 3, 3))
+        C_beta = np.zeros((3 * M, 3 * M))
+        for m in range(M):
+            C_beta[3 * m : 3 * m + 3, 3 * m : 3 * m + 3] = A[m] @ A[m].T / 10 + np.eye(3) * 0.05
         base = random_scenario(rng, M=M)
         scenario = Scenario(
             agents=base.agents,
@@ -152,7 +155,6 @@ class TestSimulateFrame:
         C_beta[0:3, 0:3] = A @ A.T / 10
         base = random_scenario(rng, M=2)
         scenario = dataclasses.replace(base, noise=NoiseSpec.from_dense(np.eye(2) * 1e-6, C_beta))
-        assert scenario.noise.dense is None
         n = 4000
         draws = np.empty((n, 6))
         for seed in range(n):
@@ -209,6 +211,17 @@ class TestNoiseSpec:
     def test_db_roundtrip(self):
         assert db_to_variance(-30.0) == pytest.approx(1e-3, rel=1e-12)
         assert variance_to_db(1e-3) == pytest.approx(-30.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["toa_correlation", "cross_agent_correlation"])
+    def test_from_dense_rejects_correlation_across_agents(self, case):
+        base = NoiseSpec.from_db(-30.0, np.full(10, -20.0))
+        C_tau, C_beta = base.C_tau.copy(), base.C_beta.copy()
+        if case == "toa_correlation":
+            C_tau[0, 1] = C_tau[1, 0] = 1e-4
+        else:
+            C_beta[0, 3] = C_beta[3, 0] = 1e-3
+        with pytest.raises(ValueError, match="C_tau must be diagonal" if case == "toa_correlation" else "block diagonal"):
+            NoiseSpec.from_dense(C_tau, C_beta)
 
     def test_position_cov_traces(self):
         spec = NoiseSpec.isotropic(1e-3, [1e-2, 4e-2], n_agents=2)
