@@ -1,8 +1,9 @@
 """Reference estimators used for comparison.
 
 * :func:`mle_batch` - Gauss-Newton maximum likelihood that trusts the
-  broadcast agent information (ignores its uncertainty), over a batch of
-  frames with per-frame iteration counts, flags and failure records.  Each
+  broadcast agent information (ignores its uncertainty), over a
+  :class:`~seqtoa.estimator.FrameStack`, with per-frame iteration counts,
+  flags and failure records.  Each
   iteration solves the Gauss-Newton steps of all its frames in one stacked
   ``dgelsd`` call, bit for bit the per-frame ``numpy.linalg.lstsq`` steps;
   :func:`mle_estimate` is a batch of one.
@@ -19,7 +20,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,7 @@ from .estimator import _LAPACK_ERRSTATE, EstimateReport, FrameStack, _umath_lina
 from .model import ObservedFrame, TargetState
 
 _DIVERGENCE_STREAK = 3
+_STEP_TOL = 1e-9  # a step norm at or below it ends the MLE's iterations as converged
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,10 @@ class MleConfig:
 
     init: TargetState
     max_iters: int = 50
-    step_tol: float = 1e-9
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_tol <= 0:
-            raise ValueError("step_tol must be > 0")
 
 
 def _lstsq_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,16 +72,13 @@ def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray,
 
 
 @_LAPACK_ERRSTATE
-def mle_batch(
-    frames: Sequence[ObservedFrame] | FrameStack, inits, max_iters: int = 50, step_tol: float = 1e-9
-) -> list[EstimateReport | EstimationError]:
-    """Weighted Gauss-Newton on the raw TOA residuals of every frame of a batch.
+def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateReport | EstimationError]:
+    """Weighted Gauss-Newton on the raw TOA residuals of every frame of a stack.
 
-    ``frames`` is a sequence of frames or their :class:`FrameStack`.  Frame
-    n starts from the 6-state ``inits[n]``.  Broadcast positions and
+    Frame n starts from the 6-state ``inits[n]``.  Broadcast positions and
     offsets are treated as exact; residuals are weighted by the inverse TOA
     variances only.  Each frame runs its own iterations: it leaves the loop
-    once its step norm is at most ``step_tol`` (converged), after three
+    once its step norm is at most ``_STEP_TOL`` (converged), after three
     consecutive step-norm increases or at a non-finite iterate (diverged),
     or after ``max_iters`` steps, and reports the best iterate it has seen.
     Divergence is reported through the ``diverged`` flag, never raised.
@@ -103,9 +98,8 @@ def mle_batch(
     system is not finite, which is never handed to LAPACK (a zero TOA
     variance, for one).  No ``RuntimeWarning`` escapes.
     """
-    if max_iters < 1 or not step_tol > 0:
-        raise ValueError("need max_iters >= 1 and step_tol > 0")
-    stack = frames if isinstance(frames, FrameStack) else FrameStack.of(frames)
+    if max_iters < 1:
+        raise ValueError("need max_iters >= 1")
     N, M = stack.t.shape
     if M < 6:
         return [UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}") for _ in range(N)]
@@ -149,7 +143,7 @@ def mle_batch(
             live, WH, Wr = live[finite], WH[finite], Wr[finite]
         # Each step from the dgelsd, with the rcond, that np.linalg.lstsq runs
         # on the frame alone, and its norm by the BLAS dot that np.linalg.norm
-        # uses: frames near the step_tol round-off floor decide convergence or
+        # uses: frames near the _STEP_TOL round-off floor decide convergence or
         # divergence on the last bits of the step, so another factorization or
         # a plain sum of squares would change outcomes.  One stacked call of
         # the same dgelsd does not.
@@ -180,7 +174,7 @@ def mle_batch(
         blew_up = streak[live] >= _DIVERGENCE_STREAK
         diverged[live[blew_up]] = True
         prev_step[live] = step
-        done = ~blew_up & (step <= step_tol)
+        done = ~blew_up & (step <= _STEP_TOL)
         converged[live[done]] = True
         stay = ~(blew_up | done)
         live, u, r, resid = live[stay], u[stay], r[stay], resid[stay]
@@ -214,7 +208,7 @@ def mle_estimate(frame: ObservedFrame, cfg: MleConfig) -> EstimateReport:
     EstimationError
         If a Gauss-Newton least-squares solve fails.
     """
-    result = mle_batch([frame], [cfg.init.as_vector()], cfg.max_iters, cfg.step_tol)[0]
+    result = mle_batch(FrameStack.one(frame), [cfg.init.as_vector()], cfg.max_iters)[0]
     if isinstance(result, EstimationError):
         raise result
     return result

@@ -319,7 +319,7 @@ def _theta_models(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([x, (G * x[:, None, :]).sum(axis=-1)], axis=-1), G
 
 
-def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray, max_iterations: int):
+def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
     """Stacked weighted Gauss-Newton retraction of ``theta (N, 9)`` onto the 6-state.
 
     Each step solves ``min ||K (theta - f(x) - J dx)||`` by SVD (the ``svd_s``
@@ -328,19 +328,19 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray, max_iterat
     fails and comes back NaN, has no singular value above the rank
     tolerance, so its frame drops out with rank 0 alone.  A frame leaves the
     loop once the squared norm of its position step is at most its
-    ``threshold``, so every frame runs exactly as many iterations as it would
-    alone.  Returns
+    ``threshold``, or after ``MAX_REFINE_ITERATIONS`` steps, so every frame
+    runs exactly as many iterations as it would alone.  Returns
     ``(x, iterations, converged, rank)``; a frame whose weighted Jacobian lost
     rank has ``rank < 6`` and a meaningless ``x``.
     """
     N = theta.shape[0]
     x = theta[:, :6].copy()
-    iterations = np.full(N, max_iterations)
+    iterations = np.full(N, MAX_REFINE_ITERATIONS)
     converged = np.zeros(N, dtype=bool)
     rank = np.full(N, 6)
     # the frames still iterating, and their slices of the inputs
     idx, xr, Kr, th, thr = np.arange(N), x, K, theta, threshold
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_REFINE_ITERATIONS + 1):
         f, G = _theta_models(xr)
         KJ = Kr[..., :6] + Kr[..., 6:] @ (2.0 * G)
         Kres = (Kr @ (th - f)[..., None])[..., 0]
@@ -434,7 +434,7 @@ def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
 
     blocks = stack.blocks if live.size == N else stack.blocks[live]
     traces = blocks[:, :, 0, 0] + blocks[:, :, 1, 1]
-    x, iterations, converged, gn_rank = _retract(theta, K, traces.sum(axis=-1) / M, MAX_REFINE_ITERATIONS)
+    x, iterations, converged, gn_rank = _retract(theta, K, traces.sum(axis=-1) / M)
     for j, i in enumerate(live):
         if gn_rank[j] < 6:
             out[i] = _retraction_error(gn_rank[j])
@@ -587,18 +587,14 @@ def theta_jacobian(x) -> np.ndarray:
 
 
 @_LAPACK_ERRSTATE
-def gauss_newton_refine(
-    wls: WlsSolution,
-    agent_pos_cov_traces,
-    max_iterations: int = MAX_REFINE_ITERATIONS,
-) -> EstimateReport:
+def gauss_newton_refine(wls: WlsSolution, agent_pos_cov_traces) -> EstimateReport:
     """Step II: retract the 6-state from ``theta_hat`` by weighted Gauss-Newton.
 
     Starts from the truncated ``theta_hat`` (its first six entries) and
     iterates increments that minimize the ``C_wls``-weighted mismatch between
     ``theta_hat`` and ``f(x)``.  Iteration stops when the squared norm of the
     position part of the increment drops below the mean agent position
-    covariance trace, or after ``max_iterations`` (default 5); the
+    covariance trace, or after ``MAX_REFINE_ITERATIONS`` (5); the
     ``converged`` flag records which exit fired.
 
     Raises
@@ -611,7 +607,7 @@ def gauss_newton_refine(
         raise ValueError("agent_pos_cov_traces must be non-empty")
     threshold = np.array([np.sum(traces) / traces.size])
 
-    x, iterations, converged, rank = _retract(wls.theta_hat[None], wls.sqrt_info[None], threshold, max_iterations)
+    x, iterations, converged, rank = _retract(wls.theta_hat[None], wls.sqrt_info[None], threshold)
     if rank[0] < 6:
         raise _retraction_error(rank[0])
     return EstimateReport(

@@ -30,9 +30,12 @@ estimator runs one frame at a time, through
 :func:`~seqtoa.estimator.estimate` on an :class:`ObservedFrame` built for
 it: the benchmark checks that a sweep notices a dropped second pass by
 replacing that function, so a stacked call would escape the check until
-the check moves.  Each cell is reduced to :class:`TrialStats`, in trial
-order, as soon as its last trial is done, so a run holds about one cell and
-one chunk of trials.  The whole run is on the calling thread.
+the check moves.  A chunk's outcomes are columns as well: per estimator a
+success mask and the errors of its estimates, and for the CRLB a mask and
+the per-block traces (:func:`_run_chunk`).  They are cut at cell boundaries,
+and each cell is reduced to :class:`TrialStats`, in trial order, as soon as
+its last trial is done, so a run holds about one cell and one chunk of
+trials.  The whole run is on the calling thread.
 """
 
 from __future__ import annotations
@@ -77,7 +80,14 @@ _BLOCK_SLICES = {
 
 @dataclass(frozen=True)
 class TopologyBounds:
-    """Draw ranges for the random-topology scheme (meters, m/s, ns, ppm)."""
+    """Draw ranges for the random-topology scheme (meters, m/s, ns, ppm).
+
+    ``sigma_tau_sq_db``, ``sigma_s_sq_db`` and ``agent_sigma_halfwidth_db``
+    are read only by :func:`sample_random_topology`.  A ``random_topology``
+    sweep takes its noise levels from its :class:`ExperimentSpec` instead:
+    the TOA variance from its ``sigma_tau_sq_db`` and the agent variances
+    from each sweep value and its ``agent_sigma_halfwidth_db``.
+    """
 
     agent_xy: tuple[float, float] = (0.0, 50.0)
     target_xy: tuple[float, float] = (-50.0, 100.0)
@@ -354,95 +364,69 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     return _Chunk(x=x, p_m=p_m, T_m=T_m, stack=stack, inits=inits)
 
 
-def _error(x: np.ndarray, truth: np.ndarray):
-    """Error 6-vector of an estimate, or None if it is not finite."""
-    return x - truth if np.all(np.isfinite(x)) else None
-
-
-def _proposed_error(frame: ObservedFrame, truth: np.ndarray):
-    """Error 6-vector (None on failure) of the proposed estimator on one frame."""
-    try:
-        return _error(estimator.estimate(frame).x_hat.as_vector(), truth)
-    except EstimationError:
-        return None
-
-
-def _mle_errors(chunk: _Chunk, max_iters: int) -> list:
-    """Error 6-vectors (None on failure or divergence) of the MLE, stacked over the chunk."""
-    return [
-        None if isinstance(r, EstimationError) or r.diverged else _error(r.x_hat.as_vector(), truth)
-        for r, truth in zip(baselines.mle_batch(chunk.stack, chunk.inits, max_iters), chunk.x)
-    ]
-
-
-def _static_errors(chunk: _Chunk) -> list:
-    """Error 6-vectors (None on failure) of the static solver, stacked over the chunk."""
-    try:
-        results = baselines.tswls_static_batch(chunk.stack)
-    except EstimationError:
-        return [None] * len(chunk.stack)
-    return [
-        np.array([r.position[0], r.position[1], 0.0, 0.0, r.offset, 0.0]) - truth if r.success else None
-        for r, truth in zip(results, chunk.x)
-    ]
-
-
-def _crlb_traces(chunk: _Chunk) -> list:
-    """Per-block CRLB traces (None on failure), stacked over the chunk."""
-    s = chunk.stack
-    traces = []
-    for res in analysis.crlb_columns(chunk.x, s.t, chunk.p_m, s.c_tau, s.blocks):
-        if isinstance(res, EstimationError):
-            traces.append(None)
-        else:
-            diag = np.diag(res[0])
-            traces.append((diag[0] + diag[1], diag[2] + diag[3], diag[4], diag[5]))
-    return traces
-
-
-def _run_chunk(spec: ExperimentSpec, units):
+def _run_chunk(spec: ExperimentSpec, units) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Trials ``units`` (``(sweep value, trial)`` pairs, which may span cells):
     the chunk's columns (:func:`_draw_chunk`), ``proposed`` one frame at a
     time, then the static solver, the MLE and the CRLB stacked over the
     chunk.
 
-    Returns one ``(errors by estimator id, CRLB traces or None)`` per unit, in
-    unit order.
+    Returns ``(ok, values)`` columns in unit order: for each estimator id its
+    success mask ``ok (N,)`` and errors ``(N, 6)``, and for ``"crlb"`` its
+    mask and per-block traces ``(N, 4)``.  Rows that are not ``ok`` hold no
+    result.  A trial is ``ok`` when its estimate is finite, the MLE did not
+    diverge, the static solver's record has ``success``, and the CRLB
+    returned no :class:`EstimationError`.
     """
     chunk = _draw_chunk(spec, units)
-    errors = [{} for _ in units]
-    if "proposed" in spec.estimators:
-        for k, e in enumerate(errors):
-            e["proposed"] = _proposed_error(chunk.frame(k), chunk.x[k])
-    if "tswls_static" in spec.estimators:
-        for e, static in zip(errors, _static_errors(chunk)):
-            e["tswls_static"] = static
-    if "mle" in spec.estimators:
-        for e, mle in zip(errors, _mle_errors(chunk, spec.mle_max_iters)):
-            e["mle"] = mle
-    return list(zip(errors, _crlb_traces(chunk)))
+    s, N = chunk.stack, len(units)
+    x_hat = {est_id: np.full((N, 6), np.nan) for est_id in spec.estimators}  # NaN where a trial failed
+    if "proposed" in x_hat:
+        for k in range(N):
+            try:
+                x_hat["proposed"][k] = estimator.estimate(chunk.frame(k)).x_hat.as_vector()
+            except EstimationError:
+                pass
+    if "tswls_static" in x_hat:
+        try:
+            static = baselines.tswls_static_batch(s)
+        except EstimationError:
+            static = []
+        for k, r in enumerate(static):
+            if r.success:
+                x_hat["tswls_static"][k] = (r.position[0], r.position[1], 0.0, 0.0, r.offset, 0.0)
+    if "mle" in x_hat:
+        for k, r in enumerate(baselines.mle_batch(s, chunk.inits, spec.mle_max_iters)):
+            if not (isinstance(r, EstimationError) or r.diverged):
+                x_hat["mle"][k] = r.x_hat.as_vector()
+    columns = {est_id: (np.isfinite(x).all(axis=1), x - chunk.x) for est_id, x in x_hat.items()}
+
+    crlb = analysis.crlb_columns(chunk.x, s.t, chunk.p_m, s.c_tau, s.blocks)
+    ok = np.array([not isinstance(r, EstimationError) for r in crlb])
+    diag = np.array([np.diag(r[0]) if good else np.full(6, np.nan) for r, good in zip(crlb, ok)])
+    columns["crlb"] = (ok, np.add.reduceat(diag, [b.start for b in _BLOCK_SLICES.values()], axis=1))
+    return columns
 
 
-def _cell_stats(spec: ExperimentSpec, trials) -> dict[str, TrialStats]:
+def _cell_stats(spec: ExperimentSpec, cell: dict[str, tuple[np.ndarray, np.ndarray]]) -> dict[str, TrialStats]:
     """:class:`TrialStats` per estimator id of one sweep cell, from its
-    ``(errors by estimator id, CRLB traces or None)`` in trial order."""
-    crlb_rows = np.array([t for _, t in trials if t is not None], dtype=float)
-    crlb_mean = crlb_rows.mean(axis=0) if crlb_rows.size else np.full(4, np.nan)
+    ``(ok, values)`` columns (see :func:`_run_chunk`) in trial order."""
+    ok, traces = cell["crlb"]
+    crlb_mean = traces[ok].mean(axis=0) if ok.any() else np.full(4, np.nan)
 
     stats = {}
     for est_id in spec.estimators:
-        errs = [e[est_id] for e, _ in trials]
-        ok = np.array([e for e in errs if e is not None], dtype=float).reshape(-1, 6)
-        n_success = ok.shape[0]
+        ok, errors = cell[est_id]
+        good = errors[ok]
+        n_success = good.shape[0]
         if n_success:
-            sq = ok**2
+            sq = good**2
             mse = (
                 float(sq[:, 0:2].sum(axis=1).mean()),
                 float(sq[:, 2:4].sum(axis=1).mean()),
                 float(sq[:, 4].mean()),
                 float(sq[:, 5].mean()),
             )
-            bias = ok.mean(axis=0)
+            bias = good.mean(axis=0)
             cdf = sq[:, 0:2].sum(axis=1)
         else:
             mse = (np.nan,) * 4
@@ -475,22 +459,29 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[float, str], TrialStats]:
     units, cell by cell in sweep order and in trial order within a cell, are
     cut into chunks of at most 256 units that may span cells.  Per chunk,
     seeding, the draws and ``proposed`` run per trial, and the frames, the
-    static solver, the MLE and the CRLB run once, stacked.  Each cell is
-    reduced, in trial order, once its last trial is done.  All of it runs on
-    the calling thread.
+    static solver, the MLE and the CRLB run once, stacked; each returns its
+    outcomes as columns.  Those columns are cut at cell boundaries, the
+    slices of a cell that spans chunks are joined, and each cell is reduced,
+    in trial order, once its last trial is done.  All of it runs on the
+    calling thread.
     """
     n_trials = spec.n_trials
     n_units = len(spec.sweep_values) * n_trials
     results: dict[tuple[float, str], TrialStats] = {}
-    cell: list = []  # finished trials of the cell in progress
+    pending: list = []  # column slices of the cell in progress, one dict per chunk
     for start in range(0, n_units, _CHUNK):
         stop = min(start + _CHUNK, n_units)
         units = [(spec.sweep_values[k // n_trials], k % n_trials) for k in range(start, stop)]
-        for (sweep_value, trial), outcome in zip(units, _run_chunk(spec, units)):
-            cell.append(outcome)
-            if trial == n_trials - 1:
+        columns = _run_chunk(spec, units)
+        cuts = [start, *range((start // n_trials + 1) * n_trials, stop, n_trials), stop]
+        for lo, hi in zip(cuts, cuts[1:]):
+            rows = slice(lo - start, hi - start)
+            pending.append({key: (ok[rows], values[rows]) for key, (ok, values) in columns.items()})
+            if hi % n_trials == 0:
+                cell = {key: tuple(np.concatenate(c) for c in zip(*(part[key] for part in pending))) for key in columns}
+                sweep_value = spec.sweep_values[hi // n_trials - 1]
                 results.update({(sweep_value, e): st for e, st in _cell_stats(spec, cell).items()})
-                cell = []
+                pending = []
     return results
 
 

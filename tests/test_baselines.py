@@ -362,7 +362,7 @@ class TestMleBatch:
     def test_each_frame_matches_the_per_frame_algorithm(self, draws, max_iters):
         cases = [mle_case(kind, value, seed, rough) for (kind, value), seed, rough in draws]
         frames, inits = zip(*cases)
-        for (frame, init), got in zip(cases, mle_batch(frames, inits, max_iters)):
+        for (frame, init), got in zip(cases, mle_batch(FrameStack.of(frames), inits, max_iters)):
             assert_mle_equal(got, mle_reference(frame, init, max_iters))
 
     def test_matches_reference_on_every_outcome(self):
@@ -372,13 +372,13 @@ class TestMleBatch:
         want = [mle_reference(f, x, 20) for f, x in cases]
         outcomes = {(w[2], w[3]) for w in want}
         assert {(True, False), (False, True), (False, False)} <= outcomes  # converged, diverged, at the cap
-        for got, w in zip(mle_batch(frames, inits, 20), want):
+        for got, w in zip(mle_batch(FrameStack.of(frames), inits, 20), want):
             assert_mle_equal(got, w)
 
     def test_bad_frame_fails_alone(self, fixed_scenario):
         cases = [mle_case("noise", -20.0, k, False) for k in range(4)]
         frames, inits = zip(*cases)
-        alone = mle_batch(frames, inits)
+        alone = mle_batch(FrameStack.of(frames), inits)
         on_agent = simulate_frame(fixed_scenario, 3)
         init = fixed_scenario.target.as_vector()
         init[0:2] = on_agent.p_hat[0]  # agent 0 broadcasts at slot time 0
@@ -387,7 +387,7 @@ class TestMleBatch:
             (on_agent, init, "coincides with an agent"),
             (exact_frame(flat), flat.target.as_vector(), "rank deficient"),
         ]:
-            results = mle_batch([frames[0], frame, *frames[1:]], [inits[0], x0, *inits[1:]])
+            results = mle_batch(FrameStack.of([frames[0], frame, *frames[1:]]), [inits[0], x0, *inits[1:]])
             assert isinstance(results[1], DegenerateGeometryError) and message in str(results[1])
             assert_mle_equal(results[1], mle_reference(frame, x0))
             for got, want in zip([results[0], *results[2:]], alone):
@@ -397,7 +397,7 @@ class TestMleBatch:
     def test_underdetermined_frames_get_records(self):
         scenario = random_scenario(np.random.default_rng(0), M=5)
         frame = simulate_frame(scenario, 0)
-        results = mle_batch([frame, frame, frame], [scenario.target.as_vector()] * 3)
+        results = mle_batch(FrameStack.of([frame, frame, frame]), [scenario.target.as_vector()] * 3)
         assert len(results) == 3
         assert all(isinstance(r, UnderdeterminedError) and "M = 5" in str(r) for r in results)
 
@@ -415,7 +415,7 @@ class TestMleFailedSolve:
         results = mle_batch(dataclasses.replace(chunk.stack, c_tau=c_tau), chunk.inits)
         assert type(results[1]) is EstimationError and "least-squares solve failed" in str(results[1])
         for k in (0, *range(2, 8)):
-            alone = mle_batch([chunk.frame(k)], chunk.inits[k : k + 1])[0]
+            alone = mle_batch(FrameStack.of([chunk.frame(k)]), chunk.inits[k : k + 1])[0]
             got = results[k]
             assert np.array_equal(got.x_hat.as_vector(), alone.x_hat.as_vector())
             assert (got.iterations, got.converged, got.diverged) == (alone.iterations, alone.converged, alone.diverged)
@@ -434,7 +434,7 @@ class TestMleFailedSolve:
         for k in (1, 4):
             assert type(results[k]) is EstimationError and "not finite" in str(results[k])
         for k in (0, 2, 3, 5):
-            alone = mle_batch([chunk.frame(k)], chunk.inits[k : k + 1])[0]
+            alone = mle_batch(FrameStack.of([chunk.frame(k)]), chunk.inits[k : k + 1])[0]
             assert results[k].x_hat.as_vector().tobytes() == alone.x_hat.as_vector().tobytes()
             assert (results[k].iterations, results[k].converged) == (alone.iterations, alone.converged)
 

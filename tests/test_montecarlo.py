@@ -7,6 +7,7 @@ import pytest
 
 from seqtoa import (
     Agents,
+    DegenerateGeometryError,
     EstimationError,
     ExperimentSpec,
     MleConfig,
@@ -205,6 +206,39 @@ class TestRunTrials:
         assert 0 < stats.divergence_count == spec.n_trials - len(sq_errors)
         assert np.array_equal(stats.cdf_samples, sq_errors)
 
+    def test_crlb_failure_leaves_estimator_counts(self):
+        # the target sits on agent 0 at its slot time t = 0, so every trial's
+        # CRLB fails with DegenerateGeometryError; the estimators still count
+        # their own successes, and 12 trials in chunks of 256 span no chunk
+        base = fixed_topology()
+        assert base.agents.t[0] == 0.0
+        target = TargetState.from_vector(np.concatenate([base.agents.p_m[0], base.target.as_vector()[2:]]))
+        topology = Scenario(agents=base.agents, target=target, noise=base.noise)
+        spec = small_spec(n_trials=12, sweep_values=(-30.0,), estimators=montecarlo.ESTIMATOR_IDS, topology=topology)
+        results = run_trials(spec)
+        want = dict.fromkeys(montecarlo.ESTIMATOR_IDS, 0)
+        for i in range(spec.n_trials):
+            scenario, frame, init = one_trial(spec, -30.0, i)
+            with pytest.raises(DegenerateGeometryError, match="coincides with agent"):
+                crlb_target(scenario)
+            try:
+                want["proposed"] += bool(np.all(np.isfinite(estimate(frame).x_hat.as_vector())))
+            except EstimationError:
+                pass
+            want["tswls_static"] += tswls_static_estimate(frame).success
+            try:
+                report = mle_estimate(frame, MleConfig(init=TargetState.from_vector(init), max_iters=spec.mle_max_iters))
+            except EstimationError:
+                continue
+            want["mle"] += not report.diverged and bool(np.all(np.isfinite(report.x_hat.as_vector())))
+        assert want["proposed"] > 0 and want["mle"] > 0
+        for est_id, n_success in want.items():
+            stats = results[(-30.0, est_id)]
+            assert (stats.n_success, stats.divergence_count) == (n_success, spec.n_trials - n_success), est_id
+            assert stats.cdf_samples.size == n_success
+            for block in ("position", "velocity", "offset", "skew"):
+                assert np.isnan(stats.crlb_trace(block)), (est_id, block)
+
     def test_chunks_span_cells_without_changing_results(self, tmp_path, monkeypatch):
         # 3 cells of 10 trials: chunks of 7 cross every cell boundary, one
         # chunk of 256 holds the whole run
@@ -397,7 +431,7 @@ class TestChunkGenerator:
                           topology=TopologyBounds())
         units = [(-20.5, i) for i in range(spec.n_trials)]
         chunk = montecarlo._draw_chunk(spec, units)
-        outcomes = montecarlo._run_chunk(spec, units)
+        ok, errors = montecarlo._run_chunk(spec, units)["proposed"]
         for i, unit in enumerate(units):
             scenario, frame, init = one_trial(spec, *unit)
             assert scenario.target.as_vector().tobytes() == chunk.x[i].tobytes()
@@ -405,11 +439,11 @@ class TestChunkGenerator:
             assert frame.tau.tobytes() == chunk.stack.tau[i].tobytes()
             assert frame.noise.blocks.tobytes() == chunk.stack.blocks[i].tobytes()
             assert init.tobytes() == chunk.inits[i].tobytes()
-            (errors, _), = montecarlo._run_chunk(spec, [unit])
-            assert set(errors) == {"proposed", "mle"}
-            want = outcomes[i][0]["proposed"]
-            assert (errors["proposed"] is None) == (want is None)
-            assert want is None or errors["proposed"].tobytes() == want.tobytes()
+            columns = montecarlo._run_chunk(spec, [unit])
+            assert set(columns) == {"proposed", "mle", "crlb"}
+            (one_ok,), (one_error,) = columns["proposed"]
+            assert one_ok == ok[i]
+            assert not ok[i] or one_error.tobytes() == errors[i].tobytes()
 
 
 class TestLargeFrames:
