@@ -15,6 +15,11 @@ frame from its true state (a batch of one), and ``mle_batch`` on a stack of
 ``MLE_FRAMES`` random-topology frames, each from its true state plus unit
 Gaussian noise as the sweeps draw it, given per frame.
 
+The last row times a sweep's draws: ``montecarlo._draw_chunk`` on one
+chunk of ``CHUNK`` noise-sweep units with all three estimators, per trial.
+It seeds every trial's streams, draws its scenario, its frame's standard
+normals and the MLE's initial state, and simulates the chunk's frames.
+
 ``estimate`` is not the sum of the stage rows: it runs both passes on the
 stacked kernels directly, while the stage functions are the single-frame
 wrappers over the same kernels.
@@ -27,6 +32,7 @@ import time
 import numpy as np
 
 from seqtoa import (
+    ExperimentSpec,
     FrameStack,
     MleConfig,
     TargetState,
@@ -42,12 +48,15 @@ from seqtoa import (
     simulate_frame,
     solve_wls_qr,
 )
+from seqtoa import montecarlo
 from seqtoa.serialize import frame_from_dict, frame_to_dict, report_to_dict
 
 CALLS = 200
 REPEATS = 5
 MLE_FRAMES = 75
 MLE_BATCH_CALLS = 10
+CHUNK = 256
+CHUNK_CALLS = 10
 
 
 def per_call_us(fn, calls: int = CALLS) -> tuple[float, float]:
@@ -76,6 +85,9 @@ rng = np.random.default_rng(7)
 scenarios = [sample_random_topology(TopologyBounds(), rng) for _ in range(MLE_FRAMES)]
 mle_stack = FrameStack.of([simulate_frame(sc, k) for k, sc in enumerate(scenarios)])
 mle_inits = np.array([sc.target.as_vector() for sc in scenarios]) + rng.normal(size=(MLE_FRAMES, 6))
+sweep = ExperimentSpec(scheme="noise_sweep", n_trials=CHUNK, base_seed=0, sweep_values=(-20.5,),
+                       estimators=("proposed", "tswls_static", "mle"))
+units = [(-20.5, trial) for trial in range(CHUNK)]
 
 stages = {
     "frame_from_dict": lambda: frame_from_dict(doc),
@@ -95,4 +107,6 @@ best, median = per_call_us(lambda: mle_estimate(frame, mle_cfg))
 print(f"{'mle_estimate':<30} {best:>10.1f} {median:>12.1f}")
 best, median = per_call_us(lambda: mle_batch(mle_stack, mle_inits), MLE_BATCH_CALLS)
 print(f"{f'mle_batch, per frame of {MLE_FRAMES}':<30} {best / MLE_FRAMES:>10.1f} {median / MLE_FRAMES:>12.1f}")
+best, median = per_call_us(lambda: montecarlo._draw_chunk(sweep, units), CHUNK_CALLS)
+print(f"{f'_draw_chunk, per trial of {CHUNK}':<30} {best / CHUNK:>10.1f} {median / CHUNK:>12.1f}")
 print(f"estimate: {report.iterations} retraction iterations, cond_estimate {report.cond_estimate:.3g}")

@@ -79,6 +79,17 @@ def _mat(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as they
+    are, past the constructor's copies and checks: for a caller whose arrays
+    are already read-only, of the right shapes and checked finite, often as
+    views of a larger array checked once."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class TargetState:
     """Target parameters at the start of a frame.
@@ -126,10 +137,7 @@ class TargetState:
         if not np.isfinite(x).all():
             return cls(p=x[0:2], v=x[2:4], T=x[4], omega=x[5])
         x.setflags(write=False)
-        state = object.__new__(cls)
-        for name, value in (("p", x[0:2]), ("v", x[2:4]), ("T", float(x[4])), ("omega", float(x[5]))):
-            object.__setattr__(state, name, value)
-        return state
+        return _checked(cls, p=x[0:2], v=x[2:4], T=float(x[4]), omega=float(x[5]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,25 +17,31 @@ results within one package version.
 
 An experiment is one stream of ``(sweep value, trial)`` units, cell by cell
 in sweep order and in trial order within a cell, cut into chunks of at most
-256 units; a chunk may span cells.  A chunk is built from columns: each
-trial is seeded and draws its scenario, its frame's standard normals and
-the MLE's initial state on its own, as the contract above says, into its
-row of the chunk's arrays (target states, agent columns, noise columns).
-The noise, TOAs and broadcasts of all its frames, the static solver
-(:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
-(:func:`~seqtoa.baselines.mle_batch`) and the CRLB
+256 units; a chunk may span cells.  A chunk is built from columns.  The
+streams of all its trials are computed at once, under the unchanged
+contract above: the ``SeedSequence`` hashing behind ``spawn(3)`` and the
+``PCG64`` seeding behind ``default_rng`` run as array arithmetic over the
+chunk (:func:`_stream_states`), and each trial's draws (its scenario, its
+frame's standard normals and the MLE's initial state) come, in the same
+order as from ``default_rng``, from one generator set to each stream's
+state in turn, into the trial's row of the chunk's arrays (target states,
+agent columns, noise columns).  The noise, TOAs and broadcasts of all its
+frames, the static solver (:func:`~seqtoa.baselines.tswls_static_batch`),
+the MLE (:func:`~seqtoa.baselines.mle_batch`) and the CRLB
 (:func:`~seqtoa.analysis.crlb_columns`) then run once per chunk, stacked
-over its trials; no per-trial :class:`Scenario` is built.  The proposed
-estimator runs one frame at a time, through
-:func:`~seqtoa.estimator.estimate` on an :class:`ObservedFrame` built for
-it: the benchmark checks that a sweep notices a dropped second pass by
-replacing that function, so a stacked call would escape the check until
-the check moves.  A chunk's outcomes are columns as well: per estimator a
-success mask and the errors of its estimates, and for the CRLB a mask and
-the per-block traces (:func:`_run_chunk`).  They are cut at cell boundaries,
-and each cell is reduced to :class:`TrialStats`, in trial order, as soon as
-its last trial is done, so a run holds about one cell and one chunk of
-trials.  The whole run is on the calling thread.
+over its trials; no per-trial :class:`Scenario` is built.  The chunk's
+observed and noise columns are checked finite once and made read-only.
+The proposed estimator runs one frame at a time, through
+:func:`~seqtoa.estimator.estimate` on an :class:`ObservedFrame` whose
+arrays are read-only row views of those columns: the benchmark checks that
+a sweep notices a dropped second pass by replacing that function, so a
+stacked call would escape the check until the check moves.  A chunk's
+outcomes are columns as well: per estimator a success mask and the errors
+of its estimates, and for the CRLB a mask and the per-block traces
+(:func:`_run_chunk`).  They are cut at cell boundaries, and each cell is
+reduced to :class:`TrialStats`, in trial order, as soon as its last trial
+is done, so a run holds about one cell and one chunk of trials.  The whole
+run is on the calling thread.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .model import (
     TargetState,
     _DB_RANGE,
     _broadcast_errors,
+    _checked,
     _db_columns,
     _db_ok,
     _observe,
@@ -121,6 +128,20 @@ class TopologyBounds:
             )
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _integer_problem(value, lo: int) -> str | None:
+    """Why ``value`` is not an integer from ``lo`` to the largest signed 64-bit
+    integer (a bool, a float such as ``2.0`` or ``2.5``, or a string is not
+    one), or None if it is."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return f"expected an integer, got {value!r}"
+    if not lo <= value <= _INT64_MAX:
+        return f"expected an integer from {lo} to {_INT64_MAX}, got {value!r}"
+    return None
+
+
 class _SpecFieldError(ValueError):
     """An :class:`ExperimentSpec` value the experiment cannot use; ``field``
     names it (``sweep_values[i]`` for one sweep value)."""
@@ -139,7 +160,11 @@ class ExperimentSpec:
     to the packaged fixed topology) or :class:`TopologyBounds` for the
     random-topology scheme (defaults to ``TopologyBounds()``), nothing else.
     Construction raises ``ValueError`` for any value a run could not use:
-    among others a non-finite sweep value, or a dB value (``sigma_tau_sq_db``,
+    among others an integer field (``n_trials``, ``base_seed``,
+    ``mle_max_iters``) that is not an integer (a bool is not one), a
+    ``base_seed`` outside 0 to 2**63 - 1, an ``n_trials`` or
+    ``mle_max_iters`` outside 1 to 2**63 - 1, a non-finite sweep value, or a
+    dB value (``sigma_tau_sq_db``,
     and ``agent_sigma_halfwidth_db`` around ``sigma_s_sq_db`` and around the
     sweep values of the schemes that sweep it) that gives no finite, positive
     variance.  Where one field is at fault, the error is a ``ValueError``
@@ -162,12 +187,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        # the rule of a document's integer fields; it also keeps every trial
+        # seed base_seed ^ i below 2**64, two 32-bit words (_stream_states)
+        for field, lo in (("n_trials", 1), ("base_seed", 0), ("mle_max_iters", 1)):
+            problem = _integer_problem(getattr(self, field), lo)
+            if problem:
+                raise _SpecFieldError(field, problem)
+            object.__setattr__(self, field, int(getattr(self, field)))
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must be non-empty")
-        if self.mle_max_iters < 1 or not self.mle_init_sigma > 0:
-            raise ValueError("need mle_max_iters >= 1 and mle_init_sigma > 0")
+        if not self.mle_init_sigma > 0:
+            raise ValueError("need mle_init_sigma > 0")
         if len(self.estimators) == 0:
             raise ValueError("estimators must be non-empty")
         for e in self.estimators:
@@ -289,9 +319,117 @@ def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> 
     return Scenario(agents=agents, target=TargetState.from_vector(x), noise=noise)
 
 
+# --- the random streams of a chunk -------------------------------------------
+#
+# numpy documents the algorithms behind the reproducibility contract.  A
+# SeedSequence hashes its entropy words into a pool of four 32-bit words, and
+# its generate_state hashes the pool into output words, each with a running
+# sequence of hash constants; PCG64 takes its 128-bit state and increment from
+# four 64-bit output words.  The functions below run the same uint32
+# arithmetic on a whole chunk's trials at once; tests/test_montecarlo.py
+# (TestStreamStates) pins them to numpy's SeedSequence and default_rng.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[int]:
+    """``init * mult**k`` modulo 2**32 for k = 0..n."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+_POOL_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 20)  # 20 hashmix calls pool 5 entropy words
+_STATE_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
+
+
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence pools ``(..., 4)`` of the entropy words ``(..., L)``
+    (uint32, 4 <= L <= 5)."""
+    consts = zip(_POOL_CONSTS, _POOL_CONSTS[1:])
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = x * 0xCA01F9DD - y * 0x4973F715
+        return r ^ r >> 16
+
+    mixer = [hashmix(entropy[..., i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixer[dst] = mix(mixer[dst], hashmix(mixer[src]))
+    for src in range(4, entropy.shape[-1]):
+        for dst in range(4):
+            mixer[dst] = mix(mixer[dst], hashmix(entropy[..., src]))
+    return np.stack(mixer, axis=-1)
+
+
+def _generate(pools: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint32)`` of SeedSequence pools
+    ``(..., 4)``: ``(..., n_words)`` uint32."""
+    out = np.empty(pools.shape[:-1] + (n_words,), np.uint32)
+    for i in range(n_words):
+        value = (pools[..., i % 4] ^ _STATE_CONSTS[i]) * _STATE_CONSTS[i + 1]
+        out[..., i] = value ^ value >> 16
+    return out
+
+
+def _pcg64_states(words: np.ndarray) -> list[dict]:
+    """The state of a ``PCG64`` seeded from each row of ``words (N, 8)``, its
+    seed sequence's ``generate_state(8, np.uint32)``.  Read as four 64-bit
+    words (low half first), the first two are the 128-bit seed and the last
+    two the stream, high word first; ``PCG64`` then takes two LCG steps."""
+    u = words[:, 0::2].astype(np.uint64) | words[:, 1::2].astype(np.uint64) << 32
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in u.tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _stream_states(base_seed: int, trials, n_streams: int) -> list[list[dict]]:
+    """The ``PCG64`` states of the first ``n_streams`` (2 or 3) streams of
+    each of ``trials``, as ``default_rng`` seeds them under the
+    reproducibility contract.  With ``streams =
+    SeedSequence(base_seed ^ trial).spawn(3)``, they are the scenario stream
+    ``default_rng(streams[0])``, the frame stream
+    ``default_rng(int(streams[1].generate_state(1, np.uint64)[0]))`` and the
+    init stream ``default_rng(streams[2])``.
+
+    Child j's entropy is the seed's two 32-bit words (low first; every trial
+    seed is below 2**64), zeros up to the pool's four words, then its spawn
+    key j.  The frame stream's entropy is its seed's two 32-bit words, the
+    two words ``generate_state(2, np.uint32)`` of child 1, and two zeros: a
+    seed below 2**32 has one word, and a word missing from a pool hashes as a
+    zero.
+    """
+    seeds = np.uint64(base_seed) ^ np.asarray(trials, dtype=np.uint64)
+    entropy = np.zeros((seeds.size, 3, 5), np.uint32)
+    entropy[..., 0] = (seeds & _MASK32)[:, None]
+    entropy[..., 1] = (seeds >> 32)[:, None]
+    entropy[..., 4] = np.arange(3)
+    children = _pools(entropy)
+    frame_entropy = np.zeros((seeds.size, 4), np.uint32)
+    frame_entropy[:, 0:2] = _generate(children[:, 1], 2)
+    pools = (children[:, 0], _pools(frame_entropy), children[:, 2])[:n_streams]
+    return [_pcg64_states(_generate(pool, 8)) for pool in pools]
+
+
 @dataclass(frozen=True, eq=False)
 class _Chunk:
-    """The trials of one chunk as columns; row k belongs to its k-th unit."""
+    """The trials of one chunk as columns; row k belongs to its k-th unit.
+
+    The stack's columns are read-only and finite (:func:`_draw_chunk` checks
+    them once), so a trial's frame and noise hold row views of them.
+    """
 
     x: np.ndarray  # (N, 6) true target states
     p_m: np.ndarray  # (N, M, 2) true agent positions
@@ -300,18 +438,21 @@ class _Chunk:
     inits: np.ndarray | None  # (N, 6) the MLE's initial states, if it runs
 
     def noise(self, k: int) -> NoiseSpec:
-        return NoiseSpec(c_tau=self.stack.c_tau[k], blocks=self.stack.blocks[k])
+        return _checked(NoiseSpec, c_tau=self.stack.c_tau[k], blocks=self.stack.blocks[k])
 
     def frame(self, k: int) -> ObservedFrame:
         s = self.stack
-        return ObservedFrame(t=s.t[k], tau=s.tau[k], p_hat=s.p_hat[k], T_hat=s.T_hat[k], noise=self.noise(k))
+        return _checked(ObservedFrame, t=s.t[k], tau=s.tau[k], p_hat=s.p_hat[k], T_hat=s.T_hat[k], noise=self.noise(k))
 
 
 def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     """Draw and simulate the trials ``units`` (``(sweep value, trial)`` pairs).
 
-    Each trial is seeded and drawn on its own, as the reproducibility
-    contract says, into its row of the chunk's columns.
+    The streams of all the trials are computed at once
+    (:func:`_stream_states`), under the reproducibility contract; each
+    trial's draws come from one generator set to each of its streams' states
+    in turn, with the calls and in the order that ``default_rng`` streams
+    would get them, into its row of the chunk's columns.
     Fixed-topology schemes keep the base scenario's agents and target
     position/velocity and draw the target clock offset (uniform on the noise
     sweep; the sweep value itself on the LTCO sweep), the target skew and the
@@ -319,6 +460,9 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     The frame stream then gives M TOA and 3M broadcast standard normals.  The
     noise columns, the TOAs and the broadcasts follow for the whole chunk at
     once, as :func:`~seqtoa.model.simulate_frame` computes them for one frame.
+    The noise and observed columns are checked finite once, raising the
+    ``ValueError`` that :class:`NoiseSpec` or :class:`ObservedFrame` would
+    raise for a trial, and made read-only.
     """
     N = len(units)
     x = np.empty((N, 6))
@@ -336,9 +480,10 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     sigma_db, z_tau, z_beta = np.empty((N, M)), np.empty((N, M)), np.empty((N, 3 * M))
     inits = np.empty((N, 6)) if "mle" in spec.estimators else None
     halfwidth = spec.agent_sigma_halfwidth_db
-    for k, (value, trial) in enumerate(units):
-        streams = np.random.SeedSequence(spec.base_seed ^ trial).spawn(3)
-        rng = np.random.default_rng(streams[0])
+    states = _stream_states(spec.base_seed, [trial for _, trial in units], 2 if inits is None else 3)
+    rng = np.random.Generator(np.random.PCG64())  # every draw follows a state set from a trial's stream
+    for k, (value, _) in enumerate(units):
+        rng.bit_generator.state = states[0][k]
         if spec.scheme == "random_topology":
             _draw_random(bounds, rng, p_m[k], T_m[k], x[k], sigma_db[k], value, halfwidth)
         else:
@@ -350,14 +495,20 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
                 x[k, 4] = value
             x[k, 5] = rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT
             sigma_db[k] = rng.uniform(center - halfwidth, center + halfwidth, size=M)
-        frame_rng = np.random.default_rng(int(streams[1].generate_state(1, np.uint64)[0]))
-        frame_rng.standard_normal(out=z_tau[k])
-        frame_rng.standard_normal(out=z_beta[k])
+        rng.bit_generator.state = states[1][k]
+        rng.standard_normal(out=z_tau[k])
+        rng.standard_normal(out=z_beta[k])
         if inits is not None:
-            inits[k] = np.random.default_rng(streams[2]).normal(0.0, spec.mle_init_sigma, size=6)
+            rng.bit_generator.state = states[2][k]
+            inits[k] = rng.normal(0.0, spec.mle_init_sigma, size=6)
 
     c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
     tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z_tau * np.sqrt(c_tau), _broadcast_errors(blocks, z_beta))
+    columns = {"c_tau": c_tau, "blocks": blocks, "t": t, "tau": tau, "p_hat": p_hat, "T_hat": T_hat}
+    for name, column in columns.items():  # NoiseSpec's checks, then ObservedFrame's, in their order
+        if not np.isfinite(column).all():
+            raise ValueError(f"{name} must be finite")
+        column.setflags(write=False)
     stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks)
     if inits is not None:
         inits += x
@@ -366,9 +517,10 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
 
 def _run_chunk(spec: ExperimentSpec, units) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Trials ``units`` (``(sweep value, trial)`` pairs, which may span cells):
-    the chunk's columns (:func:`_draw_chunk`), ``proposed`` one frame at a
-    time, then the static solver, the MLE and the CRLB stacked over the
-    chunk.
+    the chunk's columns (:func:`_draw_chunk`, which computes the streams of
+    all its trials at once), ``proposed`` one frame at a time on read-only
+    row views of those columns (:meth:`_Chunk.frame`), then the static
+    solver, the MLE and the CRLB stacked over the chunk.
 
     Returns ``(ok, values)`` columns in unit order: for each estimator id its
     success mask ``ok (N,)`` and errors ``(N, 6)``, and for ``"crlb"`` its
@@ -458,12 +610,14 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[float, str], TrialStats]:
     they never abort the sweep.  The experiment's ``(sweep value, trial)``
     units, cell by cell in sweep order and in trial order within a cell, are
     cut into chunks of at most 256 units that may span cells.  Per chunk,
-    seeding, the draws and ``proposed`` run per trial, and the frames, the
-    static solver, the MLE and the CRLB run once, stacked; each returns its
-    outcomes as columns.  Those columns are cut at cell boundaries, the
-    slices of a cell that spans chunks are joined, and each cell is reduced,
-    in trial order, once its last trial is done.  All of it runs on the
-    calling thread.
+    the streams of all its trials are computed at once, under the unchanged
+    ``base_seed XOR i`` / ``spawn(3)`` contract; the draws run per trial from
+    those streams, and ``proposed`` per trial on row views of the chunk's
+    read-only columns; the frames, the static solver, the MLE and the CRLB
+    run once, stacked.  Each returns its outcomes as columns.  Those columns
+    are cut at cell boundaries, the slices of a cell that spans chunks are
+    joined, and each cell is reduced, in trial order, once its last trial is
+    done.  All of it runs on the calling thread.
     """
     n_trials = spec.n_trials
     n_units = len(spec.sweep_values) * n_trials

@@ -50,7 +50,7 @@ from .model import (
     _db_columns,
     _db_ok,
 )
-from .montecarlo import ExperimentSpec, TopologyBounds, _SpecFieldError
+from .montecarlo import ExperimentSpec, TopologyBounds, _SpecFieldError, _integer_problem
 
 
 class SchemaError(Exception):
@@ -81,16 +81,12 @@ def _number(value, path: str) -> float:
     return number
 
 
-_INT64_MAX = 2**63 - 1
-
-
 def _integer(value, path: str, lo: int) -> int:
     """An integer field: a JSON integer from ``lo`` to the largest signed 64-bit
     integer (a bool, a float such as ``2.0`` or ``2.5``, or a string is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
-    if not lo <= value <= _INT64_MAX:
-        raise SchemaError(path, f"expected an integer from {lo} to {_INT64_MAX}, got {value!r}")
+    problem = _integer_problem(value, lo)
+    if problem:
+        raise SchemaError(path, problem)
     return value
 
 

@@ -11,6 +11,8 @@ from seqtoa import (
     EstimationError,
     ExperimentSpec,
     MleConfig,
+    NoiseSpec,
+    ObservedFrame,
     Scenario,
     TargetState,
     TopologyBounds,
@@ -288,10 +290,19 @@ class TestRunTrials:
             ({"scheme": "ltco_sweep", "sweep_values": (29.9, np.nan)}, "sweep_values[1]"),  # tau must be finite
             ({"sweep_values": (-40.0, 4000.0)}, "sweep_values[1]"),  # blocks must be finite
             ({"agent_sigma_halfwidth_db": 1e308}, "agent_sigma_halfwidth_db"),  # the uniform draw overflowed
+            ({"base_seed": -1}, "base_seed"),  # SeedSequence: negative entropy
+            ({"base_seed": 1.5}, "base_seed"),  # float ^ int
+            ({"n_trials": 2.5}, "n_trials"),  # float trial count
+            ({"mle_max_iters": 2.5}, "mle_max_iters"),
+            ({"n_trials": True}, "n_trials"),  # ran one trial
+            ({"base_seed": 2**63}, "base_seed"),  # beyond the documents' signed 64-bit range
         ]:
             with pytest.raises(ValueError, match=re.escape(f"{field}: ")) as info:
                 small_spec(**kwargs)
             assert info.value.field == field
+        for field, value in (("base_seed", 0), ("base_seed", 2**63 - 1), ("n_trials", np.int64(3))):
+            spec = small_spec(**{field: value})
+            assert getattr(spec, field) == value and type(getattr(spec, field)) is int
         # ltco_sweep sweeps offsets in meters, not dB
         assert small_spec(scheme="ltco_sweep", sweep_values=(4000.0,)).sweep_values == (4000.0,)
 
@@ -444,6 +455,82 @@ class TestChunkGenerator:
             (one_ok,), (one_error,) = columns["proposed"]
             assert one_ok == ok[i]
             assert not ok[i] or one_error.tobytes() == errors[i].tobytes()
+
+
+class TestStreamStates:
+    """The chunk's streams are computed by hand from numpy's documented
+    SeedSequence and PCG64 seeding (``montecarlo._stream_states``); a numpy
+    whose SeedSequence or default_rng seeds differently must fail here, not
+    only in the end-to-end bytes of TestChunkGenerator."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    BASE = 2**63 - 12345  # base_seed ^ trial at a large base seed
+
+    @pytest.mark.parametrize("base_seed, trials", [(0, SEEDS), (BASE, [0, 1, 7, 255, 2**20 + 3])], ids=["seeds", "xor"])
+    def test_states_match_default_rng(self, base_seed, trials):
+        states = montecarlo._stream_states(base_seed, trials, 3)
+        assert montecarlo._stream_states(base_seed, trials, 2) == states[:2]
+        for k, trial in enumerate(trials):
+            streams = np.random.SeedSequence(base_seed ^ trial).spawn(3)
+            frame_seed = int(streams[1].generate_state(1, np.uint64)[0])
+            rngs = (np.random.default_rng(streams[0]), np.random.default_rng(frame_seed),
+                    np.random.default_rng(streams[2]))
+            assert [s[k] for s in states] == [rng.bit_generator.state for rng in rngs], trial
+
+    @pytest.mark.parametrize("seed", [*SEEDS, BASE ^ 255])
+    def test_pools_and_frame_seed_match_seed_sequence(self, seed):
+        # a spawned child's entropy: the seed's two 32-bit words, zeros up to
+        # four words, then the spawn key
+        entropy = np.array([[seed & 0xFFFFFFFF, seed >> 32, 0, 0, j] for j in range(3)], dtype=np.uint32)
+        pools = montecarlo._pools(entropy)
+        children = np.random.SeedSequence(seed).spawn(3)
+        assert pools.tolist() == [list(child.pool) for child in children]
+        assert montecarlo._generate(pools, 8).tolist() == [list(child.generate_state(8)) for child in children]
+        lo, hi = montecarlo._generate(pools[1:2], 2)[0].tolist()
+        assert lo | hi << 32 == int(children[1].generate_state(1, np.uint64)[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1])
+    def test_one_word_seed_hashes_as_two(self, seed):
+        # the frame stream hashes its seed as two words; below 2**32 numpy
+        # hashes one, and the missing word must hash as the zero put there
+        pool = montecarlo._pools(np.array([[seed, 0, 0, 0]], dtype=np.uint32))
+        assert pool[0].tolist() == list(np.random.SeedSequence(seed).pool)
+        state = montecarlo._pcg64_states(montecarlo._generate(pool, 8))[0]
+        assert state == np.random.default_rng(seed).bit_generator.state
+
+
+class TestChunkFrames:
+    def test_frames_are_read_only_row_views(self):
+        spec = small_spec(n_trials=4, sweep_values=(-30.0,))
+        chunk = montecarlo._draw_chunk(spec, [(-30.0, i) for i in range(4)])
+        s = chunk.stack
+        for k in range(4):
+            frame = chunk.frame(k)
+            built = ObservedFrame(t=s.t[k], tau=s.tau[k], p_hat=s.p_hat[k], T_hat=s.T_hat[k],
+                                  noise=NoiseSpec(c_tau=s.c_tau[k], blocks=s.blocks[k]))
+            for name, column in (("t", s.t), ("tau", s.tau), ("p_hat", s.p_hat), ("T_hat", s.T_hat),
+                                 ("c_tau", s.c_tau), ("blocks", s.blocks)):
+                got, want = (getattr(f.noise if name in ("c_tau", "blocks") else f, name) for f in (frame, built))
+                assert not got.flags.writeable, name
+                assert np.shares_memory(got, column), name
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert frame.n_agents == built.n_agents and frame.noise.n_agents == built.noise.n_agents
+            assert estimate(frame).x_hat.as_vector().tobytes() == estimate(built).x_hat.as_vector().tobytes()
+
+    def test_non_finite_column_raises_as_a_frame_did(self):
+        # 1e200 m away, the squared ranges overflow: the TOAs are infinite
+        base = fixed_topology()
+        far = TargetState(p=base.target.p + 1e200, v=base.target.v, T=base.target.T, omega=base.target.omega)
+        spec = small_spec(n_trials=3, sweep_values=(-30.0,), topology=Scenario(agents=base.agents, target=far,
+                                                                                noise=base.noise))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^tau must be finite$"):
+                montecarlo._draw_chunk(spec, [(-30.0, 0)])
+            with pytest.raises(ValueError, match="^tau must be finite$"):
+                run_trials(spec)
+        with pytest.raises(ValueError, match="^tau must be finite$"):
+            ObservedFrame(t=base.agents.t, tau=np.full(base.n_agents, np.inf), p_hat=base.agents.p_m,
+                          T_hat=base.agents.T_m, noise=base.noise)
 
 
 class TestLargeFrames:
