@@ -26,8 +26,8 @@ built on first read, which only the cross-checks do: the joint Fisher
 information (``CrlbResult.full_fim``) and ``analytic_cov(form="factored")``.
 
 The simulation kernels work on N frames at once, as columns with a leading
-frame axis: :func:`simulate_frame` runs them on a batch of one, and the
-Monte-Carlo sweeps on a whole chunk of trials.
+frame axis: the Monte-Carlo sweeps run them on a whole chunk of trials, and
+:func:`simulate_frame` on one frame without that axis.
 """
 
 from __future__ import annotations
@@ -347,10 +347,11 @@ class ObservedFrame:
 def _toas(x: np.ndarray, t: np.ndarray, p_m: np.ndarray, T_m: np.ndarray) -> np.ndarray:
     """Noise-free TOAs ``(N, M)`` of N scenarios: target states ``x (N, 6)``,
     slot times ``t (N, M)``, agent positions ``p_m (N, M, 2)`` and offsets
-    ``T_m (N, M)``; see :func:`forward_toa`."""
-    u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
+    ``T_m (N, M)``, or of one scenario without the leading axis; see
+    :func:`forward_toa`."""
+    u = x[..., None, 0:2] + x[..., None, 2:4] * t[..., None] - p_m
     # vecdot takes the same dot product per row as np.linalg.norm of one vector
-    return np.sqrt(np.vecdot(u, u)) + x[:, 4:5] + x[:, 5:6] * t - T_m
+    return np.sqrt(np.vecdot(u, u)) + x[..., 4:5] + x[..., 5:6] * t - T_m
 
 
 def forward_toa(target: TargetState, agents: Agents) -> np.ndarray:
@@ -384,6 +385,20 @@ def _psd_factor(C: np.ndarray, name: str) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
+# A stream of frames mostly repeats one noise spec, so what is derived from a
+# spec (here and in the serializer) is kept for the last few specs, or noise
+# documents, seen: each spec's arrays are read-only, so one serves every frame
+# that carries it, and frames that each carry fresh noise keep nothing extra.
+_SPEC_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _blocks_factor(noise: NoiseSpec) -> np.ndarray:
+    """Read-only square-root factors ``(M, 3, 3)`` of ``noise.blocks``
+    (:func:`_psd_factor`), once per spec of the last few simulated."""
+    return _read_only(_psd_factor(noise.blocks, "C_beta"))
+
+
 def _broadcast_errors(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Broadcast errors ``(N, M, 3)``: standard normals ``z (N, 3M)`` through
     a square-root factor of each agent's block of ``blocks (N, M, 3, 3)``."""
@@ -392,8 +407,9 @@ def _broadcast_errors(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _observe(x, t, p_m, T_m, d_tau, d_beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observed columns ``tau (N, M)``, ``p_hat (N, M, 2)`` and ``T_hat (N, M)``
-    of N scenarios (see :func:`_toas`), from their TOA noise ``d_tau (N, M)``
-    and broadcast errors ``d_beta (N, M, 3)``."""
+    of N scenarios, or of one without the leading axis (see :func:`_toas`),
+    from their TOA noise ``d_tau (N, M)`` and broadcast errors
+    ``d_beta (N, M, 3)``."""
     return _toas(x, t, p_m, T_m) + d_tau, p_m + d_beta[..., :2], T_m + d_beta[..., 2]
 
 
@@ -402,18 +418,24 @@ def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
 
     TOA noise is drawn first (M standard normals scaled by the square roots
     of ``c_tau``), then the broadcast errors (3M standard normals, three per
-    agent, through a square-root factor of each agent's block); the two are
-    independent.  The same seed always reproduces the same frame bit for bit.
+    agent, through a square-root factor of each agent's block, taken once per
+    noise spec); the two are independent.  The same seed always reproduces the
+    same frame bit for bit.
     """
     rng = np.random.default_rng(seed)
     M = scenario.n_agents
     noise = scenario.noise
     z_tau = rng.standard_normal(M)
-    d_beta = _broadcast_errors(noise.blocks[None], rng.standard_normal(3 * M)[None])
+    d_beta = (_blocks_factor(noise) @ rng.standard_normal((M, 3, 1)))[..., 0]
     a = scenario.agents
-    x = scenario.target.as_vector()[None]
-    tau, p_hat, T_hat = _observe(x, a.t[None], a.p_m[None], a.T_m[None], z_tau * np.sqrt(noise.c_tau), d_beta)
-    return ObservedFrame(t=a.t, tau=tau[0], p_hat=p_hat[0], T_hat=T_hat[0], noise=noise)
+    x = scenario.target.as_vector()
+    tau, p_hat, T_hat = _observe(x, a.t, a.p_m, a.T_m, z_tau * np.sqrt(noise.c_tau), d_beta)
+    columns = (tau, p_hat, T_hat)
+    if not all(np.isfinite(column).all() for column in columns):  # the constructor's checks name the column
+        return ObservedFrame(t=a.t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
+    for column in columns:
+        column.setflags(write=False)
+    return _checked(ObservedFrame, t=a.t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
 
 
 def exact_frame(scenario: Scenario) -> ObservedFrame:

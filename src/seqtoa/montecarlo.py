@@ -129,6 +129,9 @@ class TopologyBounds:
 
 
 _INT64_MAX = 2**63 - 1
+# above every standard normal numpy's Generator draws: its ziggurat takes the
+# tail from 53-bit uniforms, which bounds a draw's magnitude near 13.7
+_NORMAL_BOUND = 16.0
 
 
 def _integer_problem(value, lo: int) -> str | None:
@@ -163,8 +166,9 @@ class ExperimentSpec:
     among others an integer field (``n_trials``, ``base_seed``,
     ``mle_max_iters``) that is not an integer (a bool is not one), a
     ``base_seed`` outside 0 to 2**63 - 1, an ``n_trials`` or
-    ``mle_max_iters`` outside 1 to 2**63 - 1, a non-finite sweep value, or a
-    dB value (``sigma_tau_sq_db``,
+    ``mle_max_iters`` outside 1 to 2**63 - 1, a non-finite sweep value, an
+    ``mle_init_sigma`` that is not positive or whose normal draws can
+    overflow, or a dB value (``sigma_tau_sq_db``,
     and ``agent_sigma_halfwidth_db`` around ``sigma_s_sq_db`` and around the
     sweep values of the schemes that sweep it) that gives no finite, positive
     variance.  Where one field is at fault, the error is a ``ValueError``
@@ -196,8 +200,9 @@ class ExperimentSpec:
             object.__setattr__(self, field, int(getattr(self, field)))
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must be non-empty")
-        if not self.mle_init_sigma > 0:
-            raise ValueError("need mle_init_sigma > 0")
+        # the MLE starts each trial from the truth plus mle_init_sigma * N(0, I)
+        if not (self.mle_init_sigma > 0.0 and np.isfinite(_NORMAL_BOUND * self.mle_init_sigma)):
+            raise ValueError(f"mle_init_sigma must be > 0 and give finite draws, got {self.mle_init_sigma!r}")
         if len(self.estimators) == 0:
             raise ValueError("estimators must be non-empty")
         for e in self.estimators:

@@ -14,7 +14,9 @@ Scenario::
                "agent_sigma_sq_db": [f, ...]            # concrete, or
                                   | {"center_db": f, "halfwidth_db": f}}}
 
-The sampled form of ``agent_sigma_sq_db`` needs an RNG at load time.
+The sampled form of ``agent_sigma_sq_db`` needs an RNG at load time and is
+drawn anew on every read; equal concrete noise documents read back as one
+shared, read-only :class:`~seqtoa.model.NoiseSpec`.
 
 Frame::
 
@@ -35,6 +37,7 @@ document's reader reads (``seqtoa --set`` accepts no other keys).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,8 +50,11 @@ from .model import (
     Scenario,
     TargetState,
     _DB_RANGE,
+    _SPEC_CACHE_SIZE,
+    _checked,
     _db_columns,
     _db_ok,
+    _read_only,
 )
 from .montecarlo import ExperimentSpec, TopologyBounds, _SpecFieldError, _integer_problem
 
@@ -123,11 +129,21 @@ def _number_list(value, path: str) -> list[float]:
 
 
 # --- noise ------------------------------------------------------------------
+#
+# The reader keeps the specs of the last few concrete noise documents and the
+# writer the dB forms of the last few specs (see model._SPEC_CACHE_SIZE).
+
+
+@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _concrete_noise(sigma_tau_sq_db: float, agent_sigma_sq_db: tuple[float, ...]) -> NoiseSpec:
+    """:meth:`NoiseSpec.from_db` of checked dB values, one spec per distinct value."""
+    return NoiseSpec.from_db(sigma_tau_sq_db, np.array(agent_sigma_sq_db))
 
 
 def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | None = None) -> NoiseSpec:
     """The noise spec of a document; every dB value, and every value a sampled
-    range can draw, must convert to a finite, positive variance."""
+    range can draw, must convert to a finite, positive variance.  Equal
+    concrete documents get one shared spec; a sampled one is drawn anew."""
     sigma_tau_sq_db = _number(_get(d, "sigma_tau_sq_db", path), f"{path}.sigma_tau_sq_db")
     if not _db_ok(sigma_tau_sq_db):
         raise SchemaError(f"{path}.sigma_tau_sq_db", f"{sigma_tau_sq_db!r} dB is {_DB_RANGE}")
@@ -145,16 +161,14 @@ def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | Non
             raise SchemaError(f"{apath}.halfwidth_db", f"center_db +- halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}")
         if rng is None:
             raise SchemaError(apath, "sampled agent variances need an RNG/seed to materialize")
-        agent_db = rng.uniform(lo, hi, size=n_agents)
-    else:
-        values = _number_list(agent, apath)
-        if len(values) != n_agents:
-            raise SchemaError(apath, f"expected {n_agents} entries, got {len(values)}")
-        if not (_db_ok(min(values)) and _db_ok(max(values))):  # the conversion is monotone
-            i = next(i for i, v in enumerate(values) if not _db_ok(v))
-            raise SchemaError(f"{apath}[{i}]", f"{values[i]!r} dB is {_DB_RANGE}")
-        agent_db = np.asarray(values)
-    return NoiseSpec.from_db(sigma_tau_sq_db, agent_db)
+        return NoiseSpec.from_db(sigma_tau_sq_db, rng.uniform(lo, hi, size=n_agents))
+    values = _number_list(agent, apath)
+    if len(values) != n_agents:
+        raise SchemaError(apath, f"expected {n_agents} entries, got {len(values)}")
+    if not (_db_ok(min(values)) and _db_ok(max(values))):  # the conversion is monotone
+        i = next(i for i, v in enumerate(values) if not _db_ok(v))
+        raise SchemaError(f"{apath}[{i}]", f"{values[i]!r} dB is {_DB_RANGE}")
+    return _concrete_noise(sigma_tau_sq_db, tuple(values))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step past the largest float reads back as inf: no match
@@ -173,10 +187,12 @@ def _exact_db(variances: np.ndarray) -> np.ndarray:
     return np.where(back == variances, out, db)  # the last step is never read
 
 
-def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
-    """The schema's form of ``noise``: one TOA variance and one variance per agent.
+@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _schema_db(noise: NoiseSpec, path: str) -> tuple[float, ...]:
+    """The dB values the schema writes for ``noise``: the TOA variance, then
+    one per agent.
 
-    Raises ``SchemaError`` for a spec that form cannot hold: TOA variances
+    Raises ``SchemaError`` for a spec the schema cannot hold: TOA variances
     that differ, an agent block that is not ``sigma_m^2 * I_3``, or a
     variance that is not positive.
     """
@@ -191,8 +207,13 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
         )
     if not (sigma_tau_sq > 0 and np.all(agent > 0)):
         raise SchemaError(path, "variances must be positive to be written in dB")
-    db = _exact_db(np.concatenate(([sigma_tau_sq], agent))).tolist()
-    return {"sigma_tau_sq_db": db[0], "agent_sigma_sq_db": db[1:]}
+    return tuple(_exact_db(np.concatenate(([sigma_tau_sq], agent))).tolist())
+
+
+def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
+    """The schema's form of ``noise`` (see :func:`_schema_db`)."""
+    db = _schema_db(noise, path)
+    return {"sigma_tau_sq_db": db[0], "agent_sigma_sq_db": list(db[1:])}
 
 
 # --- scenario ----------------------------------------------------------------
@@ -239,16 +260,16 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _record_table(records: list) -> np.ndarray | None:
-    """``(M, 5)`` table of each record's ``t``, ``tau_tilde``, ``p_hat`` and
-    ``T_hat`` when every record is an object with these fields, finite
-    numbers and a 2-element ``p_hat`` array, else ``None``."""
+    """Read-only ``(M, 5)`` table of each record's ``t``, ``tau_tilde``,
+    ``p_hat`` and ``T_hat`` when every record is an object with these fields,
+    finite numbers and a 2-element ``p_hat`` array, else ``None``."""
     rows = [
         (r.get("t"), r.get("tau_tilde"), *p, r.get("T_hat"))
         for r in records
         if type(r) is dict and type(p := r.get("p_hat")) is list and len(p) == 2
     ]
     floats = _finite_floats([v for row in rows for v in row]) if len(rows) == len(records) else None
-    return None if floats is None else np.array(floats).reshape(-1, 5)
+    return None if floats is None else _read_only(np.array(floats)).reshape(-1, 5)
 
 
 def frame_from_dict(d: dict) -> ObservedFrame:
@@ -265,8 +286,10 @@ def frame_from_dict(d: dict) -> ObservedFrame:
             table[i, 1] = _number(_get(r, "tau_tilde", path), f"{path}.tau_tilde")
             table[i, 2:4] = _pair(_get(r, "p_hat", path), f"{path}.p_hat")
             table[i, 4] = _number(_get(r, "T_hat", path), f"{path}.T_hat")
+        table.setflags(write=False)
     noise = _noise_from_dict(_get(d, "noise", "frame"), M, "frame.noise")
-    return ObservedFrame(t=table[:, 0], tau=table[:, 1], p_hat=table[:, 2:4], T_hat=table[:, 4], noise=noise)
+    # finite columns of M rows and noise sized for M: the constructor's checks hold
+    return _checked(ObservedFrame, t=table[:, 0], tau=table[:, 1], p_hat=table[:, 2:4], T_hat=table[:, 4], noise=noise)
 
 
 def frame_to_dict(f: ObservedFrame) -> dict:

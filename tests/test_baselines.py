@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -419,6 +420,34 @@ class TestMleFailedSolve:
             got = results[k]
             assert np.array_equal(got.x_hat.as_vector(), alone.x_hat.as_vector())
             assert (got.iterations, got.converged, got.diverged) == (alone.iterations, alone.converged, alone.diverged)
+
+    def test_dgelsd_failure_fails_alone(self, monkeypatch):
+        # no known finite system makes dgelsd fail to converge; the gufunc is
+        # made to fail frame 2's first solve as LAPACK fails: rank -1, a NaN
+        # solution and the FP-invalid flag
+        cases = [mle_case(kind, value, k, False) for k, (kind, value) in enumerate(
+            [("noise", -20.0), ("ltco", 2997.9), ("random", -20.5), ("noise", -50.0)])]
+        alone = [mle_batch(FrameStack.one(frame), [init])[0] for frame, init in cases]
+        lstsq, calls = baselines._umath_linalg.lstsq, []
+
+        def failing(*args, **kwargs):
+            x, residuals, rank, s = lstsq(*args, **kwargs)
+            if not calls:
+                x[2], rank[2] = np.nan, -1
+                np.subtract(np.inf, np.inf)
+            calls.append(len(rank))
+            return x, residuals, rank, s
+
+        monkeypatch.setattr(baselines, "_umath_linalg", types.SimpleNamespace(lstsq=failing))
+        frames, inits = zip(*cases)
+        results = mle_batch(FrameStack.of(frames), inits)
+        assert calls[0] == 4 and len(calls) > 1
+        assert type(results[2]) is EstimationError
+        assert str(results[2]) == "Gauss-Newton least-squares solve failed (LAPACK dgelsd did not converge)"
+        for k in (0, 1, 3):
+            got, want = results[k], alone[k]
+            assert got.x_hat.as_vector().tobytes() == want.x_hat.as_vector().tobytes()
+            assert (got.iterations, got.converged, got.diverged) == (want.iterations, want.converged, want.diverged)
 
     def test_non_finite_system_skips_lapack(self, capfd):
         # handed to dgelsd, an infinite weight or a NaN TOA is an illegal

@@ -121,6 +121,7 @@ class TestEstimateCommand:
             ("agent_sigma_halfwidth_db=-3", "agent_sigma_halfwidth_db must be finite and >= 0, got -3.0"),
             ("target_offset_ns=-1", "target_offset_ns must be >= 0"),
             ("target_offset_ns=1e308", "target_offset_ns must be >= 0"),
+            ("mle_init_sigma=1e308", "mle_init_sigma must be > 0 and give finite draws, got 1e+308"),
         ]:
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
             assert code == 1, setting

@@ -14,7 +14,8 @@ from seqtoa import (
     simulate_frame,
     validate_scenario,
 )
-from seqtoa.model import db_to_variance, variance_to_db
+from seqtoa import model
+from seqtoa.model import _psd_factor as psd_factor, db_to_variance, variance_to_db
 
 from conftest import C, random_scenario
 
@@ -87,6 +88,31 @@ class TestSimulateFrame:
         assert np.array_equal(f1.T_hat, f2.T_hat)
         f3 = simulate_frame(scenario, seed=124)
         assert f3.tau[0] != f1.tau[0]
+
+    def test_factor_taken_once_per_spec(self, monkeypatch):
+        # the sweeps' stacked kernels on one frame give the reference bits
+        scenario = random_scenario(np.random.default_rng(5))
+        a, noise, M = scenario.agents, scenario.noise, scenario.n_agents
+        rng = np.random.default_rng(123)
+        z_tau, z_beta = rng.standard_normal(M), rng.standard_normal(3 * M)
+        d_beta = model._broadcast_errors(noise.blocks[None], z_beta[None])
+        x = scenario.target.as_vector()[None]
+        want = model._observe(x, a.t[None], a.p_m[None], a.T_m[None], z_tau * np.sqrt(noise.c_tau), d_beta)
+        factors = []
+        monkeypatch.setattr(model, "_psd_factor", lambda C, name: factors.append(C) or psd_factor(C, name))
+        for _ in range(3):
+            frame = simulate_frame(scenario, seed=123)
+            for name, column in zip(("tau", "p_hat", "T_hat"), want):
+                got = getattr(frame, name)
+                assert got.tobytes() == column[0].tobytes(), name
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 0.0
+            assert frame.noise is noise
+        assert len(factors) == 1
+        # a column that overflows is named by the frame's own check
+        far = dataclasses.replace(scenario, target=TargetState(p=[1e308, 1e308], v=[0, 0], T=0.0, omega=0.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="tau must be finite"):
+            simulate_frame(far, seed=1)
 
     def test_noise_variance_and_mean(self):
         # one-agent scenario, 1e5 seeded frames: sample variance of the TOA

@@ -360,10 +360,17 @@ class TestRunTrials:
             ({"target_offset_ns": np.nan}, "target_offset_ns must be >= 0"),
             ({"target_offset_ns": np.inf}, "target_offset_ns must be >= 0"),
             ({"target_offset_ns": 1e308}, "target_offset_ns must be >= 0 and give a finite draw range"),
+            # these built, and then every MLE trial failed while the run succeeded
+            ({"mle_init_sigma": np.inf}, "mle_init_sigma must be > 0 and give finite draws, got inf"),
+            ({"mle_init_sigma": np.nan}, "mle_init_sigma must be > 0 and give finite draws"),
+            ({"mle_init_sigma": 1e308}, "mle_init_sigma must be > 0 and give finite draws"),
+            ({"mle_init_sigma": 0.0}, "mle_init_sigma must be > 0"),
+            ({"mle_init_sigma": -1.0}, "mle_init_sigma must be > 0"),
         ]:
             with pytest.raises(ValueError, match=message):
                 small_spec(**kwargs)
         assert small_spec(agent_sigma_halfwidth_db=0.0, target_offset_ns=0.0).target_offset_ns == 0.0
+        assert small_spec(mle_init_sigma=1e306).mle_init_sigma == 1e306
 
 
 def per_object_trial(spec, sweep_value, trial):

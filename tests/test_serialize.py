@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seqtoa import NoiseSpec, ObservedFrame, TopologyBounds, fixed_topology, sample_random_topology, simulate_frame
+from seqtoa.model import _DB_RANGE
 from seqtoa.serialize import (
     SchemaError,
     _db_ok,
+    _exact_db,
     _noise_from_dict,
     _noise_to_dict,
     check_field,
@@ -197,6 +199,113 @@ class TestMalformedFrame:
             frame_from_dict(d)
         assert exc.value.path == path
         assert str(exc.value) == f"{path}: {message}"
+
+
+def _frame_doc(seed=3):
+    return json.loads(json.dumps(frame_to_dict(simulate_frame(fixed_topology(), seed))))
+
+
+class TestNoiseSharing:
+    """Frames parsed from equal noise documents share one immutable spec, and
+    the writer computes a spec's dB form once; no output moves."""
+
+    def test_equal_noise_documents_share_one_spec(self):
+        d = _frame_doc()
+        a, b = frame_from_dict(d), frame_from_dict(_frame_doc())  # equal, separate documents
+        assert a.noise is b.noise
+        assert not (a.noise.c_tau.flags.writeable or a.noise.blocks.flags.writeable)
+        # the same dB values as JSON integers are the same key
+        noise = {"sigma_tau_sq_db": -30, "agent_sigma_sq_db": [-20] * 10}
+        as_floats = {"sigma_tau_sq_db": -30.0, "agent_sigma_sq_db": [-20.0] * 10}
+        assert frame_from_dict({**d, "noise": noise}).noise is frame_from_dict({**d, "noise": as_floats}).noise
+        scenario = scenario_to_dict(fixed_topology())
+        assert scenario_from_dict(scenario).noise is scenario_from_dict(json.loads(json.dumps(scenario))).noise
+
+    def test_different_noise_gives_different_specs(self):
+        d = _frame_doc()
+        agent = d["noise"]["agent_sigma_sq_db"]
+        specs = [frame_from_dict(d).noise]
+        for k, value in ((0, agent[0] + 1.0), (9, float(np.nextafter(agent[9], np.inf)))):
+            edited = json.loads(json.dumps(d))
+            edited["noise"]["agent_sigma_sq_db"][k] = value
+            specs.append(frame_from_dict(edited).noise)
+        edited = json.loads(json.dumps(d))
+        edited["noise"]["sigma_tau_sq_db"] += 1.0
+        specs.append(frame_from_dict(edited).noise)
+        assert len({id(s) for s in specs}) == len(specs)
+        assert specs[1].blocks[0, 0, 0] != specs[0].blocks[0, 0, 0]
+        assert specs[3].c_tau[0] != specs[0].c_tau[0]
+        # sampled agent variances are drawn on every read, never shared
+        scenario = scenario_to_dict(fixed_topology())
+        scenario["noise"]["agent_sigma_sq_db"] = {"center_db": -30.0, "halfwidth_db": 5.0}
+        first, again = (scenario_from_dict(scenario, np.random.default_rng(1)).noise for _ in range(2))
+        assert first is not again and first.blocks.tobytes() == again.blocks.tobytes()
+
+    @pytest.mark.parametrize("table", ["whole", "record_by_record"])
+    def test_parsed_frame_columns_refuse_writes(self, table):
+        d = _frame_doc()
+        if table == "record_by_record":  # a tuple p_hat, which only the per-record walk takes
+            d["records"][0]["p_hat"] = tuple(d["records"][0]["p_hat"])
+        frame = frame_from_dict(d)
+        for name in ("t", "tau", "p_hat", "T_hat"):
+            column = getattr(frame, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+            assert column.base is None or not column.base.flags.writeable, name
+        assert frame_to_dict(frame) == {**d, "records": _frame_doc()["records"]}
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec.from_db(-30.0, np.linspace(-35.0, -15.0, 10)),
+         NoiseSpec.from_db(4.877545463781203, [2.42982392418007, -3.748210681823622])],  # needs the ulp walk
+        ids=["fixed", "ulp_walk"],
+    )
+    def test_cached_db_form_is_a_fresh_exact_db(self, noise):
+        variances = np.concatenate((noise.c_tau[:1], noise.blocks[:, 0, 0]))
+        fresh = _exact_db(variances).tolist()
+        for _ in range(3):
+            d = _noise_to_dict(noise, "noise")
+            assert [d["sigma_tau_sq_db"], *d["agent_sigma_sq_db"]] == fresh
+            d["agent_sigma_sq_db"][0] = 0.0  # a caller's edit must not reach the next call
+        if noise.n_agents == 2:
+            assert fresh != (10.0 * np.log10(variances)).tolist()
+
+    def test_schema_errors_are_the_same_on_every_call(self):
+        d = _frame_doc()
+        frame_from_dict(d)  # its noise is now a known spec
+        bad_noise = [
+            (lambda n: n.__setitem__("sigma_tau_sq_db", 4000.0), "frame.noise.sigma_tau_sq_db",
+             f"4000.0 dB is {_DB_RANGE}"),
+            (lambda n: n["agent_sigma_sq_db"].__setitem__(4, -4000.0), "frame.noise.agent_sigma_sq_db[4]",
+             f"-4000.0 dB is {_DB_RANGE}"),
+            (lambda n: n["agent_sigma_sq_db"].__setitem__(4, "x"), "frame.noise.agent_sigma_sq_db[4]",
+             "expected a number, got 'x'"),
+            (lambda n: n.pop("sigma_tau_sq_db"), "frame.noise.sigma_tau_sq_db", "missing required field"),
+        ]
+        for edit, path, message in bad_noise:
+            bad = json.loads(json.dumps(d))
+            edit(bad["noise"])
+            for _ in range(2):
+                with pytest.raises(SchemaError) as exc:
+                    frame_from_dict(bad)
+                assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+        # a known noise document on a frame of another size
+        short = {**d, "records": d["records"][:9]}
+        for _ in range(2):
+            with pytest.raises(SchemaError, match=r"^frame.noise.agent_sigma_sq_db: expected 9 entries, got 10$"):
+                frame_from_dict(short)
+        # the writer: a spec the schema cannot hold fails each time, under each caller's path
+        anisotropic = NoiseSpec(c_tau=np.full(10, 1e-3), blocks=np.broadcast_to(np.diag([1e-2, 1e-2, 2e-2]), (10, 3, 3)))
+        frame = dataclasses.replace(simulate_frame(fixed_topology(), 2), noise=anisotropic)
+        scenario = dataclasses.replace(fixed_topology(), noise=anisotropic)
+        for write, path in ((frame_to_dict, "frame.noise"), (scenario_to_dict, "scenario.noise"), (frame_to_dict, "frame.noise")):
+            with pytest.raises(SchemaError) as exc:
+                write(frame if write is frame_to_dict else scenario)
+            assert exc.value.path == f"{path}.agent_sigma_sq_db"
+            assert str(exc.value) == (
+                f"{path}.agent_sigma_sq_db: C_beta must be block diagonal with blocks sigma_m^2 * I_3 "
+                "to be written in this schema"
+            )
 
 
 class TestExperimentSpecs:
