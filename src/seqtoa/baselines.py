@@ -3,10 +3,10 @@
 * :func:`mle_batch` - Gauss-Newton maximum likelihood that trusts the
   broadcast agent information (ignores its uncertainty), over a
   :class:`~seqtoa.estimator.FrameStack`, with per-frame iteration counts,
-  flags and failure records.  Each
-  iteration solves the Gauss-Newton steps of all its frames in one stacked
-  ``dgelsd`` call, bit for bit the per-frame ``numpy.linalg.lstsq`` steps;
-  :func:`mle_estimate` is a batch of one.
+  flags and failure records.  Each iteration solves the steps of all its
+  frames in one call of the estimator's step kernel, ``_gn_steps``, bit for
+  bit the per-frame ``numpy.linalg.lstsq`` steps; :func:`mle_estimate` is a
+  batch of one.
 * :func:`tswls_static_batch` - the classic static two-step solver
   (position and offset only, explicit normal equations, one refinement
   iteration) over a :class:`~seqtoa.estimator.FrameStack`, with a failure
@@ -19,22 +19,20 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, EstimationError, UnderdeterminedError
-
-# np.linalg.lstsq solves one matrix per call: only its 2-D check refuses a
-# stack.  The gufunc beneath it runs the same LAPACK dgelsd on every matrix of
-# a stack, so one call gives each matrix np.linalg.lstsq's solution, rank and
-# singular values bit for bit (see estimator's import of it for why).
-from .estimator import _LAPACK_ERRSTATE, EstimateReport, FrameStack, _umath_linalg
+from .estimator import _LAPACK_ERRSTATE, _RANK_FAILED, _RANK_NOT_FINITE, EstimateReport, FrameStack, _gn_steps
 from .model import ObservedFrame, TargetState
 
 _DIVERGENCE_STREAK = 3
 _STEP_TOL = 1e-9  # a step norm at or below it ends the MLE's iterations as converged
+_SOLVE_FAILED = {
+    _RANK_FAILED: "Gauss-Newton least-squares solve failed (LAPACK dgelsd did not converge)",
+    _RANK_NOT_FINITE: "Gauss-Newton least-squares solve failed (the weighted system is not finite)",
+}
 
 
 @dataclass(frozen=True)
@@ -47,20 +45,6 @@ class MleConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-
-
-def _lstsq_stack(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.lstsq(A[k], b[k], rcond=None)``'s solution ``(K, n)`` and
-    rank ``(K,)`` for every system of the stack ``A (K, m, n)``, ``b (K, m)``.
-
-    A system whose dgelsd fails, which makes ``np.linalg.lstsq`` raise
-    ``LinAlgError``, gets rank -1 and a NaN solution instead; the others are
-    unaffected.
-    """
-    m, n = A.shape[-2:]
-    with np.errstate(all="ignore"):  # failures come back as rank -1
-        x, _, rank, _ = _umath_linalg.lstsq(A, b[..., None], np.finfo(float).eps * max(m, n), signature="ddd->ddid")
-    return x[..., 0], rank
 
 
 def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray, T_hat: np.ndarray):
@@ -83,20 +67,20 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
     or after ``max_iters`` steps, and reports the best iterate it has seen.
     Divergence is reported through the ``diverged`` flag, never raised.
     Each iteration solves the steps of all frames still iterating in one
-    stacked call of the LAPACK ``dgelsd`` that ``numpy.linalg.lstsq`` runs,
-    with its ``rcond``, so each frame's step, and so its result, is bit for
-    bit the one it gets alone.  All frames must have the same number of
-    broadcasts.
+    call of ``estimator._gn_steps``, which runs the ``dgelsd`` of
+    ``numpy.linalg.lstsq`` with its ``rcond`` and rank rule, so each frame's
+    step, and so its result, is bit for bit the one it gets alone.  All
+    frames must have the same number of broadcasts.
 
     Returns one entry per frame, in order: its :class:`EstimateReport`, or
     the :class:`EstimationError` that stopped it alone -
     :class:`UnderdeterminedError` for every frame if there are fewer than 6
     broadcasts, :class:`DegenerateGeometryError` for an iterate on an agent
     or a Gauss-Newton system of rank below 6, and a plain
-    :class:`EstimationError` for a least-squares solve that failed (where
-    ``numpy.linalg.lstsq`` would raise ``LinAlgError``) or whose weighted
-    system is not finite, which is never handed to LAPACK (a zero TOA
-    variance, for one).  No ``RuntimeWarning`` escapes.
+    :class:`EstimationError` for the kernel's failure ranks: a ``dgelsd``
+    that failed (where ``numpy.linalg.lstsq`` would raise ``LinAlgError``)
+    or a weighted system that is not finite, which is never handed to LAPACK
+    (a zero TOA variance, for one).  No ``RuntimeWarning`` escapes.
     """
     if max_iters < 1:
         raise ValueError("need max_iters >= 1")
@@ -132,27 +116,17 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
         H[..., 4] = 1.0
         H[..., 5] = tl
         wl = w[live]
-        WH, Wr = wl[..., None] * H, wl * resid
-        # dgelsd rejects a non-finite system as an illegal argument and says so
-        # on stdout; such a system fails without the call.  A sum is finite
-        # only if every term is.
-        if not math.isfinite(WH.sum() + Wr.sum()):
-            finite = np.isfinite(WH).all(axis=(-2, -1)) & np.isfinite(Wr).all(axis=-1)
-            for i in live[~finite]:
-                out[i] = EstimationError("Gauss-Newton least-squares solve failed (the weighted system is not finite)")
-            live, WH, Wr = live[finite], WH[finite], Wr[finite]
-        # Each step from the dgelsd, with the rcond, that np.linalg.lstsq runs
-        # on the frame alone, and its norm by the BLAS dot that np.linalg.norm
-        # uses: frames near the _STEP_TOL round-off floor decide convergence or
-        # divergence on the last bits of the step, so another factorization or
-        # a plain sum of squares would change outcomes.  One stacked call of
-        # the same dgelsd does not.
-        dx, rank = _lstsq_stack(WH, Wr)
+        # Each step is the one np.linalg.lstsq gives the frame alone, and its
+        # norm comes from the BLAS dot that np.linalg.norm uses: frames near
+        # the _STEP_TOL round-off floor decide convergence or divergence on the
+        # last bits of the step, so another factorization or a plain sum of
+        # squares would change outcomes.
+        dx, rank = _gn_steps(wl[..., None] * H, wl * resid)
         ok = rank == 6
         if not ok.all():
             for j in np.flatnonzero(~ok):
                 out[live[j]] = (
-                    EstimationError("Gauss-Newton least-squares solve failed (LAPACK dgelsd did not converge)")
+                    EstimationError(_SOLVE_FAILED[rank[j]])
                     if rank[j] < 0
                     else DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank[j]} < 6)")
                 )

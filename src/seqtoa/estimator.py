@@ -21,7 +21,10 @@ equilibrated whitened design, a cheap indicator of its conditioning.
 
 Step II retracts the physical 6-state out of ``theta`` by Gauss-Newton on the
 nonlinear consistency constraints, weighted by the Step-I square-root
-information ``R`` (rescaled to the original columns).
+information ``R`` (rescaled to the original columns).  Its steps and the MLE
+baseline's come from one kernel, :func:`_gn_steps`, with ``numpy.linalg.lstsq``'s
+rank rule; a system whose ``dgelsd`` fails (rank -1) or that is not finite
+(rank -2, never handed to LAPACK) fails its frame alone.
 
 Because the Step-I error statistics depend on the unknown state, the full
 pipeline runs two passes: identity weights to get a crude state, then
@@ -32,10 +35,10 @@ arrays and :func:`estimate_batch` runs the pipeline on all of them at once.
 Every frame keeps its own iteration count and its own failure record, so one
 bad frame does not fail the others; the kernels gather the frames still in
 play only after one has dropped out.  The kernels call numpy's LAPACK gufuncs
-(``qr_r_raw``, ``solve``, ``svd_s``) directly, without the ``np.linalg``
+(``qr_r_raw``, ``solve``, ``lstsq``) directly, without the ``np.linalg``
 wrappers: each member gets the wrapper's result bit for bit, and a member
-whose factorization fails comes back NaN instead of raising ``LinAlgError``
-for the whole stack.  That NaN fails the frame's own rank,
+whose factorization fails comes back NaN (and rank -1) instead of raising
+``LinAlgError`` for the whole stack.  That fails the frame's own rank,
 conditioning or finiteness check, so a LAPACK failure becomes that frame's
 :class:`RankDeficiencyError`, :class:`ConditioningError` or
 :class:`DegenerateGeometryError` (rank 0), and no ``RuntimeWarning`` escapes.
@@ -57,14 +60,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The stacked kernels here and the MLE in baselines call the LAPACK gufuncs
-# beneath np.linalg.qr, solve, svd, eigh and lstsq directly.  Each wrapper only
-# checks types, copies, sets an errstate that turns one failed member into
-# LinAlgError for the whole stack, and calls the same gufunc; on a batch of one
-# that overhead is a third of the call.  Called directly, every member gets
-# the wrapper's result bit for bit.  It is private numpy API: TestLapackKernels
-# in tests/test_estimator.py and TestLstsqStack in tests/test_baselines.py pin
-# it to the wrappers.
+# The stacked kernels here (_gn_steps serves the MLE in baselines too) call the
+# LAPACK gufuncs beneath np.linalg.qr, solve, lstsq and eigh directly.  Each
+# wrapper only checks types, copies, sets an errstate that turns one failed
+# member into LinAlgError for the whole stack, and calls the same gufunc; on a
+# batch of one that overhead is a third of the call.  Called directly, every
+# member gets the wrapper's result bit for bit.  This private numpy API stays in
+# this module: TestLapackKernels and TestLstsqStack pin it to the wrappers, and
+# test_only_estimator_names_the_private_gufuncs keeps it here.
 from numpy.linalg import _umath_linalg
 
 from .errors import (
@@ -79,7 +82,6 @@ from .model import ObservedFrame, TargetState
 N_THETA = 9
 MAX_REFINE_ITERATIONS = 5
 _EPS = np.finfo(float).eps
-_SVD_RANK_TOL = 9 * _EPS  # numpy.linalg.lstsq's rcond for the retraction's 9x6 systems
 _SINGULAR_CE = (
     "equation-error covariance C_e is numerically singular; "
     "check for near-zero d_m together with near-zero agent variances"
@@ -319,19 +321,46 @@ def _theta_models(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([x, (G * x[:, None, :]).sum(axis=-1)], axis=-1), G
 
 
+_RANK_FAILED = -1  # dgelsd failed; np.linalg.lstsq would raise LinAlgError
+_RANK_NOT_FINITE = -2  # the system is not finite and never reaches LAPACK
+
+
+def _gn_steps(WJ: np.ndarray, Wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton steps ``dx (K, n)`` minimizing ``||Wr - WJ @ dx||`` for the
+    stacked systems ``WJ (K, m, n)``, ``Wr (K, m)``, and their ranks ``(K,)``.
+
+    One call of the ``dgelsd`` beneath ``numpy.linalg.lstsq``, with its
+    ``rcond = eps * max(m, n)``, solves them all, so each step and rank is
+    ``np.linalg.lstsq(WJ[k], Wr[k], rcond=None)``'s bit for bit: the rank
+    counts the singular values above ``rcond`` times the largest.  A system
+    fails alone with a NaN step: rank ``_RANK_FAILED`` where ``dgelsd``
+    fails, ``_RANK_NOT_FINITE`` where the system is not finite.  LAPACK would
+    reject a non-finite system as an illegal argument, on stdout, so a zero
+    system goes in its place.  Callers silence a failed ``dgelsd``'s
+    FP-invalid flag with ``_LAPACK_ERRSTATE``.
+    """
+    # one finiteness test for the common case: a sum is finite only if every term is
+    finite = None
+    if not math.isfinite(WJ.sum() + Wr.sum()):
+        finite = np.isfinite(WJ).all(axis=(-2, -1)) & np.isfinite(Wr).all(axis=-1)
+        WJ = np.where(finite[:, None, None], WJ, 0.0)
+        Wr = np.where(finite[:, None], Wr, 0.0)
+    dx, _, rank, _ = _umath_linalg.lstsq(WJ, Wr[..., None], _EPS * max(WJ.shape[-2:]), signature="ddd->ddid")
+    if finite is not None:
+        dx[~finite], rank[~finite] = np.nan, _RANK_NOT_FINITE
+    return dx[..., 0], rank
+
+
 def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
     """Stacked weighted Gauss-Newton retraction of ``theta (N, 9)`` onto the 6-state.
 
-    Each step solves ``min ||K (theta - f(x) - J dx)||`` by SVD (the ``svd_s``
-    gufunc beneath ``np.linalg.svd(full_matrices=False)``), with the rank
-    rule of ``numpy.linalg.lstsq``.  A non-finite system, or an SVD that
-    fails and comes back NaN, has no singular value above the rank
-    tolerance, so its frame drops out with rank 0 alone.  A frame leaves the
-    loop once the squared norm of its position step is at most its
-    ``threshold``, or after ``MAX_REFINE_ITERATIONS`` steps, so every frame
-    runs exactly as many iterations as it would alone.  Returns
-    ``(x, iterations, converged, rank)``; a frame whose weighted Jacobian lost
-    rank has ``rank < 6`` and a meaningless ``x``.
+    Each step solves ``min ||K (theta - f(x) - J dx)||`` by :func:`_gn_steps`.
+    A frame leaves the loop alone: with its rank once its system has rank
+    below 6 (0 for a failed or non-finite system), converged once the squared
+    norm of its position step is at most its ``threshold``, or after
+    ``MAX_REFINE_ITERATIONS`` steps, so every frame runs exactly as many
+    iterations as it would alone.  Returns ``(x, iterations, converged,
+    rank)``; a frame with ``rank < 6`` has a meaningless ``x``.
     """
     N = theta.shape[0]
     x = theta[:, :6].copy()
@@ -344,27 +373,18 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
         f, G = _theta_models(xr)
         KJ = Kr[..., :6] + Kr[..., 6:] @ (2.0 * G)
         Kres = (Kr @ (th - f)[..., None])[..., 0]
-        # one finiteness test for the common case: a sum is finite only if every term is
-        if not math.isfinite(KJ.sum() + Kres.sum()):
-            finite = np.isfinite(KJ).all(axis=(-2, -1)) & np.isfinite(Kres).all(axis=-1)
-            KJ = np.where(finite[:, None, None], KJ, 0.0)  # rank 0: the frame fails
-            Kres = np.where(finite[:, None], Kres, 0.0)
-        U, s, Vt = _umath_linalg.svd_s(KJ, signature="d->ddd")
-        full = s[:, -1] > _SVD_RANK_TOL * s[:, 0]  # singular values come sorted
+        dx, step_rank = _gn_steps(KJ, Kres)
+        full = step_rank == 6
         if not full.all():
-            rank[idx[~full]] = np.count_nonzero(s[~full] > _SVD_RANK_TOL * s[~full, :1], axis=-1)
-            idx, xr, Kr, th, thr = idx[full], xr[full], Kr[full], th[full], thr[full]
-            U, s, Vt, Kres = U[full], s[full], Vt[full], Kres[full]
-        dx = (Vt.swapaxes(-1, -2) @ ((U.swapaxes(-1, -2) @ Kres[..., None]) / s[..., None]))[..., 0]
+            rank[idx[~full]] = np.maximum(step_rank[~full], 0)
+            idx, xr, Kr, th, thr, dx = idx[full], xr[full], Kr[full], th[full], thr[full], dx[full]
         xr = xr + dx
         done = (dx[:, :2] ** 2).sum(axis=-1) <= thr
         if done.all():  # also when no frame is left
             x[idx], iterations[idx], converged[idx] = xr, it, True
             return x, iterations, converged, rank
         if done.any():
-            x[idx[done]] = xr[done]
-            iterations[idx[done]] = it
-            converged[idx[done]] = True
+            x[idx[done]], iterations[idx[done]], converged[idx[done]] = xr[done], it, True
             keep = ~done
             idx, xr, Kr, th, thr = idx[keep], xr[keep], Kr[keep], th[keep], thr[keep]
     x[idx] = xr

@@ -245,9 +245,14 @@ def _isotropic_columns(sigma_tau_sq: float, agent_sigma_sq: np.ndarray) -> tuple
     return np.full(agent_sigma_sq.shape, float(sigma_tau_sq)), agent_sigma_sq[..., None, None] * _EYE3
 
 
+def _db_variances(sigma_tau_sq_db: float, agent_sigma_sq_db: np.ndarray) -> tuple[float, np.ndarray]:
+    """The TOA variance and the agent variances ``(..., M)``, m^2, of values in dB."""
+    return db_to_variance(sigma_tau_sq_db), 10.0 ** (agent_sigma_sq_db / 10.0)
+
+
 def _db_columns(sigma_tau_sq_db: float, agent_sigma_sq_db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_isotropic_columns` with both variances given in dB."""
-    return _isotropic_columns(db_to_variance(sigma_tau_sq_db), 10.0 ** (agent_sigma_sq_db / 10.0))
+    return _isotropic_columns(*_db_variances(sigma_tau_sq_db, agent_sigma_sq_db))
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,8 +52,8 @@ from .model import (
     _DB_RANGE,
     _SPEC_CACHE_SIZE,
     _checked,
-    _db_columns,
     _db_ok,
+    _db_variances,
     _read_only,
 )
 from .montecarlo import ExperimentSpec, TopologyBounds, _SpecFieldError, _integer_problem
@@ -174,13 +174,13 @@ def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | Non
 @np.errstate(over="ignore", invalid="ignore")  # a step past the largest float reads back as inf: no match
 def _exact_db(variances: np.ndarray) -> np.ndarray:
     """Per variance ``v`` (the TOA variance, then the agents'), the float nearest
-    ``10 log10(v)``, within 4 ulps, that the reader's conversion (``_db_columns``)
+    ``10 log10(v)``, within 4 ulps, that the reader's conversion (``_db_variances``)
     turns back into exactly ``v``, else ``10 log10(v)``.  The conversion is
     monotone, so each value steps one ulp at a time toward its variance."""
     db = out = 10.0 * np.log10(variances)
     for _ in range(5):  # 10 log10(v) and up to 4 steps from it
-        c_tau, blocks = _db_columns(out[0], out[1:])
-        back = np.concatenate((c_tau[:1], blocks[:, 0, 0]))
+        sigma_tau_sq, agent = _db_variances(out[0], out[1:])
+        back = np.concatenate(([sigma_tau_sq], agent))
         if (back == variances).all():  # 10 log10(v) itself, for most frames
             return out
         out = np.where(back == variances, out, np.nextafter(out, np.where(back > variances, -np.inf, np.inf)))

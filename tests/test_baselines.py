@@ -26,7 +26,7 @@ from seqtoa import (
     tswls_static_batch,
     tswls_static_estimate,
 )
-from seqtoa import baselines, montecarlo
+from seqtoa import estimator, montecarlo
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS, anisotropic_scenario, random_scenario, sweep_scenario
@@ -405,22 +405,6 @@ class TestMleBatch:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMleFailedSolve:
-    def test_failed_solve_fails_alone(self):
-        # a zero TOA variance gives frame 1 an infinite weight, so its dgelsd
-        # fails: np.linalg.lstsq raises LinAlgError on that system
-        spec = ExperimentSpec(scheme="random_topology", n_trials=8, base_seed=3, sweep_values=(-20.5,),
-                              estimators=("mle",))
-        chunk = montecarlo._draw_chunk(spec, [(-20.5, k) for k in range(8)])
-        c_tau = chunk.stack.c_tau.copy()
-        c_tau[1, 0] = 0.0
-        results = mle_batch(dataclasses.replace(chunk.stack, c_tau=c_tau), chunk.inits)
-        assert type(results[1]) is EstimationError and "least-squares solve failed" in str(results[1])
-        for k in (0, *range(2, 8)):
-            alone = mle_batch(FrameStack.of([chunk.frame(k)]), chunk.inits[k : k + 1])[0]
-            got = results[k]
-            assert np.array_equal(got.x_hat.as_vector(), alone.x_hat.as_vector())
-            assert (got.iterations, got.converged, got.diverged) == (alone.iterations, alone.converged, alone.diverged)
-
     def test_dgelsd_failure_fails_alone(self, monkeypatch):
         # no known finite system makes dgelsd fail to converge; the gufunc is
         # made to fail frame 2's first solve as LAPACK fails: rank -1, a NaN
@@ -428,7 +412,7 @@ class TestMleFailedSolve:
         cases = [mle_case(kind, value, k, False) for k, (kind, value) in enumerate(
             [("noise", -20.0), ("ltco", 2997.9), ("random", -20.5), ("noise", -50.0)])]
         alone = [mle_batch(FrameStack.one(frame), [init])[0] for frame, init in cases]
-        lstsq, calls = baselines._umath_linalg.lstsq, []
+        lstsq, calls = estimator._umath_linalg.lstsq, []
 
         def failing(*args, **kwargs):
             x, residuals, rank, s = lstsq(*args, **kwargs)
@@ -438,7 +422,7 @@ class TestMleFailedSolve:
             calls.append(len(rank))
             return x, residuals, rank, s
 
-        monkeypatch.setattr(baselines, "_umath_linalg", types.SimpleNamespace(lstsq=failing))
+        monkeypatch.setattr(estimator, "_umath_linalg", types.SimpleNamespace(lstsq=failing))
         frames, inits = zip(*cases)
         results = mle_batch(FrameStack.of(frames), inits)
         assert calls[0] == 4 and len(calls) > 1
@@ -450,22 +434,25 @@ class TestMleFailedSolve:
             assert (got.iterations, got.converged, got.diverged) == (want.iterations, want.converged, want.diverged)
 
     def test_non_finite_system_skips_lapack(self, capfd):
-        # handed to dgelsd, an infinite weight or a NaN TOA is an illegal
-        # argument that LAPACK reports on stdout; the frame must fail without it
-        spec = ExperimentSpec(scheme="random_topology", n_trials=6, base_seed=3, sweep_values=(-20.5,),
+        # handed to dgelsd, an infinite weight (a zero TOA variance) or a NaN
+        # TOA is an illegal argument that LAPACK reports on stdout; the frame
+        # must fail without it, and the other frames must not move
+        spec = ExperimentSpec(scheme="random_topology", n_trials=8, base_seed=3, sweep_values=(-20.5,),
                               estimators=("mle",))
-        chunk = montecarlo._draw_chunk(spec, [(-20.5, k) for k in range(6)])
+        chunk = montecarlo._draw_chunk(spec, [(-20.5, k) for k in range(8)])
         c_tau, tau = chunk.stack.c_tau.copy(), chunk.stack.tau.copy()
         c_tau[1, 0] = 0.0
         tau[4, 2] = np.nan
         results = mle_batch(dataclasses.replace(chunk.stack, c_tau=c_tau, tau=tau), chunk.inits)
         assert capfd.readouterr() == ("", "")
         for k in (1, 4):
-            assert type(results[k]) is EstimationError and "not finite" in str(results[k])
-        for k in (0, 2, 3, 5):
+            assert type(results[k]) is EstimationError
+            assert str(results[k]) == "Gauss-Newton least-squares solve failed (the weighted system is not finite)"
+        for k in (0, 2, 3, 5, 6, 7):
             alone = mle_batch(FrameStack.of([chunk.frame(k)]), chunk.inits[k : k + 1])[0]
-            assert results[k].x_hat.as_vector().tobytes() == alone.x_hat.as_vector().tobytes()
-            assert (results[k].iterations, results[k].converged) == (alone.iterations, alone.converged)
+            got = results[k]
+            assert got.x_hat.as_vector().tobytes() == alone.x_hat.as_vector().tobytes()
+            assert (got.iterations, got.converged, got.diverged) == (alone.iterations, alone.converged, alone.diverged)
 
 
 def weighted_system(frame, x):
@@ -482,7 +469,9 @@ def weighted_system(frame, x):
 def augmented_systems():
     """``[w H | w r]`` stacked ``(K, 10, 7)``: full-rank systems of every
     sweep scheme, then systems of rank 3 and 5 (the latter only at
-    np.linalg.lstsq's rcond), and one with a NaN, whose dgelsd fails."""
+    np.linalg.lstsq's rcond), and two that are not finite: one with a NaN,
+    which np.linalg.lstsq hands to dgelsd as an illegal argument, and one
+    with the infinite weight of a zero TOA variance."""
     cases = [mle_case(kind, value, seed, seed % 2 == 1)
              for seed, (kind, value) in enumerate([("noise", -50.0), ("noise", -10.0), ("ltco", 2997.9),
                                                    ("ltco", 299792.458), ("random", -20.5), ("random", -30.0)])]
@@ -492,30 +481,34 @@ def augmented_systems():
     U, sv, Vt = np.linalg.svd(systems[0][:, :6], full_matrices=False)
     sv[5] = 1e-15 * sv[0]  # above eps, below np.linalg.lstsq's rcond = 10 eps: rank 5
     rank5 = np.column_stack([(U * sv) @ Vt, systems[0][:, 6]])
-    failed = systems[1].copy()
-    failed[3, 2] = np.nan
-    return np.stack([*systems, rank5, failed])
+    nan, inf = systems[1].copy(), systems[2].copy()
+    nan[3, 2] = np.nan
+    inf[4] *= np.inf
+    return np.stack([*systems, rank5, nan, inf])
 
 
 class TestLstsqStack:
-    """mle_batch solves all its steps through the private gufunc under
-    np.linalg.lstsq; each system must get np.linalg.lstsq's solution and rank
-    bit for bit, or rank -1 and NaN where np.linalg.lstsq raises."""
+    """mle_batch and the retraction solve their steps through
+    estimator._gn_steps; each system must get np.linalg.lstsq's solution and
+    rank bit for bit, or, where it is not finite, a NaN step and the rank
+    _RANK_NOT_FINITE without LAPACK's illegal-argument message on stdout."""
 
-    @pytest.mark.parametrize("frames", [[3, 0, 8, 6, 1, 7, 5, 2, 4], [4], []],
+    @pytest.mark.parametrize("frames", [[3, 0, 8, 6, 1, 9, 7, 5, 2, 4], [4], []],
                              ids=["mixed_rank", "one_frame", "no_frames"])
-    def test_matches_np_linalg_lstsq(self, frames):
+    def test_matches_np_linalg_lstsq(self, frames, capfd):
         gathered = augmented_systems()[np.array(frames, dtype=int)]
         A, b = gathered[..., :6], gathered[..., 6]
         assert not frames or not (A.flags.c_contiguous or b.flags.c_contiguous)
-        x, rank = baselines._lstsq_stack(A, b)
+        with np.errstate(all="ignore"):  # as under estimator._LAPACK_ERRSTATE, which its callers run in
+            x, rank = estimator._gn_steps(A, b)
+        assert capfd.readouterr() == ("", "")
         assert x.shape == (len(frames), 6) and rank.shape == (len(frames),)
         ranks = set()
         for k in range(len(frames)):
-            try:
+            if np.isfinite(gathered[k]).all():
                 want_x, _, want_rank, _ = np.linalg.lstsq(A[k], b[k], rcond=None)
-            except np.linalg.LinAlgError:
-                want_x, want_rank = np.full(6, np.nan), -1
+            else:
+                want_x, want_rank = np.full(6, np.nan), estimator._RANK_NOT_FINITE
             assert np.array_equal(x[k], want_x, equal_nan=True) and rank[k] == want_rank, k
             ranks.add(int(rank[k]))
-        assert len(frames) < 2 or ranks == {6, 5, 3, -1}
+        assert len(frames) < 2 or ranks == {6, 5, 3, estimator._RANK_NOT_FINITE}

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import pathlib
 import types
 
 import numpy as np
@@ -514,14 +515,14 @@ def kernel_inputs():
     """Per LAPACK gufunc of the estimator, its arguments stacked over frames of
     every sweep scheme (1 ms LTCO included), as the estimator builds them;
     ``eigh_lo`` gets each frame's ``C_e`` turned by a random rotation, a
-    non-diagonal SPD matrix of the kind :func:`whitening_matrix` factors.
-    Member 2 is bad: a singular ``R`` for ``solve`` and a NaN entry for the
-    others."""
+    non-diagonal SPD matrix of the kind :func:`whitening_matrix` factors;
+    ``lstsq`` gets a retraction's weighted system ``(K J, K z)``.  Member 2
+    is bad: a singular ``R`` for ``solve`` and a NaN entry for the others."""
     frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
         [("noise", -50.0), ("noise", -10.0), ("ltco", LTCO_OFFSETS[-1]), ("ltco", LTCO_OFFSETS[1]),
          ("random", -20.5), ("random", -30.0), ("noise", -20.5)])]
     rng = np.random.default_rng(7)
-    args = {"qr_r_raw": [[]], "solve": [[], []], "svd_s": [[]], "eigh_lo": [[]]}
+    args = {"qr_r_raw": [[]], "solve": [[], []], "lstsq": [[], []], "eigh_lo": [[]]}
     for frame in frames:
         design, x = build_design(frame), estimate(frame).x_hat
         aug = np.column_stack([design.A / np.linalg.norm(design.A, axis=0), design.y])
@@ -529,21 +530,22 @@ def kernel_inputs():
         args["qr_r_raw"][0].append(aug)
         args["solve"][0].append(R[:9, :9])
         args["solve"][1].append(np.column_stack([R[:9, 9], np.eye(9)]))
-        args["svd_s"][0].append(R[:9, :9] @ theta_jacobian(x))
+        args["lstsq"][0].append(R[:9, :9] @ theta_jacobian(x))
+        args["lstsq"][1].append(R[:9, 9:])
         Q, _ = np.linalg.qr(rng.normal(size=(frame.n_agents, frame.n_agents)))
         args["eigh_lo"][0].append(Q @ build_error_model(frame, x).C_e @ Q.T)
     stacks = {name: [np.array(a) for a in arrays] for name, arrays in args.items()}
-    for name, bad in [("qr_r_raw", np.s_[2, 3, 2]), ("solve", np.s_[2, 4, 4]), ("svd_s", np.s_[2, 5, 1]),
+    for name, bad in [("qr_r_raw", np.s_[2, 3, 2]), ("solve", np.s_[2, 4, 4]), ("lstsq", np.s_[2, 5, 1]),
                       ("eigh_lo", np.s_[2, 6, 6])]:
         stacks[name][0][bad] = 0.0 if name == "solve" else np.nan
     return stacks
 
 
-SIGNATURES = {"qr_r_raw": "d->d", "solve": "dd->d", "svd_s": "d->ddd", "eigh_lo": "d->dd"}
+SIGNATURES = {"qr_r_raw": "d->d", "solve": "dd->d", "lstsq": "ddd->ddid", "eigh_lo": "d->dd"}
 WRAPPERS = {
     "qr_r_raw": lambda a: (lambda h, tau: (h.T, tau))(*np.linalg.qr(a, mode="raw")),
     "solve": lambda a, b: (np.linalg.solve(a, b),),
-    "svd_s": lambda a: tuple(np.linalg.svd(a, full_matrices=False)),
+    "lstsq": lambda a, b: np.linalg.lstsq(a, b, rcond=None),
     "eigh_lo": lambda a: tuple(np.linalg.eigh(a)),
 }
 
@@ -569,8 +571,9 @@ class TestLapackKernels:
                 wants.append(WRAPPERS[name](*(a[k] for a in args)))
             except np.linalg.LinAlgError:
                 wants.append(None)
+        rcond = (np.finfo(float).eps * 9,) if name == "lstsq" else ()  # np.linalg.lstsq's for 9x6 systems
         with np.errstate(invalid="ignore"):  # a failed member raises the FP-invalid flag
-            got = getattr(estimator._umath_linalg, name)(*args, signature=SIGNATURES[name])
+            got = getattr(estimator._umath_linalg, name)(*args, *rcond, signature=SIGNATURES[name])
         got = (args[0], got) if name == "qr_r_raw" else got if isinstance(got, tuple) else (got,)
         assert all(g.shape[0] == len(frames) for g in got)
         bad = set()
@@ -583,12 +586,19 @@ class TestLapackKernels:
         assert bad == ({2} & set(frames))
 
 
+def test_only_estimator_names_the_private_gufuncs():
+    # the pins above cover the private numpy API only where estimator uses it
+    package = pathlib.Path(estimator.__file__).parent
+    assert [p.name for p in package.rglob("*.py") if "_umath_linalg" in p.read_text()] == ["estimator.py"]
+
+
 _GUFUNCS = estimator._umath_linalg
 
 
 def fail_member(monkeypatch, name, call, member):
     """Make the estimator's gufunc ``name`` fail on ``member`` of its
-    ``call``-th call as LAPACK fails: NaN outputs and the FP-invalid flag."""
+    ``call``-th call as LAPACK fails: NaN outputs, rank -1 for ``lstsq``,
+    and the FP-invalid flag."""
     count = itertools.count()
 
     def gufunc(*args, **kwargs):
@@ -596,7 +606,7 @@ def fail_member(monkeypatch, name, call, member):
         if next(count) == call:
             # qr_r_raw factors its argument in place
             for a in (args[0],) if name == "qr_r_raw" else out if isinstance(out, tuple) else (out,):
-                a[member] = np.nan
+                a[member] = -1 if a.dtype.kind == "i" else np.nan
             np.subtract(np.inf, np.inf)
         return out
 
@@ -613,8 +623,8 @@ class TestLapackFailure:
         "name, call, error, message",
         [("qr_r_raw", 0, RankDeficiencyError, "numerical rank 0"), ("qr_r_raw", 1, RankDeficiencyError, "numerical rank 0"),
          ("solve", 0, ConditioningError, "C_e"), ("solve", 1, DegenerateGeometryError, "rank 0"),
-         ("svd_s", 0, DegenerateGeometryError, "rank 0")],
-        ids=["qr_pass1", "qr_pass2", "solve_pass1", "solve_pass2", "svd"],
+         ("lstsq", 0, DegenerateGeometryError, "rank 0")],
+        ids=["qr_pass1", "qr_pass2", "solve_pass1", "solve_pass2", "lstsq"],
     )
     def test_failure_stays_with_its_frame(self, name, call, error, message, monkeypatch, tmp_path, capsys):
         frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
