@@ -14,6 +14,7 @@ shows three things per level:
 import numpy as np
 
 from seqtoa import (
+    EstimationError,
     NoiseSpec,
     Scenario,
     TargetState,
@@ -52,8 +53,11 @@ for off_ns in offsets_ns:
     except np.linalg.LinAlgError:
         ne_text = f"{'solve failed':>12}"
 
-    static = tswls_static_estimate(frame)
-    static_text = "ok" if static.success else "FAILED"
+    try:
+        tswls_static_estimate(frame)
+        static_text = "ok"
+    except EstimationError:
+        static_text = "FAILED"
     print(f"{off_ns * 1e-9:>10.1e} {cond:>10.2e} {qr_err:>12.3f} {ne_text} {static_text:>14}")
 
 print("\nthe QR path keeps meter-level errors across the whole sweep; the")

@@ -42,7 +42,6 @@ import numpy as np
 from seqtoa import (
     ExperimentSpec,
     FrameStack,
-    MleConfig,
     NoiseSpec,
     TargetState,
     TopologyBounds,
@@ -101,7 +100,7 @@ error_model = build_error_model(frame, x_ref)
 wls = solve_wls_qr(design, error_model.C_e)
 traces = frame.noise.position_cov_traces()
 report = estimate(frame)
-mle_cfg = MleConfig(init=fixed_topology().target)
+mle_init = fixed_topology().target
 rng = np.random.default_rng(7)
 scenarios = [sample_random_topology(TopologyBounds(), rng) for _ in range(MLE_FRAMES)]
 mle_stack = FrameStack.of([simulate_frame(sc, k) for k, sc in enumerate(scenarios)])
@@ -128,7 +127,7 @@ print(f"{'stage':<32} {'best (us)':>10} {'median (us)':>12}")
 for name, fn in stages.items():
     best, median = per_call_us(fn)
     print(f"{name:<32} {best:>10.1f} {median:>12.1f}")
-best, median = per_call_us(lambda: mle_estimate(frame, mle_cfg))
+best, median = per_call_us(lambda: mle_estimate(frame, mle_init))
 print(f"{'mle_estimate':<32} {best:>10.1f} {median:>12.1f}")
 best, median = per_call_us(lambda: mle_batch(mle_stack, mle_inits), MLE_BATCH_CALLS)
 print(f"{f'mle_batch, per frame of {MLE_FRAMES}':<32} {best / MLE_FRAMES:>10.1f} {median / MLE_FRAMES:>12.1f}")

@@ -15,7 +15,7 @@ The package is organized as:
 """
 
 from .analysis import CrlbResult, FimBlocks, analytic_cov, crlb_batch, crlb_target, fim_blocks, toa_gradients
-from .baselines import MleConfig, StaticTswlsResult, mle_batch, mle_estimate, tswls_static_batch, tswls_static_estimate
+from .baselines import StaticTswlsResult, mle_batch, mle_estimate, tswls_static_batch, tswls_static_estimate
 from .errors import (
     ConditioningError,
     DegenerateGeometryError,
@@ -83,7 +83,6 @@ __all__ = [
     "ExperimentSpec",
     "FimBlocks",
     "FrameStack",
-    "MleConfig",
     "NoiseSpec",
     "NotPositiveDefiniteError",
     "ObservedFrame",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
 from .estimator import _design_arrays, build_error_model, theta_jacobian
-from .model import Agents, ObservedFrame, Scenario, TargetState, exact_frame
+from .model import Agents, Scenario, TargetState, _toa_jacobian, exact_frame
 
 _COINCIDENT_TOL = 1e-12
 
@@ -88,11 +88,7 @@ def _gradient_rows(rho: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """TOA gradients ``Hx (..., M, 6)`` (rows ``[rho, t_m*rho, 1, t_m]``) and
     ``g (..., M, 3)`` (rows ``[-rho, -1]``) from the unit vectors
     ``rho (..., M, 2)`` and slot times ``t (..., M)``."""
-    Hx = np.empty(t.shape + (6,))
-    Hx[..., 0:2] = rho
-    Hx[..., 2:4] = t[..., None] * rho
-    Hx[..., 4] = 1.0
-    Hx[..., 5] = t
+    Hx = _toa_jacobian(rho, t)
     return Hx, -Hx[..., [0, 1, 4]]
 
 
@@ -263,17 +259,11 @@ def crlb_target(scenario: Scenario) -> CrlbResult:
     return result
 
 
-def analytic_cov(
-    scenario: Scenario,
-    frame: ObservedFrame | None = None,
-    form: str = "direct",
-) -> np.ndarray:
+def analytic_cov(scenario: Scenario, form: str = "direct") -> np.ndarray:
     """First-order covariance prediction for the two-step estimator.
 
-    With ``frame=None`` every matrix is evaluated at the scenario truth on a
-    noise-free frame; this is the variant compared against the CRLB.  With a
-    frame supplied, the design matrix is taken from the observed (noisy)
-    frame while the error statistics and retraction Jacobian stay at truth.
+    Every matrix is evaluated at the scenario truth on its noise-free frame;
+    this is the prediction compared against the CRLB.
 
     ``form="direct"`` computes ``((A J)^T C_e^-1 (A J))^-1``.
     ``form="factored"`` computes the algebraically equivalent
@@ -288,8 +278,7 @@ def analytic_cov(
     """
     if form not in ("direct", "factored"):
         raise ValueError(f"unknown form {form!r}")
-    if frame is None:
-        frame = exact_frame(scenario)
+    frame = exact_frame(scenario)
 
     A, _, _ = _design_arrays(frame)
     em = build_error_model(frame, scenario.target)

@@ -1,16 +1,19 @@
 """Reference estimators used for comparison.
 
+Both keep :func:`~seqtoa.estimator.estimate_batch`'s contract: a batch over
+a :class:`~seqtoa.estimator.FrameStack` returns per frame its result or the
+:class:`~seqtoa.errors.EstimationError` that stopped it, and the
+single-frame entry runs it on ``FrameStack.one`` and raises that error.
+
 * :func:`mle_batch` - Gauss-Newton maximum likelihood that trusts the
-  broadcast agent information (ignores its uncertainty), over a
-  :class:`~seqtoa.estimator.FrameStack`, with per-frame iteration counts,
-  flags and failure records.  Each iteration solves the steps of all its
+  broadcast agent information (ignores its uncertainty), with per-frame
+  iteration counts and flags.  Each iteration solves the steps of all its
   frames in one call of the estimator's step kernel, ``_gn_steps``, bit for
   bit the per-frame ``numpy.linalg.lstsq`` steps; :func:`mle_estimate` is a
   batch of one.
 * :func:`tswls_static_batch` - the classic static two-step solver
   (position and offset only, explicit normal equations, one refinement
-  iteration) over a :class:`~seqtoa.estimator.FrameStack`, with a failure
-  record per frame; :func:`tswls_static_estimate` is a batch of one.  It is
+  iteration); :func:`tswls_static_estimate` is a batch of one.  It is
   implemented standalone, error statistics included, so the pipeline's
   degraded mode can be cross-checked against it.  Its error covariance is
   diagonal, as the noise is independent across agents, so weighting divides
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, EstimationError, UnderdeterminedError
+from .errors import ConditioningError, DegenerateGeometryError, EstimationError, UnderdeterminedError
 from .estimator import _LAPACK_ERRSTATE, _RANK_FAILED, _RANK_NOT_FINITE, EstimateReport, FrameStack, _gn_steps
-from .model import ObservedFrame, TargetState
+from .model import ObservedFrame, TargetState, _toa_jacobian
 
 _DIVERGENCE_STREAK = 3
 _STEP_TOL = 1e-9  # a step norm at or below it ends the MLE's iterations as converged
@@ -33,18 +36,6 @@ _SOLVE_FAILED = {
     _RANK_FAILED: "Gauss-Newton least-squares solve failed (LAPACK dgelsd did not converge)",
     _RANK_NOT_FINITE: "Gauss-Newton least-squares solve failed (the weighted system is not finite)",
 }
-
-
-@dataclass(frozen=True)
-class MleConfig:
-    """Gauss-Newton MLE settings."""
-
-    init: TargetState
-    max_iters: int = 50
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray, T_hat: np.ndarray):
@@ -108,13 +99,7 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
             for i in live[on_agent]:
                 out[i] = DegenerateGeometryError("iterate coincides with an agent position")
             live, u, r, resid = live[~on_agent], u[~on_agent], r[~on_agent], resid[~on_agent]
-        tl = t[live]
-        rho = u / r[..., None]
-        H = np.empty(r.shape + (6,))
-        H[..., 0:2] = rho
-        H[..., 2:4] = tl[..., None] * rho
-        H[..., 4] = 1.0
-        H[..., 5] = tl
+        H = _toa_jacobian(u / r[..., None], t[live])
         wl = w[live]
         # Each step is the one np.linalg.lstsq gives the frame alone, and its
         # norm comes from the BLAS dot that np.linalg.norm uses: frames near
@@ -169,8 +154,8 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
     return out
 
 
-def mle_estimate(frame: ObservedFrame, cfg: MleConfig) -> EstimateReport:
-    """Weighted Gauss-Newton MLE of one frame from ``cfg.init``:
+def mle_estimate(frame: ObservedFrame, init: TargetState, max_iters: int = 50) -> EstimateReport:
+    """Weighted Gauss-Newton MLE of one frame from ``init``:
     :func:`mle_batch` on a batch of one.
 
     Raises
@@ -182,7 +167,7 @@ def mle_estimate(frame: ObservedFrame, cfg: MleConfig) -> EstimateReport:
     EstimationError
         If a Gauss-Newton least-squares solve fails.
     """
-    result = mle_batch(FrameStack.one(frame), [cfg.init.as_vector()], cfg.max_iters)[0]
+    result = mle_batch(FrameStack.one(frame), [init.as_vector()], max_iters)[0]
     if isinstance(result, EstimationError):
         raise result
     return result
@@ -190,14 +175,11 @@ def mle_estimate(frame: ObservedFrame, cfg: MleConfig) -> EstimateReport:
 
 @dataclass(frozen=True, eq=False)
 class StaticTswlsResult:
-    """Output (or failure record) of the static two-step solver."""
+    """Output of the static two-step solver."""
 
-    position: np.ndarray | None
-    offset: float | None
-    covariance: np.ndarray | None  # 3x3 covariance of [px, py, T]
-    success: bool
-    message: str = ""
-    estimator_id: str = "tswls_static"
+    position: np.ndarray  # (2,), read-only
+    offset: float
+    covariance: np.ndarray  # 3x3 covariance of [px, py, T]
 
 
 def _normal_solve(N: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,31 +209,31 @@ def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, c_tau: np.ndarr
     return G / var[..., None], h / var, ok
 
 
-def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult]:
+def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult | EstimationError]:
     """Static two-step solver on every frame of a stack: unknowns ``[p, T, theta1]``.
 
     Row m of the linear stage is ``[2*p_hat_m, -2*alpha_hat_m, 1]`` against
     ``||p_hat_m||^2 - alpha_hat_m^2``; the second pass weights with the
     static error statistics and exactly one refinement iteration retracts
     ``[p, T]``.  Solves use explicit normal equations on purpose - under a
-    large target clock offset those become numerically unusable, and that
-    condition is returned as a failure record rather than raised.  Returns
-    one result or failure record per frame, in order; one bad frame does not
-    fail the others.
+    large target clock offset those become numerically unusable.
 
-    Raises
-    ------
-    UnderdeterminedError
-        If the frames have fewer than 4 broadcasts.
+    Returns one entry per frame, in order: its :class:`StaticTswlsResult`,
+    or the :class:`EstimationError` that stopped it alone -
+    :class:`UnderdeterminedError` for every frame if there are fewer than 4
+    broadcasts, and :class:`ConditioningError` for an ill-conditioned normal
+    matrix of either pass or of the refinement, a singular static error
+    covariance, or a non-finite solution.  One bad frame does not fail the
+    others.
     """
     N, M = stack.t.shape
     if M < 4:
-        raise UnderdeterminedError(f"static solver needs M >= 4 broadcasts, got M = {M}")
+        return [UnderdeterminedError(f"static solver needs M >= 4 broadcasts, got M = {M}") for _ in range(N)]
     out: list = [None] * N
 
     def fail(frames, message: str):
         for i in frames:
-            out[i] = StaticTswlsResult(None, None, None, False, message)
+            out[i] = ConditioningError(message)
 
     p_hat, alpha = stack.p_hat, stack.alpha
     G = np.empty((N, M, 4))
@@ -295,7 +277,7 @@ def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult]:
     for i, zi, ci in zip(live[finite], z[finite], cov[finite]):
         pos = zi[0:2].copy()
         pos.setflags(write=False)
-        out[i] = StaticTswlsResult(position=pos, offset=float(zi[2]), covariance=ci, success=True)
+        out[i] = StaticTswlsResult(position=pos, offset=float(zi[2]), covariance=ci)
     return out
 
 
@@ -304,7 +286,10 @@ def tswls_static_estimate(frame: ObservedFrame) -> StaticTswlsResult:
 
     Raises
     ------
-    UnderdeterminedError
-        If the frame has fewer than 4 broadcasts.
+    EstimationError
+        The frame's failure (see :func:`tswls_static_batch`).
     """
-    return tswls_static_batch(FrameStack.of([frame]))[0]
+    result = tswls_static_batch(FrameStack.one(frame))[0]
+    if isinstance(result, EstimationError):
+        raise result
+    return result

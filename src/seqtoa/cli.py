@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, montecarlo, serialize
 from .errors import EstimationError
 from .estimator import estimate
-from .model import simulate_frame
+from .model import NonFiniteFrameError, simulate_frame
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,7 +103,10 @@ def _cmd_simulate(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "scenario")
     rng = np.random.default_rng(args.seed)
     scenario = serialize.scenario_from_dict(doc, rng)
-    frame = simulate_frame(scenario, args.seed)
+    try:
+        frame = simulate_frame(scenario, args.seed)
+    except NonFiniteFrameError as exc:  # finite inputs so large that the observations overflow
+        raise serialize.SchemaError("scenario", f"simulated frame: {exc}") from None
     _dump_json(serialize.frame_to_dict(frame), args.output)
     return 0
 
@@ -132,7 +135,10 @@ def _csv_paths(output: str) -> tuple[Path, Path]:
 def _cmd_experiment(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "experiment")
     spec = serialize.experiment_spec_from_dict(doc, np.random.default_rng(args.seed))
-    results = montecarlo.run_trials(spec)
+    try:
+        results = montecarlo.run_trials(spec)
+    except NonFiniteFrameError as exc:  # finite inputs so large that the observations overflow
+        raise serialize.SchemaError("experiment", f"simulated trials: {exc}") from None
 
     sweep_path, cdf_path = _csv_paths(args.output)
     montecarlo.write_sweep_csv(results, spec, sweep_path)

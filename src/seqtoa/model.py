@@ -359,6 +359,17 @@ def _toas(x: np.ndarray, t: np.ndarray, p_m: np.ndarray, T_m: np.ndarray) -> np.
     return np.sqrt(np.vecdot(u, u)) + x[..., 4:5] + x[..., 5:6] * t - T_m
 
 
+def _toa_jacobian(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """TOA gradients ``(..., M, 6)`` in the target state, rows ``[rho_m, t_m*rho_m, 1, t_m]``,
+    from agent-to-target unit vectors ``rho (..., M, 2)`` and slot times ``t (..., M)``."""
+    H = np.empty(t.shape + (6,))
+    H[..., 0:2] = rho
+    H[..., 2:4] = t[..., None] * rho
+    H[..., 4] = 1.0
+    H[..., 5] = t
+    return H
+
+
 def forward_toa(target: TargetState, agents: Agents) -> np.ndarray:
     """Noise-free one-way TOAs ``(M,)`` of the agents at the target, in meters.
 
@@ -410,6 +421,20 @@ def _broadcast_errors(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (_psd_factor(blocks, "C_beta") @ z.reshape(blocks.shape[:-1] + (1,)))[..., 0]
 
 
+class NonFiniteFrameError(ValueError):
+    """A simulated column overflowed: its finite inputs are too large."""
+
+
+def _seal(**columns: np.ndarray) -> None:
+    """Make simulated columns read-only, checking them finite in order;
+    the first that is not raises ``NonFiniteFrameError("<name> must be finite")``."""
+    for name, column in columns.items():
+        if not np.isfinite(column).all():
+            raise NonFiniteFrameError(f"{name} must be finite")
+        column.setflags(write=False)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed column is named by _seal
 def _observe(x, t, p_m, T_m, d_tau, d_beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observed columns ``tau (N, M)``, ``p_hat (N, M, 2)`` and ``T_hat (N, M)``
     of N scenarios, or of one without the leading axis (see :func:`_toas`),
@@ -426,6 +451,8 @@ def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
     agent, through a square-root factor of each agent's block, taken once per
     noise spec); the two are independent.  The same seed always reproduces the
     same frame bit for bit.
+
+    Raises :class:`NonFiniteFrameError` if a simulated column is not finite.
     """
     rng = np.random.default_rng(seed)
     M = scenario.n_agents
@@ -435,11 +462,7 @@ def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
     a = scenario.agents
     x = scenario.target.as_vector()
     tau, p_hat, T_hat = _observe(x, a.t, a.p_m, a.T_m, z_tau * np.sqrt(noise.c_tau), d_beta)
-    columns = (tau, p_hat, T_hat)
-    if not all(np.isfinite(column).all() for column in columns):  # the constructor's checks name the column
-        return ObservedFrame(t=a.t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
-    for column in columns:
-        column.setflags(write=False)
+    _seal(tau=tau, p_hat=p_hat, T_hat=T_hat)
     return _checked(ObservedFrame, t=a.t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
 
 

@@ -69,6 +69,7 @@ from .model import (
     _db_columns,
     _db_ok,
     _observe,
+    _seal,
     simulate_frame,  # noqa: F401  (re-exported; perfbench's tracer patches this binding)
 )
 
@@ -117,6 +118,8 @@ class TopologyBounds:
             raise ValueError(f"n_agents must be an integer >= 1, got {self.n_agents!r}")
         if not 0 < self.slot_interval < np.inf:
             raise ValueError(f"need a finite slot_interval > 0, got {self.slot_interval!r}")
+        if not np.isfinite(self.slot_interval * (self.n_agents - 1)):  # the last slot time
+            raise ValueError(f"slot_interval * (n_agents - 1) must be finite, got {self.slot_interval!r} * {self.n_agents - 1}")
         if not _db_ok(self.sigma_tau_sq_db):
             raise ValueError(f"sigma_tau_sq_db must give a finite, positive variance, got {self.sigma_tau_sq_db!r} dB")
         center, halfwidth = self.sigma_s_sq_db, self.agent_sigma_halfwidth_db
@@ -465,9 +468,9 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     The frame stream then gives M TOA and 3M broadcast standard normals.  The
     noise columns, the TOAs and the broadcasts follow for the whole chunk at
     once, as :func:`~seqtoa.model.simulate_frame` computes them for one frame.
-    The noise and observed columns are checked finite once, raising the
-    ``ValueError`` that :class:`NoiseSpec` or :class:`ObservedFrame` would
-    raise for a trial, and made read-only.
+    The noise and observed columns are checked finite once, raising a
+    :class:`~seqtoa.model.NonFiniteFrameError` worded as :class:`NoiseSpec`
+    or :class:`ObservedFrame` would word it for a trial, and made read-only.
     """
     N = len(units)
     x = np.empty((N, 6))
@@ -509,11 +512,7 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
 
     c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
     tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z_tau * np.sqrt(c_tau), _broadcast_errors(blocks, z_beta))
-    columns = {"c_tau": c_tau, "blocks": blocks, "t": t, "tau": tau, "p_hat": p_hat, "T_hat": T_hat}
-    for name, column in columns.items():  # NoiseSpec's checks, then ObservedFrame's, in their order
-        if not np.isfinite(column).all():
-            raise ValueError(f"{name} must be finite")
-        column.setflags(write=False)
+    _seal(c_tau=c_tau, blocks=blocks, t=t, tau=tau, p_hat=p_hat, T_hat=T_hat)  # NoiseSpec's order, then ObservedFrame's
     stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks)
     if inits is not None:
         inits += x
@@ -530,9 +529,10 @@ def _run_chunk(spec: ExperimentSpec, units) -> dict[str, tuple[np.ndarray, np.nd
     Returns ``(ok, values)`` columns in unit order: for each estimator id its
     success mask ``ok (N,)`` and errors ``(N, 6)``, and for ``"crlb"`` its
     mask and per-block traces ``(N, 4)``.  Rows that are not ``ok`` hold no
-    result.  A trial is ``ok`` when its estimate is finite, the MLE did not
-    diverge, the static solver's record has ``success``, and the CRLB
-    returned no :class:`EstimationError`.
+    result.  Every stacked stage returns, per trial, its result or the
+    :class:`EstimationError` that stopped it; a trial is ``ok`` when its
+    stage returned no error, its estimate is finite, and the MLE did not
+    diverge.
     """
     chunk = _draw_chunk(spec, units)
     s, N = chunk.stack, len(units)
@@ -544,12 +544,8 @@ def _run_chunk(spec: ExperimentSpec, units) -> dict[str, tuple[np.ndarray, np.nd
             except EstimationError:
                 pass
     if "tswls_static" in x_hat:
-        try:
-            static = baselines.tswls_static_batch(s)
-        except EstimationError:
-            static = []
-        for k, r in enumerate(static):
-            if r.success:
+        for k, r in enumerate(baselines.tswls_static_batch(s)):
+            if not isinstance(r, EstimationError):
                 x_hat["tswls_static"][k] = (r.position[0], r.position[1], 0.0, 0.0, r.offset, 0.0)
     if "mle" in x_hat:
         for k, r in enumerate(baselines.mle_batch(s, chunk.inits, spec.mle_max_iters)):

@@ -241,8 +241,7 @@ def test_criterion_8_degraded_mode_equivalence():
         scenario = Scenario(agents=agents, target=base.target, noise=base.noise)
         frame = simulate_frame(scenario, 17100 + k)
         pos, offset, cov = estimate_degraded(frame)
-        ref = tswls_static_estimate(frame)
-        assert ref.success
+        ref = tswls_static_estimate(frame)  # raises the frame's EstimationError if the solver fails
         worst = max(
             worst,
             np.abs(pos - ref.position).max() / max(1.0, np.abs(ref.position).max()),

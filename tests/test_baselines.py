@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from seqtoa import (
     Agents,
     ExperimentSpec,
+    ConditioningError,
     FrameStack,
-    MleConfig,
     NoiseSpec,
     Scenario,
     TargetState,
@@ -44,7 +44,7 @@ def static_scenario(rng, M=10, sigma_tau_sq=1e-3, sigma_s_sq_db=-30.0):
 class TestMleEstimate:
     def test_zero_noise_truth_init(self, fixed_scenario):
         frame = exact_frame(fixed_scenario)
-        report = mle_estimate(frame, MleConfig(init=fixed_scenario.target))
+        report = mle_estimate(frame, fixed_scenario.target)
         assert report.iterations == 1
         assert report.converged and not report.diverged
         assert np.allclose(report.x_hat.as_vector(), fixed_scenario.target.as_vector(), atol=1e-9)
@@ -53,7 +53,7 @@ class TestMleEstimate:
         scenario = random_scenario(np.random.default_rng(0), M=5)
         frame = exact_frame(scenario)
         with pytest.raises(UnderdeterminedError):
-            mle_estimate(frame, MleConfig(init=scenario.target))
+            mle_estimate(frame, scenario.target)
 
     def test_efficient_when_agents_exact(self, fixed_scenario):
         # C_beta -> 0 makes the agent-trusting MLE the efficient estimator:
@@ -74,7 +74,7 @@ class TestMleEstimate:
         for seed in range(n):
             frame = simulate_frame(scenario, seed)
             init = TargetState.from_vector(truth + rng.normal(0.0, 1.0, 6))
-            rep = mle_estimate(frame, MleConfig(init=init))
+            rep = mle_estimate(frame, init)
             assert rep.converged and not rep.diverged
             mle_err[seed] = rep.x_hat.as_vector() - truth
             prop_err[seed] = estimate(frame).x_hat.as_vector() - truth
@@ -106,7 +106,7 @@ class TestMleEstimate:
                 init = TargetState.from_vector(
                     scenario.target.as_vector() + rng.normal(0.0, 1.0, 6)
                 )
-                if mle_estimate(frame, MleConfig(init=init)).diverged:
+                if mle_estimate(frame, init).diverged:
                     count += 1
             return count / n
 
@@ -119,7 +119,7 @@ class TestMleEstimate:
         frame = simulate_frame(fixed_scenario, 5)
         truth = fixed_scenario.target.as_vector()
         init = TargetState.from_vector(truth + np.array([100.0, -100.0, 20.0, 20.0, 500.0, 100.0]))
-        report = mle_estimate(frame, MleConfig(init=init, max_iters=30))
+        report = mle_estimate(frame, init, max_iters=30)
         assert isinstance(report.diverged, bool) and isinstance(report.converged, bool)
         assert np.all(np.isfinite(report.x_hat.as_vector()))
 
@@ -128,7 +128,6 @@ class TestTswlsStatic:
     def test_exact_static_recovery(self):
         scenario = static_scenario(np.random.default_rng(3))
         res = tswls_static_estimate(exact_frame(scenario))
-        assert res.success
         assert np.allclose(res.position, scenario.target.p, atol=1e-7)
         assert res.offset == pytest.approx(scenario.target.T, abs=1e-7)
 
@@ -138,9 +137,9 @@ class TestTswlsStatic:
         ok = 0
         for seed in range(n):
             frame = simulate_frame(fixed_scenario, seed)
-            res = tswls_static_estimate(frame)
+            res = static_alone(frame)
             rep = estimate(frame)
-            if not res.success:
+            if isinstance(res, EstimationError):
                 continue
             ok += 1
             mse_static += float((res.position - fixed_scenario.target.p) @ (res.position - fixed_scenario.target.p))
@@ -157,10 +156,10 @@ class TestTswlsStatic:
             agents=fixed_scenario.agents, target=target,
             noise=NoiseSpec.from_db(-30.0, np.full(10, -20.5)),
         )
-        outcomes = [tswls_static_estimate(simulate_frame(scenario, s)) for s in range(50)]
-        assert sum(not r.success for r in outcomes) >= 45
+        outcomes = [static_alone(simulate_frame(scenario, s)) for s in range(50)]
+        assert sum(isinstance(r, EstimationError) for r in outcomes) >= 45
 
-    def test_failure_record_not_exception(self):
+    def test_batch_returns_failure_single_frame_raises(self):
         # rank-deficient static geometry: agents exactly on the x-axis leave
         # the y column of the design identically zero
         M = 6
@@ -170,9 +169,21 @@ class TestTswlsStatic:
             target=TargetState(p=[2.0, 5.0], v=[0, 0], T=0.0, omega=0.0),
             noise=NoiseSpec.isotropic(1e-3, 1e-3, n_agents=M),
         )
-        res = tswls_static_estimate(exact_frame(scenario))
-        assert not res.success
-        assert res.message
+        frame = exact_frame(scenario)
+        [res] = tswls_static_batch(FrameStack.one(frame))
+        assert isinstance(res, ConditioningError)
+        assert str(res)
+        with pytest.raises(ConditioningError) as raised:
+            tswls_static_estimate(frame)
+        assert str(raised.value) == str(res)
+
+
+def static_alone(frame):
+    """The static solver's result for one frame, or the error it raised."""
+    try:
+        return tswls_static_estimate(frame)
+    except EstimationError as exc:
+        return exc
 
 
 def static_reference(frame):
@@ -221,8 +232,10 @@ def static_state(res):
 
 
 def assert_same_result(got, want, rtol):
-    assert (got.success, got.message) == (want.success, want.message)
-    if want.success:
+    if isinstance(want, EstimationError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert not isinstance(got, EstimationError)
         assert np.abs(static_state(got) - static_state(want)).max() <= rtol * np.abs(static_state(want)).max()
         assert np.abs(got.covariance - want.covariance).max() <= rtol * np.abs(want.covariance).max()
 
@@ -243,7 +256,7 @@ class TestTswlsStaticBatch:
     def test_each_frame_matches_its_batch_of_one(self, draws):
         frames = [simulate_frame(sweep_scenario(kind, value, seed), seed) for (kind, value), seed in draws]
         for frame, got in zip(frames, tswls_static_batch(FrameStack.of(frames))):
-            assert_same_result(got, tswls_static_estimate(frame), 1e-12)
+            assert_same_result(got, static_alone(frame), 1e-12)
 
     def test_matches_reference(self):
         for kind, value in [("noise", -40.0), ("noise", -15.0), ("random", -20.5), ("ltco", 1e-3 * C_LIGHT),
@@ -254,9 +267,9 @@ class TestTswlsStaticBatch:
             for frame, got in zip(frames, tswls_static_batch(FrameStack.of(frames))):
                 want = static_reference(frame)
                 if isinstance(want, str):
-                    assert (got.success, got.message) == (False, want)
+                    assert isinstance(got, ConditioningError) and str(got) == want
                     continue
-                assert got.success
+                assert not isinstance(got, EstimationError)
                 assert np.abs(static_state(got) - want[0]).max() <= 1e-8 * np.abs(want[0]).max()
                 assert np.abs(got.covariance - want[1]).max() <= 1e-8 * np.abs(want[1]).max()
 
@@ -270,14 +283,17 @@ class TestTswlsStaticBatch:
         ]:
             assert static_reference(bad) == message
             results = tswls_static_batch(FrameStack.of([good[0], bad, *good[1:]]))
-            assert (results[1].success, results[1].message) == (False, message)
+            assert isinstance(results[1], ConditioningError) and str(results[1]) == message
             for got, want in zip([results[0], *results[2:]], alone):
                 assert_same_result(got, want, 0.0)
 
-    def test_underdetermined_stack_raises(self):
+    def test_underdetermined_stack_fails_every_frame(self):
         frame = exact_frame(random_scenario(np.random.default_rng(0), M=3))
+        results = tswls_static_batch(FrameStack.of([frame, frame]))
+        assert len(results) == 2
+        assert all(isinstance(r, UnderdeterminedError) and "M >= 4" in str(r) for r in results)
         with pytest.raises(UnderdeterminedError, match="4"):
-            tswls_static_batch(FrameStack.of([frame, frame]))
+            tswls_static_estimate(frame)
 
 
 def mle_reference(frame, init, max_iters=50, step_tol=1e-9):

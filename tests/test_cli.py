@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,35 @@ class TestSimulateAndCrlb:
         expected = np.diag(crlb_target(fixed_topology()).crlb_x)
         assert np.allclose(doc["diagonal"], expected, rtol=1e-12)
         assert np.allclose(np.array(doc["matrix"]).diagonal(), expected, rtol=1e-12)
+
+
+class TestNonFiniteSimulation:
+    """Finite inputs so large that the simulated observations overflow are an
+    input problem: exit 1 with one ``error:`` line, and no warning or traceback."""
+
+    RANDOM_TOPOLOGY = CONFIG_DIR.parent / "perfbench" / "workloads" / "random_topology.json"
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("simulate", ["target.p=[1e308,1e308]"], "tau"),
+            ("experiment", ["n_trials=2", "topology.random.slot_interval=1e308"], "slot_interval * (n_agents - 1)"),
+            ("experiment", ["n_trials=2", "topology.random.target_xy=[0,1e308]"], "tau"),
+            ("experiment", ["n_trials=2", "topology.random.velocity=[0,1e306]"], "tau"),
+        ],
+    )
+    def test_exits_1_with_error_line(self, command, overrides, field, scenario_file, tmp_path, capsys):
+        source = scenario_file if command == "simulate" else self.RANDOM_TOPOLOGY
+        argv = [command, "--input", str(source), "--output", str(tmp_path / "o.json")]
+        for item in overrides:
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would surface as an exception
+            code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be finite" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 def mini_experiment(tmp_path, **overrides):
