@@ -7,7 +7,11 @@ parsing it back (``frame_from_dict``), the squared-pseudorange design
 (``build_design``), the equation-error model at the pass-1 state
 (``build_error_model``), the weighted QR solve (``solve_wls_qr``), the
 Gauss-Newton retraction (``gauss_newton_refine``), the whole two-pass
-``estimate`` and the flat report (``report_to_dict``).  Each stage is
+``estimate`` and the flat report (``report_to_dict``).  Two more
+``estimate`` rows time the frame kinds of the other sweeps: a 1 ms LTCO
+frame (the clock-offset sweep's largest offset) and a random-topology frame
+at -20.5 dB; each ``estimate`` row names the retraction iterations its frame
+runs, which set most of its cost.  Each stage is
 called ``CALLS`` times in a row, ``REPEATS`` times over; the table gives
 the best and the median of the repeats in microseconds per call.
 
@@ -57,6 +61,7 @@ from seqtoa import (
     solve_wls_qr,
 )
 from seqtoa import montecarlo
+from seqtoa.model import C_LIGHT
 from seqtoa.serialize import frame_from_dict, frame_to_dict, report_to_dict
 
 CALLS = 200
@@ -100,9 +105,12 @@ error_model = build_error_model(frame, x_ref)
 wls = solve_wls_qr(design, error_model.C_e)
 traces = frame.noise.position_cov_traces()
 report = estimate(frame)
+ltco_target = dataclasses.replace(scenario.target, T=1e-3 * C_LIGHT)  # the clock-offset sweep's largest offset
+ltco_frame = simulate_frame(dataclasses.replace(scenario, target=ltco_target), 7)
 mle_init = fixed_topology().target
 rng = np.random.default_rng(7)
 scenarios = [sample_random_topology(TopologyBounds(), rng) for _ in range(MLE_FRAMES)]
+random_frame = simulate_frame(scenarios[0], 7)
 mle_stack = FrameStack.of([simulate_frame(sc, k) for k, sc in enumerate(scenarios)])
 mle_inits = np.array([sc.target.as_vector() for sc in scenarios]) + rng.normal(size=(MLE_FRAMES, 6))
 sweep = ExperimentSpec(scheme="noise_sweep", n_trials=CHUNK, base_seed=0, sweep_values=(-20.5,),
@@ -119,7 +127,9 @@ stages = {
     "build_error_model": lambda: build_error_model(frame, x_ref),
     "solve_wls_qr": lambda: solve_wls_qr(design, error_model.C_e),
     "gauss_newton_refine": lambda: gauss_newton_refine(wls, traces),
-    "estimate": lambda: estimate(frame),
+    f"estimate ({report.iterations} it)": lambda: estimate(frame),
+    f"estimate, LTCO 1 ms ({estimate(ltco_frame).iterations} it)": lambda: estimate(ltco_frame),
+    f"estimate, random ({estimate(random_frame).iterations} it)": lambda: estimate(random_frame),
     "report_to_dict": lambda: report_to_dict(report),
 }
 print(f"one fixed-topology frame, M = {frame.n_agents}; {REPEATS} x {CALLS} calls per stage")

@@ -70,18 +70,32 @@ class CrlbResult:
         return np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]])
 
 
-def _ranges(x: np.ndarray, t: np.ndarray, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ranges(x: np.ndarray, t: np.ndarray, p_m: np.ndarray):
     """Vectors ``u (N, M, 2)`` from each agent to its target's slot-time
-    position, their lengths ``r (N, M)``, and whether each agent coincides
-    with that position, for target states ``x (N, 6)``, slot times
-    ``t (N, M)`` and agent positions ``p_m (N, M, 2)``."""
-    u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
-    r = np.sqrt((u * u).sum(axis=-1))
-    return u, r, r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1)))
+    position, their lengths ``r (N, M)``, whether each length is finite, and
+    whether each agent coincides with that position, for target states
+    ``x (N, 6)``, slot times ``t (N, M)`` and agent positions ``p_m (N, M, 2)``.
+
+    Finite inputs can still be too large to square: such a range overflows
+    to inf (or NaN) without a warning, and it is not finite, so the caller
+    reports it instead of a geometry it cannot evaluate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
+        r = np.sqrt((u * u).sum(axis=-1))
+        finite = np.isfinite(r)
+        return u, r, finite, finite & (r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1))))
 
 
 def _coincident_error(t: float, r: float) -> DegenerateGeometryError:
     return DegenerateGeometryError(f"target coincides with agent at slot time {t}: range {r:.3e}")
+
+
+def _overflow_error(t: float) -> ConditioningError:
+    return ConditioningError(
+        f"range to the agent at slot time {t} overflows float64: "
+        "the scenario's coordinates are too large to evaluate"
+    )
 
 
 def _gradient_rows(rho: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +117,16 @@ def toa_gradients(x: TargetState, agents: Agents) -> tuple[np.ndarray, np.ndarra
 
     Raises
     ------
+    ConditioningError
+        If a range overflows float64 (finite coordinates too large to
+        evaluate); the first such agent is named.
     DegenerateGeometryError
         If the target coincides with an agent at its slot time (unit vector
         undefined); the first such agent is named.
     """
-    u, r, coincident = _ranges(x.as_vector()[None], agents.t[None], agents.p_m[None])
+    u, r, finite, coincident = _ranges(x.as_vector()[None], agents.t[None], agents.p_m[None])
+    if not finite.all():
+        raise _overflow_error(agents.t[np.flatnonzero(~finite[0])[0]])
     if coincident.any():
         m = np.flatnonzero(coincident[0])[0]
         raise _coincident_error(agents.t[m], r[0, m])
@@ -154,11 +173,14 @@ def _closed_form_rows(x, t, p_m, c_tau, C_m, out: list) -> tuple[np.ndarray, np.
     :func:`crlb_columns`).  A scenario that fails a check gets its record in
     ``out``.  Returns ``(idx, S)``: the scenarios that have a Schur
     complement, and it."""
-    u, r, coincident = _ranges(x, t, p_m)
+    u, r, finite, coincident = _ranges(x, t, p_m)
+    live = finite.all(axis=-1)
+    for i in np.flatnonzero(~live):
+        out[i] = _overflow_error(t[i, np.flatnonzero(~finite[i])[0]])
     for i in np.flatnonzero(coincident.any(axis=-1)):
         m = np.flatnonzero(coincident[i])[0]
         out[i] = _coincident_error(t[i, m], r[i, m])
-    live = ~coincident.any(axis=-1)
+    live &= ~coincident.any(axis=-1)
     for i in np.flatnonzero(live & (c_tau <= 0).any(axis=-1)):
         out[i] = ConditioningError("C_tau must be strictly positive for the information matrix")
     live &= (c_tau > 0).all(axis=-1)
@@ -217,6 +239,8 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
     Returns one entry per scenario, in order: its :class:`CrlbResult`, or the
     :class:`EstimationError` that stopped it alone.  The checks run in this
     order, and the first that fails is the record:
+    :class:`ConditioningError` if a range overflows float64 (finite
+    coordinates too large to evaluate),
     :class:`DegenerateGeometryError` if the target coincides with an agent at
     its slot time, :class:`ConditioningError` for a non-positive TOA
     variance, :class:`NotPositiveDefiniteError` for an agent block of

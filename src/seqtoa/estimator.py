@@ -34,7 +34,15 @@ Batch API: :class:`FrameStack` holds N frames of M broadcasts as stacked
 arrays and :func:`estimate_batch` runs the pipeline on all of them at once.
 Every frame keeps its own iteration count and its own failure record, so one
 bad frame does not fail the others; the kernels gather the frames still in
-play only after one has dropped out.  The kernels call numpy's LAPACK gufuncs
+play only after one has dropped out.  Each kernel says once whether every
+frame passed its check (``None`` for all of them), so a batch of one makes no
+call that only a larger stack needs, and a frame's report is the same bytes
+in any stack.  LAPACK (two ``qr_r_raw``, two ``solve`` and one ``dgelsd`` per
+retraction step) is 13-18% of one M = 10 frame's :func:`estimate`; the rest
+is numpy's per-call overhead on 9x6 to 10x10 arrays.  With its parse and its
+report, such a frame takes about 240 us on the 2-core reference host.
+
+The kernels call numpy's LAPACK gufuncs
 (``qr_r_raw``, ``solve``, ``lstsq``) directly, without the ``np.linalg``
 wrappers: each member gets the wrapper's result bit for bit, and a member
 whose factorization fails comes back NaN (and rank -1) instead of raising
@@ -53,7 +61,6 @@ non-diagonal one through the ``eigh_lo`` gufunc.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -196,7 +203,7 @@ class FrameStack:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    @functools.cached_property
+    @property
     def alpha(self) -> np.ndarray:
         """Pseudoranges ``tau + T_hat``, ``(N, M)``."""
         return self.tau + self.T_hat
@@ -215,12 +222,18 @@ _LAPACK_ERRSTATE = np.errstate(all="ignore")
 
 
 def _design(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked design matrices ``(N, M, 9)`` and right-hand sides ``(N, M)``."""
+    """Stacked design matrices ``(N, M, 9)`` and right-hand sides ``(N, M)``.
+
+    The ``2*t_m*p_hat`` and ``-2*t_m*alpha_hat`` columns scale the ``2*p_hat``
+    and ``-2*alpha_hat`` ones by ``t_m``; doubling is exact, so each is the
+    rounded product of its three factors either way.
+    """
     A = np.empty(t.shape + (N_THETA,))
-    A[..., 0:2] = 2.0 * p_hat
-    A[..., 2:4] = 2.0 * t[..., None] * p_hat
-    A[..., 4] = -2.0 * alpha
-    A[..., 5] = -2.0 * t * alpha
+    p2, alpha2 = 2.0 * p_hat, -2.0 * alpha
+    A[..., 0:2] = p2
+    A[..., 2:4] = t[..., None] * p2
+    A[..., 4] = alpha2
+    A[..., 5] = t * alpha2
     A[..., 6] = 1.0
     A[..., 7] = t**2
     A[..., 8] = 2.0 * t
@@ -228,22 +241,33 @@ def _design(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray) -> tuple[np.nda
     return A, y
 
 
-def _error_terms(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray, x: np.ndarray):
-    """Row sensitivities at the states ``x (N, 6)``.
+# the design's [2*p_hat, -2*alpha_hat] columns, and the 6-state's [p, T] and [v, omega] entries
+_H_COLS = np.array([0, 1, 4])
+_PV = np.array([[0, 1, 4], [2, 3, 5]])
+_PV_SCALE = np.array([2.0, 2.0, -2.0])
 
-    Returns ``b (N, M, 3)``, row m's sensitivity to agent m's broadcast error
-    ``[dpx, dpy, dT]``, and ``d (N, M)``, its sensitivity to the TOA noise.
+
+def _error_terms(t: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row sensitivities ``b (N, M, 3)`` at the states ``x (N, 6)``, from the
+    slot times ``t (N, M)`` and the design's columns
+    ``h = [2*p_hat, -2*alpha_hat]`` ``(N, M, 3)``.
+
+    ``b_m = [2*(p + t_m*v - p_hat_m), d_m]`` is row m's sensitivity to agent
+    m's broadcast error ``[dpx, dpy, dT]``, and its last entry
+    ``d_m = -2*(T + omega*t_m - alpha_hat_m)`` the row's sensitivity to the
+    TOA noise.  It is evaluated as ``2*[p, -T] + t_m*2*[v, -omega] - h_m``:
+    doubling and negation are exact, so every entry is the same bits either
+    way.
     """
-    p, v = x[:, None, 0:2], x[:, None, 2:4]
-    T, omega = x[:, 4:5], x[:, 5:6]
-    d = -2.0 * (T + omega * t - alpha)
-    b_pos = 2.0 * (p + t[..., None] * v - p_hat)
-    return np.concatenate([b_pos, d[..., None]], axis=-1), d
+    pv = x[:, _PV] * _PV_SCALE  # (N, 2, 3): 2*[p, -T] and 2*[v, -omega]
+    return pv[:, None, 0] + t[..., None] * pv[:, None, 1] - h
 
 
-def _row_variances(b: np.ndarray, d: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Diagonal ``(N, M)`` of ``C_e``, which is diagonal because ``C_tau`` is
-    diagonal and ``C_beta`` block diagonal."""
+def _row_variances(b: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Diagonal ``(N, M)`` of ``C_e`` from the row sensitivities ``b`` of
+    :func:`_error_terms`; ``C_e`` is diagonal because ``C_tau`` is diagonal
+    and ``C_beta`` block diagonal."""
+    d = b[..., 2]
     return ((blocks @ b[..., None])[..., 0] * b).sum(axis=-1) + d * c_tau * d
 
 
@@ -256,14 +280,16 @@ def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     The columns of ``WA`` are scaled to unit norm, ``WA = Q R S``.  ``Wy``
     rides along as an extra column of the factored matrix, so the last
     column of the triangular factor carries ``z = Q^T Wy`` and ``Q`` is never
-    formed.  Returns ``(ok, ranks, R, z, scale, r)``: ``ok (N,)`` marks the
-    full-rank systems and ``ranks`` holds the numerical ranks of the others,
-    in order; ``R (9, 9)``, ``z (9, 1)``, the column norms ``scale (9,)``
-    and ``r = |diag R|`` hold the ``ok`` systems only, in order.
+    formed.  Returns ``(ok, ranks, R, z, scale, r_max, r_min)``: ``ok`` is
+    ``None`` when every system has full rank, else the ``(N,)`` mask of those
+    that do, and ``ranks`` holds the numerical ranks of the others, in order;
+    ``R (9, 9)``, ``z (9, 1)``, the column norms ``scale (9,)`` and the
+    largest and smallest ``|R_jj|`` hold the full-rank systems only, in order.
     """
     M, n = WA.shape[-2:]
     scale = np.sqrt((WA * WA).sum(axis=-2))
-    scale[scale == 0.0] = 1.0
+    if np.count_nonzero(scale) < scale.size:  # an all-zero column keeps its zeros
+        scale[scale == 0.0] = 1.0
     aug = np.empty(WA.shape[:-1] + (n + 1,))
     np.divide(WA, scale[:, None, :], out=aug[..., :n])
     aug[..., n] = Wy
@@ -271,15 +297,16 @@ def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     _umath_linalg.qr_r_raw(aug, signature="d->d")
     R = np.where(_LOWER9, 0.0, aug[:, :n, :n])
     r = np.abs(R.diagonal(axis1=-2, axis2=-1))
-    tol = max(M, n) * _EPS * r.max(axis=-1, initial=0.0)
-    ok = r.min(axis=-1, initial=np.inf) > tol
+    r_max, r_min = r.max(axis=-1, initial=0.0), r.min(axis=-1, initial=np.inf)
+    tol = max(M, n) * _EPS * r_max
+    ok = r_min > tol
     if ok.all():
-        return ok, (), R, aug[:, :n, n:], scale, r
+        return None, (), R, aug[:, :n, n:], scale, r_max, r_min
     ranks = np.count_nonzero(r[~ok] > tol[~ok, None], axis=-1)
-    return ok, ranks, R[ok], aug[ok, :n, n:], scale[ok], r[ok]
+    return ok, ranks, R[ok], aug[ok, :n, n:], scale[ok], r_max[ok], r_min[ok]
 
 
-def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r: np.ndarray):
+def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r_max: np.ndarray, r_min: np.ndarray):
     """``(theta, C_wls, sqrt_info, cond)`` of full-rank factored systems."""
     rhs = np.empty(z.shape[:-1] + (N_THETA + 1,))
     rhs[..., :1] = z
@@ -287,9 +314,9 @@ def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r: np.ndarra
     X = _umath_linalg.solve(R, rhs, signature="dd->d")
     theta = X[..., 0] / scale
     R_inv = X[..., 1:]
-    C_wls = (R_inv @ R_inv.swapaxes(-1, -2)) / (scale[:, :, None] * scale[:, None, :])
-    cond = r.max(axis=-1, initial=0.0) / r.min(axis=-1, initial=np.inf)
-    return theta, C_wls, R * scale[:, None, :], cond
+    col_scale = scale[:, None, :]
+    C_wls = (R_inv @ R_inv.swapaxes(-1, -2)) / (scale[:, :, None] * col_scale)
+    return theta, C_wls, R * col_scale, r_max / r_min
 
 
 def _underdetermined_error(M: int) -> UnderdeterminedError:
@@ -367,26 +394,30 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
     iterations = np.full(N, MAX_REFINE_ITERATIONS)
     converged = np.zeros(N, dtype=bool)
     rank = np.full(N, 6)
+    # The Jacobian's lower block is 2 G, so K J = K[:, :6] + K[:, 6:] @ (2 G);
+    # doubling is exact, so doubling K[:, 6:] once instead gives the same bits.
+    K6, K2 = K[..., :6], 2.0 * K[..., 6:]
     # the frames still iterating, and their slices of the inputs
-    idx, xr, Kr, th, thr = np.arange(N), x, K, theta, threshold
+    idx, xr, th, thr = np.arange(N), x, theta, threshold
     for it in range(1, MAX_REFINE_ITERATIONS + 1):
         f, G = _theta_models(xr)
-        KJ = Kr[..., :6] + Kr[..., 6:] @ (2.0 * G)
-        Kres = (Kr @ (th - f)[..., None])[..., 0]
-        dx, step_rank = _gn_steps(KJ, Kres)
-        full = step_rank == 6
-        if not full.all():
+        dx, step_rank = _gn_steps(K6 + K2 @ G, (K @ (th - f)[..., None])[..., 0])
+        if step_rank.min(initial=6) < 6:
+            full = step_rank == 6
             rank[idx[~full]] = np.maximum(step_rank[~full], 0)
-            idx, xr, Kr, th, thr, dx = idx[full], xr[full], Kr[full], th[full], thr[full], dx[full]
+            idx, xr, th, thr, dx = idx[full], xr[full], th[full], thr[full], dx[full]
+            K, K6, K2 = K[full], K6[full], K2[full]
         xr = xr + dx
         done = (dx[:, :2] ** 2).sum(axis=-1) <= thr
-        if done.all():  # also when no frame is left
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:  # also when no frame is left
             x[idx], iterations[idx], converged[idx] = xr, it, True
             return x, iterations, converged, rank
-        if done.any():
+        if n_done:
             x[idx[done]], iterations[idx[done]], converged[idx[done]] = xr[done], it, True
             keep = ~done
-            idx, xr, Kr, th, thr = idx[keep], xr[keep], Kr[keep], th[keep], thr[keep]
+            idx, xr, th, thr = idx[keep], xr[keep], th[keep], thr[keep]
+            K, K6, K2 = K[keep], K6[keep], K2[keep]
     x[idx] = xr
     return x, iterations, converged, rank
 
@@ -396,18 +427,21 @@ def _retraction_error(rank: int) -> DegenerateGeometryError:
 
 
 def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.ndarray, x: np.ndarray):
-    """Whiten the designs of frames ``live`` with ``C_e`` evaluated at the states ``x``.
+    """Whiten the designs ``A``, ``y`` of frames ``live`` with ``C_e`` evaluated at the states ``x``.
 
-    ``C_e`` is diagonal, so whitening scales rows.  Returns ``(WA, Wy, ok)``,
-    where ``ok`` marks frames whose ``C_e`` is positive definite.
+    ``C_e`` is diagonal, so whitening scales rows.  Returns ``(WA, Wy, ok)``:
+    ``ok`` is ``None`` when every frame's ``C_e`` is positive definite, else
+    the mask of those whose is, and ``WA``, ``Wy`` hold those frames only.
     """
-    t, p_hat, alpha, c_tau, blocks = stack.t, stack.p_hat, stack.alpha, stack.c_tau, stack.blocks
+    t, c_tau, blocks = stack.t, stack.c_tau, stack.blocks
     if live.size < len(stack):
-        t, p_hat, alpha, c_tau, blocks = t[live], p_hat[live], alpha[live], c_tau[live], blocks[live]
-    b, d = _error_terms(t, p_hat, alpha, x)
-    var = _row_variances(b, d, c_tau, blocks)
-    ok = (var > 0.0).all(axis=-1)
-    w = 1.0 / np.sqrt(np.where(ok[:, None], var, 1.0))
+        t, c_tau, blocks = t[live], c_tau[live], blocks[live]
+    var = _row_variances(_error_terms(t, A[..., _H_COLS], x), c_tau, blocks)
+    ok = None
+    if not var.min(initial=np.inf) > 0.0:  # also when a variance is NaN
+        ok = (var > 0.0).all(axis=-1)
+        A, y, var = A[ok], y[ok], var[ok]
+    w = 1.0 / np.sqrt(var)
     return A * w[..., None], y * w, ok
 
 
@@ -431,8 +465,8 @@ def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
     A, y = _design(stack.t, stack.p_hat, stack.alpha)
 
     # pass 1: identity weights
-    ok, ranks, R, z, scale, _ = _qr_factor(A, y)
-    if not ok.all():
+    ok, ranks, R, z, scale, _, _ = _qr_factor(A, y)
+    if ok is not None:
         for i, rk in zip(live[~ok], ranks):
             out[i] = _rank_error(rk)
         live, A, y = live[ok], A[ok], y[ok]
@@ -440,30 +474,32 @@ def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
 
     # pass 2: weights from the error statistics at the pass-1 state
     WA, Wy, ok = _pass2_whitened(stack, live, A, y, x1)
-    if not ok.all():
+    if ok is not None:
         for i in live[~ok]:
             out[i] = ConditioningError(_SINGULAR_CE)
-        live, WA, Wy = live[ok], WA[ok], Wy[ok]
+        live = live[ok]
 
-    ok, ranks, R, z, scale, r = _qr_factor(WA, Wy)
-    if not ok.all():
+    ok, ranks, R, z, scale, r_max, r_min = _qr_factor(WA, Wy)
+    if ok is not None:
         for i, rk in zip(live[~ok], ranks):
             out[i] = _rank_error(rk)
         live = live[ok]
-    theta, C_wls, K, cond = _wls_solutions(R, z, scale, r)
+    theta, C_wls, K, cond = _wls_solutions(R, z, scale, r_max, r_min)
 
     blocks = stack.blocks if live.size == N else stack.blocks[live]
     traces = blocks[:, :, 0, 0] + blocks[:, :, 1, 1]
     x, iterations, converged, gn_rank = _retract(theta, K, traces.sum(axis=-1) / M)
-    for j, i in enumerate(live):
+    # Python scalars once per column, not a numpy scalar per field
+    iterations, converged, cond, gn_rank = iterations.tolist(), converged.tolist(), cond.tolist(), gn_rank.tolist()
+    for j, i in enumerate(live.tolist()):
         if gn_rank[j] < 6:
             out[i] = _retraction_error(gn_rank[j])
             continue
         out[i] = EstimateReport(
             x_hat=TargetState.from_vector(x[j]),
-            iterations=int(iterations[j]),
-            converged=bool(converged[j]),
-            cond_estimate=float(cond[j]),
+            iterations=iterations[j],
+            converged=converged[j],
+            cond_estimate=cond[j],
             C_wls=C_wls[j],
         )
     return out
@@ -523,14 +559,15 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
     """
     stack = FrameStack.one(frame)
     M = frame.n_agents
-    b, d = _error_terms(stack.t, stack.p_hat, stack.alpha, x_ref.as_vector()[None])
-    var = _row_variances(b, d, stack.c_tau, stack.blocks)[0]
+    h = np.concatenate([2.0 * stack.p_hat, -2.0 * stack.alpha[..., None]], axis=-1)  # the design's columns _H_COLS
+    b = _error_terms(stack.t, h, x_ref.as_vector()[None])
+    var = _row_variances(b, stack.c_tau, stack.blocks)[0]
     if not (var > 0.0).all():
         raise ConditioningError(_SINGULAR_CE)
     B = np.zeros((M, M, 3))
     rows = np.arange(M)
     B[rows, rows, :] = b[0]
-    return ErrorModel(B=B.reshape(M, 3 * M), D=np.diag(d[0]), C_e=np.diag(var))
+    return ErrorModel(B=B.reshape(M, 3 * M), D=np.diag(b[0, :, 2]), C_e=np.diag(var))
 
 
 @_LAPACK_ERRSTATE
@@ -576,7 +613,7 @@ def solve_wls_qr(design: DesignSystem, C_e: np.ndarray) -> WlsSolution:
         raise UnderdeterminedError(f"need at least {n} rows, got {M}")
     W = whitening_matrix(C_e)
     ok, ranks, *factors = _qr_factor((W @ design.A)[None], (W @ design.y)[None])
-    if not ok[0]:
+    if ok is not None:
         raise _rank_error(ranks[0])
     theta, C_wls, sqrt_info, cond = _wls_solutions(*factors)
     return WlsSolution(theta_hat=theta[0], C_wls=C_wls[0], sqrt_info=sqrt_info[0], cond_estimate=float(cond[0]))

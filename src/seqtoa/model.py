@@ -83,10 +83,10 @@ def _checked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as they
     are, past the constructor's copies and checks: for a caller whose arrays
     are already read-only, of the right shapes and checked finite, often as
-    views of a larger array checked once."""
+    views of a larger array checked once.  The fields go straight into the
+    instance dictionary, as the dataclass's own ``__init__`` stores them."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -134,10 +134,11 @@ class TargetState:
         x = np.array(x, dtype=float).reshape(-1)
         if x.size != 6:
             raise ValueError(f"state vector must have 6 entries, got {x.size}")
-        if not np.isfinite(x).all():
-            return cls(p=x[0:2], v=x[2:4], T=x[4], omega=x[5])
+        values = x.tolist()
+        if not all(map(math.isfinite, values)):
+            return cls(p=x[0:2], v=x[2:4], T=values[4], omega=values[5])
         x.setflags(write=False)
-        return _checked(cls, p=x[0:2], v=x[2:4], T=float(x[4]), omega=float(x[5]))
+        return _checked(cls, p=x[0:2], v=x[2:4], T=values[4], omega=values[5])
 
 
 @dataclass(frozen=True, eq=False)

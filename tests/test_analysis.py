@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestToaGradients:
         agents = Agents(t=[0.0, 0.05, 0.1], p_m=[[0.0, 5.0], [10.0, 0.0], [10.0, 0.0]], T_m=[0.0, 0.0, 0.0])
         with pytest.raises(DegenerateGeometryError, match=r"^target coincides with agent at slot time 0.05: range 0.000e\+00$"):
             toa_gradients(x, agents)
+
+    def test_overflowing_range_raises(self):
+        # finite coordinates whose squared range overflows; the first such agent is named, without a warning
+        x = TargetState(p=[0, 0], v=[1e300, 0], T=0.0, omega=0.0)
+        agents = Agents(t=[0.0, 0.05, 0.1], p_m=[[0.0, 5.0], [10.0, 0.0], [10.0, 0.0]], T_m=[0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match=r"^range to the agent at slot time 0.05 overflows float64"):
+                toa_gradients(x, agents)
 
 
 class TestCrlbTarget:
@@ -233,18 +243,25 @@ class TestCrlbBatch:
         C_tau[3, 3] = 0.0
         C_beta = good[0].noise.C_beta.copy()
         C_beta[5, 5] = -1e-3
-        bad = {
-            DegenerateGeometryError: coincident_scenario(7),
-            ConditioningError: with_noise(good[0], C_tau=C_tau),
-            NotPositiveDefiniteError: with_noise(good[0], C_beta=C_beta),
-        }
+        # finite, but its squared ranges overflow float64
+        far = dataclasses.replace(good[0], target=TargetState(p=[1e200, 1e200], v=[0, 0], T=0.0, omega=0.0))
+        bad = [
+            (DegenerateGeometryError, coincident_scenario(7)),
+            (ConditioningError, with_noise(good[0], C_tau=C_tau)),
+            (NotPositiveDefiniteError, with_noise(good[0], C_beta=C_beta)),
+            (DegenerateGeometryError, collinear),
+            (ConditioningError, far),
+        ]
         alone = crlb_batch(good)
-        for error, scenario in [*bad.items(), (DegenerateGeometryError, collinear)]:
-            results = crlb_batch([good[0], good[1], scenario, good[2], good[3]])
+        for error, scenario in bad:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an overflow warning would surface as an exception
+                results = crlb_batch([good[0], good[1], scenario, good[2], good[3]])
             assert type(results[2]) is error
             for got, want in zip([*results[:2], *results[3:]], alone):
                 assert np.array_equal(got.crlb_x, want.crlb_x)
         assert "singular" in str(crlb_batch([collinear])[0])
+        assert "overflows" in str(crlb_batch([far])[0])
 
     def test_full_fim_built_on_first_read(self):
         res = crlb_target(sweep_scenario("noise", -20.5, 0))

@@ -1,4 +1,7 @@
+import importlib
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,13 +16,20 @@ from seqtoa import NoiseSpec, Scenario, crlb_target, estimator, exact_frame, fix
 from seqtoa.cli import main
 from seqtoa.serialize import experiment_spec_from_dict, frame_to_dict, scenario_to_dict
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 #: the shipped experiment specs and the benchmark's sweep workloads
 EXPERIMENT_SPECS = [
     path
     for path in sorted([*CONFIG_DIR.glob("*.json"), *(CONFIG_DIR.parent / "perfbench" / "workloads").glob("*.json")])
     if "n_trials" in json.loads(path.read_text())
 ]
+
+
+def run_cli_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m seqtoa.cli *argv`` in a fresh interpreter that imports the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "seqtoa.cli", *map(str, argv)], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture()
@@ -182,6 +192,19 @@ class TestSimulateAndCrlb:
         expected = np.diag(crlb_target(fixed_topology()).crlb_x)
         assert np.allclose(doc["diagonal"], expected, rtol=1e-12)
         assert np.allclose(np.array(doc["matrix"]).diagonal(), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "position, message",
+        [("1e200", "overflows float64"),  # the squared range overflows: an input too large to evaluate
+         ("1e150", "target information is singular")],  # evaluable, and truly near-singular
+    )
+    def test_far_target_crlb_exits_2(self, position, message, tmp_path):
+        scenario = REPO / "src" / "seqtoa" / "data" / "fixed_topology_m10.json"
+        proc = run_cli_module("crlb", "--input", scenario, "--output", tmp_path / "crlb.json",
+                              "--set", f"target.p=[{position},{position}]")
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestNonFiniteSimulation:
@@ -347,6 +370,22 @@ class TestConsoleEntryPoint:
             text=True,
         )
         assert proc.returncode == 0
+        assert out.exists()
+
+    def test_entry_point_runs_without_install(self, tmp_path, scenario_file):
+        # the [project.scripts] entry names cli.main, and the module runs as a script from src
+        text = (REPO / "pyproject.toml").read_text()
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            target = re.search(r'^\[project\.scripts\]\s*^seqtoa\s*=\s*"([^"]+)"', text, re.M).group(1)
+        else:
+            target = tomllib.loads(text)["project"]["scripts"]["seqtoa"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
+        out = tmp_path / "f.json"
+        proc = run_cli_module("simulate", "--input", scenario_file, "--output", out, "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
     @pytest.mark.parametrize("command", ["estimate", "simulate", "crlb", "experiment"])
