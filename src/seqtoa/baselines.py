@@ -106,7 +106,7 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
         # the _STEP_TOL round-off floor decide convergence or divergence on the
         # last bits of the step, so another factorization or a plain sum of
         # squares would change outcomes.
-        dx, rank = _gn_steps(wl[..., None] * H, wl * resid)
+        dx, rank = _gn_steps(wl[..., None] * H, (wl * resid)[..., None])
         ok = rank == 6
         if not ok.all():
             for j in np.flatnonzero(~ok):

@@ -354,7 +354,7 @@ _RANK_NOT_FINITE = -2  # the system is not finite and never reaches LAPACK
 
 def _gn_steps(WJ: np.ndarray, Wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton steps ``dx (K, n)`` minimizing ``||Wr - WJ @ dx||`` for the
-    stacked systems ``WJ (K, m, n)``, ``Wr (K, m)``, and their ranks ``(K,)``.
+    stacked systems ``WJ (K, m, n)``, ``Wr (K, m, 1)``, and their ranks ``(K,)``.
 
     One call of the ``dgelsd`` beneath ``numpy.linalg.lstsq``, with its
     ``rcond = eps * max(m, n)``, solves them all, so each step and rank is
@@ -369,10 +369,10 @@ def _gn_steps(WJ: np.ndarray, Wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one finiteness test for the common case: a sum is finite only if every term is
     finite = None
     if not math.isfinite(WJ.sum() + Wr.sum()):
-        finite = np.isfinite(WJ).all(axis=(-2, -1)) & np.isfinite(Wr).all(axis=-1)
+        finite = np.isfinite(WJ).all(axis=(-2, -1)) & np.isfinite(Wr).all(axis=(-2, -1))
         WJ = np.where(finite[:, None, None], WJ, 0.0)
-        Wr = np.where(finite[:, None], Wr, 0.0)
-    dx, _, rank, _ = _umath_linalg.lstsq(WJ, Wr[..., None], _EPS * max(WJ.shape[-2:]), signature="ddd->ddid")
+        Wr = np.where(finite[:, None, None], Wr, 0.0)
+    dx, _, rank, _ = _umath_linalg.lstsq(WJ, Wr, _EPS * max(WJ.shape[-2:]), signature="ddd->ddid")
     if finite is not None:
         dx[~finite], rank[~finite] = np.nan, _RANK_NOT_FINITE
     return dx[..., 0], rank
@@ -401,7 +401,7 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
     idx, xr, th, thr = np.arange(N), x, theta, threshold
     for it in range(1, MAX_REFINE_ITERATIONS + 1):
         f, G = _theta_models(xr)
-        dx, step_rank = _gn_steps(K6 + K2 @ G, (K @ (th - f)[..., None])[..., 0])
+        dx, step_rank = _gn_steps(K6 + K2 @ G, K @ (th - f)[..., None])
         if step_rank.min(initial=6) < 6:
             full = step_rank == 6
             rank[idx[~full]] = np.maximum(step_rank[~full], 0)

@@ -15,19 +15,20 @@ streams used, in order, for scenario materialization, frame noise, and
 estimator-init perturbation.  Identical specs therefore produce bit-identical
 results within one package version.
 
-An experiment is one stream of ``(sweep value, trial)`` units, cell by cell
-in sweep order and in trial order within a cell, cut into chunks of at most
-256 units; a chunk may span cells.  A chunk is built from columns.  The
-streams of all its trials are computed at once, under the unchanged
-contract above: the ``SeedSequence`` hashing behind ``spawn(3)`` and the
-``PCG64`` seeding behind ``default_rng`` run as array arithmetic over the
-chunk (:func:`_stream_states`), and each trial's draws (its scenario, its
-frame's standard normals and the MLE's initial state) come, in the same
-order as from ``default_rng``, from one generator set to each stream's
-state in turn, into the trial's row of the chunk's arrays (target states,
-agent columns, noise columns).  The noise, TOAs and broadcasts of all its
-frames, the static solver (:func:`~seqtoa.baselines.tswls_static_batch`),
-the MLE (:func:`~seqtoa.baselines.mle_batch`) and the CRLB
+An experiment is one list of ``(sweep value, trial)`` units, cell by cell in
+sweep order and in trial order within a cell, cut into chunks of at most 256
+units; a chunk may span cells.  A chunk is built from columns.  The streams
+of all its trials are computed at once, under the unchanged contract above:
+the ``SeedSequence`` hashing behind ``spawn(3)`` runs as array arithmetic
+over the chunk and gives each stream's eight seed words
+(:func:`_stream_states`).  Each trial's streams are ``PCG64`` generators
+seeded from those words by numpy itself, so its draws (its scenario, its
+frame's standard normals and the MLE's initial state) are the ones
+``default_rng`` gives, into the trial's row of the chunk's arrays (target
+states, agent columns, noise columns).  The noise, TOAs and broadcasts of
+all its frames, the static solver
+(:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
+(:func:`~seqtoa.baselines.mle_batch`) and the CRLB
 (:func:`~seqtoa.analysis.crlb_columns`) then run once per chunk, stacked
 over its trials; no per-trial :class:`Scenario` is built.  The chunk's
 observed and noise columns are checked finite once and made read-only.
@@ -38,10 +39,9 @@ a sweep notices a dropped second pass by replacing that function, so a
 stacked call would escape the check until the check moves.  A chunk's
 outcomes are columns as well: per estimator a success mask and the errors
 of its estimates, and for the CRLB a mask and the per-block traces
-(:func:`_run_chunk`).  They are cut at cell boundaries, and each cell is
-reduced to :class:`TrialStats`, in trial order, as soon as its last trial
-is done, so a run holds about one cell and one chunk of trials.  The whole
-run is on the calling thread.
+(:func:`_run_chunk`).  The chunks' columns are joined into one table of
+the run, and each cell is reduced to :class:`TrialStats` from its rows, in
+trial order.  The whole run is on the calling thread.
 """
 
 from __future__ import annotations
@@ -329,17 +329,15 @@ def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> 
 
 # --- the random streams of a chunk -------------------------------------------
 #
-# numpy documents the algorithms behind the reproducibility contract.  A
+# numpy documents the algorithm behind the reproducibility contract.  A
 # SeedSequence hashes its entropy words into a pool of four 32-bit words, and
 # its generate_state hashes the pool into output words, each with a running
-# sequence of hash constants; PCG64 takes its 128-bit state and increment from
-# four 64-bit output words.  The functions below run the same uint32
-# arithmetic on a whole chunk's trials at once; tests/test_montecarlo.py
+# sequence of hash constants.  The functions below run the same uint32
+# arithmetic on a whole chunk's trials at once; numpy's PCG64 then seeds
+# itself from each stream's output words (_Words).  tests/test_montecarlo.py
 # (TestStreamStates) pins them to numpy's SeedSequence and default_rng.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list[int]:
@@ -389,26 +387,23 @@ def _generate(pools: np.ndarray, n_words: int) -> np.ndarray:
     return out
 
 
-def _pcg64_states(words: np.ndarray) -> list[dict]:
-    """The state of a ``PCG64`` seeded from each row of ``words (N, 8)``, its
-    seed sequence's ``generate_state(8, np.uint32)``.  Read as four 64-bit
-    words (low half first), the first two are the 128-bit seed and the last
-    two the stream, high word first; ``PCG64`` then takes two LCG steps."""
-    u = words[:, 0::2].astype(np.uint64) | words[:, 1::2].astype(np.uint64) << 32
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in u.tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
-    return states
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose output is ``words (8,)``, another one's
+    ``generate_state(8, np.uint32)``; ``PCG64`` reads them as four 64-bit words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words.view(dtype)[:n_words]
 
 
-def _stream_states(base_seed: int, trials, n_streams: int) -> list[list[dict]]:
-    """The ``PCG64`` states of the first ``n_streams`` (2 or 3) streams of
-    each of ``trials``, as ``default_rng`` seeds them under the
-    reproducibility contract.  With ``streams =
-    SeedSequence(base_seed ^ trial).spawn(3)``, they are the scenario stream
-    ``default_rng(streams[0])``, the frame stream
+def _stream_states(base_seed: int, trials, n_streams: int) -> list[np.ndarray]:
+    """The seed words ``(N, 8)`` uint32 of the first ``n_streams`` (2 or 3)
+    streams of each of ``trials``: ``PCG64(_Words(row))`` has the state
+    ``default_rng`` gives the stream under the reproducibility contract.
+    With ``streams = SeedSequence(base_seed ^ trial).spawn(3)``, they are the
+    scenario stream ``default_rng(streams[0])``, the frame stream
     ``default_rng(int(streams[1].generate_state(1, np.uint64)[0]))`` and the
     init stream ``default_rng(streams[2])``.
 
@@ -428,7 +423,7 @@ def _stream_states(base_seed: int, trials, n_streams: int) -> list[list[dict]]:
     frame_entropy = np.zeros((seeds.size, 4), np.uint32)
     frame_entropy[:, 0:2] = _generate(children[:, 1], 2)
     pools = (children[:, 0], _pools(frame_entropy), children[:, 2])[:n_streams]
-    return [_pcg64_states(_generate(pool, 8)) for pool in pools]
+    return [_generate(pool, 8) for pool in pools]
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,16 +451,17 @@ class _Chunk:
 def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     """Draw and simulate the trials ``units`` (``(sweep value, trial)`` pairs).
 
-    The streams of all the trials are computed at once
+    The seed words of all the trials' streams are computed at once
     (:func:`_stream_states`), under the reproducibility contract; each
-    trial's draws come from one generator set to each of its streams' states
-    in turn, with the calls and in the order that ``default_rng`` streams
+    trial's draws come from a ``PCG64`` generator per stream, seeded from
+    its words, with the calls and in the order that ``default_rng`` streams
     would get them, into its row of the chunk's columns.
     Fixed-topology schemes keep the base scenario's agents and target
     position/velocity and draw the target clock offset (uniform on the noise
     sweep; the sweep value itself on the LTCO sweep), the target skew and the
     per-agent variances; the random-topology scheme draws a whole scenario.
-    The frame stream then gives M TOA and 3M broadcast standard normals.  The
+    The frame stream then gives M TOA and 3M broadcast standard normals, in
+    one call into the trial's row of an ``(N, 4M)`` array.  The
     noise columns, the TOAs and the broadcasts follow for the whole chunk at
     once, as :func:`~seqtoa.model.simulate_frame` computes them for one frame.
     The noise and observed columns are checked finite once, raising a
@@ -485,13 +481,12 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
         a = base.agents
         t, p_m, T_m = (np.broadcast_to(col, (N, *col.shape)) for col in (a.t, a.p_m, a.T_m))
         x[:, 0:2], x[:, 2:4] = base.target.p, base.target.v
-    sigma_db, z_tau, z_beta = np.empty((N, M)), np.empty((N, M)), np.empty((N, 3 * M))
+    sigma_db, z = np.empty((N, M)), np.empty((N, 4 * M))  # z: M TOA, then 3M broadcast normals
     inits = np.empty((N, 6)) if "mle" in spec.estimators else None
     halfwidth = spec.agent_sigma_halfwidth_db
-    states = _stream_states(spec.base_seed, [trial for _, trial in units], 2 if inits is None else 3)
-    rng = np.random.Generator(np.random.PCG64())  # every draw follows a state set from a trial's stream
+    streams = _stream_states(spec.base_seed, [trial for _, trial in units], 2 if inits is None else 3)
     for k, (value, _) in enumerate(units):
-        rng.bit_generator.state = states[0][k]
+        rng, frame_rng, *init_rng = (np.random.Generator(np.random.PCG64(_Words(words[k]))) for words in streams)
         if spec.scheme == "random_topology":
             _draw_random(bounds, rng, p_m[k], T_m[k], x[k], sigma_db[k], value, halfwidth)
         else:
@@ -503,15 +498,12 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
                 x[k, 4] = value
             x[k, 5] = rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT
             sigma_db[k] = rng.uniform(center - halfwidth, center + halfwidth, size=M)
-        rng.bit_generator.state = states[1][k]
-        rng.standard_normal(out=z_tau[k])
-        rng.standard_normal(out=z_beta[k])
+        frame_rng.standard_normal(out=z[k])
         if inits is not None:
-            rng.bit_generator.state = states[2][k]
-            inits[k] = rng.normal(0.0, spec.mle_init_sigma, size=6)
+            inits[k] = init_rng[0].normal(0.0, spec.mle_init_sigma, size=6)
 
     c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
-    tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z_tau * np.sqrt(c_tau), _broadcast_errors(blocks, z_beta))
+    tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z[:, :M] * np.sqrt(c_tau), _broadcast_errors(blocks, z[:, M:]))
     _seal(c_tau=c_tau, blocks=blocks, t=t, tau=tau, p_hat=p_hat, T_hat=T_hat)  # NoiseSpec's order, then ObservedFrame's
     stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks)
     if inits is not None:
@@ -610,33 +602,25 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[float, str], TrialStats]:
     Per-trial estimator failures are recorded and excluded from the averages;
     they never abort the sweep.  The experiment's ``(sweep value, trial)``
     units, cell by cell in sweep order and in trial order within a cell, are
-    cut into chunks of at most 256 units that may span cells.  Per chunk,
-    the streams of all its trials are computed at once, under the unchanged
-    ``base_seed XOR i`` / ``spawn(3)`` contract; the draws run per trial from
-    those streams, and ``proposed`` per trial on row views of the chunk's
-    read-only columns; the frames, the static solver, the MLE and the CRLB
-    run once, stacked.  Each returns its outcomes as columns.  Those columns
-    are cut at cell boundaries, the slices of a cell that spans chunks are
-    joined, and each cell is reduced, in trial order, once its last trial is
-    done.  All of it runs on the calling thread.
+    listed once and cut into chunks of at most 256 units that may span
+    cells.  Per chunk, the seed words of all its trials' streams are
+    computed at once, under the unchanged ``base_seed XOR i`` / ``spawn(3)``
+    contract; the draws run per trial from those streams, and ``proposed``
+    per trial on row views of the chunk's read-only columns; the frames, the
+    static solver, the MLE and the CRLB run once, stacked.  Each chunk
+    returns its outcomes as columns.  Those columns are joined once per key
+    into a table of the run, and each cell is reduced from its rows, in
+    trial order.  All of it runs on the calling thread.
     """
     n_trials = spec.n_trials
-    n_units = len(spec.sweep_values) * n_trials
+    units = [(value, trial) for value in spec.sweep_values for trial in range(n_trials)]
+    chunks = [_run_chunk(spec, units[start : start + _CHUNK]) for start in range(0, len(units), _CHUNK)]
+    table = {key: tuple(np.concatenate(c) for c in zip(*(chunk[key] for chunk in chunks))) for key in chunks[0]}
     results: dict[tuple[float, str], TrialStats] = {}
-    pending: list = []  # column slices of the cell in progress, one dict per chunk
-    for start in range(0, n_units, _CHUNK):
-        stop = min(start + _CHUNK, n_units)
-        units = [(spec.sweep_values[k // n_trials], k % n_trials) for k in range(start, stop)]
-        columns = _run_chunk(spec, units)
-        cuts = [start, *range((start // n_trials + 1) * n_trials, stop, n_trials), stop]
-        for lo, hi in zip(cuts, cuts[1:]):
-            rows = slice(lo - start, hi - start)
-            pending.append({key: (ok[rows], values[rows]) for key, (ok, values) in columns.items()})
-            if hi % n_trials == 0:
-                cell = {key: tuple(np.concatenate(c) for c in zip(*(part[key] for part in pending))) for key in columns}
-                sweep_value = spec.sweep_values[hi // n_trials - 1]
-                results.update({(sweep_value, e): st for e, st in _cell_stats(spec, cell).items()})
-                pending = []
+    for i, sweep_value in enumerate(spec.sweep_values):
+        rows = slice(i * n_trials, (i + 1) * n_trials)
+        cell = {key: (ok[rows], values[rows]) for key, (ok, values) in table.items()}
+        results.update({(sweep_value, e): st for e, st in _cell_stats(spec, cell).items()})
     return results
 
 

@@ -336,9 +336,12 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
     64-bit integer, and every dB value must give a finite, positive variance
     (see :class:`ExperimentSpec`).  A value that :class:`ExperimentSpec`
     rejects is reported under its field's path where it names one
-    (``experiment.sweep_values[1]``), else under ``experiment``.
+    (``experiment.sweep_values[1]``), else under ``experiment``.  A key it
+    does not read, at the top level or under ``topology.random``, is an
+    error under its own path.
     """
     scheme =_get(d, "scheme", "experiment")
+    _check_keys(d, _FIELDS["experiment"], "experiment")
     if not isinstance(scheme, str):
         raise SchemaError("experiment.scheme", "expected a string")
     n_trials = _integer(_get(d, "n_trials", "experiment"), "experiment.n_trials", 1)
@@ -357,6 +360,7 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
             braw = traw["random"] or {}
             if not isinstance(braw, dict):
                 raise SchemaError("experiment.topology.random", "expected an object of bounds")
+            _check_keys(braw, _FIELDS["experiment"]["topology"]["random"], "experiment.topology.random")
             kwargs = {}
             for key in _BOUNDS_PAIRS:
                 if key in braw:
@@ -448,6 +452,14 @@ _FIELDS = {
         "topology": {"random": dict.fromkeys((*_BOUNDS_PAIRS, "n_agents", "slot_interval")), **_SCENARIO_FIELDS},
     },
 }
+
+
+def _check_keys(d: dict, fields: dict, path: str) -> None:
+    """Raise ``SchemaError`` at the first key of ``d`` not in ``fields``: a
+    reader that skipped it would run another document than the one written."""
+    for key in d:
+        if key not in fields:
+            raise SchemaError(f"{path}.{key}", "not a field of the experiment schema")
 
 
 def check_field(document: str, key: str) -> None:

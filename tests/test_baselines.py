@@ -513,7 +513,7 @@ class TestLstsqStack:
                              ids=["mixed_rank", "one_frame", "no_frames"])
     def test_matches_np_linalg_lstsq(self, frames, capfd):
         gathered = augmented_systems()[np.array(frames, dtype=int)]
-        A, b = gathered[..., :6], gathered[..., 6]
+        A, b = gathered[..., :6], gathered[..., 6:]
         assert not frames or not (A.flags.c_contiguous or b.flags.c_contiguous)
         with np.errstate(all="ignore"):  # as under estimator._LAPACK_ERRSTATE, which its callers run in
             x, rank = estimator._gn_steps(A, b)
@@ -522,7 +522,7 @@ class TestLstsqStack:
         ranks = set()
         for k in range(len(frames)):
             if np.isfinite(gathered[k]).all():
-                want_x, _, want_rank, _ = np.linalg.lstsq(A[k], b[k], rcond=None)
+                want_x, _, want_rank, _ = np.linalg.lstsq(A[k], b[k, :, 0], rcond=None)
             else:
                 want_x, want_rank = np.full(6, np.nan), estimator._RANK_NOT_FINITE
             assert np.array_equal(x[k], want_x, equal_nan=True) and rank[k] == want_rank, k

@@ -330,6 +330,23 @@ class TestExperimentCommand:
         assert "target.omgea" in capsys.readouterr().err
         assert main(["crlb", "--input", str(scenario_file), "--output", out, "--set", "target.omega=0"]) == 0
 
+    @pytest.mark.parametrize(
+        "config, edit, path",
+        [
+            ("scheme1_noise_sweep.json", {"sigma_tau_sq_DB": -10}, "experiment.sigma_tau_sq_DB"),
+            ("scheme1_noise_sweep.json", {"mle_max_iter": 3}, "experiment.mle_max_iter"),
+            ("scheme3_random_topology.json", {"topology": {"random": {"n_agent": 8}}},
+             "experiment.topology.random.n_agent"),
+        ],
+    )
+    def test_unread_key_exits_1(self, config, edit, path, tmp_path, capsys):
+        doc = {**json.loads((CONFIG_DIR / config).read_text()), **edit, "n_trials": 2}
+        spec, out = tmp_path / "exp.json", tmp_path / "o.csv"
+        spec.write_text(json.dumps(doc))
+        assert main(["experiment", "--input", str(spec), "--output", str(out)]) == 1
+        assert f"{path}: not a field of the experiment schema" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_thread_count_does_not_change_csvs(self, tmp_path):
         spec = mini_experiment(tmp_path, sweep_values=[-30.0], n_trials=24, estimators=["proposed", "tswls_static"])
         written = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -262,10 +263,33 @@ class TestRunTrials:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
             stack_sizes.clear()
             path = tmp_path / f"sweep_{chunk}.csv"
-            write_sweep_csv(run_trials(spec), spec, path)
+            results = run_trials(spec)
+            write_sweep_csv(results, spec, path)
             csvs.add(path.read_bytes())
             assert stack_sizes == sizes, chunk
         assert len(csvs) == 1
+        # a CDF has no sweep column: three sweep values have none
+        with pytest.raises(ValueError, match="single-sweep-value"):
+            montecarlo.write_cdf_csv(results, spec, tmp_path / "cdf.csv")
+        assert not (tmp_path / "cdf.csv").exists()
+
+    def test_proposed_failing_every_trial_is_counted(self):
+        # 8 agents give 8 broadcasts, fewer than the 9 the proposed estimator
+        # needs: every one of its trials fails, and the MLE (6 or more) and
+        # the CRLB run as they do without it
+        spec = small_spec(scheme="random_topology", n_trials=12, sweep_values=(-20.5,), estimators=("proposed", "mle"),
+                          topology=TopologyBounds(n_agents=8))
+        results = run_trials(spec)
+        proposed, mle = results[(-20.5, "proposed")], results[(-20.5, "mle")]
+        assert (proposed.n_success, proposed.divergence_count) == (0, spec.n_trials)
+        assert proposed.cdf_samples.size == 0 and np.isnan(proposed.bias).all()
+        alone = run_trials(dataclasses.replace(spec, estimators=("mle",)))[(-20.5, "mle")]
+        assert alone.n_success > 0
+        assert (mle.n_success, mle.divergence_count) == (alone.n_success, alone.divergence_count)
+        assert np.array_equal(mle.cdf_samples, alone.cdf_samples)
+        for block in ("position", "velocity", "offset", "skew"):
+            assert np.isnan(proposed.mse(block)), block
+            assert np.isfinite(proposed.crlb_trace(block)) and proposed.crlb_trace(block) == mle.crlb_trace(block), block
 
     def test_mle_with_five_agents_fails_every_trial(self, tmp_path):
         doc = {
@@ -471,8 +495,9 @@ class TestChunkGenerator:
 
 
 class TestStreamStates:
-    """The chunk's streams are computed by hand from numpy's documented
-    SeedSequence and PCG64 seeding (``montecarlo._stream_states``); a numpy
+    """The chunk's stream seed words are computed by hand from numpy's
+    documented SeedSequence hashing (``montecarlo._stream_states``), and
+    numpy's PCG64 seeds itself from them (``montecarlo._Words``); a numpy
     whose SeedSequence or default_rng seeds differently must fail here, not
     only in the end-to-end bytes of TestChunkGenerator."""
 
@@ -481,14 +506,16 @@ class TestStreamStates:
 
     @pytest.mark.parametrize("base_seed, trials", [(0, SEEDS), (BASE, [0, 1, 7, 255, 2**20 + 3])], ids=["seeds", "xor"])
     def test_states_match_default_rng(self, base_seed, trials):
-        states = montecarlo._stream_states(base_seed, trials, 3)
-        assert montecarlo._stream_states(base_seed, trials, 2) == states[:2]
+        words = montecarlo._stream_states(base_seed, trials, 3)
+        assert [w.shape for w in words] == [(len(trials), 8)] * 3
+        assert all(np.array_equal(a, b) for a, b in zip(montecarlo._stream_states(base_seed, trials, 2), words[:2]))
         for k, trial in enumerate(trials):
             streams = np.random.SeedSequence(base_seed ^ trial).spawn(3)
             frame_seed = int(streams[1].generate_state(1, np.uint64)[0])
             rngs = (np.random.default_rng(streams[0]), np.random.default_rng(frame_seed),
                     np.random.default_rng(streams[2]))
-            assert [s[k] for s in states] == [rng.bit_generator.state for rng in rngs], trial
+            got = [np.random.PCG64(montecarlo._Words(w[k])).state for w in words]
+            assert got == [rng.bit_generator.state for rng in rngs], trial
 
     @pytest.mark.parametrize("seed", [*SEEDS, BASE ^ 255])
     def test_pools_and_frame_seed_match_seed_sequence(self, seed):
@@ -508,7 +535,7 @@ class TestStreamStates:
         # hashes one, and the missing word must hash as the zero put there
         pool = montecarlo._pools(np.array([[seed, 0, 0, 0]], dtype=np.uint32))
         assert pool[0].tolist() == list(np.random.SeedSequence(seed).pool)
-        state = montecarlo._pcg64_states(montecarlo._generate(pool, 8))[0]
+        state = np.random.PCG64(montecarlo._Words(montecarlo._generate(pool, 8)[0])).state
         assert state == np.random.default_rng(seed).bit_generator.state
 
 

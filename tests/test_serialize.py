@@ -339,6 +339,27 @@ class TestExperimentSpecs:
         spec = experiment_spec_from_dict(doc)
         assert spec.topology is not None
         assert spec.topology.n_agents == 10
+        d1 = experiment_spec_to_dict(spec)
+        assert d1["topology"] == doc["topology"]
+        assert experiment_spec_to_dict(experiment_spec_from_dict(d1)) == d1
+
+    @pytest.mark.parametrize(
+        "config, edit, path",
+        [
+            ("scheme1_noise_sweep.json", {"sigma_tau_sq_DB": -10}, "experiment.sigma_tau_sq_DB"),
+            ("scheme1_noise_sweep.json", {"mle_max_iter": 3}, "experiment.mle_max_iter"),
+            ("scheme3_random_topology.json", {"topology": {"random": {"n_agent": 8}}},
+             "experiment.topology.random.n_agent"),
+        ],
+    )
+    def test_unread_key_rejected(self, config, edit, path):
+        # each of these used to parse with the key ignored: -30 dB, 50
+        # iterations, 10 agents
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        with pytest.raises(SchemaError) as exc:
+            experiment_spec_from_dict({**doc, **edit})
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: not a field of the experiment schema"
 
 
 def dotted_keys(doc, prefix=""):
