@@ -26,10 +26,13 @@ frame from its true state (a batch of one), and ``mle_batch`` on a stack of
 ``MLE_FRAMES`` random-topology frames, each from its true state plus unit
 Gaussian noise as the sweeps draw it, given per frame.
 
-The last row times a sweep's draws: ``montecarlo._draw_chunk`` on one
-chunk of ``CHUNK`` noise-sweep units with all three estimators, per trial.
-It seeds every trial's streams, draws its scenario, its frame's standard
-normals and the MLE's initial state, and simulates the chunk's frames.
+The last rows time a sweep's stacked stages on one chunk of ``CHUNK``
+noise-sweep units with all three estimators, per trial: the static solver
+(``tswls_static_batch``) and the CRLB (``crlb_columns``) on the chunk's
+columns, and the draws (``montecarlo._draw_chunk``), which seed every
+trial's streams, draw its scenario, its frame's standard normals and the
+MLE's initial state, and simulate the chunk's frames.  Each stacked stage
+returns columns, so these rows hold no per-trial object.
 
 ``estimate`` is not the sum of the stage rows: it runs both passes on the
 stacked kernels directly, while the stage functions are the single-frame
@@ -59,8 +62,10 @@ from seqtoa import (
     sample_random_topology,
     simulate_frame,
     solve_wls_qr,
+    tswls_static_batch,
 )
 from seqtoa import montecarlo
+from seqtoa.analysis import crlb_columns
 from seqtoa.model import C_LIGHT
 from seqtoa.serialize import frame_from_dict, frame_to_dict, report_to_dict
 
@@ -72,23 +77,25 @@ CHUNK = 256
 CHUNK_CALLS = 10
 
 
-def per_call_us(fn, calls: int = CALLS) -> tuple[float, float]:
-    """(best, median) over REPEATS runs of ``calls`` calls, in microseconds per call."""
+def row(name: str, fn, calls: int = CALLS, per: int = 1) -> None:
+    """Print the best and the median over REPEATS runs of ``calls`` calls of
+    ``fn``, in microseconds per call divided by ``per``, the frames or
+    trials that one call runs."""
     fn()  # warm up
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
-        runs.append((time.perf_counter() - t0) / calls * 1e6)
-    return min(runs), statistics.median(runs)
+        runs.append((time.perf_counter() - t0) / calls / per * 1e6)
+    print(f"{name:<36} {min(runs):>10.1f} {statistics.median(runs):>12.1f}")
 
 
 scenario = fixed_topology()
 frame = simulate_frame(scenario, 7)
 doc = json.loads(json.dumps(frame_to_dict(frame)))
 noise_rng = np.random.default_rng(11)
-n_distinct = 1 + REPEATS * CALLS  # one noise spec per call of per_call_us
+n_distinct = 1 + REPEATS * CALLS  # one noise spec per timed call
 
 
 def distinct_noise_frame():
@@ -116,6 +123,7 @@ mle_inits = np.array([sc.target.as_vector() for sc in scenarios]) + rng.normal(s
 sweep = ExperimentSpec(scheme="noise_sweep", n_trials=CHUNK, base_seed=0, sweep_values=(-20.5,),
                        estimators=("proposed", "tswls_static", "mle"))
 units = [(-20.5, trial) for trial in range(CHUNK)]
+chunk = montecarlo._draw_chunk(sweep, units)
 
 stages = {
     "simulate_frame": lambda: simulate_frame(scenario, 7),
@@ -133,14 +141,14 @@ stages = {
     "report_to_dict": lambda: report_to_dict(report),
 }
 print(f"one fixed-topology frame, M = {frame.n_agents}; {REPEATS} x {CALLS} calls per stage")
-print(f"{'stage':<32} {'best (us)':>10} {'median (us)':>12}")
+print(f"{'stage':<36} {'best (us)':>10} {'median (us)':>12}")
 for name, fn in stages.items():
-    best, median = per_call_us(fn)
-    print(f"{name:<32} {best:>10.1f} {median:>12.1f}")
-best, median = per_call_us(lambda: mle_estimate(frame, mle_init))
-print(f"{'mle_estimate':<32} {best:>10.1f} {median:>12.1f}")
-best, median = per_call_us(lambda: mle_batch(mle_stack, mle_inits), MLE_BATCH_CALLS)
-print(f"{f'mle_batch, per frame of {MLE_FRAMES}':<32} {best / MLE_FRAMES:>10.1f} {median / MLE_FRAMES:>12.1f}")
-best, median = per_call_us(lambda: montecarlo._draw_chunk(sweep, units), CHUNK_CALLS)
-print(f"{f'_draw_chunk, per trial of {CHUNK}':<32} {best / CHUNK:>10.1f} {median / CHUNK:>12.1f}")
+    row(name, fn)
+row("mle_estimate", lambda: mle_estimate(frame, mle_init))
+row(f"mle_batch, per frame of {MLE_FRAMES}", lambda: mle_batch(mle_stack, mle_inits), MLE_BATCH_CALLS, MLE_FRAMES)
+s = chunk.stack
+row(f"tswls_static_batch, per frame of {CHUNK}", lambda: tswls_static_batch(s), CHUNK_CALLS, CHUNK)
+row(f"crlb_columns, per trial of {CHUNK}", lambda: crlb_columns(chunk.x, s.t, chunk.p_m, s.c_tau, s.blocks),
+    CHUNK_CALLS, CHUNK)
+row(f"_draw_chunk, per trial of {CHUNK}", lambda: montecarlo._draw_chunk(sweep, units), CHUNK_CALLS, CHUNK)
 print(f"estimate: {report.iterations} retraction iterations, cond_estimate {report.cond_estimate:.3g}")

@@ -14,7 +14,7 @@ The package is organized as:
 * :mod:`seqtoa.cli` - command-line front end (``seqtoa``).
 """
 
-from .analysis import CrlbResult, FimBlocks, analytic_cov, crlb_batch, crlb_target, fim_blocks, toa_gradients
+from .analysis import CrlbResult, FimBlocks, analytic_cov, crlb_target, fim_blocks, toa_gradients
 from .baselines import StaticTswlsResult, mle_batch, mle_estimate, tswls_static_batch, tswls_static_estimate
 from .errors import (
     ConditioningError,
@@ -28,6 +28,7 @@ from .estimator import (
     DesignSystem,
     ErrorModel,
     EstimateReport,
+    Estimates,
     FrameStack,
     WlsSolution,
     build_design,
@@ -79,6 +80,7 @@ __all__ = [
     "Diagnostic",
     "ErrorModel",
     "EstimateReport",
+    "Estimates",
     "EstimationError",
     "ExperimentSpec",
     "FimBlocks",
@@ -97,7 +99,6 @@ __all__ = [
     "analytic_cov",
     "build_design",
     "build_error_model",
-    "crlb_batch",
     "crlb_target",
     "db_to_variance",
     "estimate",

@@ -21,21 +21,22 @@ the closed form
     S = Hx^T diag(1 / (c_tau,m + g_m^T C_m g_m)) Hx,
 
 which costs O(M).  :func:`crlb_columns` evaluates it over N scenarios given
-as columns, with a failure record per scenario.  :func:`crlb_batch` runs it
-on a list of scenarios, and :func:`crlb_target` is a batch of one.  The
-dense blocks of :func:`fim_blocks` are kept for cross-checks only.
+as columns and returns columns: the bounds and the Schur complements
+``(N, 6, 6)``, NaN in the rows of failed scenarios, and the
+:class:`EstimationError` of each failed scenario only.  :func:`crlb_target` runs it on one scenario's
+own arrays.  The dense blocks of :func:`fim_blocks` are kept for
+cross-checks only.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
-from .estimator import _design_arrays, build_error_model, theta_jacobian
+from .estimator import _design_arrays, _scatter, build_error_model, theta_jacobian
 from .model import Agents, Scenario, TargetState, _toa_jacobian, exact_frame
 
 _COINCIDENT_TOL = 1e-12
@@ -158,88 +159,18 @@ def fim_blocks(scenario: Scenario) -> FimBlocks:
     return FimBlocks(R1=R1, R2=R2, R3=0.5 * (R3 + R3.T))
 
 
-def _closed_form_information(rho: np.ndarray, t: np.ndarray, c_tau: np.ndarray, C_m: np.ndarray) -> np.ndarray:
-    """Closed-form Schur complements ``S (N, 6, 6)`` from the unit vectors
-    ``rho (N, M, 2)`` from each agent to its target at slot times
-    ``t (N, M)``, TOA variances ``c_tau (N, M)`` and agent blocks
-    ``C_m (N, M, 3, 3)``."""
-    Hx, g = _gradient_rows(rho, t)
-    w = 1.0 / (c_tau + ((C_m @ g[..., None])[..., 0] * g).sum(axis=-1))
-    return (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
-
-
-def _closed_form_rows(x, t, p_m, c_tau, C_m, out: list) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Schur complements of N scenarios given as columns (see
-    :func:`crlb_columns`).  A scenario that fails a check gets its record in
-    ``out``.  Returns ``(idx, S)``: the scenarios that have a Schur
-    complement, and it."""
-    u, r, finite, coincident = _ranges(x, t, p_m)
-    live = finite.all(axis=-1)
-    for i in np.flatnonzero(~live):
-        out[i] = _overflow_error(t[i, np.flatnonzero(~finite[i])[0]])
-    for i in np.flatnonzero(coincident.any(axis=-1)):
-        m = np.flatnonzero(coincident[i])[0]
-        out[i] = _coincident_error(t[i, m], r[i, m])
-    live &= ~coincident.any(axis=-1)
-    for i in np.flatnonzero(live & (c_tau <= 0).any(axis=-1)):
-        out[i] = ConditioningError("C_tau must be strictly positive for the information matrix")
-    live &= (c_tau > 0).all(axis=-1)
-    try:
-        np.linalg.cholesky(C_m[live])
-    except np.linalg.LinAlgError:  # find the scenarios at fault
-        for i in np.flatnonzero(live):
-            try:
-                np.linalg.cholesky(C_m[i])
-            except np.linalg.LinAlgError:
-                out[i] = NotPositiveDefiniteError("C_beta must be positive definite for the information matrix")
-                live[i] = False
-    return np.flatnonzero(live), _closed_form_information(u[live] / r[live][..., None], t[live], c_tau[live], C_m[live])
-
-
-def _bounds(S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | EstimationError]:
-    """``(crlb_x, information)`` of each Schur complement ``S (K, 6, 6)``, or
-    the record of a singular one."""
-    S = 0.5 * (S + S.swapaxes(-1, -2))
-    eigs = np.linalg.eigvalsh(S)
-    singular = eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1.0)
-    crlb_x = np.full_like(S, np.nan)
-    crlb_x[~singular] = np.linalg.inv(S[~singular])
-    crlb_x = 0.5 * (crlb_x + crlb_x.swapaxes(-1, -2))
-    return [
-        DegenerateGeometryError(f"target information is singular (min eig {e[0]:.3e}); geometry unobservable")
-        if bad
-        else (c, info)
-        for bad, e, c, info in zip(singular, eigs, crlb_x, S)
-    ]
-
-
-def crlb_columns(x, t, p_m, c_tau, blocks) -> list[tuple[np.ndarray, np.ndarray] | EstimationError]:
-    """Target-state CRLB of N scenarios given as columns: target states
-    ``x (N, 6)``, slot times
+def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict[int, EstimationError]]:
+    """Cramer-Rao lower bound of the 6-dimensional target state of N
+    scenarios given as columns: target states ``x (N, 6)``, slot times
     ``t (N, M)``, agent positions ``p_m (N, M, 2)``, TOA variances
-    ``c_tau (N, M)`` and agent blocks ``blocks (N, M, 3, 3)``.
+    ``c_tau (N, M)`` and agent blocks ``blocks (N, M, 3, 3)``, by the
+    closed-form Schur complement (see the module docstring).
 
-    Returns one entry per scenario, in order: ``(crlb_x, information)``, or
-    the :class:`EstimationError` that stopped it (see :func:`crlb_batch`).
-    """
-    out: list = [None] * x.shape[0]
-    idx, S = _closed_form_rows(x, t, p_m, c_tau, blocks, out)
-    for i, res in zip(idx, _bounds(S)):
-        out[i] = res
-    return out
-
-
-def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationError]:
-    """Cramer-Rao lower bound of the 6-dimensional target state of every scenario.
-
-    The agent block is marginalized out by the closed-form Schur complement
-    (see the module docstring), evaluated by :func:`crlb_columns` for all
-    scenarios at once.  Every scenario must have the same number of agents.
-
-    Returns one entry per scenario, in order: its :class:`CrlbResult`, or the
+    Returns ``(crlb_x, information, errors)``: the bounds and the Schur
+    complements ``(N, 6, 6)``, NaN in the rows of failed scenarios, and
+    ``errors``, which maps each failed scenario to the
     :class:`EstimationError` that stopped it alone.  The checks run in this
-    order, and the first that fails is the record:
-    :class:`ConditioningError` if a range overflows float64 (finite
+    order: :class:`ConditioningError` if a range overflows float64 (finite
     coordinates too large to evaluate),
     :class:`DegenerateGeometryError` if the target coincides with an agent at
     its slot time, :class:`ConditioningError` for a non-positive TOA
@@ -248,39 +179,60 @@ def crlb_batch(scenarios: Sequence[Scenario]) -> list[CrlbResult | EstimationErr
     :class:`DegenerateGeometryError` if the Schur complement is singular
     (unobservable geometry, e.g. collinear agents).
     """
-    if not scenarios:
-        raise ValueError("a CRLB batch needs at least one scenario")
-    M = scenarios[0].n_agents
-    if any(s.n_agents != M for s in scenarios):
-        raise ValueError("all scenarios of a batch need the same number of agents")
-    out = crlb_columns(
-        np.array([s.target.as_vector() for s in scenarios]),
-        np.array([s.agents.t for s in scenarios]),
-        np.array([s.agents.p_m for s in scenarios]),
-        np.array([s.noise.c_tau for s in scenarios]),
-        np.array([s.noise.blocks for s in scenarios]),
-    )
-    return [
-        r if isinstance(r, EstimationError) else CrlbResult(crlb_x=r[0], information=r[1], scenario=s)
-        for r, s in zip(out, scenarios)
-    ]
+    errors: dict[int, EstimationError] = {}
+    u, r, finite, coincident = _ranges(x, t, p_m)
+    live = finite.all(axis=-1)
+    for i in np.flatnonzero(~live).tolist():
+        errors[i] = _overflow_error(t[i, np.flatnonzero(~finite[i])[0]])
+    for i in np.flatnonzero(coincident.any(axis=-1)).tolist():
+        m = np.flatnonzero(coincident[i])[0]
+        errors[i] = _coincident_error(t[i, m], r[i, m])
+    live &= ~coincident.any(axis=-1)
+    for i in np.flatnonzero(live & (c_tau <= 0).any(axis=-1)).tolist():
+        errors[i] = ConditioningError("C_tau must be strictly positive for the information matrix")
+    live &= (c_tau > 0).all(axis=-1)
+    try:
+        np.linalg.cholesky(blocks[live])
+    except np.linalg.LinAlgError:  # find the scenarios at fault
+        for i in np.flatnonzero(live).tolist():
+            try:
+                np.linalg.cholesky(blocks[i])
+            except np.linalg.LinAlgError:
+                errors[i] = NotPositiveDefiniteError("C_beta must be positive definite for the information matrix")
+                live[i] = False
+    # the closed-form Schur complements of the scenarios that pass every check
+    Hx, g = _gradient_rows(u[live] / r[live][..., None], t[live])
+    w = 1.0 / (c_tau[live] + ((blocks[live] @ g[..., None])[..., 0] * g).sum(axis=-1))
+    S = (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    eigs = np.linalg.eigvalsh(S)
+    singular = eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1.0)
+    rows = np.flatnonzero(live)
+    for i, e in zip(rows[singular].tolist(), eigs[singular, 0].tolist()):
+        errors[i] = DegenerateGeometryError(f"target information is singular (min eig {e:.3e}); geometry unobservable")
+    S = S[~singular]
+    crlb_x = np.linalg.inv(S)
+    return (*_scatter(len(x), rows[~singular], 0.5 * (crlb_x + crlb_x.swapaxes(-1, -2)), S), errors)
 
 
 def crlb_target(scenario: Scenario) -> CrlbResult:
     """Cramer-Rao lower bound of the 6-dimensional target state:
-    :func:`crlb_batch` on a batch of one.
+    :func:`crlb_columns` on the scenario's own arrays.
 
     Raises
     ------
     EstimationError
-        The scenario's failure record (see :func:`crlb_batch`), e.g.
+        The scenario's failure record (see :func:`crlb_columns`), e.g.
         :class:`DegenerateGeometryError` if the Schur complement is singular
         (unobservable geometry, e.g. collinear agents).
     """
-    result = crlb_batch([scenario])[0]
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    a, noise = scenario.agents, scenario.noise
+    crlb_x, information, errors = crlb_columns(
+        scenario.target.as_vector()[None], a.t[None], a.p_m[None], noise.c_tau[None], noise.blocks[None]
+    )
+    if errors:
+        raise errors[0]
+    return CrlbResult(crlb_x=crlb_x[0], information=information[0], scenario=scenario)
 
 
 def analytic_cov(scenario: Scenario, form: str = "direct") -> np.ndarray:

@@ -1,19 +1,23 @@
 """Reference estimators used for comparison.
 
 Both keep :func:`~seqtoa.estimator.estimate_batch`'s contract: a batch over
-a :class:`~seqtoa.estimator.FrameStack` returns per frame its result or the
-:class:`~seqtoa.errors.EstimationError` that stopped it, and the
-single-frame entry runs it on ``FrameStack.one`` and raises that error.
+a :class:`~seqtoa.estimator.FrameStack` returns columns with one row per
+frame, NaN in the rows of failed frames, and the
+:class:`~seqtoa.errors.EstimationError` of each failed frame only, keyed
+by its row.  The single-frame entry runs it on ``FrameStack.one``, builds
+its result from row 0 and raises row 0's error.
 
 * :func:`mle_batch` - Gauss-Newton maximum likelihood that trusts the
   broadcast agent information (ignores its uncertainty), with per-frame
-  iteration counts and flags.  Each iteration solves the steps of all its
+  iteration counts and flags, as :class:`~seqtoa.estimator.Estimates` with
+  a ``diverged`` column.  Each iteration solves the steps of all its
   frames in one call of the estimator's step kernel, ``_gn_steps``, bit for
   bit the per-frame ``numpy.linalg.lstsq`` steps; :func:`mle_estimate` is a
   batch of one.
 * :func:`tswls_static_batch` - the classic static two-step solver
   (position and offset only, explicit normal equations, one refinement
-  iteration); :func:`tswls_static_estimate` is a batch of one.  It is
+  iteration), as ``[px, py, T]`` and covariance columns;
+  :func:`tswls_static_estimate` is a batch of one.  It is
   implemented standalone, error statistics included, so the pipeline's
   degraded mode can be cross-checked against it.  Its error covariance is
   diagonal, as the noise is independent across agents, so weighting divides
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, UnderdeterminedError
-from .estimator import _LAPACK_ERRSTATE, _RANK_FAILED, _RANK_NOT_FINITE, EstimateReport, FrameStack, _gn_steps
+from .estimator import _LAPACK_ERRSTATE, _RANK_FAILED, _RANK_NOT_FINITE, EstimateReport, Estimates, FrameStack
+from .estimator import _gn_steps, _scatter
 from .model import ObservedFrame, TargetState, _toa_jacobian
 
 _DIVERGENCE_STREAK = 3
@@ -47,7 +52,7 @@ def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray,
 
 
 @_LAPACK_ERRSTATE
-def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateReport | EstimationError]:
+def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> Estimates:
     """Weighted Gauss-Newton on the raw TOA residuals of every frame of a stack.
 
     Frame n starts from the 6-state ``inits[n]``.  Broadcast positions and
@@ -55,16 +60,18 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
     variances only.  Each frame runs its own iterations: it leaves the loop
     once its step norm is at most ``_STEP_TOL`` (converged), after three
     consecutive step-norm increases or at a non-finite iterate (diverged),
-    or after ``max_iters`` steps, and reports the best iterate it has seen.
-    Divergence is reported through the ``diverged`` flag, never raised.
+    or after ``max_iters`` steps, and its row of ``x`` is the best iterate
+    it has seen.  Divergence is reported through the ``diverged`` column,
+    never raised.
     Each iteration solves the steps of all frames still iterating in one
     call of ``estimator._gn_steps``, which runs the ``dgelsd`` of
     ``numpy.linalg.lstsq`` with its ``rcond`` and rank rule, so each frame's
     step, and so its result, is bit for bit the one it gets alone.  All
     frames must have the same number of broadcasts.
 
-    Returns one entry per frame, in order: its :class:`EstimateReport`, or
-    the :class:`EstimationError` that stopped it alone -
+    Returns the frames' :class:`~seqtoa.estimator.Estimates`, with
+    ``diverged``; ``errors`` holds the :class:`EstimationError` that stopped
+    a frame alone -
     :class:`UnderdeterminedError` for every frame if there are fewer than 6
     broadcasts, :class:`DegenerateGeometryError` for an iterate on an agent
     or a Gauss-Newton system of rank below 6, and a plain
@@ -77,12 +84,13 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
         raise ValueError("need max_iters >= 1")
     N, M = stack.t.shape
     if M < 6:
-        return [UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}") for _ in range(N)]
+        errors = {n: UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}") for n in range(N)}
+        return Estimates(np.full((N, 6), np.nan), np.zeros(N, int), np.zeros(N, bool), errors, diverged=np.zeros(N, bool))
     t, tau, p_hat, T_hat = stack.t, stack.tau, stack.p_hat, stack.T_hat
     w = 1.0 / np.sqrt(stack.c_tau)
     x = np.array(inits, dtype=float).reshape(N, 6)
 
-    out: list = [None] * N
+    errors: dict[int, EstimationError] = {}
     best_x = x.copy()
     u, r, resid = _residuals(x, t, tau, p_hat, T_hat)
     best_cost = ((w * resid) ** 2).sum(axis=-1)
@@ -96,8 +104,8 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
     for _ in range(max_iters):
         on_agent = (r == 0).any(axis=-1)
         if on_agent.any():
-            for i in live[on_agent]:
-                out[i] = DegenerateGeometryError("iterate coincides with an agent position")
+            for i in live[on_agent].tolist():
+                errors[i] = DegenerateGeometryError("iterate coincides with an agent position")
             live, u, r, resid = live[~on_agent], u[~on_agent], r[~on_agent], resid[~on_agent]
         H = _toa_jacobian(u / r[..., None], t[live])
         wl = w[live]
@@ -109,11 +117,11 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
         dx, rank = _gn_steps(wl[..., None] * H, (wl * resid)[..., None])
         ok = rank == 6
         if not ok.all():
-            for j in np.flatnonzero(~ok):
-                out[live[j]] = (
-                    EstimationError(_SOLVE_FAILED[rank[j]])
-                    if rank[j] < 0
-                    else DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank[j]} < 6)")
+            for i, rk in zip(live[~ok].tolist(), rank[~ok].tolist()):
+                errors[i] = (
+                    EstimationError(_SOLVE_FAILED[rk])
+                    if rk < 0
+                    else DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rk} < 6)")
                 )
         live, dx = live[ok], dx[ok]
         x[live] += dx
@@ -140,18 +148,9 @@ def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> list[EstimateRep
         if live.size == 0:
             break
 
-    for i in range(N):
-        if out[i] is None:
-            out[i] = EstimateReport(
-                x_hat=TargetState.from_vector(best_x[i]),
-                iterations=int(iterations[i]),
-                converged=bool(converged[i]),
-                cond_estimate=float("nan"),
-                C_wls=None,
-                estimator_id="mle",
-                diverged=bool(diverged[i]),
-            )
-    return out
+    failed = list(errors)
+    best_x[failed], iterations[failed] = np.nan, 0
+    return Estimates(best_x, iterations, converged, errors, diverged=diverged)
 
 
 def mle_estimate(frame: ObservedFrame, init: TargetState, max_iters: int = 50) -> EstimateReport:
@@ -167,10 +166,7 @@ def mle_estimate(frame: ObservedFrame, init: TargetState, max_iters: int = 50) -
     EstimationError
         If a Gauss-Newton least-squares solve fails.
     """
-    result = mle_batch(FrameStack.one(frame), [init.as_vector()], max_iters)[0]
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    return mle_batch(FrameStack.one(frame), [init.as_vector()], max_iters).report(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +205,7 @@ def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, c_tau: np.ndarr
     return G / var[..., None], h / var, ok
 
 
-def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult | EstimationError]:
+def tswls_static_batch(stack: FrameStack) -> tuple[np.ndarray, np.ndarray, dict[int, EstimationError]]:
     """Static two-step solver on every frame of a stack: unknowns ``[p, T, theta1]``.
 
     Row m of the linear stage is ``[2*p_hat_m, -2*alpha_hat_m, 1]`` against
@@ -218,8 +214,10 @@ def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult | Estimation
     ``[p, T]``.  Solves use explicit normal equations on purpose - under a
     large target clock offset those become numerically unusable.
 
-    Returns one entry per frame, in order: its :class:`StaticTswlsResult`,
-    or the :class:`EstimationError` that stopped it alone -
+    Returns the columns ``(z, covariance, errors)``: per frame its
+    ``[px, py, T]`` ``z (N, 3)`` and their covariance ``(N, 3, 3)``, NaN in
+    the rows of failed frames, and ``errors``, which maps each failed frame
+    to the :class:`EstimationError` that stopped it alone -
     :class:`UnderdeterminedError` for every frame if there are fewer than 4
     broadcasts, and :class:`ConditioningError` for an ill-conditioned normal
     matrix of either pass or of the refinement, a singular static error
@@ -228,12 +226,12 @@ def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult | Estimation
     """
     N, M = stack.t.shape
     if M < 4:
-        return [UnderdeterminedError(f"static solver needs M >= 4 broadcasts, got M = {M}") for _ in range(N)]
-    out: list = [None] * N
+        errors = {n: UnderdeterminedError(f"static solver needs M >= 4 broadcasts, got M = {M}") for n in range(N)}
+        return np.full((N, 3), np.nan), np.full((N, 3, 3), np.nan), errors
+    errors: dict[int, EstimationError] = {}
 
-    def fail(frames, message: str):
-        for i in frames:
-            out[i] = ConditioningError(message)
+    def fail(frames: np.ndarray, message: str):
+        errors.update((i, ConditioningError(message)) for i in frames.tolist())
 
     p_hat, alpha = stack.p_hat, stack.alpha
     G = np.empty((N, M, 4))
@@ -274,11 +272,7 @@ def tswls_static_batch(stack: FrameStack) -> list[StaticTswlsResult | Estimation
 
     finite = np.isfinite(z).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
     fail(live[~finite], "non-finite solution")
-    for i, zi, ci in zip(live[finite], z[finite], cov[finite]):
-        pos = zi[0:2].copy()
-        pos.setflags(write=False)
-        out[i] = StaticTswlsResult(position=pos, offset=float(zi[2]), covariance=ci)
-    return out
+    return (*_scatter(N, live[finite], z[finite], cov[finite]), errors)
 
 
 def tswls_static_estimate(frame: ObservedFrame) -> StaticTswlsResult:
@@ -289,7 +283,9 @@ def tswls_static_estimate(frame: ObservedFrame) -> StaticTswlsResult:
     EstimationError
         The frame's failure (see :func:`tswls_static_batch`).
     """
-    result = tswls_static_batch(FrameStack.one(frame))[0]
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    z, covariance, errors = tswls_static_batch(FrameStack.one(frame))
+    if errors:
+        raise errors[0]
+    position = z[0, 0:2]
+    position.setflags(write=False)
+    return StaticTswlsResult(position=position, offset=float(z[0, 2]), covariance=covariance[0])

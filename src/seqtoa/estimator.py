@@ -32,15 +32,18 @@ properly weighted using error statistics evaluated at that state.
 
 Batch API: :class:`FrameStack` holds N frames of M broadcasts as stacked
 arrays and :func:`estimate_batch` runs the pipeline on all of them at once.
-Every frame keeps its own iteration count and its own failure record, so one
-bad frame does not fail the others; the kernels gather the frames still in
-play only after one has dropped out.  Each kernel says once whether every
-frame passed its check (``None`` for all of them), so a batch of one makes no
-call that only a larger stack needs, and a frame's report is the same bytes
-in any stack.  LAPACK (two ``qr_r_raw``, two ``solve`` and one ``dgelsd`` per
-retraction step) is 13-18% of one M = 10 frame's :func:`estimate`; the rest
-is numpy's per-call overhead on 9x6 to 10x10 arrays.  With its parse and its
-report, such a frame takes about 240 us on the 2-core reference host.
+It returns :class:`Estimates`, columns with a row per frame; a failed
+frame's row holds NaN and its :class:`EstimationError` goes in ``errors``,
+the one per-frame object built.  Every frame keeps its own iteration count
+and failure record, so one bad frame does not fail the others; the kernels
+gather the frames still in play only after one has dropped out.  Each kernel
+says once whether every frame passed its check (``None`` for all of them),
+so a batch of one makes no call that only a larger stack needs, and a
+frame's row is the same bytes in any stack.  LAPACK (two ``qr_r_raw``, two
+``solve`` and one ``dgelsd`` per retraction step) is 13-18% of one M = 10
+frame's :func:`estimate`; the rest is numpy's per-call overhead on 9x6 to
+10x10 arrays.  With its parse and its report, such a frame takes about
+240 us on the 2-core reference host.
 
 The kernels call numpy's LAPACK gufuncs
 (``qr_r_raw``, ``solve``, ``lstsq``) directly, without the ``np.linalg``
@@ -52,7 +55,7 @@ conditioning or finiteness check, so a LAPACK failure becomes that frame's
 :class:`DegenerateGeometryError` (rank 0), and no ``RuntimeWarning`` escapes.
 There is one code path: :func:`estimate` is :func:`estimate_batch` on a
 batch of one, whose stack views the frame's own read-only arrays instead of
-copying them.
+copying them, and ``report(0)`` builds its :class:`EstimateReport` from row 0.
 :func:`build_design`, :func:`build_error_model`, :func:`solve_wls_qr` and
 :func:`gauss_newton_refine` are single-frame wrappers over the same kernels.
 :func:`solve_wls_qr` accepts any ``C_e``; :func:`whitening_matrix` whitens a
@@ -153,6 +156,60 @@ class EstimateReport:
     C_wls: np.ndarray | None = None
     estimator_id: str = "proposed"
     diverged: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class Estimates:
+    """Per-frame results of a stack, as columns; row n belongs to frame n.
+
+    ``errors`` maps each failed row, and only those, to the
+    :class:`EstimationError` that stopped it.  A failed row holds NaN in
+    ``x``, ``cond`` and ``C_wls``, 0 iterations and False flags.  ``cond``
+    and ``C_wls`` are :func:`estimate_batch`'s pass-2 diagnostics and
+    ``diverged`` is the MLE's flag; each is ``None`` for the other estimator.
+    """
+
+    x: np.ndarray  # (N, 6)
+    iterations: np.ndarray  # (N,)
+    converged: np.ndarray  # (N,)
+    errors: dict[int, EstimationError]
+    cond: np.ndarray | None = None  # (N,)
+    C_wls: np.ndarray | None = None  # (N, 9, 9)
+    diverged: np.ndarray | None = None  # (N,)
+
+    @property
+    def ok(self) -> np.ndarray:
+        """``(N,)`` mask of the rows without an error."""
+        ok = np.ones(len(self.x), dtype=bool)
+        ok[list(self.errors)] = False
+        return ok
+
+    def report(self, n: int) -> EstimateReport:
+        """Row n's :class:`EstimateReport`, or raise its error."""
+        if n in self.errors:
+            raise self.errors[n]
+        mle = self.diverged is not None
+        return EstimateReport(
+            x_hat=TargetState.from_vector(self.x[n]),
+            iterations=int(self.iterations[n]),
+            converged=bool(self.converged[n]),
+            cond_estimate=float("nan") if mle else float(self.cond[n]),
+            C_wls=None if mle else self.C_wls[n],
+            estimator_id="mle" if mle else "proposed",
+            diverged=mle and bool(self.diverged[n]),
+        )
+
+
+def _scatter(N: int, rows: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(N, ...)`` columns holding ``columns`` in the sorted, distinct
+    ``rows`` and NaN (0 or False for counts and flags) in the others; the
+    columns themselves when ``rows`` are all N."""
+    if rows.size == N:
+        return columns
+    full = tuple(np.full((N, *c.shape[1:]), np.nan if c.dtype.kind == "f" else 0, c.dtype) for c in columns)
+    for f, c in zip(full, columns):
+        f[rows] = c
+    return full
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,63 +503,54 @@ def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.nd
 
 
 @_LAPACK_ERRSTATE
-def estimate_batch(stack: FrameStack) -> list[EstimateReport | EstimationError]:
+def estimate_batch(stack: FrameStack) -> Estimates:
     """Full two-pass pipeline for every frame of a stack.
 
     Pass 1 solves with identity weights to get a crude state; pass 2
     evaluates the error statistics there, re-solves, and runs the
-    Gauss-Newton retraction.  Returns one entry per frame, in order: its
-    :class:`EstimateReport`, carrying the pass-2 conditioning diagnostics, or
-    the :class:`EstimationError` that stopped it.  A LAPACK factorization
-    that fails on one frame becomes that frame's error; no ``LinAlgError``
-    or ``RuntimeWarning`` escapes.
+    Gauss-Newton retraction.  Returns the frames' :class:`Estimates`, with
+    the pass-2 conditioning diagnostics ``cond`` and ``C_wls``; a frame that
+    fails has the :class:`EstimationError` that stopped it in ``errors``.  A
+    LAPACK factorization that fails on one frame becomes that frame's error;
+    no ``LinAlgError`` or ``RuntimeWarning`` escapes.
     """
     N, M = stack.t.shape
     if M < N_THETA:
-        return [_underdetermined_error(M) for _ in range(N)]
-    out: list = [None] * N
+        errors = {n: _underdetermined_error(M) for n in range(N)}
+        return Estimates(np.full((N, 6), np.nan), np.zeros(N, int), np.zeros(N, bool), errors,
+                         np.full(N, np.nan), np.full((N, N_THETA, N_THETA), np.nan))
+    errors: dict[int, EstimationError] = {}
     live = np.arange(N)  # the frames still in play; arrays are gathered only once one drops out
     A, y = _design(stack.t, stack.p_hat, stack.alpha)
 
     # pass 1: identity weights
     ok, ranks, R, z, scale, _, _ = _qr_factor(A, y)
     if ok is not None:
-        for i, rk in zip(live[~ok], ranks):
-            out[i] = _rank_error(rk)
+        errors.update(zip(live[~ok].tolist(), map(_rank_error, ranks)))
         live, A, y = live[ok], A[ok], y[ok]
     x1 = _umath_linalg.solve(R, z, signature="dd->d")[..., :6, 0] / scale[:, :6]
 
     # pass 2: weights from the error statistics at the pass-1 state
     WA, Wy, ok = _pass2_whitened(stack, live, A, y, x1)
     if ok is not None:
-        for i in live[~ok]:
-            out[i] = ConditioningError(_SINGULAR_CE)
+        errors.update((i, ConditioningError(_SINGULAR_CE)) for i in live[~ok].tolist())
         live = live[ok]
 
     ok, ranks, R, z, scale, r_max, r_min = _qr_factor(WA, Wy)
     if ok is not None:
-        for i, rk in zip(live[~ok], ranks):
-            out[i] = _rank_error(rk)
+        errors.update(zip(live[~ok].tolist(), map(_rank_error, ranks)))
         live = live[ok]
     theta, C_wls, K, cond = _wls_solutions(R, z, scale, r_max, r_min)
 
     blocks = stack.blocks if live.size == N else stack.blocks[live]
     traces = blocks[:, :, 0, 0] + blocks[:, :, 1, 1]
     x, iterations, converged, gn_rank = _retract(theta, K, traces.sum(axis=-1) / M)
-    # Python scalars once per column, not a numpy scalar per field
-    iterations, converged, cond, gn_rank = iterations.tolist(), converged.tolist(), cond.tolist(), gn_rank.tolist()
-    for j, i in enumerate(live.tolist()):
-        if gn_rank[j] < 6:
-            out[i] = _retraction_error(gn_rank[j])
-            continue
-        out[i] = EstimateReport(
-            x_hat=TargetState.from_vector(x[j]),
-            iterations=iterations[j],
-            converged=converged[j],
-            cond_estimate=cond[j],
-            C_wls=C_wls[j],
-        )
-    return out
+    if min(gn_rank.tolist(), default=6) < 6:  # on a batch of one, a numpy reduction costs 5x a Python min
+        ok = gn_rank == 6
+        errors.update(zip(live[~ok].tolist(), map(_retraction_error, gn_rank[~ok].tolist())))
+        live, x, iterations, converged, cond, C_wls = live[ok], x[ok], iterations[ok], converged[ok], cond[ok], C_wls[ok]
+    x, iterations, converged, cond, C_wls = _scatter(N, live, x, iterations, converged, cond, C_wls)
+    return Estimates(x, iterations, converged, errors, cond, C_wls)
 
 
 def estimate(frame: ObservedFrame) -> EstimateReport:
@@ -516,10 +564,7 @@ def estimate(frame: ObservedFrame) -> EstimateReport:
         :class:`ConditioningError` for a singular ``C_e``, or
         :class:`DegenerateGeometryError` from the retraction.
     """
-    result = estimate_batch(FrameStack.one(frame))[0]
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    return estimate_batch(FrameStack.one(frame)).report(0)
 
 
 # --- single-frame stages ----------------------------------------------------

@@ -30,18 +30,20 @@ all its frames, the static solver
 (:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
 (:func:`~seqtoa.baselines.mle_batch`) and the CRLB
 (:func:`~seqtoa.analysis.crlb_columns`) then run once per chunk, stacked
-over its trials; no per-trial :class:`Scenario` is built.  The chunk's
-observed and noise columns are checked finite once and made read-only.
-The proposed estimator runs one frame at a time, through
+over its trials, and return columns, NaN where a trial failed; no per-trial
+:class:`Scenario`, report or result is built.  The chunk's observed and
+noise columns are checked finite once and made read-only.  The proposed
+estimator runs one frame at a time, through
 :func:`~seqtoa.estimator.estimate` on an :class:`ObservedFrame` whose
 arrays are read-only row views of those columns: the benchmark checks that
 a sweep notices a dropped second pass by replacing that function, so a
 stacked call would escape the check until the check moves.  A chunk's
-outcomes are columns as well: per estimator a success mask and the errors
-of its estimates, and for the CRLB a mask and the per-block traces
-(:func:`_run_chunk`).  The chunks' columns are joined into one table of
-the run, and each cell is reduced to :class:`TrialStats` from its rows, in
-trial order.  The whole run is on the calling thread.
+outcomes are columns as well, read from the stages' columns as they are:
+per estimator a success mask and the errors of its estimates, and for the
+CRLB a mask and the per-block traces (:func:`_run_chunk`).  The chunks'
+columns are joined into one table of the run, and each cell is reduced to
+:class:`TrialStats` from its rows, in trial order.  The whole run is on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -521,33 +523,32 @@ def _run_chunk(spec: ExperimentSpec, units) -> dict[str, tuple[np.ndarray, np.nd
     Returns ``(ok, values)`` columns in unit order: for each estimator id its
     success mask ``ok (N,)`` and errors ``(N, 6)``, and for ``"crlb"`` its
     mask and per-block traces ``(N, 4)``.  Rows that are not ``ok`` hold no
-    result.  Every stacked stage returns, per trial, its result or the
-    :class:`EstimationError` that stopped it; a trial is ``ok`` when its
-    stage returned no error, its estimate is finite, and the MLE did not
-    diverge.
+    result.  Every stacked stage returns columns, NaN in the rows of the
+    trials it failed; a trial is ``ok`` when its estimate is finite and the
+    MLE did not diverge, and a CRLB is ``ok`` when it has no error.
     """
     chunk = _draw_chunk(spec, units)
     s, N = chunk.stack, len(units)
-    x_hat = {est_id: np.full((N, 6), np.nan) for est_id in spec.estimators}  # NaN where a trial failed
-    if "proposed" in x_hat:
+    x_hat = {}  # NaN where a trial failed
+    if "proposed" in spec.estimators:
+        x_hat["proposed"] = np.full((N, 6), np.nan)
         for k in range(N):
             try:
                 x_hat["proposed"][k] = estimator.estimate(chunk.frame(k)).x_hat.as_vector()
             except EstimationError:
                 pass
-    if "tswls_static" in x_hat:
-        for k, r in enumerate(baselines.tswls_static_batch(s)):
-            if not isinstance(r, EstimationError):
-                x_hat["tswls_static"][k] = (r.position[0], r.position[1], 0.0, 0.0, r.offset, 0.0)
-    if "mle" in x_hat:
-        for k, r in enumerate(baselines.mle_batch(s, chunk.inits, spec.mle_max_iters)):
-            if not (isinstance(r, EstimationError) or r.diverged):
-                x_hat["mle"][k] = r.x_hat.as_vector()
+    if "tswls_static" in spec.estimators:
+        x_hat["tswls_static"] = np.zeros((N, 6))  # the static solver's velocity and skew are zero
+        x_hat["tswls_static"][:, [0, 1, 4]] = baselines.tswls_static_batch(s)[0]
+    if "mle" in spec.estimators:
+        mle = baselines.mle_batch(s, chunk.inits, spec.mle_max_iters)
+        x_hat["mle"] = np.where(mle.diverged[:, None], np.nan, mle.x)
     columns = {est_id: (np.isfinite(x).all(axis=1), x - chunk.x) for est_id, x in x_hat.items()}
 
-    crlb = analysis.crlb_columns(chunk.x, s.t, chunk.p_m, s.c_tau, s.blocks)
-    ok = np.array([not isinstance(r, EstimationError) for r in crlb])
-    diag = np.array([np.diag(r[0]) if good else np.full(6, np.nan) for r, good in zip(crlb, ok)])
+    crlb_x, _, failed = analysis.crlb_columns(chunk.x, s.t, chunk.p_m, s.c_tau, s.blocks)
+    ok = np.ones(N, dtype=bool)
+    ok[list(failed)] = False
+    diag = crlb_x.diagonal(axis1=1, axis2=2)
     columns["crlb"] = (ok, np.add.reduceat(diag, [b.start for b in _BLOCK_SLICES.values()], axis=1))
     return columns
 

@@ -337,8 +337,8 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
     (see :class:`ExperimentSpec`).  A value that :class:`ExperimentSpec`
     rejects is reported under its field's path where it names one
     (``experiment.sweep_values[1]``), else under ``experiment``.  A key it
-    does not read, at the top level or under ``topology.random``, is an
-    error under its own path.
+    does not read, at the top level, beside ``topology.random`` or under it,
+    is an error under its own path.
     """
     scheme =_get(d, "scheme", "experiment")
     _check_keys(d, _FIELDS["experiment"], "experiment")
@@ -357,7 +357,8 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
         if traw == "fixed" or traw is None:
             topology = None
         elif isinstance(traw, dict) and "random" in traw:
-            braw = traw["random"] or {}
+            _check_keys(traw, {"random": None}, "experiment.topology")
+            braw = traw["random"]
             if not isinstance(braw, dict):
                 raise SchemaError("experiment.topology.random", "expected an object of bounds")
             _check_keys(braw, _FIELDS["experiment"]["topology"]["random"], "experiment.topology.random")

@@ -99,3 +99,13 @@ SWEEP_POINTS = st.one_of(
     st.tuples(st.just("ltco"), st.sampled_from(LTCO_OFFSETS)),
     st.tuples(st.just("random"), st.sampled_from((-30.0, -20.5, -10.0))),
 )
+
+
+#: the message of each path in the unread-key tests' cases that is not an unread key
+UNREAD_MESSAGES = {"experiment.topology.random": "expected an object of bounds"}
+
+
+def entries(estimates):
+    """The per-frame entries of :class:`~seqtoa.estimator.Estimates`: each
+    row's report, or the error that stopped it."""
+    return [estimates.errors.get(n) or estimates.report(n) for n in range(len(estimates.x))]

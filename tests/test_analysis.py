@@ -17,7 +17,6 @@ from seqtoa import (
     Scenario,
     TargetState,
     analytic_cov,
-    crlb_batch,
     crlb_target,
     estimate,
     fim_blocks,
@@ -25,6 +24,8 @@ from seqtoa import (
     simulate_frame,
     toa_gradients,
 )
+
+from seqtoa.analysis import crlb_columns
 
 from conftest import C, SWEEP_POINTS, anisotropic_scenario, random_scenario, random_state, sweep_scenario
 
@@ -197,6 +198,25 @@ def with_noise(scenario: Scenario, C_tau=None, C_beta=None) -> Scenario:
     return dataclasses.replace(scenario, noise=noise)
 
 
+def stacked_crlb(scenarios):
+    """:func:`crlb_columns` on the stacked arrays of ``scenarios``."""
+    return crlb_columns(
+        np.array([s.target.as_vector() for s in scenarios]),
+        np.array([s.agents.t for s in scenarios]),
+        np.array([s.agents.p_m for s in scenarios]),
+        np.array([s.noise.c_tau for s in scenarios]),
+        np.array([s.noise.blocks for s in scenarios]),
+    )
+
+
+def crlb_entries(scenarios) -> list:
+    """:func:`stacked_crlb` as per-scenario entries: each scenario's
+    :class:`CrlbResult`, or the error that stopped it."""
+    crlb_x, information, errors = stacked_crlb(scenarios)
+    return [errors.get(n) or CrlbResult(crlb_x=crlb_x[n], information=information[n], scenario=s)
+            for n, s in enumerate(scenarios)]
+
+
 def rel(a, b) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
@@ -215,7 +235,7 @@ class TestCrlbBatch:
             coincident_scenario(seed) if kind == "coincident" else sweep_scenario(kind, value, seed)
             for (kind, value), seed in draws
         ]
-        for scenario, got in zip(scenarios, crlb_batch(scenarios)):
+        for scenario, got in zip(scenarios, crlb_entries(scenarios)):
             try:
                 want = crlb_target(scenario)
             except EstimationError as exc:
@@ -252,16 +272,24 @@ class TestCrlbBatch:
             (DegenerateGeometryError, collinear),
             (ConditioningError, far),
         ]
-        alone = crlb_batch(good)
+        alone = crlb_entries(good)
         for error, scenario in bad:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an overflow warning would surface as an exception
-                results = crlb_batch([good[0], good[1], scenario, good[2], good[3]])
+                results = crlb_entries([good[0], good[1], scenario, good[2], good[3]])
             assert type(results[2]) is error
             for got, want in zip([*results[:2], *results[3:]], alone):
                 assert np.array_equal(got.crlb_x, want.crlb_x)
-        assert "singular" in str(crlb_batch([collinear])[0])
-        assert "overflows" in str(crlb_batch([far])[0])
+        assert "singular" in str(crlb_entries([collinear])[0])
+        assert "overflows" in str(crlb_entries([far])[0])
+
+    def test_failed_rows_hold_nan(self):
+        good = sweep_scenario("random", -20.5, 0)
+        crlb_x, information, errors = stacked_crlb([good, coincident_scenario(7), good])
+        [(row, error)] = errors.items()
+        assert type(row) is int and row == 1 and isinstance(error, DegenerateGeometryError)
+        assert np.isnan(crlb_x[1]).all() and np.isnan(information[1]).all()
+        assert np.array_equal(crlb_x[0], crlb_target(good).crlb_x) and np.array_equal(crlb_x[2], crlb_x[0])
 
     def test_full_fim_built_on_first_read(self):
         res = crlb_target(sweep_scenario("noise", -20.5, 0))
@@ -269,10 +297,6 @@ class TestCrlbBatch:
         blocks = fim_blocks(res.scenario)
         assert np.array_equal(res.full_fim, np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]]))
         assert res.full_fim is res.full_fim
-
-    def test_mixed_agent_counts_rejected(self):
-        with pytest.raises(ValueError, match="same number"):
-            crlb_batch([random_scenario(np.random.default_rng(0), M=10), random_scenario(np.random.default_rng(0), M=9)])
 
 
 class TestAnalyticCov:

@@ -13,6 +13,7 @@ from seqtoa import (
     FrameStack,
     NoiseSpec,
     Scenario,
+    StaticTswlsResult,
     TargetState,
     DegenerateGeometryError,
     EstimationError,
@@ -29,7 +30,7 @@ from seqtoa import (
 from seqtoa import estimator, montecarlo
 from seqtoa.model import C_LIGHT
 
-from conftest import SWEEP_POINTS, anisotropic_scenario, random_scenario, sweep_scenario
+from conftest import SWEEP_POINTS, anisotropic_scenario, entries, random_scenario, sweep_scenario
 
 ROUGH_INIT_SCALE = np.array([100.0, 100.0, 20.0, 20.0, 500.0, 100.0])
 
@@ -170,7 +171,7 @@ class TestTswlsStatic:
             noise=NoiseSpec.isotropic(1e-3, 1e-3, n_agents=M),
         )
         frame = exact_frame(scenario)
-        [res] = tswls_static_batch(FrameStack.one(frame))
+        [res] = static_entries(tswls_static_batch(FrameStack.one(frame)))
         assert isinstance(res, ConditioningError)
         assert str(res)
         with pytest.raises(ConditioningError) as raised:
@@ -227,6 +228,14 @@ def static_reference(frame):
     return z, np.linalg.inv(N_s)
 
 
+def static_entries(columns):
+    """The per-frame entries of :func:`tswls_static_batch`'s columns: each
+    frame's :class:`StaticTswlsResult`, or the error that stopped it."""
+    z, covariance, errors = columns
+    return [errors.get(n) or StaticTswlsResult(position=z[n, 0:2], offset=float(z[n, 2]), covariance=covariance[n])
+            for n in range(len(z))]
+
+
 def static_state(res):
     return np.array([*res.position, res.offset])
 
@@ -255,7 +264,7 @@ class TestTswlsStaticBatch:
     @given(st.lists(st.tuples(SWEEP_POINTS, st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
     def test_each_frame_matches_its_batch_of_one(self, draws):
         frames = [simulate_frame(sweep_scenario(kind, value, seed), seed) for (kind, value), seed in draws]
-        for frame, got in zip(frames, tswls_static_batch(FrameStack.of(frames))):
+        for frame, got in zip(frames, static_entries(tswls_static_batch(FrameStack.of(frames)))):
             assert_same_result(got, static_alone(frame), 1e-12)
 
     def test_matches_reference(self):
@@ -264,7 +273,7 @@ class TestTswlsStaticBatch:
             scenarios = [anisotropic_scenario(seed) if kind == "anisotropic" else sweep_scenario(kind, value, seed)
                          for seed in range(20)]
             frames = [simulate_frame(scenario, seed) for seed, scenario in enumerate(scenarios)]
-            for frame, got in zip(frames, tswls_static_batch(FrameStack.of(frames))):
+            for frame, got in zip(frames, static_entries(tswls_static_batch(FrameStack.of(frames)))):
                 want = static_reference(frame)
                 if isinstance(want, str):
                     assert isinstance(got, ConditioningError) and str(got) == want
@@ -276,20 +285,22 @@ class TestTswlsStaticBatch:
     def test_bad_frame_fails_alone(self):
         good = [simulate_frame(sweep_scenario("noise", -20.0, k), k) for k in range(4)]
         ltco = simulate_frame(sweep_scenario("ltco", 1e-3 * C_LIGHT, 9), 9)
-        alone = tswls_static_batch(FrameStack.of(good))
+        alone = static_entries(tswls_static_batch(FrameStack.of(good)))
         for bad, message in [
             (singular_error_frame(5), "static error covariance singular"),
             (ltco, "first-pass normal matrix ill-conditioned"),
         ]:
             assert static_reference(bad) == message
-            results = tswls_static_batch(FrameStack.of([good[0], bad, *good[1:]]))
+            results = static_entries(tswls_static_batch(FrameStack.of([good[0], bad, *good[1:]])))
             assert isinstance(results[1], ConditioningError) and str(results[1]) == message
             for got, want in zip([results[0], *results[2:]], alone):
                 assert_same_result(got, want, 0.0)
 
     def test_underdetermined_stack_fails_every_frame(self):
         frame = exact_frame(random_scenario(np.random.default_rng(0), M=3))
-        results = tswls_static_batch(FrameStack.of([frame, frame]))
+        z, covariance, errors = columns = tswls_static_batch(FrameStack.of([frame, frame]))
+        assert np.isnan(z).all() and np.isnan(covariance).all() and list(errors) == [0, 1]
+        results = static_entries(columns)
         assert len(results) == 2
         assert all(isinstance(r, UnderdeterminedError) and "M >= 4" in str(r) for r in results)
         with pytest.raises(UnderdeterminedError, match="4"):
@@ -379,7 +390,7 @@ class TestMleBatch:
     def test_each_frame_matches_the_per_frame_algorithm(self, draws, max_iters):
         cases = [mle_case(kind, value, seed, rough) for (kind, value), seed, rough in draws]
         frames, inits = zip(*cases)
-        for (frame, init), got in zip(cases, mle_batch(FrameStack.of(frames), inits, max_iters)):
+        for (frame, init), got in zip(cases, entries(mle_batch(FrameStack.of(frames), inits, max_iters))):
             assert_mle_equal(got, mle_reference(frame, init, max_iters))
 
     def test_matches_reference_on_every_outcome(self):
@@ -389,13 +400,13 @@ class TestMleBatch:
         want = [mle_reference(f, x, 20) for f, x in cases]
         outcomes = {(w[2], w[3]) for w in want}
         assert {(True, False), (False, True), (False, False)} <= outcomes  # converged, diverged, at the cap
-        for got, w in zip(mle_batch(FrameStack.of(frames), inits, 20), want):
+        for got, w in zip(entries(mle_batch(FrameStack.of(frames), inits, 20)), want):
             assert_mle_equal(got, w)
 
     def test_bad_frame_fails_alone(self, fixed_scenario):
         cases = [mle_case("noise", -20.0, k, False) for k in range(4)]
         frames, inits = zip(*cases)
-        alone = mle_batch(FrameStack.of(frames), inits)
+        alone = entries(mle_batch(FrameStack.of(frames), inits))
         on_agent = simulate_frame(fixed_scenario, 3)
         init = fixed_scenario.target.as_vector()
         init[0:2] = on_agent.p_hat[0]  # agent 0 broadcasts at slot time 0
@@ -404,17 +415,30 @@ class TestMleBatch:
             (on_agent, init, "coincides with an agent"),
             (exact_frame(flat), flat.target.as_vector(), "rank deficient"),
         ]:
-            results = mle_batch(FrameStack.of([frames[0], frame, *frames[1:]]), [inits[0], x0, *inits[1:]])
+            results = entries(mle_batch(FrameStack.of([frames[0], frame, *frames[1:]]), [inits[0], x0, *inits[1:]]))
             assert isinstance(results[1], DegenerateGeometryError) and message in str(results[1])
             assert_mle_equal(results[1], mle_reference(frame, x0))
             for got, want in zip([results[0], *results[2:]], alone):
                 assert np.array_equal(got.x_hat.as_vector(), want.x_hat.as_vector())
                 assert (got.iterations, got.converged, got.diverged) == (want.iterations, want.converged, want.diverged)
 
+    def test_failed_rows_hold_nan(self, fixed_scenario):
+        (f0, x0), (f1, x1) = (mle_case("noise", -20.0, k, False) for k in range(2))
+        on_agent = simulate_frame(fixed_scenario, 3)
+        init = fixed_scenario.target.as_vector()
+        init[0:2] = on_agent.p_hat[0]
+        batch = mle_batch(FrameStack.of([f0, on_agent, f1]), [x0, init, x1])
+        [(row, error)] = batch.errors.items()
+        assert type(row) is int and row == 1 and isinstance(error, DegenerateGeometryError)
+        assert batch.ok.tolist() == [True, False, True] and batch.cond is None and batch.C_wls is None
+        assert np.isnan(batch.x[1]).all()
+        assert (batch.iterations[1], batch.converged[1], batch.diverged[1]) == (0, False, False)
+        assert np.isfinite(batch.x[[0, 2]]).all()
+
     def test_underdetermined_frames_get_records(self):
         scenario = random_scenario(np.random.default_rng(0), M=5)
         frame = simulate_frame(scenario, 0)
-        results = mle_batch(FrameStack.of([frame, frame, frame]), [scenario.target.as_vector()] * 3)
+        results = entries(mle_batch(FrameStack.of([frame, frame, frame]), [scenario.target.as_vector()] * 3))
         assert len(results) == 3
         assert all(isinstance(r, UnderdeterminedError) and "M = 5" in str(r) for r in results)
 
@@ -427,7 +451,7 @@ class TestMleFailedSolve:
         # solution and the FP-invalid flag
         cases = [mle_case(kind, value, k, False) for k, (kind, value) in enumerate(
             [("noise", -20.0), ("ltco", 2997.9), ("random", -20.5), ("noise", -50.0)])]
-        alone = [mle_batch(FrameStack.one(frame), [init])[0] for frame, init in cases]
+        alone = [entries(mle_batch(FrameStack.one(frame), [init]))[0] for frame, init in cases]
         lstsq, calls = estimator._umath_linalg.lstsq, []
 
         def failing(*args, **kwargs):
@@ -440,7 +464,7 @@ class TestMleFailedSolve:
 
         monkeypatch.setattr(estimator, "_umath_linalg", types.SimpleNamespace(lstsq=failing))
         frames, inits = zip(*cases)
-        results = mle_batch(FrameStack.of(frames), inits)
+        results = entries(mle_batch(FrameStack.of(frames), inits))
         assert calls[0] == 4 and len(calls) > 1
         assert type(results[2]) is EstimationError
         assert str(results[2]) == "Gauss-Newton least-squares solve failed (LAPACK dgelsd did not converge)"
@@ -459,13 +483,13 @@ class TestMleFailedSolve:
         c_tau, tau = chunk.stack.c_tau.copy(), chunk.stack.tau.copy()
         c_tau[1, 0] = 0.0
         tau[4, 2] = np.nan
-        results = mle_batch(dataclasses.replace(chunk.stack, c_tau=c_tau, tau=tau), chunk.inits)
+        results = entries(mle_batch(dataclasses.replace(chunk.stack, c_tau=c_tau, tau=tau), chunk.inits))
         assert capfd.readouterr() == ("", "")
         for k in (1, 4):
             assert type(results[k]) is EstimationError
             assert str(results[k]) == "Gauss-Newton least-squares solve failed (the weighted system is not finite)"
         for k in (0, 2, 3, 5, 6, 7):
-            alone = mle_batch(FrameStack.of([chunk.frame(k)]), chunk.inits[k : k + 1])[0]
+            alone = entries(mle_batch(FrameStack.of([chunk.frame(k)]), chunk.inits[k : k + 1]))[0]
             got = results[k]
             assert got.x_hat.as_vector().tobytes() == alone.x_hat.as_vector().tobytes()
             assert (got.iterations, got.converged, got.diverged) == (alone.iterations, alone.converged, alone.diverged)

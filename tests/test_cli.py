@@ -16,6 +16,8 @@ from seqtoa import NoiseSpec, Scenario, crlb_target, estimator, exact_frame, fix
 from seqtoa.cli import main
 from seqtoa.serialize import experiment_spec_from_dict, frame_to_dict, scenario_to_dict
 
+from conftest import UNREAD_MESSAGES
+
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
 #: the shipped experiment specs and the benchmark's sweep workloads
@@ -337,6 +339,11 @@ class TestExperimentCommand:
             ("scheme1_noise_sweep.json", {"mle_max_iter": 3}, "experiment.mle_max_iter"),
             ("scheme3_random_topology.json", {"topology": {"random": {"n_agent": 8}}},
              "experiment.topology.random.n_agent"),
+            ("scheme3_random_topology.json", {"topology": {"random": {}, "n_agents": 6}}, "experiment.topology.n_agents"),
+            ("scheme3_random_topology.json", {"topology": {"random": {"n_agents": 6}, "agents": []}},
+             "experiment.topology.agents"),
+            *(("scheme3_random_topology.json", {"topology": {"random": value}}, "experiment.topology.random")
+              for value in ([], 0, False, None)),
         ],
     )
     def test_unread_key_exits_1(self, config, edit, path, tmp_path, capsys):
@@ -344,7 +351,7 @@ class TestExperimentCommand:
         spec, out = tmp_path / "exp.json", tmp_path / "o.csv"
         spec.write_text(json.dumps(doc))
         assert main(["experiment", "--input", str(spec), "--output", str(out)]) == 1
-        assert f"{path}: not a field of the experiment schema" in capsys.readouterr().err
+        assert f"{path}: {UNREAD_MESSAGES.get(path, 'not a field of the experiment schema')}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_thread_count_does_not_change_csvs(self, tmp_path):

@@ -42,7 +42,7 @@ from seqtoa import cli, estimator, serialize
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS as SCHEME_POINTS
-from conftest import anisotropic_scenario, random_scenario, random_state, sweep_scenario
+from conftest import anisotropic_scenario, entries, random_scenario, random_state, sweep_scenario
 
 # every estimator path, failures included, must run without a RuntimeWarning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -452,7 +452,7 @@ class TestEstimateBatch:
         # bit for bit: the kernels' shortcuts for a stack where no frame drops
         # out must give what the gathering paths give
         frames = [sweep_frame(kind, value, seed) for (kind, value), seed in draws]
-        for frame, got in zip(frames, estimate_batch(FrameStack.of(frames))):
+        for frame, got in zip(frames, entries(estimate_batch(FrameStack.of(frames)))):
             try:
                 want = estimate(frame)
             except EstimationError as exc:
@@ -469,16 +469,29 @@ class TestEstimateBatch:
         good = [simulate_frame(fixed_scenario, k) for k in range(3)]
         # all slot times equal: the velocity and skew columns vanish
         bad = frame_from_rows([(0.0, 30.0 + m, (float(3 * m), float(m**2 % 7)), 0.1) for m in range(10)])
-        results = estimate_batch(FrameStack.of([good[0], bad, good[1], good[2]]))
+        results = entries(estimate_batch(FrameStack.of([good[0], bad, good[1], good[2]])))
         assert isinstance(results[1], RankDeficiencyError)
         assert results[1].numerical_rank < 9
-        for got, want in zip([results[0], *results[2:]], estimate_batch(FrameStack.of(good))):
+        for got, want in zip([results[0], *results[2:]], entries(estimate_batch(FrameStack.of(good)))):
             assert np.array_equal(got.x_hat.as_vector(), want.x_hat.as_vector())
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
+    def test_failed_rows_hold_nan(self, fixed_scenario):
+        good = [simulate_frame(fixed_scenario, k) for k in range(2)]
+        bad = frame_from_rows([(0.0, 30.0 + m, (float(3 * m), float(m**2 % 7)), 0.1) for m in range(10)])
+        batch = estimate_batch(FrameStack.of([good[0], bad, good[1]]))
+        [(row, error)] = batch.errors.items()
+        assert type(row) is int and row == 1 and isinstance(error, RankDeficiencyError)
+        assert batch.ok.tolist() == [True, False, True] and batch.diverged is None
+        assert np.isnan(batch.x[1]).all() and np.isnan(batch.cond[1]) and np.isnan(batch.C_wls[1]).all()
+        assert (batch.iterations[1], batch.converged[1]) == (0, False)
+        assert np.isfinite(batch.x[[0, 2]]).all() and np.isfinite(batch.C_wls[[0, 2]]).all()
+        with pytest.raises(RankDeficiencyError):
+            batch.report(1)
+
     def test_underdetermined_stack(self):
         frame = frame_from_rows([(0.05 * m, 10.0, (1.0, 2.0), 0.0) for m in range(8)])
-        results = estimate_batch(FrameStack.of([frame, frame]))
+        results = entries(estimate_batch(FrameStack.of([frame, frame])))
         assert all(isinstance(r, UnderdeterminedError) for r in results)
         with pytest.raises(UnderdeterminedError, match="9"):
             estimate(frame)
@@ -500,7 +513,7 @@ class TestEstimateBatch:
             frame = frame_from_rows([(0.05 * m, 10.0 + m, (1.0 + m, 2.0 * m), 0.0) for m in range(8)])
         else:
             frame = sweep_frame(kind, value, seed)
-        want = estimate_batch(FrameStack.of([frame]))[0]
+        want = entries(estimate_batch(FrameStack.of([frame])))[0]
         try:
             got = estimate(frame)
         except EstimationError as exc:
@@ -638,10 +651,10 @@ class TestLapackFailure:
     def test_failure_stays_with_its_frame(self, name, call, error, message, monkeypatch, tmp_path, capsys):
         frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
             [("noise", -20.5), ("ltco", LTCO_OFFSETS[-1]), ("random", -20.5), ("noise", -50.0)])]
-        alone = [estimate_batch(FrameStack.one(f))[0] for f in frames]
+        alone = [entries(estimate_batch(FrameStack.one(f)))[0] for f in frames]
 
         fail_member(monkeypatch, name, call, member=1)
-        results = estimate_batch(FrameStack.of(frames))
+        results = entries(estimate_batch(FrameStack.of(frames)))
         assert type(results[1]) is error and message in str(results[1])
         for k in (0, 2, 3):
             got, want = results[k], alone[k]

@@ -8,12 +8,15 @@ import pytest
 
 from seqtoa import (
     Agents,
+    CrlbResult,
     DegenerateGeometryError,
+    EstimateReport,
     EstimationError,
     ExperimentSpec,
     NoiseSpec,
     ObservedFrame,
     Scenario,
+    StaticTswlsResult,
     TargetState,
     TopologyBounds,
     crlb_target,
@@ -209,6 +212,31 @@ class TestRunTrials:
                 sq_errors.append(float(np.sum((report.x_hat.p - scenario.target.p) ** 2)))
         assert 0 < stats.divergence_count == spec.n_trials - len(sq_errors)
         assert np.array_equal(stats.cdf_samples, sq_errors)
+
+    def test_sweep_builds_no_per_trial_objects(self, monkeypatch):
+        # the stacked stages return columns and a sweep reads them as they
+        # are: no report, result or state object is built per trial
+        built = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for cls in (EstimateReport, StaticTswlsResult, CrlbResult):
+            monkeypatch.setattr(cls, "__init__", spy(cls.__name__, cls.__init__))
+        monkeypatch.setattr(TargetState, "from_vector", classmethod(spy("from_vector", TargetState.from_vector.__func__)))
+        spec = small_spec(scheme="random_topology", n_trials=12, sweep_values=(-20.5,),
+                          estimators=("tswls_static", "mle"), topology=TopologyBounds())
+        results = run_trials(spec)
+        assert built == []
+        assert all(results[(-20.5, e)].n_success > 0 for e in spec.estimators)
+        # the single-frame entries build them, so the spies see them
+        scenario, frame, init = one_trial(spec, -20.5, 0)
+        tswls_static_estimate(frame), mle_estimate(frame, scenario.target), crlb_target(scenario)
+        assert set(built) == {"EstimateReport", "StaticTswlsResult", "CrlbResult", "from_vector"}
 
     def test_crlb_failure_leaves_estimator_counts(self):
         # the target sits on agent 0 at its slot time t = 0, so every trial's

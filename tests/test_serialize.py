@@ -27,6 +27,8 @@ from seqtoa.serialize import (
 )
 from seqtoa import estimate
 
+from conftest import UNREAD_MESSAGES
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -350,6 +352,11 @@ class TestExperimentSpecs:
             ("scheme1_noise_sweep.json", {"mle_max_iter": 3}, "experiment.mle_max_iter"),
             ("scheme3_random_topology.json", {"topology": {"random": {"n_agent": 8}}},
              "experiment.topology.random.n_agent"),
+            ("scheme3_random_topology.json", {"topology": {"random": {}, "n_agents": 6}}, "experiment.topology.n_agents"),
+            ("scheme3_random_topology.json", {"topology": {"random": {"n_agents": 6}, "agents": []}},
+             "experiment.topology.agents"),
+            *(("scheme3_random_topology.json", {"topology": {"random": value}}, "experiment.topology.random")
+              for value in ([], 0, False, None)),
         ],
     )
     def test_unread_key_rejected(self, config, edit, path):
@@ -359,7 +366,7 @@ class TestExperimentSpecs:
         with pytest.raises(SchemaError) as exc:
             experiment_spec_from_dict({**doc, **edit})
         assert exc.value.path == path
-        assert str(exc.value) == f"{path}: not a field of the experiment schema"
+        assert str(exc.value) == f"{path}: {UNREAD_MESSAGES.get(path, 'not a field of the experiment schema')}"
 
 
 def dotted_keys(doc, prefix=""):
