@@ -7,7 +7,11 @@ parsing it back (``frame_from_dict``), the squared-pseudorange design
 (``build_design``), the equation-error model at the pass-1 state
 (``build_error_model``), the weighted QR solve (``solve_wls_qr``), the
 Gauss-Newton retraction (``gauss_newton_refine``), the whole two-pass
-``estimate`` and the flat report (``report_to_dict``).  Two more
+``estimate`` and the flat report (``report_to_dict``), and, on the
+scenario itself, its TOA gradients (``toa_gradients``) and its CRLB
+(``crlb_target``): the benchmark's random_topology workload runs
+``crlb_target`` 1024 times in its set-up (``setup_s``) and online_estimate
+once, and times it as a layer only under ``--trace 1``.  Two more
 ``estimate`` rows time the frame kinds of the other sweeps: a 1 ms LTCO
 frame (the clock-offset sweep's largest offset) and a random-topology frame
 at -20.5 dB; each ``estimate`` row names the retraction iterations its frame
@@ -54,6 +58,7 @@ from seqtoa import (
     TopologyBounds,
     build_design,
     build_error_model,
+    crlb_target,
     estimate,
     fixed_topology,
     gauss_newton_refine,
@@ -62,6 +67,7 @@ from seqtoa import (
     sample_random_topology,
     simulate_frame,
     solve_wls_qr,
+    toa_gradients,
     tswls_static_batch,
 )
 from seqtoa import montecarlo
@@ -139,6 +145,8 @@ stages = {
     f"estimate, LTCO 1 ms ({estimate(ltco_frame).iterations} it)": lambda: estimate(ltco_frame),
     f"estimate, random ({estimate(random_frame).iterations} it)": lambda: estimate(random_frame),
     "report_to_dict": lambda: report_to_dict(report),
+    "toa_gradients": lambda: toa_gradients(scenario.target, scenario.agents),
+    "crlb_target": lambda: crlb_target(scenario),
 }
 print(f"one fixed-topology frame, M = {frame.n_agents}; {REPEATS} x {CALLS} calls per stage")
 print(f"{'stage':<36} {'best (us)':>10} {'median (us)':>12}")

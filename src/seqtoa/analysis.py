@@ -23,9 +23,13 @@ the closed form
 which costs O(M).  :func:`crlb_columns` evaluates it over N scenarios given
 as columns and returns columns: the bounds and the Schur complements
 ``(N, 6, 6)``, NaN in the rows of failed scenarios, and the
-:class:`EstimationError` of each failed scenario only.  :func:`crlb_target` runs it on one scenario's
-own arrays.  The dense blocks of :func:`fim_blocks` are kept for
-cross-checks only.
+:class:`EstimationError` of each failed scenario only.  :func:`crlb_target`
+runs it on one scenario's own arrays.  One kernel computes the TOA
+gradients and checks the geometry for every entry point:
+:func:`toa_gradients` is that kernel on a batch of one, and
+:func:`fim_blocks` (dense blocks, kept for cross-checks only) and
+:func:`analytic_cov` call it, so a geometry fault gives the same error
+everywhere.
 """
 
 from __future__ import annotations
@@ -71,44 +75,39 @@ class CrlbResult:
         return np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]])
 
 
-def _ranges(x: np.ndarray, t: np.ndarray, p_m: np.ndarray):
-    """Vectors ``u (N, M, 2)`` from each agent to its target's slot-time
-    position, their lengths ``r (N, M)``, whether each length is finite, and
-    whether each agent coincides with that position, for target states
-    ``x (N, 6)``, slot times ``t (N, M)`` and agent positions ``p_m (N, M, 2)``.
+def _toa_geometry(x: np.ndarray, t: np.ndarray, p_m: np.ndarray):
+    """:func:`toa_gradients` of N scenarios: target states ``x (N, 6)``, slot
+    times ``t (N, M)`` and agent positions ``p_m (N, M, 2)``.
 
-    Finite inputs can still be too large to square: such a range overflows
-    to inf (or NaN) without a warning, and it is not finite, so the caller
-    reports it instead of a geometry it cannot evaluate.
+    Returns ``Hx (N, M, 6)``, ``g (N, M, 3)`` and ``errors``, which maps each
+    failing scenario to its first agent whose range overflows float64, else
+    to its first agent that coincides with the target; a failing scenario's
+    rows are meaningless.  Raises no floating-point warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
         r = np.sqrt((u * u).sum(axis=-1))
+        Hx = _toa_jacobian(u / r[..., None], t)
         finite = np.isfinite(r)
-        return u, r, finite, finite & (r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1))))
-
-
-def _coincident_error(t: float, r: float) -> DegenerateGeometryError:
-    return DegenerateGeometryError(f"target coincides with agent at slot time {t}: range {r:.3e}")
-
-
-def _overflow_error(t: float) -> ConditioningError:
-    return ConditioningError(
-        f"range to the agent at slot time {t} overflows float64: "
-        "the scenario's coordinates are too large to evaluate"
-    )
-
-
-def _gradient_rows(rho: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """TOA gradients ``Hx (..., M, 6)`` (rows ``[rho, t_m*rho, 1, t_m]``) and
-    ``g (..., M, 3)`` (rows ``[-rho, -1]``) from the unit vectors
-    ``rho (..., M, 2)`` and slot times ``t (..., M)``."""
-    Hx = _toa_jacobian(rho, t)
-    return Hx, -Hx[..., [0, 1, 4]]
+        coincident = finite & (r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1))))
+    errors: dict[int, EstimationError] = {}
+    for i in np.flatnonzero(~finite.all(axis=-1) | coincident.any(axis=-1)).tolist():
+        if finite[i].all():
+            m = coincident[i].argmax()
+            errors[i] = DegenerateGeometryError(
+                f"target coincides with agent at slot time {t[i, m]}: range {r[i, m]:.3e}"
+            )
+        else:
+            errors[i] = ConditioningError(
+                f"range to the agent at slot time {t[i, finite[i].argmin()]} overflows float64: "
+                "the scenario's coordinates are too large to evaluate"
+            )
+    return Hx, -Hx[..., [0, 1, 4]], errors
 
 
 def toa_gradients(x: TargetState, agents: Agents) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the M noise-free TOAs.
+    """Gradients of the M noise-free TOAs: the geometry kernel of
+    :func:`crlb_columns` on a batch of one.
 
     Returns ``Hx (M, 6)``, whose row m ``[rho_m, t_m*rho_m, 1, t_m]`` is the
     derivative of TOA m with respect to the target state, and ``g (M, 3)``,
@@ -122,16 +121,13 @@ def toa_gradients(x: TargetState, agents: Agents) -> tuple[np.ndarray, np.ndarra
         If a range overflows float64 (finite coordinates too large to
         evaluate); the first such agent is named.
     DegenerateGeometryError
-        If the target coincides with an agent at its slot time (unit vector
-        undefined); the first such agent is named.
+        If no range overflows and the target coincides with an agent at its
+        slot time (unit vector undefined); the first such agent is named.
     """
-    u, r, finite, coincident = _ranges(x.as_vector()[None], agents.t[None], agents.p_m[None])
-    if not finite.all():
-        raise _overflow_error(agents.t[np.flatnonzero(~finite[0])[0]])
-    if coincident.any():
-        m = np.flatnonzero(coincident[0])[0]
-        raise _coincident_error(agents.t[m], r[0, m])
-    return _gradient_rows(u[0] / r[0][:, None], agents.t)
+    Hx, g, errors = _toa_geometry(x.as_vector()[None], agents.t[None], agents.p_m[None])
+    if errors:
+        raise errors[0]
+    return Hx[0], g[0]
 
 
 def fim_blocks(scenario: Scenario) -> FimBlocks:
@@ -169,28 +165,20 @@ def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict
     Returns ``(crlb_x, information, errors)``: the bounds and the Schur
     complements ``(N, 6, 6)``, NaN in the rows of failed scenarios, and
     ``errors``, which maps each failed scenario to the
-    :class:`EstimationError` that stopped it alone.  The checks run in this
-    order: :class:`ConditioningError` if a range overflows float64 (finite
-    coordinates too large to evaluate),
-    :class:`DegenerateGeometryError` if the target coincides with an agent at
-    its slot time, :class:`ConditioningError` for a non-positive TOA
-    variance, :class:`NotPositiveDefiniteError` for an agent block of
+    :class:`EstimationError` that stopped it alone.  The first failing check
+    is the record, in this order: the geometry of :func:`toa_gradients` (a
+    range that overflows float64, then a target that coincides with an
+    agent at its slot time), :class:`ConditioningError` for a non-positive
+    TOA variance, :class:`NotPositiveDefiniteError` for an agent block of
     ``C_beta`` that is not positive definite, and
     :class:`DegenerateGeometryError` if the Schur complement is singular
     (unobservable geometry, e.g. collinear agents).
     """
-    errors: dict[int, EstimationError] = {}
-    u, r, finite, coincident = _ranges(x, t, p_m)
-    live = finite.all(axis=-1)
+    Hx, g, errors = _toa_geometry(x, t, p_m)
+    live = (c_tau > 0).all(axis=-1)
     for i in np.flatnonzero(~live).tolist():
-        errors[i] = _overflow_error(t[i, np.flatnonzero(~finite[i])[0]])
-    for i in np.flatnonzero(coincident.any(axis=-1)).tolist():
-        m = np.flatnonzero(coincident[i])[0]
-        errors[i] = _coincident_error(t[i, m], r[i, m])
-    live &= ~coincident.any(axis=-1)
-    for i in np.flatnonzero(live & (c_tau <= 0).any(axis=-1)).tolist():
-        errors[i] = ConditioningError("C_tau must be strictly positive for the information matrix")
-    live &= (c_tau > 0).all(axis=-1)
+        errors.setdefault(i, ConditioningError("C_tau must be strictly positive for the information matrix"))
+    live[list(errors)] = False
     try:
         np.linalg.cholesky(blocks[live])
     except np.linalg.LinAlgError:  # find the scenarios at fault
@@ -201,7 +189,7 @@ def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict
                 errors[i] = NotPositiveDefiniteError("C_beta must be positive definite for the information matrix")
                 live[i] = False
     # the closed-form Schur complements of the scenarios that pass every check
-    Hx, g = _gradient_rows(u[live] / r[live][..., None], t[live])
+    Hx, g = Hx[live], g[live]
     w = 1.0 / (c_tau[live] + ((blocks[live] @ g[..., None])[..., 0] * g).sum(axis=-1))
     S = (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
     S = 0.5 * (S + S.swapaxes(-1, -2))
@@ -249,11 +237,16 @@ def analytic_cov(scenario: Scenario, form: str = "direct") -> np.ndarray:
     Raises
     ------
     ConditioningError
-        If some ``d_m = 0`` (the factored form divides by it) or the
-        information matrix is singular.
+        If a range overflows float64 (see :func:`toa_gradients`), some
+        ``d_m = 0`` (the factored form divides by it) or the information
+        matrix is singular.
+    DegenerateGeometryError
+        If the target coincides with an agent at its slot time (see
+        :func:`toa_gradients`).
     """
     if form not in ("direct", "factored"):
         raise ValueError(f"unknown form {form!r}")
+    toa_gradients(scenario.target, scenario.agents)  # the geometry check of every CRLB entry point
     frame = exact_frame(scenario)
 
     A, _, _ = _design_arrays(frame)

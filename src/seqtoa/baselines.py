@@ -205,6 +205,7 @@ def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, c_tau: np.ndarr
     return G / var[..., None], h / var, ok
 
 
+@_LAPACK_ERRSTATE
 def tswls_static_batch(stack: FrameStack) -> tuple[np.ndarray, np.ndarray, dict[int, EstimationError]]:
     """Static two-step solver on every frame of a stack: unknowns ``[p, T, theta1]``.
 

@@ -92,6 +92,11 @@ def _dump_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
+def _scenario_rng(seed: int) -> np.random.Generator:
+    """The stream a scenario's sampled noise reads: a child of ``--seed``, independent of ``simulate_frame``'s."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
 def _cmd_estimate(args) -> int:
     frame = serialize.frame_from_dict(_apply_overrides(_load_json(args.input), args.set, "frame"))
     report = estimate(frame)
@@ -101,8 +106,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "scenario")
-    rng = np.random.default_rng(args.seed)
-    scenario = serialize.scenario_from_dict(doc, rng)
+    scenario = serialize.scenario_from_dict(doc, _scenario_rng(args.seed))
     try:
         frame = simulate_frame(scenario, args.seed)
     except NonFiniteFrameError as exc:  # finite inputs so large that the observations overflow
@@ -113,7 +117,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_crlb(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "scenario")
-    scenario = serialize.scenario_from_dict(doc, np.random.default_rng(args.seed))
+    scenario = serialize.scenario_from_dict(doc, _scenario_rng(args.seed))
     result = analysis.crlb_target(scenario)
     _dump_json(
         {
@@ -134,7 +138,7 @@ def _csv_paths(output: str) -> tuple[Path, Path]:
 
 def _cmd_experiment(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "experiment")
-    spec = serialize.experiment_spec_from_dict(doc, np.random.default_rng(args.seed))
+    spec = serialize.experiment_spec_from_dict(doc, _scenario_rng(args.seed))
     try:
         results = montecarlo.run_trials(spec)
     except NonFiniteFrameError as exc:  # finite inputs so large that the observations overflow

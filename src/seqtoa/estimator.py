@@ -731,6 +731,7 @@ def _embed_static(q: np.ndarray) -> TargetState:
     return TargetState(p=q[0:2], v=np.zeros(2), T=q[2], omega=0.0)
 
 
+@_LAPACK_ERRSTATE
 def estimate_degraded(frame: ObservedFrame) -> tuple[np.ndarray, float, np.ndarray]:
     """Static degradation of the pipeline: position and offset only.
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from seqtoa import (
     crlb_target,
     estimate,
     fim_blocks,
+    fixed_topology,
     forward_toa,
     simulate_frame,
     toa_gradients,
@@ -297,6 +299,68 @@ class TestCrlbBatch:
         blocks = fim_blocks(res.scenario)
         assert np.array_equal(res.full_fim, np.block([[blocks.R1, blocks.R2], [blocks.R2.T, blocks.R3]]))
         assert res.full_fim is res.full_fim
+
+
+def fault_scenario(fault: str) -> Scenario:
+    """The fixed topology with one fault, or two: an agent at ``[1e200, 1e200]``
+    (its range overflows), the target at rest on an agent (coincident), a
+    zero TOA variance, an agent block that is not positive definite, or
+    collinear agents."""
+    base = fixed_topology()
+    a, noise = base.agents, base.noise
+    far, on = {"overflow": (3, None), "coincident": (None, 0), "overflow_first": (0, 3),
+               "coincident_first": (3, 0)}.get(fault, (None, None))
+    if far is not None:
+        p_m = a.p_m.copy()
+        p_m[far] = 1e200
+        a = dataclasses.replace(a, p_m=p_m)
+    target = base.target if on is None else TargetState(p=base.agents.p_m[on], v=[0, 0], T=0.0, omega=0.0)
+    c_tau, blocks = noise.c_tau.copy(), noise.blocks.copy()
+    if fault == "zero_c_tau":
+        c_tau[3] = 0.0
+    if fault == "non_pd":
+        blocks[5, 1, 1] = -1e-3
+    if fault == "collinear":
+        a, target = collinear_agents(10), TargetState(p=[75.0, 0.0], v=[0, 0], T=0.0, omega=0.0)
+    return Scenario(agents=a, target=target, noise=NoiseSpec(c_tau=c_tau, blocks=blocks))
+
+
+GEOMETRY_FAULTS = ("overflow", "coincident", "overflow_first", "coincident_first")
+OVERFLOW = r"range to the agent at slot time {} overflows float64: the scenario's coordinates are too large to evaluate"
+
+FAULT_CASES = [
+    ("overflow", ConditioningError, OVERFLOW.format(0.15)),
+    ("coincident", DegenerateGeometryError, r"target coincides with agent at slot time 0.0: range 0.000e\+00"),
+    # both faults: the overflowing agent is named, whichever agent comes first
+    ("overflow_first", ConditioningError, OVERFLOW.format(0.0)),
+    ("coincident_first", ConditioningError, OVERFLOW.format(0.15)),
+    ("zero_c_tau", ConditioningError, "C_tau must be strictly positive for the information matrix"),
+    ("non_pd", NotPositiveDefiniteError, "C_beta must be positive definite for the information matrix"),
+    ("collinear", DegenerateGeometryError, r"target information is singular \(min eig .*\); geometry unobservable"),
+]
+
+
+class TestOneGeometryCheck:
+    @pytest.mark.parametrize("fault, error, message", FAULT_CASES, ids=[case[0] for case in FAULT_CASES])
+    def test_every_entry_point_gives_one_error(self, fault, error, message):
+        scenario = fault_scenario(fault)
+        entry_points = [crlb_target]
+        if fault != "collinear":  # the joint FIM of collinear agents is not singular
+            entry_points.append(fim_blocks)
+        if fault in GEOMETRY_FAULTS:
+            entry_points += [lambda s: toa_gradients(s.target, s.agents), analytic_cov]
+        good = sweep_scenario("noise", -20.5, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a floating-point warning would surface as an exception
+            crlb_x, _, errors = stacked_crlb([good, scenario, good])
+            got = [errors[1]]
+            for entry in entry_points:
+                with pytest.raises(EstimationError) as info:
+                    entry(scenario)
+                got.append(info.value)
+        assert list(errors) == [1] and np.array_equal(crlb_x[2], crlb_target(good).crlb_x)
+        assert {(type(e), str(e)) for e in got} == {(error, str(got[0]))}
+        assert re.fullmatch(message, str(got[0]))
 
 
 class TestAnalyticCov:

@@ -1,5 +1,6 @@
 import dataclasses
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,18 @@ class TestTswlsStaticBatch:
             assert isinstance(results[1], ConditioningError) and str(results[1]) == message
             for got, want in zip([results[0], *results[2:]], alone):
                 assert_same_result(got, want, 0.0)
+
+    def test_overflowing_frame_fails_alone_without_warning(self):
+        # a 1e150 m clock offset: its normal matrices overflow float64
+        good = [simulate_frame(sweep_scenario("noise", -20.0, k), k) for k in range(3)]
+        far = simulate_frame(sweep_scenario("ltco", 1e150, 4), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, covariance, errors = tswls_static_batch(FrameStack.of([good[0], far, *good[1:]]))
+            alone = [tswls_static_batch(FrameStack.one(frame)) for frame in good]
+        assert list(errors) == [1] and isinstance(errors[1], ConditioningError)
+        for n, (z1, cov1, _) in zip([0, 2, 3], alone):
+            assert z[n].tobytes() == z1[0].tobytes() and covariance[n].tobytes() == cov1[0].tobytes()
 
     def test_underdetermined_stack_fails_every_frame(self):
         frame = exact_frame(random_scenario(np.random.default_rng(0), M=3))

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqtoa import NoiseSpec, Scenario, crlb_target, estimator, exact_frame, fixed_topology
-from seqtoa.cli import main
-from seqtoa.serialize import experiment_spec_from_dict, frame_to_dict, scenario_to_dict
+from seqtoa import NoiseSpec, Scenario, crlb_target, estimator, exact_frame, fixed_topology, forward_toa, simulate_frame
+from seqtoa.cli import _scenario_rng, main
+from seqtoa.serialize import experiment_spec_from_dict, frame_to_dict, scenario_from_dict, scenario_to_dict
 
 from conftest import UNREAD_MESSAGES
 
@@ -207,6 +207,42 @@ class TestSimulateAndCrlb:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def sampled_scenario_doc() -> dict:
+    """The fixed topology with agent variances sampled from -20 +- 10 dB."""
+    doc = scenario_to_dict(fixed_topology())
+    doc["noise"]["agent_sigma_sq_db"] = {"center_db": -20.0, "halfwidth_db": 10.0}
+    return doc
+
+
+class TestSampledNoiseSeed:
+    def test_agent_variances_independent_of_frame_noise(self):
+        # the scenario's variance draws and the frame's TOA normals come from
+        # one --seed; each |normal| has mean sqrt(2/pi) whatever its agent drew
+        doc = sampled_scenario_doc()
+        draws, normals = [], []
+        for seed in range(3000):
+            scenario = scenario_from_dict(doc, _scenario_rng(seed))
+            frame = simulate_frame(scenario, seed)
+            draws.append(scenario.noise.blocks[:, 0, 0])
+            normals.append((frame.tau - forward_toa(scenario.target, scenario.agents)) / np.sqrt(scenario.noise.c_tau))
+        draws, normals = np.concatenate(draws), np.abs(np.concatenate(normals))
+        low, high = np.quantile(draws, [0.1, 0.9])
+        for decile in (draws <= low, draws >= high):
+            assert abs(normals[decile].mean() - np.sqrt(2.0 / np.pi)) < 0.05
+
+    def test_simulate_and_crlb_read_one_scenario(self, tmp_path):
+        path = tmp_path / "sampled.json"
+        path.write_text(json.dumps(sampled_scenario_doc()))
+        frame_path, crlb_path = tmp_path / "frame.json", tmp_path / "crlb.json"
+        for seed in (0, 7):
+            assert main(["simulate", "--input", str(path), "--output", str(frame_path), "--seed", str(seed)]) == 0
+            assert main(["crlb", "--input", str(path), "--output", str(crlb_path), "--seed", str(seed)]) == 0
+            scenario = scenario_from_dict(sampled_scenario_doc(), _scenario_rng(seed))
+            frame_doc = json.loads(json.dumps(frame_to_dict(simulate_frame(scenario, seed))))
+            assert json.loads(frame_path.read_text()) == frame_doc
+            assert json.loads(crlb_path.read_text())["matrix"] == crlb_target(scenario).crlb_x.tolist()
 
 
 class TestNonFiniteSimulation:

@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,15 @@ class TestEstimate:
             assert np.abs(pos - ref.position).max() <= 1e-8 * max(1.0, np.abs(ref.position).max())
             assert abs(offset - ref.offset) <= 1e-8 * max(1.0, abs(ref.offset))
             assert np.abs(cov - ref.covariance).max() <= 1e-8 * np.abs(ref.covariance).max()
+
+    def test_degraded_mode_overflow_raises_without_warning(self, fixed_scenario):
+        # a 1e300 m clock offset: the squared pseudoranges overflow float64
+        target = dataclasses.replace(fixed_scenario.target, T=1e300)
+        frame = simulate_frame(dataclasses.replace(fixed_scenario, target=target), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match="static normal matrix is singular or ill-conditioned"):
+                estimate_degraded(frame)
 
     def test_ltco_frame_estimates_sanely(self, fixed_scenario):
         target = TargetState(
