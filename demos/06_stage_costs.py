@@ -23,7 +23,9 @@ A noise spec's work is done once per spec: the reader shares one spec
 among equal noise documents, and the writer and ``simulate_frame`` keep
 what they derive from the last few specs.  The rows on the same frame show
 that shared cost; the ``distinct noise`` rows give every call a noise spec,
-or a document, not seen before, so each call pays for its noise in full.
+or a document, not seen before, so each call pays for its noise in full:
+``simulate_frame, distinct noise`` takes the square-root factor of every
+call's agent blocks, which the ``simulate_frame`` row takes once.
 
 Two rows time the agent-trusting MLE baseline: ``mle_estimate`` on the same
 frame from its true state (a batch of one), and ``mle_batch`` on a stack of
@@ -111,6 +113,7 @@ def distinct_noise_frame():
 
 distinct_docs = iter([json.loads(json.dumps(frame_to_dict(distinct_noise_frame()))) for _ in range(n_distinct)])
 distinct_frames = iter([distinct_noise_frame() for _ in range(n_distinct)])
+distinct_scenarios = iter([dataclasses.replace(scenario, noise=distinct_noise_frame().noise) for _ in range(n_distinct)])
 design = build_design(frame)
 pass1 = solve_wls_qr(design, np.eye(frame.n_agents))
 x_ref = TargetState.from_vector(pass1.theta_hat[:6])
@@ -133,6 +136,7 @@ chunk = montecarlo._draw_chunk(sweep, units)
 
 stages = {
     "simulate_frame": lambda: simulate_frame(scenario, 7),
+    "simulate_frame, distinct noise": lambda: simulate_frame(next(distinct_scenarios), 7),
     "frame_to_dict": lambda: frame_to_dict(frame),
     "frame_to_dict, distinct noise": lambda: frame_to_dict(next(distinct_frames)),
     "frame_from_dict": lambda: frame_from_dict(doc),

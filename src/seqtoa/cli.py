@@ -130,10 +130,9 @@ def _cmd_crlb(args) -> int:
 
 
 def _csv_paths(output: str) -> tuple[Path, Path]:
-    out = Path(output)
-    if out.suffix == ".csv":
-        return out, out.with_name(out.stem + "_cdf.csv")
-    return out.with_suffix(".csv"), Path(str(out) + "_cdf.csv")
+    """``<base>.csv`` and ``<base>_cdf.csv``, ``<base>`` being ``output`` without a trailing ``.csv``."""
+    base = output.removesuffix(".csv")
+    return Path(base + ".csv"), Path(base + "_cdf.csv")
 
 
 def _cmd_experiment(args) -> int:

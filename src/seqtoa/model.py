@@ -25,9 +25,9 @@ to simulate.  The full ``(M, M)`` ``C_tau`` and ``(3M, 3M)`` ``C_beta`` are
 built on first read, which only the cross-checks do: the joint Fisher
 information (``CrlbResult.full_fim``) and ``analytic_cov(form="factored")``.
 
-The simulation kernels work on N frames at once, as columns with a leading
-frame axis: the Monte-Carlo sweeps run them on a whole chunk of trials, and
-:func:`simulate_frame` on one frame without that axis.
+One simulation kernel turns standard normals into observed columns of N
+frames at once, with a leading frame axis: the Monte-Carlo sweeps run it on
+a whole chunk of trials, and :func:`simulate_frame` on a batch of one.
 """
 
 from __future__ import annotations
@@ -416,12 +416,6 @@ def _blocks_factor(noise: NoiseSpec) -> np.ndarray:
     return _read_only(_psd_factor(noise.blocks, "C_beta"))
 
 
-def _broadcast_errors(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Broadcast errors ``(N, M, 3)``: standard normals ``z (N, 3M)`` through
-    a square-root factor of each agent's block of ``blocks (N, M, 3, 3)``."""
-    return (_psd_factor(blocks, "C_beta") @ z.reshape(blocks.shape[:-1] + (1,)))[..., 0]
-
-
 class NonFiniteFrameError(ValueError):
     """A simulated column overflowed: its finite inputs are too large."""
 
@@ -436,35 +430,37 @@ def _seal(**columns: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed column is named by _seal
-def _observe(x, t, p_m, T_m, d_tau, d_beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _simulate(x, t, p_m, T_m, c_tau, factor, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observed columns ``tau (N, M)``, ``p_hat (N, M, 2)`` and ``T_hat (N, M)``
-    of N scenarios, or of one without the leading axis (see :func:`_toas`),
-    from their TOA noise ``d_tau (N, M)`` and broadcast errors
-    ``d_beta (N, M, 3)``."""
-    return _toas(x, t, p_m, T_m) + d_tau, p_m + d_beta[..., :2], T_m + d_beta[..., 2]
+    of N scenarios (see :func:`_toas`), sealed in that order (:func:`_seal`),
+    from standard normals ``z (N, 4M)``: M scaled by the square roots of the TOA
+    variances ``c_tau (N, M)``, then three per agent through the square root,
+    ``factor (N, M, 3, 3)``, of its broadcast-error block."""
+    M = c_tau.shape[-1]
+    d_beta = (factor @ z[:, M:].reshape(factor.shape[:-1] + (1,)))[..., 0]
+    tau = _toas(x, t, p_m, T_m) + z[:, :M] * np.sqrt(c_tau)
+    p_hat, T_hat = p_m + d_beta[..., :2], T_m + d_beta[..., 2]
+    _seal(tau=tau, p_hat=p_hat, T_hat=T_hat)
+    return tau, p_hat, T_hat
 
 
 def simulate_frame(scenario: Scenario, seed: int) -> ObservedFrame:
     """Synthesize one noisy observed frame from ground truth.
 
-    TOA noise is drawn first (M standard normals scaled by the square roots
-    of ``c_tau``), then the broadcast errors (3M standard normals, three per
+    Draws 4M standard normals in one call, then runs the sweeps' simulation
+    kernel on a batch of one: the first M are the TOA noise (scaled by the
+    square roots of ``c_tau``), the other 3M the broadcast errors (three per
     agent, through a square-root factor of each agent's block, taken once per
-    noise spec); the two are independent.  The same seed always reproduces the
-    same frame bit for bit.
+    noise spec); the two are independent.  The same seed always reproduces
+    the same frame bit for bit.
 
     Raises :class:`NonFiniteFrameError` if a simulated column is not finite.
     """
-    rng = np.random.default_rng(seed)
-    M = scenario.n_agents
-    noise = scenario.noise
-    z_tau = rng.standard_normal(M)
-    d_beta = (_blocks_factor(noise) @ rng.standard_normal((M, 3, 1)))[..., 0]
-    a = scenario.agents
-    x = scenario.target.as_vector()
-    tau, p_hat, T_hat = _observe(x, a.t, a.p_m, a.T_m, z_tau * np.sqrt(noise.c_tau), d_beta)
-    _seal(tau=tau, p_hat=p_hat, T_hat=T_hat)
-    return _checked(ObservedFrame, t=a.t, tau=tau, p_hat=p_hat, T_hat=T_hat, noise=noise)
+    noise, a = scenario.noise, scenario.agents
+    z = np.random.default_rng(seed).standard_normal((1, 4 * noise.n_agents))
+    x = scenario.target.as_vector()[None]
+    tau, p_hat, T_hat = _simulate(x, a.t[None], a.p_m[None], a.T_m[None], noise.c_tau[None], _blocks_factor(noise)[None], z)
+    return _checked(ObservedFrame, t=a.t, tau=tau[0], p_hat=p_hat[0], T_hat=T_hat[0], noise=noise)
 
 
 def exact_frame(scenario: Scenario) -> ObservedFrame:

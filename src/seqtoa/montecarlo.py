@@ -66,12 +66,12 @@ from .model import (
     Scenario,
     TargetState,
     _DB_RANGE,
-    _broadcast_errors,
     _checked,
     _db_columns,
     _db_ok,
-    _observe,
+    _psd_factor,
     _seal,
+    _simulate,
     simulate_frame,  # noqa: F401  (re-exported; perfbench's tracer patches this binding)
 )
 
@@ -118,6 +118,7 @@ class TopologyBounds:
                 raise ValueError(f"{name} bounds must be finite and well-ordered, with a finite width, got {(lo, hi)}")
         if isinstance(self.n_agents, bool) or not isinstance(self.n_agents, (int, np.integer)) or self.n_agents < 1:
             raise ValueError(f"n_agents must be an integer >= 1, got {self.n_agents!r}")
+        object.__setattr__(self, "n_agents", int(self.n_agents))
         if not 0 < self.slot_interval < np.inf:
             raise ValueError(f"need a finite slot_interval > 0, got {self.slot_interval!r}")
         if not np.isfinite(self.slot_interval * (self.n_agents - 1)):  # the last slot time
@@ -464,8 +465,9 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     per-agent variances; the random-topology scheme draws a whole scenario.
     The frame stream then gives M TOA and 3M broadcast standard normals, in
     one call into the trial's row of an ``(N, 4M)`` array.  The
-    noise columns, the TOAs and the broadcasts follow for the whole chunk at
-    once, as :func:`~seqtoa.model.simulate_frame` computes them for one frame.
+    noise columns follow for the whole chunk at once, then its TOAs and
+    broadcasts from one call of the simulation kernel that
+    :func:`~seqtoa.model.simulate_frame` runs on a batch of one.
     The noise and observed columns are checked finite once, raising a
     :class:`~seqtoa.model.NonFiniteFrameError` worded as :class:`NoiseSpec`
     or :class:`ObservedFrame` would word it for a trial, and made read-only.
@@ -505,8 +507,8 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
             inits[k] = init_rng[0].normal(0.0, spec.mle_init_sigma, size=6)
 
     c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
-    tau, p_hat, T_hat = _observe(x, t, p_m, T_m, z[:, :M] * np.sqrt(c_tau), _broadcast_errors(blocks, z[:, M:]))
-    _seal(c_tau=c_tau, blocks=blocks, t=t, tau=tau, p_hat=p_hat, T_hat=T_hat)  # NoiseSpec's order, then ObservedFrame's
+    _seal(c_tau=c_tau, blocks=blocks, t=t)  # NoiseSpec's order, then the kernel checks ObservedFrame's
+    tau, p_hat, T_hat = _simulate(x, t, p_m, T_m, c_tau, _psd_factor(blocks, "C_beta"), z)
     stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks)
     if inits is not None:
         inits += x

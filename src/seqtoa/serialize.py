@@ -403,38 +403,21 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
 
 
 def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:
-    out = {
-        "scheme": spec.scheme,
-        "n_trials": spec.n_trials,
-        "base_seed": spec.base_seed,
-        "sweep_values": list(spec.sweep_values),
-        "estimators": list(spec.estimators),
-        "sigma_tau_sq_db": spec.sigma_tau_sq_db,
-        "sigma_s_sq_db": spec.sigma_s_sq_db,
-        "agent_sigma_halfwidth_db": spec.agent_sigma_halfwidth_db,
-        "target_offset_ns": spec.target_offset_ns,
-        "mle_init_sigma": spec.mle_init_sigma,
-        "mle_max_iters": spec.mle_max_iters,
-    }
+    """The document of ``spec`` that :func:`experiment_spec_from_dict` reads
+    back: the keys its reader reads (``_FIELDS``), tuples written as lists."""
+    fields = _FIELDS["experiment"]
+    out = {key: _plain(getattr(spec, key)) for key in fields if key != "topology"}
     if spec.topology is None:
         out["topology"] = "fixed"
     elif isinstance(spec.topology, TopologyBounds):
-        b = spec.topology
-        out["topology"] = {
-            "random": {
-                "agent_xy": list(b.agent_xy),
-                "target_xy": list(b.target_xy),
-                "velocity": list(b.velocity),
-                "agent_offset_ns": list(b.agent_offset_ns),
-                "target_offset_ns": list(b.target_offset_ns),
-                "skew_ppm": list(b.skew_ppm),
-                "n_agents": b.n_agents,
-                "slot_interval": b.slot_interval,
-            }
-        }
+        out["topology"] = {"random": {key: _plain(getattr(spec.topology, key)) for key in fields["topology"]["random"]}}
     else:
         out["topology"] = scenario_to_dict(spec.topology)
     return out
+
+
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 # --- fields the readers read ---------------------------------------------------
@@ -448,8 +431,7 @@ _FIELDS = {
     "frame": {"records": None, "noise": _NOISE_FIELDS},
     "scenario": _SCENARIO_FIELDS,
     "experiment": {
-        **dict.fromkeys(("scheme", "n_trials", "base_seed", "sweep_values", "estimators", "mle_max_iters")),
-        **dict.fromkeys(_SPEC_NUMBERS),
+        **dict.fromkeys(("scheme", "n_trials", "base_seed", "sweep_values", "estimators", *_SPEC_NUMBERS, "mle_max_iters")),
         "topology": {"random": dict.fromkeys((*_BOUNDS_PAIRS, "n_agents", "slot_interval")), **_SCENARIO_FIELDS},
     },
 }

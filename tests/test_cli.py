@@ -315,6 +315,17 @@ class TestExperimentCommand:
         assert len(rows) == 4
         assert rows[-1]["cdf"] == "1"
 
+    @pytest.mark.parametrize("output, written", [("run.v2", ("run.v2.csv", "run.v2_cdf.csv")),
+                                                 ("run.csv", ("run.csv", "run_cdf.csv")),
+                                                 ("run", ("run.csv", "run_cdf.csv"))])
+    def test_both_csvs_share_one_base(self, output, written, tmp_path):
+        # only a trailing .csv is dropped: a dated base such as 2024.10.19 keeps its last part in both names
+        spec = mini_experiment(tmp_path, sweep_values=[-30.0], n_trials=2)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["experiment", "--input", str(spec), "--output", str(out_dir / output)]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(written)
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = mini_experiment(tmp_path, sweep_values=[-30.0], n_trials=5)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

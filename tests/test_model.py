@@ -90,14 +90,13 @@ class TestSimulateFrame:
         assert f3.tau[0] != f1.tau[0]
 
     def test_factor_taken_once_per_spec(self, monkeypatch):
-        # the sweeps' stacked kernels on one frame give the reference bits
+        # the sweeps' stacked kernel on one (1, 4M) normal draw gives the reference bits
         scenario = random_scenario(np.random.default_rng(5))
         a, noise, M = scenario.agents, scenario.noise, scenario.n_agents
-        rng = np.random.default_rng(123)
-        z_tau, z_beta = rng.standard_normal(M), rng.standard_normal(3 * M)
-        d_beta = model._broadcast_errors(noise.blocks[None], z_beta[None])
+        z = np.random.default_rng(123).standard_normal((1, 4 * M))
         x = scenario.target.as_vector()[None]
-        want = model._observe(x, a.t[None], a.p_m[None], a.T_m[None], z_tau * np.sqrt(noise.c_tau), d_beta)
+        factor = psd_factor(noise.blocks, "C_beta")[None]
+        want = model._simulate(x, a.t[None], a.p_m[None], a.T_m[None], noise.c_tau[None], factor, z)
         factors = []
         monkeypatch.setattr(model, "_psd_factor", lambda C, name: factors.append(C) or psd_factor(C, name))
         for _ in range(3):

@@ -502,6 +502,30 @@ class TestChunkGenerator:
                                   (truth, c_tau, blocks, tau, p_hat, T_hat, init)):
                 assert a.tobytes() == b.tobytes(), (name, v, i)
 
+    @pytest.mark.parametrize(
+        "scheme, sweep",
+        [
+            ("noise_sweep", (-40.0, -10.0)),
+            ("ltco_sweep", (1e-8 * C_LIGHT, 1e-3 * C_LIGHT)),
+            ("random_topology", (-20.5,)),
+        ],
+    )
+    def test_trial_frames_are_simulate_frame_of_their_scenarios(self, scheme, sweep):
+        # the sweeps and simulate_frame run one simulation kernel: a trial's observed columns are
+        # the bytes simulate_frame gives the trial's scenario at the trial's frame seed
+        topology = TopologyBounds() if scheme == "random_topology" else None
+        spec = small_spec(scheme=scheme, n_trials=40, base_seed=11, sweep_values=sweep, topology=topology)
+        units = [(v, i) for v in sweep for i in range(spec.n_trials)]
+        chunk = montecarlo._draw_chunk(spec, units)
+        s = chunk.stack
+        for k, (v, i) in enumerate(units):
+            agents = Agents(t=s.t[k], p_m=chunk.p_m[k], T_m=chunk.T_m[k])
+            scenario = Scenario(agents=agents, target=TargetState.from_vector(chunk.x[k]), noise=chunk.noise(k))
+            frame_seed = int(np.random.SeedSequence(spec.base_seed ^ i).spawn(3)[1].generate_state(1, np.uint64)[0])
+            frame = simulate_frame(scenario, frame_seed)
+            for name in ("tau", "p_hat", "T_hat"):
+                assert getattr(frame, name).tobytes() == getattr(s, name)[k].tobytes(), (name, v, i)
+
     def test_chunk_of_one_is_a_row_of_a_larger_chunk(self):
         spec = small_spec(scheme="random_topology", n_trials=20, sweep_values=(-20.5,), estimators=("proposed", "mle"),
                           topology=TopologyBounds())

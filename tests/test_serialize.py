@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from seqtoa import NoiseSpec, ObservedFrame, TopologyBounds, fixed_topology, sample_random_topology, simulate_frame
+from seqtoa import ExperimentSpec, NoiseSpec, ObservedFrame, TopologyBounds, fixed_topology, sample_random_topology, simulate_frame
 from seqtoa.model import _DB_RANGE
 from seqtoa.serialize import (
+    _FIELDS,
     SchemaError,
     _db_ok,
     _exact_db,
@@ -334,6 +335,21 @@ class TestExperimentSpecs:
         doc["scheme"] = "bogus"
         with pytest.raises(SchemaError, match="experiment"):
             experiment_spec_from_dict(doc)
+
+    def test_writer_writes_the_keys_the_reader_reads(self):
+        spec = ExperimentSpec(scheme="random_topology", n_trials=3, base_seed=1, sweep_values=(-20.5,),
+                              topology=TopologyBounds(n_agents=np.int64(7)))
+        d = experiment_spec_to_dict(spec)
+        assert list(d) == list(_FIELDS["experiment"])
+        assert list(d["topology"]["random"]) == list(_FIELDS["experiment"]["topology"]["random"])
+
+    def test_numpy_integer_n_agents_dumps(self):
+        # a numpy integer n_agents is stored as an int, so the spec dumps and reads back to its own document
+        spec = ExperimentSpec(scheme="random_topology", n_trials=3, base_seed=1, sweep_values=(-20.5,),
+                              topology=TopologyBounds(n_agents=np.int64(7)))
+        assert type(spec.topology.n_agents) is int
+        d = experiment_spec_to_dict(spec)
+        assert experiment_spec_to_dict(experiment_spec_from_dict(json.loads(json.dumps(d)))) == d
 
     def test_inline_scenario_topology(self):
         doc = json.loads((CONFIG_DIR / "scheme1_noise_sweep.json").read_text())
