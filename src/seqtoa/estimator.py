@@ -712,13 +712,7 @@ def gauss_newton_refine(wls: WlsSolution, agent_pos_cov_traces) -> EstimateRepor
     x, iterations, converged, rank = _retract(wls.theta_hat[None], wls.sqrt_info[None], threshold)
     if rank[0] < 6:
         raise _retraction_error(rank[0])
-    return EstimateReport(
-        x_hat=TargetState.from_vector(x[0]),
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-        cond_estimate=wls.cond_estimate,
-        C_wls=wls.C_wls,
-    )
+    return Estimates(x, iterations, converged, {}, np.array([wls.cond_estimate]), wls.C_wls[None]).report(0)
 
 
 # --- degraded static mode -------------------------------------------------

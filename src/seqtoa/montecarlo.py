@@ -115,23 +115,18 @@ class TopologyBounds:
         for name in ("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm"):
             lo, hi = getattr(self, name)
             if not (lo < hi and np.isfinite(hi - lo)):  # a uniform draw needs a finite width
-                raise ValueError(f"{name} bounds must be finite and well-ordered, with a finite width, got {(lo, hi)}")
-        if isinstance(self.n_agents, bool) or not isinstance(self.n_agents, (int, np.integer)) or self.n_agents < 1:
-            raise ValueError(f"n_agents must be an integer >= 1, got {self.n_agents!r}")
-        object.__setattr__(self, "n_agents", int(self.n_agents))
+                raise _SpecFieldError(name, f"bounds must be finite and well-ordered, with a finite width, got {(lo, hi)}")
+            object.__setattr__(self, name, (float(lo), float(hi)))
+        _check_integer(self, "n_agents", 1)
         if not 0 < self.slot_interval < np.inf:
-            raise ValueError(f"need a finite slot_interval > 0, got {self.slot_interval!r}")
+            raise _SpecFieldError("slot_interval", f"must be finite and > 0, got {self.slot_interval!r}")
         if not np.isfinite(self.slot_interval * (self.n_agents - 1)):  # the last slot time
-            raise ValueError(f"slot_interval * (n_agents - 1) must be finite, got {self.slot_interval!r} * {self.n_agents - 1}")
-        if not _db_ok(self.sigma_tau_sq_db):
-            raise ValueError(f"sigma_tau_sq_db must give a finite, positive variance, got {self.sigma_tau_sq_db!r} dB")
-        center, halfwidth = self.sigma_s_sq_db, self.agent_sigma_halfwidth_db
-        if not 0.0 <= halfwidth < np.inf:
-            raise ValueError(f"agent_sigma_halfwidth_db must be finite and >= 0, got {halfwidth!r}")
-        if not (_db_ok(center - halfwidth) and _db_ok(center + halfwidth)):
-            raise ValueError(
-                f"sigma_s_sq_db +- agent_sigma_halfwidth_db must give finite, positive variances, got {center!r} +- {halfwidth!r} dB"
+            raise _SpecFieldError(
+                "slot_interval", f"slot_interval * (n_agents - 1) must be finite, got {self.slot_interval!r} * {self.n_agents - 1}"
             )
+        _check_db(self.sigma_tau_sq_db, self.agent_sigma_halfwidth_db, [("sigma_s_sq_db", self.sigma_s_sq_db)])
+        for field in ("slot_interval", "sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db"):
+            object.__setattr__(self, field, float(getattr(self, field)))
 
 
 _INT64_MAX = 2**63 - 1
@@ -140,25 +135,45 @@ _INT64_MAX = 2**63 - 1
 _NORMAL_BOUND = 16.0
 
 
-def _integer_problem(value, lo: int) -> str | None:
-    """Why ``value`` is not an integer from ``lo`` to the largest signed 64-bit
-    integer (a bool, a float such as ``2.0`` or ``2.5``, or a string is not
-    one), or None if it is."""
+def _check_integer(spec, field: str, lo: int) -> None:
+    """Store ``spec``'s ``field`` as an ``int`` if it is an integer from ``lo``
+    to the largest signed 64-bit integer (a bool, a float such as ``2.0`` or
+    ``2.5``, or a string is not one), else raise :class:`_SpecFieldError`."""
+    value = getattr(spec, field)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        return f"expected an integer, got {value!r}"
+        raise _SpecFieldError(field, f"expected an integer, got {value!r}")
     if not lo <= value <= _INT64_MAX:
-        return f"expected an integer from {lo} to {_INT64_MAX}, got {value!r}"
-    return None
+        raise _SpecFieldError(field, f"expected an integer from {lo} to {_INT64_MAX}, got {value!r}")
+    object.__setattr__(spec, field, int(value))
 
 
 class _SpecFieldError(ValueError):
-    """An :class:`ExperimentSpec` value the experiment cannot use; ``field``
-    names it (``sweep_values[i]`` for one sweep value)."""
+    """An :class:`ExperimentSpec` or :class:`TopologyBounds` value the
+    experiment cannot use; ``field`` names it (``sweep_values[i]`` for one
+    sweep value)."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.message = message
+
+
+def _check_db(sigma_tau_sq_db: float, halfwidth_db: float, centers: list[tuple[str, float]]) -> None:
+    """Raise :class:`_SpecFieldError` unless every dB value a spec turns into
+    a variance gives a finite, positive one: the TOA variance, and each agent
+    variance range ``center +- halfwidth_db`` of the named ``centers``."""
+    if not 0.0 <= halfwidth_db < np.inf:
+        raise _SpecFieldError("agent_sigma_halfwidth_db", f"must be finite and >= 0, got {halfwidth_db!r}")
+    if not _db_ok(sigma_tau_sq_db):
+        raise _SpecFieldError("sigma_tau_sq_db", f"{sigma_tau_sq_db!r} dB is {_DB_RANGE}")
+    for field, center in centers:
+        if not _db_ok(center):
+            raise _SpecFieldError(field, f"{center!r} dB is {_DB_RANGE}")
+        lo, hi = center - halfwidth_db, center + halfwidth_db
+        if not (_db_ok(lo) and _db_ok(hi)):
+            raise _SpecFieldError(
+                "agent_sigma_halfwidth_db", f"{field} +- agent_sigma_halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}"
+            )
 
 
 @dataclass(frozen=True)
@@ -177,8 +192,8 @@ class ExperimentSpec:
     overflow, or a dB value (``sigma_tau_sq_db``,
     and ``agent_sigma_halfwidth_db`` around ``sigma_s_sq_db`` and around the
     sweep values of the schemes that sweep it) that gives no finite, positive
-    variance.  Where one field is at fault, the error is a ``ValueError``
-    whose ``field`` names it.
+    variance.  The error's ``field`` names the field at fault
+    (``sweep_values[1]`` for one sweep value), as for :class:`TopologyBounds`.
     """
 
     scheme: str
@@ -196,61 +211,46 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise _SpecFieldError("scheme", f"expected one of {SCHEMES}, got {self.scheme!r}")
         # the rule of a document's integer fields; it also keeps every trial
         # seed base_seed ^ i below 2**64, two 32-bit words (_stream_states)
         for field, lo in (("n_trials", 1), ("base_seed", 0), ("mle_max_iters", 1)):
-            problem = _integer_problem(getattr(self, field), lo)
-            if problem:
-                raise _SpecFieldError(field, problem)
-            object.__setattr__(self, field, int(getattr(self, field)))
+            _check_integer(self, field, lo)
         if len(self.sweep_values) == 0:
-            raise ValueError("sweep_values must be non-empty")
+            raise _SpecFieldError("sweep_values", "must be non-empty")
         # the MLE starts each trial from the truth plus mle_init_sigma * N(0, I)
         if not (self.mle_init_sigma > 0.0 and np.isfinite(_NORMAL_BOUND * self.mle_init_sigma)):
-            raise ValueError(f"mle_init_sigma must be > 0 and give finite draws, got {self.mle_init_sigma!r}")
+            raise _SpecFieldError("mle_init_sigma", f"must be > 0 and give finite draws, got {self.mle_init_sigma!r}")
         if len(self.estimators) == 0:
-            raise ValueError("estimators must be non-empty")
-        for e in self.estimators:
+            raise _SpecFieldError("estimators", "must be non-empty")
+        for i, e in enumerate(self.estimators):
             if e not in ESTIMATOR_IDS:
-                raise ValueError(f"unknown estimator id {e!r}; known: {ESTIMATOR_IDS}")
+                raise _SpecFieldError(f"estimators[{i}]", f"unknown estimator id {e!r}; known: {ESTIMATOR_IDS}")
         if len(set(self.estimators)) != len(self.estimators):
-            raise ValueError(f"estimators must not repeat an id, got {tuple(self.estimators)}")
+            raise _SpecFieldError("estimators", f"must not repeat an id, got {tuple(self.estimators)}")
         kind = TopologyBounds if self.scheme == "random_topology" else Scenario
         if not (self.topology is None or isinstance(self.topology, kind)):
-            raise ValueError(f"topology of a {self.scheme} experiment must be a {kind.__name__} or None")
-        if not 0.0 <= self.agent_sigma_halfwidth_db < np.inf:
-            raise ValueError(f"agent_sigma_halfwidth_db must be finite and >= 0, got {self.agent_sigma_halfwidth_db!r}")
+            raise _SpecFieldError("topology", f"must be a {kind.__name__} or None for a {self.scheme} experiment")
         # the noise sweep draws offsets uniformly on [-target_offset_ns, target_offset_ns]
         if not (self.target_offset_ns >= 0.0 and np.isfinite(2.0 * self.target_offset_ns)):
-            raise ValueError(f"target_offset_ns must be >= 0 and give a finite draw range, got {self.target_offset_ns!r}")
+            raise _SpecFieldError("target_offset_ns", f"must be >= 0 and give a finite draw range, got {self.target_offset_ns!r}")
         sweep_values = tuple(float(v) for v in self.sweep_values)
         for i, v in enumerate(sweep_values):
             if not np.isfinite(v):
                 raise _SpecFieldError(f"sweep_values[{i}]", f"expected a finite number, got {v!r}")
         if len(set(sweep_values)) != len(sweep_values):
-            raise ValueError(f"sweep_values must not repeat a value, got {sweep_values}")
+            raise _SpecFieldError("sweep_values", f"must not repeat a value, got {sweep_values}")
         object.__setattr__(self, "sweep_values", sweep_values)
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        # every dB value the experiment turns into a variance must give a
-        # finite, positive one: the TOA variance, and each agent variance range
-        # center +- agent_sigma_halfwidth_db around sigma_s_sq_db and around
+        # the agent variance ranges are drawn around sigma_s_sq_db and around
         # every sweep value of the schemes that sweep it (ltco_sweep sweeps
         # offsets in meters)
-        if not _db_ok(self.sigma_tau_sq_db):
-            raise _SpecFieldError("sigma_tau_sq_db", f"{self.sigma_tau_sq_db!r} dB is {_DB_RANGE}")
         centers = [("sigma_s_sq_db", self.sigma_s_sq_db)]
         if self.scheme != "ltco_sweep":
             centers += [(f"sweep_values[{i}]", v) for i, v in enumerate(sweep_values)]
-        halfwidth = self.agent_sigma_halfwidth_db
-        for field, center in centers:
-            if not _db_ok(center):
-                raise _SpecFieldError(field, f"{center!r} dB is {_DB_RANGE}")
-            lo, hi = center - halfwidth, center + halfwidth
-            if not (_db_ok(lo) and _db_ok(hi)):
-                raise _SpecFieldError(
-                    "agent_sigma_halfwidth_db", f"{field} +- agent_sigma_halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}"
-                )
+        _check_db(self.sigma_tau_sq_db, self.agent_sigma_halfwidth_db, centers)
+        for field in ("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma"):
+            object.__setattr__(self, field, float(getattr(self, field)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,10 +29,10 @@ Estimate report (flat)::
      "omega": m/s, "iterations": n, "converged": b, "diverged": b,
      "cond_estimate": f}
 
-Experiment spec: see :func:`experiment_spec_from_dict`.
-
-:func:`check_field` tells whether a dotted key names a field that a
-document's reader reads (``seqtoa --set`` accepts no other keys).
+Experiment spec: see :func:`experiment_spec_from_dict`.  One table,
+``_FIELDS``, lists the fields each reader reads; for an experiment it also
+reads each value, and the spec classes alone check it.  :func:`check_field`
+tells whether a dotted key names such a field (``seqtoa --set`` takes no other).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .model import (
     _db_variances,
     _read_only,
 )
-from .montecarlo import ExperimentSpec, TopologyBounds, _SpecFieldError, _integer_problem
+from .montecarlo import ExperimentSpec, TopologyBounds, _SpecFieldError
 
 
 class SchemaError(Exception):
@@ -85,15 +85,6 @@ def _number(value, path: str) -> float:
     if not math.isfinite(number):
         raise SchemaError(path, f"expected a finite number, got {value!r}")
     return number
-
-
-def _integer(value, path: str, lo: int) -> int:
-    """An integer field: a JSON integer from ``lo`` to the largest signed 64-bit
-    integer (a bool, a float such as ``2.0`` or ``2.5``, or a string is not one)."""
-    problem = _integer_problem(value, lo)
-    if problem:
-        raise SchemaError(path, problem)
-    return value
 
 
 def _pair(value, path: str) -> list[float]:
@@ -220,24 +211,29 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
 
 
 def scenario_from_dict(d: dict, rng: np.random.Generator | None = None) -> Scenario:
-    agents_raw = _get(d, "agents", "scenario")
+    return _scenario_from_dict(d, rng, "scenario")
+
+
+def _scenario_from_dict(d: dict, rng: np.random.Generator | None, path: str) -> Scenario:
+    """The scenario document ``d``, its errors reported under ``path``."""
+    agents_raw = _get(d, "agents", path)
     if not isinstance(agents_raw, list) or not agents_raw:
-        raise SchemaError("scenario.agents", "expected a non-empty array")
+        raise SchemaError(f"{path}.agents", "expected a non-empty array")
     M = len(agents_raw)
     t, p_m, T_m = np.empty(M), np.empty((M, 2)), np.empty(M)
     for i, a in enumerate(agents_raw):
-        path = f"scenario.agents[{i}]"
-        p_m[i] = _pair(_get(a, "p", path), f"{path}.p")
-        T_m[i] = _number(_get(a, "T", path), f"{path}.T")
-        t[i] = _number(_get(a, "t", path), f"{path}.t")
-    traw = _get(d, "target", "scenario")
+        apath = f"{path}.agents[{i}]"
+        p_m[i] = _pair(_get(a, "p", apath), f"{apath}.p")
+        T_m[i] = _number(_get(a, "T", apath), f"{apath}.T")
+        t[i] = _number(_get(a, "t", apath), f"{apath}.t")
+    traw, tpath = _get(d, "target", path), f"{path}.target"
     target = TargetState(
-        p=_pair(_get(traw, "p", "scenario.target"), "scenario.target.p"),
-        v=_pair(_get(traw, "v", "scenario.target"), "scenario.target.v"),
-        T=_number(_get(traw, "T", "scenario.target"), "scenario.target.T"),
-        omega=_number(_get(traw, "omega", "scenario.target"), "scenario.target.omega"),
+        p=_pair(_get(traw, "p", tpath), f"{tpath}.p"),
+        v=_pair(_get(traw, "v", tpath), f"{tpath}.v"),
+        T=_number(_get(traw, "T", tpath), f"{tpath}.T"),
+        omega=_number(_get(traw, "omega", tpath), f"{tpath}.omega"),
     )
-    noise = _noise_from_dict(_get(d, "noise", "scenario"), M, "scenario.noise", rng)
+    noise = _noise_from_dict(_get(d, "noise", path), M, f"{path}.noise", rng)
     return Scenario(agents=Agents(t=t, p_m=p_m, T_m=T_m), target=target, noise=noise)
 
 
@@ -322,84 +318,56 @@ def report_to_dict(report: EstimateReport) -> dict:
 
 # --- experiment specs ----------------------------------------------------------
 
-_BOUNDS_PAIRS = ("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm")
-_SPEC_NUMBERS = ("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma")
-
 
 def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -> ExperimentSpec:
     """Parse an experiment document.
 
     ``topology`` may be ``"fixed"`` (the scheme's default), an inline scenario
     for a sweep, or ``{"random": {...bounds...}}`` for ``random_topology``.
-    The integer fields ``n_trials``, ``base_seed``, ``mle_max_iters`` and
-    ``topology.random.n_agents`` must be JSON integers that fit a signed
-    64-bit integer, and every dB value must give a finite, positive variance
-    (see :class:`ExperimentSpec`).  A value that :class:`ExperimentSpec`
-    rejects is reported under its field's path where it names one
-    (``experiment.sweep_values[1]``), else under ``experiment``.  A key it
-    does not read, at the top level, beside ``topology.random`` or under it,
-    is an error under its own path.
+    ``_FIELDS["experiment"]`` lists the keys, at the top level and under
+    ``topology.random``, and reads each one's JSON value; any other key is an
+    error under its own path.  :class:`ExperimentSpec` and
+    :class:`TopologyBounds` check the values, and a value either rejects is
+    reported under its field's path (``experiment.sweep_values[1]``).
     """
-    scheme =_get(d, "scheme", "experiment")
-    _check_keys(d, _FIELDS["experiment"], "experiment")
-    if not isinstance(scheme, str):
-        raise SchemaError("experiment.scheme", "expected a string")
-    n_trials = _integer(_get(d, "n_trials", "experiment"), "experiment.n_trials", 1)
-    base_seed = _integer(_get(d, "base_seed", "experiment"), "experiment.base_seed", 0)
-    sweep_values = _number_list(_get(d, "sweep_values", "experiment"), "experiment.sweep_values")
-    estimators = _get(d, "estimators", "experiment")
-    if not isinstance(estimators, list) or not all(isinstance(e, str) for e in estimators):
-        raise SchemaError("experiment.estimators", "expected an array of estimator ids")
+    for key in ("scheme", "n_trials", "base_seed", "sweep_values", "estimators"):
+        _get(d, key, "experiment")
+    kwargs = _read(d, _FIELDS["experiment"], "experiment")
+    traw = kwargs.pop("topology", None)
+    if isinstance(traw, dict) and "random" in traw:
+        kwargs["topology"] = _read(traw, {"random": _bounds}, "experiment.topology")["random"]
+    elif isinstance(traw, dict):
+        kwargs["topology"] = _scenario_from_dict(traw, rng, "experiment.topology")
+    elif traw not in ("fixed", None):
+        raise SchemaError("experiment.topology", f"expected 'fixed', a scenario, or {{'random': ...}}; got {traw!r}")
+    return _build(ExperimentSpec, kwargs, "experiment")
 
-    topology = None
-    if "topology" in d:
-        traw = d["topology"]
-        if traw == "fixed" or traw is None:
-            topology = None
-        elif isinstance(traw, dict) and "random" in traw:
-            _check_keys(traw, {"random": None}, "experiment.topology")
-            braw = traw["random"]
-            if not isinstance(braw, dict):
-                raise SchemaError("experiment.topology.random", "expected an object of bounds")
-            _check_keys(braw, _FIELDS["experiment"]["topology"]["random"], "experiment.topology.random")
-            kwargs = {}
-            for key in _BOUNDS_PAIRS:
-                if key in braw:
-                    kwargs[key] = tuple(_pair(braw[key], f"experiment.topology.random.{key}"))
-            if "n_agents" in braw:
-                kwargs["n_agents"] = _integer(braw["n_agents"], "experiment.topology.random.n_agents", 1)
-            if "slot_interval" in braw:
-                kwargs["slot_interval"] = _number(braw["slot_interval"], "experiment.topology.random.slot_interval")
-            try:
-                topology = TopologyBounds(**kwargs)
-            except ValueError as exc:
-                raise SchemaError("experiment.topology.random", str(exc)) from None
-        elif isinstance(traw, dict):
-            topology = scenario_from_dict(traw, rng)
-        else:
-            raise SchemaError("experiment.topology", f"expected 'fixed', a scenario, or {{'random': ...}}; got {traw!r}")
 
-    kwargs = {}
-    for key in _SPEC_NUMBERS:
-        if key in d:
-            kwargs[key] = _number(d[key], f"experiment.{key}")
-    if "mle_max_iters" in d:
-        kwargs["mle_max_iters"] = _integer(d["mle_max_iters"], "experiment.mle_max_iters", 1)
+def _bounds(value, path: str) -> TopologyBounds:
+    if not isinstance(value, dict):
+        raise SchemaError(path, "expected an object of bounds")
+    return _build(TopologyBounds, _read(value, _FIELDS["experiment"]["topology"]["random"], path), path)
 
+
+def _read(d: dict, fields: dict, path: str) -> dict:
+    """Each key of ``d`` with its value read by its leaf in ``fields`` (a
+    nested object's value as given); a key ``fields`` does not list is an
+    error under its own path: a reader that skipped it would run another
+    document than the one written."""
+    out = {}
+    for key, value in d.items():
+        if key not in fields:
+            raise SchemaError(f"{path}.{key}", "not a field of the experiment schema")
+        out[key] = value if isinstance(fields[key], dict) else fields[key](value, f"{path}.{key}")
+    return out
+
+
+def _build(cls, kwargs: dict, path: str):
+    """``cls(**kwargs)``, a field it rejects reported at ``path.<field>``."""
     try:
-        return ExperimentSpec(
-            scheme=scheme,
-            n_trials=n_trials,
-            base_seed=base_seed,
-            sweep_values=tuple(sweep_values),
-            estimators=tuple(estimators),
-            topology=topology,
-            **kwargs,
-        )
+        return cls(**kwargs)
     except _SpecFieldError as exc:
-        raise SchemaError(f"experiment.{exc.field}", exc.message) from None
-    except ValueError as exc:
-        raise SchemaError("experiment", str(exc)) from None
+        raise SchemaError(f"{path}.{exc.field}", exc.message) from None
 
 
 def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -422,8 +390,27 @@ def _plain(value):
 
 # --- fields the readers read ---------------------------------------------------
 #
-# Per document kind, the nested field names its reader reads; ``None`` marks
-# a leaf (a number, string or array).
+# Per document kind, the nested field names its reader reads.  A leaf is
+# ``None`` (a number, string or array read by the document's own reader) or,
+# for experiments, the function that reads the key's JSON value.
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(path, "expected a string")
+    return value
+
+
+def _strings(value, path: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
+        raise SchemaError(path, "expected an array of estimator ids")
+    return value
+
+
+def _given(value, path: str):
+    """An integer field's value as written: the spec class checks it."""
+    return value
+
 
 _NOISE_FIELDS = {"sigma_tau_sq_db": None, "agent_sigma_sq_db": {"center_db": None, "halfwidth_db": None}}
 _SCENARIO_FIELDS = {"agents": None, "target": dict.fromkeys(("p", "v", "T", "omega")), "noise": _NOISE_FIELDS}
@@ -431,18 +418,18 @@ _FIELDS = {
     "frame": {"records": None, "noise": _NOISE_FIELDS},
     "scenario": _SCENARIO_FIELDS,
     "experiment": {
-        **dict.fromkeys(("scheme", "n_trials", "base_seed", "sweep_values", "estimators", *_SPEC_NUMBERS, "mle_max_iters")),
-        "topology": {"random": dict.fromkeys((*_BOUNDS_PAIRS, "n_agents", "slot_interval")), **_SCENARIO_FIELDS},
+        "scheme": _string, "n_trials": _given, "base_seed": _given, "sweep_values": _number_list, "estimators": _strings,
+        **dict.fromkeys(("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma"), _number),
+        "mle_max_iters": _given,
+        "topology": {
+            "random": {
+                **dict.fromkeys(("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm"), _pair),
+                "n_agents": _given, "slot_interval": _number,
+            },
+            **_SCENARIO_FIELDS,
+        },
     },
 }
-
-
-def _check_keys(d: dict, fields: dict, path: str) -> None:
-    """Raise ``SchemaError`` at the first key of ``d`` not in ``fields``: a
-    reader that skipped it would run another document than the one written."""
-    for key in d:
-        if key not in fields:
-            raise SchemaError(f"{path}.{key}", "not a field of the experiment schema")
 
 
 def check_field(document: str, key: str) -> None:
@@ -451,6 +438,6 @@ def check_field(document: str, key: str) -> None:
     reads.  Array elements have no dotted name."""
     node = _FIELDS[document]
     for part in key.split("."):
-        if node is None or part not in node:
+        if not isinstance(node, dict) or part not in node:
             raise SchemaError("--set", f"{key!r} is not a field of the {document} schema")
         node = node[part]

@@ -121,35 +121,37 @@ class TestEstimateCommand:
             assert code == 1, setting
             assert f"experiment.{field}:" in capsys.readouterr().err, setting
         for setting, message in [
-            ("estimators=[]", "estimators must"),
-            ('estimators=["mle","mle"]', "estimators must"),
-            ("sweep_values=[-20.5,-20.5]", "sweep_values must"),
+            ("estimators=[]", "estimators: must"),
+            ('estimators=["mle","mle"]', "estimators: must"),
+            ("sweep_values=[-20.5,-20.5]", "sweep_values: must"),
         ]:
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
             assert code == 1, setting
-            assert f"experiment: {message}" in capsys.readouterr().err, setting
+            assert f"experiment.{message}" in capsys.readouterr().err, setting
         # draw ranges the noise sweep cannot draw from
         exp.write_text(json.dumps({**random, "scheme": "noise_sweep", "topology": "fixed"}))
         for setting, message in [
-            ("agent_sigma_halfwidth_db=-3", "agent_sigma_halfwidth_db must be finite and >= 0, got -3.0"),
-            ("target_offset_ns=-1", "target_offset_ns must be >= 0"),
-            ("target_offset_ns=1e308", "target_offset_ns must be >= 0"),
-            ("mle_init_sigma=1e308", "mle_init_sigma must be > 0 and give finite draws, got 1e+308"),
+            ("agent_sigma_halfwidth_db=-3", "agent_sigma_halfwidth_db: must be finite and >= 0, got -3.0"),
+            ("target_offset_ns=-1", "target_offset_ns: must be >= 0"),
+            ("target_offset_ns=1e308", "target_offset_ns: must be >= 0"),
+            ("mle_init_sigma=1e308", "mle_init_sigma: must be > 0 and give finite draws, got 1e+308"),
         ]:
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv"), "--set", setting])
             assert code == 1, setting
-            assert f"experiment: {message}" in capsys.readouterr().err, setting
+            assert f"experiment.{message}" in capsys.readouterr().err, setting
         ltco = {**random, "scheme": "ltco_sweep", "sweep_values": [4000.0], "topology": "fixed"}
         assert experiment_spec_from_dict(ltco).sweep_values == (4000.0,)
         # a topology of the wrong kind for the scheme
         for doc, message in [
-            ({**random, "scheme": "noise_sweep", "topology": {"random": {"n_agents": 20}}}, "topology of a noise_sweep"),
-            ({**random, "topology": scenario_to_dict(fixed_topology())}, "topology of a random_topology"),
+            ({**random, "scheme": "noise_sweep", "topology": {"random": {"n_agents": 20}}},
+             "topology: must be a Scenario or None for a noise_sweep"),
+            ({**random, "topology": scenario_to_dict(fixed_topology())},
+             "topology: must be a TopologyBounds or None for a random_topology"),
         ]:
             exp.write_text(json.dumps(doc))
             code = main(["experiment", "--input", str(exp), "--output", str(tmp_path / "o.csv")])
             assert code == 1, message
-            assert f"experiment: {message}" in capsys.readouterr().err, message
+            assert f"experiment.{message}" in capsys.readouterr().err, message
 
 
     def test_overlong_integer_exits_1(self, exact_frame_file, tmp_path, capsys):

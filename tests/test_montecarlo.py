@@ -376,33 +376,33 @@ class TestRunTrials:
             small_spec(estimators=())
         with pytest.raises(ValueError, match="repeat"):
             small_spec(estimators=("mle", "proposed", "mle"))
-        with pytest.raises(ValueError, match="sweep_values must not repeat"):
+        with pytest.raises(ValueError, match="sweep_values: must not repeat"):
             small_spec(sweep_values=(-40.0, -30.0, -40.0))
-        with pytest.raises(ValueError, match="sweep_values must not repeat"):
+        with pytest.raises(ValueError, match="sweep_values: must not repeat"):
             small_spec(sweep_values=(0.0, -0.0))  # one key of the results
-        with pytest.raises(ValueError, match="topology of a noise_sweep"):
+        with pytest.raises(ValueError, match="topology: must be a Scenario or None for a noise_sweep"):
             small_spec(topology=TopologyBounds(n_agents=20))
-        with pytest.raises(ValueError, match="topology of a random_topology"):
+        with pytest.raises(ValueError, match="topology: must be a TopologyBounds or None for a random_topology"):
             small_spec(scheme="random_topology", topology=fixed_topology())
         for bad in (np.nan, np.inf, 0.0, -0.05):
-            with pytest.raises(ValueError, match="finite slot_interval > 0"):
+            with pytest.raises(ValueError, match="slot_interval: must be finite and > 0"):
                 TopologyBounds(slot_interval=bad)
         for name, bad in (("agent_xy", (0.0, np.inf)), ("velocity", (-np.inf, 5.0)), ("skew_ppm", (np.nan, 20.0)),
                           ("target_offset_ns", (-1e308, 1e308))):
-            with pytest.raises(ValueError, match=f"{name} bounds must be finite"):
+            with pytest.raises(ValueError, match=f"{name}: bounds must be finite"):
                 TopologyBounds(**{name: bad})
         # every bad value below made sample_random_topology raise mid-draw
         for kwargs, message in [
             ({"sigma_s_sq_db": np.nan}, "sigma_s_sq_db"),
             ({"sigma_s_sq_db": np.inf}, "sigma_s_sq_db"),
-            ({"agent_sigma_halfwidth_db": np.nan}, "agent_sigma_halfwidth_db must be finite"),
-            ({"agent_sigma_halfwidth_db": np.inf}, "agent_sigma_halfwidth_db must be finite"),
-            ({"agent_sigma_halfwidth_db": -3.0}, "agent_sigma_halfwidth_db must be finite and >= 0"),
-            ({"sigma_tau_sq_db": 4000.0}, "sigma_tau_sq_db must give a finite, positive variance"),
+            ({"agent_sigma_halfwidth_db": np.nan}, "agent_sigma_halfwidth_db: must be finite"),
+            ({"agent_sigma_halfwidth_db": np.inf}, "agent_sigma_halfwidth_db: must be finite"),
+            ({"agent_sigma_halfwidth_db": -3.0}, "agent_sigma_halfwidth_db: must be finite and >= 0"),
+            ({"sigma_tau_sq_db": 4000.0}, "sigma_tau_sq_db: 4000.0 dB is beyond the range of a finite positive variance"),
             ({"sigma_s_sq_db": -20.5, "agent_sigma_halfwidth_db": 3300.0}, "sigma_s_sq_db"),
-            ({"n_agents": 2.5}, "n_agents must be an integer"),
-            ({"n_agents": True}, "n_agents must be an integer"),
-            ({"n_agents": 0}, "n_agents must be an integer >= 1"),
+            ({"n_agents": 2.5}, "n_agents: expected an integer, got"),
+            ({"n_agents": True}, "n_agents: expected an integer, got"),
+            ({"n_agents": 0}, "n_agents: expected an integer from 1 to"),
             ({"slot_interval": 1e308}, r"slot_interval \* \(n_agents - 1\) must be finite"),
         ]:
             with pytest.raises(ValueError, match=message):
@@ -411,19 +411,19 @@ class TestRunTrials:
         # the draw ranges of a sweep: a negative, non-finite or overflowing
         # halfwidth or offset made run_trials raise mid-run
         for kwargs, message in [
-            ({"agent_sigma_halfwidth_db": -3.0}, "agent_sigma_halfwidth_db must be finite and >= 0"),
-            ({"agent_sigma_halfwidth_db": np.nan}, "agent_sigma_halfwidth_db must be finite"),
-            ({"agent_sigma_halfwidth_db": np.inf}, "agent_sigma_halfwidth_db must be finite"),
-            ({"target_offset_ns": -1.0}, "target_offset_ns must be >= 0"),
-            ({"target_offset_ns": np.nan}, "target_offset_ns must be >= 0"),
-            ({"target_offset_ns": np.inf}, "target_offset_ns must be >= 0"),
-            ({"target_offset_ns": 1e308}, "target_offset_ns must be >= 0 and give a finite draw range"),
+            ({"agent_sigma_halfwidth_db": -3.0}, "agent_sigma_halfwidth_db: must be finite and >= 0"),
+            ({"agent_sigma_halfwidth_db": np.nan}, "agent_sigma_halfwidth_db: must be finite"),
+            ({"agent_sigma_halfwidth_db": np.inf}, "agent_sigma_halfwidth_db: must be finite"),
+            ({"target_offset_ns": -1.0}, "target_offset_ns: must be >= 0"),
+            ({"target_offset_ns": np.nan}, "target_offset_ns: must be >= 0"),
+            ({"target_offset_ns": np.inf}, "target_offset_ns: must be >= 0"),
+            ({"target_offset_ns": 1e308}, "target_offset_ns: must be >= 0 and give a finite draw range"),
             # these built, and then every MLE trial failed while the run succeeded
-            ({"mle_init_sigma": np.inf}, "mle_init_sigma must be > 0 and give finite draws, got inf"),
-            ({"mle_init_sigma": np.nan}, "mle_init_sigma must be > 0 and give finite draws"),
-            ({"mle_init_sigma": 1e308}, "mle_init_sigma must be > 0 and give finite draws"),
-            ({"mle_init_sigma": 0.0}, "mle_init_sigma must be > 0"),
-            ({"mle_init_sigma": -1.0}, "mle_init_sigma must be > 0"),
+            ({"mle_init_sigma": np.inf}, "mle_init_sigma: must be > 0 and give finite draws, got inf"),
+            ({"mle_init_sigma": np.nan}, "mle_init_sigma: must be > 0 and give finite draws"),
+            ({"mle_init_sigma": 1e308}, "mle_init_sigma: must be > 0 and give finite draws"),
+            ({"mle_init_sigma": 0.0}, "mle_init_sigma: must be > 0"),
+            ({"mle_init_sigma": -1.0}, "mle_init_sigma: must be > 0"),
         ]:
             with pytest.raises(ValueError, match=message):
                 small_spec(**kwargs)

@@ -17,6 +17,7 @@ from seqtoa.serialize import (
     _exact_db,
     _noise_from_dict,
     _noise_to_dict,
+    _number,
     check_field,
     experiment_spec_from_dict,
     experiment_spec_to_dict,
@@ -344,12 +345,69 @@ class TestExperimentSpecs:
         assert list(d["topology"]["random"]) == list(_FIELDS["experiment"]["topology"]["random"])
 
     def test_numpy_integer_n_agents_dumps(self):
-        # a numpy integer n_agents is stored as an int, so the spec dumps and reads back to its own document
-        spec = ExperimentSpec(scheme="random_topology", n_trials=3, base_seed=1, sweep_values=(-20.5,),
-                              topology=TopologyBounds(n_agents=np.int64(7)))
-        assert type(spec.topology.n_agents) is int
-        d = experiment_spec_to_dict(spec)
-        assert experiment_spec_to_dict(experiment_spec_from_dict(json.loads(json.dumps(d)))) == d
+        # numpy numbers are stored as ints and floats, so each spec dumps and
+        # reads back to its own document; the float cases raised TypeError in
+        # json.dumps when the classes kept them as given
+        for spec_kwargs, bounds_kwargs in [
+            ({}, {"n_agents": np.int64(7)}),
+            ({"sigma_tau_sq_db": np.float32(-30)}, {}),
+            ({"mle_init_sigma": np.float32(1)}, {}),
+            ({"target_offset_ns": np.float64(5), "agent_sigma_halfwidth_db": np.float32(2)}, {}),
+            ({}, {"agent_xy": (np.float32(0), 50.0), "slot_interval": np.float32(0.05)}),
+        ]:
+            spec = ExperimentSpec(scheme="random_topology", n_trials=3, base_seed=1, sweep_values=(-20.5,),
+                                  topology=TopologyBounds(**bounds_kwargs), **spec_kwargs)
+            assert type(spec.topology.n_agents) is int
+            stored = [getattr(spec, key) for key in _FIELDS["experiment"] if _FIELDS["experiment"][key] is _number]
+            stored += [getattr(spec.topology, f.name) for f in dataclasses.fields(TopologyBounds) if f.name != "n_agents"]
+            assert {type(v) for v in stored} == {float, tuple}
+            assert all(type(v) is float for pair in stored if type(pair) is tuple for v in pair)
+            d = experiment_spec_to_dict(spec)
+            assert experiment_spec_to_dict(experiment_spec_from_dict(json.loads(json.dumps(d)))) == d
+
+    def test_bounds_store_pairs_as_tuples(self):
+        # a pair given as a list (as the table reads one) is stored as a tuple,
+        # so equal bounds compare and hash as equal
+        bounds = TopologyBounds(agent_xy=[0, 50.0], skew_ppm=[-20.0, 20])
+        assert bounds.agent_xy == (0.0, 50.0) and type(bounds.skew_ppm) is tuple
+        assert bounds == TopologyBounds() and hash(bounds) == hash(TopologyBounds())
+
+    def test_table_lists_every_spec_field(self):
+        # a field added to either class without a reader entry fails here; the
+        # bounds' three noise fields are not document fields (a random_topology
+        # sweep takes its noise levels from its spec)
+        fields = _FIELDS["experiment"]
+        assert set(fields) == {f.name for f in dataclasses.fields(ExperimentSpec)}
+        noise = {"sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db"}
+        assert set(fields["topology"]["random"]) == {f.name for f in dataclasses.fields(TopologyBounds)} - noise
+
+    def test_every_field_round_trips(self):
+        bounds = TopologyBounds(agent_xy=(1.0, 40.0), target_xy=(-40.0, 90.0), velocity=(-4.0, 3.0),
+                                agent_offset_ns=(-9.0, 8.0), target_offset_ns=(-7.0, 6.0), skew_ppm=(-19.0, 18.0),
+                                n_agents=7, slot_interval=0.04)
+        spec = ExperimentSpec(scheme="random_topology", n_trials=11, base_seed=5, sweep_values=(-25.0, -15.0),
+                              estimators=("mle", "proposed"), topology=bounds, sigma_tau_sq_db=-28.0, sigma_s_sq_db=-19.0,
+                              agent_sigma_halfwidth_db=4.0, target_offset_ns=12.0, mle_init_sigma=0.5, mle_max_iters=30)
+        defaults = ExperimentSpec(scheme="noise_sweep", n_trials=1, base_seed=0, sweep_values=(-20.5,))
+        assert all(getattr(spec, f.name) != getattr(defaults, f.name) for f in dataclasses.fields(ExperimentSpec))
+        assert all(getattr(bounds, key) != getattr(TopologyBounds(), key) for key in _FIELDS["experiment"]["topology"]["random"])
+        assert experiment_spec_from_dict(json.loads(json.dumps(experiment_spec_to_dict(spec)))) == spec
+
+    @pytest.mark.parametrize(
+        "part, path",
+        [("agents", "experiment.topology.agents[3].T"), ("target", "experiment.topology.target.omega"),
+         ("noise", "experiment.topology.noise.sigma_tau_sq_db")],
+    )
+    def test_inline_topology_errors_name_their_path(self, part, path):
+        # these were reported under scenario.<part>, a path the document does not have
+        scenario = scenario_to_dict(fixed_topology())
+        node = scenario["agents"][3] if part == "agents" else scenario[part]
+        node[path.rsplit(".", 1)[1]] = "x"
+        doc = {**json.loads((CONFIG_DIR / "scheme1_noise_sweep.json").read_text()), "topology": scenario}
+        with pytest.raises(SchemaError) as exc:
+            experiment_spec_from_dict(doc)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: expected a number, got 'x'"
 
     def test_inline_scenario_topology(self):
         doc = json.loads((CONFIG_DIR / "scheme1_noise_sweep.json").read_text())
