@@ -57,6 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(doc: dict, overrides: list[str], document: str) -> dict:
+    if overrides and not isinstance(doc, dict):
+        raise serialize.SchemaError(document, f"expected an object, got {type(doc).__name__}")
     for item in overrides:
         if "=" not in item:
             raise serialize.SchemaError("--set", f"expected KEY=VALUE, got {item!r}")
@@ -66,7 +68,7 @@ def _apply_overrides(doc: dict, overrides: list[str], document: str) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        except ValueError as exc:  # e.g. an integer literal too long to convert
+        except (ValueError, RecursionError) as exc:  # an integer literal too long to convert, arrays nested too deep
             raise serialize.SchemaError("--set", f"{key}: {exc}") from None
         node = doc
         parts = key.split(".")
@@ -82,7 +84,7 @@ def _load_json(path: str) -> dict:
     with open(path, "r") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
+        except (ValueError, RecursionError) as exc:  # malformed JSON, an integer literal too long to convert, nesting too deep
             raise serialize.SchemaError(path, str(exc)) from None
 
 

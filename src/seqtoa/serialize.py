@@ -7,7 +7,7 @@ must give a variance that neither overflows nor underflows):
 
 Scenario::
 
-    {"version": 1,
+    {"version": 1,                                      # optional; only 1
      "agents": [{"p": [x, y], "T": m, "t": s}, ...],
      "target": {"p": [x, y], "v": [vx, vy], "T": m, "omega": m/s},
      "noise": {"sigma_tau_sq_db": f,
@@ -29,16 +29,20 @@ Estimate report (flat)::
      "omega": m/s, "iterations": n, "converged": b, "diverged": b,
      "cond_estimate": f}
 
-Experiment spec: see :func:`experiment_spec_from_dict`.  One table,
-``_FIELDS``, lists the fields each reader reads; for an experiment it also
-reads each value, and the spec classes alone check it.  :func:`check_field`
-tells whether a dotted key names such a field (``seqtoa --set`` takes no other).
+Experiment spec: see :func:`experiment_spec_from_dict`.
+
+One table, ``_FIELDS``, states every document's schema: per JSON object, the
+keys it may hold, each with the function that reads its value, and the keys it
+must hold.  :func:`_read` reads every object through it, so an unlisted key or
+a missing required one is an error under its own path; :func:`check_field`
+takes the table's dotted names (``seqtoa --set`` takes no other).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -67,12 +71,42 @@ class SchemaError(Exception):
         self.path = path
 
 
-def _get(d: dict, key: str, path: str):
+# --- the reader --------------------------------------------------------------
+
+
+def _read(d, fields: _Table, path: str) -> dict:
+    """Each key of the object ``d`` with its value read by its reader in
+    ``fields``, in the table's order.  A key the table does not list is an
+    error under its own path (a reader that skipped it would run another
+    document than the one written), and so is a missing required key."""
     if not isinstance(d, dict):
         raise SchemaError(path, f"expected an object, got {type(d).__name__}")
-    if key not in d:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    return d[key]
+    if not d.keys() <= fields.keys():
+        key = next(key for key in d if key not in fields)
+        raise SchemaError(f"{path}.{key}", f"not a field of the {path.split('.')[0]} schema")
+    out = {}
+    for key, read in fields.items():
+        if key in d:
+            out[key] = read(d[key], f"{path}.{key}")
+        elif key in fields.required:
+            raise SchemaError(f"{path}.{key}", "missing required field")
+    return out
+
+
+class _Table(dict):
+    """The fields of a JSON object: each key with the reader of its value,
+    ``read(value, path)``, a nested object's being its own table.  The
+    ``required`` keys (by default all) must be given.  A table reads a value
+    with ``read(value, table, path)``: :func:`_read`, unless the value may
+    take other forms or is read once its document knows more."""
+
+    def __init__(self, fields: dict, required=None, read=_read):
+        super().__init__(fields)
+        self.required = frozenset(self if required is None else required)
+        self.read = read
+
+    def __call__(self, value, path: str):
+        return self.read(value, self, path)
 
 
 def _number(value, path: str) -> float:
@@ -93,36 +127,79 @@ def _pair(value, path: str) -> list[float]:
     return [_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")]
 
 
-def _finite_floats(values) -> list[float] | None:
-    """``values`` as floats when every one is a JSON number (an ``int`` or a
-    ``float``, never a bool) whose float is finite, else ``None``.
-
-    This is the check :func:`_number` makes, without a path for each value;
-    on ``None`` a caller walks the values with :func:`_number` to name the
-    first bad one.
-    """
+def _finite_numbers(values) -> bool:
+    """Whether :func:`_number` takes every value, short of a sum beyond the
+    float range; on ``False`` a caller walks the values with it, which names
+    the first bad one."""
     if not {type(v) for v in values} <= {int, float}:
-        return None
+        return False
     try:
-        floats = list(map(float, values))
-    except OverflowError:
-        return None
-    return floats if all(map(math.isfinite, floats)) else None
+        return math.isfinite(math.fsum(values))
+    except (OverflowError, ValueError):  # an int beyond the float range, a sum beyond it, or inf - inf
+        return False
 
 
 def _number_list(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise SchemaError(path, "expected a non-empty array of numbers")
-    floats = _finite_floats(value)
-    if floats is None:
-        floats = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return floats
+    if _finite_numbers(value):
+        return list(map(float, value))
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+class _Records:
+    """Reader of a non-empty array of objects of one table (a pair and two or
+    more numbers): ``{key: read-only column}``, the pair's ``(M, 2)``.  When
+    every object holds exactly the table's keys, as JSON numbers and a
+    2-element array, all are read as one array; else :func:`_read` reads each,
+    naming the first fault (or taking what that path does not, such as a
+    tuple).  Array elements have no dotted name: :func:`check_field` stops here."""
+
+    def __init__(self, fields: dict):
+        self.fields = _Table(fields)
+        (self.pair,) = [key for key, read in fields.items() if read is _pair]
+        self.numbers = [key for key, read in fields.items() if read is _number]
+        self.get_numbers = operator.itemgetter(*self.numbers)
+
+    def __call__(self, records, path: str) -> dict:
+        if not isinstance(records, list) or not records:
+            raise SchemaError(path, "expected a non-empty array")
+        n, pair, get_numbers = len(self.fields), self.pair, self.get_numbers
+        try:
+            values = [v for r in records if type(r) is dict and len(r) == n
+                      and type(p := r.get(pair)) is list and len(p) == 2 for v in (*p, *get_numbers(r))]
+        except KeyError:  # another key in place of one of the table's
+            values = []
+        if not (len(values) == len(records) * (n + 1) and _finite_numbers(values)):
+            rows = [_read(r, self.fields, f"{path}[{i}]") for i, r in enumerate(records)]
+            values = [v for r in rows for v in (*r[pair], *map(r.get, self.numbers))]
+        table = _read_only(np.array(values, dtype=float)).reshape(len(records), -1)
+        return {pair: table[:, :2], **dict(zip(self.numbers, table[:, 2:].T))}
 
 
 # --- noise ------------------------------------------------------------------
 #
 # The reader keeps the specs of the last few concrete noise documents and the
 # writer the dB forms of the last few specs (see model._SPEC_CACHE_SIZE).
+
+
+def _db(value, path: str) -> float:
+    """A dB value that converts to a finite, positive variance."""
+    db = _number(value, path)
+    if not _db_ok(db):
+        raise SchemaError(path, f"{db!r} dB is {_DB_RANGE}")
+    return db
+
+
+def _agent_db(value, table: _Table, path: str) -> dict | tuple[float, ...]:
+    """The sampled form's fields, or the concrete form's dB values as a tuple."""
+    if isinstance(value, dict):
+        return _read(value, table, path)
+    values = _number_list(value, path)
+    if not (_db_ok(min(values)) and _db_ok(max(values))):  # the conversion is monotone
+        i = next(i for i, v in enumerate(values) if not _db_ok(v))
+        raise SchemaError(f"{path}[{i}]", f"{values[i]!r} dB is {_DB_RANGE}")
+    return tuple(values)
 
 
 @functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
@@ -135,31 +212,21 @@ def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | Non
     """The noise spec of a document; every dB value, and every value a sampled
     range can draw, must convert to a finite, positive variance.  Equal
     concrete documents get one shared spec; a sampled one is drawn anew."""
-    sigma_tau_sq_db = _number(_get(d, "sigma_tau_sq_db", path), f"{path}.sigma_tau_sq_db")
-    if not _db_ok(sigma_tau_sq_db):
-        raise SchemaError(f"{path}.sigma_tau_sq_db", f"{sigma_tau_sq_db!r} dB is {_DB_RANGE}")
-    agent = _get(d, "agent_sigma_sq_db", path)
-    apath = f"{path}.agent_sigma_sq_db"
-    if isinstance(agent, dict):
-        center = _number(_get(agent, "center_db", apath), f"{apath}.center_db")
-        halfwidth = _number(_get(agent, "halfwidth_db", apath), f"{apath}.halfwidth_db")
-        if not _db_ok(center):
-            raise SchemaError(f"{apath}.center_db", f"{center!r} dB is {_DB_RANGE}")
-        if halfwidth < 0.0:
-            raise SchemaError(f"{apath}.halfwidth_db", f"expected a number >= 0, got {halfwidth!r}")
-        lo, hi = center - halfwidth, center + halfwidth
-        if not (_db_ok(lo) and _db_ok(hi)):
-            raise SchemaError(f"{apath}.halfwidth_db", f"center_db +- halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}")
-        if rng is None:
-            raise SchemaError(apath, "sampled agent variances need an RNG/seed to materialize")
-        return NoiseSpec.from_db(sigma_tau_sq_db, rng.uniform(lo, hi, size=n_agents))
-    values = _number_list(agent, apath)
-    if len(values) != n_agents:
-        raise SchemaError(apath, f"expected {n_agents} entries, got {len(values)}")
-    if not (_db_ok(min(values)) and _db_ok(max(values))):  # the conversion is monotone
-        i = next(i for i, v in enumerate(values) if not _db_ok(v))
-        raise SchemaError(f"{apath}[{i}]", f"{values[i]!r} dB is {_DB_RANGE}")
-    return _concrete_noise(sigma_tau_sq_db, tuple(values))
+    noise = _read(d, _NOISE, path)
+    sigma_tau_sq_db, agent, apath = noise["sigma_tau_sq_db"], noise["agent_sigma_sq_db"], f"{path}.agent_sigma_sq_db"
+    if isinstance(agent, tuple):
+        if len(agent) != n_agents:
+            raise SchemaError(apath, f"expected {n_agents} entries, got {len(agent)}")
+        return _concrete_noise(sigma_tau_sq_db, agent)
+    center, halfwidth = agent["center_db"], agent["halfwidth_db"]
+    if halfwidth < 0.0:
+        raise SchemaError(f"{apath}.halfwidth_db", f"expected a number >= 0, got {halfwidth!r}")
+    lo, hi = center - halfwidth, center + halfwidth
+    if not (_db_ok(lo) and _db_ok(hi)):
+        raise SchemaError(f"{apath}.halfwidth_db", f"center_db +- halfwidth_db spans {lo!r} to {hi!r} dB, {_DB_RANGE}")
+    if rng is None:
+        raise SchemaError(apath, "sampled agent variances need an RNG/seed to materialize")
+    return NoiseSpec.from_db(sigma_tau_sq_db, rng.uniform(lo, hi, size=n_agents))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step past the largest float reads back as inf: no match
@@ -210,31 +277,19 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
 # --- scenario ----------------------------------------------------------------
 
 
-def scenario_from_dict(d: dict, rng: np.random.Generator | None = None) -> Scenario:
-    return _scenario_from_dict(d, rng, "scenario")
-
-
-def _scenario_from_dict(d: dict, rng: np.random.Generator | None, path: str) -> Scenario:
+def scenario_from_dict(d: dict, rng: np.random.Generator | None = None, path: str = "scenario") -> Scenario:
     """The scenario document ``d``, its errors reported under ``path``."""
-    agents_raw = _get(d, "agents", path)
-    if not isinstance(agents_raw, list) or not agents_raw:
-        raise SchemaError(f"{path}.agents", "expected a non-empty array")
-    M = len(agents_raw)
-    t, p_m, T_m = np.empty(M), np.empty((M, 2)), np.empty(M)
-    for i, a in enumerate(agents_raw):
-        apath = f"{path}.agents[{i}]"
-        p_m[i] = _pair(_get(a, "p", apath), f"{apath}.p")
-        T_m[i] = _number(_get(a, "T", apath), f"{apath}.T")
-        t[i] = _number(_get(a, "t", apath), f"{apath}.t")
-    traw, tpath = _get(d, "target", path), f"{path}.target"
-    target = TargetState(
-        p=_pair(_get(traw, "p", tpath), f"{tpath}.p"),
-        v=_pair(_get(traw, "v", tpath), f"{tpath}.v"),
-        T=_number(_get(traw, "T", tpath), f"{tpath}.T"),
-        omega=_number(_get(traw, "omega", tpath), f"{tpath}.omega"),
-    )
-    noise = _noise_from_dict(_get(d, "noise", path), M, f"{path}.noise", rng)
-    return Scenario(agents=Agents(t=t, p_m=p_m, T_m=T_m), target=target, noise=noise)
+    s = _read(d, _SCENARIO, path)
+    agents = Agents(t=s["agents"]["t"], p_m=s["agents"]["p"], T_m=s["agents"]["T"])
+    noise = _noise_from_dict(s["noise"], len(agents.t), f"{path}.noise", rng)
+    return Scenario(agents=agents, target=TargetState(**s["target"]), noise=noise)
+
+
+def _version(value, path: str) -> int:
+    """The schema's version: written by :func:`scenario_to_dict`, and 1 is the only one."""
+    if type(value) is not int or value != 1:
+        raise SchemaError(path, f"expected 1, the only version of this schema, got {value!r}")
+    return value
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -255,37 +310,13 @@ def scenario_to_dict(s: Scenario) -> dict:
 # --- frame -------------------------------------------------------------------
 
 
-def _record_table(records: list) -> np.ndarray | None:
-    """Read-only ``(M, 5)`` table of each record's ``t``, ``tau_tilde``,
-    ``p_hat`` and ``T_hat`` when every record is an object with these fields,
-    finite numbers and a 2-element ``p_hat`` array, else ``None``."""
-    rows = [
-        (r.get("t"), r.get("tau_tilde"), *p, r.get("T_hat"))
-        for r in records
-        if type(r) is dict and type(p := r.get("p_hat")) is list and len(p) == 2
-    ]
-    floats = _finite_floats([v for row in rows for v in row]) if len(rows) == len(records) else None
-    return None if floats is None else _read_only(np.array(floats)).reshape(-1, 5)
-
-
 def frame_from_dict(d: dict) -> ObservedFrame:
-    recs_raw = _get(d, "records", "frame")
-    if not isinstance(recs_raw, list) or not recs_raw:
-        raise SchemaError("frame.records", "expected a non-empty array")
-    M = len(recs_raw)
-    table = _record_table(recs_raw)
-    if table is None:  # name the first bad field, record by record (or take values _record_table does not)
-        table = np.empty((M, 5))
-        for i, r in enumerate(recs_raw):
-            path = f"frame.records[{i}]"
-            table[i, 0] = _number(_get(r, "t", path), f"{path}.t")
-            table[i, 1] = _number(_get(r, "tau_tilde", path), f"{path}.tau_tilde")
-            table[i, 2:4] = _pair(_get(r, "p_hat", path), f"{path}.p_hat")
-            table[i, 4] = _number(_get(r, "T_hat", path), f"{path}.T_hat")
-        table.setflags(write=False)
-    noise = _noise_from_dict(_get(d, "noise", "frame"), M, "frame.noise")
+    f = _read(d, _FIELDS["frame"], "frame")
+    records = f["records"]
+    noise = _noise_from_dict(f["noise"], len(records["t"]), "frame.noise")
     # finite columns of M rows and noise sized for M: the constructor's checks hold
-    return _checked(ObservedFrame, t=table[:, 0], tau=table[:, 1], p_hat=table[:, 2:4], T_hat=table[:, 4], noise=noise)
+    return _checked(ObservedFrame, t=records["t"], tau=records["tau_tilde"], p_hat=records["p_hat"],
+                    T_hat=records["T_hat"], noise=noise)
 
 
 def frame_to_dict(f: ObservedFrame) -> dict:
@@ -324,42 +355,31 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
 
     ``topology`` may be ``"fixed"`` (the scheme's default), an inline scenario
     for a sweep, or ``{"random": {...bounds...}}`` for ``random_topology``.
-    ``_FIELDS["experiment"]`` lists the keys, at the top level and under
-    ``topology.random``, and reads each one's JSON value; any other key is an
-    error under its own path.  :class:`ExperimentSpec` and
+    ``_FIELDS["experiment"]`` lists the keys and reads each one's JSON value,
+    an inline scenario's with ``rng``.  :class:`ExperimentSpec` and
     :class:`TopologyBounds` check the values, and a value either rejects is
     reported under its field's path (``experiment.sweep_values[1]``).
     """
-    for key in ("scheme", "n_trials", "base_seed", "sweep_values", "estimators"):
-        _get(d, key, "experiment")
     kwargs = _read(d, _FIELDS["experiment"], "experiment")
-    traw = kwargs.pop("topology", None)
-    if isinstance(traw, dict) and "random" in traw:
-        kwargs["topology"] = _read(traw, {"random": _bounds}, "experiment.topology")["random"]
-    elif isinstance(traw, dict):
-        kwargs["topology"] = _scenario_from_dict(traw, rng, "experiment.topology")
-    elif traw not in ("fixed", None):
-        raise SchemaError("experiment.topology", f"expected 'fixed', a scenario, or {{'random': ...}}; got {traw!r}")
+    if isinstance(kwargs.get("topology"), dict):
+        kwargs["topology"] = scenario_from_dict(kwargs["topology"], rng, "experiment.topology")
     return _build(ExperimentSpec, kwargs, "experiment")
 
 
-def _bounds(value, path: str) -> TopologyBounds:
+def _topology(value, table: _Table, path: str):
+    """``None`` for ``"fixed"`` (or null), the bounds of ``{"random": {...}}``,
+    or an inline scenario as given, which its document reads with its RNG."""
+    if isinstance(value, dict):
+        return _read(value, _Table({"random": _BOUNDS}), path)["random"] if "random" in value else value
+    if value not in ("fixed", None):
+        raise SchemaError(path, f"expected 'fixed', a scenario, or {{'random': ...}}; got {value!r}")
+    return None
+
+
+def _bounds(value, table: _Table, path: str) -> TopologyBounds:
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object of bounds")
-    return _build(TopologyBounds, _read(value, _FIELDS["experiment"]["topology"]["random"], path), path)
-
-
-def _read(d: dict, fields: dict, path: str) -> dict:
-    """Each key of ``d`` with its value read by its leaf in ``fields`` (a
-    nested object's value as given); a key ``fields`` does not list is an
-    error under its own path: a reader that skipped it would run another
-    document than the one written."""
-    out = {}
-    for key, value in d.items():
-        if key not in fields:
-            raise SchemaError(f"{path}.{key}", "not a field of the experiment schema")
-        out[key] = value if isinstance(fields[key], dict) else fields[key](value, f"{path}.{key}")
-    return out
+    return _build(TopologyBounds, _read(value, table, path), path)
 
 
 def _build(cls, kwargs: dict, path: str):
@@ -388,13 +408,6 @@ def _plain(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-# --- fields the readers read ---------------------------------------------------
-#
-# Per document kind, the nested field names its reader reads.  A leaf is
-# ``None`` (a number, string or array read by the document's own reader) or,
-# for experiments, the function that reads the key's JSON value.
-
-
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(path, "expected a string")
@@ -407,28 +420,42 @@ def _strings(value, path: str) -> list[str]:
     return value
 
 
-def _given(value, path: str):
-    """An integer field's value as written: the spec class checks it."""
+def _given(value, *_):
+    """A value as written, which its spec class checks (an integer field) or
+    its document's reader reads (an object that needs more than its path)."""
     return value
 
 
-_NOISE_FIELDS = {"sigma_tau_sq_db": None, "agent_sigma_sq_db": {"center_db": None, "halfwidth_db": None}}
-_SCENARIO_FIELDS = {"agents": None, "target": dict.fromkeys(("p", "v", "T", "omega")), "noise": _NOISE_FIELDS}
+# --- the schema of every document -------------------------------------------
+#
+# Per document kind, a table of each JSON object's keys (see _Table): the
+# function that reads each key's value, a nested object's table, or the
+# reader of an array of records.  The readers read only through it, the
+# writers write its keys, and check_field (--set) takes its dotted names.
+
+_NOISE = _Table(  # read by _noise_from_dict, which knows the agent count and the RNG
+    {"sigma_tau_sq_db": _db, "agent_sigma_sq_db": _Table({"center_db": _db, "halfwidth_db": _number}, read=_agent_db)},
+    read=_given,
+)
+_SCENARIO = _Table(
+    {"version": _version, "agents": _Records({"p": _pair, "T": _number, "t": _number}),
+     "target": _Table({"p": _pair, "v": _pair, "T": _number, "omega": _number}), "noise": _NOISE},
+    required=("agents", "target", "noise"),
+)
+_BOUNDS = _Table(
+    {**dict.fromkeys(("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm"), _pair),
+     "n_agents": _given, "slot_interval": _number},
+    required=(), read=_bounds,
+)
 _FIELDS = {
-    "frame": {"records": None, "noise": _NOISE_FIELDS},
-    "scenario": _SCENARIO_FIELDS,
-    "experiment": {
-        "scheme": _string, "n_trials": _given, "base_seed": _given, "sweep_values": _number_list, "estimators": _strings,
-        **dict.fromkeys(("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma"), _number),
-        "mle_max_iters": _given,
-        "topology": {
-            "random": {
-                **dict.fromkeys(("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm"), _pair),
-                "n_agents": _given, "slot_interval": _number,
-            },
-            **_SCENARIO_FIELDS,
-        },
-    },
+    "frame": _Table({"records": _Records({"t": _number, "tau_tilde": _number, "p_hat": _pair, "T_hat": _number}), "noise": _NOISE}),
+    "scenario": _SCENARIO,
+    "experiment": _Table(
+        {"scheme": _string, "n_trials": _given, "base_seed": _given, "sweep_values": _number_list, "estimators": _strings,
+         **dict.fromkeys(("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma"), _number),
+         "mle_max_iters": _given, "topology": _Table({"random": _BOUNDS, **_SCENARIO}, read=_topology)},
+        required=("scheme", "n_trials", "base_seed", "sweep_values", "estimators"),
+    ),
 }
 
 

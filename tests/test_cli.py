@@ -172,6 +172,73 @@ class TestEstimateCommand:
         assert code == 1
         assert "frame.noise.sigma_tau_sq_db" in capsys.readouterr().err
 
+    def test_set_on_a_document_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        # --set used to index the list and die with a TypeError
+        doc = tmp_path / "l.json"
+        doc.write_text("[]")
+        args = ["estimate", "--input", str(doc), "--output", str(tmp_path / "o.json")]
+        assert main([*args, "--set", "noise.sigma_tau_sq_db=-30"]) == 1
+        assert capsys.readouterr().err == "error: frame: expected an object, got list\n"
+
+    def test_deeply_nested_json_exits_1(self, exact_frame_file, tmp_path, capsys):
+        # json's decoder raised RecursionError, past the handler of malformed input
+        deep = "[" * 200_000 + "]" * 200_000
+        doc = tmp_path / "deep.json"
+        doc.write_text(deep)
+        out = str(tmp_path / "o.json")
+        assert main(["estimate", "--input", str(doc), "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {doc}: ") and err.count("\n") == 1
+        frame_path, _ = exact_frame_file
+        assert main(["estimate", "--input", str(frame_path), "--output", out, "--set", "noise.sigma_tau_sq_db=" + deep]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --set: noise.sigma_tau_sq_db: ") and err.count("\n") == 1
+
+
+def _unread(node, key="extra"):
+    """An edit that adds ``key`` to the object ``node(doc)`` of a document."""
+    return lambda doc: node(doc).__setitem__(key, 1.0)
+
+
+class TestUnreadKeysExit1:
+    """Every document's reader rejects a key it does not read; each of these
+    used to run with the key ignored and exit 0."""
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("estimate", _unread(lambda d: d["records"][0]), "frame.records[0].extra: not a field of the frame schema"),
+            ("estimate", _unread(lambda d: d["noise"]), "frame.noise.extra: not a field of the frame schema"),
+            ("estimate", _unread(lambda d: d), "frame.extra: not a field of the frame schema"),
+            ("simulate", _unread(lambda d: d["target"], "omegaa"), "scenario.target.omegaa: not a field of the scenario schema"),
+            ("simulate", lambda d: d.__setitem__("version", 7),
+             "scenario.version: expected 1, the only version of this schema, got 7"),
+            ("crlb", _unread(lambda d: d["agents"][0], "q"), "scenario.agents[0].q: not a field of the scenario schema"),
+            ("experiment", _unread(lambda d: d["topology"]), "experiment.topology.extra: not a field of the experiment schema"),
+        ],
+        ids=["records", "frame_noise", "frame", "target", "version", "agents", "inline_topology"],
+    )
+    def test_exits_1_naming_the_key(self, command, edit, message, tmp_path, capsys):
+        scenario = scenario_to_dict(fixed_topology())
+        doc = {
+            "estimate": lambda: frame_to_dict(simulate_frame(fixed_topology(), 1)),
+            "simulate": lambda: scenario,
+            "crlb": lambda: scenario,
+            "experiment": lambda: {**json.loads((CONFIG_DIR / "scheme1_noise_sweep.json").read_text()),
+                                   "n_trials": 2, "topology": scenario},
+        }[command]()
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path), "--output", str(tmp_path / "as_written.json")]) == 0
+        capsys.readouterr()
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "edited" / "out.json"
+        out.parent.mkdir()
+        assert main([command, "--input", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.parent.iterdir())
+
 
 class TestSimulateAndCrlb:
     def test_simulate_deterministic(self, scenario_file, tmp_path):

@@ -11,6 +11,17 @@ error that rounding ``theta`` to float64 alone causes (``eps * |theta_j|`` on
 every entry, carried through the last step's least-squares map), the size of
 the round-off a backward-stable step commits on these 9x6 systems.  Every
 frame keeps its recorded iteration count, ``converged`` flag and failure class.
+
+The MLE: three Gauss-Newton steps of :func:`mle_batch` from a trial's own
+initial state, on trials drawn as the sweeps draw them (base seed 0), and the
+same three steps at 60 digits from the same state.  The trials include
+random_topology trial 206, the one whose MLE outcome a QR step kernel flips,
+and trials 43 and 47, whose full MLE runs to the 50-iteration cap.  The gate
+is the retraction's: the float64 error of each state block stays within 10x
+the error recorded at d3dec9a, or under 10x the error that rounding ``tau``
+to float64 alone causes (``eps * |tau_j|`` on every entry, carried through
+the last step's weighted least-squares map).  The 60-digit cost falls at
+every step, so the best iterate the MLE returns is its last.
 """
 
 import dataclasses
@@ -20,10 +31,14 @@ import pytest
 
 from seqtoa import (
     EstimationError,
+    ExperimentSpec,
+    FrameStack,
     TargetState,
     build_design,
     build_error_model,
     gauss_newton_refine,
+    mle_batch,
+    montecarlo,
     simulate_frame,
     solve_wls_qr,
 )
@@ -131,3 +146,68 @@ def test_retraction_against_60_digit_reference(case):
     assert (report.iterations, report.converged) == (iterations, converged)
     error, rounding = reference_errors(wls, report)
     assert np.all((error <= 10.0 * np.array(recorded)) | (error <= 10.0 * rounding)), (error, recorded, rounding)
+
+
+# (scheme, sweep value, trial) at base seed 0 -> float64 error per block
+# [p, v, T, omega] of three MLE steps at d3dec9a
+MLE_REFERENCE = {
+    ("random_topology", -20.5, 206): [9.9e-10, 2.3e-09, 9.9e-10, 2.3e-09],
+    ("random_topology", -20.5, 43): [4.2e-12, 3.1e-11, 4.0e-12, 3.0e-11],
+    ("random_topology", -20.5, 47): [5.6e-12, 3.2e-11, 5.3e-12, 3.1e-11],
+    ("random_topology", -20.5, 0): [2.3e-12, 6.9e-12, 2.3e-12, 6.8e-12],
+    ("noise_sweep", -10.0, 0): [6.2e-14, 4.4e-13, 4.2e-14, 2.4e-13],
+    ("ltco_sweep", MS, 0): [2.8e-11, 1.0e-10, 4.7e-13, 4.9e-12],
+}
+MLE_STEPS = 3
+
+
+def mle_trial(scheme, value, trial):
+    """The frame and MLE initial state of one sweep trial at base seed 0."""
+    spec = ExperimentSpec(scheme=scheme, n_trials=1, base_seed=0, sweep_values=(value,), estimators=("mle",))
+    chunk = montecarlo._draw_chunk(spec, [(value, trial)])
+    return chunk.frame(0), chunk.inits[0]
+
+
+def mle_reference(frame, init, steps):
+    """The 60-digit iterate after ``steps`` weighted Gauss-Newton steps from
+    ``init``, the cost at each iterate, and the blocks' errors from rounding
+    ``tau`` alone."""
+    M = frame.n_agents
+    with mp.workdps(60):
+        w = 1.0 / np.sqrt(frame.noise.c_tau)  # the weights mle_batch computes
+        t, tau, T_hat, w = ([mp.mpf(float(v)) for v in col] for col in (frame.t, frame.tau, frame.T_hat, w))
+        p_hat = [[mp.mpf(float(v)) for v in row] for row in frame.p_hat]
+
+        def system(x):
+            WH, Wr = mp.matrix(M, 6), mp.matrix(M, 1)
+            for j in range(M):
+                u = [x[0] + t[j] * x[2] - p_hat[j][0], x[1] + t[j] * x[3] - p_hat[j][1]]
+                r = mp.sqrt(u[0] ** 2 + u[1] ** 2)
+                for i, h in enumerate((u[0] / r, u[1] / r, t[j] * u[0] / r, t[j] * u[1] / r, 1, t[j])):
+                    WH[j, i] = w[j] * h
+                Wr[j] = w[j] * (tau[j] - (r + x[4] + x[5] * t[j] - T_hat[j]))
+            return WH, Wr
+
+        x = [mp.mpf(float(v)) for v in init]
+        costs = [mp.norm(system(x)[1]) ** 2]
+        for _ in range(steps):
+            WH, Wr = system(x)
+            dx, _ = mp.qr_solve(WH, Wr)
+            x = [x[i] + dx[i] for i in range(6)]
+            costs.append(mp.norm(system(x)[1]) ** 2)
+        step_map = mp.inverse(WH.T * WH) * WH.T  # d x / d (W tau) at the last step
+        eps = mp.mpf(2) ** -52
+        rounding = [mp.sqrt(sum((step_map[i, j] * w[j] * eps * abs(tau[j])) ** 2 for j in range(M))) for i in range(6)]
+        return x, costs, _blocks([float(b) for b in rounding])
+
+
+@pytest.mark.parametrize("case", MLE_REFERENCE, ids=lambda c: f"{c[0]}{c[1]:g}-{c[2]}")
+def test_mle_steps_against_60_digit_reference(case):
+    frame, init = mle_trial(*case)
+    report = mle_batch(FrameStack.one(frame), [init], MLE_STEPS).report(0)
+    assert (report.iterations, report.converged, report.diverged) == (MLE_STEPS, False, False)
+    x, costs, rounding = mle_reference(frame, init, MLE_STEPS)
+    assert all(b < a for a, b in zip(costs, costs[1:])), costs
+    error = _blocks([float(x[i] - mp.mpf(float(v))) for i, v in enumerate(report.x_hat.as_vector())])
+    recorded = np.array(MLE_REFERENCE[case])
+    assert np.all((error <= 10.0 * recorded) | (error <= 10.0 * rounding)), (error, recorded, rounding)

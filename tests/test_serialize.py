@@ -343,6 +343,14 @@ class TestExperimentSpecs:
         d = experiment_spec_to_dict(spec)
         assert list(d) == list(_FIELDS["experiment"])
         assert list(d["topology"]["random"]) == list(_FIELDS["experiment"]["topology"]["random"])
+        # every key of every object the scenario and frame writers write, in the table's order
+        scenario, frame = _FIELDS["scenario"], _FIELDS["frame"]
+        for d, table, records in [(scenario_to_dict(fixed_topology()), scenario, "agents"),
+                                  (frame_to_dict(simulate_frame(fixed_topology(), 1)), frame, "records")]:
+            assert list(d) == list(table)
+            assert all(list(record) == list(table[records].fields) for record in d[records])
+            assert list(d["noise"]) == list(table["noise"])
+        assert list(scenario_to_dict(fixed_topology())["target"]) == list(scenario["target"])
 
     def test_numpy_integer_n_agents_dumps(self):
         # numpy numbers are stored as ints and floats, so each spec dumps and
@@ -454,7 +462,6 @@ def dotted_keys(doc, prefix=""):
 class TestCheckField:
     def test_written_and_shipped_documents_name_read_fields(self):
         scenario = scenario_to_dict(fixed_topology())
-        del scenario["version"]  # written for the reader of the file, never read back
         documents = [
             ("scenario", scenario),
             ("frame", frame_to_dict(simulate_frame(fixed_topology(), 1))),
@@ -475,8 +482,84 @@ class TestCheckField:
     @pytest.mark.parametrize(
         "kind, key",
         [("experiment", "n_trails"), ("experiment", "topology.random.n_agent"), ("scenario", "target.x"),
-         ("scenario", "target.T.x"), ("scenario", "version"), ("frame", "noise.sigma_tau_sq"), ("frame", "n_trials")],
+         ("scenario", "target.T.x"), ("scenario", "agents.p"), ("frame", "noise.sigma_tau_sq"), ("frame", "n_trials")],
     )
     def test_unread_field_rejected(self, kind, key):
         with pytest.raises(SchemaError, match="--set"):
             check_field(kind, key)
+
+    def test_version_is_read_and_must_be_1(self):
+        # the writers write version 1, so --set may name it and the reader reads it
+        check_field("scenario", "version")
+        check_field("experiment", "topology.version")
+        d = scenario_to_dict(fixed_topology())
+        del d["version"]
+        scenario_from_dict(d)  # optional
+        for version in (7, 0, 1.0, True, "1", None):
+            with pytest.raises(SchemaError) as exc:
+                scenario_from_dict({**d, "version": version})
+            assert str(exc.value) == f"scenario.version: expected 1, the only version of this schema, got {version!r}"
+        doc = {**json.loads((CONFIG_DIR / "scheme1_noise_sweep.json").read_text()), "topology": {**d, "version": 2}}
+        with pytest.raises(SchemaError, match=r"^experiment\.topology\.version: expected 1"):
+            experiment_spec_from_dict(doc)
+
+
+def _scenario_doc():
+    return json.loads(json.dumps(scenario_to_dict(fixed_topology())))
+
+
+def _sampled_scenario_doc():
+    d = _scenario_doc()
+    d["noise"]["agent_sigma_sq_db"] = {"center_db": -30.0, "halfwidth_db": 5.0}
+    return d
+
+
+def _inline_topology_doc():
+    return {**json.loads((CONFIG_DIR / "scheme1_noise_sweep.json").read_text()), "topology": _scenario_doc()}
+
+
+class TestUnreadKeys:
+    """A key the reader does not read is an error under its own path, at
+    every level of every document; each of these used to read with the key
+    ignored."""
+
+    @pytest.mark.parametrize(
+        "document, node, path",
+        [
+            ("scenario", lambda d: d, "scenario.extra"),
+            ("scenario", lambda d: d["agents"][3], "scenario.agents[3].extra"),
+            ("scenario", lambda d: d["target"], "scenario.target.extra"),
+            ("scenario", lambda d: d["noise"], "scenario.noise.extra"),
+            ("sampled", lambda d: d["noise"]["agent_sigma_sq_db"], "scenario.noise.agent_sigma_sq_db.extra"),
+            ("frame", lambda d: d, "frame.extra"),
+            ("frame", lambda d: d["records"][4], "frame.records[4].extra"),
+            ("frame", lambda d: d["noise"], "frame.noise.extra"),
+            ("experiment", lambda d: d["topology"], "experiment.topology.extra"),
+            ("experiment", lambda d: d["topology"]["agents"][0], "experiment.topology.agents[0].extra"),
+            ("experiment", lambda d: d["topology"]["target"], "experiment.topology.target.extra"),
+            ("experiment", lambda d: d["topology"]["noise"], "experiment.topology.noise.extra"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_unread_key_names_its_path(self, document, node, path):
+        make, read = {
+            "scenario": (_scenario_doc, scenario_from_dict),
+            "sampled": (_sampled_scenario_doc, lambda d: scenario_from_dict(d, np.random.default_rng(0))),
+            "frame": (_frame_doc, frame_from_dict),
+            "experiment": (_inline_topology_doc, experiment_spec_from_dict),
+        }[document]
+        d = make()
+        read(d)  # the document reads without the key
+        node(d)["extra"] = 1.0
+        with pytest.raises(SchemaError) as exc:
+            read(d)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: not a field of the {path.split('.')[0]} schema"
+
+    def test_misspelt_record_key_names_its_path(self):
+        # a record with as many keys as the table, one in place of another
+        d = _frame_doc()
+        d["records"][2]["tau_tildee"] = d["records"][2].pop("tau_tilde")
+        with pytest.raises(SchemaError) as exc:
+            frame_from_dict(d)
+        assert str(exc.value) == "frame.records[2].tau_tildee: not a field of the frame schema"
