@@ -3,7 +3,9 @@
 Simulates one frame of the packaged fixed topology (M = 10) and times, one
 call at a time, the stages a frame passes through on its own: its
 simulation (``simulate_frame``), its JSON document (``frame_to_dict``) and
-parsing it back (``frame_from_dict``), the squared-pseudorange design
+parsing it back (``frame_from_dict``; the ``between estimates`` row parses a
+new frame's document after each ``estimate``, as the online loop does, and
+times the parse alone), the squared-pseudorange design
 (``build_design``), the equation-error model at the pass-1 state
 (``build_error_model``), the weighted QR solve (``solve_wls_qr``), the
 Gauss-Newton retraction (``gauss_newton_refine``), the whole two-pass
@@ -85,17 +87,22 @@ CHUNK = 256
 CHUNK_CALLS = 10
 
 
-def row(name: str, fn, calls: int = CALLS, per: int = 1) -> None:
+def row(name: str, fn, calls: int = CALLS, per: int = 1, timed: bool = False) -> None:
     """Print the best and the median over REPEATS runs of ``calls`` calls of
     ``fn``, in microseconds per call divided by ``per``, the frames or
-    trials that one call runs."""
+    trials that one call runs.  A ``timed`` ``fn`` returns the seconds of
+    the part of its call that counts."""
     fn()  # warm up
     runs = []
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        runs.append((time.perf_counter() - t0) / calls / per * 1e6)
+        if timed:
+            seconds = sum(fn() for _ in range(calls))
+        else:
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            seconds = time.perf_counter() - t0
+        runs.append(seconds / calls / per * 1e6)
     print(f"{name:<36} {min(runs):>10.1f} {statistics.median(runs):>12.1f}")
 
 
@@ -111,7 +118,17 @@ def distinct_noise_frame():
     return dataclasses.replace(frame, noise=NoiseSpec.from_db(-30.0, noise_rng.uniform(-25.5, -15.5, frame.n_agents)))
 
 
+def parse_between_estimates() -> float:
+    """Seconds of ``frame_from_dict`` on a new frame's document (the same
+    noise as every other), after an untimed ``estimate``."""
+    estimate(frame)
+    t0 = time.perf_counter()
+    frame_from_dict(next(online_docs))
+    return time.perf_counter() - t0
+
+
 distinct_docs = iter([json.loads(json.dumps(frame_to_dict(distinct_noise_frame()))) for _ in range(n_distinct)])
+online_docs = iter([json.loads(json.dumps(frame_to_dict(simulate_frame(scenario, k)))) for k in range(n_distinct)])
 distinct_frames = iter([distinct_noise_frame() for _ in range(n_distinct)])
 distinct_scenarios = iter([dataclasses.replace(scenario, noise=distinct_noise_frame().noise) for _ in range(n_distinct)])
 design = build_design(frame)
@@ -156,6 +173,7 @@ print(f"one fixed-topology frame, M = {frame.n_agents}; {REPEATS} x {CALLS} call
 print(f"{'stage':<36} {'best (us)':>10} {'median (us)':>12}")
 for name, fn in stages.items():
     row(name, fn)
+row("frame_from_dict, between estimates", parse_between_estimates, timed=True)
 row("mle_estimate", lambda: mle_estimate(frame, mle_init))
 row(f"mle_batch, per frame of {MLE_FRAMES}", lambda: mle_batch(mle_stack, mle_inits), MLE_BATCH_CALLS, MLE_FRAMES)
 s = chunk.stack

@@ -33,9 +33,9 @@ Experiment spec: see :func:`experiment_spec_from_dict`.
 
 One table, ``_FIELDS``, states every document's schema: per JSON object, the
 keys it may hold, each with the function that reads its value, and the keys it
-must hold.  :func:`_read` reads every object through it, so an unlisted key or
-a missing required one is an error under its own path; :func:`check_field`
-takes the table's dotted names (``seqtoa --set`` takes no other).
+must hold.  :func:`_read` walks it, reading every object once, in table order;
+the first fault, an unlisted key or a missing required one included, is an error
+under its own path.  :func:`check_field` takes the table's dotted names.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class SchemaError(Exception):
 # --- the reader --------------------------------------------------------------
 
 
-def _read(d, fields: _Table, path: str) -> dict:
+def _read(fields: _Table, d, path: str) -> dict:
     """Each key of the object ``d`` with its value read by its reader in
     ``fields``, in the table's order.  A key the table does not list is an
     error under its own path (a reader that skipped it would run another
@@ -85,28 +85,26 @@ def _read(d, fields: _Table, path: str) -> dict:
         key = next(key for key in d if key not in fields)
         raise SchemaError(f"{path}.{key}", f"not a field of the {path.split('.')[0]} schema")
     out = {}
-    for key, read in fields.items():
+    for key, read, required in fields.entries:
         if key in d:
             out[key] = read(d[key], f"{path}.{key}")
-        elif key in fields.required:
+        elif required:
             raise SchemaError(f"{path}.{key}", "missing required field")
     return out
 
 
 class _Table(dict):
     """The fields of a JSON object: each key with the reader of its value,
-    ``read(value, path)``, a nested object's being its own table.  The
-    ``required`` keys (by default all) must be given.  A table reads a value
-    with ``read(value, table, path)``: :func:`_read`, unless the value may
-    take other forms or is read once its document knows more."""
+    ``read(value, path)``.  A table's own ``read`` is its reader (:func:`_read`,
+    unless the value may take other forms) bound to the table, and ``entries``
+    binds each key once to ``(key, reader, required)``, a nested table's reader
+    being its ``read``; ``required`` keys (by default all) must be given."""
 
     def __init__(self, fields: dict, required=None, read=_read):
         super().__init__(fields)
-        self.required = frozenset(self if required is None else required)
-        self.read = read
-
-    def __call__(self, value, path: str):
-        return self.read(value, self, path)
+        required = frozenset(fields if required is None else required)
+        self.read = functools.partial(read, self)
+        self.entries = tuple((key, getattr(r, "read", r), key in required) for key, r in fields.items())
 
 
 def _number(value, path: str) -> float:
@@ -161,7 +159,7 @@ class _Records:
         self.numbers = [key for key, read in fields.items() if read is _number]
         self.get_numbers = operator.itemgetter(*self.numbers)
 
-    def __call__(self, records, path: str) -> dict:
+    def read(self, records, path: str) -> dict:
         if not isinstance(records, list) or not records:
             raise SchemaError(path, "expected a non-empty array")
         n, pair, get_numbers = len(self.fields), self.pair, self.get_numbers
@@ -171,7 +169,7 @@ class _Records:
         except KeyError:  # another key in place of one of the table's
             values = []
         if not (len(values) == len(records) * (n + 1) and _finite_numbers(values)):
-            rows = [_read(r, self.fields, f"{path}[{i}]") for i, r in enumerate(records)]
+            rows = [self.fields.read(r, f"{path}[{i}]") for i, r in enumerate(records)]
             values = [v for r in rows for v in (*r[pair], *map(r.get, self.numbers))]
         table = _read_only(np.array(values, dtype=float)).reshape(len(records), -1)
         return {pair: table[:, :2], **dict(zip(self.numbers, table[:, 2:].T))}
@@ -191,10 +189,10 @@ def _db(value, path: str) -> float:
     return db
 
 
-def _agent_db(value, table: _Table, path: str) -> dict | tuple[float, ...]:
+def _agent_db(table: _Table, value, path: str) -> dict | tuple[float, ...]:
     """The sampled form's fields, or the concrete form's dB values as a tuple."""
     if isinstance(value, dict):
-        return _read(value, table, path)
+        return _read(table, value, path)
     values = _number_list(value, path)
     if not (_db_ok(min(values)) and _db_ok(max(values))):  # the conversion is monotone
         i = next(i for i, v in enumerate(values) if not _db_ok(v))
@@ -208,11 +206,10 @@ def _concrete_noise(sigma_tau_sq_db: float, agent_sigma_sq_db: tuple[float, ...]
     return NoiseSpec.from_db(sigma_tau_sq_db, np.array(agent_sigma_sq_db))
 
 
-def _noise_from_dict(d, n_agents: int, path: str, rng: np.random.Generator | None = None) -> NoiseSpec:
-    """The noise spec of a document; every dB value, and every value a sampled
-    range can draw, must convert to a finite, positive variance.  Equal
+def _noise_from_dict(noise: dict, n_agents: int, path: str, rng: np.random.Generator | None = None) -> NoiseSpec:
+    """The noise spec of the fields ``_NOISE`` read; every dB value, and every value a
+    sampled range can draw, must convert to a finite, positive variance.  Equal
     concrete documents get one shared spec; a sampled one is drawn anew."""
-    noise = _read(d, _NOISE, path)
     sigma_tau_sq_db, agent, apath = noise["sigma_tau_sq_db"], noise["agent_sigma_sq_db"], f"{path}.agent_sigma_sq_db"
     if isinstance(agent, tuple):
         if len(agent) != n_agents:
@@ -277,9 +274,13 @@ def _noise_to_dict(noise: NoiseSpec, path: str) -> dict:
 # --- scenario ----------------------------------------------------------------
 
 
-def scenario_from_dict(d: dict, rng: np.random.Generator | None = None, path: str = "scenario") -> Scenario:
-    """The scenario document ``d``, its errors reported under ``path``."""
-    s = _read(d, _SCENARIO, path)
+def scenario_from_dict(d: dict, rng: np.random.Generator | None = None) -> Scenario:
+    """The scenario document ``d``; sampled agent variances are drawn from ``rng``."""
+    return _scenario(_SCENARIO.read(d, "scenario"), rng, "scenario")
+
+
+def _scenario(s: dict, rng: np.random.Generator | None, path: str) -> Scenario:
+    """The scenario of the fields ``_SCENARIO`` read from the object at ``path``."""
     agents = Agents(t=s["agents"]["t"], p_m=s["agents"]["p"], T_m=s["agents"]["T"])
     noise = _noise_from_dict(s["noise"], len(agents.t), f"{path}.noise", rng)
     return Scenario(agents=agents, target=TargetState(**s["target"]), noise=noise)
@@ -311,7 +312,7 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def frame_from_dict(d: dict) -> ObservedFrame:
-    f = _read(d, _FIELDS["frame"], "frame")
+    f = _FIELDS["frame"].read(d, "frame")
     records = f["records"]
     noise = _noise_from_dict(f["noise"], len(records["t"]), "frame.noise")
     # finite columns of M rows and noise sized for M: the constructor's checks hold
@@ -355,31 +356,31 @@ def experiment_spec_from_dict(d: dict, rng: np.random.Generator | None = None) -
 
     ``topology`` may be ``"fixed"`` (the scheme's default), an inline scenario
     for a sweep, or ``{"random": {...bounds...}}`` for ``random_topology``.
-    ``_FIELDS["experiment"]`` lists the keys and reads each one's JSON value,
-    an inline scenario's with ``rng``.  :class:`ExperimentSpec` and
-    :class:`TopologyBounds` check the values, and a value either rejects is
+    ``_FIELDS["experiment"]`` lists the keys and reads each one's JSON value;
+    an inline scenario's fields become a scenario with ``rng``.  :class:`ExperimentSpec`
+    and :class:`TopologyBounds` check the values, and a value either rejects is
     reported under its field's path (``experiment.sweep_values[1]``).
     """
-    kwargs = _read(d, _FIELDS["experiment"], "experiment")
+    kwargs = _FIELDS["experiment"].read(d, "experiment")
     if isinstance(kwargs.get("topology"), dict):
-        kwargs["topology"] = scenario_from_dict(kwargs["topology"], rng, "experiment.topology")
+        kwargs["topology"] = _scenario(kwargs["topology"], rng, "experiment.topology")
     return _build(ExperimentSpec, kwargs, "experiment")
 
 
-def _topology(value, table: _Table, path: str):
+def _topology(table: _Table, value, path: str):
     """``None`` for ``"fixed"`` (or null), the bounds of ``{"random": {...}}``,
-    or an inline scenario as given, which its document reads with its RNG."""
+    or the fields of an inline scenario, which its document builds with its RNG."""
     if isinstance(value, dict):
-        return _read(value, _Table({"random": _BOUNDS}), path)["random"] if "random" in value else value
+        return _RANDOM.read(value, path)["random"] if "random" in value else _SCENARIO.read(value, path)
     if value not in ("fixed", None):
         raise SchemaError(path, f"expected 'fixed', a scenario, or {{'random': ...}}; got {value!r}")
     return None
 
 
-def _bounds(value, table: _Table, path: str) -> TopologyBounds:
+def _bounds(table: _Table, value, path: str) -> TopologyBounds:
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object of bounds")
-    return _build(TopologyBounds, _read(value, table, path), path)
+    return _build(TopologyBounds, _read(table, value, path), path)
 
 
 def _build(cls, kwargs: dict, path: str):
@@ -420,9 +421,9 @@ def _strings(value, path: str) -> list[str]:
     return value
 
 
-def _given(value, *_):
-    """A value as written, which its spec class checks (an integer field) or
-    its document's reader reads (an object that needs more than its path)."""
+def _given(value, path: str):
+    """An integer field as written, which its spec class checks: the only
+    value the walk hands over unread."""
     return value
 
 
@@ -430,13 +431,11 @@ def _given(value, *_):
 #
 # Per document kind, a table of each JSON object's keys (see _Table): the
 # function that reads each key's value, a nested object's table, or the
-# reader of an array of records.  The readers read only through it, the
-# writers write its keys, and check_field (--set) takes its dotted names.
+# reader of an array of records.  The walk reads every object once, through
+# it; the writers write its keys, and check_field (--set) takes its dotted names.
 
-_NOISE = _Table(  # read by _noise_from_dict, which knows the agent count and the RNG
-    {"sigma_tau_sq_db": _db, "agent_sigma_sq_db": _Table({"center_db": _db, "halfwidth_db": _number}, read=_agent_db)},
-    read=_given,
-)
+_NOISE = _Table(
+    {"sigma_tau_sq_db": _db, "agent_sigma_sq_db": _Table({"center_db": _db, "halfwidth_db": _number}, read=_agent_db)})
 _SCENARIO = _Table(
     {"version": _version, "agents": _Records({"p": _pair, "T": _number, "t": _number}),
      "target": _Table({"p": _pair, "v": _pair, "T": _number, "omega": _number}), "noise": _NOISE},
@@ -447,13 +446,14 @@ _BOUNDS = _Table(
      "n_agents": _given, "slot_interval": _number},
     required=(), read=_bounds,
 )
+_RANDOM = _Table({"random": _BOUNDS})  # a topology of random bounds
 _FIELDS = {
     "frame": _Table({"records": _Records({"t": _number, "tau_tilde": _number, "p_hat": _pair, "T_hat": _number}), "noise": _NOISE}),
     "scenario": _SCENARIO,
     "experiment": _Table(
         {"scheme": _string, "n_trials": _given, "base_seed": _given, "sweep_values": _number_list, "estimators": _strings,
          **dict.fromkeys(("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db", "target_offset_ns", "mle_init_sigma"), _number),
-         "mle_max_iters": _given, "topology": _Table({"random": _BOUNDS, **_SCENARIO}, read=_topology)},
+         "mle_max_iters": _given, "topology": _Table({**_RANDOM, **_SCENARIO}, read=_topology)},
         required=("scheme", "n_trials", "base_seed", "sweep_values", "estimators"),
     ),
 }

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +121,7 @@ class TestNoiseRoundTrip:
     @example(NoiseSpec.from_db(4.877545463781203, [2.42982392418007, -3.748210681823622]))  # 10 log10(v) reads back 1 ulp off
     def test_columns_round_trip(self, noise):
         d = json.loads(json.dumps(_noise_to_dict(noise, "noise")))
-        back = _noise_from_dict(d, noise.n_agents, "noise")
+        back = _noise_from_dict(_FIELDS["frame"]["noise"].read(d, "noise"), noise.n_agents, "noise")
         for name in ("c_tau", "blocks"):
             assert getattr(back, name).tobytes() == getattr(noise, name).tobytes(), name
         assert _noise_to_dict(back, "noise") == d
@@ -563,3 +565,168 @@ class TestUnreadKeys:
         with pytest.raises(SchemaError) as exc:
             frame_from_dict(d)
         assert str(exc.value) == "frame.records[2].tau_tildee: not a field of the frame schema"
+
+
+# --- the reader's fault surface ------------------------------------------------
+#
+# Small documents of every kind, each faulted once at every place it can be:
+# every key deleted, every key and the first three elements of every array set
+# to each of _BAD, and an unlisted key added to every object.
+
+_FAULT_SCENARIO = {
+    "version": 1,
+    "agents": [{"p": [0.0, 0.0], "T": 1.5, "t": 0.0}, {"p": [50.0, 0.0], "T": -2.0, "t": 0.05},
+               {"p": [0.0, 50.0], "T": 0.5, "t": 0.1}],
+    "target": {"p": [20.0, 30.0], "v": [1.0, -2.0], "T": 3.0, "omega": 0.25},
+    "noise": {"sigma_tau_sq_db": -30.0, "agent_sigma_sq_db": [-20.0, -25.0, -30.0]},
+}
+_FAULT_SAMPLED = {**_FAULT_SCENARIO, "noise": {"sigma_tau_sq_db": -30.0,
+                                               "agent_sigma_sq_db": {"center_db": -30.0, "halfwidth_db": 5.0}}}
+_FAULT_FRAME = {
+    "records": [{"t": 0.0, "tau_tilde": 12.5, "p_hat": [0.0, 0.0], "T_hat": 1.5},
+                {"t": 0.05, "tau_tilde": 40.25, "p_hat": [50.0, 0.0], "T_hat": -2.0},
+                {"t": 0.1, "tau_tilde": 31.0, "p_hat": [0.0, 50.0], "T_hat": 0.5}],
+    "noise": {"sigma_tau_sq_db": -30.0, "agent_sigma_sq_db": [-20.0, -25.0, -30.0]},
+}
+_FAULT_EXPERIMENT = {
+    "scheme": "noise_sweep", "n_trials": 4, "base_seed": 1, "sweep_values": [-30.0, -20.0],
+    "estimators": ["proposed", "mle"], "sigma_tau_sq_db": -30.0, "sigma_s_sq_db": -25.0,
+    "agent_sigma_halfwidth_db": 2.0, "target_offset_ns": 5.0, "mle_init_sigma": 1.0, "mle_max_iters": 20,
+}
+_FAULT_BOUNDS = {"agent_xy": [0.0, 50.0], "target_xy": [10.0, 40.0], "velocity": [-5.0, 5.0],
+                 "agent_offset_ns": [-10.0, 10.0], "target_offset_ns": [-10.0, 10.0], "skew_ppm": [-20.0, 20.0],
+                 "n_agents": 6, "slot_interval": 0.05}
+#: per case: the document kind (its errors' first path segment), the document and its reader
+_FAULT_CASES = {
+    "frame": ("frame", _FAULT_FRAME, frame_from_dict),
+    "scenario": ("scenario", _FAULT_SCENARIO, scenario_from_dict),
+    "sampled": ("scenario", _FAULT_SAMPLED, lambda d: scenario_from_dict(d, np.random.default_rng(0))),
+    "sampled_no_rng": ("scenario", _FAULT_SAMPLED, scenario_from_dict),
+    "inline": ("experiment", {**_FAULT_EXPERIMENT, "topology": _FAULT_SAMPLED},
+               lambda d: experiment_spec_from_dict(d, np.random.default_rng(0))),
+    "random": ("experiment", {**_FAULT_EXPERIMENT, "scheme": "random_topology", "topology": {"random": _FAULT_BOUNDS}},
+               experiment_spec_from_dict),
+}
+_BAD = (None, True, False, 0, -1, 3, 2.5, -0.5, 4000.0, 1e308, 10**400, float("nan"), float("inf"), "x", "", [],
+        [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], ["a", "b"], {}, {"a": 1}, {"random": {}},
+        {"center_db": -30.0, "halfwidth_db": 5.0})
+#: keys a document may leave out, as dotted names without array indices (a
+#: topology object without ``random`` reads as an inline scenario)
+_OPTIONAL = {"scenario.version", "experiment.topology.version", "experiment.topology", "experiment.topology.random",
+             *(f"experiment.{key}" for key in ("sigma_tau_sq_db", "sigma_s_sq_db", "agent_sigma_halfwidth_db",
+                                               "target_offset_ns", "mle_init_sigma", "mle_max_iters")),
+             *(f"experiment.topology.random.{key}" for key in _FAULT_BOUNDS)}
+_DELETE = object()
+
+
+def _dotted(kind, at):
+    return kind + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in at)
+
+
+def _places(node, at=()):
+    """``("object", at)`` of every object, and ``("key", at)`` or ``("element", at)``
+    of every key and of the first three elements of every array, walked recursively."""
+    if isinstance(node, dict):
+        yield "object", at
+        items = node.items()
+    elif isinstance(node, list):
+        items = list(enumerate(node))[:3]
+    else:
+        return
+    for key, value in items:
+        yield ("element" if isinstance(key, int) else "key"), at + (key,)
+        yield from _places(value, at + (key,))
+
+
+def _mutant(text, at, value):
+    doc = json.loads(text)
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[at[-1]]
+    else:
+        node[at[-1]] = value
+    return doc
+
+
+def _single_faults(doc):
+    """``(what, at, document)`` of every single-fault copy of ``doc``: an
+    unlisted key added (``what`` is ``"+"``), a key deleted (``"-"``) or the
+    ``i``-th bad value set (``"=i"``)."""
+    text = json.dumps(doc)
+    for place, at in _places(doc):
+        if place == "object":
+            yield "+", at + ("extra",), _mutant(text, at + ("extra",), 1.0)
+            continue
+        if place == "key":
+            yield "-", at, _mutant(text, at, _DELETE)
+        for i, bad in enumerate(_BAD):
+            yield f"={i}", at, _mutant(text, at, bad)
+
+
+def _outcome(read, doc):
+    """``(class, path, message)`` of the error reading ``doc`` raises, or ``("ok", "", "")``."""
+    try:
+        read(doc)
+    except Exception as exc:  # any class is recorded; the test admits only SchemaError
+        return type(exc).__name__, getattr(exc, "path", ""), str(exc)
+    return "ok", "", ""
+
+
+class TestFaultSurface:
+    # the sorted (case, fault, class, path, message) lines of every single-fault
+    # document, as the reader of 3544164 reports them
+    DOCUMENTS = 5399
+    DIGEST = "6174cb0377d1df81dead4ce12775455cf4b2564824c49b36dd8881be4c2d9c24"
+
+    def test_every_single_fault_is_a_schema_error_at_its_path(self):
+        lines = []
+        for case, (kind, doc, read) in _FAULT_CASES.items():
+            for what, at, mutant in _single_faults(doc):
+                name = _dotted(kind, at)
+                cls, path, message = _outcome(read, mutant)
+                assert cls in ("ok", "SchemaError"), (case, what, name, cls, message)
+                if what == "+":
+                    assert message == f"{name}: not a field of the {kind} schema", (case, name)
+                elif what == "-" and re.sub(r"\[\d+\]", "", name) not in _OPTIONAL:
+                    assert message == f"{name}: missing required field", (case, name)
+                lines.append("\t".join((case, what, name, cls, path, message)))
+        digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+        assert (len(lines), digest) == (self.DOCUMENTS, self.DIGEST)
+
+
+def _faulted(doc, *edits):
+    """A copy of ``doc`` with each ``(at, value)`` of ``edits`` set."""
+    for at, value in edits:
+        doc = _mutant(json.dumps(doc), at, value)
+    return doc
+
+
+class TestFaultOrder:
+    """A document with two faults names the first in table order, whichever of
+    its objects holds it and whether the walk or a builder finds it."""
+
+    @pytest.mark.parametrize(
+        "case, edits, path",
+        [
+            ("frame", [(("records", 1, "t"), "x"), (("noise", "sigma_tau_sq_db"), "x")], "frame.records[1].t"),
+            ("frame", [(("records", 2, "p_hat"), [1.0]), (("noise", "agent_sigma_sq_db"), [-20.0])],
+             "frame.records[2].p_hat"),
+            ("scenario", [(("target", "omega"), "x"), (("noise", "extra"), 1.0)], "scenario.target.omega"),
+            ("scenario", [(("target", "v"), None), (("noise", "agent_sigma_sq_db"), [-20.0])], "scenario.target.v"),
+            ("sampled_no_rng", [(("target", "T"), True)], "scenario.target.T"),
+            ("inline", [(("sweep_values", 1), "x"), (("topology", "target", "p"), "x")], "experiment.sweep_values[1]"),
+            ("inline", [(("topology", "target", "p"), "x"), (("n_trials",), -1)], "experiment.topology.target.p"),
+            ("inline", [(("topology", "noise", "agent_sigma_sq_db", "halfwidth_db"), -1.0), (("n_trials",), -1)],
+             "experiment.topology.noise.agent_sigma_sq_db.halfwidth_db"),
+            ("random", [(("topology", "random", "n_agents"), 0), (("n_trials",), -1)], "experiment.topology.random.n_agents"),
+        ],
+    )
+    def test_first_fault_in_table_order_is_named(self, case, edits, path):
+        # the later fault is the second edit, or (with one edit) the document's
+        # own: sampled noise read without an RNG
+        kind, doc, read = _FAULT_CASES[case]
+        later = _outcome(read, _faulted(doc, *edits[1:]))
+        assert later[0] == "SchemaError" and later[1] != path
+        assert _outcome(read, _faulted(doc, *edits))[1] == path
