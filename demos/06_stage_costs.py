@@ -38,8 +38,10 @@ The last rows time a sweep's stacked stages on one chunk of ``CHUNK``
 noise-sweep units with all three estimators, per trial: the static solver
 (``tswls_static_batch``) and the CRLB (``crlb_columns``) on the chunk's
 columns, and the draws (``montecarlo._draw_chunk``), which seed every
-trial's streams, draw its scenario, its frame's standard normals and the
-MLE's initial state, and simulate the chunk's frames.  Each stacked stage
+trial's streams and fill its row with one call per stream (its scenario's
+uniforms, its frame's standard normals, the MLE's initial-state normals),
+map the chunk's uniforms through the scheme's draw table at once, and
+simulate the chunk's frames.  Each stacked stage
 returns columns, so these rows hold no per-trial object.
 
 ``estimate`` is not the sum of the stage rows: it runs both passes on the

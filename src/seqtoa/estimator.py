@@ -448,19 +448,22 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
     """
     N = theta.shape[0]
     x = theta[:, :6].copy()
-    iterations = np.full(N, MAX_REFINE_ITERATIONS)
+    iterations, rank = np.empty(N, dtype=int), np.empty(N, dtype=int)  # on a batch of one, np.full costs twice this
+    iterations.fill(MAX_REFINE_ITERATIONS)
+    rank.fill(6)
     converged = np.zeros(N, dtype=bool)
-    rank = np.full(N, 6)
     # The Jacobian's lower block is 2 G, so K J = K[:, :6] + K[:, 6:] @ (2 G);
     # doubling is exact, so doubling K[:, 6:] once instead gives the same bits.
     K6, K2 = K[..., :6], 2.0 * K[..., 6:]
-    # the frames still iterating, and their slices of the inputs
-    idx, xr, th, thr = np.arange(N), x, theta, threshold
+    # the frames still iterating (a slice of all of them until one leaves, then
+    # their indices), and their slices of the inputs
+    idx, xr, th, thr = slice(None), x, theta, threshold
     for it in range(1, MAX_REFINE_ITERATIONS + 1):
         f, G = _theta_models(xr)
         dx, step_rank = _gn_steps(K6 + K2 @ G, K @ (th - f)[..., None])
         if step_rank.min(initial=6) < 6:
             full = step_rank == 6
+            idx = np.arange(N)[idx]
             rank[idx[~full]] = np.maximum(step_rank[~full], 0)
             idx, xr, th, thr, dx = idx[full], xr[full], th[full], thr[full], dx[full]
             K, K6, K2 = K[full], K6[full], K2[full]
@@ -471,6 +474,7 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
             x[idx], iterations[idx], converged[idx] = xr, it, True
             return x, iterations, converged, rank
         if n_done:
+            idx = np.arange(N)[idx]
             x[idx[done]], iterations[idx[done]], converged[idx[done]] = xr[done], it, True
             keep = ~done
             idx, xr, th, thr = idx[keep], xr[keep], th[keep], thr[keep]

@@ -22,28 +22,27 @@ of all its trials are computed at once, under the unchanged contract above:
 the ``SeedSequence`` hashing behind ``spawn(3)`` runs as array arithmetic
 over the chunk and gives each stream's eight seed words
 (:func:`_stream_states`).  Each trial's streams are ``PCG64`` generators
-seeded from those words by numpy itself, so its draws (its scenario, its
-frame's standard normals and the MLE's initial state) are the ones
-``default_rng`` gives, into the trial's row of the chunk's arrays (target
-states, agent columns, noise columns).  The noise, TOAs and broadcasts of
-all its frames, the static solver
-(:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
+seeded from those words by numpy itself, as ``default_rng`` seeds them, and
+each fills the trial's row in one call: uniforms, the frame's normals, the
+MLE's initial-state normals.  The scheme's draw table maps the chunk's
+uniforms onto its columns at once, bit for bit as per-call ``uniform`` draws
+(:func:`_map_draws`).  The noise, TOAs and broadcasts of all its frames, the
+static solver (:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
 (:func:`~seqtoa.baselines.mle_batch`) and the CRLB
 (:func:`~seqtoa.analysis.crlb_columns`) then run once per chunk, stacked
 over its trials, and return columns, NaN where a trial failed; no per-trial
 :class:`Scenario`, report or result is built.  The chunk's observed and
 noise columns are checked finite once and made read-only.  The proposed
 estimator runs one frame at a time, through
-:func:`~seqtoa.estimator.estimate` on an :class:`ObservedFrame` whose
-arrays are read-only row views of those columns: the benchmark checks that
-a sweep notices a dropped second pass by replacing that function, so a
-stacked call would escape the check until the check moves.  A chunk's
-outcomes are columns as well, read from the stages' columns as they are:
-per estimator a success mask and the errors of its estimates, and for the
-CRLB a mask and the per-block traces (:func:`_run_chunk`).  The chunks'
-columns are joined into one table of the run, and each cell is reduced to
-:class:`TrialStats` from its rows, in trial order.  The whole run is on
-the calling thread.
+:func:`~seqtoa.estimator.estimate` on an :class:`ObservedFrame` whose arrays
+are read-only row views of those columns: the benchmark checks that a sweep
+notices a dropped second pass by replacing that function, so a stacked call
+would escape the check until the check moves.  A chunk's outcomes are
+columns as well, read from the stages' columns as they are: per estimator a
+success mask and the errors of its estimates, and for the CRLB a mask and
+the per-block traces (:func:`_run_chunk`).  The chunks' columns are joined
+into one table of the run, and each cell is reduced to :class:`TrialStats`
+from its rows, in trial order.  The whole run is on the calling thread.
 """
 
 from __future__ import annotations
@@ -300,34 +299,63 @@ def fixed_topology() -> Scenario:
     return scenario_from_dict(json.loads(text))
 
 
-def _draw_random(bounds: TopologyBounds, rng, p_m, T_m, x, sigma_db, center_db: float, halfwidth_db: float) -> None:
-    """Draw one random scenario into its rows: agent positions ``p_m (M, 2)``,
-    agent offsets ``T_m (M,)``, target state ``x (6,)`` and per-agent
-    variances ``sigma_db (M,)``, uniform within ``halfwidth_db`` of
-    ``center_db``.
+def _map_draws(tables, cell, u: np.ndarray) -> np.ndarray:
+    """The draws of uniforms ``u``, row k under the table ``tables[cell[k]]`` (all under ``tables[cell]`` for one index).
 
-    Draw order (fixed for reproducibility): agent positions, agent clock
-    offsets, target position, target velocity, target offset, target skew,
-    per-agent variances.
+    A draw table lists ``(low, high, count, unit)`` blocks in draw order; the
+    tables of one map differ only in their ranges.  A block's ``count``
+    uniforms become ``low + (high - low) * u``, as ``Generator.uniform`` makes
+    them; a clock range's (``unit`` 1e-9 for ns, 1e-6 for ppm, None for the
+    others) are then times ``unit``, then times ``C_LIGHT``.
     """
+    ends = np.array([[(low, high, unit or 1.0, C_LIGHT if unit else 1.0) for low, high, _, unit in t] for t in tables])
+    low, high, unit, scale = np.moveaxis(np.repeat(ends, [block[2] for block in tables[0]], axis=1)[cell], -1, 0)
+    return (low + (high - low) * u) * unit * scale  # a plain range's factors are 1.0, which is exact
+
+
+def _topology_table(bounds: TopologyBounds, center: float, halfwidth: float) -> list:
+    """The random-topology draw table (:func:`_map_draws`), in the draw order
+    (fixed for reproducibility) that :func:`_topology_columns` reads: agent
+    positions and clock offsets, target position, velocity, offset and skew,
+    and per-agent variances uniform within ``halfwidth`` dB of ``center``."""
     M = bounds.n_agents
-    p_m[...] = rng.uniform(bounds.agent_xy[0], bounds.agent_xy[1], size=(M, 2))
-    T_m[...] = rng.uniform(bounds.agent_offset_ns[0], bounds.agent_offset_ns[1], size=M) * 1e-9 * C_LIGHT
-    x[0:2] = rng.uniform(bounds.target_xy[0], bounds.target_xy[1], size=2)
-    x[2:4] = rng.uniform(bounds.velocity[0], bounds.velocity[1], size=2)
-    x[4] = rng.uniform(bounds.target_offset_ns[0], bounds.target_offset_ns[1]) * 1e-9 * C_LIGHT
-    x[5] = rng.uniform(bounds.skew_ppm[0], bounds.skew_ppm[1]) * 1e-6 * C_LIGHT
-    sigma_db[...] = rng.uniform(center_db - halfwidth_db, center_db + halfwidth_db, size=M)
+    return [(*bounds.agent_xy, 2 * M, None), (*bounds.agent_offset_ns, M, 1e-9),
+            (*bounds.target_xy, 2, None), (*bounds.velocity, 2, None),
+            (*bounds.target_offset_ns, 1, 1e-9), (*bounds.skew_ppm, 1, 1e-6),
+            (center - halfwidth, center + halfwidth, M, None)]
+
+
+def _topology_columns(draws: np.ndarray, M: int) -> tuple[np.ndarray, ...]:
+    """Views ``p_m``, ``T_m``, ``x`` and agent dB of random-topology draws ``(..., 4M + 6)``."""
+    p_m = draws[..., : 2 * M].reshape(*draws.shape[:-1], M, 2)
+    return p_m, draws[..., 2 * M : 3 * M], draws[..., 3 * M : 3 * M + 6], draws[..., 3 * M + 6 :]
+
+
+def _sweep_table(spec: ExperimentSpec, value: float, M: int) -> list:
+    """A fixed-topology sweep's draw table (:func:`_map_draws`) at sweep value
+    ``value``: the noise sweep's target offset, then the target skew and the
+    per-agent variances, uniform within the halfwidth of the sweep value
+    (noise sweep) or of ``sigma_s_sq_db`` (LTCO sweep)."""
+    hw, skew = spec.agent_sigma_halfwidth_db, (-20.0, 20.0, 1, 1e-6)
+    if spec.scheme == "noise_sweep":
+        return [(-spec.target_offset_ns, spec.target_offset_ns, 1, 1e-9), skew, (value - hw, value + hw, M, None)]
+    return [skew, (spec.sigma_s_sq_db - hw, spec.sigma_s_sq_db + hw, M, None)]
 
 
 def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> Scenario:
-    """Draw one random scenario (see :func:`_draw_random` for the draw order)."""
+    """One random scenario with the bounds' own noise levels: the random-topology
+    draw table (:func:`_topology_table`) on a batch of one, ``rng.random(4M + 6)``."""
     M = bounds.n_agents
-    p_m, T_m, x, sigma_db = np.empty((M, 2)), np.empty(M), np.empty(6), np.empty(M)
-    _draw_random(bounds, rng, p_m, T_m, x, sigma_db, bounds.sigma_s_sq_db, bounds.agent_sigma_halfwidth_db)
-    noise = NoiseSpec.from_db(bounds.sigma_tau_sq_db, sigma_db)
-    agents = Agents(t=bounds.slot_interval * np.arange(M), p_m=p_m, T_m=T_m)
-    return Scenario(agents=agents, target=TargetState.from_vector(x), noise=noise)
+    table = _topology_table(bounds, bounds.sigma_s_sq_db, bounds.agent_sigma_halfwidth_db)
+    draws = _map_draws([table], 0, rng.random(4 * M + 6))
+    _seal(draws=draws)  # so its views below are read-only
+    p_m, T_m, x, sigma_db = _topology_columns(draws, M)
+    c_tau, blocks = _db_columns(bounds.sigma_tau_sq_db, sigma_db)
+    t = bounds.slot_interval * np.arange(M)
+    _seal(c_tau=c_tau, blocks=blocks, t=t)
+    target = _checked(TargetState, p=x[0:2], v=x[2:4], T=float(x[4]), omega=float(x[5]))
+    noise = _checked(NoiseSpec, c_tau=c_tau, blocks=blocks)
+    return _checked(Scenario, agents=_checked(Agents, t=t, p_m=p_m, T_m=T_m), target=target, noise=noise)
 
 
 # --- the random streams of a chunk -------------------------------------------
@@ -454,64 +482,52 @@ class _Chunk:
 def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     """Draw and simulate the trials ``units`` (``(sweep value, trial)`` pairs).
 
-    The seed words of all the trials' streams are computed at once
-    (:func:`_stream_states`), under the reproducibility contract; each
-    trial's draws come from a ``PCG64`` generator per stream, seeded from
-    its words, with the calls and in the order that ``default_rng`` streams
-    would get them, into its row of the chunk's columns.
-    Fixed-topology schemes keep the base scenario's agents and target
-    position/velocity and draw the target clock offset (uniform on the noise
-    sweep; the sweep value itself on the LTCO sweep), the target skew and the
-    per-agent variances; the random-topology scheme draws a whole scenario.
-    The frame stream then gives M TOA and 3M broadcast standard normals, in
-    one call into the trial's row of an ``(N, 4M)`` array.  The
-    noise columns follow for the whole chunk at once, then its TOAs and
-    broadcasts from one call of the simulation kernel that
-    :func:`~seqtoa.model.simulate_frame` runs on a batch of one.
-    The noise and observed columns are checked finite once, raising a
+    Each trial's ``PCG64`` streams, seeded from the chunk's stream words
+    (:func:`_stream_states`), make one fill each into the trial's row: the
+    scenario stream's uniforms, the frame stream's M TOA then 3M broadcast
+    standard normals, and the MLE stream's six, which become its initial
+    state as ``normal(0.0, mle_init_sigma)`` scales them, plus the truth.
+    Each sweep value's draw table maps the uniforms (:func:`_map_draws`).
+    The noise columns and the simulation kernel of
+    :func:`~seqtoa.model.simulate_frame` then run on the whole chunk.  The
+    noise and observed columns are checked finite once, raising a
     :class:`~seqtoa.model.NonFiniteFrameError` worded as :class:`NoiseSpec`
     or :class:`ObservedFrame` would word it for a trial, and made read-only.
     """
     N = len(units)
-    x = np.empty((N, 6))
+    cells, cell = np.unique([value for value, _ in units], return_inverse=True)  # the chunk's sweep values
     if spec.scheme == "random_topology":
         bounds = spec.topology or TopologyBounds()
         M = bounds.n_agents
         t = np.broadcast_to(bounds.slot_interval * np.arange(M), (N, M))
-        p_m, T_m = np.empty((N, M, 2)), np.empty((N, M))
+        tables = [_topology_table(bounds, value, spec.agent_sigma_halfwidth_db) for value in cells.tolist()]
     else:
         base = spec.topology or fixed_topology()
-        M = base.n_agents
-        a = base.agents
+        a, M = base.agents, base.n_agents
         t, p_m, T_m = (np.broadcast_to(col, (N, *col.shape)) for col in (a.t, a.p_m, a.T_m))
-        x[:, 0:2], x[:, 2:4] = base.target.p, base.target.v
-    sigma_db, z = np.empty((N, M)), np.empty((N, 4 * M))  # z: M TOA, then 3M broadcast normals
+        x = np.empty((N, 6))
+        x[:, 0:2], x[:, 2:4], x[:, 4] = base.target.p, base.target.v, cells[cell]  # LTCO; the noise sweep draws it
+        tables = [_sweep_table(spec, value, M) for value in cells.tolist()]
+    u, z = np.empty((N, sum(count for _, _, count, _ in tables[0]))), np.empty((N, 4 * M))
     inits = np.empty((N, 6)) if "mle" in spec.estimators else None
-    halfwidth = spec.agent_sigma_halfwidth_db
     streams = _stream_states(spec.base_seed, [trial for _, trial in units], 2 if inits is None else 3)
-    for k, (value, _) in enumerate(units):
-        rng, frame_rng, *init_rng = (np.random.Generator(np.random.PCG64(_Words(words[k]))) for words in streams)
-        if spec.scheme == "random_topology":
-            _draw_random(bounds, rng, p_m[k], T_m[k], x[k], sigma_db[k], value, halfwidth)
-        else:
-            if spec.scheme == "noise_sweep":
-                center = value
-                x[k, 4] = rng.uniform(-spec.target_offset_ns, spec.target_offset_ns) * 1e-9 * C_LIGHT
-            else:  # ltco_sweep: sweep value is the offset in range-equivalent meters
-                center = spec.sigma_s_sq_db
-                x[k, 4] = value
-            x[k, 5] = rng.uniform(-20.0, 20.0) * 1e-6 * C_LIGHT
-            sigma_db[k] = rng.uniform(center - halfwidth, center + halfwidth, size=M)
+    for k, words in enumerate(zip(*streams)):
+        rng, frame_rng, *init_rng = (np.random.Generator(np.random.PCG64(_Words(w))) for w in words)
+        rng.random(out=u[k])
         frame_rng.standard_normal(out=z[k])
-        if inits is not None:
-            inits[k] = init_rng[0].normal(0.0, spec.mle_init_sigma, size=6)
-
+        for init in init_rng:  # the MLE's stream, when it runs
+            init.standard_normal(out=inits[k])
+    draws = _map_draws(tables, cell, u)
+    if spec.scheme == "random_topology":
+        p_m, T_m, x, sigma_db = _topology_columns(draws, M)
+    else:  # the last drawn target entries (offset and skew, or skew), then the agent variances
+        x[:, 6 + M - draws.shape[1] :], sigma_db = draws[:, :-M], draws[:, -M:]
     c_tau, blocks = _db_columns(spec.sigma_tau_sq_db, sigma_db)
     _seal(c_tau=c_tau, blocks=blocks, t=t)  # NoiseSpec's order, then the kernel checks ObservedFrame's
     tau, p_hat, T_hat = _simulate(x, t, p_m, T_m, c_tau, _psd_factor(blocks, "C_beta"), z)
     stack = estimator.FrameStack(t=t, tau=tau, p_hat=p_hat, T_hat=T_hat, c_tau=c_tau, blocks=blocks)
-    if inits is not None:
-        inits += x
+    if inits is not None:  # Generator.normal(0.0, mle_init_sigma)'s loc + scale * z, plus the truth
+        inits = 0.0 + spec.mle_init_sigma * inits + x
     return _Chunk(x=x, p_m=p_m, T_m=T_m, stack=stack, inits=inits)
 
 
@@ -603,17 +619,11 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[float, str], TrialStats]:
     (sweep value, estimator id).
 
     Per-trial estimator failures are recorded and excluded from the averages;
-    they never abort the sweep.  The experiment's ``(sweep value, trial)``
-    units, cell by cell in sweep order and in trial order within a cell, are
-    listed once and cut into chunks of at most 256 units that may span
-    cells.  Per chunk, the seed words of all its trials' streams are
-    computed at once, under the unchanged ``base_seed XOR i`` / ``spawn(3)``
-    contract; the draws run per trial from those streams, and ``proposed``
-    per trial on row views of the chunk's read-only columns; the frames, the
-    static solver, the MLE and the CRLB run once, stacked.  Each chunk
-    returns its outcomes as columns.  Those columns are joined once per key
-    into a table of the run, and each cell is reduced from its rows, in
-    trial order.  All of it runs on the calling thread.
+    they never abort the sweep.  The units are cut into chunks of at most 256
+    that may span cells, each drawn and run as the module docstring says and
+    returning its outcomes as columns.  Those columns are joined once per key
+    into a table of the run, and each cell is reduced from its rows, in trial
+    order.  All of it runs on the calling thread.
     """
     n_trials = spec.n_trials
     units = [(value, trial) for value in spec.sweep_values for trial in range(n_trials)]

@@ -57,6 +57,52 @@ class TestSampleRandomTopology:
         s = sample_random_topology(TopologyBounds(), np.random.default_rng(0))
         assert validate_scenario(s) == []
 
+    # every range differs from its default, so a block that took another's range would show
+    BOUNDS = dict(agent_xy=(-7.5, 31.0), target_xy=(-12.0, 44.0), velocity=(-2.5, 3.0), agent_offset_ns=(-4.0, 9.0),
+                  target_offset_ns=(-6.0, 2.0), skew_ppm=(-15.0, 25.0), slot_interval=0.03, sigma_tau_sq_db=-27.0,
+                  sigma_s_sq_db=-14.0, agent_sigma_halfwidth_db=3.5)
+
+    @pytest.mark.parametrize("n_agents", [1, 10, 57])
+    def test_matches_per_call_uniform_draws(self, n_agents):
+        # one Generator.uniform call per block, in the documented draw order
+        b, M = TopologyBounds(n_agents=n_agents, **self.BOUNDS), n_agents
+        for seed in range(25):
+            got, rng = sample_random_topology(b, np.random.default_rng(seed)), np.random.default_rng(seed)
+            p_m = rng.uniform(*b.agent_xy, size=(M, 2))
+            T_m = rng.uniform(*b.agent_offset_ns, size=M) * 1e-9 * C_LIGHT
+            p, v = rng.uniform(*b.target_xy, size=2), rng.uniform(*b.velocity, size=2)
+            T = rng.uniform(*b.target_offset_ns) * 1e-9 * C_LIGHT
+            omega = rng.uniform(*b.skew_ppm) * 1e-6 * C_LIGHT
+            hw = b.agent_sigma_halfwidth_db
+            sigma_db = rng.uniform(b.sigma_s_sq_db - hw, b.sigma_s_sq_db + hw, size=M)
+            noise = NoiseSpec.from_db(b.sigma_tau_sq_db, sigma_db)
+            want = {"t": b.slot_interval * np.arange(M), "p_m": p_m, "T_m": T_m, "x": np.r_[p, v, T, omega],
+                    "c_tau": noise.c_tau, "blocks": noise.blocks}
+            a = got.agents
+            for name, array in (("t", a.t), ("p_m", a.p_m), ("T_m", a.T_m), ("x", got.target.as_vector()),
+                                ("c_tau", got.noise.c_tau), ("blocks", got.noise.blocks)):
+                assert array.shape == want[name].shape and array.tobytes() == want[name].tobytes(), (name, seed)
+            for array in (a.t, a.p_m, a.T_m, got.target.p, got.target.v, got.noise.c_tau, got.noise.blocks):
+                assert not array.flags.writeable
+            assert type(got.target.T) is float and type(got.target.omega) is float
+
+    def test_chunk_rows_are_samples_of_their_scenario_streams(self):
+        # a chunk spanning two cells: each row is sample_random_topology on the trial's scenario stream,
+        # given bounds whose noise fields are the spec's TOA level, sweep value and halfwidth
+        values = (-14.0, -22.0)
+        spec = small_spec(scheme="random_topology", n_trials=20, base_seed=7, sweep_values=values, sigma_tau_sq_db=-27.0,
+                          agent_sigma_halfwidth_db=3.5, topology=TopologyBounds(n_agents=6, **self.BOUNDS))
+        units = [(value, i) for value in values for i in range(spec.n_trials)]
+        chunk = montecarlo._draw_chunk(spec, units)
+        words = montecarlo._stream_states(spec.base_seed, [i for _, i in units], 2)[0]
+        for k, (value, i) in enumerate(units):
+            bounds = dataclasses.replace(spec.topology, sigma_s_sq_db=value)
+            s = sample_random_topology(bounds, np.random.Generator(np.random.PCG64(montecarlo._Words(words[k]))))
+            for got, want in ((chunk.x[k], s.target.as_vector()), (chunk.p_m[k], s.agents.p_m), (chunk.T_m[k], s.agents.T_m),
+                              (chunk.stack.t[k], s.agents.t), (chunk.stack.c_tau[k], s.noise.c_tau),
+                              (chunk.stack.blocks[k], s.noise.blocks)):
+                assert got.tobytes() == want.tobytes(), (value, i)
+
     def test_draw_statistics(self):
         # 1e5 draws: uniform order statistics pin the agent-coordinate range,
         # the target-x mean sits at 25 within 3 SE, clock draws stay in range
