@@ -24,23 +24,39 @@ which costs O(M).  :func:`crlb_columns` evaluates it over N scenarios given
 as columns and returns columns: the bounds and the Schur complements
 ``(N, 6, 6)``, NaN in the rows of failed scenarios, and the
 :class:`EstimationError` of each failed scenario only.  :func:`crlb_target`
-runs it on one scenario's own arrays.  One kernel computes the TOA
-gradients and checks the geometry for every entry point:
-:func:`toa_gradients` is that kernel on a batch of one, and
-:func:`fim_blocks` (dense blocks, kept for cross-checks only) and
-:func:`analytic_cov` call it, so a geometry fault gives the same error
-everywhere.
+runs it on one scenario's own arrays.  It calls the Cholesky, ``eigvalsh``
+and ``inv`` LAPACK gufuncs through the estimator's helpers, which give the
+``np.linalg`` wrappers' bytes and return a failed member as NaN, so a
+factorization that fails fails its own scenario; rows are gathered only
+after a scenario has failed, so a batch of one (about 50 us for M = 10 on
+the 2-core reference host) makes no call that only a larger stack needs.
+One kernel computes the TOA gradients and checks the geometry for every
+entry point, building its error records only when a range is not finite or
+within an agent's coincidence tolerance: :func:`toa_gradients` is that
+kernel on a batch of one, and :func:`fim_blocks` (dense blocks, kept for
+cross-checks only) and :func:`analytic_cov` call it, so a geometry fault
+gives the same error everywhere.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
-from .estimator import _design_arrays, _scatter, build_error_model, theta_jacobian
+from .estimator import (
+    _LAPACK_ERRSTATE,
+    _cholesky,
+    _design_arrays,
+    _eigvalsh,
+    _inv,
+    _scatter,
+    build_error_model,
+    theta_jacobian,
+)
 from .model import Agents, Scenario, TargetState, _toa_jacobian, exact_frame
 
 _COINCIDENT_TOL = 1e-12
@@ -79,17 +95,26 @@ def _toa_geometry(x: np.ndarray, t: np.ndarray, p_m: np.ndarray):
     """:func:`toa_gradients` of N scenarios: target states ``x (N, 6)``, slot
     times ``t (N, M)`` and agent positions ``p_m (N, M, 2)``.
 
-    Returns ``Hx (N, M, 6)``, ``g (N, M, 3)`` and ``errors``, which maps each
-    failing scenario to its first agent whose range overflows float64, else
-    to its first agent that coincides with the target; a failing scenario's
-    rows are meaningless.  Raises no floating-point warning.
+    Returns ``Hx (N, M, 6)``, ``h (N, M, 3)``, the rows ``[rho_m, 1]``, which
+    are ``-g``, and ``errors``, which maps each failing scenario to its first
+    agent whose range overflows float64, else to its first agent that
+    coincides with the target; a failing scenario's rows are meaningless.
+    Callers silence floating-point warnings.
     """
-    with np.errstate(all="ignore"):
-        u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
-        r = np.sqrt((u * u).sum(axis=-1))
-        Hx = _toa_jacobian(u / r[..., None], t)
-        finite = np.isfinite(r)
-        coincident = finite & (r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1))))
+    u = x[:, None, 0:2] + x[:, None, 2:4] * t[..., None] - p_m
+    r = np.sqrt((u * u).sum(axis=-1))
+    h = np.empty(t.shape + (3,))
+    np.divide(u, r[..., None], out=h[..., :2])
+    h[..., 2] = 1.0
+    Hx = _toa_jacobian(h[..., :2], t)
+    # One test for the common case: every range finite and above every agent's
+    # coincidence tolerance, which is at most _COINCIDENT_TOL * (1 + 2 max|p_m|)
+    # while no |p_m|**2 overflows.  The records are built only when it fails.
+    span = np.abs(p_m).max(initial=0.0)
+    if r.max(initial=0.0) < np.inf and r.min(initial=np.inf) > _COINCIDENT_TOL * (1.0 + 2.0 * span) and span < 1e150:
+        return Hx, h, {}
+    finite = np.isfinite(r)
+    coincident = finite & (r <= _COINCIDENT_TOL * (1.0 + np.sqrt((p_m * p_m).sum(axis=-1))))
     errors: dict[int, EstimationError] = {}
     for i in np.flatnonzero(~finite.all(axis=-1) | coincident.any(axis=-1)).tolist():
         if finite[i].all():
@@ -102,9 +127,10 @@ def _toa_geometry(x: np.ndarray, t: np.ndarray, p_m: np.ndarray):
                 f"range to the agent at slot time {t[i, finite[i].argmin()]} overflows float64: "
                 "the scenario's coordinates are too large to evaluate"
             )
-    return Hx, -Hx[..., [0, 1, 4]], errors
+    return Hx, h, errors
 
 
+@_LAPACK_ERRSTATE
 def toa_gradients(x: TargetState, agents: Agents) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the M noise-free TOAs: the geometry kernel of
     :func:`crlb_columns` on a batch of one.
@@ -124,10 +150,10 @@ def toa_gradients(x: TargetState, agents: Agents) -> tuple[np.ndarray, np.ndarra
         If no range overflows and the target coincides with an agent at its
         slot time (unit vector undefined); the first such agent is named.
     """
-    Hx, g, errors = _toa_geometry(x.as_vector()[None], agents.t[None], agents.p_m[None])
+    Hx, h, errors = _toa_geometry(x.as_vector()[None], agents.t[None], agents.p_m[None])
     if errors:
         raise errors[0]
-    return Hx[0], g[0]
+    return Hx[0], -h[0]
 
 
 def fim_blocks(scenario: Scenario) -> FimBlocks:
@@ -155,6 +181,7 @@ def fim_blocks(scenario: Scenario) -> FimBlocks:
     return FimBlocks(R1=R1, R2=R2, R3=0.5 * (R3 + R3.T))
 
 
+@_LAPACK_ERRSTATE
 def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict[int, EstimationError]]:
     """Cramer-Rao lower bound of the 6-dimensional target state of N
     scenarios given as columns: target states ``x (N, 6)``, slot times
@@ -170,37 +197,49 @@ def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict
     range that overflows float64, then a target that coincides with an
     agent at its slot time), :class:`ConditioningError` for a non-positive
     TOA variance, :class:`NotPositiveDefiniteError` for an agent block of
-    ``C_beta`` that is not positive definite, and
-    :class:`DegenerateGeometryError` if the Schur complement is singular
-    (unobservable geometry, e.g. collinear agents).
+    ``C_beta`` that is not finite or not positive definite, then
+    :class:`ConditioningError` if the Schur complement overflows float64 and
+    :class:`DegenerateGeometryError` if it is singular (unobservable
+    geometry, e.g. collinear agents).
+
+    Every scenario's Schur complement is formed at once, and the LAPACK
+    gufuncs (Cholesky, ``eigvalsh``, ``inv``) run on the stack directly: a
+    member that fails comes back NaN and fails its own scenario.  Rows are
+    gathered only once a scenario has failed, so a batch of one makes no
+    call that only a larger stack needs, and a scenario's row is the same
+    bytes in any stack.
     """
-    Hx, g, errors = _toa_geometry(x, t, p_m)
-    live = (c_tau > 0).all(axis=-1)
-    for i in np.flatnonzero(~live).tolist():
-        errors.setdefault(i, ConditioningError("C_tau must be strictly positive for the information matrix"))
-    live[list(errors)] = False
-    try:
-        np.linalg.cholesky(blocks[live])
-    except np.linalg.LinAlgError:  # find the scenarios at fault
-        for i in np.flatnonzero(live).tolist():
-            try:
-                np.linalg.cholesky(blocks[i])
-            except np.linalg.LinAlgError:
-                errors[i] = NotPositiveDefiniteError("C_beta must be positive definite for the information matrix")
-                live[i] = False
-    # the closed-form Schur complements of the scenarios that pass every check
-    Hx, g = Hx[live], g[live]
-    w = 1.0 / (c_tau[live] + ((blocks[live] @ g[..., None])[..., 0] * g).sum(axis=-1))
+    N = len(x)
+    Hx, h, errors = _toa_geometry(x, t, p_m)
+    factors = _cholesky(blocks)
+    # w_m = 1 / (c_tau,m + g_m^T C_m g_m); h = -g, and negation is exact
+    w = 1.0 / (c_tau + ((blocks @ h[..., None])[..., 0] * h).sum(axis=-1))
     S = (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
     S = 0.5 * (S + S.swapaxes(-1, -2))
-    eigs = np.linalg.eigvalsh(S)
-    singular = eigs[:, 0] <= 1e-12 * np.maximum(eigs[:, -1], 1.0)
-    rows = np.flatnonzero(live)
-    for i, e in zip(rows[singular].tolist(), eigs[singular, 0].tolist()):
-        errors[i] = DegenerateGeometryError(f"target information is singular (min eig {e:.3e}); geometry unobservable")
-    S = S[~singular]
-    crlb_x = np.linalg.inv(S)
-    return (*_scatter(len(x), rows[~singular], 0.5 * (crlb_x + crlb_x.swapaxes(-1, -2)), S), errors)
+    rows = np.arange(N)
+    # one test for the common case: every TOA variance positive, every agent block finite and
+    # factored, every Schur complement finite (no LAPACK call sees a non-finite matrix)
+    if errors or not (c_tau.min(initial=np.inf) > 0.0 and math.isfinite(factors.sum() + blocks.sum() + S.sum())):
+        live = np.ones(N, dtype=bool)
+        live[list(errors)] = False
+        for i in np.flatnonzero(live & ~(c_tau > 0).all(axis=-1)).tolist():
+            errors[i], live[i] = ConditioningError("C_tau must be strictly positive for the information matrix"), False
+        pd = np.isfinite(factors).all(axis=(-3, -2, -1)) & np.isfinite(blocks).all(axis=(-3, -2, -1))
+        for i in np.flatnonzero(live & ~pd).tolist():
+            errors[i], live[i] = NotPositiveDefiniteError("C_beta must be positive definite for the information matrix"), False
+        for i in np.flatnonzero(live & ~np.isfinite(S).all(axis=(-2, -1))).tolist():
+            errors[i], live[i] = ConditioningError("target information overflows float64"), False
+        rows, S = rows[live], S[live]
+    eigs = _eigvalsh(S)
+    crlb_x = _inv(S)
+    # a NaN eigenvalue (dsyevd failed) or inverse (dgesv found S singular) counts as singular too
+    ok = eigs[:, 0] > 1e-12 * np.maximum(eigs[:, -1], 1.0)
+    if not (ok.all() and math.isfinite(crlb_x.sum())):
+        ok &= np.isfinite(crlb_x).all(axis=(-2, -1))
+        for i, e in zip(rows[~ok].tolist(), eigs[~ok, 0].tolist()):
+            errors[i] = DegenerateGeometryError(f"target information is singular (min eig {e:.3e}); geometry unobservable")
+        rows, S, crlb_x = rows[ok], S[ok], crlb_x[ok]
+    return (*_scatter(N, rows, 0.5 * (crlb_x + crlb_x.swapaxes(-1, -2)), S), errors)
 
 
 def crlb_target(scenario: Scenario) -> CrlbResult:

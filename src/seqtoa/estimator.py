@@ -70,14 +70,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The stacked kernels here (_gn_steps serves the MLE in baselines too) call the
-# LAPACK gufuncs beneath np.linalg.qr, solve, lstsq and eigh directly.  Each
-# wrapper only checks types, copies, sets an errstate that turns one failed
-# member into LinAlgError for the whole stack, and calls the same gufunc; on a
-# batch of one that overhead is a third of the call.  Called directly, every
-# member gets the wrapper's result bit for bit.  This private numpy API stays in
-# this module: TestLapackKernels and TestLstsqStack pin it to the wrappers, and
-# test_only_estimator_names_the_private_gufuncs keeps it here.
+# The stacked kernels here (_gn_steps serves the MLE in baselines too, and
+# _cholesky, _eigvalsh and _inv the CRLB in analysis) call the LAPACK gufuncs
+# beneath np.linalg.qr, solve, lstsq, eigh, cholesky, eigvalsh and inv
+# directly.  Each wrapper only checks types, copies, sets an errstate that
+# turns one failed member into LinAlgError for the whole stack, and calls the
+# same gufunc; on a batch of one that overhead is a third of the call.  Called
+# directly, every member gets the wrapper's result bit for bit.  This private
+# numpy API stays in this module: TestLapackKernels and TestLstsqStack pin it
+# to the wrappers, and test_only_estimator_names_the_private_gufuncs keeps it
+# here.
 from numpy.linalg import _umath_linalg
 
 from .errors import (
@@ -374,6 +376,25 @@ def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r_max: np.nd
     col_scale = scale[:, None, :]
     C_wls = (R_inv @ R_inv.swapaxes(-1, -2)) / (scale[:, :, None] * col_scale)
     return theta, C_wls, R * col_scale, r_max / r_min
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of symmetric matrices, ``np.linalg.cholesky``'s
+    bit for bit; a member that is not positive definite comes back NaN."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of symmetric matrices from their lower
+    triangles, ``np.linalg.eigvalsh``'s bit for bit; a member whose ``dsyevd``
+    fails comes back NaN."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of square matrices, ``np.linalg.inv``'s bit for bit;
+    a singular member comes back NaN."""
+    return _umath_linalg.inv(a, signature="d->d")
 
 
 def _underdetermined_error(M: int) -> UnderdeterminedError:

@@ -26,7 +26,12 @@ seeded from those words by numpy itself, as ``default_rng`` seeds them, and
 each fills the trial's row in one call: uniforms, the frame's normals, the
 MLE's initial-state normals.  The scheme's draw table maps the chunk's
 uniforms onto its columns at once, bit for bit as per-call ``uniform`` draws
-(:func:`_map_draws`).  The noise, TOAs and broadcasts of all its frames, the
+(:func:`_map_draws`); each table is expanded into per-draw columns once and
+cached by the table (:func:`_expand`), and each bounds' read-only slot times
+are made once (:func:`_slot_times`).  :func:`sample_random_topology` is the
+random-topology table on a batch of one and uses the same cached arrays, so
+it costs about 20 us for M = 10 on the 2-core reference host.  The noise,
+TOAs and broadcasts of all its frames, the
 static solver (:func:`~seqtoa.baselines.tswls_static_batch`), the MLE
 (:func:`~seqtoa.baselines.mle_batch`) and the CRLB
 (:func:`~seqtoa.analysis.crlb_columns`) then run once per chunk, stacked
@@ -69,6 +74,7 @@ from .model import (
     _db_columns,
     _db_ok,
     _psd_factor,
+    _read_only,
     _seal,
     _simulate,
     simulate_frame,  # noqa: F401  (re-exported; perfbench's tracer patches this binding)
@@ -116,6 +122,9 @@ class TopologyBounds:
             if not (lo < hi and np.isfinite(hi - lo)):  # a uniform draw needs a finite width
                 raise _SpecFieldError(name, f"bounds must be finite and well-ordered, with a finite width, got {(lo, hi)}")
             object.__setattr__(self, name, (float(lo), float(hi)))
+        # a skew draw is scaled by 1e-6 * C_LIGHT (about 300) into m/s; the offsets' 1e-9 * C_LIGHT is below 1
+        if not np.isfinite(max(map(abs, self.skew_ppm)) * 1e-6 * C_LIGHT):
+            raise _SpecFieldError("skew_ppm", f"bounds must give finite skews once scaled by 1e-6 * C_LIGHT, got {self.skew_ppm}")
         _check_integer(self, "n_agents", 1)
         if not 0 < self.slot_interval < np.inf:
             raise _SpecFieldError("slot_interval", f"must be finite and > 0, got {self.slot_interval!r}")
@@ -299,30 +308,54 @@ def fixed_topology() -> Scenario:
     return scenario_from_dict(json.loads(text))
 
 
+@functools.lru_cache(maxsize=64)
+def _expand(table: tuple) -> np.ndarray:
+    """The read-only rows ``(low, width, unit, scale)`` ``(4, K)`` of a draw
+    table (:func:`_map_draws`), one column per draw: ``width = high - low``,
+    and ``unit`` and ``scale`` 1.0 for a plain range.  Cached by the table,
+    so a scheme expands each of its tables once; tables that are equal as
+    tuples (as 0.0 and -0.0 are) give the same draws bit for bit."""
+    ends = np.array([(low, high, unit or 1.0, C_LIGHT if unit else 1.0) for low, high, _, unit in table])
+    ends[:, 1] -= ends[:, 0]
+    return _read_only(np.repeat(ends.T, [count for _, _, count, _ in table], axis=1))
+
+
 def _map_draws(tables, cell, u: np.ndarray) -> np.ndarray:
     """The draws of uniforms ``u``, row k under the table ``tables[cell[k]]`` (all under ``tables[cell]`` for one index).
 
-    A draw table lists ``(low, high, count, unit)`` blocks in draw order; the
-    tables of one map differ only in their ranges.  A block's ``count``
-    uniforms become ``low + (high - low) * u``, as ``Generator.uniform`` makes
-    them; a clock range's (``unit`` 1e-9 for ns, 1e-6 for ppm, None for the
-    others) are then times ``unit``, then times ``C_LIGHT``.
+    A draw table is a tuple of ``(low, high, count, unit)`` blocks in draw
+    order; the tables of one map differ only in their ranges.  A block's
+    ``count`` uniforms become ``low + (high - low) * u``, as
+    ``Generator.uniform`` makes them; a clock range's (``unit`` 1e-9 for ns,
+    1e-6 for ppm, None for the others) are then times ``unit``, then times
+    ``C_LIGHT``.  Each table is expanded once (:func:`_expand`); one table
+    maps every row, so ``cell`` is read only when there are more.
     """
-    ends = np.array([[(low, high, unit or 1.0, C_LIGHT if unit else 1.0) for low, high, _, unit in t] for t in tables])
-    low, high, unit, scale = np.moveaxis(np.repeat(ends, [block[2] for block in tables[0]], axis=1)[cell], -1, 0)
-    return (low + (high - low) * u) * unit * scale  # a plain range's factors are 1.0, which is exact
+    if len(tables) == 1:
+        low, width, unit, scale = _expand(tables[0])
+    else:
+        low, width, unit, scale = np.stack([_expand(table) for table in tables])[cell].swapaxes(0, 1)
+    return (low + width * u) * unit * scale  # a plain range's factors are 1.0, which is exact
 
 
-def _topology_table(bounds: TopologyBounds, center: float, halfwidth: float) -> list:
+def _topology_table(bounds: TopologyBounds, center: float, halfwidth: float) -> tuple:
     """The random-topology draw table (:func:`_map_draws`), in the draw order
     (fixed for reproducibility) that :func:`_topology_columns` reads: agent
     positions and clock offsets, target position, velocity, offset and skew,
     and per-agent variances uniform within ``halfwidth`` dB of ``center``."""
     M = bounds.n_agents
-    return [(*bounds.agent_xy, 2 * M, None), (*bounds.agent_offset_ns, M, 1e-9),
+    return ((*bounds.agent_xy, 2 * M, None), (*bounds.agent_offset_ns, M, 1e-9),
             (*bounds.target_xy, 2, None), (*bounds.velocity, 2, None),
             (*bounds.target_offset_ns, 1, 1e-9), (*bounds.skew_ppm, 1, 1e-6),
-            (center - halfwidth, center + halfwidth, M, None)]
+            (center - halfwidth, center + halfwidth, M, None))
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_times(slot_interval: float, n_agents: int) -> np.ndarray:
+    """The read-only slot times ``slot_interval * arange(n_agents)`` of a
+    random topology, made once per bounds; finite, as :class:`TopologyBounds`
+    checks its last slot time."""
+    return _read_only(slot_interval * np.arange(n_agents))
 
 
 def _topology_columns(draws: np.ndarray, M: int) -> tuple[np.ndarray, ...]:
@@ -331,31 +364,33 @@ def _topology_columns(draws: np.ndarray, M: int) -> tuple[np.ndarray, ...]:
     return p_m, draws[..., 2 * M : 3 * M], draws[..., 3 * M : 3 * M + 6], draws[..., 3 * M + 6 :]
 
 
-def _sweep_table(spec: ExperimentSpec, value: float, M: int) -> list:
+def _sweep_table(spec: ExperimentSpec, value: float, M: int) -> tuple:
     """A fixed-topology sweep's draw table (:func:`_map_draws`) at sweep value
     ``value``: the noise sweep's target offset, then the target skew and the
     per-agent variances, uniform within the halfwidth of the sweep value
     (noise sweep) or of ``sigma_s_sq_db`` (LTCO sweep)."""
     hw, skew = spec.agent_sigma_halfwidth_db, (-20.0, 20.0, 1, 1e-6)
     if spec.scheme == "noise_sweep":
-        return [(-spec.target_offset_ns, spec.target_offset_ns, 1, 1e-9), skew, (value - hw, value + hw, M, None)]
-    return [skew, (spec.sigma_s_sq_db - hw, spec.sigma_s_sq_db + hw, M, None)]
+        return (-spec.target_offset_ns, spec.target_offset_ns, 1, 1e-9), skew, (value - hw, value + hw, M, None)
+    return skew, (spec.sigma_s_sq_db - hw, spec.sigma_s_sq_db + hw, M, None)
 
 
 def sample_random_topology(bounds: TopologyBounds, rng: np.random.Generator) -> Scenario:
     """One random scenario with the bounds' own noise levels: the random-topology
-    draw table (:func:`_topology_table`) on a batch of one, ``rng.random(4M + 6)``."""
+    draw table (:func:`_topology_table`) on a batch of one, ``rng.random(4M + 6)``.
+    The slot times are the bounds' cached read-only ones (:func:`_slot_times`)."""
     M = bounds.n_agents
     table = _topology_table(bounds, bounds.sigma_s_sq_db, bounds.agent_sigma_halfwidth_db)
-    draws = _map_draws([table], 0, rng.random(4 * M + 6))
+    draws = _map_draws((table,), 0, rng.random(4 * M + 6))
     _seal(draws=draws)  # so its views below are read-only
     p_m, T_m, x, sigma_db = _topology_columns(draws, M)
     c_tau, blocks = _db_columns(bounds.sigma_tau_sq_db, sigma_db)
-    t = bounds.slot_interval * np.arange(M)
-    _seal(c_tau=c_tau, blocks=blocks, t=t)
-    target = _checked(TargetState, p=x[0:2], v=x[2:4], T=float(x[4]), omega=float(x[5]))
+    _seal(c_tau=c_tau, blocks=blocks)
+    T, omega = x[4:6].tolist()
+    target = _checked(TargetState, p=x[0:2], v=x[2:4], T=T, omega=omega)
     noise = _checked(NoiseSpec, c_tau=c_tau, blocks=blocks)
-    return _checked(Scenario, agents=_checked(Agents, t=t, p_m=p_m, T_m=T_m), target=target, noise=noise)
+    agents = _checked(Agents, t=_slot_times(bounds.slot_interval, M), p_m=p_m, T_m=T_m)
+    return _checked(Scenario, agents=agents, target=target, noise=noise)
 
 
 # --- the random streams of a chunk -------------------------------------------
@@ -499,7 +534,7 @@ def _draw_chunk(spec: ExperimentSpec, units) -> _Chunk:
     if spec.scheme == "random_topology":
         bounds = spec.topology or TopologyBounds()
         M = bounds.n_agents
-        t = np.broadcast_to(bounds.slot_interval * np.arange(M), (N, M))
+        t = np.broadcast_to(_slot_times(bounds.slot_interval, M), (N, M))
         tables = [_topology_table(bounds, value, spec.agent_sigma_halfwidth_db) for value in cells.tolist()]
     else:
         base = spec.topology or fixed_topology()

@@ -27,9 +27,10 @@ from seqtoa import (
     toa_gradients,
 )
 
-from seqtoa.analysis import crlb_columns
+from seqtoa.analysis import _toa_geometry, crlb_columns
 
 from conftest import C, SWEEP_POINTS, anisotropic_scenario, random_scenario, random_state, sweep_scenario
+from test_estimator import fail_member
 
 
 def collinear_agents(M: int) -> Agents:
@@ -361,6 +362,141 @@ class TestOneGeometryCheck:
         assert list(errors) == [1] and np.array_equal(crlb_x[2], crlb_target(good).crlb_x)
         assert {(type(e), str(e)) for e in got} == {(error, str(got[0]))}
         assert re.fullmatch(message, str(got[0]))
+
+
+def geometry_records(x, t, p_m) -> dict:
+    """The geometry rule of :func:`toa_gradients`, evaluated agent by agent:
+    ``(error class, message)`` of each failing scenario."""
+    records = {}
+    for i in range(len(x)):
+        with np.errstate(all="ignore"):  # a squared coordinate may overflow, as in the kernel
+            r = np.sqrt(((x[i, 0:2] + x[i, 2:4] * t[i][:, None] - p_m[i]) ** 2).sum(axis=-1))
+            tol = 1e-12 * (1.0 + np.sqrt((p_m[i] ** 2).sum(axis=-1)))
+        if not np.isfinite(r).all():
+            m = int(np.argmin(np.isfinite(r)))
+            records[i] = (ConditioningError, OVERFLOW.format(t[i, m]).replace("\\", ""))
+        elif (r <= tol).any():
+            m = int(np.argmax(r <= tol))
+            records[i] = (DegenerateGeometryError, f"target coincides with agent at slot time {t[i, m]}: range {r[m]:.3e}")
+    return records
+
+
+class TestGeometryFastPath:
+    """The geometry kernel builds its records only when one test over the
+    whole stack fails; its records must be the rule's, agent by agent."""
+
+    @pytest.mark.parametrize(
+        "center, spread",
+        # (0, 1e153): ranges that overflow; the last three: agents whose squared norms overflow while
+        # their ranges stay finite, so the rule finds every target on an agent
+        [(0.0, 0.0), (0.0, 1.0), (0.0, 1e3), (1e3, 1.0), (0.0, 1e100), (0.0, 1e149), (0.0, 1e153), (1e154, 1e150),
+         (1e155, 1e151), (1e160, 1.0)],
+    )
+    def test_records_follow_the_rule_at_every_scale(self, center, spread):
+        # targets at rest at distances around the coincidence tolerance of the agent farthest from the
+        # origin, whose tolerance is the largest (agents off the axes: (1e3, 1.0))
+        p_m = center + fixed_topology().agents.p_m * spread + np.arange(10)[:, None] * max(spread, 1.0) * 1e-3
+        far = p_m[np.argmax(np.hypot(*p_m.T))]
+        tol = 1e-12 * (1.0 + np.hypot(*far))  # finite where the rule's squared norm overflows
+        xs = []
+        for d in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3):
+            for direction in ([1.0, 0.0], [0.6, -0.8]):
+                xs.append(np.r_[far + d * tol * np.array(direction), 0.0, 0.0, 0.0, 0.0])
+        x = np.array(xs)
+        t = np.broadcast_to(np.zeros(10), (len(x), 10))  # every agent at its slot at once: the target is at rest
+        p = np.broadcast_to(p_m, (len(x), 10, 2))
+        want = geometry_records(x, t, p)
+        with np.errstate(all="ignore"):  # the kernel's callers silence floating-point warnings
+            # the test covers a whole stack, so each target runs alone as well
+            stacks = [(_toa_geometry(x, t, p)[2], range(len(x)))]
+            stacks += [(_toa_geometry(x[i:i + 1], t[i:i + 1], p[i:i + 1])[2], [i]) for i in range(len(x))]
+        for errors, rows in stacks:
+            got = {rows[k]: (type(e), str(e)) for k, e in errors.items()}
+            assert got == {i: want[i] for i in rows if i in want}
+
+
+def stack_columns(scenarios):
+    """The columns :func:`crlb_columns` reads, as writable copies."""
+    return [np.array([f(s) for s in scenarios]) for f in (
+        lambda s: s.target.as_vector(), lambda s: s.agents.t, lambda s: s.agents.p_m,
+        lambda s: s.noise.c_tau, lambda s: s.noise.blocks)]
+
+
+def assert_rows_are_solo(crlb_x, information, errors, scenarios):
+    """Row n of a stack is ``crlb_target(scenarios[n])``: the same bytes, or
+    the same error class and message and NaN rows."""
+    for n, scenario in enumerate(scenarios):
+        try:
+            want = crlb_target(scenario)
+        except EstimationError as exc:
+            assert (type(errors[n]), str(errors[n])) == (type(exc), str(exc)), n
+            assert np.isnan(crlb_x[n]).all() and np.isnan(information[n]).all()
+            continue
+        assert n not in errors, n
+        assert crlb_x[n].tobytes() == want.crlb_x.tobytes() and information[n].tobytes() == want.information.tobytes(), n
+
+
+class TestCrlbFailureClasses:
+    def test_mixed_stack_matches_its_batches_of_one(self):
+        # every failure class (FAULT_CASES), each between good scenarios, in one stack, the later checks' first
+        scenarios = []
+        for k, (fault, _, _) in enumerate(reversed(FAULT_CASES)):
+            scenarios += [sweep_scenario(("random", "noise", "ltco")[k % 3], (-20.5, -30.0, 1e-3 * C)[k % 3], k),
+                          fault_scenario(fault)]
+        scenarios.append(anisotropic_scenario(3))
+        crlb_x, information, errors = crlb_columns(*stack_columns(scenarios))
+        assert sorted(errors) == list(range(1, 2 * len(FAULT_CASES), 2))
+        assert_rows_are_solo(crlb_x, information, errors, scenarios)
+        # records come check by check (geometry, C_tau, C_beta, singular), each check's in row order
+        checks = ("overflows|coincides", "C_tau", "C_beta", "singular")
+        order = [(next(k for k, c in enumerate(checks) if re.search(c, str(e))), row) for row, e in errors.items()]
+        assert order == sorted(order) and len({k for k, _ in order}) == len(checks)
+
+    @pytest.mark.parametrize("entry", [(1, 1), (2, 0), (0, 2)], ids=["on_diagonal", "below_diagonal", "above_diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_agent_block_fails_alone(self, entry, value):
+        # NoiseSpec refuses a non-finite block, so the stack carries it directly
+        scenarios = [sweep_scenario("random", -20.5, k) for k in range(3)]
+        x, t, p_m, c_tau, blocks = stack_columns(scenarios)
+        blocks[1, 4][entry] = value
+        crlb_x, information, errors = crlb_columns(x, t, p_m, c_tau, blocks)
+        assert list(errors) == [1] and type(errors[1]) is NotPositiveDefiniteError
+        assert str(errors[1]) == "C_beta must be positive definite for the information matrix"
+        assert np.isnan(crlb_x[1]).all() and np.isnan(information[1]).all()
+        assert_rows_are_solo(crlb_x[[0, 2]], information[[0, 2]], {}, [scenarios[0], scenarios[2]])
+
+    def test_overflowing_information_fails_alone(self):
+        # finite, positive variances so small that the Schur complement overflows float64
+        scenarios = [sweep_scenario("noise", -20.5, k) for k in range(3)]
+        x, t, p_m, c_tau, blocks = stack_columns(scenarios)
+        c_tau[1], blocks[1] = 1e-308, 1e-308 * np.eye(3)
+        crlb_x, information, errors = crlb_columns(x, t, p_m, c_tau, blocks)
+        assert list(errors) == [1] and type(errors[1]) is ConditioningError
+        assert str(errors[1]) == "target information overflows float64"
+        assert_rows_are_solo(crlb_x[[0, 2]], information[[0, 2]], {}, [scenarios[0], scenarios[2]])
+
+
+@pytest.mark.parametrize(
+    "name, error, message",
+    [("cholesky_lo", NotPositiveDefiniteError, r"C_beta must be positive definite for the information matrix"),
+     ("eigvalsh_lo", DegenerateGeometryError, r"target information is singular \(min eig nan\); geometry unobservable"),
+     ("inv", DegenerateGeometryError, r"target information is singular \(min eig [0-9.e+-]+\); geometry unobservable")],
+)
+def test_lapack_failure_stays_with_its_scenario(name, error, message, monkeypatch):
+    # a gufunc that fails on one member, as LAPACK fails, fails that scenario alone
+    scenarios = [sweep_scenario(kind, value, seed) for seed, (kind, value) in enumerate(
+        [("noise", -20.5), ("ltco", 1e-3 * C), ("random", -20.5), ("noise", -50.0)])]
+    alone = [crlb_target(s) for s in scenarios]
+    fail_member(monkeypatch, name, 0, member=1)
+    crlb_x, information, errors = crlb_columns(*stack_columns(scenarios))
+    assert list(errors) == [1] and type(errors[1]) is error and re.fullmatch(message, str(errors[1]))
+    assert np.isnan(crlb_x[1]).all() and np.isnan(information[1]).all()
+    for k in (0, 2, 3):
+        assert crlb_x[k].tobytes() == alone[k].crlb_x.tobytes()
+        assert information[k].tobytes() == alone[k].information.tobytes()
+    fail_member(monkeypatch, name, 0, member=0)
+    with pytest.raises(error, match=message):
+        crlb_target(scenarios[1])
 
 
 class TestAnalyticCov:

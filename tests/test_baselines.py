@@ -456,7 +456,6 @@ class TestMleBatch:
         assert all(isinstance(r, UnderdeterminedError) and "M = 5" in str(r) for r in results)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMleFailedSolve:
     def test_dgelsd_failure_fails_alone(self, monkeypatch):
         # no known finite system makes dgelsd fail to converge; the gufunc is

@@ -106,6 +106,8 @@ class TestEstimateCommand:
             ("topology.random.n_agents=true", "topology.random.n_agents"),
             ("topology.random.n_agents=0", "topology.random.n_agents"),
             ("topology.random.n_agents=1e400", "topology.random.n_agents"),
+            # its skew draws would overflow once scaled to m/s
+            ("topology.random.skew_ppm=[-1e307,1e307]", "topology.random.skew_ppm"),
             ("mle_max_iters=2.5e400", "mle_max_iters"),
             ("mle_max_iters=2.5", "mle_max_iters"),
             ("mle_max_iters=0", "mle_max_iters"),

@@ -437,6 +437,12 @@ class TestRunTrials:
                           ("target_offset_ns", (-1e308, 1e308))):
             with pytest.raises(ValueError, match=f"{name}: bounds must be finite"):
                 TopologyBounds(**{name: bad})
+        # a skew is drawn in ppm and scaled by 1e-6 * C_LIGHT, about 300: these would make its draws overflow
+        for bad in ((-1e307, 1e307), (0.0, 1e306), (-1e306, -1e305)):
+            with pytest.raises(ValueError, match=r"skew_ppm: bounds must give finite skews") as info:
+                TopologyBounds(skew_ppm=bad)
+            assert info.value.field == "skew_ppm"
+        assert TopologyBounds(skew_ppm=(-1e300, 1e300)).skew_ppm == (-1e300, 1e300)
         # every bad value below made sample_random_topology raise mid-draw
         for kwargs, message in [
             ({"sigma_s_sq_db": np.nan}, "sigma_s_sq_db"),
@@ -590,6 +596,57 @@ class TestChunkGenerator:
             (one_ok,), (one_error,) = columns["proposed"]
             assert one_ok == ok[i]
             assert not ok[i] or one_error.tobytes() == errors[i].tobytes()
+
+
+class TestDrawCache:
+    """Each draw table is expanded once (montecarlo._expand) and each bounds'
+    slot times are made once (montecarlo._slot_times); a cache must never
+    hand one table's or bounds' arrays to another, nor arrays that can be written."""
+
+    RANGES = ("agent_xy", "target_xy", "velocity", "agent_offset_ns", "target_offset_ns", "skew_ppm")
+
+    def test_tables_that_differ_in_one_range_never_share_an_expansion(self):
+        base = TopologyBounds()
+        tables = [montecarlo._topology_table(base, -20.5, 5.0), montecarlo._topology_table(base, -20.0, 5.0),
+                  montecarlo._topology_table(base, -20.5, 4.0)]
+        for name in self.RANGES:
+            lo, hi = getattr(base, name)
+            for other in ((lo, hi + 1.0), (lo - 0.5, hi), (lo + 1e-9, hi)):
+                tables.append(montecarlo._topology_table(dataclasses.replace(base, **{name: other}), -20.5, 5.0))
+        spec = small_spec(sweep_values=(-40.0, -30.0))
+        tables += [montecarlo._sweep_table(spec, value, 10) for value in (-40.0, -30.0)]
+        tables += [montecarlo._sweep_table(dataclasses.replace(spec, target_offset_ns=9.0), -40.0, 10)]
+        tables += [montecarlo._sweep_table(small_spec(scheme="ltco_sweep", sweep_values=(1.0,), sigma_s_sq_db=s), 1.0, 10)
+                   for s in (-20.5, -21.0)]
+        expansions = [montecarlo._expand(table) for table in tables]
+        assert len({table for table in tables}) == len(tables)
+        for i, a in enumerate(expansions):
+            for b in expansions[i + 1:]:
+                assert a is not b and not (a.shape == b.shape and np.array_equal(a, b))
+        # and an equal table, built afresh, gets its expansion back
+        assert montecarlo._expand(montecarlo._topology_table(TopologyBounds(), -20.5, 5.0)) is expansions[0]
+
+    def test_cached_arrays_are_read_only(self):
+        bounds = TopologyBounds(n_agents=4, slot_interval=0.02)
+        expansion = montecarlo._expand(montecarlo._topology_table(bounds, -20.5, 5.0))
+        t = montecarlo._slot_times(bounds.slot_interval, bounds.n_agents)
+        for array in (expansion, t):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert t.tobytes() == (0.02 * np.arange(4)).tobytes()
+        # every scenario of the bounds holds that one array; a chunk holds views of it
+        s = sample_random_topology(bounds, np.random.default_rng(0))
+        assert s.agents.t is t
+        spec = small_spec(scheme="random_topology", n_trials=3, sweep_values=(-20.5,), topology=bounds)
+        assert np.shares_memory(montecarlo._draw_chunk(spec, [(-20.5, i) for i in range(3)]).stack.t, t)
+
+    def test_bounds_that_differ_in_slots_never_share_slot_times(self):
+        pairs = [(0.05, 10), (0.05, 11), (0.04, 10), (0.050000001, 10)]
+        times = [montecarlo._slot_times(*pair) for pair in pairs]
+        for (interval, M), t in zip(pairs, times):
+            assert t.tobytes() == (interval * np.arange(M)).tobytes()
+        assert len({id(t) for t in times}) == len(times)
 
 
 class TestStreamStates:
