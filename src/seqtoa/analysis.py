@@ -25,11 +25,12 @@ as columns and returns columns: the bounds and the Schur complements
 ``(N, 6, 6)``, NaN in the rows of failed scenarios, and the
 :class:`EstimationError` of each failed scenario only.  :func:`crlb_target`
 runs it on one scenario's own arrays.  It calls the Cholesky, ``eigvalsh``
-and ``inv`` LAPACK gufuncs through the estimator's helpers, which give the
-``np.linalg`` wrappers' bytes and return a failed member as NaN, so a
-factorization that fails fails its own scenario; rows are gathered only
-after a scenario has failed, so a batch of one (about 50 us for M = 10 on
-the 2-core reference host) makes no call that only a larger stack needs.
+and ``inv`` LAPACK gufuncs through :mod:`seqtoa._lapack`, under its one
+rule: each member gets the ``np.linalg`` wrapper's bytes, and a member whose
+factorization fails comes back NaN and fails its own scenario; rows are
+gathered only after a scenario has failed, so a batch of one (about 50 us
+for M = 10 on the 2-core reference host) makes no call that only a larger
+stack needs.
 One kernel computes the TOA gradients and checks the geometry for every
 entry point, building its error records only when a range is not finite or
 within an agent's coincidence tolerance: :func:`toa_gradients` is that
@@ -47,16 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, NotPositiveDefiniteError
-from .estimator import (
-    _LAPACK_ERRSTATE,
-    _cholesky,
-    _design_arrays,
-    _eigvalsh,
-    _inv,
-    _scatter,
-    build_error_model,
-    theta_jacobian,
-)
+from . import _lapack
+from .estimator import _design_arrays, _scatter, build_error_model, theta_jacobian
 from .model import Agents, Scenario, TargetState, _toa_jacobian, exact_frame
 
 _COINCIDENT_TOL = 1e-12
@@ -130,7 +123,7 @@ def _toa_geometry(x: np.ndarray, t: np.ndarray, p_m: np.ndarray):
     return Hx, h, errors
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def toa_gradients(x: TargetState, agents: Agents) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the M noise-free TOAs: the geometry kernel of
     :func:`crlb_columns` on a batch of one.
@@ -181,7 +174,7 @@ def fim_blocks(scenario: Scenario) -> FimBlocks:
     return FimBlocks(R1=R1, R2=R2, R3=0.5 * (R3 + R3.T))
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict[int, EstimationError]]:
     """Cramer-Rao lower bound of the 6-dimensional target state of N
     scenarios given as columns: target states ``x (N, 6)``, slot times
@@ -195,34 +188,35 @@ def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict
     :class:`EstimationError` that stopped it alone.  The first failing check
     is the record, in this order: the geometry of :func:`toa_gradients` (a
     range that overflows float64, then a target that coincides with an
-    agent at its slot time), :class:`ConditioningError` for a non-positive
-    TOA variance, :class:`NotPositiveDefiniteError` for an agent block of
-    ``C_beta`` that is not finite or not positive definite, then
+    agent at its slot time), :class:`ConditioningError` for a TOA variance
+    that is not positive and finite, :class:`NotPositiveDefiniteError` for an
+    agent block of ``C_beta`` that is not finite or not positive definite, then
     :class:`ConditioningError` if the Schur complement overflows float64 and
     :class:`DegenerateGeometryError` if it is singular (unobservable
     geometry, e.g. collinear agents).
 
     Every scenario's Schur complement is formed at once, and the LAPACK
-    gufuncs (Cholesky, ``eigvalsh``, ``inv``) run on the stack directly: a
-    member that fails comes back NaN and fails its own scenario.  Rows are
-    gathered only once a scenario has failed, so a batch of one makes no
-    call that only a larger stack needs, and a scenario's row is the same
-    bytes in any stack.
+    gufuncs (Cholesky, ``eigvalsh``, ``inv``) run on the stack through
+    :mod:`seqtoa._lapack`: a member that fails comes back NaN and fails its
+    own scenario.  Rows are gathered only once a scenario has failed, so a
+    batch of one makes no call that only a larger stack needs, and a
+    scenario's row is the same bytes in any stack.
     """
     N = len(x)
     Hx, h, errors = _toa_geometry(x, t, p_m)
-    factors = _cholesky(blocks)
+    factors = _lapack.gufuncs.cholesky_lo(blocks, signature="d->d")
     # w_m = 1 / (c_tau,m + g_m^T C_m g_m); h = -g, and negation is exact
     w = 1.0 / (c_tau + ((blocks @ h[..., None])[..., 0] * h).sum(axis=-1))
     S = (Hx * w[..., None]).swapaxes(-1, -2) @ Hx
     S = 0.5 * (S + S.swapaxes(-1, -2))
     rows = np.arange(N)
-    # one test for the common case: every TOA variance positive, every agent block finite and
-    # factored, every Schur complement finite (no LAPACK call sees a non-finite matrix)
-    if errors or not (c_tau.min(initial=np.inf) > 0.0 and math.isfinite(factors.sum() + blocks.sum() + S.sum())):
+    # one test for the common case: every TOA variance positive and finite, every agent block
+    # finite and factored, every Schur complement finite (no LAPACK call sees a non-finite matrix)
+    finite = math.isfinite(c_tau.sum() + factors.sum() + blocks.sum() + S.sum())
+    if errors or not (c_tau.min(initial=np.inf) > 0.0 and finite):
         live = np.ones(N, dtype=bool)
         live[list(errors)] = False
-        for i in np.flatnonzero(live & ~(c_tau > 0).all(axis=-1)).tolist():
+        for i in np.flatnonzero(live & ~((0.0 < c_tau) & (c_tau < np.inf)).all(axis=-1)).tolist():
             errors[i], live[i] = ConditioningError("C_tau must be strictly positive for the information matrix"), False
         pd = np.isfinite(factors).all(axis=(-3, -2, -1)) & np.isfinite(blocks).all(axis=(-3, -2, -1))
         for i in np.flatnonzero(live & ~pd).tolist():
@@ -230,8 +224,8 @@ def crlb_columns(x, t, p_m, c_tau, blocks) -> tuple[np.ndarray, np.ndarray, dict
         for i in np.flatnonzero(live & ~np.isfinite(S).all(axis=(-2, -1))).tolist():
             errors[i], live[i] = ConditioningError("target information overflows float64"), False
         rows, S = rows[live], S[live]
-    eigs = _eigvalsh(S)
-    crlb_x = _inv(S)
+    eigs = _lapack.gufuncs.eigvalsh_lo(S, signature="d->d")
+    crlb_x = _lapack.gufuncs.inv(S, signature="d->d")
     # a NaN eigenvalue (dsyevd failed) or inverse (dgesv found S singular) counts as singular too
     ok = eigs[:, 0] > 1e-12 * np.maximum(eigs[:, -1], 1.0)
     if not (ok.all() and math.isfinite(crlb_x.sum())):

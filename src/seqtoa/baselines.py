@@ -22,6 +22,11 @@ its result from row 0 and raises row 0's error.
   degraded mode can be cross-checked against it.  Its error covariance is
   diagonal, as the noise is independent across agents, so weighting divides
   each row by its variance.
+
+Both call their LAPACK gufuncs (``lstsq`` through ``_gn_steps``; ``svd``,
+``solve`` and ``inv`` for the static solver) through :mod:`seqtoa._lapack`,
+under its one rule: each member gets the ``np.linalg`` wrapper's bytes, and a
+member that fails comes back NaN and fails its own frame's check.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import ConditioningError, DegenerateGeometryError, EstimationError, UnderdeterminedError
-from .estimator import _LAPACK_ERRSTATE, _RANK_FAILED, _RANK_NOT_FINITE, EstimateReport, Estimates, FrameStack
+from .estimator import _RANK_FAILED, _RANK_NOT_FINITE, EstimateReport, Estimates, FrameStack
 from .estimator import _gn_steps, _scatter
 from .model import ObservedFrame, TargetState, _toa_jacobian
 
@@ -51,7 +57,7 @@ def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray,
     return u, r, tau - (r + x[:, 4:5] + x[:, 5:6] * t - T_hat)
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def mle_batch(stack: FrameStack, inits, max_iters: int = 50) -> Estimates:
     """Weighted Gauss-Newton on the raw TOA residuals of every frame of a stack.
 
@@ -181,12 +187,15 @@ class StaticTswlsResult:
 def _normal_solve(N: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the stacked normal equations ``N (K, n, n) @ x = rhs (K, n)``.
 
-    Only systems whose matrix is finite with ``cond <= 1e12`` are solved.
-    Returns ``(ok, x)``; ``x`` holds the ``ok`` systems only.
+    Only systems whose matrix is finite with ``cond <= 1e12`` are solved;
+    ``cond`` is ``np.linalg.cond``'s ratio of the extreme singular values, NaN
+    (so failing) where the SVD fails.  Returns ``(ok, x)``; ``x`` holds the
+    ``ok`` systems only, NaN where the solve fails.
     """
     ok = np.isfinite(N).all(axis=(-2, -1))
-    ok[ok] = np.linalg.cond(N[ok]) <= 1e12
-    return ok, np.linalg.solve(N[ok], rhs[ok, :, None])[..., 0]
+    s = _lapack.gufuncs.svd(N[ok], signature="d->d")  # descending singular values
+    ok[ok] = s[:, 0] / s[:, -1] <= 1e12
+    return ok, _lapack.gufuncs.solve(N[ok], rhs[ok, :, None], signature="dd->d")[..., 0]
 
 
 def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray):
@@ -205,7 +214,7 @@ def _error_weighted(G: np.ndarray, h: np.ndarray, b: np.ndarray, c_tau: np.ndarr
     return G / var[..., None], h / var, ok
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def tswls_static_batch(stack: FrameStack) -> tuple[np.ndarray, np.ndarray, dict[int, EstimationError]]:
     """Static two-step solver on every frame of a stack: unknowns ``[p, T, theta1]``.
 
@@ -222,8 +231,9 @@ def tswls_static_batch(stack: FrameStack) -> tuple[np.ndarray, np.ndarray, dict[
     :class:`UnderdeterminedError` for every frame if there are fewer than 4
     broadcasts, and :class:`ConditioningError` for an ill-conditioned normal
     matrix of either pass or of the refinement, a singular static error
-    covariance, or a non-finite solution.  One bad frame does not fail the
-    others.
+    covariance, or a non-finite solution (where a LAPACK call failed on the
+    frame, for one).  One bad frame does not fail the others, and no
+    ``LinAlgError`` or ``RuntimeWarning`` escapes.
     """
     N, M = stack.t.shape
     if M < 4:
@@ -257,7 +267,7 @@ def tswls_static_batch(stack: FrameStack) -> tuple[np.ndarray, np.ndarray, dict[
     N4 = Gt[live] @ WG
     ok, theta_s = _normal_solve(N4, (Gt[live] @ Wh[..., None])[..., 0])
     fail(live[~ok], "weighted normal matrix ill-conditioned")
-    live, C4 = live[ok], np.linalg.inv(N4[ok])
+    live, C4 = live[ok], _lapack.gufuncs.inv(N4[ok], signature="d->d")
 
     # one refinement iteration on [p, T] through theta1 = T^2 - ||p||^2
     z = theta_s[:, :3]
@@ -265,11 +275,11 @@ def tswls_static_batch(stack: FrameStack) -> tuple[np.ndarray, np.ndarray, dict[
     J_s = np.zeros((len(live), 4, 3))
     J_s[:, [0, 1, 2], [0, 1, 2]] = 1.0
     J_s[:, 3] = 2.0 * z * [-1.0, -1.0, 1.0]
-    JtW = J_s.swapaxes(-1, -2) @ np.linalg.inv(C4)
+    JtW = J_s.swapaxes(-1, -2) @ _lapack.gufuncs.inv(C4, signature="d->d")
     N_s = JtW @ J_s
     ok, step = _normal_solve(N_s, (JtW @ (theta_s - f_s)[..., None])[..., 0])
     fail(live[~ok], "refinement normal matrix ill-conditioned")
-    live, z, cov = live[ok], z[ok] + step, np.linalg.inv(N_s[ok])
+    live, z, cov = live[ok], z[ok] + step, _lapack.gufuncs.inv(N_s[ok], signature="d->d")
 
     finite = np.isfinite(z).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1))
     fail(live[~finite], "non-finite solution")

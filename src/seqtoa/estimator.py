@@ -45,9 +45,8 @@ frame's :func:`estimate`; the rest is numpy's per-call overhead on 9x6 to
 10x10 arrays.  With its parse and its report, such a frame takes about
 240 us on the 2-core reference host.
 
-The kernels call numpy's LAPACK gufuncs
-(``qr_r_raw``, ``solve``, ``lstsq``) directly, without the ``np.linalg``
-wrappers: each member gets the wrapper's result bit for bit, and a member
+The kernels call the LAPACK gufuncs (``qr_r_raw``, ``solve``, ``lstsq``,
+``eigh_lo``) through :mod:`seqtoa._lapack`, under its one rule: a member
 whose factorization fails comes back NaN (and rank -1) instead of raising
 ``LinAlgError`` for the whole stack.  That fails the frame's own rank,
 conditioning or finiteness check, so a LAPACK failure becomes that frame's
@@ -70,18 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The stacked kernels here (_gn_steps serves the MLE in baselines too, and
-# _cholesky, _eigvalsh and _inv the CRLB in analysis) call the LAPACK gufuncs
-# beneath np.linalg.qr, solve, lstsq, eigh, cholesky, eigvalsh and inv
-# directly.  Each wrapper only checks types, copies, sets an errstate that
-# turns one failed member into LinAlgError for the whole stack, and calls the
-# same gufunc; on a batch of one that overhead is a third of the call.  Called
-# directly, every member gets the wrapper's result bit for bit.  This private
-# numpy API stays in this module: TestLapackKernels and TestLstsqStack pin it
-# to the wrappers, and test_only_estimator_names_the_private_gufuncs keeps it
-# here.
-from numpy.linalg import _umath_linalg
-
+from . import _lapack
 from .errors import (
     ConditioningError,
     DegenerateGeometryError,
@@ -273,11 +261,8 @@ class FrameStack:
 # Every kernel takes arrays with a leading frame axis and treats each frame
 # independently; per-frame failures come back as masks, never as exceptions.
 # A LAPACK gufunc that fails on one member fills that member's outputs with
-# NaN and raises the FP-invalid flag.  The NaN fails the frame's own rank or
-# finiteness check; the flag is silenced by one errstate per public call
-# (about 1 us), not per kernel call.
-
-_LAPACK_ERRSTATE = np.errstate(all="ignore")
+# NaN (see seqtoa._lapack); the NaN fails the frame's own rank or finiteness
+# check.
 
 
 def _design(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +338,7 @@ def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     np.divide(WA, scale[:, None, :], out=aug[..., :n])
     aug[..., n] = Wy
     # factors aug in place; R is the upper triangle of its 9x9 block
-    _umath_linalg.qr_r_raw(aug, signature="d->d")
+    _lapack.gufuncs.qr_r_raw(aug, signature="d->d")
     R = np.where(_LOWER9, 0.0, aug[:, :n, :n])
     r = np.abs(R.diagonal(axis1=-2, axis2=-1))
     r_max, r_min = r.max(axis=-1, initial=0.0), r.min(axis=-1, initial=np.inf)
@@ -370,31 +355,12 @@ def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r_max: np.nd
     rhs = np.empty(z.shape[:-1] + (N_THETA + 1,))
     rhs[..., :1] = z
     rhs[..., 1:] = _EYE9
-    X = _umath_linalg.solve(R, rhs, signature="dd->d")
+    X = _lapack.gufuncs.solve(R, rhs, signature="dd->d")
     theta = X[..., 0] / scale
     R_inv = X[..., 1:]
     col_scale = scale[:, None, :]
     C_wls = (R_inv @ R_inv.swapaxes(-1, -2)) / (scale[:, :, None] * col_scale)
     return theta, C_wls, R * col_scale, r_max / r_min
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of symmetric matrices, ``np.linalg.cholesky``'s
-    bit for bit; a member that is not positive definite comes back NaN."""
-    return _umath_linalg.cholesky_lo(a, signature="d->d")
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of symmetric matrices from their lower
-    triangles, ``np.linalg.eigvalsh``'s bit for bit; a member whose ``dsyevd``
-    fails comes back NaN."""
-    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
-
-
-def _inv(a: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of square matrices, ``np.linalg.inv``'s bit for bit;
-    a singular member comes back NaN."""
-    return _umath_linalg.inv(a, signature="d->d")
 
 
 def _underdetermined_error(M: int) -> UnderdeterminedError:
@@ -442,7 +408,7 @@ def _gn_steps(WJ: np.ndarray, Wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fails, ``_RANK_NOT_FINITE`` where the system is not finite.  LAPACK would
     reject a non-finite system as an illegal argument, on stdout, so a zero
     system goes in its place.  Callers silence a failed ``dgelsd``'s
-    FP-invalid flag with ``_LAPACK_ERRSTATE``.
+    FP-invalid flag with ``_lapack.ERRSTATE``.
     """
     # one finiteness test for the common case: a sum is finite only if every term is
     finite = None
@@ -450,7 +416,7 @@ def _gn_steps(WJ: np.ndarray, Wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         finite = np.isfinite(WJ).all(axis=(-2, -1)) & np.isfinite(Wr).all(axis=(-2, -1))
         WJ = np.where(finite[:, None, None], WJ, 0.0)
         Wr = np.where(finite[:, None, None], Wr, 0.0)
-    dx, _, rank, _ = _umath_linalg.lstsq(WJ, Wr, _EPS * max(WJ.shape[-2:]), signature="ddd->ddid")
+    dx, _, rank, _ = _lapack.gufuncs.lstsq(WJ, Wr, _EPS * max(WJ.shape[-2:]), signature="ddd->ddid")
     if finite is not None:
         dx[~finite], rank[~finite] = np.nan, _RANK_NOT_FINITE
     return dx[..., 0], rank
@@ -527,7 +493,7 @@ def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.nd
     return A * w[..., None], y * w, ok
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def estimate_batch(stack: FrameStack) -> Estimates:
     """Full two-pass pipeline for every frame of a stack.
 
@@ -553,7 +519,7 @@ def estimate_batch(stack: FrameStack) -> Estimates:
     if ok is not None:
         errors.update(zip(live[~ok].tolist(), map(_rank_error, ranks)))
         live, A, y = live[ok], A[ok], y[ok]
-    x1 = _umath_linalg.solve(R, z, signature="dd->d")[..., :6, 0] / scale[:, :6]
+    x1 = _lapack.gufuncs.solve(R, z, signature="dd->d")[..., :6, 0] / scale[:, :6]
 
     # pass 2: weights from the error statistics at the pass-1 state
     WA, Wy, ok = _pass2_whitened(stack, live, A, y, x1)
@@ -640,7 +606,7 @@ def build_error_model(frame: ObservedFrame, x_ref: TargetState) -> ErrorModel:
     return ErrorModel(B=B.reshape(M, 3 * M), D=np.diag(b[0, :, 2]), C_e=np.diag(var))
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root ``W`` with ``W.T @ W = inv(C_e)``.
 
@@ -655,13 +621,13 @@ def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
             raise ConditioningError("C_e diagonal must be strictly positive for whitening")
         return np.diag(1.0 / np.sqrt(diag))
     # a failed factorization comes back NaN, which fails the test too
-    w, V = _umath_linalg.eigh_lo(C_e, signature="d->dd")
+    w, V = _lapack.gufuncs.eigh_lo(C_e, signature="d->dd")
     if not (w[0] > 0 and w[0] > 1e-15 * w[-1]):
         raise ConditioningError("C_e is not positive definite")
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def solve_wls_qr(design: DesignSystem, C_e: np.ndarray) -> WlsSolution:
     """Weighted least-squares solve of the Step-I system by column-equilibrated QR.
 
@@ -713,7 +679,7 @@ def theta_jacobian(x) -> np.ndarray:
     return np.vstack([_EYE6, 2.0 * G])
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def gauss_newton_refine(wls: WlsSolution, agent_pos_cov_traces) -> EstimateReport:
     """Step II: retract the 6-state from ``theta_hat`` by weighted Gauss-Newton.
 
@@ -750,7 +716,7 @@ def _embed_static(q: np.ndarray) -> TargetState:
     return TargetState(p=q[0:2], v=np.zeros(2), T=q[2], omega=0.0)
 
 
-@_LAPACK_ERRSTATE
+@_lapack.ERRSTATE
 def estimate_degraded(frame: ObservedFrame) -> tuple[np.ndarray, float, np.ndarray]:
     """Static degradation of the pipeline: position and offset only.
 

@@ -28,6 +28,8 @@ information (``CrlbResult.full_fim``) and ``analytic_cov(form="factored")``.
 One simulation kernel turns standard normals into observed columns of N
 frames at once, with a leading frame axis: the Monte-Carlo sweeps run it on
 a whole chunk of trials, and :func:`simulate_frame` on a batch of one.
+The broadcast-error blocks are factored by :mod:`seqtoa._lapack`'s gufuncs,
+under its one rule: a failed member comes back NaN and fails its own check.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import NotPositiveDefiniteError
 
 C_LIGHT = 299_792_458.0
@@ -382,6 +385,7 @@ def forward_toa(target: TargetState, agents: Agents) -> np.ndarray:
     return _toas(target.as_vector()[None], agents.t[None], agents.p_m[None], agents.T_m[None])[0]
 
 
+@_lapack.ERRSTATE
 def _psd_factor(C: np.ndarray, name: str) -> np.ndarray:
     """Square roots ``S`` with ``S @ S.T == C`` of a stack of PSD matrices.
 
@@ -389,15 +393,16 @@ def _psd_factor(C: np.ndarray, name: str) -> np.ndarray:
     eigenvalue factorization of each, with tiny negative eigenvalues (down to
     ``-1e-12`` times the matrix's largest, or ``-1e-12`` if that is below 1)
     clipped to zero.  Raises :class:`NotPositiveDefiniteError` for genuinely
-    indefinite input.
+    indefinite input.  Both run as :mod:`seqtoa._lapack` gufuncs, whose failed
+    member comes back NaN: a NaN Cholesky factor sends the stack to ``eigh``,
+    and a NaN eigenvalue fails the semidefiniteness test.
     """
-    try:
-        return np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        pass
-    w, V = np.linalg.eigh(C)
+    L = _lapack.gufuncs.cholesky_lo(C, signature="d->d")
+    if np.isfinite(L).all():
+        return L
+    w, V = _lapack.gufuncs.eigh_lo(C, signature="d->dd")
     tol = 1e-12 * np.maximum(w[..., -1:], 1.0)
-    if np.any(w < -tol):
+    if not (w >= -tol).all():
         raise NotPositiveDefiniteError(f"{name} is not positive semidefinite (min eig {w.min():.3e})")
     return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 

@@ -465,6 +465,18 @@ class TestCrlbFailureClasses:
         assert np.isnan(crlb_x[1]).all() and np.isnan(information[1]).all()
         assert_rows_are_solo(crlb_x[[0, 2]], information[[0, 2]], {}, [scenarios[0], scenarios[2]])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_toa_variance_fails_alone(self, value):
+        # NoiseSpec refuses a non-finite variance, so the stack carries it directly
+        scenarios = [sweep_scenario("random", -20.5, k) for k in range(2)]
+        x, t, p_m, c_tau, blocks = stack_columns(scenarios)
+        c_tau[1, 3] = value
+        crlb_x, information, errors = crlb_columns(x, t, p_m, c_tau, blocks)
+        assert list(errors) == [1] and type(errors[1]) is ConditioningError
+        assert str(errors[1]) == "C_tau must be strictly positive for the information matrix"
+        assert np.isnan(crlb_x[1]).all() and np.isnan(information[1]).all()
+        assert_rows_are_solo(crlb_x[:1], information[:1], {}, scenarios[:1])
+
     def test_overflowing_information_fails_alone(self):
         # finite, positive variances so small that the Schur complement overflows float64
         scenarios = [sweep_scenario("noise", -20.5, k) for k in range(3)]

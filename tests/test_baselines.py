@@ -28,10 +28,11 @@ from seqtoa import (
     tswls_static_batch,
     tswls_static_estimate,
 )
-from seqtoa import estimator, montecarlo
+from seqtoa import _lapack, estimator, montecarlo
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS, anisotropic_scenario, entries, random_scenario, sweep_scenario
+from test_estimator import fail_member
 
 ROUGH_INIT_SCALE = np.array([100.0, 100.0, 20.0, 20.0, 500.0, 100.0])
 
@@ -309,6 +310,28 @@ class TestTswlsStaticBatch:
         for n, (z1, cov1, _) in zip([0, 2, 3], alone):
             assert z[n].tobytes() == z1[0].tobytes() and covariance[n].tobytes() == cov1[0].tobytes()
 
+    @pytest.mark.parametrize("name, call", [(name, call) for name in ("svd", "solve", "inv") for call in range(3)])
+    def test_lapack_failure_stays_with_its_frame(self, name, call, monkeypatch):
+        # each gufunc call of the solver (a pass-1, pass-2 and refinement svd
+        # and solve; the inverse of the weighted normal matrix, of that
+        # inverse, and of the refinement normal matrix) failing on one member
+        # as LAPACK fails fails that frame alone
+        frames = [simulate_frame(sweep_scenario(kind, value, seed), seed) for seed, (kind, value) in enumerate(
+            [("noise", -20.5), ("random", -20.5), ("noise", -40.0), ("random", -30.0)])]
+        alone = [tswls_static_batch(FrameStack.one(frame)) for frame in frames]
+        assert not any(errors for _, _, errors in alone)
+        fail_member(monkeypatch, name, call, member=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, covariance, errors = tswls_static_batch(FrameStack.of(frames))
+        assert list(errors) == [1] and type(errors[1]) is ConditioningError
+        assert np.isnan(z[1]).all() and np.isnan(covariance[1]).all()
+        for n in (0, 2, 3):
+            assert z[n].tobytes() == alone[n][0][0].tobytes() and covariance[n].tobytes() == alone[n][1][0].tobytes()
+        fail_member(monkeypatch, name, call, member=0)
+        with pytest.raises(ConditioningError):
+            tswls_static_estimate(frames[1])
+
     def test_underdetermined_stack_fails_every_frame(self):
         frame = exact_frame(random_scenario(np.random.default_rng(0), M=3))
         z, covariance, errors = columns = tswls_static_batch(FrameStack.of([frame, frame]))
@@ -464,7 +487,7 @@ class TestMleFailedSolve:
         cases = [mle_case(kind, value, k, False) for k, (kind, value) in enumerate(
             [("noise", -20.0), ("ltco", 2997.9), ("random", -20.5), ("noise", -50.0)])]
         alone = [entries(mle_batch(FrameStack.one(frame), [init]))[0] for frame, init in cases]
-        lstsq, calls = estimator._umath_linalg.lstsq, []
+        lstsq, calls = _lapack.gufuncs.lstsq, []
 
         def failing(*args, **kwargs):
             x, residuals, rank, s = lstsq(*args, **kwargs)
@@ -474,7 +497,7 @@ class TestMleFailedSolve:
             calls.append(len(rank))
             return x, residuals, rank, s
 
-        monkeypatch.setattr(estimator, "_umath_linalg", types.SimpleNamespace(lstsq=failing))
+        monkeypatch.setattr(_lapack, "gufuncs", types.SimpleNamespace(lstsq=failing))
         frames, inits = zip(*cases)
         results = entries(mle_batch(FrameStack.of(frames), inits))
         assert calls[0] == 4 and len(calls) > 1
@@ -551,7 +574,7 @@ class TestLstsqStack:
         gathered = augmented_systems()[np.array(frames, dtype=int)]
         A, b = gathered[..., :6], gathered[..., 6:]
         assert not frames or not (A.flags.c_contiguous or b.flags.c_contiguous)
-        with np.errstate(all="ignore"):  # as under estimator._LAPACK_ERRSTATE, which its callers run in
+        with np.errstate(all="ignore"):  # as under _lapack.ERRSTATE, which its callers run in
             x, rank = estimator._gn_steps(A, b)
         assert capfd.readouterr() == ("", "")
         assert x.shape == (len(frames), 6) and rank.shape == (len(frames),)

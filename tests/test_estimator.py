@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import json
 import pathlib
@@ -40,7 +42,7 @@ from seqtoa import (
     tswls_static_estimate,
     whitening_matrix,
 )
-from seqtoa import cli, estimator, serialize
+from seqtoa import _lapack, analysis, baselines, cli, estimator, model, serialize
 from seqtoa.model import C_LIGHT
 
 from conftest import SWEEP_POINTS as SCHEME_POINTS
@@ -540,15 +542,25 @@ class TestEstimateBatch:
             FrameStack.of([simulate_frame(fixed_scenario, 1), short])
 
 
+def static_normal_system(frame):
+    """The static solver's first-pass normal matrix ``(4, 4)`` and right-hand
+    side ``(4,)`` of a frame, as :func:`~seqtoa.baselines.tswls_static_batch`
+    builds them."""
+    alpha = frame.tau + frame.T_hat
+    G = np.column_stack([2.0 * frame.p_hat, -2.0 * alpha, np.ones(frame.n_agents)])
+    return G.T @ G, G.T @ ((frame.p_hat**2).sum(axis=-1) - alpha**2)
+
+
 def kernel_inputs():
-    """Per LAPACK gufunc of the estimator, its arguments stacked over frames of
+    """Per LAPACK gufunc of the package, its arguments stacked over frames of
     every sweep scheme (1 ms LTCO included), as the estimator builds them;
     ``eigh_lo`` gets each frame's ``C_e`` turned by a random rotation, a
     non-diagonal SPD matrix of the kind :func:`whitening_matrix` factors;
     ``lstsq`` gets a retraction's weighted system ``(K J, K z)``; the CRLB's
     gufuncs get the frames' scenarios as :func:`~seqtoa.analysis.crlb_columns`
     builds them: ``cholesky_lo`` the agent blocks ``(M, 3, 3)``, ``eigvalsh_lo``
-    and ``inv`` the Schur complement ``S``.  Member 2 is bad: a singular ``R``
+    and ``inv`` the Schur complement ``S``; ``svd`` gets the static solver's
+    first-pass normal matrices.  Member 2 is bad: a singular ``R``
     for ``solve``, an all-ones ``S`` for ``inv`` and a NaN entry (in the
     triangle the gufunc reads) for the others."""
     points = [("noise", -50.0), ("noise", -10.0), ("ltco", LTCO_OFFSETS[-1]), ("ltco", LTCO_OFFSETS[1]),
@@ -557,7 +569,7 @@ def kernel_inputs():
     scenarios = [sweep_scenario(kind, value, seed) for seed, (kind, value) in enumerate(points)]
     rng = np.random.default_rng(7)
     args = {"qr_r_raw": [[]], "solve": [[], []], "lstsq": [[], []], "eigh_lo": [[]],
-            "cholesky_lo": [[]], "eigvalsh_lo": [[]], "inv": [[]]}
+            "cholesky_lo": [[]], "eigvalsh_lo": [[]], "inv": [[]], "svd": [[]]}
     for scenario in scenarios:
         S = crlb_target(scenario).information
         args["cholesky_lo"][0].append(scenario.noise.blocks)
@@ -574,16 +586,17 @@ def kernel_inputs():
         args["lstsq"][1].append(R[:9, 9:])
         Q, _ = np.linalg.qr(rng.normal(size=(frame.n_agents, frame.n_agents)))
         args["eigh_lo"][0].append(Q @ build_error_model(frame, x).C_e @ Q.T)
+        args["svd"][0].append(static_normal_system(frame)[0])
     stacks = {name: [np.array(a) for a in arrays] for name, arrays in args.items()}
     for name, bad in [("qr_r_raw", np.s_[2, 3, 2]), ("solve", np.s_[2, 4, 4]), ("lstsq", np.s_[2, 5, 1]),
                       ("eigh_lo", np.s_[2, 6, 6]), ("cholesky_lo", np.s_[2, 4, 2, 1]), ("eigvalsh_lo", np.s_[2, 3, 1]),
-                      ("inv", np.s_[2])]:
+                      ("inv", np.s_[2]), ("svd", np.s_[2, 1, 3])]:
         stacks[name][0][bad] = {"solve": 0.0, "inv": 1.0}.get(name, np.nan)
     return stacks
 
 
 SIGNATURES = {"qr_r_raw": "d->d", "solve": "dd->d", "lstsq": "ddd->ddid", "eigh_lo": "d->dd",
-              "cholesky_lo": "d->d", "eigvalsh_lo": "d->d", "inv": "d->d"}
+              "cholesky_lo": "d->d", "eigvalsh_lo": "d->d", "inv": "d->d", "svd": "d->d"}
 WRAPPERS = {
     "qr_r_raw": lambda a: (lambda h, tau: (h.T, tau))(*np.linalg.qr(a, mode="raw")),
     "solve": lambda a, b: (np.linalg.solve(a, b),),
@@ -592,11 +605,12 @@ WRAPPERS = {
     "cholesky_lo": lambda a: (np.linalg.cholesky(a),),
     "eigvalsh_lo": lambda a: (np.linalg.eigvalsh(a),),
     "inv": lambda a: (np.linalg.inv(a),),
+    "svd": lambda a: (np.linalg.svd(a, compute_uv=False),),
 }
 
 
 class TestLapackKernels:
-    """The estimator calls the LAPACK gufuncs beneath np.linalg directly; each
+    """The package calls the LAPACK gufuncs beneath np.linalg directly; each
     member of a stack must get the wrapper's result bit for bit, and a member
     the wrapper fails on (or returns NaN for) must come back non-finite alone."""
 
@@ -617,8 +631,8 @@ class TestLapackKernels:
             except np.linalg.LinAlgError:
                 wants.append(None)
         rcond = (np.finfo(float).eps * 9,) if name == "lstsq" else ()  # np.linalg.lstsq's for 9x6 systems
-        with np.errstate(invalid="ignore"):  # a failed member raises the FP-invalid flag
-            got = getattr(estimator._umath_linalg, name)(*args, *rcond, signature=SIGNATURES[name])
+        with np.errstate(all="ignore"):  # a failed member raises FP flags, as under _lapack.ERRSTATE
+            got = getattr(_lapack.gufuncs, name)(*args, *rcond, signature=SIGNATURES[name])
         got = (args[0], got) if name == "qr_r_raw" else got if isinstance(got, tuple) else (got,)
         assert all(g.shape[0] == len(frames) for g in got)
         bad = set()
@@ -630,18 +644,45 @@ class TestLapackKernels:
             assert all(g[k].tobytes() == w.tobytes() for g, w in zip(got, want)), (name, frames[k])
         assert bad == ({2} & set(frames))
 
+    def test_static_solver_uses(self):
+        # the static solver's conditioning test is svd's ratio, its solves take
+        # (K, n, 1) right-hand sides, and it inverts its normal matrices
+        frames = [sweep_frame(kind, value, seed) for seed, (kind, value) in enumerate(
+            [("noise", -50.0), ("ltco", LTCO_OFFSETS[-1]), ("random", -20.5), ("ltco", LTCO_OFFSETS[1])])]
+        N, rhs = (np.array(a) for a in zip(*map(static_normal_system, frames)))
+        N = np.concatenate([N, np.zeros((1, 4, 4)), np.ones((1, 4, 4))])  # two singular members
+        s = _lapack.gufuncs.svd(N, signature="d->d")
+        assert s.tobytes() == np.linalg.svd(N, compute_uv=False).tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = s[:, 0] / s[:, -1]
+        cond = np.linalg.cond(N)
+        assert ratio[:-2].tobytes() == cond[:-2].tobytes() and not (ratio[-2:] <= 1e12).any()
+        assert (cond[:-2] > 1e12).tolist() == [False, True, False, False]
+        x = _lapack.gufuncs.solve(N[:-2], rhs[..., None], signature="dd->d")
+        assert x.tobytes() == np.linalg.solve(N[:-2], rhs[..., None]).tobytes()
+        assert all(x[k].tobytes() == np.linalg.solve(N[k], rhs[k, :, None]).tobytes() for k in range(len(frames)))
+        assert _lapack.gufuncs.inv(N[:-2], signature="d->d").tobytes() == np.linalg.inv(N[:-2]).tobytes()
 
-def test_only_estimator_names_the_private_gufuncs():
-    # the pins above cover the private numpy API only where estimator uses it
+
+def test_only_lapack_module_names_the_private_gufuncs():
+    # the pins above cover the private numpy API, which one module owns; no
+    # stacked kernel calls an np.linalg factorization, solve or inverse
     package = pathlib.Path(estimator.__file__).parent
-    assert [p.name for p in package.rglob("*.py") if "_umath_linalg" in p.read_text()] == ["estimator.py"]
+    assert [p.name for p in package.rglob("*.py") if "_umath_linalg" in p.read_text()] == ["_lapack.py"]
+    kernels = [model._psd_factor, baselines._normal_solve, baselines.tswls_static_batch, baselines.mle_batch,
+               analysis.crlb_columns, estimator._qr_factor, estimator._wls_solutions, estimator._gn_steps,
+               estimator.estimate_batch, estimator.whitening_matrix]
+    for kernel in kernels:
+        calls = [node.func.attr for node in ast.walk(ast.parse(inspect.getsource(kernel))) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) == "np.linalg"]
+        assert not calls, (kernel.__name__, calls)
 
 
-_GUFUNCS = estimator._umath_linalg
+_GUFUNCS = _lapack.gufuncs
 
 
 def fail_member(monkeypatch, name, call, member):
-    """Make the estimator's gufunc ``name`` fail on ``member`` of its
+    """Make the package's gufunc ``name`` fail on ``member`` of its
     ``call``-th call as LAPACK fails: NaN outputs, rank -1 for ``lstsq``,
     and the FP-invalid flag."""
     count = itertools.count()
@@ -657,7 +698,7 @@ def fail_member(monkeypatch, name, call, member):
 
     fake = types.SimpleNamespace(**{n: getattr(_GUFUNCS, n) for n in SIGNATURES})
     setattr(fake, name, gufunc)
-    monkeypatch.setattr(estimator, "_umath_linalg", fake)
+    monkeypatch.setattr(_lapack, "gufuncs", fake)
 
 
 class TestLapackFailure:

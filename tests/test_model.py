@@ -18,6 +18,7 @@ from seqtoa import model
 from seqtoa.model import _psd_factor as psd_factor, db_to_variance, variance_to_db
 
 from conftest import C, random_scenario
+from test_estimator import fail_member
 
 
 def one_agent(p=(10.0, 0.0), T=0.0, t=0.0):
@@ -189,6 +190,50 @@ class TestSimulateFrame:
         assert np.array_equal(draws[:, 3:], np.broadcast_to(truth[3:], (n, 3)))
         emp = np.cov((draws - truth).T)
         assert np.abs(emp - C_beta).max() < 0.15 * np.abs(C_beta).max()
+
+
+def eigh_factors(C):
+    """The eigenvalue square roots of a stack, clipped at zero, from np.linalg.eigh."""
+    w, V = np.linalg.eigh(C)
+    return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+class TestPsdFactor:
+    """A positive definite stack gets np.linalg.cholesky's factors; one PSD-only
+    member sends the whole stack to np.linalg.eigh's; an indefinite one raises."""
+
+    @staticmethod
+    def blocks(n=4):
+        G = np.random.default_rng(3).normal(size=(n, 3, 3))
+        return G @ G.swapaxes(-1, -2) + 0.1 * np.eye(3)
+
+    def test_positive_definite_stack_takes_cholesky(self):
+        C = self.blocks()
+        assert psd_factor(C, "C_beta").tobytes() == np.linalg.cholesky(C).tobytes()
+
+    @pytest.mark.parametrize("member", [0, 2], ids=["zero_block", "rank_one_block"])
+    def test_psd_only_member_sends_the_stack_to_eigh(self, member):
+        C = self.blocks()
+        C[member] = 0.0 if member == 0 else np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(C)
+        got = psd_factor(C, "C_beta")
+        assert got.tobytes() == eigh_factors(C).tobytes()
+        assert np.abs(got @ got.swapaxes(-1, -2) - C).max() <= 1e-12 * np.abs(C).max()
+
+    def test_indefinite_member_raises(self):
+        C = self.blocks()
+        C[1] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError, match=r"C_beta is not positive semidefinite \(min eig -1.000e\+00\)"):
+            psd_factor(C, "C_beta")
+
+    def test_failed_eigh_member_raises(self, monkeypatch):
+        # a NaN eigenvalue, as from a failed dsyevd, fails the semidefiniteness test
+        C = self.blocks()
+        C[0] = 0.0
+        fail_member(monkeypatch, "eigh_lo", 0, member=3)
+        with pytest.raises(NotPositiveDefiniteError, match="min eig nan"):
+            psd_factor(C, "C_beta")
 
 
 class TestExactFrame:
