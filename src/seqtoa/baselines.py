@@ -53,7 +53,7 @@ def _residuals(x: np.ndarray, t: np.ndarray, tau: np.ndarray, p_hat: np.ndarray,
     """Agent-to-target vectors ``u (N, M, 2)``, ranges ``r (N, M)`` and TOA
     residuals ``tau - (r + T + omega t - T_hat)`` at the states ``x (N, 6)``."""
     u = x[:, None, 0:2] + t[..., None] * x[:, None, 2:4] - p_hat
-    r = np.linalg.norm(u, axis=-1)
+    r = np.sqrt((u * u).sum(axis=-1))
     return u, r, tau - (r + x[:, 4:5] + x[:, 5:6] * t - T_hat)
 
 

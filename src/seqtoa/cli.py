@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: ``estimate``, ``simulate``, ``crlb``, ``experiment``.  All read
-one JSON input (``--input``) and write JSON/CSV artifacts (``--output``).
+Subcommands: ``estimate``, ``simulate``, ``crlb``, ``experiment``.  Each reads
+one JSON input (``--input``), writes JSON/CSV artifacts (``--output``) and
+takes repeatable ``--set KEY=VALUE`` overrides of fields of the input document,
+applied before it is parsed; a key that the subcommand's schema does not read
+is a schema error.  ``simulate`` and ``crlb`` also take ``--seed``, the seed of
+a frame's noise and of a scenario's sampled noise; ``experiment`` also takes
+``--threads``, accepted for compatibility: sweeps run on the calling thread.
 
-``--set KEY=VALUE`` overrides a field of the input document before it is
-parsed; a key that the subcommand's schema does not read is a schema error.
-
-Exit codes: 0 success, 1 I/O or schema problem, 2 numerical/estimation
-failure.
+Exit codes: 0 success, 1 usage, I/O or schema problem, 2 numerical/estimation
+failure.  :func:`main` alone maps a failure to its code.
 """
 
 from __future__ import annotations
@@ -25,34 +27,46 @@ from .estimator import estimate
 from .model import NonFiniteFrameError, simulate_frame
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error: :func:`main` reports it in one line and exits 1."""
+        raise serialize.SchemaError(self.prog, message)
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqtoa",
         description="Joint position/velocity/clock estimation from sequential one-way TOA frames.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    seed = ("--seed", dict(type=_seed, default=0,
+                           help="RNG seed of the frame noise and of sampled scenario noise (default 0)"))
+    threads = ("--threads", dict(type=int, help="accepted for compatibility; sweeps run on the calling thread"))
+    for name, run, summary, options in [
+        ("estimate", _cmd_estimate, "estimate the target state from an observed frame", []),
+        ("simulate", _cmd_simulate, "synthesize a noisy frame from a scenario", [seed]),
+        ("crlb", _cmd_crlb, "target-state CRLB of a scenario", [seed]),
+        ("experiment", _cmd_experiment, "run a Monte-Carlo experiment, write CSVs", [threads]),
+    ]:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--output", required=True, help="output path (JSON, or CSV base for experiments)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed where the command draws randomness (default 0)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="accepted for compatibility; sweeps run on the calling thread",
-        )
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a scalar in the input document before parsing (dotted keys allowed)",
-        )
-
-    common(sub.add_parser("estimate", help="estimate the target state from an observed frame"))
-    common(sub.add_parser("simulate", help="synthesize a noisy frame from a scenario"))
-    common(sub.add_parser("crlb", help="target-state CRLB of a scenario"))
-    common(sub.add_parser("experiment", help="run a Monte-Carlo experiment, write CSVs"))
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a scalar in the input document before parsing (dotted keys allowed)")
     return parser
 
 
@@ -109,11 +123,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "scenario")
     scenario = serialize.scenario_from_dict(doc, _scenario_rng(args.seed))
-    try:
-        frame = simulate_frame(scenario, args.seed)
-    except NonFiniteFrameError as exc:  # finite inputs so large that the observations overflow
-        raise serialize.SchemaError("scenario", f"simulated frame: {exc}") from None
-    _dump_json(serialize.frame_to_dict(frame), args.output)
+    _dump_json(serialize.frame_to_dict(simulate_frame(scenario, args.seed)), args.output)
     return 0
 
 
@@ -139,11 +149,9 @@ def _csv_paths(output: str) -> tuple[Path, Path]:
 
 def _cmd_experiment(args) -> int:
     doc = _apply_overrides(_load_json(args.input), args.set, "experiment")
-    spec = serialize.experiment_spec_from_dict(doc, _scenario_rng(args.seed))
-    try:
-        results = montecarlo.run_trials(spec)
-    except NonFiniteFrameError as exc:  # finite inputs so large that the observations overflow
-        raise serialize.SchemaError("experiment", f"simulated trials: {exc}") from None
+    # no sweep reads an inline scenario's sampled noise; it is drawn as at seed 0
+    spec = serialize.experiment_spec_from_dict(doc, _scenario_rng(0))
+    results = montecarlo.run_trials(spec)
 
     sweep_path, cdf_path = _csv_paths(args.output)
     montecarlo.write_sweep_csv(results, spec, sweep_path)
@@ -165,22 +173,15 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
-    "crlb": _cmd_crlb,
-    "experiment": _cmd_experiment,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
-            raise serialize.SchemaError("--seed", f"must be a non-negative integer, got {args.seed}")
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (OSError, serialize.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NonFiniteFrameError as exc:  # finite inputs so large that the simulated observations overflow
+        print(f"error: simulated observations: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)

@@ -618,15 +618,10 @@ def _cell_stats(spec: ExperimentSpec, cell: dict[str, tuple[np.ndarray, np.ndarr
         good = errors[ok]
         n_success = good.shape[0]
         if n_success:
-            sq = good**2
-            mse = (
-                float(sq[:, 0:2].sum(axis=1).mean()),
-                float(sq[:, 2:4].sum(axis=1).mean()),
-                float(sq[:, 4].mean()),
-                float(sq[:, 5].mean()),
-            )
+            block_sq = [(good[:, b] ** 2).sum(axis=1) for b in _BLOCK_SLICES.values()]
+            mse = [float(sq.mean()) for sq in block_sq]
             bias = good.mean(axis=0)
-            cdf = sq[:, 0:2].sum(axis=1)
+            cdf = block_sq[0]
         else:
             mse = (np.nan,) * 4
             bias = np.full(6, np.nan)

@@ -29,9 +29,11 @@ EXPERIMENT_SPECS = [
 
 
 def run_cli_module(*argv) -> subprocess.CompletedProcess:
-    """``python -m seqtoa.cli *argv`` in a fresh interpreter that imports the package from ``src``."""
+    """``python -m seqtoa.cli *argv`` in a fresh interpreter that imports the package from ``src``
+    and, as this suite does, raises a RuntimeWarning as an error."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "seqtoa.cli", *map(str, argv)], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "seqtoa.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture()
@@ -510,6 +512,7 @@ class TestConsoleEntryPoint:
             [exe, "simulate", "--input", str(scenario_file), "--output", str(out), "--seed", "1"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning"),
         )
         assert proc.returncode == 0
         assert out.exists()
@@ -530,19 +533,73 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
-    @pytest.mark.parametrize("command", ["estimate", "simulate", "crlb", "experiment"])
-    def test_negative_seed_exits_1(self, command, exact_frame_file, scenario_file, tmp_path, capsys):
-        inputs = {"estimate": exact_frame_file[0], "simulate": scenario_file, "crlb": scenario_file,
-                  "experiment": mini_experiment(tmp_path)}
-        code = main([command, "--input", str(inputs[command]), "--output", str(tmp_path / "o.json"), "--seed", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "crlb"])
+    def test_negative_seed_exits_1(self, command, scenario_file, tmp_path, capsys):
+        code = main([command, "--input", str(scenario_file), "--output", str(tmp_path / "o.json"), "--seed", "-1"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed" in err
 
-    def test_help_documents_flags(self, capsys):
+    HELP_FLAGS = {
+        "estimate": ["--input", "--output", "--set"],
+        "simulate": ["--input", "--output", "--seed", "--set"],
+        "crlb": ["--input", "--output", "--seed", "--set"],
+        "experiment": ["--input", "--output", "--threads", "--set"],
+    }
+
+    @pytest.mark.parametrize("command", HELP_FLAGS)
+    def test_help_documents_flags(self, command, capsys):
+        # each subcommand takes only the options it reads
         with pytest.raises(SystemExit) as exc_info:
-            main(["experiment", "--help"])
+            main([command, "--help"])
         assert exc_info.value.code == 0
-        text = capsys.readouterr().out
-        for flag in ("--input", "--output", "--seed", "--threads", "--set"):
-            assert flag in text
+        flags = re.findall(r"^  (?:-h, )?(--[a-z]+)", capsys.readouterr().out, re.M)
+        assert flags == ["--help", *self.HELP_FLAGS[command]]
+
+    @pytest.mark.parametrize("command", ["estimate", "experiment"])
+    def test_seed_is_not_an_option(self, command, exact_frame_file, tmp_path, capsys):
+        source = exact_frame_file[0] if command == "estimate" else mini_experiment(tmp_path, n_trials=1)
+        out = tmp_path / "out" / "o.csv"
+        out.parent.mkdir()
+        argv = [command, "--input", str(source), "--output", str(out)]
+        assert main([*argv, "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: seqtoa: unrecognized arguments: --seed 1\n"
+        assert not any(out.parent.iterdir())
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "seqtoa: the following arguments are required: command"),
+        (["estimat", "--input", "{frame}", "--output", "{out}"], "seqtoa: argument command: invalid choice: 'estimat'"),
+        (["estimate", "--output", "{out}"], "seqtoa estimate: the following arguments are required: --input"),
+        (["estimate", "--input", "{frame}"], "seqtoa estimate: the following arguments are required: --output"),
+        (["crlb", "--input", "{scenario}", "--output", "{out}", "--sed", "1"], "seqtoa: unrecognized arguments: --sed 1"),
+        (["estimate", "--input", "{frame}", "--output", "{out}", "--threads", "1"],
+         "seqtoa: unrecognized arguments: --threads 1"),
+        (["simulate", "--input", "{scenario}", "--output", "{out}", "--threads", "1"],
+         "seqtoa: unrecognized arguments: --threads 1"),
+        (["crlb", "--input", "{scenario}", "--output", "{out}", "--threads", "1"],
+         "seqtoa: unrecognized arguments: --threads 1"),
+        (["estimate", "--input", "{frame}", "--output", "{out}", "--seed", "0"], "seqtoa: unrecognized arguments: --seed 0"),
+        (["experiment", "--input", "{experiment}", "--output", "{out}", "--seed", "0"],
+         "seqtoa: unrecognized arguments: --seed 0"),
+        (["simulate", "--input", "{scenario}", "--output", "{out}", "--seed", "abc"],
+         "seqtoa simulate: argument --seed: must be a non-negative integer, got 'abc'"),
+        (["experiment", "--input", "{experiment}", "--output", "{out}", "--threads", "x"],
+         "seqtoa experiment: argument --threads: invalid int value: 'x'"),
+    ],
+    ids=["no_subcommand", "unknown_subcommand", "no_input", "no_output", "unknown_option", "estimate_threads",
+         "simulate_threads", "crlb_threads", "estimate_seed", "experiment_seed", "seed_abc", "threads_x"],
+)
+def test_usage_error_exits_1(argv, message, exact_frame_file, scenario_file, tmp_path, capsys):
+    # argparse's own handler would print the usage and exit 2; every usage
+    # error is an input error, reported in one line, and nothing is written
+    out = tmp_path / "out" / "o.csv"
+    out.parent.mkdir()
+    paths = {"frame": exact_frame_file[0], "scenario": scenario_file, "experiment": mini_experiment(tmp_path), "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "Traceback" not in err
+    assert not any(out.parent.iterdir())

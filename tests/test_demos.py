@@ -14,7 +14,8 @@ def test_demo_runs(demo, tmp_path):
     before = sorted(ROOT.joinpath("demos").iterdir())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=300)
+    # a RuntimeWarning is an error in the demo's interpreter, as it is in this suite
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert sorted(ROOT.joinpath("demos").iterdir()) == before, "the demo wrote into demos/"

@@ -666,12 +666,12 @@ class TestLapackKernels:
 
 def test_only_lapack_module_names_the_private_gufuncs():
     # the pins above cover the private numpy API, which one module owns; no
-    # stacked kernel calls an np.linalg factorization, solve or inverse
+    # stacked kernel calls np.linalg: a factorization, solve, inverse or norm
     package = pathlib.Path(estimator.__file__).parent
     assert [p.name for p in package.rglob("*.py") if "_umath_linalg" in p.read_text()] == ["_lapack.py"]
-    kernels = [model._psd_factor, baselines._normal_solve, baselines.tswls_static_batch, baselines.mle_batch,
-               analysis.crlb_columns, estimator._qr_factor, estimator._wls_solutions, estimator._gn_steps,
-               estimator.estimate_batch, estimator.whitening_matrix]
+    kernels = [model._psd_factor, baselines._normal_solve, baselines._residuals, baselines.tswls_static_batch,
+               baselines.mle_batch, analysis._toa_geometry, analysis.crlb_columns, estimator._qr_factor,
+               estimator._wls_solutions, estimator._gn_steps, estimator.estimate_batch, estimator.whitening_matrix]
     for kernel in kernels:
         calls = [node.func.attr for node in ast.walk(ast.parse(inspect.getsource(kernel))) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) == "np.linalg"]
