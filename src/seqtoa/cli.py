@@ -15,6 +15,7 @@ failure.  :func:`main` alone maps a failure to its code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -44,7 +45,11 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    never changes it (``--set``'s default list is copied before the first
+    append), so one :func:`main` call sees nothing of another's."""
     parser = _Parser(
         prog="seqtoa",
         description="Joint position/velocity/clock estimation from sequential one-way TOA frames.",

@@ -52,7 +52,6 @@ from its rows, in trial order.  The whole run is on the calling thread.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass
@@ -672,30 +671,27 @@ def _fmt(x: float) -> str:
 
 
 def write_sweep_csv(results: dict[tuple[float, str], TrialStats], spec: ExperimentSpec, path) -> None:
-    """Sweep table: one row per (sweep value, estimator, state block)."""
+    """Sweep table: one row per (sweep value, estimator, state block).
+
+    Every field is a number, an estimator id or a block name, none of which
+    a CSV quotes, so the rows are formatted directly, in one pass."""
+    lines = ["sweep_value,estimator,block,mse,bias_norm,crlb,n_success,n_diverged\n"]
+    for sweep_value in spec.sweep_values:
+        value = _fmt(sweep_value)
+        for est_id in spec.estimators:
+            st = results[(sweep_value, est_id)]
+            lines += (
+                f"{value},{est_id},{block},{_fmt(st.mse(block))},{_fmt(st.bias_norm(block))},"
+                f"{_fmt(st.crlb_trace(block))},{st.n_success},{st.divergence_count}\n"
+                for block in _BLOCKS
+            )
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["sweep_value", "estimator", "block", "mse", "bias_norm", "crlb", "n_success", "n_diverged"])
-        for sweep_value in spec.sweep_values:
-            for est_id in spec.estimators:
-                st = results[(sweep_value, est_id)]
-                for block in _BLOCKS:
-                    w.writerow(
-                        [
-                            _fmt(sweep_value),
-                            est_id,
-                            block,
-                            _fmt(st.mse(block)),
-                            _fmt(st.bias_norm(block)),
-                            _fmt(st.crlb_trace(block)),
-                            st.n_success,
-                            st.divergence_count,
-                        ]
-                    )
+        fh.write("".join(lines))
 
 
 def write_cdf_csv(results: dict[tuple[float, str], TrialStats], spec: ExperimentSpec, path) -> None:
-    """Empirical CDF of per-trial position squared errors.
+    """Empirical CDF of per-trial position squared errors, its rows formatted
+    directly, as :func:`write_sweep_csv` formats its own.
 
     Only meaningful for single-sweep-value experiments (the schema has no
     sweep column); raises otherwise.
@@ -703,11 +699,10 @@ def write_cdf_csv(results: dict[tuple[float, str], TrialStats], spec: Experiment
     if len(spec.sweep_values) != 1:
         raise ValueError("CDF output is defined for single-sweep-value experiments")
     sweep_value = spec.sweep_values[0]
+    lines = ["estimator,squared_error,cdf\n"]
+    for est_id in spec.estimators:
+        samples = np.sort(results[(sweep_value, est_id)].cdf_samples)
+        n = samples.size
+        lines += (f"{est_id},{_fmt(s)},{_fmt((i + 1) / n)}\n" for i, s in enumerate(samples.tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["estimator", "squared_error", "cdf"])
-        for est_id in spec.estimators:
-            samples = np.sort(results[(sweep_value, est_id)].cdf_samples)
-            n = samples.size
-            for i, s in enumerate(samples):
-                w.writerow([est_id, _fmt(float(s)), _fmt((i + 1) / n)])
+        fh.write("".join(lines))

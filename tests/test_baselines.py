@@ -343,10 +343,11 @@ class TestTswlsStaticBatch:
             tswls_static_estimate(frame)
 
 
-def mle_reference(frame, init, max_iters=50, step_tol=1e-9):
+def mle_reference(frame, init, max_iters=50, step_tol=1e-9, iterates=None):
     """The MLE one frame at a time, as it ran before it was stacked: the
     reference for :func:`mle_batch`.  Returns ``(x, iterations, converged,
-    diverged)`` or the :class:`EstimationError` that stopped the frame."""
+    diverged)`` or the :class:`EstimationError` that stopped the frame; each
+    iterate is appended to the list ``iterates`` if one is given."""
     M = frame.n_agents
     if M < 6:
         return UnderdeterminedError(f"MLE needs M >= 6 broadcasts, got M = {M}")
@@ -375,6 +376,8 @@ def mle_reference(frame, init, max_iters=50, step_tol=1e-9):
             return DegenerateGeometryError(f"Gauss-Newton system is rank deficient (rank {rank} < 6)")
         x = x + dx
         iterations += 1
+        if iterates is not None:
+            iterates.append(x)
         if not np.all(np.isfinite(x)):
             diverged = True
             break
@@ -408,6 +411,53 @@ def assert_mle_equal(got, want):
     assert got.estimator_id == "mle"
 
 
+class SolveFaults:
+    """Faults injected into chosen Gauss-Newton solves of chosen frames, in
+    :func:`mle_batch`'s ``dgelsd`` gufunc and in ``np.linalg.lstsq`` alike.
+
+    ``plan`` maps a frame's TOA weights ``w``, which every one of its
+    weighted systems holds as column 4, to ``(solve, fault)``: its
+    ``solve``-th solve reports rank 5 (``"rank"``) or an infinite step
+    (``"inf"``)."""
+
+    def __init__(self, plan):
+        self.plan, self.solves = plan, {}
+
+    def apply(self, WJ, x, rank):
+        key = WJ[:, 4].tobytes()
+        self.solves[key] = solve = self.solves.get(key, 0) + 1
+        at, fault = self.plan.get(key, (0, None))
+        if solve == at and fault == "rank":
+            rank = 5
+        elif solve == at:
+            x[...] = np.inf
+        return x, rank
+
+    def gufunc(self, WJ, Wr, rcond, signature):
+        x, residuals, rank, s = GUFUNCS.lstsq(WJ, Wr, rcond, signature=signature)
+        for k in range(len(rank)):
+            x[k], rank[k] = self.apply(WJ[k], x[k], rank[k])
+        return x, residuals, rank, s
+
+    def lstsq(self, A, b, rcond=None):
+        x, residuals, rank, s = LSTSQ(A, b, rcond=rcond)
+        x, rank = self.apply(A, x, rank)
+        return x, residuals, rank, s
+
+
+LSTSQ, GUFUNCS = np.linalg.lstsq, _lapack.gufuncs
+
+
+def frame_columns(frame, c_tau=None, p_hat=None):
+    """``frame``'s columns as a namespace that :func:`mle_reference` and
+    ``FrameStack.of`` read, with the TOA variances ``c_tau`` and broadcast
+    positions ``p_hat`` in place of its own if given."""
+    c_tau = frame.noise.c_tau if c_tau is None else c_tau
+    noise = types.SimpleNamespace(c_tau=c_tau, C_tau=np.diag(c_tau), blocks=frame.noise.blocks)
+    return types.SimpleNamespace(t=frame.t, tau=frame.tau, p_hat=frame.p_hat if p_hat is None else p_hat,
+                                 T_hat=frame.T_hat, noise=noise, n_agents=frame.n_agents)
+
+
 def mle_case(kind, value, seed, rough):
     """A frame drawn as the schemes draw them and an init at truth plus
     unit (or, ``rough``, very large) Gaussian noise."""
@@ -438,6 +488,59 @@ class TestMleBatch:
         assert {(True, False), (False, True), (False, False)} <= outcomes  # converged, diverged, at the cap
         for got, w in zip(entries(mle_batch(FrameStack.of(frames), inits, 20)), want):
             assert_mle_equal(got, w)
+
+    def test_frames_leave_at_different_iterations_by_every_exit(self, monkeypatch):
+        # one stack whose frames leave at six different iterations, one by
+        # each exit: a non-finite iterate, an iterate on an agent, a
+        # rank-deficient system, convergence, a divergence streak and the cap
+        max_iters = 14
+        cases = [mle_case("noise", -20.0, seed, rough) for seed, rough in
+                 [(2, False), (5, False), (4, False), (1, False), (15, True), (3, True)]]
+        # frame k's TOA variances are scaled by 4**k, which scales its weighted
+        # systems by 2**-k exactly: its outcome stays, and its weights tell it apart
+        frames = [frame_columns(frame, c_tau=4.0**k * frame.noise.c_tau) for k, (frame, _) in enumerate(cases)]
+        inits = [init for _, init in cases]
+        # agent 0 of frame 1 (slot time 0) gets no weight, so it moves no
+        # iterate, and is put where the frame's fourth iterate lands
+        c_tau = frames[1].noise.c_tau.copy()
+        c_tau[0] = np.inf
+        iterates = []
+        mle_reference(frame_columns(cases[1][0], c_tau=c_tau), inits[1], max_iters, iterates=iterates)
+        p_hat = frames[1].p_hat.copy()
+        p_hat[0] = iterates[3][0:2]
+        frames[1] = frame_columns(cases[1][0], c_tau=c_tau, p_hat=p_hat)
+        plan = {(1.0 / np.sqrt(frames[0].noise.c_tau)).tobytes(): (3, "inf"),
+                (1.0 / np.sqrt(frames[2].noise.c_tau)).tobytes(): (6, "rank")}
+
+        def run(frames, inits):
+            faults = SolveFaults(plan)
+            with monkeypatch.context() as m:
+                m.setattr(_lapack, "gufuncs", types.SimpleNamespace(lstsq=faults.gufunc))
+                return entries(mle_batch(FrameStack.of(frames), inits, max_iters))
+
+        want, steps = [], []
+        for frame, init in zip(frames, inits):
+            steps.append([])
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "lstsq", SolveFaults(plan).lstsq)
+                want.append(mle_reference(frame, init, max_iters, iterates=steps[-1]))
+        assert want[0][1:] == (3, False, True) and not np.isfinite(steps[0][-1]).all()  # a non-finite iterate
+        assert type(want[1]) is DegenerateGeometryError and "coincides" in str(want[1])
+        assert type(want[2]) is DegenerateGeometryError and "rank 5 < 6" in str(want[2])
+        assert want[3][1:] == (9, True, False)  # converged
+        assert want[4][1:] == (12, False, True) and np.isfinite(steps[4][-1]).all()  # a divergence streak
+        assert want[5][1:] == (max_iters, False, False)  # at the cap
+        # the frames leave in iterations 3, 5, 6, 9, 12 and 14, after these many steps
+        assert [len(s) for s in steps] == [3, 4, 5, 9, 12, max_iters]
+
+        stacked = run(frames, inits)
+        reversed_ = run(frames[::-1], inits[::-1])[::-1]
+        for k, (frame, init) in enumerate(zip(frames, inits)):
+            [alone] = run([frame], [init])
+            for got in (stacked[k], reversed_[k], alone):
+                assert_mle_equal(got, want[k])
+                if not isinstance(got, EstimationError):
+                    assert got.x_hat.as_vector().tobytes() == alone.x_hat.as_vector().tobytes()
 
     def test_bad_frame_fails_alone(self, fixed_scenario):
         cases = [mle_case("noise", -20.0, k, False) for k in range(4)]

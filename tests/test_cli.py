@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from seqtoa import NoiseSpec, Scenario, crlb_target, estimator, exact_frame, fixed_topology, forward_toa, simulate_frame
+from seqtoa import cli
 from seqtoa.cli import _scenario_rng, main
 from seqtoa.serialize import experiment_spec_from_dict, frame_to_dict, scenario_from_dict, scenario_to_dict
 
@@ -500,6 +502,67 @@ class TestExperimentCommand:
         code = main(["experiment", "--input", str(path), "--output", str(tmp_path / "o.csv"),
                      "--set", "n_trials=1", "--set", "base_seed=4097"])
         assert code == 0
+
+
+class TestParserReuse:
+    def test_a_call_sees_none_of_an_earlier_calls_values(self, scenario_file, tmp_path, monkeypatch):
+        # the parser is built once per process; each call parses its own
+        # subcommand, options and --set list from the defaults
+        seen = []
+        apply_overrides, scenario_rng = cli._apply_overrides, cli._scenario_rng
+
+        def overrides_spy(doc, overrides, document):
+            seen.append((document, list(overrides)))
+            return apply_overrides(doc, overrides, document)
+
+        def rng_spy(seed):
+            seen.append(("seed", seed))
+            return scenario_rng(seed)
+
+        monkeypatch.setattr(cli, "_apply_overrides", overrides_spy)
+        monkeypatch.setattr(cli, "_scenario_rng", rng_spy)
+        out = tmp_path / "o.json"
+        argv = ["--input", str(scenario_file), "--output", str(out)]
+        assert main(["crlb", *argv, "--seed", "3", "--set", "target.omega=0", "--set", "target.T=1"]) == 0
+        assert main(["simulate", *argv, "--set", "target.omega=0.5"]) == 0
+        assert main(["experiment", "--input", str(mini_experiment(tmp_path, n_trials=1)),
+                     "--output", str(tmp_path / "o.csv")]) == 0
+        assert seen == [
+            ("scenario", ["target.omega=0", "target.T=1"]), ("seed", 3),
+            ("scenario", ["target.omega=0.5"]), ("seed", 0),
+            ("experiment", []), ("seed", 0),
+        ]
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestGoldenOutputs:
+    """The bytes of every CSV that the shipped configs write, at a reduced trial
+    count and two base seeds, pinned by SHA-256.  Each row holds 17 significant
+    digits of sums over every trial, so a change of any bit of any estimate in
+    any cell, or of the CSV formatting, changes a digest.  The digests were
+    recorded with numpy 2.4 and OpenBLAS on x86-64; another BLAS build may round
+    the least-squares kernels differently."""
+
+    N_TRIALS = {"scheme1_noise_sweep.json": 24, "scheme2_ltco_sweep.json": 24, "scheme3_random_topology.json": 300}
+    DIGESTS = {
+        ("scheme1_noise_sweep.json", 3): ("446aafd6d42a239378689939e6e8c0a95fd1e147188861f5c20f1d83f0194b87", None),
+        ("scheme1_noise_sweep.json", 11): ("d23300f5e9e95bf74914eb214e1235ec664ee2e82be721a06d3b4af7e9085b99", None),
+        ("scheme2_ltco_sweep.json", 3): ("80162c5294b600760e33b9eae0f3cfb9bfe1338c407bd9b48084b5cd679c69fd", None),
+        ("scheme2_ltco_sweep.json", 11): ("0f95eaaf9da8979eedc928fac7924063d3f8cae9075704c9fb8ec0360ec8dc12", None),
+        ("scheme3_random_topology.json", 3): ("015579ad6c88affc984336c64e6315a85cc692336a56c104207dc0c00ca8a783",
+                                              "6b8956cadecbcbc0926de2c1ef0e5643d7866a8334c4aee3bcbe2a72cd376be9"),
+        ("scheme3_random_topology.json", 11): ("c09bd9eedf765410f049197d800f3eba9c4fdfd4f0f8324b771ff62d79cb7ca9",
+                                               "3a66aea6dbe4919fddd92df3ab4900da4bc44390f9da209f6de5a2601e7b6c3b"),
+    }
+
+    @pytest.mark.parametrize("config, seed", DIGESTS, ids=lambda v: str(v).removesuffix(".json"))
+    def test_csv_digests(self, config, seed, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["experiment", "--input", str(CONFIG_DIR / config), "--output", str(out),
+                     "--set", f"n_trials={self.N_TRIALS[config]}", "--set", f"base_seed={seed}"]) == 0
+        cdf = tmp_path / "run_cdf.csv"
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None for path in (out, cdf))
+        assert digests == self.DIGESTS[(config, seed)]
 
 
 class TestConsoleEntryPoint:
