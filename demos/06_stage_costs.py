@@ -47,11 +47,20 @@ returns columns, so these rows hold no per-trial object.
 ``estimate`` is not the sum of the stage rows: it runs both passes on the
 stacked kernels directly, while the stage functions are the single-frame
 wrappers over the same kernels.
+
+Below the table, the demo counts the Python-level calls (``sys.setprofile``
+``call`` events, the outermost call included) of one ``estimate`` on each
+of its three frame kinds, and of one online frame (``frame_from_dict``,
+``estimate``, ``report_to_dict``), and how many of them run numpy's own
+Python code.  On frames of M = 10 the per-call overhead, not the
+arithmetic, sets a frame's cost, so these counts track it.
 """
 
 import dataclasses
 import json
+import os
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -184,3 +193,35 @@ row(f"crlb_columns, per trial of {CHUNK}", lambda: crlb_columns(chunk.x, s.t, ch
     CHUNK_CALLS, CHUNK)
 row(f"_draw_chunk, per trial of {CHUNK}", lambda: montecarlo._draw_chunk(sweep, units), CHUNK_CALLS, CHUNK)
 print(f"estimate: {report.iterations} retraction iterations, cond_estimate {report.cond_estimate:.3g}")
+
+NUMPY_DIR = os.path.dirname(np.__file__)
+
+
+def python_calls(fn) -> tuple[int, int]:
+    """The Python-level calls of one call of ``fn``, its own call left out,
+    and how many of them run code under numpy's package directory."""
+    fn()  # warm up: caches are filled as in the timed rows
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[0] += 1
+            counts[1] += frame.f_code.co_filename.startswith(NUMPY_DIR)
+
+    sys.setprofile(profile)
+    fn()
+    sys.setprofile(None)
+    return counts[0] - 1, counts[1]
+
+
+print()
+print(f"{'python-level calls of one call':<56} {'all':>5} {'numpy':>6}")
+calls = {
+    f"estimate ({report.iterations} it)": lambda: estimate(frame),
+    f"estimate, LTCO 1 ms ({estimate(ltco_frame).iterations} it)": lambda: estimate(ltco_frame),
+    f"estimate, random ({estimate(random_frame).iterations} it)": lambda: estimate(random_frame),
+    "online frame (frame_from_dict, estimate, report_to_dict)": lambda: report_to_dict(estimate(frame_from_dict(doc))),
+}
+for name, fn in calls.items():
+    total, in_numpy = python_calls(fn)
+    print(f"{name:<56} {total:>5} {in_numpy:>6}")

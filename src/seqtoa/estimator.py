@@ -40,10 +40,22 @@ gather the frames still in play only after one has dropped out.  Each kernel
 says once whether every frame passed its check (``None`` for all of them),
 so a batch of one makes no call that only a larger stack needs, and a
 frame's row is the same bytes in any stack.  LAPACK (two ``qr_r_raw``, two
-``solve`` and one ``dgelsd`` per retraction step) is 13-18% of one M = 10
+``solve`` and one ``dgelsd`` per retraction step) is 21-24% of one M = 10
 frame's :func:`estimate`; the rest is numpy's per-call overhead on 9x6 to
 10x10 arrays.  With its parse and its report, such a frame takes about
-240 us on the 2-core reference host.
+245 us on the 2-core reference host.
+
+Because that overhead sets a frame's cost, the kernels call the C entry
+point that each numpy wrapper ends in: they reduce with ``ufunc.reduce``
+(``np.add.reduce`` for ``ndarray.sum``, ``np.minimum.reduce`` for ``min``,
+``np.logical_and.reduce`` for ``all``, with the same axis and ``initial``)
+and gather columns with ``take`` rather than a fancy index.  The methods
+are Python wrappers around exactly these reductions, so every bit stays
+the same, and ``take`` copies the same entries at a third of a fancy
+index's cost on these sizes.  A test over a whole mask counts with the C
+``count_nonzero`` that ``np.count_nonzero`` calls, at about a tenth of a
+reduction's cost on a batch of one.  Demo 06 counts the Python-level calls
+of one :func:`estimate`.
 
 The kernels call the LAPACK gufuncs (``qr_r_raw``, ``solve``, ``lstsq``,
 ``eigh_lo``) through :mod:`seqtoa._lapack`, under its one rule: a member
@@ -68,6 +80,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from . import _lapack
 from .errors import (
@@ -77,7 +90,7 @@ from .errors import (
     RankDeficiencyError,
     UnderdeterminedError,
 )
-from .model import ObservedFrame, TargetState
+from .model import ObservedFrame, TargetState, _checked
 
 N_THETA = 9
 MAX_REFINE_ITERATIONS = 5
@@ -238,14 +251,8 @@ class FrameStack:
     def one(cls, frame: ObservedFrame) -> "FrameStack":
         """A stack of one frame, as read-only views of the frame's own arrays."""
         noise = frame.noise
-        return cls(
-            t=frame.t[None],
-            tau=frame.tau[None],
-            p_hat=frame.p_hat[None],
-            T_hat=frame.T_hat[None],
-            c_tau=noise.c_tau[None],
-            blocks=noise.blocks[None],
-        )
+        return _checked(cls, t=frame.t[None], tau=frame.tau[None], p_hat=frame.p_hat[None],
+                        T_hat=frame.T_hat[None], c_tau=noise.c_tau[None], blocks=noise.blocks[None])
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -281,7 +288,7 @@ def _design(t: np.ndarray, p_hat: np.ndarray, alpha: np.ndarray) -> tuple[np.nda
     A[..., 6] = 1.0
     A[..., 7] = t**2
     A[..., 8] = 2.0 * t
-    y = (p_hat**2).sum(axis=-1) - alpha**2
+    y = np.add.reduce(p_hat**2, axis=-1) - alpha**2
     return A, y
 
 
@@ -303,7 +310,7 @@ def _error_terms(t: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
     doubling and negation are exact, so every entry is the same bits either
     way.
     """
-    pv = x[:, _PV] * _PV_SCALE  # (N, 2, 3): 2*[p, -T] and 2*[v, -omega]
+    pv = x.take(_PV, axis=1) * _PV_SCALE  # (N, 2, 3): 2*[p, -T] and 2*[v, -omega]
     return pv[:, None, 0] + t[..., None] * pv[:, None, 1] - h
 
 
@@ -312,7 +319,7 @@ def _row_variances(b: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray) -> np.n
     :func:`_error_terms`; ``C_e`` is diagonal because ``C_tau`` is diagonal
     and ``C_beta`` block diagonal."""
     d = b[..., 2]
-    return ((blocks @ b[..., None])[..., 0] * b).sum(axis=-1) + d * c_tau * d
+    return np.add.reduce((blocks @ b[..., None])[..., 0] * b, axis=-1) + d * c_tau * d
 
 
 _LOWER9 = np.tri(N_THETA, N_THETA, -1, dtype=bool)
@@ -331,8 +338,8 @@ def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     largest and smallest ``|R_jj|`` hold the full-rank systems only, in order.
     """
     M, n = WA.shape[-2:]
-    scale = np.sqrt((WA * WA).sum(axis=-2))
-    if np.count_nonzero(scale) < scale.size:  # an all-zero column keeps its zeros
+    scale = np.sqrt(np.add.reduce(WA * WA, axis=-2))
+    if _count_nonzero(scale) < scale.size:  # an all-zero column keeps its zeros
         scale[scale == 0.0] = 1.0
     aug = np.empty(WA.shape[:-1] + (n + 1,))
     np.divide(WA, scale[:, None, :], out=aug[..., :n])
@@ -341,12 +348,12 @@ def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     _lapack.gufuncs.qr_r_raw(aug, signature="d->d")
     R = np.where(_LOWER9, 0.0, aug[:, :n, :n])
     r = np.abs(R.diagonal(axis1=-2, axis2=-1))
-    r_max, r_min = r.max(axis=-1, initial=0.0), r.min(axis=-1, initial=np.inf)
+    r_max, r_min = np.maximum.reduce(r, axis=-1, initial=0.0), np.minimum.reduce(r, axis=-1, initial=np.inf)
     tol = max(M, n) * _EPS * r_max
     ok = r_min > tol
-    if ok.all():
+    if _count_nonzero(ok) == ok.size:
         return None, (), R, aug[:, :n, n:], scale, r_max, r_min
-    ranks = np.count_nonzero(r[~ok] > tol[~ok, None], axis=-1)
+    ranks = np.add.reduce(r[~ok] > tol[~ok, None], axis=-1)
     return ok, ranks, R[ok], aug[ok, :n, n:], scale[ok], r_max[ok], r_min[ok]
 
 
@@ -389,7 +396,7 @@ def _theta_models(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`theta_model` over a stack of 6-states ``(N, 6)``, and the rows
     ``(Q_k x)^T`` ``(N, 3, 6)``, half the lower block of :func:`theta_jacobian`."""
     G = (x @ _QUAD).reshape(-1, 3, 6)
-    return np.concatenate([x, (G * x[:, None, :]).sum(axis=-1)], axis=-1), G
+    return np.concatenate([x, np.add.reduce(G * x[:, None, :], axis=-1)], axis=-1), G
 
 
 _RANK_FAILED = -1  # dgelsd failed; np.linalg.lstsq would raise LinAlgError
@@ -412,8 +419,9 @@ def _gn_steps(WJ: np.ndarray, Wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     # one finiteness test for the common case: a sum is finite only if every term is
     finite = None
-    if not math.isfinite(WJ.sum() + Wr.sum()):
-        finite = np.isfinite(WJ).all(axis=(-2, -1)) & np.isfinite(Wr).all(axis=(-2, -1))
+    if not math.isfinite(np.add.reduce(WJ, axis=None) + np.add.reduce(Wr, axis=None)):
+        finite = np.logical_and.reduce(np.isfinite(WJ), axis=(-2, -1))
+        finite &= np.logical_and.reduce(np.isfinite(Wr), axis=(-2, -1))
         WJ = np.where(finite[:, None, None], WJ, 0.0)
         Wr = np.where(finite[:, None, None], Wr, 0.0)
     dx, _, rank, _ = _lapack.gufuncs.lstsq(WJ, Wr, _EPS * max(WJ.shape[-2:]), signature="ddd->ddid")
@@ -448,15 +456,15 @@ def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
     for it in range(1, MAX_REFINE_ITERATIONS + 1):
         f, G = _theta_models(xr)
         dx, step_rank = _gn_steps(K6 + K2 @ G, K @ (th - f)[..., None])
-        if step_rank.min(initial=6) < 6:
+        if np.minimum.reduce(step_rank, initial=6) < 6:
             full = step_rank == 6
             idx = np.arange(N)[idx]
             rank[idx[~full]] = np.maximum(step_rank[~full], 0)
             idx, xr, th, thr, dx = idx[full], xr[full], th[full], thr[full], dx[full]
             K, K6, K2 = K[full], K6[full], K2[full]
         xr = xr + dx
-        done = (dx[:, :2] ** 2).sum(axis=-1) <= thr
-        n_done = np.count_nonzero(done)
+        done = np.add.reduce(dx[:, :2] ** 2, axis=-1) <= thr
+        n_done = _count_nonzero(done)
         if n_done == done.size:  # also when no frame is left
             x[idx], iterations[idx], converged[idx] = xr, it, True
             return x, iterations, converged, rank
@@ -482,12 +490,12 @@ def _pass2_whitened(stack: FrameStack, live: np.ndarray, A: np.ndarray, y: np.nd
     the mask of those whose is, and ``WA``, ``Wy`` hold those frames only.
     """
     t, c_tau, blocks = stack.t, stack.c_tau, stack.blocks
-    if live.size < len(stack):
+    if live.size < t.shape[0]:
         t, c_tau, blocks = t[live], c_tau[live], blocks[live]
-    var = _row_variances(_error_terms(t, A[..., _H_COLS], x), c_tau, blocks)
+    var = _row_variances(_error_terms(t, A.take(_H_COLS, axis=-1), x), c_tau, blocks)
     ok = None
-    if not var.min(initial=np.inf) > 0.0:  # also when a variance is NaN
-        ok = (var > 0.0).all(axis=-1)
+    if not np.minimum.reduce(var, axis=None, initial=np.inf) > 0.0:  # also when a variance is NaN
+        ok = np.logical_and.reduce(var > 0.0, axis=-1)
         A, y, var = A[ok], y[ok], var[ok]
     w = 1.0 / np.sqrt(var)
     return A * w[..., None], y * w, ok
@@ -535,13 +543,14 @@ def estimate_batch(stack: FrameStack) -> Estimates:
 
     blocks = stack.blocks if live.size == N else stack.blocks[live]
     traces = blocks[:, :, 0, 0] + blocks[:, :, 1, 1]
-    x, iterations, converged, gn_rank = _retract(theta, K, traces.sum(axis=-1) / M)
-    if min(gn_rank.tolist(), default=6) < 6:  # on a batch of one, a numpy reduction costs 5x a Python min
+    x, iterations, converged, gn_rank = _retract(theta, K, np.add.reduce(traces, axis=-1) / M)
+    if min(gn_rank.tolist(), default=6) < 6:  # on a batch of one, a numpy reduction costs 2.5x a Python min
         ok = gn_rank == 6
         errors.update(zip(live[~ok].tolist(), map(_retraction_error, gn_rank[~ok].tolist())))
         live, x, iterations, converged, cond, C_wls = live[ok], x[ok], iterations[ok], converged[ok], cond[ok], C_wls[ok]
     x, iterations, converged, cond, C_wls = _scatter(N, live, x, iterations, converged, cond, C_wls)
-    return Estimates(x, iterations, converged, errors, cond, C_wls)
+    return _checked(Estimates, x=x, iterations=iterations, converged=converged, errors=errors, cond=cond, C_wls=C_wls,
+                    diverged=None)
 
 
 def estimate(frame: ObservedFrame) -> EstimateReport:
@@ -613,8 +622,15 @@ def whitening_matrix(C_e: np.ndarray) -> np.ndarray:
     Diagonal input takes the cheap elementwise path; otherwise the symmetric
     eigenfactorization is used.  Any valid square root would give the same
     weighted solution; this choice is fixed for reproducibility.
+
+    Raises
+    ------
+    ConditioningError
+        If ``C_e`` has a non-finite entry or is not positive definite.
     """
     C_e = np.asarray(C_e, dtype=float)
+    if not np.isfinite(C_e).all():
+        raise ConditioningError("C_e has a non-finite entry")
     diag = np.diag(C_e)
     if np.count_nonzero(C_e - np.diag(diag)) == 0:
         if np.any(diag <= 0):
@@ -692,12 +708,17 @@ def gauss_newton_refine(wls: WlsSolution, agent_pos_cov_traces) -> EstimateRepor
 
     Raises
     ------
+    ValueError
+        If ``agent_pos_cov_traces`` is empty, or has an entry that is not
+        finite or is negative.
     DegenerateGeometryError
         If the weighted Jacobian loses column rank.
     """
     traces = np.asarray(agent_pos_cov_traces, dtype=float).reshape(-1)
     if traces.size == 0:
         raise ValueError("agent_pos_cov_traces must be non-empty")
+    if not (np.isfinite(traces) & (traces >= 0.0)).all():
+        raise ValueError(f"agent_pos_cov_traces must be finite and >= 0, got {traces.tolist()}")
     threshold = np.array([np.sum(traces) / traces.size])
 
     x, iterations, converged, rank = _retract(wls.theta_hat[None], wls.sqrt_info[None], threshold)

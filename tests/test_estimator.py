@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
@@ -35,6 +36,7 @@ from seqtoa import (
     estimate_degraded,
     exact_frame,
     gauss_newton_refine,
+    mle_estimate,
     simulate_frame,
     solve_wls_qr,
     theta_jacobian,
@@ -221,6 +223,22 @@ class TestSolveWlsQr:
             solve_wls_qr(design, np.eye(10))
         assert exc_info.value.numerical_rank < 9
 
+    @pytest.mark.parametrize("entries", [[(3, 3)], [(2, 5), (5, 2)], [(0, 0)]],
+                             ids=["diagonal", "off_diagonal", "first"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_c_e_is_a_conditioning_error(self, entries, value, fixed_scenario):
+        # a NaN on the diagonal once took the eigh_lo path, whose NaN eigenvalue
+        # in the middle passed the test on the smallest and largest: W came back
+        # all NaN and solve_wls_qr reported numerical rank 0
+        design = build_design(simulate_frame(fixed_scenario, 1))
+        C_e = np.eye(10)
+        for entry in entries:
+            C_e[entry] = value
+        with pytest.raises(ConditioningError, match="C_e has a non-finite entry"):
+            whitening_matrix(C_e)
+        with pytest.raises(ConditioningError, match="C_e has a non-finite entry"):
+            solve_wls_qr(design, C_e)
+
     def test_ltco_against_extended_precision_reference(self, fixed_scenario):
         # strong clock-offset frames: the QR path stays within 1e3x of a
         # 60-digit reference residual on every frame, while the explicit
@@ -345,6 +363,16 @@ class TestGaussNewtonRefine:
         report = gauss_newton_refine(wls, [0.0])
         assert report.iterations == 5
         assert not report.converged
+
+    @pytest.mark.parametrize("traces", [[np.inf], [np.nan], [-1e-3], [1e-3, np.nan, 1e-3], [1e-3, -np.inf]],
+                             ids=["inf", "nan", "negative", "one_nan", "minus_inf"])
+    def test_threshold_must_be_finite_and_nonnegative(self, traces):
+        # an infinite mean trace would report convergence after one step, and a
+        # NaN or negative one would run to the cap without a word
+        wls = WlsSolution(theta_hat=theta_model(random_state(np.random.default_rng(9))) + 1e-3,
+                          C_wls=np.eye(9), sqrt_info=np.eye(9))
+        with pytest.raises(ValueError, match="agent_pos_cov_traces must be finite and >= 0"):
+            gauss_newton_refine(wls, traces)
 
 
 class TestEstimate:
@@ -540,6 +568,71 @@ class TestEstimateBatch:
         short = frame_from_rows([(0.05 * m, 10.0, (1.0, 2.0), 0.0) for m in range(9)])
         with pytest.raises(ValueError, match="same number"):
             FrameStack.of([simulate_frame(fixed_scenario, 1), short])
+
+
+def golden_frames(kind):
+    """The (scenario, frame) pairs of one kind of :class:`TestGoldenFrames`:
+    noise-sweep frames at -50 to -10 dB, clock-offset frames up to 1 ms,
+    random-topology frames at the random sweep's three levels, or frames
+    that fail (every slot time zeroed, an agent claiming no noise, M = 8)."""
+    if kind == "failures":
+        rows = [(0.05 * m, 10.0 + m, (1.0 + m, 2.0 * m), 0.0) for m in range(8)]
+        failing = [sweep_frame(k, 0.0, seed) for k in ("static", "silent") for seed in range(3)]
+        return [(None, frame) for frame in (*failing, frame_from_rows(rows))]
+    values = {"noise": range(-50, -5, 5),
+              "ltco": tuple(s * C_LIGHT for s in (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)),
+              "random": (-30.0, -20.5, -10.0)}[kind]
+    seeds = range(100 // len(values) + 1)
+    scenarios = [sweep_scenario(kind, value, 1000 + seed) for value in values for seed in seeds]
+    return [(scenario, simulate_frame(scenario, 2000 + k)) for k, scenario in enumerate(scenarios)]
+
+
+def outcome_bytes(call) -> tuple[bytes, object]:
+    """The bytes of one estimate (state, iterations, flags, the proposed
+    estimator's ``cond_estimate`` and ``C_wls``), or of the class and
+    message of the error it raises; and the report, or None."""
+    try:
+        r = call()
+    except EstimationError as exc:
+        return f"{type(exc).__name__}: {exc}".encode(), None
+    parts = [r.x_hat.as_vector(), np.int64(r.iterations), np.bool_(r.converged), np.bool_(r.diverged),
+             np.float64(r.cond_estimate), r.C_wls if r.C_wls is not None else np.empty(0)]
+    return b"".join(np.asarray(p).tobytes() for p in parts), r
+
+
+class TestGoldenFrames:
+    """The bytes of every per-frame ``estimate`` on about 100 frames of each
+    sweep's kind, and of ``mle_estimate`` from the truth on 20 of them,
+    pinned by SHA-256.  The sweep CSVs see ``proposed`` only through cell
+    means; this pins the online path's own bytes.  The digests were recorded
+    with numpy 2.4 and OpenBLAS on x86-64; another BLAS build may round the
+    least-squares kernels differently."""
+
+    DIGESTS = {
+        "noise": "009a46a08c23dd7e6fb965810b7cc930bbcf34d87a7b78b91873530668a8d74b",
+        "ltco": "62b0558d1632c4c11aa5212e2501f97799dcdf9fc601defc4b9304e769dc4872",
+        "random": "d078e70cf64a7502ff9065afa3b669c66ff2cb82eed417fe579915d2ea68d5dc",
+        "failures": "bcb16d2ef8c89a1ce040f7ad6bc902279932364af8b93978c635a4a84a0855c3",
+        "mle": "99132589cc1dbe9c3483aa1d999e691724af100fc9c142c1097530ee687578c5",
+    }
+
+    @pytest.mark.parametrize("kind", DIGESTS)
+    def test_digest(self, kind):
+        digest, reports = hashlib.sha256(), []
+        if kind == "mle":
+            pairs = [pair for k in ("noise", "ltco", "random") for pair in golden_frames(k)[::15][:7]][:20]
+            calls = [lambda s=scenario, f=frame: mle_estimate(f, s.target) for scenario, frame in pairs]
+        else:
+            calls = [lambda f=frame: estimate(f) for _, frame in golden_frames(kind)]
+        for call in calls:
+            data, report = outcome_bytes(call)
+            digest.update(data)
+            reports.append(report)
+        if kind == "random":  # the set reaches the retraction's cap
+            assert any(r is not None and not r.converged and r.iterations == 5 for r in reports)
+        if kind == "failures":
+            assert reports == [None] * len(reports)
+        assert digest.hexdigest() == self.DIGESTS[kind]
 
 
 def static_normal_system(frame):
