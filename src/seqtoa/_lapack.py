@@ -1,4 +1,5 @@
-"""The one owner of numpy's LAPACK gufuncs, for every stacked kernel.
+"""The one owner of numpy's private API for every stacked kernel: its LAPACK
+gufuncs, and ``count_nonzero``, the C function ``np.count_nonzero`` ends in.
 
 Each ``np.linalg`` factorization, solve or inverse wraps a gufunc of
 ``numpy.linalg._umath_linalg``: it checks types, copies, sets an errstate that
@@ -13,6 +14,7 @@ The tests pin each gufunc the package calls to its wrapper.
 """
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero
 from numpy.linalg import _umath_linalg as gufuncs
 
 ERRSTATE = np.errstate(all="ignore")

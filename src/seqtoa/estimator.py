@@ -40,10 +40,10 @@ gather the frames still in play only after one has dropped out.  Each kernel
 says once whether every frame passed its check (``None`` for all of them),
 so a batch of one makes no call that only a larger stack needs, and a
 frame's row is the same bytes in any stack.  LAPACK (two ``qr_r_raw``, two
-``solve`` and one ``dgelsd`` per retraction step) is 21-24% of one M = 10
-frame's :func:`estimate`; the rest is numpy's per-call overhead on 9x6 to
-10x10 arrays.  With its parse and its report, such a frame takes about
-245 us on the 2-core reference host.
+``solve``, one ``inv`` and one ``dgelsd`` per retraction step) is 21-24% of
+one M = 10 frame's :func:`estimate`; the rest is numpy's per-call overhead
+on 9x6 to 10x10 arrays.  With its parse and its report, such a frame takes
+about 245 us on the 2-core reference host.
 
 Because that overhead sets a frame's cost, the kernels call the C entry
 point that each numpy wrapper ends in: they reduce with ``ufunc.reduce``
@@ -53,24 +53,28 @@ and gather columns with ``take`` rather than a fancy index.  The methods
 are Python wrappers around exactly these reductions, so every bit stays
 the same, and ``take`` copies the same entries at a third of a fancy
 index's cost on these sizes.  A test over a whole mask counts with the C
-``count_nonzero`` that ``np.count_nonzero`` calls, at about a tenth of a
-reduction's cost on a batch of one.  Demo 06 counts the Python-level calls
-of one :func:`estimate`.
+``count_nonzero`` that ``np.count_nonzero`` calls (bound in
+:mod:`seqtoa._lapack`), at about a tenth of a reduction's cost on a batch of
+one.  Demo 06 counts the Python-level calls of one :func:`estimate`.
 
-The kernels call the LAPACK gufuncs (``qr_r_raw``, ``solve``, ``lstsq``,
-``eigh_lo``) through :mod:`seqtoa._lapack`, under its one rule: a member
-whose factorization fails comes back NaN (and rank -1) instead of raising
-``LinAlgError`` for the whole stack.  That fails the frame's own rank,
-conditioning or finiteness check, so a LAPACK failure becomes that frame's
-:class:`RankDeficiencyError`, :class:`ConditioningError` or
+The kernels call the LAPACK gufuncs (``qr_r_raw``, ``solve``, ``inv``,
+``lstsq``, ``eigh_lo``) through :mod:`seqtoa._lapack`, under its one rule: a
+member whose factorization fails comes back NaN (and rank -1) instead of
+raising ``LinAlgError`` for the whole stack.  That fails the frame's own
+rank, conditioning or finiteness check, so a LAPACK failure becomes that
+frame's :class:`RankDeficiencyError`, :class:`ConditioningError` or
 :class:`DegenerateGeometryError` (rank 0), and no ``RuntimeWarning`` escapes.
 There is one code path: :func:`estimate` is :func:`estimate_batch` on a
 batch of one, whose stack views the frame's own read-only arrays instead of
 copying them, and ``report(0)`` builds its :class:`EstimateReport` from row 0.
 :func:`build_design`, :func:`build_error_model`, :func:`solve_wls_qr` and
-:func:`gauss_newton_refine` are single-frame wrappers over the same kernels.
-:func:`solve_wls_qr` accepts any ``C_e``; :func:`whitening_matrix` whitens a
-non-diagonal one through the ``eigh_lo`` gufunc.
+:func:`gauss_newton_refine` are single-frame wrappers over the same kernels,
+and both passes and :func:`solve_wls_qr` solve ``theta`` in one step,
+:func:`_wls_solve`.  So the stages, composed as the two passes run them, give
+:func:`estimate`'s bytes, or its error and message, on every frame (the test
+``test_stages_compose_to_estimate_bit_for_bit``).  :func:`solve_wls_qr`
+accepts any ``C_e``; :func:`whitening_matrix` whitens a non-diagonal one
+through the ``eigh_lo`` gufunc.
 """
 
 from __future__ import annotations
@@ -80,9 +84,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy._core.multiarray import count_nonzero as _count_nonzero
 
 from . import _lapack
+from ._lapack import count_nonzero as _count_nonzero
 from .errors import (
     ConditioningError,
     DegenerateGeometryError,
@@ -325,17 +329,17 @@ def _row_variances(b: np.ndarray, c_tau: np.ndarray, blocks: np.ndarray) -> np.n
 _LOWER9 = np.tri(N_THETA, N_THETA, -1, dtype=bool)
 
 
-def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
-    """Column-equilibrated QR of stacked systems ``WA @ theta ~ Wy``.
-
-    The columns of ``WA`` are scaled to unit norm, ``WA = Q R S``.  ``Wy``
-    rides along as an extra column of the factored matrix, so the last
-    column of the triangular factor carries ``z = Q^T Wy`` and ``Q`` is never
-    formed.  Returns ``(ok, ranks, R, z, scale, r_max, r_min)``: ``ok`` is
-    ``None`` when every system has full rank, else the ``(N,)`` mask of those
-    that do, and ``ranks`` holds the numerical ranks of the others, in order;
-    ``R (9, 9)``, ``z (9, 1)``, the column norms ``scale (9,)`` and the
-    largest and smallest ``|R_jj|`` hold the full-rank systems only, in order.
+def _wls_solve(WA: np.ndarray, Wy: np.ndarray, live: np.ndarray, errors: dict[int, EstimationError]):
+    """The one Step-I solve, of both passes and :func:`solve_wls_qr`: the
+    stacked systems ``WA @ theta ~ Wy`` of the frames ``live`` by
+    column-equilibrated QR, ``WA = Q R S``.  ``Wy`` rides along as an extra
+    column of the factored matrix, so the triangular factor's last column
+    carries ``z = Q^T Wy`` and ``theta = S^-1 R^-1 z``.  A rank-deficient
+    system's frame gets its :class:`RankDeficiencyError` in ``errors``.
+    Returns ``(ok, live, theta, factors)``: ``ok`` is ``None`` when every
+    system has full rank, else the ``(N,)`` mask of those that do; the frames
+    left, their ``theta (N, 9)``, and the ``(R, scale, r_max, r_min)`` (the
+    largest and smallest ``|R_jj|``) that :func:`_wls_covariance` takes.
     """
     M, n = WA.shape[-2:]
     scale = np.sqrt(np.add.reduce(WA * WA, axis=-2))
@@ -352,22 +356,22 @@ def _qr_factor(WA: np.ndarray, Wy: np.ndarray):
     tol = max(M, n) * _EPS * r_max
     ok = r_min > tol
     if _count_nonzero(ok) == ok.size:
-        return None, (), R, aug[:, :n, n:], scale, r_max, r_min
-    ranks = np.add.reduce(r[~ok] > tol[~ok, None], axis=-1)
-    return ok, ranks, R[ok], aug[ok, :n, n:], scale[ok], r_max[ok], r_min[ok]
+        ok = None
+    else:
+        ranks = np.add.reduce(r[~ok] > tol[~ok, None], axis=-1)
+        errors.update(zip(live[~ok].tolist(), map(_rank_error, ranks)))
+        live, R, aug, scale, r_max, r_min = live[ok], R[ok], aug[ok], scale[ok], r_max[ok], r_min[ok]
+    theta = _lapack.gufuncs.solve(R, aug[:, :n, n:], signature="dd->d")[..., 0] / scale
+    return ok, live, theta, (R, scale, r_max, r_min)
 
 
-def _wls_solutions(R: np.ndarray, z: np.ndarray, scale: np.ndarray, r_max: np.ndarray, r_min: np.ndarray):
-    """``(theta, C_wls, sqrt_info, cond)`` of full-rank factored systems."""
-    rhs = np.empty(z.shape[:-1] + (N_THETA + 1,))
-    rhs[..., :1] = z
-    rhs[..., 1:] = _EYE9
-    X = _lapack.gufuncs.solve(R, rhs, signature="dd->d")
-    theta = X[..., 0] / scale
-    R_inv = X[..., 1:]
+def _wls_covariance(R: np.ndarray, scale: np.ndarray, r_max: np.ndarray, r_min: np.ndarray):
+    """``(C_wls, sqrt_info, cond)`` of full-rank factored systems; ``inv``
+    cannot fail on a triangular ``R`` whose diagonal passed the rank test."""
+    R_inv = _lapack.gufuncs.inv(R, signature="d->d")
     col_scale = scale[:, None, :]
     C_wls = (R_inv @ R_inv.swapaxes(-1, -2)) / (scale[:, :, None] * col_scale)
-    return theta, C_wls, R * col_scale, r_max / r_min
+    return C_wls, R * col_scale, r_max / r_min
 
 
 def _underdetermined_error(M: int) -> UnderdeterminedError:
@@ -389,7 +393,6 @@ _QUAD[1, [2, 3, 5], [2, 3, 5]] = [-1.0, -1.0, 1.0]
 _QUAD[2, [0, 1, 2, 3, 4, 5], [2, 3, 0, 1, 5, 4]] = [-0.5, -0.5, -0.5, -0.5, 0.5, 0.5]
 _QUAD = _QUAD.transpose(1, 0, 2).reshape(6, 18)
 _EYE6 = np.eye(6)
-_EYE9 = np.eye(N_THETA)
 
 
 def _theta_models(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -430,18 +433,20 @@ def _gn_steps(WJ: np.ndarray, Wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx[..., 0], rank
 
 
-def _retract(theta: np.ndarray, K: np.ndarray, threshold: np.ndarray):
+def _retract(theta: np.ndarray, K: np.ndarray, traces: np.ndarray):
     """Stacked weighted Gauss-Newton retraction of ``theta (N, 9)`` onto the 6-state.
 
     Each step solves ``min ||K (theta - f(x) - J dx)||`` by :func:`_gn_steps`.
     A frame leaves the loop alone: with its rank once its system has rank
     below 6 (0 for a failed or non-finite system), converged once the squared
-    norm of its position step is at most its ``threshold``, or after
-    ``MAX_REFINE_ITERATIONS`` steps, so every frame runs exactly as many
-    iterations as it would alone.  Returns ``(x, iterations, converged,
-    rank)``; a frame with ``rank < 6`` has a meaningless ``x``.
+    norm of its position step is at most the mean of its agents' position
+    covariance traces ``traces (N, M)``, or after ``MAX_REFINE_ITERATIONS``
+    steps, so every frame runs exactly as many iterations as it would alone.
+    Returns ``(x, iterations, converged, rank)``; a frame with ``rank < 6``
+    has a meaningless ``x``.
     """
     N = theta.shape[0]
+    threshold = np.add.reduce(traces, axis=-1) / traces.shape[-1]
     x = theta[:, :6].copy()
     iterations, rank = np.empty(N, dtype=int), np.empty(N, dtype=int)  # on a batch of one, np.full costs twice this
     iterations.fill(MAX_REFINE_ITERATIONS)
@@ -523,27 +528,20 @@ def estimate_batch(stack: FrameStack) -> Estimates:
     A, y = _design(stack.t, stack.p_hat, stack.alpha)
 
     # pass 1: identity weights
-    ok, ranks, R, z, scale, _, _ = _qr_factor(A, y)
+    ok, live, theta, _ = _wls_solve(A, y, live, errors)
     if ok is not None:
-        errors.update(zip(live[~ok].tolist(), map(_rank_error, ranks)))
-        live, A, y = live[ok], A[ok], y[ok]
-    x1 = _lapack.gufuncs.solve(R, z, signature="dd->d")[..., :6, 0] / scale[:, :6]
+        A, y = A[ok], y[ok]
 
     # pass 2: weights from the error statistics at the pass-1 state
-    WA, Wy, ok = _pass2_whitened(stack, live, A, y, x1)
+    WA, Wy, ok = _pass2_whitened(stack, live, A, y, theta[:, :6])
     if ok is not None:
         errors.update((i, ConditioningError(_SINGULAR_CE)) for i in live[~ok].tolist())
         live = live[ok]
-
-    ok, ranks, R, z, scale, r_max, r_min = _qr_factor(WA, Wy)
-    if ok is not None:
-        errors.update(zip(live[~ok].tolist(), map(_rank_error, ranks)))
-        live = live[ok]
-    theta, C_wls, K, cond = _wls_solutions(R, z, scale, r_max, r_min)
+    _, live, theta, factors = _wls_solve(WA, Wy, live, errors)
+    C_wls, K, cond = _wls_covariance(*factors)
 
     blocks = stack.blocks if live.size == N else stack.blocks[live]
-    traces = blocks[:, :, 0, 0] + blocks[:, :, 1, 1]
-    x, iterations, converged, gn_rank = _retract(theta, K, np.add.reduce(traces, axis=-1) / M)
+    x, iterations, converged, gn_rank = _retract(theta, K, blocks[:, :, 0, 0] + blocks[:, :, 1, 1])
     if min(gn_rank.tolist(), default=6) < 6:  # on a batch of one, a numpy reduction costs 2.5x a Python min
         ok = gn_rank == 6
         errors.update(zip(live[~ok].tolist(), map(_retraction_error, gn_rank[~ok].tolist())))
@@ -664,10 +662,11 @@ def solve_wls_qr(design: DesignSystem, C_e: np.ndarray) -> WlsSolution:
     if M < n:
         raise UnderdeterminedError(f"need at least {n} rows, got {M}")
     W = whitening_matrix(C_e)
-    ok, ranks, *factors = _qr_factor((W @ design.A)[None], (W @ design.y)[None])
-    if ok is not None:
-        raise _rank_error(ranks[0])
-    theta, C_wls, sqrt_info, cond = _wls_solutions(*factors)
+    errors: dict[int, EstimationError] = {}
+    _, _, theta, factors = _wls_solve((W @ design.A)[None], (W @ design.y)[None], np.arange(1), errors)
+    if errors:
+        raise errors[0]
+    C_wls, sqrt_info, cond = _wls_covariance(*factors)
     return WlsSolution(theta_hat=theta[0], C_wls=C_wls[0], sqrt_info=sqrt_info[0], cond_estimate=float(cond[0]))
 
 
@@ -719,9 +718,7 @@ def gauss_newton_refine(wls: WlsSolution, agent_pos_cov_traces) -> EstimateRepor
         raise ValueError("agent_pos_cov_traces must be non-empty")
     if not (np.isfinite(traces) & (traces >= 0.0)).all():
         raise ValueError(f"agent_pos_cov_traces must be finite and >= 0, got {traces.tolist()}")
-    threshold = np.array([np.sum(traces) / traces.size])
-
-    x, iterations, converged, rank = _retract(wls.theta_hat[None], wls.sqrt_info[None], threshold)
+    x, iterations, converged, rank = _retract(wls.theta_hat[None], wls.sqrt_info[None], traces[None])
     if rank[0] < 6:
         raise _retraction_error(rank[0])
     return Estimates(x, iterations, converged, {}, np.array([wls.cond_estimate]), wls.C_wls[None]).report(0)

@@ -486,16 +486,18 @@ class TestExperimentCommand:
         assert written[0] == written[1]
 
     def test_sweep_estimates_on_the_calling_thread(self, tmp_path, monkeypatch):
-        estimate, callers = estimator.estimate, []
+        # estimate_batch runs every proposed estimate, one frame or a stack at a time
+        estimate_batch, calls = estimator.estimate_batch, []
 
-        def spy(frame):
-            callers.append(threading.get_ident())
-            return estimate(frame)
+        def spy(stack):
+            calls.append((threading.get_ident(), len(stack)))
+            return estimate_batch(stack)
 
-        monkeypatch.setattr(estimator, "estimate", spy)
+        monkeypatch.setattr(estimator, "estimate_batch", spy)
         spec = mini_experiment(tmp_path, n_trials=12)
         assert main(["experiment", "--input", str(spec), "--output", str(tmp_path / "o.csv"), "--threads", "3"]) == 0
-        assert callers == [threading.get_ident()] * 24
+        assert {caller for caller, _ in calls} == {threading.get_ident()}
+        assert sum(frames for _, frames in calls) == 24
 
     @pytest.mark.parametrize("path", EXPERIMENT_SPECS, ids=lambda p: p.name)
     def test_shipped_specs_take_trial_and_seed_overrides(self, path, tmp_path):
@@ -545,14 +547,14 @@ class TestGoldenOutputs:
 
     N_TRIALS = {"scheme1_noise_sweep.json": 24, "scheme2_ltco_sweep.json": 24, "scheme3_random_topology.json": 300}
     DIGESTS = {
-        ("scheme1_noise_sweep.json", 3): ("446aafd6d42a239378689939e6e8c0a95fd1e147188861f5c20f1d83f0194b87", None),
-        ("scheme1_noise_sweep.json", 11): ("d23300f5e9e95bf74914eb214e1235ec664ee2e82be721a06d3b4af7e9085b99", None),
-        ("scheme2_ltco_sweep.json", 3): ("80162c5294b600760e33b9eae0f3cfb9bfe1338c407bd9b48084b5cd679c69fd", None),
-        ("scheme2_ltco_sweep.json", 11): ("0f95eaaf9da8979eedc928fac7924063d3f8cae9075704c9fb8ec0360ec8dc12", None),
-        ("scheme3_random_topology.json", 3): ("015579ad6c88affc984336c64e6315a85cc692336a56c104207dc0c00ca8a783",
-                                              "6b8956cadecbcbc0926de2c1ef0e5643d7866a8334c4aee3bcbe2a72cd376be9"),
-        ("scheme3_random_topology.json", 11): ("c09bd9eedf765410f049197d800f3eba9c4fdfd4f0f8324b771ff62d79cb7ca9",
-                                               "3a66aea6dbe4919fddd92df3ab4900da4bc44390f9da209f6de5a2601e7b6c3b"),
+        ("scheme1_noise_sweep.json", 3): ("5f9e4501a2263971a58632fb70aba5f3165ac0534bfcaf367c5184ccf9ea23f9", None),
+        ("scheme1_noise_sweep.json", 11): ("af026f9f2338da9ede0c1effeb764ef788615ef47aeac6d9ccee2df0e45e81c9", None),
+        ("scheme2_ltco_sweep.json", 3): ("1c289de4d0d61078ac61017058993f66dc0a289198abf5920e168016f0bea70f", None),
+        ("scheme2_ltco_sweep.json", 11): ("a72f13725dddda4ff9f1c9ba5ebbdf2760674d4d27d7f6d4b882eeffd7bbb0e9", None),
+        ("scheme3_random_topology.json", 3): ("25f8b819205fefa76e73f7b6c457cf57339c4921d015c47d0e2b9eb57a225ef6",
+                                              "6e161e4b98f4c94797f293e522f64832ad5b094d47d4fa820acd19c872dc6896"),
+        ("scheme3_random_topology.json", 11): ("63b583a81b67114ae885b864b9de35d2954e9e7a1a6fbe9a6a2ed5a0ff962551",
+                                               "c3d3942360d81d2a493e08d363a9b0e26b6b27224d4561dded769ae89439eb11"),
     }
 
     @pytest.mark.parametrize("config, seed", DIGESTS, ids=lambda v: str(v).removesuffix(".json"))

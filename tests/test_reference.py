@@ -1,10 +1,24 @@
 """The float64 pipeline against a 60-digit reference.
 
+The single-frame stages (:func:`build_design`, :func:`solve_wls_qr` with
+identity weights, :func:`build_error_model` at the pass-1 state,
+:func:`solve_wls_qr`, :func:`gauss_newton_refine`) are :func:`estimate`'s own
+path: composed, they give its bytes on every frame
+(``tests/test_estimator.py::test_stages_compose_to_estimate_bit_for_bit``).
+So each check below that runs the stages checks the pipeline itself.
+
+Step I: on the LTCO frames of the retraction's set at 1 us, 100 us and 1 ms,
+pass 1's ``theta`` and pass 2's, each against a 60-digit ``qr_solve`` of the
+same float64 whitened system.  The float64 error of each block
+``[p, v, T, omega, theta1, theta2, theta3]`` must stay within 10x of the error
+recorded when the stages and the pipeline came to solve ``theta`` one way, or
+under 10x the error that rounding the whitened ``A`` and ``y`` to float64
+alone causes.
+
 The retraction: each frame's ``theta``, ``K`` and threshold come from the
-single-frame stages (:func:`build_design`, :func:`build_error_model` at the
-pass-1 state, :func:`solve_wls_qr`).  :func:`gauss_newton_refine` retracts in
-float64, and the reference runs the same number of Gauss-Newton steps from the
-same ``theta`` and ``K`` in mpmath at 60 digits.  The float64 error of each
+single-frame stages.  :func:`gauss_newton_refine` retracts in float64, and the
+reference runs the same number of Gauss-Newton steps from the same ``theta``
+and ``K`` in mpmath at 60 digits.  The float64 error of each
 state block ``[p, v, T, omega]`` must stay within 10x of the error recorded
 for the retraction's former SVD step, or under the block's floor: 10x the
 error that rounding ``theta`` to float64 alone causes (``eps * |theta_j|`` on
@@ -41,6 +55,7 @@ from seqtoa import (
     montecarlo,
     simulate_frame,
     solve_wls_qr,
+    whitening_matrix,
 )
 
 from conftest import LTCO_OFFSETS, sweep_scenario
@@ -146,6 +161,74 @@ def test_retraction_against_60_digit_reference(case):
     assert (report.iterations, report.converged) == (iterations, converged)
     error, rounding = reference_errors(wls, report)
     assert np.all((error <= 10.0 * np.array(recorded)) | (error <= 10.0 * rounding)), (error, recorded, rounding)
+
+
+# (kind, value, seed) of an LTCO frame of REFERENCE -> float64 error per block
+# [p, v, T, omega, theta1, theta2, theta3] of pass 1's theta and of pass 2's,
+# recorded when the stages and estimate came to solve theta one way
+THETA_REFERENCE = {
+    ("ltco", US, 0): ([1.7e-10, 6.0e-10, 1.1e-11, 1.1e-10, 3.5e-09, 2.4e-07, 2.5e-08],
+                      [7.9e-11, 1.9e-10, 1.3e-11, 3.7e-11, 6.3e-09, 9.4e-08, 5.2e-09]),
+    ("ltco", US, 1): ([9.5e-12, 2.5e-11, 7.7e-12, 1.6e-11, 4.7e-09, 9.1e-09, 3.5e-09],
+                      [2.8e-11, 1.0e-10, 3.9e-12, 2.8e-11, 1.8e-09, 1.1e-08, 1.0e-08]),
+    ("ltco", US, 5): ([7.6e-10, 2.8e-09, 2.0e-11, 5.3e-10, 3.7e-09, 3.3e-06, 1.4e-07],
+                      [1.3e-09, 4.7e-09, 2.8e-10, 1.6e-09, 1.5e-07, 1.1e-05, 4.6e-07]),
+    ("ltco", US100, 0): ([4.2e-07, 1.2e-06, 7.1e-08, 3.1e-07, 4.2e-03, 8.1e-04, 9.1e-03],
+                         [1.5e-07, 6.5e-07, 6.6e-09, 1.5e-07, 4.0e-04, 3.9e-04, 4.6e-03]),
+    ("ltco", US100, 1): ([2.8e-07, 9.8e-07, 1.9e-08, 2.2e-07, 1.1e-03, 1.2e-04, 6.6e-03],
+                         [2.2e-07, 7.5e-07, 5.9e-08, 2.7e-07, 3.5e-03, 4.4e-05, 8.0e-03]),
+    ("ltco", US100, 2): ([1.3e-07, 3.3e-07, 3.2e-08, 5.6e-08, 1.9e-03, 3.4e-04, 1.8e-03],
+                         [1.8e-07, 6.7e-07, 6.0e-08, 2.7e-07, 3.6e-03, 1.7e-03, 8.4e-03]),
+    ("ltco", MS, 3): ([3.3e-06, 1.8e-05, 2.0e-07, 4.5e-06, 1.2e-01, 4.6e-02, 1.3],
+                      [5.2e-06, 2.2e-05, 6.6e-08, 7.7e-06, 3.9e-02, 8.0e-02, 2.3]),
+    ("ltco", MS, 4): ([6.9e-06, 2.1e-05, 1.9e-06, 1.0e-05, 1.1, 1.0e-01, 3.0],
+                      [6.7e-06, 1.8e-05, 1.1e-06, 2.6e-06, 6.5e-01, 2.5e-02, 7.7e-01]),
+    ("ltco", MS, 9): ([6.4e-06, 1.7e-05, 3.9e-06, 5.9e-06, 2.3, 5.6e-02, 1.8],
+                      [1.5e-05, 6.7e-05, 2.1e-06, 1.4e-05, 1.2, 1.1e-01, 4.2]),
+}
+
+
+def _theta_blocks(values):
+    """Per-block norms ``[p, v, T, omega, theta1, theta2, theta3]`` of nine per-entry values."""
+    return np.concatenate([_blocks(values[:6]), np.abs(values[6:])])
+
+
+def theta_reference_errors(WA, Wy, theta):
+    """The float64 error per block of ``theta`` against the 60-digit
+    least-squares solution of the float64 system ``WA @ theta ~ Wy``, and the
+    blocks' errors from rounding ``WA`` and ``Wy`` alone (``eps`` times each
+    entry's magnitude, carried through the solution's first-order
+    sensitivities: ``P A^T`` for ``Wy`` and ``P_ij r_k - (P A^T)_ik theta_j``
+    for entry ``(k, j)`` of ``WA``, with ``P = (A^T A)^-1`` and ``r`` the
+    residual)."""
+    M, n = WA.shape
+    with mp.workdps(60):
+        A = mp.matrix([[mp.mpf(float(v)) for v in row] for row in WA])
+        b = mp.matrix([mp.mpf(float(v)) for v in Wy])
+        exact, _ = mp.qr_solve(A, b)
+        P = mp.inverse(A.T * A)
+        PAt, r = P * A.T, b - A * exact
+        eps = mp.mpf(2) ** -52
+        rounding = [mp.sqrt(sum((PAt[i, k] * eps * abs(b[k])) ** 2 for k in range(M))
+                            + sum(((P[i, j] * r[k] - PAt[i, k] * exact[j]) * eps * abs(A[k, j])) ** 2
+                                  for k in range(M) for j in range(n))) for i in range(n)]
+        error = [float(exact[i] - mp.mpf(float(v))) for i, v in enumerate(theta)]
+    return _theta_blocks(error), _theta_blocks([float(v) for v in rounding])
+
+
+@pytest.mark.parametrize("case", THETA_REFERENCE, ids=lambda c: f"{c[0]}{c[1]:g}-{c[2]}")
+def test_theta_against_60_digit_reference(case):
+    # pass 1's theta, solve_wls_qr(design, I), and pass 2's, solve_wls_qr at
+    # C_e(x1): estimate's own two solves, each against 60 digits
+    frame = frame_of(*case)
+    design = build_design(frame)
+    C_e = np.eye(frame.n_agents)
+    for recorded in THETA_REFERENCE[case]:
+        wls = solve_wls_qr(design, C_e)
+        W = whitening_matrix(C_e)
+        error, rounding = theta_reference_errors(W @ design.A, W @ design.y, wls.theta_hat)
+        assert np.all((error <= 10.0 * np.array(recorded)) | (error <= 10.0 * rounding)), (error, recorded, rounding)
+        C_e = build_error_model(frame, TargetState.from_vector(wls.theta_hat[:6])).C_e
 
 
 # (scheme, sweep value, trial) at base seed 0 -> float64 error per block
